@@ -35,22 +35,30 @@ use dproc::cluster::{ClusterConfig, ClusterSim};
 use simcore::{SimDur, SimTime};
 use simnet::{FaultPlan, LinkSpec, NodeId};
 
-/// System allocator wrapper counting every allocation (not bytes — the
-/// metric tracked is allocator round-trips on the hot path).
+/// System allocator wrapper counting every allocation (allocator
+/// round-trips on the hot path) and the bytes currently live (the scale
+/// section's per-node footprint).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Live heap bytes. Wrapping arithmetic on an unsigned counter: the sum
+/// of sizes allocated minus sizes freed is never negative.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -331,9 +339,20 @@ struct ScaleRun {
     /// Peak per-link utilization (lifetime payload bits over elapsed sim
     /// time, against the link's configured rate). Must stay ≤ 1.
     max_link_util: f64,
+    /// Live heap the cluster holds at the end of the run, per node — an
+    /// exact allocator count. Per-node state is O(rack), so this must not
+    /// grow with the node count at a fixed rack size.
+    heap_kb_per_node: f64,
 }
 
+/// Ceiling on [`ScaleRun::heap_kb_per_node`] per rack member: 200 KB per
+/// node at 32 per rack. Measured 3.5 KB per member at 1024 nodes / 32 per
+/// rack and at 4096 / 64 alike; cluster-sized per-peer tables cost 11.7
+/// at 1024 / 32 and grow with the node count.
+const SCALE_HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 6.25;
+
 fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
+    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     let cfg = ClusterConfig::new(nodes).racks(rack_size);
     let mut sim = ClusterSim::new(cfg);
     sim.set_threads(1);
@@ -341,6 +360,7 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
     let start = Instant::now();
     sim.run_until(SimTime::from_secs(sim_secs));
     let wall = start.elapsed();
+    let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
     let w = sim.world();
     let elapsed_s = sim_secs as f64;
     let mut max_bps = 0.0f64;
@@ -383,13 +403,14 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
         staleness_max_s: staleness.max(),
         max_link_mbps: max_bps / 1e6,
         max_link_util: max_util,
+        heap_kb_per_node: live as f64 / 1024.0 / nodes as f64,
     }
 }
 
 impl ScaleRun {
     fn json_fields(&self) -> String {
         format!(
-            "  \"scale_nodes\": {},\n  \"scale_racks\": {},\n  \"scale_sim_secs\": {},\n  \"scale_wall_ms\": {:.3},\n  \"scale_events\": {},\n  \"scale_digests_received\": {},\n  \"scale_spine_drops\": {},\n  \"scale_staleness_p50_s\": {:.6},\n  \"scale_staleness_p95_s\": {:.6},\n  \"scale_staleness_max_s\": {:.6},\n  \"scale_max_link_mbps\": {:.3},\n  \"scale_max_link_util\": {:.6}",
+            "  \"scale_nodes\": {},\n  \"scale_racks\": {},\n  \"scale_sim_secs\": {},\n  \"scale_wall_ms\": {:.3},\n  \"scale_events\": {},\n  \"scale_digests_received\": {},\n  \"scale_spine_drops\": {},\n  \"scale_staleness_p50_s\": {:.6},\n  \"scale_staleness_p95_s\": {:.6},\n  \"scale_staleness_max_s\": {:.6},\n  \"scale_max_link_mbps\": {:.3},\n  \"scale_max_link_util\": {:.6},\n  \"scale_heap_kb_per_node\": {:.1}",
             self.nodes,
             self.racks,
             self.sim_secs,
@@ -402,6 +423,7 @@ impl ScaleRun {
             self.staleness_max_s,
             self.max_link_mbps,
             self.max_link_util,
+            self.heap_kb_per_node,
         )
     }
 }
@@ -532,7 +554,7 @@ fn main() {
     let (scale_nodes, rack_size, scale_secs) = if quick { (1024, 32, 6) } else { (4096, 64, 8) };
     let scale = measure_scale(scale_nodes, rack_size, scale_secs);
     eprintln!(
-        "bench_pipeline: scale: {} nodes / {} racks, {} sim-s in {:.0} ms, {} events, {} digests, staleness p95 {:.3} s, max link util {:.3}",
+        "bench_pipeline: scale: {} nodes / {} racks, {} sim-s in {:.0} ms, {} events, {} digests, staleness p95 {:.3} s, max link util {:.3}, heap {:.0} KB/node",
         scale.nodes,
         scale.racks,
         scale.sim_secs,
@@ -541,6 +563,7 @@ fn main() {
         scale.digests_received,
         scale.staleness_p95_s,
         scale.max_link_util,
+        scale.heap_kb_per_node,
     );
 
     // Record the replay-safety lint state alongside the perf numbers:
@@ -704,6 +727,14 @@ fn main() {
         }
         if scale.digests_received == 0 {
             eprintln!("bench_pipeline: SCALE RUN VACUOUS (no digests delivered)");
+            std::process::exit(1);
+        }
+        let heap_max = SCALE_HEAP_KB_PER_RACK_MEMBER_MAX * rack_size as f64;
+        if scale.heap_kb_per_node > heap_max {
+            eprintln!(
+                "bench_pipeline: PER-NODE HEAP {:.0} KB over {heap_max:.0} KB (state growing with the cluster?)",
+                scale.heap_kb_per_node
+            );
             std::process::exit(1);
         }
         // Same for the lint state: new unbaselined errors fail the run.

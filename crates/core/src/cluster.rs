@@ -796,9 +796,13 @@ impl ClusterSim {
             let svc = host.cpu.spawn_service(SimTime::ZERO, "d-mon");
             svc_tasks.push(svc);
             hosts.push(host);
+            // A d-mon's neighbourhood is its rack (the whole cluster on a
+            // star): per-peer state is sized to it, not to the cluster.
+            let home = placement.rack(placement.rack_of(NodeId(i))).range();
             let mut dmon = DMon::new_shared(
                 NodeId(i),
                 shared_names.clone(),
+                home,
                 standard_modules(),
                 cfg.poll_period,
             );

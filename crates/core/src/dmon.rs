@@ -13,7 +13,8 @@
 //! the CPU cost to charge; the cluster glue executes sends and schedules
 //! deliveries.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use ecode::{
@@ -35,6 +36,7 @@ use crate::calib::Calib;
 use crate::control::parse_control;
 use crate::modules::MonitorModule;
 use crate::params::{PolicySet, Rule, RuleCtx};
+use crate::peers::{OutboxEntry, PeerRecord, PeerTable};
 
 /// Counters and samplers a d-mon keeps about itself — the numbers behind
 /// Figures 6–8.
@@ -188,14 +190,6 @@ impl PeerHealth {
     }
 }
 
-/// What the failure detector remembers about one remote peer.
-#[derive(Debug, Clone, Copy)]
-struct PeerRecord {
-    last_heard: SimTime,
-    health: PeerHealth,
-    epoch: u32,
-}
-
 /// One memoized filter evaluation within the current poll, keyed by the
 /// dense filter id assigned at admission (identical sources share an
 /// id, distinct sources never do — so a hit is a u32 compare, with no
@@ -301,15 +295,6 @@ const LADDER_DELTA_GATE: f64 = 0.10;
 /// depends on the retry.
 const CHOKE_PARK_CAP: u32 = 8;
 
-/// A monitoring payload parked in a subscriber's outbox while credits
-/// are stalled. Entries carry no `stream_seq` — the slot is allocated at
-/// the actual send — so shedding an entry leaves no hole in the stream.
-#[derive(Clone)]
-struct OutboxEntry {
-    records: Vec<MonRecord>,
-    ext_names: Vec<(u32, String, String)>,
-}
-
 /// The d-mon module of one node.
 pub struct DMon {
     node: NodeId,
@@ -332,14 +317,16 @@ pub struct DMon {
     filter_ids: HashMap<String, u32>,
     /// Next dense filter id to hand out.
     next_filter_id: u32,
-    /// Last value actually sent, per subscriber (outer index = node id,
-    /// inner index = metric id). Bounded by construction; a Dead
-    /// subscriber's row is reaped.
-    last_sent: Vec<Vec<Option<(f64, SimTime)>>>,
-    /// Last value received from remote publishers, indexed
-    /// `[origin][metric_id]` — the fast-path store applications read
-    /// alongside `/proc`. Rows grow to each origin's highest metric id.
-    remote_values: Vec<Vec<Option<(f64, SimTime)>>>,
+    /// Everything this node remembers per peer — stream positions, last
+    /// values sent and received, detector verdicts, credit windows,
+    /// outboxes, interned `/proc` handles — one slot per node of the
+    /// home range (the rack, or the whole cluster on a star), so per-node
+    /// state and every per-peer loop is O(rack), not O(cluster).
+    peers: PeerTable,
+    /// Frames dropped because they named an origin outside the cluster
+    /// (kept off [`DmonStats`], whose `Debug` text is part of recorded
+    /// run fingerprints).
+    events_rejected: u64,
     /// Learned schema extensions: metric/file names for foreign ids beyond
     /// the standard module set, per origin. Ordered so name lookups scan
     /// an origin's range deterministically.
@@ -354,15 +341,6 @@ pub struct DMon {
     /// This node's incarnation; bumped by [`DMon::on_revive`] so peers can
     /// tell a restart from a gap.
     epoch: u32,
-    /// Next `stream_seq` per subscriber stream (data and heartbeats share
-    /// the numbering). Indexed by node id; kept across a subscriber's
-    /// death so a heal without a restart shows no spurious stream reset.
-    stream_seq: Vec<u32>,
-    /// Continuity tracker per incoming stream, indexed by origin.
-    trackers: Vec<StreamTracker>,
-    /// Failure-detector state per remote peer, indexed by node id so
-    /// iteration (eviction, status files) is deterministic.
-    peers: Vec<Option<PeerRecord>>,
     /// Silence bound for Fresh → Stale.
     stale_after: SimDur,
     /// Silence bound for Stale → Dead.
@@ -371,31 +349,17 @@ pub struct DMon {
     /// Kept under `stale_after` so a fully-filtered publisher stays Fresh,
     /// but well above the polling period so heartbeats stay cheap.
     heartbeat_every: SimDur,
-    /// Last submission (data or heartbeat) per subscriber stream, indexed
-    /// by node id. Reaped when the subscriber is evicted as Dead.
-    stream_last_send: Vec<Option<SimTime>>,
     /// Customizations this node deployed on remote publishers, replayed on
     /// resync when a publisher restarts (its volatile policy/filter state
     /// died with it).
     deployed_ctl: HashMap<NodeId, Vec<ControlMsg>>,
     /// Peers that recovered since the last poll and need re-deployment.
     pending_resync: Vec<NodeId>,
-    /// Events (data + heartbeats) submitted per subscriber, indexed by
-    /// node id. A lifetime counter (observable via [`DMon::sent_to`]), so
-    /// it is flat and bounded rather than reaped.
-    sent_per_sub: Vec<u64>,
     /// Interned `/proc` handles for this node's own metric files, by
     /// module index; resolved on first write, O(1) afterwards.
     own_file_handles: Vec<Option<ProcHandle>>,
     /// Interned handle for `cluster/<own>/control`.
     own_ctl_handle: Option<ProcHandle>,
-    /// Interned handles for `cluster/<peer>/status`, by peer index.
-    status_handles: Vec<Option<ProcHandle>>,
-    /// Interned handles for `cluster/<origin>/<file>`, indexed
-    /// `[origin][metric_id]` — the receive path's hottest writes.
-    remote_file_handles: Vec<Vec<Option<ProcHandle>>>,
-    /// Origins whose `cluster/<origin>/control` file already exists.
-    remote_ctl_ready: Vec<bool>,
     /// Wire schema blocks for run-time-registered modules, rebuilt when
     /// the module set changes instead of per subscriber per poll.
     ext_schema: Vec<(u32, String, String)>,
@@ -428,53 +392,6 @@ pub struct DMon {
     /// Fingerprints two distinct sources have hashed to. The memo skips
     /// these permanently — correctness must not hinge on a 64-bit hash.
     fp_tainted: BTreeSet<u64>,
-    /// Publisher-side credit window per subscriber stream, indexed by
-    /// node id. Reset when the subscriber is evicted or this node
-    /// restarts.
-    credit: Vec<CreditWindow>,
-    /// Bounded per-subscriber outbox of payloads awaiting credits,
-    /// indexed by node id; overflow sheds oldest-first.
-    outbox: Vec<VecDeque<OutboxEntry>>,
-    /// Subscriber-side grant accounting: data events absorbed from each
-    /// publisher since the last credit grant, indexed by node id.
-    ungranted: Vec<u32>,
-    /// Loss repayments owed to each publisher: credits minted when a
-    /// stream gap proved its frames destroyed (they spent the publisher's
-    /// credits but consumed no receive capacity here). Flushed every poll
-    /// as a standalone priority-lane `Credit` frame — repayments exist
-    /// precisely while the bulk path is dropping, where a piggybacked
-    /// grant would die with its carrier.
-    repay: Vec<u32>,
-    /// Sender-side cumulative counter (mod 256, never resting on 0) of
-    /// credits piggybacked onto data events toward each subscriber. The
-    /// wire carries the counter, not the increment, so a grant whose
-    /// carrier tail-dropped is re-delivered by the next surviving frame.
-    grant_cum: Vec<u8>,
-    /// Receiver-side cursor: the last piggybacked counter value accepted
-    /// from each publisher; the wrapping difference on arrival is the
-    /// fresh grant.
-    grant_seen: Vec<u8>,
-    /// Whether any data event arrived from each publisher since this
-    /// node's previous poll. A publisher that owes us nothing goes quiet
-    /// naturally; one that went quiet while we still hold sub-threshold
-    /// grant debt is credit-starved — the poll flushes the remainder.
-    data_since_poll: Vec<bool>,
-    /// Remaining polls each subscriber stream stays parked after a
-    /// tail-drop at this node's own uplink queue, indexed by subscriber
-    /// id. A parked stream holds data without burning credits (the local
-    /// NIC said the queue is full — spending more right now is pointless)
-    /// and falls through to the heartbeat path. The park always expires —
-    /// the next data send re-probes the path — so no external frame is
-    /// ever needed to reopen the stream; an early credit grant reopens it
-    /// sooner.
-    choke_park: Vec<u32>,
-    /// Consecutive uplink tail-drops toward each subscriber — the binary
-    /// exponential backoff run (parks of 1, 2, 4, then
-    /// [`CHOKE_PARK_CAP`] polls). Sustained overload therefore converges
-    /// to long parked stretches, which is exactly the consecutive-stall
-    /// signal the degradation ladder keys on; a credit grant resets the
-    /// run.
-    choke_run: Vec<u8>,
     /// Whether this node's own uplink queue tail-dropped any frame since
     /// the previous poll. A local qdisc drop is the most direct overload
     /// evidence a node has — credit stalls can lag it by many polls when
@@ -508,22 +425,27 @@ impl DMon {
         modules: Vec<Box<dyn MonitorModule>>,
         poll_period: SimDur,
     ) -> Self {
-        Self::new_shared(node, Arc::new(cluster_names), modules, poll_period)
+        let home = 0..cluster_names.len();
+        Self::new_shared(node, Arc::new(cluster_names), home, modules, poll_period)
     }
 
-    /// Create the d-mon for `node` with a shared name table. The cluster
+    /// Create the d-mon for `node` with a shared name table — the cluster
     /// glue hands every d-mon the same `Arc`, so a 4096-node run holds
-    /// one name table, not 4096 copies.
+    /// one name table, not 4096 copies — and `home`, the contiguous
+    /// node-id range of its rack (the whole cluster on a star), as its
+    /// neighbourhood: per-peer state is allocated for that range only.
     pub fn new_shared(
         node: NodeId,
         cluster_names: Arc<Vec<String>>,
+        home: Range<usize>,
         modules: Vec<Box<dyn MonitorModule>>,
         poll_period: SimDur,
     ) -> Self {
         assert!(!poll_period.is_zero(), "zero poll period");
+        assert!(home.contains(&node.0), "node outside its home range");
         let env = EnvSpec::new(modules.iter().map(|m| m.metric_name().to_string()));
         let base_modules = modules.len();
-        let n = cluster_names.len();
+        let peers = PeerTable::new(home, cluster_names.len());
         DMon {
             node,
             cluster_names,
@@ -535,28 +457,20 @@ impl DMon {
             filters: HashMap::new(),
             filter_ids: HashMap::new(),
             next_filter_id: 0,
-            last_sent: vec![Vec::new(); n],
-            remote_values: vec![Vec::new(); n],
+            peers,
+            events_rejected: 0,
             remote_ext: BTreeMap::new(),
             base_modules,
             rejections: HashMap::new(),
             seq: 0,
             epoch: 0,
-            stream_seq: vec![0; n],
-            trackers: vec![StreamTracker::default(); n],
-            peers: vec![None; n],
             stale_after: poll_period.mul_f64(3.0),
             dead_after: poll_period.mul_f64(8.0),
             heartbeat_every: poll_period.mul_f64(2.0),
-            stream_last_send: vec![None; n],
             deployed_ctl: HashMap::new(),
             pending_resync: Vec::new(),
-            sent_per_sub: vec![0; n],
             own_file_handles: vec![None; base_modules],
             own_ctl_handle: None,
-            status_handles: vec![None; n],
-            remote_file_handles: vec![Vec::new(); n],
-            remote_ctl_ready: vec![false; n],
             ext_schema: Vec::new(),
             filter_inputs: Vec::new(),
             sample_buf: Vec::new(),
@@ -568,15 +482,6 @@ impl DMon {
             record_arena: kecho::RecordArena::new(),
             fp_sources: BTreeMap::new(),
             fp_tainted: BTreeSet::new(),
-            credit: vec![CreditWindow::new(); n],
-            outbox: vec![VecDeque::new(); n],
-            ungranted: vec![0; n],
-            repay: vec![0; n],
-            grant_cum: vec![0; n],
-            grant_seen: vec![0; n],
-            data_since_poll: vec![false; n],
-            choke_park: vec![0; n],
-            choke_run: vec![0; n],
             wire_dropped_since_poll: false,
             ladder: 0,
             stall_run: 0,
@@ -691,7 +596,7 @@ impl DMon {
     }
 
     fn remote_value_at(&self, origin: NodeId, idx: u32) -> Option<(f64, SimTime)> {
-        *self.remote_values.get(origin.0)?.get(idx as usize)?
+        *self.peers.get(origin)?.remote_values.get(idx as usize)?
     }
 
     /// The policy a subscriber currently has configured here.
@@ -746,12 +651,12 @@ impl DMon {
 
     /// Health of a remote peer; `None` until first contact.
     pub fn peer_health(&self, peer: NodeId) -> Option<PeerHealth> {
-        self.peers.get(peer.0)?.map(|r| r.health)
+        self.peers.get(peer)?.record.map(|r| r.health)
     }
 
     /// When a remote peer was last heard from; `None` until first contact.
     pub fn peer_last_heard(&self, peer: NodeId) -> Option<SimTime> {
-        self.peers.get(peer.0)?.map(|r| r.last_heard)
+        self.peers.get(peer)?.record.map(|r| r.last_heard)
     }
 
     /// Earliest future instant at which a currently-tracked peer could be
@@ -762,7 +667,7 @@ impl DMon {
     pub fn next_dead_deadline(&self) -> Option<SimTime> {
         self.peers
             .iter()
-            .flatten()
+            .filter_map(|p| p.record)
             .filter(|r| r.health != PeerHealth::Dead)
             .map(|r| r.last_heard + self.dead_after)
             .min()
@@ -776,7 +681,7 @@ impl DMon {
     /// Events (data + heartbeats) this publisher has submitted to one
     /// subscriber over its lifetime.
     pub fn sent_to(&self, subscriber: NodeId) -> u64 {
-        self.sent_per_sub.get(subscriber.0).copied().unwrap_or(0)
+        self.peers.get(subscriber).map_or(0, |p| p.sent)
     }
 
     /// Number of customization messages queued for replay to `target` if
@@ -788,7 +693,7 @@ impl DMon {
     /// Length of the last-sent row held for `subscriber` — zero once a
     /// Dead eviction reaps it, non-zero again after publication resumes.
     pub fn last_sent_len(&self, subscriber: NodeId) -> usize {
-        self.last_sent.get(subscriber.0).map_or(0, Vec::len)
+        self.peers.get(subscriber).map_or(0, |p| p.last_sent.len())
     }
 
     /// Current degradation-ladder level (0 = full fidelity, 4 =
@@ -799,18 +704,29 @@ impl DMon {
 
     /// Events parked for `sub` awaiting credits.
     pub fn outbox_len(&self, sub: NodeId) -> usize {
-        self.outbox.get(sub.0).map_or(0, VecDeque::len)
+        self.peers.get(sub).map_or(0, |p| p.outbox.len())
     }
 
     /// Credits currently available toward `sub`.
     pub fn credits_for(&self, sub: NodeId) -> u32 {
-        self.credit.get(sub.0).map_or(0, CreditWindow::available)
+        self.peers.get(sub).map_or(0, |p| p.credit.available())
     }
 
     /// The full credit window toward `sub` (granted/consumed counters
     /// included), for observability surfaces.
     pub fn credit_window(&self, sub: NodeId) -> Option<&CreditWindow> {
-        self.credit.get(sub.0)
+        self.peers.get(sub).map(|p| &p.credit)
+    }
+
+    /// Peers this d-mon holds state for: its home range plus any
+    /// out-of-rack cluster member that has legitimately shown up.
+    pub fn tracked_peers(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Frames dropped because their origin named no node of this cluster.
+    pub fn events_rejected(&self) -> u64 {
+        self.events_rejected
     }
 
     /// The kernel's own uplink queue tail-dropped a data frame bound for
@@ -823,38 +739,25 @@ impl DMon {
     /// the poll after that re-probes the path (under sustained overload
     /// each retry's drop re-chokes, halving the burn rate).
     pub fn on_wire_drop(&mut self, sub: NodeId) {
-        let Some(run) = self.choke_run.get_mut(sub.0) else {
+        let Some(p) = self.peers.touch(sub) else {
             return;
         };
-        *run = run.saturating_add(1);
-        self.choke_park[sub.0] = (1u32 << u32::from(*run - 1).min(3)).min(CHOKE_PARK_CAP);
+        p.choke_run = p.choke_run.saturating_add(1);
+        p.choke_park = (1u32 << u32::from(p.choke_run - 1).min(3)).min(CHOKE_PARK_CAP);
+        p.stream_last_send = None;
         self.wire_dropped_since_poll = true;
-        if let Some(t) = self.stream_last_send.get_mut(sub.0) {
-            *t = None;
-        }
     }
 
     /// Whether the stream toward `sub` is currently parked by a local
     /// uplink tail-drop backoff.
     pub fn choked_toward(&self, sub: NodeId) -> bool {
-        self.choke_park.get(sub.0).is_some_and(|&p| p > 0)
-    }
-
-    /// A credit grant from `peer` is fresh evidence the path toward it
-    /// works: reopen a parked stream and reset its drop backoff.
-    fn unchoke(&mut self, peer: NodeId) {
-        if let Some(p) = self.choke_park.get_mut(peer.0) {
-            *p = 0;
-        }
-        if let Some(r) = self.choke_run.get_mut(peer.0) {
-            *r = 0;
-        }
+        self.peers.get(sub).is_some_and(|p| p.choke_park > 0)
     }
 
     /// Read access to the stream tracker observing `peer`'s stream
     /// (tests, probes).
     pub fn stream_tracker(&self, peer: NodeId) -> Option<&StreamTracker> {
-        self.trackers.get(peer.0)
+        self.peers.get(peer).map(|p| &p.tracker)
     }
 
     /// Crash-stop restart: volatile state (deployed policies/filters,
@@ -865,58 +768,43 @@ impl DMon {
         self.epoch += 1;
         self.policies.clear();
         self.filters.clear();
-        self.last_sent.iter_mut().for_each(Vec::clear);
-        self.remote_values.iter_mut().for_each(Vec::clear);
         self.remote_ext.clear();
         self.rejections.clear();
-        self.stream_seq.fill(0);
-        self.stream_last_send.fill(None);
-        self.trackers.fill_with(StreamTracker::default);
-        self.peers.fill(None);
         self.deployed_ctl.clear();
         self.pending_resync.clear();
-        self.sent_per_sub.fill(0);
-        // Flow-control and overload state is volatile too: windows reopen
-        // full, parked payloads died with the kernel, the ladder restarts
-        // at full fidelity.
-        self.credit
-            .iter_mut()
-            .for_each(|w| *w = CreditWindow::new());
-        self.outbox.iter_mut().for_each(VecDeque::clear);
-        self.ungranted.fill(0);
-        self.repay.fill(0);
-        self.grant_cum.fill(0);
-        self.grant_seen.fill(0);
-        self.data_since_poll.fill(false);
-        self.choke_park.fill(0);
-        self.choke_run.fill(0);
+        // Per-peer stream, detector and flow-control state is volatile
+        // too: windows reopen full, parked payloads died with the kernel.
+        // Interned status/control paths survive — the host (and its proc
+        // tree) persists across a crash-restart in this model.
+        self.peers.iter_mut().for_each(|(_, p)| p.on_revive());
+        // The ladder restarts at full fidelity.
         self.wire_dropped_since_poll = false;
         self.ladder = 0;
         self.stall_run = 0;
         self.clear_run = 0;
         self.own_latest.fill(None);
         self.rack_digests.clear();
-        // Interned /proc handles survive: the host (and its proc tree)
-        // persists across a crash-restart in this model, so the paths they
-        // name are still the right files. Stale remote schema mappings do
-        // not: ext name→id bindings were learned from peers and are
-        // relearned, so their cached handles go too.
-        self.remote_file_handles.iter_mut().for_each(Vec::clear);
     }
 
     /// Fold a liveness proof from `origin` into the detector + trackers.
-    /// Returns the stream observation so callers can react to gaps.
+    /// Returns the stream observation so callers can react to gaps, or
+    /// `None` (counted in `events_rejected`) when `origin` names no node
+    /// of this cluster — such a frame must be dropped, not indexed.
     fn note_alive(
         &mut self,
         origin: NodeId,
         epoch: u32,
         stream_seq: u32,
         now: SimTime,
-    ) -> Observation {
+    ) -> Option<Observation> {
         if origin == self.node {
-            return Observation::default();
+            return Some(Observation::default());
         }
-        let obs = self.trackers[origin.0].observe(epoch, stream_seq);
+        let Some(p) = self.peers.touch(origin) else {
+            self.events_rejected += 1;
+            return None;
+        };
+        let obs = p.tracker.observe(epoch, stream_seq);
         self.stats.gaps_detected += obs.lost;
         // A proven-lost frame spent one of the publisher's credits but
         // consumed none of our receive capacity: repay it, so the window
@@ -928,8 +816,9 @@ impl DMon {
         // window back to full strength; absorbed-data grants alone are
         // one-for-one and would leave a post-overload stream limping on a
         // deflated window forever.
-        self.repay[origin.0] =
-            self.repay[origin.0].saturating_add(u32::try_from(obs.lost).unwrap_or(u32::MAX));
+        p.repay = p
+            .repay
+            .saturating_add(u32::try_from(obs.lost).unwrap_or(u32::MAX));
         if obs.healed {
             // A straggler disproved an earlier loss accusation (see
             // `Observation::healed`); keep the counter exact — and take
@@ -937,9 +826,9 @@ impl DMon {
             // itself earns the ordinary absorbed-data credit in
             // `on_event`).
             self.stats.gaps_detected = self.stats.gaps_detected.saturating_sub(1);
-            self.repay[origin.0] = self.repay[origin.0].saturating_sub(1);
+            p.repay = p.repay.saturating_sub(1);
         }
-        let rec = self.peers[origin.0].get_or_insert(PeerRecord {
+        let rec = p.record.get_or_insert(PeerRecord {
             last_heard: now,
             health: PeerHealth::Fresh,
             epoch,
@@ -951,7 +840,7 @@ impl DMon {
         if recovered && !self.pending_resync.contains(&origin) {
             self.pending_resync.push(origin);
         }
-        obs
+        Some(obs)
     }
 
     /// The channel registry announced that `peer` (re-)subscribed. A
@@ -966,7 +855,7 @@ impl DMon {
         if peer == self.node {
             return;
         }
-        if let Some(rec) = self.peers.get_mut(peer.0).and_then(Option::as_mut) {
+        if let Some(rec) = self.peers.get_mut(peer).and_then(|p| p.record.as_mut()) {
             if rec.health == PeerHealth::Dead {
                 rec.health = PeerHealth::Stale;
                 rec.last_heard = now;
@@ -980,17 +869,18 @@ impl DMon {
     fn check_peers(&mut self, host: &mut Host, now: SimTime) -> Vec<NodeId> {
         let mut dead = Vec::new();
         let stats = &mut self.stats;
-        let status_handles = &mut self.status_handles;
         let cluster_names = &self.cluster_names;
         let (stale_after, dead_after) = (self.stale_after, self.dead_after);
-        for (idx, slot) in self.peers.iter_mut().enumerate() {
-            let Some(rec) = slot.as_mut() else { continue };
+        for (peer, p) in self.peers.iter_mut() {
+            let Some(rec) = p.record.as_mut() else {
+                continue;
+            };
             let age = now.since(rec.last_heard);
             if rec.health != PeerHealth::Dead {
                 if age >= dead_after {
                     rec.health = PeerHealth::Dead;
                     stats.nodes_evicted += 1;
-                    dead.push(NodeId(idx));
+                    dead.push(peer);
                 } else if age >= stale_after {
                     if rec.health == PeerHealth::Fresh {
                         stats.nodes_suspected += 1;
@@ -1003,15 +893,15 @@ impl DMon {
                     stats.heartbeats_missed += 1;
                 }
             }
-            let h = match status_handles[idx] {
+            let h = match p.status_handle {
                 Some(h) => h,
                 None => {
-                    let name = &cluster_names[idx];
+                    let name = &cluster_names[peer.0];
                     let h = host
                         .proc
                         .intern(&format!("cluster/{name}/status"))
                         .expect("status path");
-                    status_handles[idx] = Some(h);
+                    p.status_handle = Some(h);
                     h
                 }
             };
@@ -1132,23 +1022,10 @@ impl DMon {
         // (`deployed_ctl`, bounded by compaction) deliberately survive.
         let dead_peers = self.check_peers(host, now);
         for &peer in &dead_peers {
-            self.last_sent[peer.0] = Vec::new();
-            self.stream_last_send[peer.0] = None;
             // Flow-control state dies with the stream: parked payloads
             // for a dead subscriber are shed, its window reopens full for
             // a possible recovery, grant accounting toward it resets.
-            while let Some(e) = self.outbox[peer.0].pop_front() {
-                kecho::put_record_buf(e.records);
-                self.stats.events_shed += 1;
-            }
-            self.credit[peer.0] = CreditWindow::new();
-            self.ungranted[peer.0] = 0;
-            self.repay[peer.0] = 0;
-            self.grant_cum[peer.0] = 0;
-            self.grant_seen[peer.0] = 0;
-            self.data_since_poll[peer.0] = false;
-            self.choke_park[peer.0] = 0;
-            self.choke_run[peer.0] = 0;
+            self.stats.events_shed += self.peers[peer].reap();
         }
 
         // 3. Per subscriber: parameters or filter decide what to send; a
@@ -1165,7 +1042,15 @@ impl DMon {
         let data_poll = self.stats.iterations.is_multiple_of(stretch);
         let mut stalled_any = false;
         for sub in dir.subscribers(mon_chan) {
-            if sub == self.node || self.peer_health(sub) == Some(PeerHealth::Dead) {
+            if sub == self.node {
+                continue;
+            }
+            // A registry entry naming no node of this cluster gets no
+            // stream; every other subscriber has a slot from here on.
+            let Some(p) = self.peers.touch(sub) else {
+                continue;
+            };
+            if p.record.is_some_and(|r| r.health == PeerHealth::Dead) {
                 continue;
             }
             let mut records = if data_poll {
@@ -1188,8 +1073,9 @@ impl DMon {
                 let keep = if self.ladder >= LADDER_TOP { 1 } else { 2 };
                 records.retain(|r| (r.metric_id as usize) < keep);
             }
+            let p = &mut self.peers[sub];
             if !records.is_empty() {
-                let row = &mut self.last_sent[sub.0];
+                let row = &mut p.last_sent;
                 if row.len() < self.modules.len() {
                     row.resize(self.modules.len(), None);
                 }
@@ -1213,9 +1099,9 @@ impl DMon {
                         .cloned()
                         .collect()
                 };
-                self.outbox[sub.0].push_back(OutboxEntry { records, ext_names });
-                if self.outbox[sub.0].len() > OUTBOX_CAP {
-                    let e = self.outbox[sub.0].pop_front().expect("outbox over cap");
+                p.outbox.push_back(OutboxEntry { records, ext_names });
+                if p.outbox.len() > OUTBOX_CAP {
+                    let e = p.outbox.pop_front().expect("outbox over cap");
                     kecho::put_record_buf(e.records);
                     self.stats.events_shed += 1;
                 }
@@ -1230,16 +1116,16 @@ impl DMon {
             // a grant arrived would deadlock now that grants piggyback on
             // reverse data — a peer with zero grant debt has no frame to
             // unchoke with.
-            let choked = self.choke_park[sub.0] > 0;
+            let choked = p.choke_park > 0;
             if choked {
-                self.choke_park[sub.0] -= 1;
+                p.choke_park -= 1;
             }
             let mut sent_data = false;
-            while !choked && !self.outbox[sub.0].is_empty() {
-                if !self.credit[sub.0].try_consume() {
+            while !choked && !p.outbox.is_empty() {
+                if !p.credit.try_consume() {
                     break;
                 }
-                let e = self.outbox[sub.0].pop_front().expect("checked non-empty");
+                let e = p.outbox.pop_front().expect("checked non-empty");
                 self.seq += 1;
                 // Piggyback this node's grant debt for the reverse stream:
                 // a subscriber that also publishes tops its peers up on
@@ -1254,18 +1140,18 @@ impl DMon {
                 // is going unacknowledged skip the attach — their bulk
                 // frames are probably dying, so the debt is left for the
                 // loss-immune priority-lane Credit frame instead.
-                if !self.credit[sub.0].grant_overdue() {
-                    let mut grant = self.ungranted[sub.0].min(u32::from(u8::MAX));
-                    if grant > 0 && self.grant_cum[sub.0].wrapping_add(grant as u8) == 0 {
+                if !p.credit.grant_overdue() {
+                    let mut grant = p.ungranted.min(u32::from(u8::MAX));
+                    if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
                         // The counter never rests on 0 (0 on the wire
                         // means "no grant info"): defer one credit so the
                         // cursor arithmetic stays unambiguous.
                         grant -= 1;
                     }
-                    self.grant_cum[sub.0] = self.grant_cum[sub.0].wrapping_add(grant as u8);
-                    self.ungranted[sub.0] -= grant;
+                    p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
+                    p.ungranted -= grant;
                 }
-                let grant = u32::from(self.grant_cum[sub.0]);
+                let grant = u32::from(p.grant_cum);
                 let mut ev = Event::monitoring(
                     mon_chan.0,
                     self.seq,
@@ -1273,7 +1159,7 @@ impl DMon {
                     MonitoringPayload {
                         origin: self.node,
                         epoch: self.epoch,
-                        stream_seq: self.next_stream_seq(sub),
+                        stream_seq: p.next_stream_seq(),
                         credit_grant: grant,
                         records: e.records,
                         pad_bytes: self.event_pad,
@@ -1290,8 +1176,8 @@ impl DMon {
                 self.stats.events_sent += 1;
                 self.stats.bytes_sent += bytes as u64;
                 self.stats.submit_cost_partial(handler);
-                self.sent_per_sub[sub.0] += 1;
-                self.stream_last_send[sub.0] = Some(now);
+                p.sent += 1;
+                p.stream_last_send = Some(now);
                 sent_data = true;
                 sends.push((
                     Hop {
@@ -1302,7 +1188,7 @@ impl DMon {
                     bytes,
                 ));
             }
-            if !self.outbox[sub.0].is_empty() {
+            if !p.outbox.is_empty() {
                 self.stats.credits_stalled += 1;
                 stalled_any = true;
             }
@@ -1315,7 +1201,7 @@ impl DMon {
             // priority-lane heartbeats until a grant lands, so the
             // subscriber keeps its liveness proof (and its gap
             // accounting) however lossy the bulk lane is.
-            let overdue = self.credit[sub.0].grant_overdue();
+            let overdue = p.credit.grant_overdue();
             if !sent_data || overdue {
                 // Heartbeats are rate-limited to `heartbeat_every`, not
                 // one per poll: a preformatted liveness packet only needs
@@ -1326,7 +1212,7 @@ impl DMon {
                 // cannot absorb data. An overdue stream skips the rate
                 // limit: its own data sends reset the silence clock while
                 // proving nothing.
-                let silence = self.stream_last_send[sub.0].map_or(SimDur::MAX, |t| now.since(t));
+                let silence = p.stream_last_send.map_or(SimDur::MAX, |t| now.since(t));
                 if !overdue && silence < self.heartbeat_every {
                     continue;
                 }
@@ -1339,14 +1225,14 @@ impl DMon {
                     HeartbeatPayload {
                         origin: self.node,
                         epoch: self.epoch,
-                        stream_seq: self.next_stream_seq(sub),
+                        stream_seq: p.next_stream_seq(),
                     },
                 );
                 let bytes = kecho::wire::encoded_size(&ev);
                 cpu += calib.heartbeat_cost + calib.heartbeat_path_send;
                 self.stats.heartbeats_sent += 1;
-                self.sent_per_sub[sub.0] += 1;
-                self.stream_last_send[sub.0] = Some(now);
+                p.sent += 1;
+                p.stream_last_send = Some(now);
                 sends.push((
                     Hop {
                         from: self.node,
@@ -1364,14 +1250,15 @@ impl DMon {
         // batch to about one control frame per window half.
         let mut grants: Vec<(NodeId, u32)> = std::mem::take(&mut self.grant_buf);
         grants.clear();
-        for idx in 0..self.ungranted.len() {
+        for (publisher, p) in self.peers.iter_mut() {
             // Batch absorbed-data grants behind the threshold — but flush
             // any remainder when the publisher's data stream has gone
             // quiet: a stalled publisher trickling below the threshold
             // would otherwise never be topped back up (credit deadlock
             // after wire loss).
-            let pending = self.ungranted[idx];
-            let quiet_debt = pending > 0 && !self.data_since_poll[idx];
+            let pending = p.ungranted;
+            let quiet_debt = pending > 0 && !p.data_since_poll;
+            p.data_since_poll = false;
             let absorbed = if pending >= GRANT_THRESHOLD || quiet_debt {
                 pending
             } else {
@@ -1382,14 +1269,13 @@ impl DMon {
             // a starved window is the bottleneck and a piggybacked grant
             // would die with its carrier. The standalone frame rides the
             // priority lane, so it is loss-immune.
-            let credits = absorbed + self.repay[idx];
+            let credits = absorbed + p.repay;
             if credits > 0 {
-                grants.push((NodeId(idx), credits));
-                self.ungranted[idx] -= absorbed;
-                self.repay[idx] = 0;
+                grants.push((publisher, credits));
+                p.ungranted -= absorbed;
+                p.repay = 0;
             }
         }
-        self.data_since_poll.fill(false);
         for (publisher, credits) in grants.drain(..) {
             self.seq += 1;
             let ev = Event::control(
@@ -1449,7 +1335,7 @@ impl DMon {
         // thresholds → drop low-priority modules → summary-only digest);
         // stepping back up needs a hysteresis run of clear polls AND fully
         // drained outboxes, so a borderline load cannot flap the level.
-        let outboxes_empty = self.outbox.iter().all(VecDeque::is_empty);
+        let outboxes_empty = self.peers.iter().all(|p| p.outbox.is_empty());
         // A poll marred by a local uplink tail-drop counts as stalled even
         // if every outbox drained: the NIC is refusing this node's own
         // output, which is overload however healthy the credit windows
@@ -1508,14 +1394,6 @@ impl DMon {
             dead_peers,
             rejoin: !dir.is_subscribed(mon_chan, self.node),
         }
-    }
-
-    /// Allocate the next per-subscriber stream position.
-    fn next_stream_seq(&mut self, sub: NodeId) -> u32 {
-        let slot = &mut self.stream_seq[sub.0];
-        let v = *slot;
-        *slot = slot.wrapping_add(1);
-        v
     }
 
     /// Which modules at least one remote subscriber's stream can consume.
@@ -1637,7 +1515,7 @@ impl DMon {
             // placeholder is unobservable.
             let mut inputs = std::mem::take(&mut self.filter_inputs);
             inputs.clear();
-            let row = &self.last_sent[sub.0];
+            let row = &self.peers[sub].last_sent;
             for (i, s) in samples.iter().enumerate() {
                 let last = row.get(i).and_then(|o| o.as_ref()).map_or(0.0, |&(v, _)| v);
                 inputs.push(MetricRecord {
@@ -1720,7 +1598,7 @@ impl DMon {
             }
         } else {
             let policy = self.policies.get(&sub);
-            let row = &self.last_sent[sub.0];
+            let row = &self.peers[sub].last_sent;
             // Recycled from delivered events (the delivery paths call
             // `Event::recycle`), so the steady state allocates nothing.
             let mut records = kecho::take_record_buf();
@@ -1880,30 +1758,30 @@ impl DMon {
             return SimDur::ZERO;
         };
         let origin = payload.origin;
-        let obs = self.note_alive(origin, payload.epoch, payload.stream_seq, now);
+        let Some(obs) = self.note_alive(origin, payload.epoch, payload.stream_seq, now) else {
+            return SimDur::ZERO;
+        };
+        let p = &mut self.peers[origin];
         if origin != self.node {
             // Grant accounting: this arrival consumed one of the credits
             // we granted the publisher; the next poll tops it back up once
             // enough have accumulated.
-            self.ungranted[origin.0] = self.ungranted[origin.0].saturating_add(1);
-            self.data_since_poll[origin.0] = true;
+            p.ungranted = p.ungranted.saturating_add(1);
+            p.data_since_poll = true;
             // The piggybacked-grant counter for our reverse stream. Only
             // stream-advancing arrivals move the cursor: a reordered
             // straggler carries an outdated counter whose wrapping delta
             // would read as a huge bogus grant. A restarted publisher
             // starts a fresh counter, so the cursor restarts with it.
             if obs.restarted {
-                self.grant_seen[origin.0] = 0;
+                p.grant_seen = 0;
             }
             let cum = payload.credit_grant.min(u32::from(u8::MAX)) as u8;
             if cum != 0 && !obs.stale {
-                let delta = cum.wrapping_sub(self.grant_seen[origin.0]);
-                self.grant_seen[origin.0] = cum;
+                let delta = cum.wrapping_sub(p.grant_seen);
+                p.grant_seen = cum;
                 if delta > 0 {
-                    if let Some(w) = self.credit.get_mut(origin.0) {
-                        w.grant(u32::from(delta));
-                    }
-                    self.unchoke(origin);
+                    p.grant(u32::from(delta));
                 }
             }
         }
@@ -1915,7 +1793,7 @@ impl DMon {
             if !known {
                 // A changed file name (the origin restarted with another
                 // module layout) invalidates the cached /proc handle.
-                if let Some(slot) = self.remote_file_handles[origin.0].get_mut(*id as usize) {
+                if let Some(slot) = p.file_handles.get_mut(*id as usize) {
                     *slot = None;
                 }
                 self.remote_ext
@@ -1924,7 +1802,7 @@ impl DMon {
         }
         for r in &payload.records {
             let id = r.metric_id as usize;
-            let values = &mut self.remote_values[origin.0];
+            let values = &mut p.remote_values;
             if values.len() <= id {
                 values.resize(id + 1, None);
             }
@@ -1936,7 +1814,7 @@ impl DMon {
                     .get(&(origin, r.metric_id))
                     .map_or("extra", |(_, f)| f.as_str())
             };
-            let handles = &mut self.remote_file_handles[origin.0];
+            let handles = &mut p.file_handles;
             if handles.len() <= id {
                 handles.resize(id + 1, None);
             }
@@ -1964,12 +1842,12 @@ impl DMon {
         }
         // Make sure the control file for that node exists so applications
         // can customize it.
-        if !self.remote_ctl_ready[origin.0] {
+        if !p.ctl_ready {
             let ctl = format!("cluster/{}/control", self.cluster_names[origin.0]);
             if !host.proc.exists(&ctl) {
                 host.proc.set(&ctl, "").expect("control path");
             }
-            self.remote_ctl_ready[origin.0] = true;
+            p.ctl_ready = true;
         }
         let handler = calib.receive_cost(bytes);
         self.stats.events_received += 1;
@@ -1990,7 +1868,12 @@ impl DMon {
         // reveals a gap proves the publisher alive with its data dying on
         // the wire, and the repaid credits let it re-probe the path
         // without waiting a full round-trip of absorbed data.
-        self.note_alive(hb.origin, hb.epoch, hb.stream_seq, now);
+        if self
+            .note_alive(hb.origin, hb.epoch, hb.stream_seq, now)
+            .is_none()
+        {
+            return SimDur::ZERO;
+        }
         self.stats.heartbeats_received += 1;
         calib.heartbeat_cost
     }
@@ -1999,6 +1882,12 @@ impl DMon {
     /// Returns the CPU cost (compilation is expensive; parameter updates
     /// are cheap) plus an optional reply for the glue to send back.
     pub fn on_control(&mut self, from: NodeId, msg: &ControlMsg, calib: &Calib) -> ControlOutcome {
+        if from.0 >= self.cluster_names.len() {
+            // A sender outside the cluster owns no stream here to
+            // configure or top up: count the frame and drop it.
+            self.stats.control_errors += 1;
+            return ControlOutcome::cost(SimDur::ZERO);
+        }
         self.stats.control_handled += 1;
         match msg {
             ControlMsg::SetParam { metric, param } => {
@@ -2077,10 +1966,9 @@ impl DMon {
                 // We are the publisher: the subscriber absorbed data and
                 // reopens our window toward it. A grant is also fresh
                 // evidence the path works, so a choked stream reopens.
-                if let Some(w) = self.credit.get_mut(from.0) {
-                    w.grant(*credits);
+                if let Some(p) = self.peers.touch(from) {
+                    p.grant(*credits);
                 }
-                self.unchoke(from);
                 ControlOutcome::cost(calib.policy_eval)
             }
             ControlMsg::FilterRejected { reason } => {
@@ -2128,9 +2016,9 @@ impl DMon {
                 let sample = if m == self.node.0 {
                     self.own_latest.get(id).copied().flatten()
                 } else {
-                    self.remote_values
-                        .get(m)
-                        .and_then(|row| row.get(id))
+                    self.peers
+                        .get(NodeId(m))
+                        .and_then(|p| p.remote_values.get(id))
                         .copied()
                         .flatten()
                 };
@@ -2890,6 +2778,100 @@ mod tests {
         assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
     }
 
+    /// Node 0 of a six-node cluster whose rack is nodes 0..3.
+    fn racked() -> (DMon, Host, ChannelId, Calib) {
+        let names = ["alan", "maui", "etna", "fuji", "hood", "zao"].map(String::from);
+        let dmon = DMon::new_shared(
+            NodeId(0),
+            Arc::new(names.to_vec()),
+            0..3,
+            standard_modules(),
+            SimDur::from_secs(1),
+        );
+        let host = Host::new("alan", NodeId(0), &HostConfig::testbed());
+        (dmon, host, ChannelId(0), Calib::default())
+    }
+
+    fn hb_from(origin: NodeId, mon: ChannelId) -> Event {
+        let payload = HeartbeatPayload {
+            origin,
+            epoch: 0,
+            stream_seq: 0,
+        };
+        Event::heartbeat(mon.0, 1, origin, NodeId(0), payload)
+    }
+
+    /// A cluster member outside the rack, and two ids that name no node.
+    const FAR: NodeId = NodeId(4);
+    const BOGUS: [NodeId; 2] = [NodeId(6), NodeId(usize::MAX)];
+
+    #[test]
+    fn events_from_outside_the_rack_spill_and_unknown_origins_are_dropped() {
+        let (mut dmon, mut host, mon, calib) = racked();
+        assert_eq!(dmon.tracked_peers(), 3, "the home rack");
+        let now = SimTime::from_secs(1);
+        let cost = dmon.on_event(&mut host, &mon_from(FAR, mon, 0, 0), 90, now, &calib);
+        assert!(cost > SimDur::ZERO);
+        assert_eq!(dmon.tracked_peers(), 4, "first touch spills one slot");
+        assert_eq!(dmon.peer_health(FAR), Some(PeerHealth::Fresh));
+        assert!(dmon.remote_value(FAR, "LOADAVG").is_some());
+        assert!(host.proc.exists("cluster/hood/cpu"));
+        for (k, origin) in BOGUS.into_iter().enumerate() {
+            let ev = mon_from(origin, mon, 0, 0);
+            assert_eq!(dmon.on_event(&mut host, &ev, 90, now, &calib), SimDur::ZERO);
+            assert_eq!(dmon.events_rejected(), k as u64 + 1);
+            assert_eq!(dmon.peer_health(origin), None);
+        }
+        assert_eq!(dmon.stats.events_received, 1, "only the real frame counted");
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+
+    #[test]
+    fn heartbeats_from_outside_the_rack_spill_and_unknown_origins_are_dropped() {
+        let (mut dmon, _host, mon, calib) = racked();
+        let now = SimTime::from_secs(1);
+        assert!(dmon.on_heartbeat(&hb_from(FAR, mon), now, &calib) > SimDur::ZERO);
+        assert_eq!(dmon.peer_health(FAR), Some(PeerHealth::Fresh));
+        for origin in BOGUS {
+            let cost = dmon.on_heartbeat(&hb_from(origin, mon), now, &calib);
+            assert_eq!(cost, SimDur::ZERO);
+        }
+        assert_eq!(dmon.stats.heartbeats_received, 1);
+        assert_eq!(dmon.events_rejected(), 2);
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+
+    #[test]
+    fn credit_from_outside_the_rack_spills_and_unknown_senders_are_errors() {
+        let (mut dmon, _host, _mon, calib) = racked();
+        let credit = ControlMsg::Credit { credits: 4 };
+        dmon.on_control(FAR, &credit, &calib);
+        assert_eq!(dmon.tracked_peers(), 4);
+        assert_eq!(dmon.credits_for(FAR), kecho::INITIAL_CREDITS);
+        for from in BOGUS {
+            let out = dmon.on_control(from, &credit, &calib);
+            assert_eq!(out.cpu, SimDur::ZERO);
+            assert!(out.reply.is_none());
+            assert_eq!(dmon.credits_for(from), 0);
+        }
+        assert_eq!(dmon.stats.control_handled, 1);
+        assert_eq!(dmon.stats.control_errors, 2);
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+
+    #[test]
+    fn wire_drop_outside_the_rack_spills_and_unknown_targets_are_ignored() {
+        let (mut dmon, _host, _mon, _calib) = racked();
+        dmon.on_wire_drop(FAR);
+        assert!(dmon.choked_toward(FAR));
+        assert_eq!(dmon.tracked_peers(), 4);
+        for sub in BOGUS {
+            dmon.on_wire_drop(sub);
+            assert!(!dmon.choked_toward(sub));
+        }
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+
     #[test]
     fn event_pad_inflates_bytes() {
         let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
@@ -2946,10 +2928,10 @@ mod tests {
         host.cpu.spawn_compute(SimTime::from_secs(1), "a");
         host.cpu.spawn_compute(SimTime::from_secs(1), "b");
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(100), &calib);
-        if let Some(slot) = dmon.last_sent[1].first_mut() {
+        if let Some(slot) = dmon.peers[NodeId(1)].last_sent.first_mut() {
             *slot = Some((0.0, SimTime::from_secs(100)));
         }
-        if let Some(slot) = dmon.last_sent[2].first_mut() {
+        if let Some(slot) = dmon.peers[NodeId(2)].last_sent.first_mut() {
             *slot = Some((1e12, SimTime::from_secs(100)));
         }
         let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(101), &calib);

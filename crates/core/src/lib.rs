@@ -48,6 +48,7 @@ pub mod measure;
 pub mod modules;
 pub mod params;
 pub(crate) mod pcluster;
+pub(crate) mod peers;
 
 pub use calib::Calib;
 pub use cluster::{ClusterConfig, ClusterEvent, ClusterSched, ClusterSim, ClusterWorld};

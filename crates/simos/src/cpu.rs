@@ -55,6 +55,10 @@ struct Task {
 /// The longest window any load-average query may use.
 const MAX_HISTORY: SimDur = SimDur::from_secs(15 * 60);
 
+/// Smallest step the run-queue history's buffer grows or shrinks by, in
+/// entries.
+const HISTORY_STEP: usize = 256;
+
 /// Fluid fair-share scheduler for one host.
 #[derive(Debug)]
 pub struct CpuSched {
@@ -111,7 +115,7 @@ impl CpuSched {
             alive: true,
         });
         self.runnable += 1;
-        self.rq_history.push_back((now, self.runnable));
+        self.record_runnable(now);
         TaskId(self.tasks.len() - 1)
     }
 
@@ -135,12 +139,13 @@ impl CpuSched {
         if !t.alive {
             return;
         }
-        if t.state == TaskState::Runnable {
-            self.runnable -= 1;
-            self.rq_history.push_back((now, self.runnable));
-        }
+        let was_runnable = t.state == TaskState::Runnable;
         t.alive = false;
         t.state = TaskState::Sleeping;
+        if was_runnable {
+            self.runnable -= 1;
+            self.record_runnable(now);
+        }
     }
 
     /// Change a task's state; updates the run-queue history.
@@ -156,8 +161,25 @@ impl CpuSched {
             TaskState::Runnable => self.runnable += 1,
             TaskState::Sleeping => self.runnable -= 1,
         }
-        self.rq_history.push_back((now, self.runnable));
+        self.record_runnable(now);
         self.prune_history(now);
+    }
+
+    /// Log the run-queue length that takes effect at `now`. The log stays
+    /// ordered by time — `loadavg` binary-searches it.
+    fn record_runnable(&mut self, now: SimTime) {
+        debug_assert!(
+            self.rq_history.back().is_none_or(|&(t, _)| t <= now),
+            "run-queue history must move forward in time"
+        );
+        // Grow by an eighth, not by doubling: a host whose entry count
+        // hovers at a power of two would otherwise hold 1x or 2x of it
+        // depending on one busy second.
+        if self.rq_history.len() == self.rq_history.capacity() {
+            let step = (self.rq_history.capacity() / 8).max(HISTORY_STEP);
+            self.rq_history.reserve_exact(step);
+        }
+        self.rq_history.push_back((now, self.runnable));
     }
 
     fn prune_history(&mut self, now: SimTime) {
@@ -166,6 +188,14 @@ impl CpuSched {
         // know the level at the window start.
         while self.rq_history.len() >= 2 && self.rq_history[1].0 <= cutoff {
             self.rq_history.pop_front();
+        }
+        // Give the memory back once a burst has left the window, so the
+        // buffer follows the window's entries and not the busiest window
+        // ever (after a shrink or a growth step it is 9/8 of them: neither
+        // undoes the other).
+        let len = self.rq_history.len();
+        if len <= self.rq_history.capacity() / 4 * 3 && len >= HISTORY_STEP {
+            self.rq_history.shrink_to(len + (len / 8).max(HISTORY_STEP));
         }
     }
 
@@ -242,8 +272,44 @@ impl CpuSched {
 
     /// Average run-queue length over the window `[now - period, now]` —
     /// dproc CPU_MON's headline metric.
+    ///
+    /// The history is ordered by time (callers only move the clock
+    /// forward) and holds up to [`MAX_HISTORY`] of transitions, most of
+    /// them older than the window: the level at the window start is found
+    /// by binary search and the integration walks only the window.
     pub fn loadavg(&self, now: SimTime, period: SimDur) -> f64 {
         assert!(!period.is_zero(), "zero loadavg window");
+        let start = now - period;
+        let first = self.rq_history.partition_point(|&(t, _)| t <= start);
+        // The level at the window start: the last transition at or before
+        // it, or the oldest known level when the window predates them all.
+        let mut level = self
+            .rq_history
+            .get(first.saturating_sub(1))
+            .map_or(0, |&(_, l)| l);
+        let mut weighted = 0.0;
+        let mut cursor = start;
+        for &(t, l) in self.rq_history.range(first..) {
+            let seg_end = t.min(now);
+            if seg_end > cursor {
+                weighted += level as f64 * seg_end.since(cursor).as_secs_f64();
+                cursor = seg_end;
+            }
+            level = l;
+            if t >= now {
+                break;
+            }
+        }
+        if now > cursor {
+            weighted += level as f64 * now.since(cursor).as_secs_f64();
+        }
+        weighted / period.as_secs_f64()
+    }
+
+    /// The front-to-back walk `loadavg` replaced, kept as the reference
+    /// the binary-search version must agree with bit for bit.
+    #[cfg(test)]
+    fn loadavg_linear(&self, now: SimTime, period: SimDur) -> f64 {
         let start = now - period;
         let mut level = self.rq_history.front().map_or(0, |&(_, l)| l);
         let mut weighted = 0.0;
@@ -381,6 +447,69 @@ mod tests {
         // window [0,30]: (0*10 + 2*10 + 1*10)/30 = 1
         let la = s.loadavg(SimTime::from_secs(30), SimDur::from_secs(30));
         assert!((la - 1.0).abs() < 1e-9, "loadavg {la}");
+    }
+
+    proptest::proptest! {
+        /// The binary-search window start agrees bit for bit with the
+        /// front-to-back walk on any time-ordered history — including
+        /// windows that start before the oldest entry, transitions tied
+        /// with the window start or with each other, and an empty log.
+        #[test]
+        fn loadavg_matches_the_linear_reference(
+            t0 in 0u64..20,
+            steps in proptest::collection::vec((0u64..4, 0u32..6), 0..40),
+            now in 0u64..120,
+            period in 1u64..120,
+        ) {
+            let mut s = sched();
+            s.rq_history.clear();
+            let mut t = t0;
+            for (dt, level) in steps {
+                t += dt;
+                s.rq_history.push_back((SimTime::from_secs(t), level));
+            }
+            let (now, period) = (SimTime::from_secs(now), SimDur::from_secs(period));
+            proptest::prop_assert_eq!(
+                s.loadavg(now, period).to_bits(),
+                s.loadavg_linear(now, period).to_bits()
+            );
+        }
+    }
+
+    /// The history's buffer follows the entries the window holds now, not
+    /// the busiest window ever: a host that toggles at 5 Hz, bursts to
+    /// 100 Hz for a minute and goes back holds, once the burst has left the
+    /// window, at most a third more than its entries — like a host that
+    /// never burst — and reads the same load average.
+    #[test]
+    fn history_buffer_follows_the_window_not_the_busiest_one() {
+        fn toggle(s: &mut CpuSched, svc: TaskId, from_ms: u64, to_ms: u64, every_ms: u64) {
+            let states = [TaskState::Runnable, TaskState::Sleeping];
+            for (k, ms) in (from_ms..to_ms).step_by(every_ms as usize).enumerate() {
+                s.set_state(SimTime::from_millis(ms), svc, states[k % 2]);
+            }
+        }
+        let minute = 60_000;
+        let (mut calm, mut burst) = (sched(), sched());
+        let a = calm.spawn_service(SimTime::ZERO, "dmon");
+        let b = burst.spawn_service(SimTime::ZERO, "dmon");
+        toggle(&mut calm, a, 0, 40 * minute, 200);
+        toggle(&mut burst, b, 0, 20 * minute, 200);
+        toggle(&mut burst, b, 20 * minute, 21 * minute, 10);
+        let peak = burst.rq_history.capacity();
+        toggle(&mut burst, b, 21 * minute, 40 * minute, 200);
+
+        let len = calm.rq_history.len();
+        assert_eq!(burst.rq_history.len(), len);
+        assert!(peak > len + len / 2, "the burst grew the buffer: {peak}");
+        let cap = burst.rq_history.capacity();
+        assert!(cap <= len + len / 3, "capacity {cap} for {len} entries");
+        assert!(calm.rq_history.capacity() <= len + len / 3);
+        let (now, one) = (SimTime::from_millis(40 * minute), SimDur::from_secs(60));
+        assert_eq!(
+            burst.loadavg(now, one).to_bits(),
+            calm.loadavg(now, one).to_bits()
+        );
     }
 
     #[test]
