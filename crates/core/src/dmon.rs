@@ -323,9 +323,10 @@ pub struct DMon {
     /// home range (the rack, or the whole cluster on a star), so per-node
     /// state and every per-peer loop is O(rack), not O(cluster).
     peers: PeerTable,
-    /// Frames dropped because they named an origin outside the cluster
-    /// (kept off [`DmonStats`], whose `Debug` text is part of recorded
-    /// run fingerprints).
+    /// Frames dropped because they named an origin outside the cluster,
+    /// and records skipped because their file name could not be a leaf of
+    /// `cluster/<origin>/` (kept off [`DmonStats`], whose `Debug` text is
+    /// part of recorded run fingerprints).
     events_rejected: u64,
     /// Learned schema extensions: metric/file names for foreign ids beyond
     /// the standard module set, per origin. Ordered so name lookups scan
@@ -413,6 +414,9 @@ pub struct DMon {
     /// Latest digest received per rack (spine subscribers only) — the
     /// observability surface behind the shell's `racks` command.
     rack_digests: BTreeMap<u32, DigestPayload>,
+    /// Interned handles for `cluster/rack<k>/<file>`, by rack and metric
+    /// id.
+    digest_handles: BTreeMap<(u32, u32), ProcHandle>,
     /// Self-observability.
     pub stats: DmonStats,
 }
@@ -489,6 +493,7 @@ impl DMon {
             overload_handle: None,
             own_latest: vec![None; base_modules],
             rack_digests: BTreeMap::new(),
+            digest_handles: BTreeMap::new(),
             stats: DmonStats::default(),
         }
     }
@@ -724,7 +729,8 @@ impl DMon {
         self.peers.len()
     }
 
-    /// Frames dropped because their origin named no node of this cluster.
+    /// Frames dropped because their origin named no node of this cluster,
+    /// plus records skipped because a peer supplied an unusable file name.
     pub fn events_rejected(&self) -> u64 {
         self.events_rejected
     }
@@ -1744,8 +1750,11 @@ impl DMon {
     }
 
     /// Handle an incoming monitoring event: update the `/proc/cluster`
-    /// tree and the fast-path store. Returns the d-mon handler CPU cost
-    /// (kernel network-path cost is charged by the glue on top).
+    /// tree and the fast-path store. A record whose file name (learned
+    /// from the frame's schema block) cannot be a leaf of
+    /// `cluster/<origin>/` is skipped and counted in `events_rejected`.
+    /// Returns the d-mon handler CPU cost (kernel network-path cost is
+    /// charged by the glue on top).
     pub fn on_event(
         &mut self,
         host: &mut Host,
@@ -1802,18 +1811,6 @@ impl DMon {
         }
         for r in &payload.records {
             let id = r.metric_id as usize;
-            let values = &mut p.remote_values;
-            if values.len() <= id {
-                values.resize(id + 1, None);
-            }
-            values[id] = Some((r.value, now));
-            let file: &str = if id < self.base_modules {
-                self.modules.get(id).map_or("extra", |m| m.file_name())
-            } else {
-                self.remote_ext
-                    .get(&(origin, r.metric_id))
-                    .map_or("extra", |(_, f)| f.as_str())
-            };
             let handles = &mut p.file_handles;
             if handles.len() <= id {
                 handles.resize(id + 1, None);
@@ -1821,33 +1818,41 @@ impl DMon {
             let h = match handles[id] {
                 Some(h) => h,
                 None => {
+                    let file: &str = if id < self.base_modules {
+                        self.modules.get(id).map_or("extra", |m| m.file_name())
+                    } else {
+                        self.remote_ext
+                            .get(&(origin, r.metric_id))
+                            .map_or("extra", |(_, f)| f.as_str())
+                    };
                     let origin_name = &self.cluster_names[origin.0];
-                    let h = host
-                        .proc
-                        .intern(&format!("cluster/{origin_name}/{file}"))
-                        .expect("cluster path");
+                    let interned = remote_file_name_ok(file)
+                        .then(|| host.proc.intern(&format!("cluster/{origin_name}/{file}")));
+                    let Some(Ok(h)) = interned else {
+                        self.events_rejected += 1;
+                        continue;
+                    };
                     handles[id] = Some(h);
                     h
                 }
             };
-            // Piecewise assembly with the exact-output fast formatters;
-            // equivalent to `"{} {} ts {:.3}"` via `format!`.
-            let buf = host.proc.handle_buf(h);
-            buf.clear();
-            buf.push_str(file);
-            buf.push(' ');
-            fastfmt::push_f64_display(buf, r.value);
-            buf.push_str(" ts ");
-            fastfmt::push_f64_fixed3(buf, r.timestamp);
+            let values = &mut p.remote_values;
+            if values.len() <= id {
+                values.resize(id + 1, None);
+            }
+            values[id] = Some((r.value, now));
+            // Numbers only: the file renders `"<file> <value> ts <ts>"`
+            // when somebody reads it.
+            host.proc.set_sample(h, r.value, r.timestamp);
         }
         // Make sure the control file for that node exists so applications
         // can customize it.
         if !p.ctl_ready {
             let ctl = format!("cluster/{}/control", self.cluster_names[origin.0]);
-            if !host.proc.exists(&ctl) {
-                host.proc.set(&ctl, "").expect("control path");
+            match host.proc.intern(&ctl) {
+                Ok(_) => p.ctl_ready = true,
+                Err(_) => self.events_rejected += 1,
             }
-            p.ctl_ready = true;
         }
         let handler = calib.receive_cost(bytes);
         self.stats.events_received += 1;
@@ -2122,25 +2127,49 @@ impl DMon {
                 .add((now.as_secs_f64() - newest).max(0.0));
         }
         for r in &payload.records {
-            let file = self
-                .modules
-                .get(r.metric_id as usize)
-                .map_or("extra", |m| m.file_name());
-            let path = format!("cluster/rack{}/{file}", payload.rack);
-            let mut text = String::new();
+            let h = match self.digest_handles.get(&(payload.rack, r.metric_id)) {
+                Some(&h) => h,
+                None => {
+                    let file = self
+                        .modules
+                        .get(r.metric_id as usize)
+                        .map_or("extra", |m| m.file_name());
+                    let h = host
+                        .proc
+                        .intern(&format!("cluster/rack{}/{file}", payload.rack))
+                        .expect("rack digest path");
+                    self.digest_handles.insert((payload.rack, r.metric_id), h);
+                    h
+                }
+            };
+            let text = host.proc.handle_buf(h);
+            text.clear();
             text.push_str("min ");
-            fastfmt::push_f64_display(&mut text, r.min);
+            fastfmt::push_f64_display(text, r.min);
             text.push_str(" max ");
-            fastfmt::push_f64_display(&mut text, r.max);
+            fastfmt::push_f64_display(text, r.max);
             text.push_str(" mean ");
-            fastfmt::push_f64_display(&mut text, r.mean);
+            fastfmt::push_f64_display(text, r.mean);
             text.push_str(" count ");
-            fastfmt::push_u64(&mut text, u64::from(r.count));
+            fastfmt::push_u64(text, u64::from(r.count));
             text.push_str(" ts ");
-            fastfmt::push_f64_fixed3(&mut text, r.newest_ts);
-            host.proc.set(&path, &text).expect("rack digest path");
+            fastfmt::push_f64_fixed3(text, r.newest_ts);
         }
-        self.rack_digests.insert(payload.rack, payload.clone());
+        match self.rack_digests.get_mut(&payload.rack) {
+            Some(kept) => {
+                let DigestPayload {
+                    rack,
+                    origin,
+                    members,
+                    records,
+                } = payload;
+                (kept.rack, kept.origin, kept.members) = (*rack, *origin, *members);
+                kept.records.clone_from(records);
+            }
+            None => {
+                self.rack_digests.insert(payload.rack, payload.clone());
+            }
+        }
         calib.receive_cost(bytes)
     }
 
@@ -2153,6 +2182,14 @@ impl DMon {
     pub fn rack_digests(&self) -> impl Iterator<Item = (u32, &DigestPayload)> {
         self.rack_digests.iter().map(|(&k, v)| (k, v))
     }
+}
+
+/// Whether `name` may become the file `cluster/<origin>/<name>`: extension
+/// file names arrive in a peer's frames, so anything but a single path
+/// component is refused, and so are the leaves d-mon itself keeps in that
+/// directory.
+fn remote_file_name_ok(name: &str) -> bool {
+    !name.is_empty() && !name.contains('/') && !matches!(name, "control" | "status" | "overload")
 }
 
 impl DmonStats {
@@ -2824,6 +2861,60 @@ mod tests {
         }
         assert_eq!(dmon.stats.events_received, 1, "only the real frame counted");
         assert_eq!(dmon.tracked_peers(), 4);
+    }
+
+    /// A frame from etna carrying one record of extension metric 7, which
+    /// its schema block binds to the file name `file`.
+    fn ext_frame(mon: ChannelId, sseq: u32, file: &str) -> Event {
+        let payload = MonitoringPayload {
+            origin: NodeId(2),
+            epoch: 0,
+            stream_seq: sseq,
+            credit_grant: 0,
+            records: vec![MonRecord {
+                metric_id: 7,
+                value: 4.0,
+                last_value_sent: 0.0,
+                timestamp: 1.0,
+            }],
+            pad_bytes: 0,
+            ext_names: vec![(7, "EXT".to_string(), file.to_string())],
+        };
+        Event::monitoring(mon.0, 1, NodeId(2), payload)
+    }
+
+    #[test]
+    fn peer_supplied_file_names_cannot_panic_or_clobber() {
+        let (mut dmon, mut host, mon, calib) = racked();
+        let now = SimTime::from_secs(1);
+        // The peer's status and control files exist before the hostile
+        // frames arrive, as they do on a running node.
+        dmon.on_event(&mut host, &mon_from(NodeId(2), mon, 0, 0), 90, now, &calib);
+        host.proc.set("cluster/etna/status", "fresh").unwrap();
+        let listing = host.proc.list("cluster/etna").unwrap();
+        for (k, file) in ["", "a//b", "x/y", "control", "status", "overload"]
+            .into_iter()
+            .enumerate()
+        {
+            let ev = ext_frame(mon, 1 + k as u32, file);
+            assert!(dmon.on_event(&mut host, &ev, 90, now, &calib) > SimDur::ZERO);
+            assert_eq!(dmon.events_rejected(), 1 + k as u64, "{file:?} counted");
+            assert_eq!(host.proc.list("cluster/etna").unwrap(), listing, "{file:?}");
+            assert!(host.proc.is_dir("cluster/etna"));
+            assert_eq!(host.proc.read("cluster/etna/control").unwrap(), "");
+            assert_eq!(host.proc.read("cluster/etna/status").unwrap(), "fresh");
+            assert_eq!(dmon.remote_value(NodeId(2), "EXT"), None, "record skipped");
+        }
+        assert_eq!(dmon.stats.events_received, 7, "the frames themselves count");
+
+        let ev = ext_frame(mon, 7, "power");
+        dmon.on_event(&mut host, &ev, 90, now, &calib);
+        assert_eq!(dmon.events_rejected(), 6);
+        assert_eq!(
+            host.proc.read("cluster/etna/power").unwrap(),
+            "power 4 ts 1.000"
+        );
+        assert_eq!(dmon.remote_value(NodeId(2), "EXT"), Some((4.0, now)));
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //! first, and any entry at a lower level strictly precedes every entry at a
 //! higher level or in the overflow map.
 //!
+//! # The payload slab
+//!
+//! A delivery a few hundred microseconds ahead lands on level 3 and is
+//! re-placed three times on its way down to level 0, so whatever a slot
+//! entry holds is moved four times per event. Slot entries therefore hold
+//! only `(time, seq, index)` — 24 bytes — and the payloads (152 bytes for a
+//! cluster event) stay put in a per-wheel slab with a free list: `insert`
+//! puts one, a pop or a cancel takes it, and the slab is as long as the
+//! most events the slots ever held at once. The overflow map keeps its
+//! payloads inline; they enter the slab when the cursor pulls them in.
+//!
 //! # The typed message lane
 //!
 //! Boxed closures are flexible but cost one heap allocation per scheduled
@@ -97,10 +108,13 @@ fn level_of(cur: u64, at: u64) -> usize {
     }
 }
 
-struct Entry<T> {
+/// What a wheel slot holds per pending event: its key and the index of
+/// its payload in [`Wheel::slab`]. 24 bytes whatever `T` is — an entry is
+/// moved once per level it cascades through, its payload never.
+struct Entry {
     at: u64,
     seq: u64,
-    f: T,
+    idx: u32,
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
@@ -118,7 +132,12 @@ pub(crate) struct Wheel<T> {
     /// ahead of `Sim::now` at public API boundaries.
     cur: u64,
     /// `LEVELS * SLOTS` buckets, flat-indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<T>>>,
+    slots: Vec<Vec<Entry>>,
+    /// Payloads of the entries in `slots`, put on insert and taken on pop
+    /// or cancel. `free` lists the vacant indices, so the slab is as long
+    /// as the most entries the slots ever held at once.
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
     /// Per-level occupancy bitmaps; bit `i` set iff slot `i` is non-empty.
     occ: [u64; LEVELS],
     /// Events beyond the wheel horizon, ordered by `(at, seq)`.
@@ -134,7 +153,7 @@ pub(crate) struct Wheel<T> {
     /// because slot populations differ by level — a shared list would
     /// hand a level-5 buffer sized for every pending timer to a level-4
     /// slot holding a sixty-fourth of them.
-    pool: [Vec<Vec<Entry<T>>>; LEVELS],
+    pool: [Vec<Vec<Entry>>; LEVELS],
     /// Slot-buffer growths (each one allocator call), for the tests.
     #[cfg(test)]
     grows: u64,
@@ -145,6 +164,8 @@ impl<T> Wheel<T> {
         Wheel {
             cur: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: Vec::new(),
             occ: [0; LEVELS],
             overflow: BTreeMap::new(),
             len: 0,
@@ -155,14 +176,11 @@ impl<T> Wheel<T> {
     }
 
     /// Put an entry in the level/slot addressed by its time relative to the
-    /// current cursor (or the overflow map past the horizon).
-    fn place(&mut self, e: Entry<T>) {
+    /// current cursor; the caller has checked it is within the horizon.
+    fn place(&mut self, e: Entry) {
         debug_assert!(e.at >= self.cur, "placing an event behind the cursor");
         let l = level_of(self.cur, e.at);
-        if l >= LEVELS {
-            self.overflow.insert((e.at, e.seq), e.f);
-            return;
-        }
+        debug_assert!(l < LEVELS, "placing an event beyond the horizon");
         let idx = ((e.at >> (LEVEL_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
         let slot = &mut self.slots[l * SLOTS + idx];
         if slot.capacity() == 0 {
@@ -178,8 +196,37 @@ impl<T> Wheel<T> {
         self.occ[l] |= 1 << idx;
     }
 
+    /// Store a payload and place its entry, or file it in the overflow
+    /// map when `at` is past the horizon.
+    fn put(&mut self, at: u64, seq: u64, f: T) {
+        if level_of(self.cur, at) >= LEVELS {
+            self.overflow.insert((at, seq), f);
+            return;
+        }
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = Some(f);
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(Some(f));
+                idx
+            }
+        };
+        self.place(Entry { at, seq, idx });
+    }
+
+    /// Take the payload of an entry that has left its slot.
+    fn take(&mut self, idx: u32) -> T {
+        self.free.push(idx);
+        self.slab[idx as usize]
+            .take()
+            .expect("slot entry without a payload")
+    }
+
     pub(crate) fn insert(&mut self, at: u64, seq: u64, f: T) {
-        self.place(Entry { at, seq, f });
+        self.put(at, seq, f);
         self.len += 1;
     }
 
@@ -257,11 +304,12 @@ impl<T> Wheel<T> {
         let idx = ((at >> (LEVEL_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
         let slot = &mut self.slots[l * SLOTS + idx];
         if let Some(p) = slot.iter().position(|e| e.seq == seq) {
-            slot.swap_remove(p);
+            let e = slot.swap_remove(p);
             if slot.is_empty() {
                 self.occ[l] &= !(1u64 << idx);
             }
             self.len -= 1;
+            drop(self.take(e.idx));
             return true;
         }
         false
@@ -301,7 +349,7 @@ impl<T> Wheel<T> {
                     debug_assert_eq!(e.at, at, "slot held a mis-addressed entry");
                     self.cur = at;
                     self.len -= 1;
-                    return Some((e.at, e.seq, e.f));
+                    return Some((e.at, e.seq, self.take(e.idx)));
                 }
                 // Lowest occupied level is >= 1: cascade its earliest slot
                 // down. Everything in it re-lands at a lower level relative
@@ -344,7 +392,7 @@ impl<T> Wheel<T> {
                     .overflow
                     .remove(&(a, s))
                     .expect("peeked overflow entry");
-                self.place(Entry { at: a, seq: s, f });
+                self.put(a, s, f);
             }
         }
     }
@@ -907,6 +955,76 @@ mod tests {
         // of ~17 entries (32 after doubling), a handful below.
         let retained = w.retained_capacity() as u64;
         assert!(retained <= 5 * TIMERS, "retained {retained} entries");
+    }
+
+    #[test]
+    fn cancel_drops_the_payload_at_once() {
+        use std::rc::Rc;
+        let token = Rc::new(());
+        let mut w: Wheel<Rc<()>> = Wheel::new();
+        w.insert(1_000_000, 0, Rc::clone(&token));
+        w.insert((1u64 << 48) + 5, 1, Rc::clone(&token)); // overflow map
+        assert_eq!(Rc::strong_count(&token), 3);
+        assert!(w.cancel(1_000_000, 0));
+        assert_eq!(Rc::strong_count(&token), 2, "slab payload outlived cancel");
+        assert!(w.cancel((1u64 << 48) + 5, 1));
+        assert_eq!(Rc::strong_count(&token), 1);
+        assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn dropping_a_sim_drops_what_is_pending() {
+        use std::rc::Rc;
+        let token = Rc::new(());
+        let mut sim: Sim<W, Rc<()>> = Sim::new();
+        sim.schedule_msg_at(SimTime::from_millis(3), Rc::clone(&token));
+        let held = Rc::clone(&token);
+        sim.schedule_at(SimTime::from_millis(4), move |_, _| drop(held));
+        assert_eq!(Rc::strong_count(&token), 3);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn slab_is_as_long_as_peak_pending() {
+        // 10^5 seeded schedule / pop / cancel steps over every wheel level
+        // and the overflow map: vacated payload slots are reused before
+        // the slab grows, and every payload comes back under its own key.
+        let mut w: Wheel<(u64, u64)> = Wheel::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut seq, mut peak) = (0u64, 0usize);
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        for _ in 0..100_000 {
+            match next() % 8 {
+                0..=3 => {
+                    let at = w.cur + (1u64 << (next() % 50)) + next() % 1000;
+                    w.insert(at, seq, (at, seq));
+                    live.push((at, seq));
+                    seq += 1;
+                }
+                4..=5 => {
+                    if let Some((at, s, payload)) = w.pop_min_if(u64::MAX) {
+                        assert_eq!(payload, (at, s));
+                        live.retain(|&k| k != (at, s));
+                    }
+                }
+                _ if !live.is_empty() => {
+                    let (at, s) = live.swap_remove(next() as usize % live.len());
+                    assert!(w.cancel(at, s));
+                }
+                _ => {}
+            }
+            assert_eq!(w.len(), live.len());
+            peak = peak.max(w.len());
+            assert!(w.slab.len() <= peak, "slab {} peak {peak}", w.slab.len());
+        }
+        assert!(peak > 100, "the walk kept events pending");
     }
 
     #[test]

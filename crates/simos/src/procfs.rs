@@ -3,16 +3,31 @@
 //! dproc's whole user interface is `/proc`: local metrics appear as text
 //! files, remote nodes' metrics appear under `/proc/cluster/<node>/...`,
 //! and applications customize monitoring by *writing* to per-node
-//! `control` files. This model keeps a deterministic tree of text entries
+//! `control` files. This model keeps a deterministic tree of entries
 //! (BTreeMap directories, so listings are sorted like the harness output
 //! needs) and queues writes for the owning subsystem (d-mon) to consume —
 //! the same decoupling a real `/proc` write handler gives a kernel module.
+//!
+//! # Text on read
+//!
+//! A pseudo-file has no stored text: a kernel generates it when somebody
+//! reads it. A file here is either text its owner wrote or a numeric
+//! *sample* — a `(value, ts)` pair stored by [`ProcFs::set_sample`], 16
+//! bytes and no formatting — which [`ProcFs::read`] renders as
+//! `"<leaf> <value> ts <ts:.3>"` (`<leaf>` is the file's own name) when
+//! asked. The remote-view files d-mon refreshes on every received frame
+//! are samples: the per-frame path stores numbers, and only a reader pays
+//! for text. The writers that want a `String` ([`ProcFs::handle_buf`] and
+//! its siblings) first turn a sample into the text a reader would see.
 //!
 //! Paths are `/`-separated, relative to the `/proc` root; a leading `/` or
 //! `/proc/` prefix is accepted and stripped, so `"/proc/cluster/alan/cpu"`,
 //! `"/cluster/alan/cpu"` and `"cluster/alan/cpu"` name the same entry.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+use simcore::fastfmt;
 
 /// Errors from pseudo-file operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,13 +69,45 @@ enum Node {
     File(usize),
 }
 
+/// What a file holds: text its owner wrote, or a numeric sample that is
+/// rendered when read (see the module docs).
+#[derive(Debug, Clone)]
+enum Content {
+    Text(String),
+    Sample { value: f64, ts: f64 },
+}
+
+#[derive(Debug, Clone)]
+struct File {
+    content: Content,
+    /// Index of the file's own name in [`ProcFs::leaves`]: the label a
+    /// sample renders with.
+    leaf: u32,
+}
+
 /// The pseudo-filesystem of one host.
 #[derive(Debug, Default)]
 pub struct ProcFs {
     root: BTreeMap<String, Node>,
-    /// File contents, slab-indexed by [`Node::File`] and [`ProcHandle`].
-    files: Vec<String>,
+    /// Files, slab-indexed by [`Node::File`] and [`ProcHandle`].
+    files: Vec<File>,
+    /// Distinct file names, interned: a host has thousands of files under
+    /// a dozen names (`cpu`, `mem`, `control`, ...).
+    leaves: Vec<Box<str>>,
+    leaf_ids: BTreeMap<Box<str>, u32>,
     pending_writes: Vec<(String, String)>,
+}
+
+/// A sample's text: `"<leaf> <value> ts <ts:.3>"`, byte for byte what
+/// `format!` produces.
+fn render_sample(leaf: &str, value: f64, ts: f64) -> String {
+    let mut out = String::new();
+    out.push_str(leaf);
+    out.push(' ');
+    fastfmt::push_f64_display(&mut out, value);
+    out.push_str(" ts ");
+    fastfmt::push_f64_fixed3(&mut out, ts);
+    out
 }
 
 /// Split and normalize a path. Returns the component list.
@@ -89,7 +136,7 @@ impl ProcFs {
     /// This is the kernel-side API (monitoring modules publishing values).
     pub fn set(&mut self, path: &str, content: impl Into<String>) -> Result<(), ProcError> {
         let h = self.intern(path)?;
-        self.files[h.0] = content.into();
+        self.set_handle(h, content);
         Ok(())
     }
 
@@ -114,7 +161,19 @@ impl ProcFs {
             Some(Node::File(idx)) => Ok(ProcHandle(*idx)),
             None => {
                 let idx = self.files.len();
-                self.files.push(String::new());
+                let leaf = match self.leaf_ids.get(*file) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.leaves.len() as u32;
+                        self.leaves.push((*file).into());
+                        self.leaf_ids.insert((*file).into(), id);
+                        id
+                    }
+                };
+                self.files.push(File {
+                    content: Content::Text(String::new()),
+                    leaf,
+                });
                 cur.insert(file.to_string(), Node::File(idx));
                 Ok(ProcHandle(idx))
             }
@@ -123,35 +182,56 @@ impl ProcFs {
 
     /// Replace an interned file's content. O(1): no parsing, no tree walk.
     pub fn set_handle(&mut self, h: ProcHandle, content: impl Into<String>) {
-        self.files[h.0] = content.into();
+        self.files[h.0].content = Content::Text(content.into());
+    }
+
+    /// Store a numeric sample in an interned file: two floats, no text.
+    /// A reader sees `"<leaf> <value> ts <ts:.3>"`, rendered when it reads.
+    pub fn set_sample(&mut self, h: ProcHandle, value: f64, ts: f64) {
+        self.files[h.0].content = Content::Sample { value, ts };
     }
 
     /// Format new content directly into an interned file, reusing the
     /// existing `String`'s capacity (steady-state writes allocate nothing).
     pub fn set_handle_fmt(&mut self, h: ProcHandle, args: std::fmt::Arguments<'_>) {
         use std::fmt::Write;
-        let s = &mut self.files[h.0];
+        let s = self.handle_buf(h);
         s.clear();
         let _ = s.write_fmt(args);
     }
 
     /// Direct mutable access to an interned file's content buffer, for
     /// callers that assemble content piecewise (clear + push) instead of
-    /// going through the `fmt` machinery.
+    /// going through the `fmt` machinery. A sample is first turned into
+    /// the text a reader would see.
     pub fn handle_buf(&mut self, h: ProcHandle) -> &mut String {
-        &mut self.files[h.0]
+        let file = &mut self.files[h.0];
+        if let Content::Sample { value, ts } = file.content {
+            let text = render_sample(&self.leaves[file.leaf as usize], value, ts);
+            file.content = Content::Text(text);
+        }
+        let Content::Text(s) = &mut file.content else {
+            unreachable!("a sample slot was just rendered")
+        };
+        s
     }
 
     /// Swap an owned string into an interned file, handing the previous
     /// content (and its capacity) back to the caller for reuse.
     pub fn swap_handle(&mut self, h: ProcHandle, mut content: String) -> String {
-        std::mem::swap(&mut self.files[h.0], &mut content);
+        std::mem::swap(self.handle_buf(h), &mut content);
         content
     }
 
-    /// Read an interned file's content.
-    pub fn read_handle(&self, h: ProcHandle) -> &str {
-        &self.files[h.0]
+    /// Read an interned file's content; a sample is rendered into a copy.
+    pub fn read_handle(&self, h: ProcHandle) -> Cow<'_, str> {
+        let file = &self.files[h.0];
+        match &file.content {
+            Content::Text(s) => Cow::Borrowed(s),
+            Content::Sample { value, ts } => {
+                Cow::Owned(render_sample(&self.leaves[file.leaf as usize], *value, *ts))
+            }
+        }
     }
 
     /// Create a directory (and parents). Idempotent.
@@ -185,10 +265,11 @@ impl ProcFs {
             .ok_or_else(|| ProcError::NotFound(path.to_string()))
     }
 
-    /// Read a file's contents (userspace `cat`).
-    pub fn read(&self, path: &str) -> Result<&str, ProcError> {
+    /// Read a file's contents (userspace `cat`); a sample is rendered
+    /// into a copy.
+    pub fn read(&self, path: &str) -> Result<Cow<'_, str>, ProcError> {
         match self.lookup(path)? {
-            Node::File(idx) => Ok(&self.files[*idx]),
+            Node::File(idx) => Ok(self.read_handle(ProcHandle(*idx))),
             Node::Dir(_) => Err(ProcError::WrongKind(path.to_string())),
         }
     }
@@ -420,6 +501,96 @@ mod tests {
         fs.set("cluster/alan/cpu", "new").unwrap();
         assert_eq!(fs.read("cluster/alan/cpu").unwrap(), "new");
         assert_eq!(fs.read_handle(h), "late");
+    }
+
+    #[test]
+    fn sample_renders_on_read_under_every_spelling_of_the_path() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/cpu").unwrap();
+        fs.set_sample(h, 0.4375, 1234.5678);
+        let want = "cpu 0.4375 ts 1234.568";
+        assert_eq!(fs.read("cluster/alan/cpu").unwrap(), want);
+        assert_eq!(fs.read("/cluster/alan/cpu").unwrap(), want);
+        assert_eq!(fs.read("/proc/cluster/alan/cpu").unwrap(), want);
+        assert_eq!(fs.read_handle(h), want);
+        // Reading renders a copy; the slot still holds the numbers.
+        assert!(matches!(fs.files[h.0].content, Content::Sample { .. }));
+    }
+
+    #[test]
+    fn string_writers_see_a_sample_as_its_text() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/mem").unwrap();
+        fs.set_sample(h, 7.0, 2.0);
+        assert_eq!(fs.handle_buf(h), "mem 7 ts 2.000");
+        fs.handle_buf(h).push('!');
+        assert_eq!(fs.read_handle(h), "mem 7 ts 2.000!");
+
+        fs.set_sample(h, 8.0, 3.0);
+        assert_eq!(fs.swap_handle(h, "swapped".to_string()), "mem 8 ts 3.000");
+        assert_eq!(fs.read_handle(h), "swapped");
+
+        fs.set_sample(h, 9.0, 4.0);
+        fs.set_handle_fmt(h, format_args!("{}", 1.5));
+        assert_eq!(fs.read_handle(h), "1.5");
+    }
+
+    #[test]
+    fn sample_after_a_text_write_wins() {
+        let mut fs = ProcFs::new();
+        fs.set("cluster/alan/disk", "by hand").unwrap();
+        let h = fs.intern("cluster/alan/disk").unwrap();
+        fs.set_sample(h, -1.0, 0.0);
+        assert_eq!(fs.read("cluster/alan/disk").unwrap(), "disk -1 ts 0.000");
+        fs.set_handle(h, "text again");
+        assert_eq!(fs.read("cluster/alan/disk").unwrap(), "text again");
+    }
+
+    #[test]
+    fn sample_through_a_handle_to_a_removed_file_round_trips() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/net").unwrap();
+        fs.remove("cluster/alan").unwrap();
+        fs.set_sample(h, 100.0, 1.0);
+        assert!(!fs.exists("cluster/alan/net"));
+        assert_eq!(fs.read_handle(h), "net 100 ts 1.000");
+        assert_eq!(fs.handle_buf(h), "net 100 ts 1.000");
+    }
+
+    /// Floats the fast formatters special-case or hand to `std`.
+    fn edge_f64() -> impl proptest::Strategy<Value = f64> {
+        use proptest::Strategy as _;
+        proptest::prop_oneof![
+            proptest::Just(f64::NAN),
+            proptest::Just(f64::INFINITY),
+            proptest::Just(f64::NEG_INFINITY),
+            proptest::Just(-0.0),
+            proptest::Just(9_007_199_254_740_993.0), // 2^53 + 1, rounds to even
+            proptest::Just(1.152_921_504_606_847e18), // 2^60
+            proptest::Just(5e-324),                  // smallest subnormal
+            proptest::Just(2.225_073_858_507_201e-308), // largest subnormal
+            (0u64..1 << 54).prop_map(|n| n as f64),
+            (0u64..1_000_000_000_000_000).prop_map(|ns| ns as f64 / 1e9),
+            proptest::any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest::proptest! {
+        /// A sample reads as exactly the text the receive path used to
+        /// store, whatever the floats.
+        #[test]
+        fn sample_reads_as_the_formatted_text(
+            leaf in "[a-zA-Z0-9_. -]{1,12}",
+            value in edge_f64(),
+            ts in edge_f64(),
+        ) {
+            let mut fs = ProcFs::new();
+            let h = fs.intern(&format!("cluster/alan/{leaf}")).unwrap();
+            fs.set_sample(h, value, ts);
+            let want = format!("{leaf} {value} ts {ts:.3}");
+            proptest::prop_assert_eq!(fs.read_handle(h).into_owned(), want.clone());
+            proptest::prop_assert_eq!(fs.handle_buf(h).clone(), want);
+        }
     }
 
     #[test]
