@@ -75,7 +75,6 @@ struct Measurement {
     events_per_sec: f64,
     ns_per_poll_tick: f64,
     allocs_per_event: f64,
-    sched_events_per_sec: f64,
     /// Filter evaluations that had to bypass the shared memo
     /// (`MemoClass::Bypass`, i.e. impure filters). The standard bench
     /// scenario deploys only parameter rules, so this must stay 0 — any
@@ -142,7 +141,6 @@ fn measure_threaded(
             events_per_sec: events as f64 / wall_s,
             ns_per_poll_tick: wall.as_nanos() as f64 / polls.max(1) as f64,
             allocs_per_event: allocs as f64 / events.max(1) as f64,
-            sched_events_per_sec: events as f64 / wall_s,
             memo_bypassed,
         },
         shards,
@@ -452,7 +450,7 @@ fn measure_speedup(nodes: usize, warmup_s: u64, measure_s: u64, threads: usize) 
 impl Measurement {
     fn json_fields(&self) -> String {
         format!(
-            "  \"scenario\": \"scalability{}\",\n  \"sim_secs\": {},\n  \"wall_ms\": {:.3},\n  \"events\": {},\n  \"events_per_sec\": {:.1},\n  \"ns_per_poll_tick\": {:.1},\n  \"allocs_per_event\": {:.2},\n  \"sched_events_per_sec\": {:.1},\n  \"memo_bypassed\": {}",
+            "  \"scenario\": \"scalability{}\",\n  \"sim_secs\": {},\n  \"wall_ms\": {:.3},\n  \"events\": {},\n  \"events_per_sec\": {:.1},\n  \"ns_per_poll_tick\": {:.1},\n  \"allocs_per_event\": {:.2},\n  \"memo_bypassed\": {}",
             self.nodes,
             self.sim_secs,
             self.wall_ms,
@@ -460,7 +458,6 @@ impl Measurement {
             self.events_per_sec,
             self.ns_per_poll_tick,
             self.allocs_per_event,
-            self.sched_events_per_sec,
             self.memo_bypassed,
         )
     }

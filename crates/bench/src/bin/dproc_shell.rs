@@ -410,7 +410,14 @@ impl Shell {
                     return Err(format!("ctl: {e}"));
                 }
                 let sim = self.sim.as_mut().expect("checked");
+                // A target that names no control file is counted, not
+                // written: the counter is how the write reports it.
+                let errors = |s: &ClusterSim| s.world().dmons[id.0].stats.control_errors;
+                let before = errors(sim);
                 sim.write_control(id, &target, &text);
+                if errors(sim) != before {
+                    return Err("ctl: bad target".into());
+                }
                 Ok(Some(format!(
                     "queued for {target} (applies at its next poll)"
                 )))
@@ -1155,5 +1162,15 @@ mod tests {
             .contains("t ="));
         // Unknown node is also a recoverable error.
         assert!(shell.exec(parse("cat nosuch loadavg").unwrap()).is_err());
+        // So is a target that is not a node name's worth of path.
+        for target in ["a//b", "x/y"] {
+            let err = shell
+                .exec(parse(&format!("ctl node0 {target} period * 2")).unwrap())
+                .unwrap_err();
+            assert_eq!(err, "ctl: bad target");
+        }
+        assert!(shell
+            .exec(parse("ctl node0 node1 period * 2").unwrap())
+            .is_ok());
     }
 }

@@ -12,17 +12,17 @@ use simcore::{HandleMsg, Sim, SimDur, SimTime};
 use simnet::link::{BytesWindow, LinkSpec};
 use simnet::topology::{Placement, TopologySpec};
 use simnet::traffic::FlowTable;
-use simnet::{ConnId, Delivery, Network, NodeId, TrafficClass};
-use simos::cpu::TaskState;
+use simnet::{Fabric, FaultAction, Network, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
-use simos::TaskId;
 
-use kecho::{wire, ChannelId, Directory, Event, EventKind, Hop, Topology};
+use kecho::{ChannelId, Directory, Event, Hop, Topology};
 
 use crate::calib::Calib;
 use crate::dmon::DMon;
 use crate::modules::standard_modules;
+use crate::node::{view_of, Cols, Fx, Member, Node, NodeSet, NodeSvc, Nodes, Sink, View};
+use crate::pcluster::ParallelDriver;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -157,12 +157,9 @@ impl ClusterConfig {
     }
 }
 
-/// Typed cluster events. The serial driver routes the three hot event
-/// kinds (polls, service completions, deliveries) through the scheduler's
-/// typed message lane — no per-event closure boxing — and the parallel
-/// engine logs and merges the same values across shards. Fault actions
-/// are cold and stay boxed on the serial driver; only the parallel
-/// engine schedules `Fault` events.
+/// Typed cluster events: both engines route every event kind through a
+/// typed message lane — no per-event closure boxing — and the sharded
+/// engine logs and merges the same values across shards.
 #[derive(Debug, Clone)]
 pub enum ClusterEvent {
     /// One d-mon polling iteration, with its generation token.
@@ -170,47 +167,55 @@ pub enum ClusterEvent {
     /// The node's kernel service thread finished draining one CPU charge.
     SvcDone { i: usize },
     /// A network message arrives at `hop.to`.
-    Deliver {
-        hop: Hop,
-        ev: Event,
-        bytes: usize,
-        sent_at: SimTime,
-        queued: SimDur,
-    },
-    /// The `k`-th scheduled fault action fires (parallel engine only).
+    Deliver(Frame),
+    /// The `k`-th action of the fault timeline fires.
     Fault { k: usize },
+}
+
+/// An event on the wire, as the node it is addressed to receives it.
+#[derive(Debug, Clone)]
+pub struct Frame {
+    /// Sender and receiver of this transfer.
+    pub hop: Hop,
+    /// The event carried.
+    pub ev: Event,
+    /// Its encoded size.
+    pub bytes: usize,
+    /// When the event set out — at its first sender when a concentrator
+    /// hub relays it, so the latency sampler sees end-to-end latency.
+    pub sent_at: SimTime,
+    /// Time this transfer waited behind earlier traffic on its links.
+    pub queued: SimDur,
+}
+
+impl ClusterEvent {
+    /// The node that executes this event. The fault timeline belongs to
+    /// no node; it runs as node 0, whose shard hosts it.
+    pub(crate) fn node(&self) -> usize {
+        match *self {
+            ClusterEvent::Poll { i, .. } | ClusterEvent::SvcDone { i } => i,
+            ClusterEvent::Deliver(ref frame) => frame.hop.to.0,
+            ClusterEvent::Fault { .. } => 0,
+        }
+    }
 }
 
 /// The serial scheduler type: world + typed cluster events.
 pub type ClusterSched = Sim<ClusterWorld, ClusterEvent>;
 
 impl HandleMsg<ClusterEvent> for ClusterWorld {
-    /// Serial dispatch of the typed events. Program order inside each arm
-    /// mirrors the old closure bodies exactly (and therefore the parallel
-    /// engine's handlers in [`crate::pcluster`]): the poll re-arm happens
-    /// *after* the poll body, like `schedule_periodic`'s tick wrapper did.
+    /// Route an event to its handler. The event is matched where it
+    /// arrives — here and in the shard's `execute` — because handing its
+    /// 152 bytes on by value to a shared router costs a copy per event.
     fn handle(&mut self, sim: &mut ClusterSched, msg: ClusterEvent) {
+        let (now, mut node, view, mut sink) = self.enter(sim, msg.node());
         match msg {
-            ClusterEvent::Poll { i, token } => {
-                if self.poll_token[i] != token {
-                    return; // stale series: crash or re-revive moved on
-                }
-                self.poll_node(sim, i);
-                let period = self.poll_period;
-                sim.schedule_msg_in(period, ClusterEvent::Poll { i, token });
-            }
-            ClusterEvent::SvcDone { i } => self.svc_drain(sim, i),
-            ClusterEvent::Deliver {
-                hop,
-                ev,
-                bytes,
-                sent_at,
-                queued,
-            } => self.deliver(sim, hop, ev, bytes, sent_at, queued),
-            ClusterEvent::Fault { .. } => {
-                unreachable!("serial driver schedules fault actions as closures")
-            }
+            ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, &mut sink),
+            ClusterEvent::SvcDone { .. } => node.svc_drain(now, &mut sink),
+            ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, &mut sink),
+            ClusterEvent::Fault { k } => sink.fx(Fx::Member(Member::FaultAction { k })),
         }
+        self.settle(sim);
     }
 }
 
@@ -251,49 +256,97 @@ pub struct ClusterWorld {
     pub mon_delivered: u64,
     /// Lifetime count of delivered control events.
     pub ctl_delivered: u64,
-    /// Per-node d-mon service task (kernel thread).
-    pub(crate) svc_tasks: Vec<TaskId>,
-    /// Per-node queue of pending CPU charges: the kernel thread is a
-    /// serial server, so concurrent charges queue rather than overlap
-    /// (overlapping them would under-account the stolen CPU).
-    pub(crate) svc_pending: Vec<std::collections::VecDeque<SimDur>>,
-    /// Whether each node's service task is currently draining a charge.
-    pub(crate) svc_busy: Vec<bool>,
+    /// Per-node glue state (service queue, poll series, event meter).
+    pub(crate) svc: Vec<NodeSvc>,
     /// Liveness per node; dead nodes neither poll nor receive (models
     /// crash failures for the fault-tolerance comparison).
     pub(crate) alive: Vec<bool>,
     /// Injected network faults: partitions, message loss, link
     /// degradation — plus the counters every dropped delivery feeds.
     pub fault: simnet::FaultState,
-    /// Generation token per node's poll series. Bumped on crash and
-    /// revive so a stale periodic closure stops instead of polling a
-    /// dead (or doubly-revived) node forever.
-    pub(crate) poll_token: Vec<u64>,
     /// Nodes the failure detector evicted from the directory. Only these
     /// auto-rejoin when they find themselves unsubscribed — nodes that
     /// were never subscribed (manual-subscription setups) stay out.
     pub(crate) evicted: Vec<bool>,
     /// Polling period, kept for re-arming a revived node's poll series.
     pub(crate) poll_period: SimDur,
-    /// Per-node events handled (sent + received) in a sliding 1 s window —
-    /// feeds the Iperf probe's interference model.
-    pub(crate) event_meter: Vec<BytesWindow>,
+    /// The scheduled fault timeline, indexed by `ClusterEvent::Fault::k`.
+    pub(crate) fault_plan: Vec<FaultAction>,
+    /// Membership effects the running handler emitted, applied when it
+    /// returns; empty between events (the buffer is kept for reuse).
+    pub(crate) deferred: Vec<Member>,
     /// Endpoints and rate of each started flood, so stopping one can also
     /// clear the hosts' NIC-level background observation.
     pub(crate) flow_meta: std::collections::HashMap<simnet::FlowId, (NodeId, NodeId, f64)>,
 }
 
-/// The link-layer lane an event travels in. Monitoring data is bulk —
-/// it queues and can be tail-dropped at a bounded link queue. Heartbeats
-/// and control frames ride the strict-priority lane: tiny, cap-exempt,
-/// and never stuck behind a saturated data queue, so failure detection
-/// and reconfiguration stay live under overload.
-pub(crate) fn class_of(ev: &Event) -> TrafficClass {
-    match ev.kind {
-        // Digests are data, not liveness: they queue and shed with the
-        // bulk lane — a lost digest is superseded by the next one.
-        EventKind::Monitoring | EventKind::Digest => TrafficClass::Bulk,
-        EventKind::Control | EventKind::Heartbeat => TrafficClass::Priority,
+/// The shared state handlers write only through [`Fx`]: link
+/// reservations past the sender's uplink, the latency sampler, the
+/// delivery and drop counters.
+pub(crate) struct Ledger<'a> {
+    fabric: &'a mut Fabric,
+    pub fault: &'a mut simnet::FaultState,
+    mon_latency_us: &'a mut simcore::stats::Sampler,
+    mon_delivered: &'a mut u64,
+    ctl_delivered: &'a mut u64,
+    deferred: &'a mut Vec<Member>,
+}
+
+impl Ledger<'_> {
+    /// Apply one effect. A delivery it produces goes to `arm`, to be
+    /// scheduled at the receiver; a membership effect is handed back,
+    /// because it is not the ledger's to apply.
+    #[inline(always)]
+    pub fn post(&mut self, fx: Fx, arm: impl FnOnce(SimTime, ClusterEvent)) -> Option<Member> {
+        match fx {
+            Fx::WireSend { mut frame, leg } => {
+                let d = self.fabric.finish(frame.hop.from, frame.hop.to, leg);
+                // A drop here happened inside a switch: no one learns of it.
+                if d.dropped.is_none() {
+                    frame.queued = d.queued;
+                    arm(d.deliver_at, ClusterEvent::Deliver(frame));
+                }
+            }
+            Fx::MonDelivered { latency_us } => {
+                *self.mon_delivered += 1;
+                self.mon_latency_us.add(latency_us);
+            }
+            Fx::CtlDelivered => *self.ctl_delivered += 1,
+            Fx::CrashDrop => self.fault.note_crash_drop(),
+            Fx::Member(m) => return Some(m),
+        }
+        None
+    }
+}
+
+/// The serial engine's sink: children go straight onto the scheduler and
+/// ledger effects are applied at once. Membership effects wait in
+/// `deferred` until the handler returns — where a shard's replay applies
+/// them too.
+pub(crate) struct SerialSink<'a> {
+    sim: &'a mut ClusterSched,
+    ledger: Ledger<'a>,
+}
+
+impl Sink for SerialSink<'_> {
+    #[inline]
+    fn schedule_at(&mut self, at: SimTime, ev: ClusterEvent) {
+        self.sim.schedule_msg_at(at, ev);
+    }
+
+    #[inline(always)]
+    fn fx(&mut self, fx: Fx) {
+        let sim = &mut *self.sim;
+        let member = self.ledger.post(fx, |at, ev| {
+            sim.schedule_msg_at(at, ev);
+        });
+        if let Some(m) = member {
+            self.ledger.deferred.push(m);
+        }
+    }
+
+    fn should_drop(&mut self, from: NodeId, to: NodeId) -> bool {
+        self.ledger.fault.should_drop(from, to).is_some()
     }
 }
 
@@ -309,32 +362,30 @@ impl ClusterWorld {
         self.rack_chans[self.placement.rack_of(NodeId(i))]
     }
 
-    /// Subscribe `node` to exactly the channels its placement assigns:
-    /// its rack's monitoring + control pair, plus the spine digest
-    /// channel when it is its rack's aggregator. Rejoin and revival must
-    /// restore precisely this set — hard-coding the two flat channels
-    /// here is what broke rejoin on hierarchical topologies.
-    pub(crate) fn subscribe_node(&mut self, node: NodeId) {
+    /// The channels `node`'s placement assigns it: its rack's monitoring
+    /// and control pair, plus the spine digest channel when it is its
+    /// rack's aggregator. Eviction, rejoin and revival all go through
+    /// this one set — hard-coding the two flat channels is what broke
+    /// rejoin on hierarchical topologies.
+    fn channels_of(&self, node: NodeId) -> impl Iterator<Item = ChannelId> {
         let (mon, ctl) = self.chans_of(node.0);
-        self.dir.subscribe(mon, node);
-        self.dir.subscribe(ctl, node);
-        if let Some(dg) = self.digest_chan {
-            if self.placement.is_aggregator(node) {
-                self.dir.subscribe(dg, node);
-            }
+        let dg = self
+            .digest_chan
+            .filter(|_| self.placement.is_aggregator(node));
+        [mon, ctl].into_iter().chain(dg)
+    }
+
+    // detlint: replay-only
+    fn subscribe_node(&mut self, node: NodeId) {
+        for chan in self.channels_of(node) {
+            self.dir.subscribe(chan, node);
         }
     }
 
-    /// Remove `node` from exactly the channels [`ClusterWorld::subscribe_node`]
-    /// put it on — the eviction mirror of the rejoin path.
-    pub(crate) fn unsubscribe_node(&mut self, node: NodeId) {
-        let (mon, ctl) = self.chans_of(node.0);
-        self.dir.unsubscribe(mon, node);
-        self.dir.unsubscribe(ctl, node);
-        if let Some(dg) = self.digest_chan {
-            if self.placement.is_aggregator(node) {
-                self.dir.unsubscribe(dg, node);
-            }
+    // detlint: replay-only
+    fn unsubscribe_node(&mut self, node: NodeId) {
+        for chan in self.channels_of(node) {
+            self.dir.unsubscribe(chan, node);
         }
     }
 
@@ -350,404 +401,253 @@ impl ClusterWorld {
 
     /// Events per second (sent + received) a node handled recently.
     pub fn event_rate(&mut self, node: NodeId, now: SimTime) -> f64 {
-        self.event_meter[node.0].bytes(now) as f64 / self.event_meter[node.0].window().as_secs_f64()
+        let meter = &mut self.svc[node.0].event_meter;
+        meter.bytes(now) as f64 / meter.window().as_secs_f64()
+    }
+
+    /// Disjoint borrows of the world for one handler run: the per-node
+    /// columns, the read-only view, the ledger.
+    pub(crate) fn split(&mut self) -> (Cols<'_>, View<'_>, Ledger<'_>) {
+        let (ports, fabric) = self.net.split();
+        let ledger = Ledger {
+            fabric,
+            fault: &mut self.fault,
+            mon_latency_us: &mut self.mon_latency_us,
+            mon_delivered: &mut self.mon_delivered,
+            ctl_delivered: &mut self.ctl_delivered,
+            deferred: &mut self.deferred,
+        };
+        let cols = (
+            &mut self.hosts[..],
+            &mut self.dmons[..],
+            &mut self.svc[..],
+            ports,
+        );
+        (cols, view_of!(self), ledger)
+    }
+
+    /// Borrow the world for one handler run as node `i` on the serial
+    /// engine; [`ClusterWorld::settle`] must follow the handler.
+    #[inline]
+    fn enter<'a>(
+        &'a mut self,
+        sim: &'a mut ClusterSched,
+        i: usize,
+    ) -> (SimTime, Node<'a>, View<'a>, SerialSink<'a>) {
+        let now = sim.now();
+        let (cols, view, ledger) = self.split();
+        (now, Node::at(i, cols), view, SerialSink { sim, ledger })
+    }
+
+    /// Apply the membership effects the handler that just returned
+    /// deferred.
+    #[inline]
+    fn settle(&mut self, sim: &mut ClusterSched) {
+        if self.deferred.is_empty() {
+            return;
+        }
+        let mut deferred = std::mem::take(&mut self.deferred);
+        self.with_nodes(|w, nodes| {
+            for m in deferred.drain(..) {
+                w.apply_member(sim.now(), m, nodes, &mut |at, ev| {
+                    sim.schedule_msg_at(at, ev);
+                });
+            }
+        });
+        self.deferred = deferred;
     }
 
     /// Charge CPU time to a node's d-mon kernel thread. Charges drain
     /// serially: the service task is runnable while work is pending, so
     /// compute workloads (linpack) lose exactly the charged CPU time.
     pub fn charge_cpu(&mut self, sim: &mut ClusterSched, node: NodeId, cost: SimDur) {
-        if cost.is_zero() {
-            return;
-        }
-        let i = node.0;
-        self.svc_pending[i].push_back(cost);
-        if !self.svc_busy[i] {
-            self.svc_drain(sim, i);
-        }
-    }
-
-    fn svc_drain(&mut self, sim: &mut ClusterSched, i: usize) {
-        let now = sim.now();
-        let task = self.svc_tasks[i];
-        let Some(cost) = self.svc_pending[i].pop_front() else {
-            if self.svc_busy[i] {
-                self.svc_busy[i] = false;
-                self.hosts[i].cpu.set_state(now, task, TaskState::Sleeping);
-            }
-            return;
-        };
-        let host = &mut self.hosts[i];
-        host.cpu.advance(now);
-        if !self.svc_busy[i] {
-            self.svc_busy[i] = true;
-            host.cpu.set_state(now, task, TaskState::Runnable);
-        }
-        let wall = SimDur::from_secs_f64(cost.as_secs_f64() / self.hosts[i].cpu.share());
-        sim.schedule_msg_in(wall, ClusterEvent::SvcDone { i });
+        let (now, mut n, _, mut sink) = self.enter(sim, node.0);
+        n.charge_cpu(now, cost, &mut sink);
+        self.settle(sim);
     }
 
     /// Send an event over the network and schedule its delivery. In the
     /// central-concentrator topology, leaf-to-leaf hops detour via the
     /// hub, which relays them onward at delivery time.
-    pub fn transmit(&mut self, sim: &mut ClusterSched, mut hop: Hop, ev: Event, bytes: usize) {
-        if let Topology::Central(hub) = self.dir.topology() {
-            if hop.from != hub && hop.to != hub {
-                hop = Hop {
-                    from: hop.from,
-                    to: hub,
-                };
+    pub fn transmit(&mut self, sim: &mut ClusterSched, hop: Hop, ev: Event, bytes: usize) {
+        let (now, mut n, view, mut sink) = self.enter(sim, hop.from.0);
+        n.transmit(now, hop, ev, bytes, &view, &mut sink);
+        self.settle(sim);
+    }
+
+    /// Run one d-mon polling iteration for node `i`. No-op on dead nodes.
+    pub fn poll_node(&mut self, sim: &mut ClusterSched, i: usize) {
+        let (now, mut n, view, mut sink) = self.enter(sim, i);
+        n.poll(now, &view, &mut sink);
+        self.settle(sim);
+    }
+
+    /// Move the per-node columns out of the world — to deal them to
+    /// shards, or to reach other nodes while the rest of the world is
+    /// borrowed.
+    pub(crate) fn take_nodes(&mut self) -> Nodes {
+        Nodes {
+            hosts: std::mem::take(&mut self.hosts),
+            dmons: std::mem::take(&mut self.dmons),
+            svc: std::mem::take(&mut self.svc),
+            ports: self.net.take_ports(),
+        }
+    }
+
+    /// Inverse of [`ClusterWorld::take_nodes`].
+    pub(crate) fn restore_nodes(&mut self, nodes: Nodes) {
+        self.hosts = nodes.hosts;
+        self.dmons = nodes.dmons;
+        self.svc = nodes.svc;
+        self.net.restore_ports(nodes.ports);
+    }
+
+    fn with_nodes(&mut self, f: impl FnOnce(&mut Self, &mut Nodes)) {
+        let mut nodes = self.take_nodes();
+        f(self, &mut nodes);
+        self.restore_nodes(nodes);
+    }
+
+    /// Apply one membership effect. The per-node columns are out of the
+    /// world here (on the shards, or in `nodes`), so other nodes are
+    /// reached through `nodes`; `arm` schedules an event at its node.
+    pub(crate) fn apply_member(
+        &mut self,
+        now: SimTime,
+        m: Member,
+        nodes: &mut impl NodeSet,
+        arm: &mut impl FnMut(SimTime, ClusterEvent),
+    ) {
+        match m {
+            // The dead peer stops being a subscriber: the eviction
+            // removes exactly what its placement subscribed.
+            Member::Evict { peer } => {
+                self.unsubscribe_node(peer);
+                self.evicted[peer.0] = true;
+            }
+            Member::Rejoin { node } => self.rejoin(node, now, nodes),
+            Member::FaultAction { k } => {
+                let action = self.fault_plan[k].clone();
+                self.apply_action(now, &action, nodes, arm);
             }
         }
-        if !self.alive[hop.from.0] {
+    }
+
+    /// `node` (re-)registers on its channels, and every other live
+    /// member's d-mon hears of it, so its failure detector can downgrade
+    /// a Dead verdict.
+    fn rejoin(&mut self, node: NodeId, now: SimTime, nodes: &mut impl NodeSet) {
+        self.subscribe_node(node);
+        self.evicted[node.0] = false;
+        for j in (0..self.alive.len()).filter(|&j| j != node.0 && self.alive[j]) {
+            nodes.node(NodeId(j)).dmon.on_peer_rejoin(node, now);
+        }
+    }
+
+    fn crash(&mut self, node: NodeId, nodes: &mut impl NodeSet) {
+        if !self.alive[node.0] {
             return;
         }
-        let now = sim.now();
-        self.event_meter[hop.from.0].record(now, 1);
-        self.hosts[hop.from.0].on_net_bytes(bytes as u64);
-        let delivery: Delivery = self
-            .net
-            .send_class(now, hop.from, hop.to, bytes, class_of(&ev));
-        if let Some(dir) = delivery.dropped {
-            // An uplink tail-drop happened in the sender's own kernel —
-            // locally observable, so the publisher's d-mon chokes the
-            // stream instead of burning more credits on a dead queue.
-            // Downlink drops happen inside the switch; no one learns of
-            // them here (the subscriber infers the gap later).
-            if dir == simnet::DropDir::Uplink && ev.kind == EventKind::Monitoring {
-                if let (true, Some(sub)) = (hop.from == ev.sender, ev.target) {
-                    self.dmons[hop.from.0].on_wire_drop(sub);
-                }
-            }
+        self.alive[node.0] = false;
+        let n = nodes.node(node);
+        // Invalidate the poll series so it stops at its next tick;
+        // in-flight kernel-thread work dies with the node.
+        n.svc.poll_token += 1;
+        n.svc.pending.clear();
+    }
+
+    fn revive(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        nodes: &mut impl NodeSet,
+        arm: &mut impl FnMut(SimTime, ClusterEvent),
+    ) {
+        if self.alive[node.0] {
             return;
         }
-        let sent_at = now;
-        let queued = delivery.queued;
-        sim.schedule_msg_at(
-            delivery.deliver_at,
-            ClusterEvent::Deliver {
-                hop,
-                ev,
-                bytes,
-                sent_at,
-                queued,
-            },
+        self.alive[node.0] = true;
+        let n = nodes.node(node);
+        // Proc writes queued before the crash died with it.
+        let _ = n.host.proc.drain_writes();
+        n.dmon.on_revive();
+        n.svc.poll_token += 1;
+        let token = n.svc.poll_token;
+        // Registry re-bootstrap: the revived node re-announces itself on
+        // its placement's channels.
+        self.rejoin(node, now, nodes);
+        arm(
+            now + self.poll_period,
+            ClusterEvent::Poll { i: node.0, token },
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
+    fn apply_action(
         &mut self,
-        sim: &mut ClusterSched,
-        hop: Hop,
-        ev: Event,
-        bytes: usize,
-        sent_at: SimTime,
-        queued: SimDur,
+        now: SimTime,
+        action: &FaultAction,
+        nodes: &mut impl NodeSet,
+        arm: &mut impl FnMut(SimTime, ClusterEvent),
     ) {
-        let now = sim.now();
-        let to = hop.to;
-        if !self.alive[to.0] {
-            self.fault.note_crash_drop();
-            return; // delivered into a dead NIC: lost
-        }
-        if self.fault.should_drop(hop.from, to).is_some() {
-            return; // destroyed on the wire: partition or injected loss
-        }
-        let one_way = now.since(sent_at);
-        self.event_meter[to.0].record(now, 1);
-        self.hosts[to.0].on_net_bytes(bytes as u64);
-
-        // Central-concentrator transit: a hub receiving an event addressed
-        // elsewhere relays it onward instead of consuming it.
-        if let Topology::Central(hub) = self.dir.topology() {
-            if to == hub {
-                if let Some(target) = ev.target {
-                    if target != hub {
-                        let relay_cost = self.calib.receive_cost(bytes)
-                            + self.calib.submit_cost(bytes)
-                            + self.calib.kernel_path_recv
-                            + self.calib.kernel_path_send;
-                        self.charge_cpu(sim, hub, relay_cost);
-                        // Relay directly (not via transmit) so the final
-                        // delivery keeps the original send time and the
-                        // latency sampler sees true end-to-end latency.
-                        self.event_meter[hub.0].record(now, 1);
-                        let relay_hop = Hop {
-                            from: hub,
-                            to: target,
-                        };
-                        let delivery = self.net.send_class(now, hub, target, bytes, class_of(&ev));
-                        if delivery.dropped.is_some() {
-                            return; // relay leg tail-dropped
-                        }
-                        let relay_queued = delivery.queued;
-                        sim.schedule_msg_at(
-                            delivery.deliver_at,
-                            ClusterEvent::Deliver {
-                                hop: relay_hop,
-                                ev,
-                                bytes,
-                                sent_at,
-                                queued: relay_queued,
-                            },
-                        );
-                        return;
-                    }
-                }
+        match *action {
+            FaultAction::Crash(node) => self.crash(node, nodes),
+            FaultAction::Revive(node) => self.revive(now, node, nodes, arm),
+            // The node's uplink travels with the node; its downlink is
+            // the fabric's.
+            FaultAction::Degrade(node, _) | FaultAction::HealLink(node) => {
+                let n = nodes.node(node);
+                let links = (n.port.uplink_mut(), self.net.downlink_mut(node));
+                self.fault.apply_links(action, Some(links));
             }
+            ref other => self.fault.apply_links(other, None),
         }
-
-        // Kernel connection tracking on the receiving host.
-        let conn = ConnId {
-            local: to,
-            remote: ev.sender,
-            proto: simnet::conn::Proto::Tcp,
-            tag: ev.channel,
-        };
-        self.hosts[to.0].conns.open(conn, now);
-        self.hosts[to.0]
-            .conns
-            .record_delivery(conn, now, bytes as u64, one_way);
-        // Heavy queueing means the transport retransmitted: NET MON's
-        // per-connection counters should show congestion.
-        if queued > self.calib.rto {
-            self.hosts[to.0].conns.record_retransmission(conn);
-        }
-
-        match ev.kind {
-            EventKind::Monitoring => {
-                self.mon_delivered += 1;
-                self.mon_latency_us.add(one_way.as_micros_f64());
-                let handler = {
-                    // Disjoint field borrows: calib is read-only next to the
-                    // mutable dmon/host splits, so no clone is needed.
-                    let calib = &self.calib;
-                    let (dmon, host) = Self::dmon_host(&mut self.dmons, &mut self.hosts, to.0);
-                    dmon.on_event(host, &ev, bytes, now, calib)
-                };
-                self.charge_cpu(sim, to, handler + self.calib.kernel_path_recv);
-
-                // Central-concentrator topology: the hub relays.
-                if let Topology::Central(hub) = self.dir.topology() {
-                    if to == hub {
-                        if let Some(origin) = ev.as_monitoring().map(|m| m.origin) {
-                            if origin != hub {
-                                let chan = ChannelId(ev.channel);
-                                let hops = self.dir.plan_forward(chan, origin);
-                                for fwd in hops {
-                                    let relay_cost =
-                                        self.calib.submit_cost(bytes) + self.calib.kernel_path_send;
-                                    self.charge_cpu(sim, hub, relay_cost);
-                                    self.transmit(sim, fwd, ev.clone(), bytes);
-                                }
-                            }
-                        }
-                    }
-                }
-                ev.recycle();
-            }
-            EventKind::Heartbeat => {
-                let handler = self.dmons[to.0].on_heartbeat(&ev, now, &self.calib);
-                self.charge_cpu(sim, to, handler + self.calib.heartbeat_path_recv);
-            }
-            EventKind::Digest => {
-                let handler = {
-                    let calib = &self.calib;
-                    let (dmon, host) = Self::dmon_host(&mut self.dmons, &mut self.hosts, to.0);
-                    dmon.on_digest(host, &ev, bytes, now, calib)
-                };
-                self.charge_cpu(sim, to, handler + self.calib.kernel_path_recv);
-            }
-            EventKind::Control => {
-                self.ctl_delivered += 1;
-                if let Some(msg) = ev.as_control() {
-                    let outcome = self.dmons[to.0].on_control(ev.sender, msg, &self.calib);
-                    self.charge_cpu(sim, to, outcome.cpu + self.calib.kernel_path_recv);
-                    if let Some(reply) = outcome.reply {
-                        // E.g. a filter rejection travelling back to the
-                        // subscriber that tried to deploy it.
-                        let rev =
-                            self.dmons[to.0].make_control_event(self.ctl_chan, ev.sender, reply);
-                        let bytes = wire::encoded_size(&rev);
-                        let send_cost = self.calib.submit_cost(bytes) + self.calib.kernel_path_send;
-                        self.charge_cpu(sim, to, send_cost);
-                        let hop = Hop {
-                            from: to,
-                            to: ev.sender,
-                        };
-                        self.transmit(sim, hop, rev, bytes);
-                    }
-                }
-            }
-        }
-    }
-
-    fn dmon_host<'a>(
-        dmons: &'a mut [DMon],
-        hosts: &'a mut [Host],
-        i: usize,
-    ) -> (&'a mut DMon, &'a mut Host) {
-        (&mut dmons[i], &mut hosts[i])
     }
 
     /// Crash a node: it stops polling, sending, and receiving. Other
     /// nodes' d-mons keep running — with peer-to-peer channels the rest of
     /// the cluster keeps exchanging monitoring data; with a central
     /// collector, losing the hub silences everyone (the paper's fault-
-    /// tolerance argument).
+    /// tolerance argument). No-op on dead nodes.
     pub fn kill_node(&mut self, node: NodeId) {
-        let i = node.0;
-        if !self.alive[i] {
-            return;
-        }
-        self.alive[i] = false;
-        // Invalidate the node's poll series so the periodic closure stops
-        // at its next tick instead of no-op-firing forever.
-        self.poll_token[i] += 1;
-        // In-flight kernel-thread work dies with the node.
-        self.svc_pending[i].clear();
+        self.with_nodes(|w, nodes| w.crash(node, nodes));
     }
 
     /// Bring a crashed node back: it rejoins the channel registry, bumps
     /// its d-mon epoch (so peers see a restart, not a gap), and restarts
     /// its poll series one period from now. No-op on live nodes.
     pub fn revive_node(&mut self, sim: &mut ClusterSched, node: NodeId) {
-        let i = node.0;
-        if self.alive[i] {
-            return;
-        }
-        self.alive[i] = true;
-        // Proc writes queued before the crash died with it.
-        let _ = self.hosts[i].proc.drain_writes();
-        self.dmons[i].on_revive();
-        // Registry re-bootstrap: the revived node re-announces itself on
-        // its rack's channels (plus the digest channel when it is the
-        // rack aggregator).
-        self.subscribe_node(node);
-        self.evicted[i] = false;
-        self.notify_rejoin(node, sim.now());
-        self.poll_token[i] += 1;
-        let first = sim.now() + self.poll_period;
-        Self::arm_poll(sim, i, self.poll_token[i], first);
-    }
-
-    /// Schedule a node's poll series: one typed `Poll` message; each
-    /// firing re-arms the next (see [`HandleMsg::handle`]). The series
-    /// self-cancels when the node's generation token moves on (crash or
-    /// re-revive).
-    fn arm_poll(sim: &mut ClusterSched, i: usize, token: u64, first: SimTime) {
-        sim.schedule_msg_at(first, ClusterEvent::Poll { i, token });
+        self.apply_fault(sim, &FaultAction::Revive(node));
     }
 
     /// Apply one fault action right now. Crash/revive route through the
     /// node lifecycle; network faults mutate [`ClusterWorld::fault`].
-    pub fn apply_fault(&mut self, sim: &mut ClusterSched, action: &simnet::FaultAction) {
-        match *action {
-            simnet::FaultAction::Crash(node) => self.kill_node(node),
-            simnet::FaultAction::Revive(node) => self.revive_node(sim, node),
-            ref other => self.fault.apply(&mut self.net, other),
-        }
+    pub fn apply_fault(&mut self, sim: &mut ClusterSched, action: &FaultAction) {
+        self.with_nodes(|w, nodes| {
+            w.apply_action(sim.now(), action, nodes, &mut |at, ev| {
+                sim.schedule_msg_at(at, ev);
+            });
+        });
     }
 
     /// Whether a node is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.alive[node.0]
     }
-
-    /// Run one d-mon polling iteration for node `i`. No-op on dead nodes.
-    pub fn poll_node(&mut self, sim: &mut ClusterSched, i: usize) {
-        if !self.alive[i] {
-            return;
-        }
-        let now = sim.now();
-        let (mon, ctl) = self.chans_of(i);
-        let mut outcome = {
-            let dir = &self.dir;
-            let calib = &self.calib;
-            // Split borrows: dmons[i], hosts[i], dir and calib are
-            // distinct fields.
-            let dmon = &mut self.dmons[i];
-            let host = &mut self.hosts[i];
-            dmon.poll(host, dir, mon, ctl, now, calib)
-        };
-        self.charge_cpu(sim, NodeId(i), outcome.cpu_cost);
-        for (hop, ev, bytes) in outcome.sends.drain(..) {
-            self.transmit(sim, hop, ev, bytes);
-        }
-        self.dmons[i].recycle_sends(outcome.sends);
-        // Failure-detector verdicts become directory evictions: the dead
-        // peer stops being a subscriber, so every publisher's read-set
-        // logic stops sampling, filtering, and transmitting for it. The
-        // eviction removes exactly what the peer's placement subscribed.
-        for &peer in &outcome.dead_peers {
-            self.unsubscribe_node(peer);
-            self.evicted[peer.0] = true;
-        }
-        // A node evicted during a partition notices it is no longer a
-        // member once it can poll again and re-registers — recovery is
-        // symmetric even when both sides declared each other dead.
-        if outcome.rejoin && self.evicted[i] {
-            self.subscribe_node(NodeId(i));
-            self.evicted[i] = false;
-            self.notify_rejoin(NodeId(i), now);
-        }
-        // The aggregation tier: after the regular poll, a rack aggregator
-        // folds its members' latest samples into one bounded digest and
-        // republishes it on the spine digest channel.
-        if let Some(dg) = self.digest_chan {
-            let node = NodeId(i);
-            if self.placement.is_aggregator(node) {
-                let rack = self.placement.rack_of(node);
-                let members = self.placement.rack(rack).range();
-                let planned = {
-                    let dir = &self.dir;
-                    let calib = &self.calib;
-                    self.dmons[i].poll_digest(
-                        dir,
-                        dg,
-                        rack as u32,
-                        members,
-                        &outcome.dead_peers,
-                        calib,
-                    )
-                };
-                if let Some((sends, cpu)) = planned {
-                    self.charge_cpu(sim, node, cpu);
-                    for (hop, ev, bytes) in sends {
-                        self.transmit(sim, hop, ev, bytes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Propagate a channel-membership change: every live member's d-mon
-    /// hears that `node` re-registered and lets its failure detector
-    /// downgrade a Dead verdict accordingly.
-    fn notify_rejoin(&mut self, node: NodeId, now: SimTime) {
-        for (j, dmon) in self.dmons.iter_mut().enumerate() {
-            if j != node.0 && self.alive[j] {
-                dmon.on_peer_rejoin(node, now);
-            }
-        }
-    }
 }
 
 /// The cluster simulation: world + event loop + convenience API.
 ///
-/// By default events run on the serial closure-based scheduler. With
+/// By default events run on the serial scheduler. With
 /// [`ClusterSim::set_threads`] the same world runs on the sharded
 /// parallel engine ([`crate::pcluster`]), bit-identical to the serial
 /// run.
 pub struct ClusterSim {
     sim: ClusterSched,
     world: ClusterWorld,
-    poll_period: SimDur,
     stagger: SimDur,
     started: bool,
     threads: usize,
-    driver: Option<crate::pcluster::ParallelDriver>,
+    driver: Option<ParallelDriver>,
 }
 
 impl ClusterSim {
@@ -789,12 +689,17 @@ impl ClusterSim {
         let shared_names = std::sync::Arc::new(cfg.names.clone());
         let mut hosts = Vec::with_capacity(n);
         let mut dmons = Vec::with_capacity(n);
-        let mut svc_tasks = Vec::with_capacity(n);
+        let mut svc = Vec::with_capacity(n);
         for i in 0..n {
             let mut host = Host::new(cfg.names[i].clone(), NodeId(i), &cfg.host_cfgs[i]);
             host.link_capacity_bps = cfg.link.bandwidth_bps;
-            let svc = host.cpu.spawn_service(SimTime::ZERO, "d-mon");
-            svc_tasks.push(svc);
+            svc.push(NodeSvc {
+                task: host.cpu.spawn_service(SimTime::ZERO, "d-mon"),
+                pending: std::collections::VecDeque::new(),
+                busy: false,
+                poll_token: 0,
+                event_meter: BytesWindow::new(SimDur::from_secs(1)),
+            });
             hosts.push(host);
             // A d-mon's neighbourhood is its rack (the whole cluster on a
             // star): per-peer state is sized to it, not to the cluster.
@@ -811,18 +716,8 @@ impl ClusterSim {
                 dmon.set_failure_bounds(stale, dead);
             }
             dmons.push(dmon);
-            if cfg.auto_subscribe {
-                let (mon, ctl) = rack_chans[placement.rack_of(NodeId(i))];
-                dir.subscribe(mon, NodeId(i));
-                dir.subscribe(ctl, NodeId(i));
-                if let Some(dg) = digest_chan {
-                    if placement.is_aggregator(NodeId(i)) {
-                        dir.subscribe(dg, NodeId(i));
-                    }
-                }
-            }
         }
-        let world = ClusterWorld {
+        let mut world = ClusterWorld {
             net,
             flows: FlowTable::new(),
             hosts,
@@ -838,23 +733,23 @@ impl ClusterSim {
             mon_latency_us: simcore::stats::Sampler::new(),
             mon_delivered: 0,
             ctl_delivered: 0,
-            svc_tasks,
-            svc_pending: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
-            svc_busy: vec![false; n],
+            svc,
             alive: vec![true; n],
             fault: simnet::FaultState::new(0),
-            poll_token: vec![0; n],
             evicted: vec![false; n],
             poll_period: cfg.poll_period,
-            event_meter: (0..n)
-                .map(|_| BytesWindow::new(SimDur::from_secs(1)))
-                .collect(),
+            fault_plan: Vec::new(),
+            deferred: Vec::new(),
             flow_meta: std::collections::HashMap::new(),
         };
+        if cfg.auto_subscribe {
+            for i in 0..n {
+                world.subscribe_node(NodeId(i));
+            }
+        }
         ClusterSim {
             sim: Sim::new(),
             world,
-            poll_period: cfg.poll_period,
             stagger: cfg.stagger,
             started: false,
             threads: 1,
@@ -870,15 +765,10 @@ impl ClusterSim {
         assert!(!self.started, "set_threads must precede start()");
         assert!(threads > 0, "threads must be at least 1");
         self.threads = threads;
-        self.driver = if threads > 1 {
-            Some(crate::pcluster::ParallelDriver::new(
-                &self.world.placement,
-                threads,
-                self.world.net.lookahead(),
-            ))
-        } else {
-            None
-        };
+        self.driver = (threads > 1).then(|| {
+            let lookahead = self.world.net.lookahead();
+            ParallelDriver::new(&self.world.placement, threads, lookahead)
+        });
     }
 
     /// Configured worker thread count (1 = serial).
@@ -888,32 +778,36 @@ impl ClusterSim {
 
     /// Number of worker shards when parallel, else 1.
     pub fn shards(&self) -> usize {
-        self.driver
-            .as_ref()
-            .map_or(1, super::pcluster::ParallelDriver::shards)
+        self.driver.as_ref().map_or(1, |d| d.engine.shards())
     }
 
     /// Parallel engine counters (`None` on the serial driver).
     pub fn parallel_stats(&self) -> Option<simcore::pdes::EngineStats> {
-        self.driver
-            .as_ref()
-            .map(super::pcluster::ParallelDriver::stats)
+        self.driver.as_ref().map(|d| d.engine.stats())
     }
 
-    /// Schedule the periodic d-mon polls. Idempotent.
+    /// Seed an event on whichever driver runs the cluster.
+    fn schedule(&mut self, at: SimTime, ev: ClusterEvent) {
+        match self.driver.as_mut() {
+            Some(driver) => driver.schedule(at, ev),
+            None => {
+                self.sim.schedule_msg_at(at, ev);
+            }
+        }
+    }
+
+    /// Schedule the periodic d-mon polls: one typed `Poll` per node; each
+    /// firing re-arms the next, and the series stops by itself when the
+    /// node's generation token moves on (crash or re-revive). Idempotent.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        let n = self.world.len();
-        for i in 0..n {
-            let first = SimTime::ZERO + self.poll_period + self.stagger * (i as u64);
-            if let Some(driver) = self.driver.as_mut() {
-                driver.schedule_poll(i, self.world.poll_token[i], first);
-            } else {
-                ClusterWorld::arm_poll(&mut self.sim, i, self.world.poll_token[i], first);
-            }
+        for i in 0..self.world.len() {
+            let first = SimTime::ZERO + self.world.poll_period + self.stagger * (i as u64);
+            let token = self.world.svc[i].poll_token;
+            self.schedule(first, ClusterEvent::Poll { i, token });
         }
     }
 
@@ -923,15 +817,10 @@ impl ClusterSim {
     /// reseeds the loss RNG so a given plan is deterministic.
     pub fn apply_fault_plan(&mut self, plan: &simnet::FaultPlan) {
         self.world.fault.reseed(plan.seed());
-        if let Some(driver) = self.driver.as_mut() {
-            driver.schedule_fault_plan(plan.actions());
-            return;
-        }
         for (t, action) in plan.actions() {
-            self.sim
-                .schedule_at(t, move |w: &mut ClusterWorld, sim: &mut ClusterSched| {
-                    w.apply_fault(sim, &action);
-                });
+            let k = self.world.fault_plan.len();
+            self.world.fault_plan.push(action);
+            self.schedule(t, ClusterEvent::Fault { k });
         }
     }
 
@@ -939,59 +828,23 @@ impl ClusterSim {
     pub fn now(&self) -> SimTime {
         self.driver
             .as_ref()
-            .map_or_else(|| self.sim.now(), super::pcluster::ParallelDriver::now)
+            .map_or_else(|| self.sim.now(), |d| d.engine.now())
     }
 
     /// Run the event loop until `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if let Some(mut driver) = self.driver.take() {
-            let world = std::mem::replace(&mut self.world, Self::placeholder_world());
-            self.world = driver.run_until(world, t);
-            self.driver = Some(driver);
-            return;
+        match self.driver.as_mut() {
+            Some(driver) => driver.run_until(&mut self.world, t),
+            None => {
+                self.sim.run_until(&mut self.world, t);
+            }
         }
-        self.sim.run_until(&mut self.world, t);
     }
 
     /// Run the event loop for `d` from now.
     pub fn run_for(&mut self, d: SimDur) {
         let t = self.now() + d;
         self.run_until(t);
-    }
-
-    /// An empty stand-in world occupying `self.world` while the parallel
-    /// engine owns the real one.
-    fn placeholder_world() -> ClusterWorld {
-        let mut dir = Directory::new(Topology::PeerToPeer);
-        let mon_chan = dir.open("dproc-monitoring");
-        let ctl_chan = dir.open("dproc-control");
-        ClusterWorld {
-            net: Network::new(0, LinkSpec::fast_ethernet()),
-            flows: FlowTable::new(),
-            hosts: Vec::new(),
-            dmons: Vec::new(),
-            linpacks: Vec::new(),
-            dir,
-            mon_chan,
-            ctl_chan,
-            placement: Placement::star(0),
-            rack_chans: vec![(mon_chan, ctl_chan)],
-            digest_chan: None,
-            calib: Calib::default(),
-            mon_latency_us: simcore::stats::Sampler::new(),
-            mon_delivered: 0,
-            ctl_delivered: 0,
-            svc_tasks: Vec::new(),
-            svc_pending: Vec::new(),
-            svc_busy: Vec::new(),
-            alive: Vec::new(),
-            fault: simnet::FaultState::new(0),
-            poll_token: Vec::new(),
-            evicted: Vec::new(),
-            poll_period: SimDur::from_secs(1),
-            event_meter: Vec::new(),
-            flow_meta: std::collections::HashMap::new(),
-        }
     }
 
     /// Immutable world access.
@@ -1031,33 +884,36 @@ impl ClusterSim {
 
     /// Write into a `/proc/cluster/<target>/control` file on `node` — the
     /// application-facing customization path. Creates the file if the
-    /// target has not been seen yet.
+    /// target has not been seen yet. A target that is not one non-empty
+    /// path component names no control file: nothing is created and the
+    /// write counts in the node's `stats.control_errors`.
     pub fn write_control(&mut self, node: NodeId, target_name: &str, text: &str) {
         let path = format!("cluster/{target_name}/control");
-        let host = &mut self.world.hosts[node.0];
-        if !host.proc.exists(&path) {
-            host.proc.set(&path, "").expect("control path");
+        let proc = &mut self.world.hosts[node.0].proc;
+        let one_component = !target_name.is_empty() && !target_name.contains('/');
+        let file = one_component && (proc.exists(&path) || proc.set(&path, "").is_ok());
+        if !(file && proc.write(&path, text).is_ok()) {
+            self.world.dmons[node.0].stats.control_errors += 1;
         }
-        host.proc.write(&path, text).expect("control write");
     }
 
     /// Start `threads` linpack threads on a node.
     pub fn start_linpack(&mut self, node: NodeId, threads: usize) {
-        let now = self.sim.now();
+        let now = self.now();
         let host = &mut self.world.hosts[node.0];
         self.world.linpacks[node.0].start_threads(&mut host.cpu, now, threads);
     }
 
     /// Begin a linpack measurement interval on a node.
     pub fn mark_linpack(&mut self, node: NodeId) {
-        let now = self.sim.now();
+        let now = self.now();
         let host = &mut self.world.hosts[node.0];
         self.world.linpacks[node.0].mark(&mut host.cpu, now);
     }
 
     /// Mflops since the last mark on a node.
     pub fn linpack_mflops(&mut self, node: NodeId) -> f64 {
-        let now = self.sim.now();
+        let now = self.now();
         let host = &mut self.world.hosts[node.0];
         self.world.linpacks[node.0].mflops_since_mark(&mut host.cpu, now)
     }
@@ -1191,6 +1047,22 @@ mod tests {
     }
 
     #[test]
+    fn control_write_to_a_bad_target_is_counted_not_fatal() {
+        let mut sim = ClusterSim::new(ClusterConfig::new(2));
+        let entries = |sim: &ClusterSim| sim.world().hosts[0].proc.render_tree();
+        let before = entries(&sim);
+        for (k, target) in ["", "a//b", "x/y"].into_iter().enumerate() {
+            sim.write_control(NodeId(0), target, "period * 2");
+            assert_eq!(sim.world().dmons[0].stats.control_errors, k as u64 + 1);
+            assert_eq!(entries(&sim), before, "{target:?} created an entry");
+        }
+        // One well-formed component is a node name, seen yet or not.
+        sim.write_control(NodeId(0), "ghost", "period * 2");
+        assert_eq!(sim.world().dmons[0].stats.control_errors, 3);
+        assert!(sim.world().hosts[0].proc.exists("cluster/ghost/control"));
+    }
+
+    #[test]
     fn filter_deployment_over_control_channel() {
         let mut sim = ClusterSim::new(ClusterConfig::new(2));
         sim.start();
@@ -1312,6 +1184,7 @@ mod tests {
 mod congestion_tests {
     use super::*;
     use simnet::conn::Proto;
+    use simnet::ConnId;
 
     #[test]
     fn congested_monitoring_shows_retransmissions() {

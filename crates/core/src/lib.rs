@@ -46,6 +46,7 @@ pub mod control;
 pub mod dmon;
 pub mod measure;
 pub mod modules;
+pub(crate) mod node;
 pub mod params;
 pub(crate) mod pcluster;
 pub(crate) mod peers;

@@ -26,7 +26,7 @@ use simos::Host;
 
 /// A monitoring module registered with d-mon. `Send` so a node's d-mon
 /// (modules included) can live on a worker shard of the parallel scheduler.
-pub trait MonitorModule: Send {
+pub trait MonitorModule: Send + Sync {
     /// `/proc/cluster/<node>/<file_name>` leaf name.
     fn file_name(&self) -> &'static str;
     /// Name of the metric constant in E-code filter environments.

@@ -1,31 +1,34 @@
-//! Sharded parallel execution of the cluster simulation.
+//! Sharded parallel execution of the cluster simulation on the
+//! [`simcore::pdes`] engine. The event handlers are the serial engine's
+//! ([`crate::node`]); this module only decides where state lives and who
+//! may touch it when.
 //!
-//! This module mirrors every event handler in [`crate::cluster`] onto the
-//! [`simcore::pdes`] engine: the cluster's nodes are partitioned
-//! round-robin across worker shards, each node's entire kernel-side state
-//! (host, d-mon, `/proc` tree, service queue, uplink) lives on its shard,
-//! and the few pieces of genuinely global state — the channel directory,
-//! the switch-side downlinks, the fault state, the cluster-wide samplers —
-//! stay with the coordinator and are only touched through replayed effects
-//! ([`PFx`]) in exact serial order.
+//! # Who owns what during a run
 //!
-//! # The mirror contract
+//! Each node's columns ([`Nodes`]: host, d-mon, service queue, uplink
+//! port) move to the node's shard for the length of a
+//! [`ParallelDriver::run_until`] call: round-robin on a star, whole racks
+//! to one shard on a hierarchy, so rack-local traffic stays shard-local.
+//! What remains of the [`ClusterWorld`] — directory, switch-side links,
+//! fault state, samplers, counters — is the shards' shared state. A
+//! handler reads it through a [`View`](crate::node::View) and writes it
+//! only by emitting an [`Fx`], which [`PCoord::apply`] replays in exact
+//! serial order through the same appliers the serial engine uses.
 //!
-//! For bit-identity with the serial run, each handler here must emit its
-//! local children and global effects in *exactly* the program order the
-//! corresponding `ClusterWorld` handler calls `Sim::schedule_*` and
-//! mutates shared state. Every `schedule_*` call in the serial handler is
-//! one `out.schedule_*` here (same position); every shared-state mutation
-//! is one `out.fx(..)` (same position). The replay then assigns the same
-//! sequence numbers and applies the same mutations in the same order, so
-//! link reservations, RNG draws, sampler contents, and `/proc` text all
-//! come out identical.
+//! # Which effects are deferred
+//!
+//! All of them, to the end of the window; the replay merge restores the
+//! serial `(time, seq)` order, so link reservations, sampler contents and
+//! sequence numbers come out identical. Ledger effects commute with the
+//! handler that emitted them (no handler reads the ledger). Membership
+//! effects do not, which is why the serial engine also applies them only
+//! after the emitting handler has returned.
 //!
 //! # Why parallel windows are safe
 //!
 //! During a parallel window every shard reads the shared state through
-//! `&PShared`. [`PCoord::plan`] guarantees no handler will need to mutate
-//! it by going serial whenever:
+//! `&ClusterWorld`. [`PCoord::plan`] guarantees that nothing a handler
+//! reads can change inside the window, by going serial whenever:
 //!
 //! * a fault action falls inside the window (`alive`/links/partitions
 //!   change),
@@ -36,550 +39,95 @@
 //! * any live failure detector could reach a Dead verdict inside the
 //!   window (an eviction writes the directory).
 //!
-//! Everything else a window can do — polls, module sampling, `/proc`
-//! writes, filter runs, deliveries to live nodes, CPU accounting — only
-//! touches the executing node's shard state plus read-only shared state.
+//! In a serial window the coordinating thread runs one event at a time
+//! and replays its effects before the next, which is the serial engine's
+//! behaviour exactly.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 
-use simcore::pdes::{
-    Coordinator, Emit, Engine, EngineStats, Sched, ShardWorld, SharedView, WindowMode,
-};
-use simcore::stats::Sampler;
+use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode};
 use simcore::{SimDur, SimTime};
-use simnet::link::{BytesWindow, DirLink, LinkSpec};
-use simnet::traffic::FlowTable;
-use simnet::{ConnId, FaultAction, FaultState, Network, NodeId, Placement, SplitNet, TrafficClass};
-use simos::cpu::TaskState;
-use simos::host::Host;
-use simos::workload::Linpack;
-use simos::TaskId;
+use simnet::{FaultState, NodeId, Placement};
 
-use kecho::{wire, ChannelId, Directory, Event, EventKind, Hop, Topology};
+use crate::cluster::{ClusterEvent, ClusterWorld};
+use crate::node::{view_of, Fx, Member, Node, NodeSet, Nodes, Sink};
 
-use crate::calib::Calib;
-use crate::cluster::{class_of, ClusterEvent, ClusterWorld};
-use crate::dmon::DMon;
-
-/// Global effects, applied by the coordinator in exact serial order.
-pub(crate) enum PFx {
-    /// Downlink half of `Network::send`: reserve the receiver's downlink,
-    /// account the bytes, and schedule the delivery on the receiver's
-    /// shard. The uplink half already ran on the sender's shard.
-    WireSend {
-        hop: Hop,
-        ev: Event,
-        bytes: usize,
-        /// Timestamp for the latency sampler (the *original* send time
-        /// when a concentrator hub relays).
-        sent_at: SimTime,
-        /// When this wire transfer was initiated (uplink reservation time).
-        send_now: SimTime,
-        up_start: SimTime,
-        up_finish: SimTime,
-        head_at_switch: SimTime,
-    },
-    /// A monitoring event reached its subscriber.
-    MonDelivered { latency_us: f64 },
-    /// A control event reached its target.
-    CtlDelivered,
-    /// A delivery hit a crashed node's NIC.
-    CrashDrop,
-    /// A failure detector evicted `peer` from its placement's channel set.
-    Evict { peer: NodeId },
-    /// An evicted node re-registered on its placement's channel set.
-    Rejoin { node: NodeId },
-    /// Apply the `k`-th action of the fault timeline.
-    FaultAction { k: usize },
-}
-
-/// One coordinator-side link of a replayed wire path — the hops after the
-/// sender's uplink (which runs on the sender's shard).
-#[derive(Clone, Copy)]
-enum RestLink {
-    /// Rack switch → spine (cross-rack only).
-    RackUp(usize),
-    /// Spine → destination rack switch (cross-rack only).
-    SpineDown(usize),
-    /// Switch → receiver NIC.
-    NodeDown(usize),
-}
-
-/// One node's shard-resident state: everything the serial `ClusterWorld`
-/// keeps per node, plus the node's uplink (only its own sends touch it).
-pub(crate) struct PNode {
-    id: NodeId,
-    host: Host,
-    dmon: DMon,
-    linpack: Linpack,
-    uplink: DirLink,
-    svc_task: TaskId,
-    svc_pending: VecDeque<SimDur>,
-    svc_busy: bool,
-    poll_token: u64,
-    event_meter: BytesWindow,
-}
-
-/// One worker shard's world: a subset of the nodes.
+/// One worker shard's world: the columns of the nodes it owns.
 pub(crate) struct PShard {
-    nodes: Vec<PNode>,
-    /// Global node id → index in `nodes` (usize::MAX for other shards).
+    nodes: Nodes,
+    /// Cluster-wide node id → index in `nodes` (`usize::MAX` for nodes on
+    /// other shards).
     local: Vec<usize>,
-    /// Deltas for the network's lifetime counters; commutative, folded
-    /// into the shared totals at reassembly.
-    net_deliveries: u64,
-    net_payload: u64,
 }
 
-/// Coordinator-owned state: the directory, downlinks, fault state, and
-/// cluster-wide counters, only written through [`PFx`] replay.
-pub(crate) struct PShared {
-    spec: LinkSpec,
-    downs: Vec<DirLink>,
-    /// Node → rack map (all zeros for the star).
-    rack_of: Vec<usize>,
-    /// Rack-switch → spine links, coordinator-owned like the downlinks:
-    /// inter-switch reservations happen in serial replay order.
-    switch_ups: Vec<DirLink>,
-    switch_downs: Vec<DirLink>,
-    switch_spec: LinkSpec,
-    net_deliveries: u64,
-    net_payload: u64,
-    flows: FlowTable,
-    flow_meta: std::collections::HashMap<simnet::FlowId, (NodeId, NodeId, f64)>,
-    dir: Directory,
-    mon_chan: ChannelId,
-    ctl_chan: ChannelId,
-    /// The resolved topology: which rack each node lives in and who
-    /// aggregates it.
-    placement: Placement,
-    /// Per-rack `(monitoring, control)` channel pairs.
-    rack_chans: Vec<(ChannelId, ChannelId)>,
-    /// The spine digest channel (hierarchical topologies only).
-    digest_chan: Option<ChannelId>,
-    calib: Calib,
-    mon_latency_us: Sampler,
-    mon_delivered: u64,
-    ctl_delivered: u64,
-    alive: Vec<bool>,
-    evicted: Vec<bool>,
-    fault: FaultState,
-    poll_period: SimDur,
-    /// The scheduled fault timeline, indexed by `ClusterEvent::Fault::k`.
-    fault_actions: Vec<(SimTime, FaultAction)>,
-    /// Node → shard assignment.
-    shard_of: Vec<u32>,
+/// A shard's sink: everything is logged for replay. Only a serial window
+/// has the fault state to answer `should_drop` from.
+struct ShardSink<'a, 'e> {
+    out: &'a mut Emit<'e, ClusterEvent, Fx>,
+    fault: Option<&'a mut FaultState>,
 }
 
-impl PShared {
-    /// Mirror of `ClusterWorld::chans_of`.
-    fn chans_of(&self, i: usize) -> (ChannelId, ChannelId) {
-        self.rack_chans[self.placement.rack_of(NodeId(i))]
+impl Sink for ShardSink<'_, '_> {
+    fn schedule_at(&mut self, at: SimTime, ev: ClusterEvent) {
+        self.out.schedule_at(at, ev);
     }
 
-    /// Mirror of `ClusterWorld::subscribe_node`.
-    fn subscribe_node(&mut self, node: NodeId) {
-        let (mon, ctl) = self.chans_of(node.0);
-        self.dir.subscribe(mon, node);
-        self.dir.subscribe(ctl, node);
-        if let Some(dg) = self.digest_chan {
-            if self.placement.is_aggregator(node) {
-                self.dir.subscribe(dg, node);
-            }
-        }
+    fn fx(&mut self, fx: Fx) {
+        self.out.fx(fx);
     }
 
-    /// Mirror of `ClusterWorld::unsubscribe_node`.
-    fn unsubscribe_node(&mut self, node: NodeId) {
-        let (mon, ctl) = self.chans_of(node.0);
-        self.dir.unsubscribe(mon, node);
-        self.dir.unsubscribe(ctl, node);
-        if let Some(dg) = self.digest_chan {
-            if self.placement.is_aggregator(node) {
-                self.dir.unsubscribe(dg, node);
-            }
-        }
-    }
-}
-
-impl PShard {
-    /// Mirror of `ClusterWorld::charge_cpu` + `svc_drain` (the immediate
-    /// drain a fresh charge triggers on an idle service thread).
-    fn charge_cpu(
-        &mut self,
-        l: usize,
-        now: SimTime,
-        cost: SimDur,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-    ) {
-        if cost.is_zero() {
-            return;
-        }
-        self.nodes[l].svc_pending.push_back(cost);
-        if !self.nodes[l].svc_busy {
-            self.svc_drain(l, now, out);
-        }
-    }
-
-    /// Mirror of `ClusterWorld::svc_drain`.
-    fn svc_drain(&mut self, l: usize, now: SimTime, out: &mut Emit<'_, ClusterEvent, PFx>) {
-        let n = &mut self.nodes[l];
-        let task = n.svc_task;
-        let Some(cost) = n.svc_pending.pop_front() else {
-            if n.svc_busy {
-                n.svc_busy = false;
-                n.host.cpu.set_state(now, task, TaskState::Sleeping);
-            }
-            return;
-        };
-        n.host.cpu.advance(now);
-        if !n.svc_busy {
-            n.svc_busy = true;
-            n.host.cpu.set_state(now, task, TaskState::Runnable);
-        }
-        let wall = SimDur::from_secs_f64(cost.as_secs_f64() / n.host.cpu.share());
-        out.schedule_in(wall, ClusterEvent::SvcDone { i: n.id.0 });
-    }
-
-    /// Mirror of `ClusterWorld::transmit`. The sender must live on this
-    /// shard.
-    fn transmit(
-        &mut self,
-        now: SimTime,
-        mut hop: Hop,
-        ev: Event,
-        bytes: usize,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-        sh: &PShared,
-    ) {
-        if let Topology::Central(hub) = sh.dir.topology() {
-            if hop.from != hub && hop.to != hub {
-                hop = Hop {
-                    from: hop.from,
-                    to: hub,
-                };
-            }
-        }
-        if !sh.alive[hop.from.0] {
-            return;
-        }
-        let l = self.local[hop.from.0];
-        self.nodes[l].event_meter.record(now, 1);
-        self.nodes[l].host.on_net_bytes(bytes as u64);
-        self.send_message(now, hop, ev, bytes, now, out, sh);
-    }
-
-    /// The network half of a send: the uplink math runs here on the
-    /// sender's shard (identical arithmetic to `Network::send`); the
-    /// downlink half travels as [`PFx::WireSend`] so the coordinator can
-    /// reserve the receiver's downlink in exact serial order.
-    #[allow(clippy::too_many_arguments)]
-    fn send_message(
-        &mut self,
-        now: SimTime,
-        hop: Hop,
-        ev: Event,
-        bytes: usize,
-        sent_at: SimTime,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-        sh: &PShared,
-    ) {
-        self.net_deliveries += 1;
-        self.net_payload += bytes as u64;
-        if hop.from == hop.to {
-            // In-kernel loopback, same constant as `Network::send`.
-            let copy = SimDur::from_nanos(200 + (bytes as u64) / 10);
-            out.schedule_at(
-                now + copy,
-                ClusterEvent::Deliver {
-                    hop,
-                    ev,
-                    bytes,
-                    sent_at,
-                    queued: SimDur::ZERO,
-                },
-            );
-            return;
-        }
-        let class = class_of(&ev);
-        let wire_len = sh.spec.wire_bytes(bytes) as u64;
-        let first_pkt = bytes.min(sh.spec.mtu_payload);
-        let from_local = self.local[hop.from.0];
-        let up = &mut self.nodes[from_local].uplink;
-        if class == TrafficClass::Bulk && !up.admit(now, wire_len) {
-            // Uplink tail-drop: the counters above already ran (serial
-            // bumps them unconditionally at the top of `send_class`), but
-            // no wire effect is emitted — the message never leaves. The
-            // sender's d-mon lives on this shard, so the choke mirrors
-            // serial `transmit` exactly.
-            if ev.kind == EventKind::Monitoring && hop.from == ev.sender {
-                if let Some(sub) = ev.target {
-                    self.nodes[from_local].dmon.on_wire_drop(sub);
-                }
-            }
-            return;
-        }
-        let t_up = up.tx_time_now(bytes);
-        let t_up_first = up.tx_time_now(first_pkt);
-        let (up_start, up_finish) = match class {
-            TrafficClass::Bulk => up.reserve(now, t_up),
-            TrafficClass::Priority => (now, now + t_up),
-        };
-        up.account(now, bytes);
-        if class == TrafficClass::Bulk {
-            up.occupy(up_finish, wire_len);
-        }
-        let head_at_switch = up_start + t_up_first + sh.spec.latency;
-        out.fx(PFx::WireSend {
-            hop,
-            ev,
-            bytes,
-            sent_at,
-            send_now: now,
-            up_start,
-            up_finish,
-            head_at_switch,
-        });
-    }
-
-    /// Mirror of `ClusterWorld::deliver`. The receiver lives on this shard.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        hop: Hop,
-        ev: Event,
-        bytes: usize,
-        sent_at: SimTime,
-        queued: SimDur,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-        shared: &mut SharedView<'_, PShared>,
-    ) {
-        let to = hop.to;
-        if !shared.get().alive[to.0] {
-            out.fx(PFx::CrashDrop);
-            return;
-        }
-        if let Some(sh) = shared.get_mut() {
-            // Serial window: the drop check may consume RNG draws and bump
-            // counters — run it in exact delivery order, like the serial
-            // driver does.
-            if sh.fault.should_drop(hop.from, to).is_some() {
-                return;
-            }
-        } else {
-            // Parallel window: the planner guarantees a quiet fault state,
-            // under which `should_drop` is pure and returns None.
-            debug_assert!(
-                shared.get().fault.loss_prob() == 0.0 && shared.get().fault.partitions().is_empty(),
-                "parallel window with active loss/partition"
-            );
-        }
-        let sh = shared.get();
-        let one_way = now.since(sent_at);
-        let l = self.local[to.0];
-        self.nodes[l].event_meter.record(now, 1);
-        self.nodes[l].host.on_net_bytes(bytes as u64);
-
-        // Central-concentrator transit relay (addressed event passing
-        // through the hub).
-        if let Topology::Central(hub) = sh.dir.topology() {
-            if to == hub {
-                if let Some(target) = ev.target {
-                    if target != hub {
-                        let relay_cost = sh.calib.receive_cost(bytes)
-                            + sh.calib.submit_cost(bytes)
-                            + sh.calib.kernel_path_recv
-                            + sh.calib.kernel_path_send;
-                        self.charge_cpu(l, now, relay_cost, out);
-                        self.nodes[l].event_meter.record(now, 1);
-                        let relay_hop = Hop {
-                            from: hub,
-                            to: target,
-                        };
-                        // Keeps the original `sent_at` so the sampler sees
-                        // true end-to-end latency.
-                        self.send_message(now, relay_hop, ev, bytes, sent_at, out, sh);
-                        return;
-                    }
-                }
-            }
-        }
-
-        let conn = ConnId {
-            local: to,
-            remote: ev.sender,
-            proto: simnet::conn::Proto::Tcp,
-            tag: ev.channel,
-        };
-        {
-            let host = &mut self.nodes[l].host;
-            host.conns.open(conn, now);
-            host.conns.record_delivery(conn, now, bytes as u64, one_way);
-            if queued > sh.calib.rto {
-                host.conns.record_retransmission(conn);
-            }
-        }
-
-        match ev.kind {
-            EventKind::Monitoring => {
-                out.fx(PFx::MonDelivered {
-                    latency_us: one_way.as_micros_f64(),
-                });
-                let handler = {
-                    let n = &mut self.nodes[l];
-                    n.dmon.on_event(&mut n.host, &ev, bytes, now, &sh.calib)
-                };
-                self.charge_cpu(l, now, handler + sh.calib.kernel_path_recv, out);
-
-                if let Topology::Central(hub) = sh.dir.topology() {
-                    if to == hub {
-                        if let Some(origin) = ev.as_monitoring().map(|m| m.origin) {
-                            if origin != hub {
-                                let chan = ChannelId(ev.channel);
-                                let hops = sh.dir.plan_forward(chan, origin);
-                                for fwd in hops {
-                                    let relay_cost =
-                                        sh.calib.submit_cost(bytes) + sh.calib.kernel_path_send;
-                                    self.charge_cpu(l, now, relay_cost, out);
-                                    self.transmit(now, fwd, ev.clone(), bytes, out, sh);
-                                }
-                            }
-                        }
-                    }
-                }
-                ev.recycle();
-            }
-            EventKind::Heartbeat => {
-                let handler = self.nodes[l].dmon.on_heartbeat(&ev, now, &sh.calib);
-                self.charge_cpu(l, now, handler + sh.calib.heartbeat_path_recv, out);
-            }
-            EventKind::Digest => {
-                let handler = {
-                    let n = &mut self.nodes[l];
-                    n.dmon.on_digest(&mut n.host, &ev, bytes, now, &sh.calib)
-                };
-                self.charge_cpu(l, now, handler + sh.calib.kernel_path_recv, out);
-            }
-            EventKind::Control => {
-                out.fx(PFx::CtlDelivered);
-                if let Some(msg) = ev.as_control() {
-                    let outcome = self.nodes[l].dmon.on_control(ev.sender, msg, &sh.calib);
-                    self.charge_cpu(l, now, outcome.cpu + sh.calib.kernel_path_recv, out);
-                    if let Some(reply) = outcome.reply {
-                        let rev =
-                            self.nodes[l]
-                                .dmon
-                                .make_control_event(sh.ctl_chan, ev.sender, reply);
-                        let rbytes = wire::encoded_size(&rev);
-                        let send_cost = sh.calib.submit_cost(rbytes) + sh.calib.kernel_path_send;
-                        self.charge_cpu(l, now, send_cost, out);
-                        let rhop = Hop {
-                            from: to,
-                            to: ev.sender,
-                        };
-                        self.transmit(now, rhop, rev, rbytes, out, sh);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Mirror of the poll closure in `ClusterWorld::arm_poll` +
-    /// `poll_node`: token check, poll, then the periodic re-arm (the
-    /// serial `schedule_periodic` wrapper re-arms *after* the handler).
-    fn poll(
-        &mut self,
-        i: usize,
-        token: u64,
-        now: SimTime,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-        shared: &SharedView<'_, PShared>,
-    ) {
-        let l = self.local[i];
-        if self.nodes[l].poll_token != token {
-            return;
-        }
-        let sh = shared.get();
-        if sh.alive[i] {
-            let (mon, ctl) = sh.chans_of(i);
-            let mut outcome = {
-                let n = &mut self.nodes[l];
-                n.dmon.poll(&mut n.host, &sh.dir, mon, ctl, now, &sh.calib)
-            };
-            self.charge_cpu(l, now, outcome.cpu_cost, out);
-            for (hop, ev, bytes) in outcome.sends.drain(..) {
-                self.transmit(now, hop, ev, bytes, out, sh);
-            }
-            self.nodes[l].dmon.recycle_sends(outcome.sends);
-            for &peer in &outcome.dead_peers {
-                out.fx(PFx::Evict { peer });
-            }
-            if outcome.rejoin && sh.evicted[i] {
-                // The re-subscription is deferred to replay; the only
-                // later directory read in this handler excludes the
-                // polling node anyway (a digest never targets its sender).
-                out.fx(PFx::Rejoin { node: NodeId(i) });
-            }
-            // Aggregation tier, mirroring the serial digest block. The
-            // serial engine evicted `dead_peers` from the directory just
-            // above; here that write is still pending replay, so the
-            // skip list hides them from the subscriber iteration.
-            if let Some(dg) = sh.digest_chan {
-                let node = NodeId(i);
-                if sh.placement.is_aggregator(node) {
-                    let rack = sh.placement.rack_of(node);
-                    let members = sh.placement.rack(rack).range();
-                    let planned = self.nodes[l].dmon.poll_digest(
-                        &sh.dir,
-                        dg,
-                        rack as u32,
-                        members,
-                        &outcome.dead_peers,
-                        &sh.calib,
-                    );
-                    if let Some((sends, cpu)) = planned {
-                        self.charge_cpu(l, now, cpu, out);
-                        for (hop, ev, bytes) in sends {
-                            self.transmit(now, hop, ev, bytes, out, sh);
-                        }
-                    }
-                }
-            }
-        }
-        out.schedule_at(now + sh.poll_period, ClusterEvent::Poll { i, token });
+    fn should_drop(&mut self, from: NodeId, to: NodeId) -> bool {
+        // A parallel window only runs under a quiet fault state, where
+        // the query is pure and says no.
+        let fault = self.fault.as_mut();
+        fault.is_some_and(|f| f.should_drop(from, to).is_some())
     }
 }
 
 impl ShardWorld for PShard {
     type Ev = ClusterEvent;
-    type Fx = PFx;
-    type Shared = PShared;
+    type Fx = Fx;
+    type Shared = ClusterWorld;
 
     // detlint: shard-entry
     fn execute(
         &mut self,
         now: SimTime,
         ev: ClusterEvent,
-        out: &mut Emit<'_, ClusterEvent, PFx>,
-        shared: &mut SharedView<'_, PShared>,
+        out: &mut Emit<'_, ClusterEvent, Fx>,
+        shared: &mut SharedView<'_, ClusterWorld>,
     ) {
-        match ev {
-            ClusterEvent::Poll { i, token } => self.poll(i, token, now, out, shared),
-            ClusterEvent::SvcDone { i } => {
-                let l = self.local[i];
-                self.svc_drain(l, now, out);
+        let (view, fault) = match shared {
+            SharedView::Frozen(w) => {
+                debug_assert!(
+                    w.fault.loss_prob() == 0.0 && w.fault.partitions().is_empty(),
+                    "parallel window with active loss/partition"
+                );
+                (view_of!(w), None)
             }
-            ClusterEvent::Deliver {
-                hop,
-                ev,
-                bytes,
-                sent_at,
-                queued,
-            } => self.deliver(now, hop, ev, bytes, sent_at, queued, out, shared),
-            ClusterEvent::Fault { k } => out.fx(PFx::FaultAction { k }),
+            SharedView::Exclusive(w) => (view_of!(w), Some(&mut w.fault)),
+        };
+        let mut node = Node::at(self.local[ev.node()], self.nodes.cols());
+        let sink = &mut ShardSink { out, fault };
+        match ev {
+            ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, sink),
+            ClusterEvent::SvcDone { .. } => node.svc_drain(now, sink),
+            ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, sink),
+            ClusterEvent::Fault { k } => sink.fx(Fx::Member(Member::FaultAction { k })),
         }
+    }
+}
+
+/// Every shard's nodes, by cluster-wide id.
+struct ShardNodes<'a, 'w> {
+    worlds: &'a mut [&'w mut PShard],
+    shard_of: &'a [u32],
+}
+
+impl NodeSet for ShardNodes<'_, '_> {
+    fn node(&mut self, id: NodeId) -> Node<'_> {
+        let w = &mut *self.worlds[self.shard_of[id.0] as usize];
+        Node::at(w.local[id.0], w.nodes.cols())
     }
 }
 
@@ -588,30 +136,22 @@ pub(crate) struct PCoord {
     /// `(time, index)` of fault actions not yet applied, for the
     /// imminent-fault hazard check.
     fault_pending: BTreeSet<(SimTime, usize)>,
-}
-
-impl PCoord {
-    fn new() -> Self {
-        PCoord {
-            fault_pending: BTreeSet::new(),
-        }
-    }
+    /// Node → shard assignment.
+    shard_of: Vec<u32>,
 }
 
 impl Coordinator<PShard> for PCoord {
     fn plan(
         &mut self,
-        shared: &PShared,
+        shared: &ClusterWorld,
         worlds: &[&PShard],
         _t0: SimTime,
         bound: SimTime,
     ) -> WindowMode {
         // H-fault: a fault action inside the window flips alive bits,
         // partitions, loss, or link capacities mid-window.
-        if let Some(&(t, _)) = self.fault_pending.first() {
-            if t <= bound {
-                return WindowMode::Serial;
-            }
+        if self.fault_pending.first().is_some_and(|&(t, _)| t <= bound) {
+            return WindowMode::Serial;
         }
         // H-loss: active loss consumes RNG draws in delivery order; an
         // active partition bumps drop counters in delivery order.
@@ -620,410 +160,54 @@ impl Coordinator<PShard> for PCoord {
         }
         // H-rejoin: a revived-but-unregistered node's next poll writes
         // the directory.
-        if shared
-            .alive
-            .iter()
-            .zip(&shared.evicted)
-            .any(|(&a, &e)| a && e)
-        {
+        let mut members = shared.alive.iter().zip(&shared.evicted);
+        if members.any(|(&alive, &evicted)| alive && evicted) {
             return WindowMode::Serial;
         }
         // H-evict: a live failure detector could reach a Dead verdict (a
         // directory eviction) at a poll inside the window. `last_heard`
         // only moves later during a window, so this is conservative.
-        for w in worlds {
-            for n in &w.nodes {
-                if shared.alive[n.id.0] {
-                    if let Some(d) = n.dmon.next_dead_deadline() {
-                        if d <= bound {
-                            return WindowMode::Serial;
-                        }
-                    }
-                }
-            }
+        let hazard = worlds.iter().flat_map(|w| &w.nodes.dmons).any(|dmon| {
+            let deadline = dmon.next_dead_deadline();
+            shared.alive[dmon.node().0] && deadline.is_some_and(|d| d <= bound)
+        });
+        if hazard {
+            WindowMode::Serial
+        } else {
+            WindowMode::Parallel
         }
-        WindowMode::Parallel
     }
 
     // detlint: replay-only
     fn apply(
         &mut self,
         now: SimTime,
-        fx: PFx,
-        shared: &mut PShared,
+        fx: Fx,
+        shared: &mut ClusterWorld,
         worlds: &mut [&mut PShard],
         sched: &mut Sched<'_, '_, ClusterEvent>,
     ) {
-        match fx {
-            PFx::WireSend {
-                hop,
-                ev,
-                bytes,
-                sent_at,
-                send_now,
-                up_start,
-                up_finish,
-                head_at_switch,
-            } => {
-                // The remaining hops of `Network::send_class`, identical
-                // per-link arithmetic. The sender's uplink already ran on
-                // its shard; WireSend replays in exact serial order, so
-                // every coordinator-owned queue (admit/occupy) evolves
-                // identically. Intra-rack (and star) paths have one hop
-                // left — the receiver's downlink; cross-rack paths thread
-                // rack uplink → spine downlink → receiver downlink first.
-                let class = class_of(&ev);
-                let wire_len = shared.spec.wire_bytes(bytes) as u64;
-                let first_pkt = bytes.min(shared.spec.mtu_payload);
-                let (r_from, r_to) = (shared.rack_of[hop.from.0], shared.rack_of[hop.to.0]);
-                let node_lat = shared.spec.latency;
-                let sw_lat = shared.switch_spec.latency;
-                let mut rest = [(RestLink::NodeDown(hop.to.0), node_lat); 3];
-                let hops = if r_from == r_to {
-                    1
-                } else {
-                    rest[0] = (RestLink::RackUp(r_from), sw_lat);
-                    rest[1] = (RestLink::SpineDown(r_to), sw_lat);
-                    rest[2] = (RestLink::NodeDown(hop.to.0), node_lat);
-                    3
-                };
-                // Seed the loop with the state after the uplink hop: the
-                // serial loop left `head = up_start + t_first + latency`
-                // (== `head_at_switch`) and `tail = up_finish + latency`.
-                let mut queued = up_start - send_now;
-                let mut head = head_at_switch;
-                let mut tail = up_finish + node_lat;
-                for &(sel, latency) in &rest[..hops] {
-                    let link = match sel {
-                        RestLink::RackUp(r) => &mut shared.switch_ups[r],
-                        RestLink::SpineDown(r) => &mut shared.switch_downs[r],
-                        RestLink::NodeDown(i) => &mut shared.downs[i],
-                    };
-                    if class == TrafficClass::Bulk && !link.admit(send_now, wire_len) {
-                        // Tail-drop past the uplink: earlier hops already
-                        // reserved (as in serial); nothing arrives.
-                        return;
-                    }
-                    let t_all = link.tx_time_now(bytes);
-                    let t_first = link.tx_time_now(first_pkt);
-                    let tail_constraint = tail + t_first;
-                    let (start, finish) = match class {
-                        TrafficClass::Bulk => {
-                            let (start, finish0) = link.reserve(head, t_all);
-                            let finish = finish0.max(tail_constraint);
-                            link.extend_busy(finish);
-                            (start, finish)
-                        }
-                        TrafficClass::Priority => (head, (head + t_all).max(tail_constraint)),
-                    };
-                    link.account(send_now, bytes);
-                    if class == TrafficClass::Bulk {
-                        link.occupy(finish, wire_len);
-                    }
-                    queued += start - head;
-                    head = start + t_first + latency;
-                    tail = finish + latency;
-                }
-                let deliver_at = tail;
-                sched.schedule(
-                    shared.shard_of[hop.to.0] as usize,
-                    deliver_at,
-                    ClusterEvent::Deliver {
-                        hop,
-                        ev,
-                        bytes,
-                        sent_at,
-                        queued,
-                    },
-                );
+        let shard_of = &self.shard_of[..];
+        let mut arm = |at: SimTime, ev: ClusterEvent| {
+            sched.schedule(shard_of[ev.node()] as usize, at, ev);
+        };
+        if let Some(m) = shared.split().2.post(fx, &mut arm) {
+            if let Member::FaultAction { k } = m {
+                self.fault_pending.remove(&(now, k));
             }
-            PFx::MonDelivered { latency_us } => {
-                shared.mon_delivered += 1;
-                shared.mon_latency_us.add(latency_us);
-            }
-            PFx::CtlDelivered => shared.ctl_delivered += 1,
-            PFx::CrashDrop => shared.fault.note_crash_drop(),
-            PFx::Evict { peer } => {
-                shared.unsubscribe_node(peer);
-                shared.evicted[peer.0] = true;
-            }
-            PFx::Rejoin { node } => {
-                shared.subscribe_node(node);
-                shared.evicted[node.0] = false;
-                notify_rejoin(worlds, &shared.alive, node, now);
-            }
-            PFx::FaultAction { k } => {
-                let (t, action) = shared.fault_actions[k].clone();
-                self.fault_pending.remove(&(t, k));
-                match action {
-                    FaultAction::Crash(node) => {
-                        // Mirror of `ClusterWorld::kill_node`.
-                        if !shared.alive[node.0] {
-                            return;
-                        }
-                        shared.alive[node.0] = false;
-                        let n = node_mut(worlds, &shared.shard_of, node);
-                        n.poll_token += 1;
-                        n.svc_pending.clear();
-                    }
-                    FaultAction::Revive(node) => {
-                        // Mirror of `ClusterWorld::revive_node`.
-                        if shared.alive[node.0] {
-                            return;
-                        }
-                        shared.alive[node.0] = true;
-                        {
-                            let n = node_mut(worlds, &shared.shard_of, node);
-                            let _ = n.host.proc.drain_writes();
-                            n.dmon.on_revive();
-                        }
-                        shared.subscribe_node(node);
-                        shared.evicted[node.0] = false;
-                        notify_rejoin(worlds, &shared.alive, node, now);
-                        let token = {
-                            let n = node_mut(worlds, &shared.shard_of, node);
-                            n.poll_token += 1;
-                            n.poll_token
-                        };
-                        sched.schedule(
-                            shared.shard_of[node.0] as usize,
-                            now + shared.poll_period,
-                            ClusterEvent::Poll { i: node.0, token },
-                        );
-                    }
-                    ref other => {
-                        // Network-level faults; for Degrade/HealLink the
-                        // node's uplink lives on its shard, the downlink
-                        // here.
-                        let links = match *other {
-                            FaultAction::Degrade(node, _) | FaultAction::HealLink(node) => {
-                                let up = &mut node_mut(worlds, &shared.shard_of, node).uplink;
-                                Some((up, &mut shared.downs[node.0]))
-                            }
-                            _ => None,
-                        };
-                        shared.fault.apply_links(other, links);
-                    }
-                }
-            }
+            let mut nodes = ShardNodes { worlds, shard_of };
+            shared.apply_member(now, m, &mut nodes, &mut arm);
         }
-    }
-}
-
-/// Mirror of `ClusterWorld::notify_rejoin` across the shard worlds.
-fn notify_rejoin(worlds: &mut [&mut PShard], alive: &[bool], node: NodeId, now: SimTime) {
-    for w in worlds.iter_mut() {
-        for n in &mut w.nodes {
-            if n.id != node && alive[n.id.0] {
-                n.dmon.on_peer_rejoin(node, now);
-            }
-        }
-    }
-}
-
-fn node_mut<'a>(worlds: &'a mut [&mut PShard], shard_of: &[u32], node: NodeId) -> &'a mut PNode {
-    let w = &mut worlds[shard_of[node.0] as usize];
-    let l = w.local[node.0];
-    &mut w.nodes[l]
-}
-
-/// Tear a `ClusterWorld` into shard worlds + coordinator state.
-fn decompose(
-    world: ClusterWorld,
-    shards: usize,
-    shard_of: &[u32],
-    fault_actions: Vec<(SimTime, FaultAction)>,
-) -> (Vec<PShard>, PShared) {
-    let ClusterWorld {
-        net,
-        flows,
-        hosts,
-        dmons,
-        linpacks,
-        dir,
-        mon_chan,
-        ctl_chan,
-        placement,
-        rack_chans,
-        digest_chan,
-        calib,
-        mon_latency_us,
-        mon_delivered,
-        ctl_delivered,
-        svc_tasks,
-        svc_pending,
-        svc_busy,
-        alive,
-        fault,
-        poll_token,
-        evicted,
-        poll_period,
-        event_meter,
-        flow_meta,
-    } = world;
-    let n = hosts.len();
-    let SplitNet {
-        spec,
-        ups,
-        downs,
-        rack_of,
-        switch_ups,
-        switch_downs,
-        switch_spec,
-        deliveries,
-        payload_bytes,
-    } = net.split_links();
-
-    let mut out: Vec<PShard> = (0..shards)
-        .map(|_| PShard {
-            nodes: Vec::new(),
-            local: vec![usize::MAX; n],
-            net_deliveries: 0,
-            net_payload: 0,
-        })
-        .collect();
-    let mut hosts = hosts.into_iter();
-    let mut dmons = dmons.into_iter();
-    let mut linpacks = linpacks.into_iter();
-    let mut ups = ups.into_iter();
-    let mut svc_tasks = svc_tasks.into_iter();
-    let mut svc_pending = svc_pending.into_iter();
-    let mut svc_busy = svc_busy.into_iter();
-    let mut poll_token = poll_token.into_iter();
-    let mut event_meter = event_meter.into_iter();
-    for (i, &s) in shard_of.iter().enumerate().take(n) {
-        let shard = &mut out[s as usize];
-        shard.local[i] = shard.nodes.len();
-        shard.nodes.push(PNode {
-            id: NodeId(i),
-            host: hosts.next().expect("host"),
-            dmon: dmons.next().expect("dmon"),
-            linpack: linpacks.next().expect("linpack"),
-            uplink: ups.next().expect("uplink"),
-            svc_task: svc_tasks.next().expect("svc task"),
-            svc_pending: svc_pending.next().expect("svc queue"),
-            svc_busy: svc_busy.next().expect("svc busy"),
-            poll_token: poll_token.next().expect("poll token"),
-            event_meter: event_meter.next().expect("event meter"),
-        });
-    }
-
-    let shared = PShared {
-        spec,
-        downs,
-        rack_of,
-        switch_ups,
-        switch_downs,
-        switch_spec,
-        net_deliveries: deliveries,
-        net_payload: payload_bytes,
-        flows,
-        flow_meta,
-        dir,
-        mon_chan,
-        ctl_chan,
-        placement,
-        rack_chans,
-        digest_chan,
-        calib,
-        mon_latency_us,
-        mon_delivered,
-        ctl_delivered,
-        alive,
-        evicted,
-        fault,
-        poll_period,
-        fault_actions,
-        shard_of: shard_of.to_vec(),
-    };
-    (out, shared)
-}
-
-/// Reassemble the `ClusterWorld` (inverse of [`decompose`]).
-fn reassemble(shards: Vec<PShard>, shared: PShared) -> ClusterWorld {
-    let n = shared.alive.len();
-    let mut hosts: Vec<Option<Host>> = (0..n).map(|_| None).collect();
-    let mut dmons: Vec<Option<DMon>> = (0..n).map(|_| None).collect();
-    let mut linpacks: Vec<Option<Linpack>> = (0..n).map(|_| None).collect();
-    let mut ups: Vec<Option<DirLink>> = (0..n).map(|_| None).collect();
-    let mut svc_tasks: Vec<TaskId> = Vec::new();
-    let mut svc_task_slots: Vec<Option<TaskId>> = (0..n).map(|_| None).collect();
-    let mut svc_pending: Vec<Option<VecDeque<SimDur>>> = (0..n).map(|_| None).collect();
-    let mut svc_busy = vec![false; n];
-    let mut poll_token = vec![0u64; n];
-    let mut event_meter: Vec<Option<BytesWindow>> = (0..n).map(|_| None).collect();
-    let mut net_deliveries = shared.net_deliveries;
-    let mut net_payload = shared.net_payload;
-    for shard in shards {
-        net_deliveries += shard.net_deliveries;
-        net_payload += shard.net_payload;
-        for node in shard.nodes {
-            let i = node.id.0;
-            hosts[i] = Some(node.host);
-            dmons[i] = Some(node.dmon);
-            linpacks[i] = Some(node.linpack);
-            ups[i] = Some(node.uplink);
-            svc_task_slots[i] = Some(node.svc_task);
-            svc_pending[i] = Some(node.svc_pending);
-            svc_busy[i] = node.svc_busy;
-            poll_token[i] = node.poll_token;
-            event_meter[i] = Some(node.event_meter);
-        }
-    }
-    svc_tasks.extend(svc_task_slots.into_iter().map(|t| t.expect("svc task")));
-    let net = Network::from_split(SplitNet {
-        spec: shared.spec,
-        ups: ups.into_iter().map(|u| u.expect("uplink")).collect(),
-        downs: shared.downs,
-        rack_of: shared.rack_of,
-        switch_ups: shared.switch_ups,
-        switch_downs: shared.switch_downs,
-        switch_spec: shared.switch_spec,
-        deliveries: net_deliveries,
-        payload_bytes: net_payload,
-    });
-    ClusterWorld {
-        net,
-        flows: shared.flows,
-        hosts: hosts.into_iter().map(|h| h.expect("host")).collect(),
-        dmons: dmons.into_iter().map(|d| d.expect("dmon")).collect(),
-        linpacks: linpacks.into_iter().map(|l| l.expect("linpack")).collect(),
-        dir: shared.dir,
-        mon_chan: shared.mon_chan,
-        ctl_chan: shared.ctl_chan,
-        placement: shared.placement,
-        rack_chans: shared.rack_chans,
-        digest_chan: shared.digest_chan,
-        calib: shared.calib,
-        mon_latency_us: shared.mon_latency_us,
-        mon_delivered: shared.mon_delivered,
-        ctl_delivered: shared.ctl_delivered,
-        svc_tasks,
-        svc_pending: svc_pending
-            .into_iter()
-            .map(|q| q.expect("svc queue"))
-            .collect(),
-        svc_busy,
-        alive: shared.alive,
-        fault: shared.fault,
-        poll_token,
-        evicted: shared.evicted,
-        poll_period: shared.poll_period,
-        event_meter: event_meter
-            .into_iter()
-            .map(|m| m.expect("event meter"))
-            .collect(),
-        flow_meta: shared.flow_meta,
     }
 }
 
 /// The parallel driver owned by `ClusterSim` when `threads > 1`: the pdes
-/// engine plus the node→shard map and the coordinator.
+/// engine, the coordinator, and the (empty between runs) shards.
 pub(crate) struct ParallelDriver {
-    engine: Engine<PShard>,
+    /// Read by `ClusterSim` for shard count, time and counters.
+    pub engine: Engine<PShard>,
     coord: PCoord,
-    shard_of: Vec<u32>,
-    fault_actions: Vec<(SimTime, FaultAction)>,
+    shards: Vec<PShard>,
 }
 
 impl ParallelDriver {
@@ -1033,71 +217,65 @@ impl ParallelDriver {
     /// assign whole racks to shards, so rack-local pub-sub traffic stays
     /// shard-local and only spine digests cross shard boundaries.
     pub(crate) fn new(placement: &Placement, threads: usize, lookahead: SimDur) -> Self {
-        let n_nodes = placement.len();
-        let shards = threads.min(n_nodes).max(1);
-        let shard_of = if placement.is_star() {
-            (0..n_nodes).map(|i| (i % shards) as u32).collect()
-        } else {
-            (0..n_nodes)
-                .map(|i| (placement.rack_of(NodeId(i)) % shards) as u32)
-                .collect()
+        let n = placement.len();
+        let shards = threads.min(n).max(1);
+        let star = placement.is_star();
+        let key = |i| {
+            if star {
+                i
+            } else {
+                placement.rack_of(NodeId(i))
+            }
         };
+        let shard_of: Vec<u32> = (0..n).map(|i| (key(i) % shards) as u32).collect();
+        let mut worlds: Vec<PShard> = (0..shards)
+            .map(|_| PShard {
+                nodes: Nodes::default(),
+                local: vec![usize::MAX; n],
+            })
+            .collect();
+        let mut sizes = vec![0; shards];
+        for (i, &s) in shard_of.iter().enumerate() {
+            worlds[s as usize].local[i] = sizes[s as usize];
+            sizes[s as usize] += 1;
+        }
         ParallelDriver {
             engine: Engine::new(shards, lookahead),
-            coord: PCoord::new(),
-            shard_of,
-            fault_actions: Vec::new(),
+            coord: PCoord {
+                fault_pending: BTreeSet::new(),
+                shard_of,
+            },
+            shards: worlds,
         }
     }
 
-    /// Number of shards.
-    pub(crate) fn shards(&self) -> usize {
-        self.engine.shards()
-    }
-
-    /// Current engine time.
-    pub(crate) fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Engine counters (windows, executed events).
-    pub(crate) fn stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
-    /// Seed one node's poll series (mirrors the serial `start()` loop —
-    /// one sequence number per node, in node order).
-    pub(crate) fn schedule_poll(&mut self, i: usize, token: u64, at: SimTime) {
-        self.engine.schedule(
-            self.shard_of[i] as usize,
-            at,
-            ClusterEvent::Poll { i, token },
-        );
-    }
-
-    /// Append a fault timeline (mirrors `apply_fault_plan` — one sequence
-    /// number per action, in plan order).
-    pub(crate) fn schedule_fault_plan(&mut self, actions: Vec<(SimTime, FaultAction)>) {
-        for (t, action) in actions {
-            let k = self.fault_actions.len();
-            self.fault_actions.push((t, action));
-            self.coord.fault_pending.insert((t, k));
-            self.engine.schedule(0, t, ClusterEvent::Fault { k });
+    /// Seed an event on its node's shard. Seeding consumes sequence
+    /// numbers in call order, like the serial scheduler.
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: ClusterEvent) {
+        if let ClusterEvent::Fault { k } = ev {
+            self.coord.fault_pending.insert((at, k));
         }
+        let shard = self.coord.shard_of[ev.node()] as usize;
+        self.engine.schedule(shard, at, ev);
     }
 
-    /// Run the cluster to `until` on the worker shards and hand the
-    /// reassembled world back.
-    pub(crate) fn run_until(&mut self, world: ClusterWorld, until: SimTime) -> ClusterWorld {
-        let (worlds, mut shared) = decompose(
-            world,
-            self.engine.shards(),
-            &self.shard_of,
-            self.fault_actions.clone(),
-        );
-        let worlds = self
-            .engine
-            .run_until(worlds, &mut shared, &mut self.coord, until);
-        reassemble(worlds, shared)
+    /// Run the cluster to `until` on the worker shards: deal the world's
+    /// per-node columns to the shards, run, and put them back.
+    pub(crate) fn run_until(&mut self, world: &mut ClusterWorld, until: SimTime) {
+        for (row, &s) in world.take_nodes().into_rows().zip(&self.coord.shard_of) {
+            self.shards[s as usize].nodes.push(row);
+        }
+        let shards = std::mem::take(&mut self.shards);
+        self.shards = self.engine.run_until(shards, world, &mut self.coord, until);
+        // Each shard holds its nodes in id order, so walking the
+        // assignment and taking each shard's next node restores the order.
+        let take_rows = |s: &mut PShard| std::mem::take(&mut s.nodes).into_rows();
+        let mut rows: Vec<_> = self.shards.iter_mut().map(take_rows).collect();
+        let mut nodes = Nodes::default();
+        for &s in &self.coord.shard_of {
+            let row = rows[s as usize].next();
+            nodes.push(row.expect("every node is on its shard"));
+        }
+        world.restore_nodes(nodes);
     }
 }

@@ -1,6 +1,7 @@
 //! detlint — workspace determinism lint for the dproc reproduction.
 //!
-//! The sharded parallel simulator (`crates/core/src/pcluster.rs`)
+//! The sharded parallel simulator (`crates/core/src/pcluster.rs` driving
+//! the handlers of `crates/core/src/node.rs`)
 //! replays shard windows and requires bit-identical re-execution: the
 //! same events, in the same order, producing the same f64 sums. That
 //! property cannot be checked at runtime for every code path, so this

@@ -6,8 +6,11 @@
 //! Resolution is deliberately name-based and conservative: a method
 //! call `.poll(` links to *every* scanned function named `poll`, and a
 //! qualified call `DMon::poll(` links to functions named `poll` whose
-//! `impl` owner is `DMon`. Over-approximation can only make more code
-//! reachable — it never hides a finding.
+//! `impl` owner is `DMon`. A call on `self` — `self.poll(` — is the one
+//! method call whose receiver type is known: it links to the caller's
+//! own owner's `poll` when that owner has one (an inherent method wins
+//! method resolution), and to every `poll` otherwise. Over-approximation
+//! can only make more code reachable — it never hides a finding.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,7 +40,8 @@ pub struct FnInfo {
     /// `replay-only`).
     pub annotations: Vec<String>,
     /// Names this function calls: `name` for plain and method calls,
-    /// `Owner::name` additionally for qualified calls.
+    /// `Owner::name` additionally for qualified calls, `Self::name` for
+    /// calls on `self`.
     pub calls: BTreeSet<String>,
 }
 
@@ -142,7 +146,22 @@ impl Workspace {
                     Some((o, n)) => (Some(o), n),
                     None => (None, call.as_str()),
                 };
-                for &j in by_name.get(name).into_iter().flatten() {
+                let named = by_name.get(name).map_or(&[][..], Vec::as_slice);
+                // `self.name(` binds to the caller's owner when it has a
+                // `name`; a trait-provided or deref'd one could be anyone's.
+                let caller = self.fns[i].owner.as_deref();
+                let owner = match owner {
+                    Some("Self")
+                        if named
+                            .iter()
+                            .any(|&j| self.fns[j].owner.as_deref() == caller) =>
+                    {
+                        caller
+                    }
+                    Some("Self") => None,
+                    other => other,
+                };
+                for &j in named {
                     let matches_owner = match owner {
                         Some(o) => self.fns[j].owner.as_deref() == Some(o),
                         None => true,
@@ -408,6 +427,12 @@ fn extract_calls(toks: &[Tok], body: (usize, usize)) -> BTreeSet<String> {
                 calls.insert(format!("{owner}::{name}"));
             }
             calls.insert(name.to_string());
+        } else if i >= 2
+            && toks[i - 1].is_punct('.')
+            && toks[i - 2].ident() == Some("self")
+            && !(i >= 3 && toks[i - 3].is_punct('.'))
+        {
+            calls.insert(format!("Self::{name}"));
         } else {
             // Plain or method call.
             calls.insert(name.to_string());
@@ -446,7 +471,7 @@ fn helper() {}
         assert!(names.contains(&("helper", None)));
         let exec = w.fns.iter().find(|f| f.owner.is_some()).unwrap();
         assert_eq!(exec.annotations, vec!["shard-entry"]);
-        assert!(exec.calls.contains("poll_all"));
+        assert!(exec.calls.contains("Self::poll_all"));
         assert!(exec.calls.contains("helper"));
     }
 
@@ -482,6 +507,36 @@ fn unrelated() {}
         assert!(reached.contains(&"step_one"));
         assert!(reached.contains(&"deep"));
         assert!(!reached.contains(&"unrelated"));
+    }
+
+    #[test]
+    fn calls_on_self_stay_with_their_owner() {
+        // `Node::run` calls its own `charge`, not the serial driver's
+        // wrapper of the same name — and so never reaches `settle`. A
+        // `self` call to a method the owner does not define (`emit`,
+        // trait-provided) still links to every function of that name.
+        let w = ws(r"
+struct Node; struct World; struct Other;
+impl Node {
+    // detlint: shard-entry
+    fn run(&mut self) { self.charge(); self.emit(); }
+    fn charge(&mut self) {}
+}
+impl World {
+    fn charge(&mut self) { self.settle(); }
+    fn settle(&mut self) {}
+}
+impl Other { fn emit(&mut self) {} }
+");
+        let reach = w.reachable_from_roots();
+        let reached: Vec<(Option<&str>, &str)> = reach
+            .iter()
+            .map(|&i| (w.fns[i].owner.as_deref(), w.fns[i].name.as_str()))
+            .collect();
+        assert!(reached.contains(&(Some("Node"), "charge")));
+        assert!(reached.contains(&(Some("Other"), "emit")));
+        assert!(!reached.contains(&(Some("World"), "charge")));
+        assert!(!reached.contains(&(Some("World"), "settle")));
     }
 
     #[test]

@@ -107,9 +107,7 @@ const DIR_MUTATORS: &[&str] = &["subscribe", "unsubscribe", "open"];
 /// in lines. Five covers a comment block plus attributes.
 const ALLOW_RANGE: u32 = 5;
 
-/// Run every rule over the workspace. `coordinator_files` are path
-/// substrings (e.g. `cluster.rs`) where `replay-only` annotations are
-/// legitimate; `pcluster.rs` is special-cased to the `PCoord` owner.
+/// Run every rule over the workspace.
 pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -175,14 +173,18 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Is `f` a place where `replay-only` is legitimate? The coordinator
-/// lives in `cluster.rs` (whole file) and in `pcluster.rs` but only on
-/// `PCoord` — the shard half of that file runs inside windows.
+/// Is `f` a place where `replay-only` is legitimate? Only the effect
+/// appliers are, and they are told by owner, not by file: in `cluster.rs`
+/// the world (`ClusterWorld`'s membership appliers, which both engines
+/// call between handlers, and `ClusterSim`'s setup-time bootstrap), in
+/// `pcluster.rs` the coordinator `PCoord`. The serial sink next to the
+/// one and the shard half next to the other run inside handlers.
 fn is_coordinator_fn(path: &str, f: &FnInfo) -> bool {
     let base = path.rsplit('/').next().unwrap_or(path);
+    let owner = f.owner.as_deref();
     match base {
-        "cluster.rs" => true,
-        "pcluster.rs" => f.owner.as_deref() == Some("PCoord"),
+        "cluster.rs" => matches!(owner, Some("ClusterWorld" | "ClusterSim")),
+        "pcluster.rs" => owner == Some("PCoord"),
         _ => false,
     }
 }
@@ -532,9 +534,9 @@ mod tests {
     #[test]
     fn replay_only_annotation_suppresses_in_coordinator() {
         let src = format!(
-            "{ROOT}fn f() {{ apply(); }}\n\
-             // detlint: replay-only\n\
-             fn apply() {{ let dir: Directory = Directory::new(); dir.subscribe(1, 2); }}"
+            "{ROOT}fn f() {{ ClusterWorld::apply(); }}\n\
+             struct ClusterWorld;\nimpl ClusterWorld {{\n// detlint: replay-only\n\
+             fn apply() {{ let dir: Directory = Directory::new(); dir.subscribe(1, 2); }}\n}}"
         );
         assert!(lint("cluster.rs", &src).is_empty());
     }
@@ -547,6 +549,22 @@ mod tests {
         let fx = lint("dmon.rs", &src);
         assert_eq!(fx.len(), 1, "{fx:#?}");
         assert_eq!(fx[0].rule, "misplaced-annotation");
+    }
+
+    #[test]
+    fn the_serial_sink_is_not_a_coordinator() {
+        // Window code lives next to the serial driver now: the file name
+        // must not hand it the escape hatch.
+        let src = format!(
+            "{ROOT}fn f() {{ SerialSink::fx(); }}\n\
+             struct SerialSink;\nimpl SerialSink {{\n// detlint: replay-only\n\
+             fn fx(dir: &mut Directory) {{ dir.subscribe(1, 2); }}\n}}\n\
+             // detlint: replay-only\nfn free(dir: &mut Directory) {{ dir.open(1); }}"
+        );
+        let fx = lint("cluster.rs", &src);
+        let got: Vec<_> = fx.iter().map(|f| (f.rule, f.function.as_str())).collect();
+        let misplaced = "misplaced-annotation";
+        assert_eq!(got, [(misplaced, "fx"), (misplaced, "free")], "{fx:#?}");
     }
 
     #[test]

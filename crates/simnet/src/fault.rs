@@ -245,9 +245,9 @@ impl FaultState {
         self.apply_links(action, links);
     }
 
-    /// Same transition as [`FaultState::apply`] for a network whose links
-    /// have been split out for sharded execution (see
-    /// `Network::split_links`): when the action targets a node's links
+    /// Same transition as [`FaultState::apply`] for a network whose ports
+    /// have been moved out for sharded execution (see
+    /// `Network::take_ports`): when the action targets a node's links
     /// (`Degrade`/`HealLink`), the caller passes that node's
     /// `(uplink, downlink)` pair; other actions ignore `links`.
     pub fn apply_links(

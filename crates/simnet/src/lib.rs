@@ -42,6 +42,6 @@ pub mod traffic;
 pub use conn::{ConnId, ConnStats, ConnTrack};
 pub use fault::{DropReason, FaultAction, FaultPlan, FaultState, FaultStats};
 pub use link::{DirLink, LinkSpec};
-pub use network::{Delivery, DropDir, Network, NodeId, SplitNet, TrafficClass};
+pub use network::{Delivery, DropDir, Fabric, Leg, Network, NodeId, Port, TrafficClass};
 pub use topology::{Placement, Rack, TopologySpec};
 pub use traffic::FlowId;

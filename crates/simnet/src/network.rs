@@ -2,6 +2,13 @@
 //! one switch) or a hierarchy of rack switches uplinked to a spine,
 //! resolved from a [`crate::topology::Placement`]. The star is the
 //! 1-rack degenerate case and takes exactly the same code path.
+//!
+//! A send is two legs. The *sender-uplink leg* ([`Port::send`]) touches
+//! only the sender's own [`Port`]; the *remaining legs*
+//! ([`Fabric::finish`]) reserve the switch-side links every sender
+//! shares. [`Network::send_class`] composes the two; a sharded simulation
+//! runs the first on the sender's shard and the second on its
+//! coordinator, in serial order.
 
 use simcore::{SimDur, SimTime};
 
@@ -66,58 +73,143 @@ impl Delivery {
     pub fn latency(&self, sent_at: SimTime) -> SimDur {
         self.deliver_at.since(sent_at)
     }
+
+    fn dropped(now: SimTime, dir: DropDir) -> Self {
+        Delivery {
+            deliver_at: now,
+            queued: SimDur::ZERO,
+            wire: SimDur::ZERO,
+            dropped: Some(dir),
+        }
+    }
 }
 
-struct NodeLinks {
-    /// Node → switch.
-    up: DirLink,
-    /// Switch → node.
-    down: DirLink,
-}
-
-/// A [`Network`] disassembled into shard-distributable pieces; produced by
-/// [`Network::split_links`] and consumed by [`Network::from_split`].
-pub struct SplitNet {
-    /// Link parameters (identical for every node-link direction).
-    pub spec: LinkSpec,
-    /// `ups[i]` is node `i`'s uplink.
-    pub ups: Vec<DirLink>,
-    /// `downs[i]` is node `i`'s downlink.
-    pub downs: Vec<DirLink>,
-    /// Node → rack map (all zeros for the star).
-    pub rack_of: Vec<usize>,
-    /// Rack-switch → spine links, one per rack (empty for the star).
-    /// Owned by the coordinator together with the downlinks: inter-switch
-    /// reservations happen in serial delivery order.
-    pub switch_ups: Vec<DirLink>,
-    /// Spine → rack-switch links, one per rack (empty for the star).
-    pub switch_downs: Vec<DirLink>,
-    /// Inter-switch link parameters.
-    pub switch_spec: LinkSpec,
-    /// Lifetime delivery counter.
-    pub deliveries: u64,
-    /// Lifetime payload-byte counter.
-    pub payload_bytes: u64,
-}
-
-/// One hop of a store-and-forward path through the fabric.
+/// A message part-way along its path: what it is, and where it stands
+/// after the links it has crossed so far.
 #[derive(Debug, Clone, Copy)]
-enum PathLink {
-    /// Sender NIC → its rack switch (or the star switch).
-    NodeUp(usize),
-    /// Rack switch → spine.
-    RackUp(usize),
-    /// Spine → destination rack switch.
-    SpineDown(usize),
-    /// Rack switch (or star switch) → receiver NIC.
-    NodeDown(usize),
+pub struct Leg {
+    class: TrafficClass,
+    bytes: usize,
+    /// Wire length and first-packet size under the *node* link spec, which
+    /// sizes a message on every link of its path.
+    wire_len: u64,
+    first_pkt: usize,
+    /// When the message was handed to the network.
+    now: SimTime,
+    /// Earliest start on the next link (first packet's arrival there).
+    head: SimTime,
+    /// Arrival time of the message's last byte at the next link.
+    tail: SimTime,
+    /// Time spent waiting behind earlier traffic so far.
+    queued: SimDur,
 }
 
-/// A switched full-duplex network: one star switch, or rack switches
-/// uplinked to a spine.
-pub struct Network {
+impl Leg {
+    /// Cross one link, packet-pipelined store-and-forward: each switch
+    /// forwards packets as they arrive, so consecutive links'
+    /// serializations overlap. Transmission starts no earlier than the
+    /// first packet's arrival (head constraint) and finishes no earlier
+    /// than the last byte's arrival plus one more packet serialization
+    /// (tail constraint). Returns `false` when the link's bounded queue
+    /// tail-drops the message.
+    fn cross(&mut self, link: &mut DirLink, latency: SimDur) -> bool {
+        let bulk = self.class == TrafficClass::Bulk;
+        if bulk && !link.admit(self.now, self.wire_len) {
+            return false;
+        }
+        let t_all = link.tx_time_now(self.bytes);
+        let t_first = link.tx_time_now(self.first_pkt);
+        let tail_constraint = self.tail + t_first;
+        let (start, finish) = if bulk {
+            let (start, finish0) = link.reserve(self.head, t_all);
+            let finish = finish0.max(tail_constraint);
+            link.extend_busy(finish);
+            (start, finish)
+        } else {
+            // Priority lane: serialize immediately, leave the bulk horizon
+            // untouched.
+            (self.head, (self.head + t_all).max(tail_constraint))
+        };
+        link.account(self.now, self.bytes);
+        if bulk {
+            link.occupy(finish, self.wire_len);
+        }
+        self.queued += start - self.head;
+        self.head = start + t_first + latency;
+        self.tail = finish + latency;
+        true
+    }
+}
+
+/// A node's sending side: its uplink and its lifetime send counters. Only
+/// the node's own sends touch it, so a shard can own it outright.
+pub struct Port {
+    up: DirLink,
+    sent: u64,
+    sent_bytes: u64,
+}
+
+impl Port {
+    fn new(spec: LinkSpec) -> Self {
+        Port {
+            up: DirLink::new(spec),
+            sent: 0,
+            sent_bytes: 0,
+        }
+    }
+
+    /// The node → switch link.
+    pub fn uplink_mut(&mut self) -> &mut DirLink {
+        &mut self.up
+    }
+
+    /// The sender-uplink leg of a send at `now`. `Err` is a send that
+    /// ended here: loopback (no serialization, just a kernel copy) or an
+    /// uplink tail-drop. `Ok` goes on to [`Fabric::finish`].
+    #[inline]
+    pub fn send(
+        &mut self,
+        now: SimTime,
+        loopback: bool,
+        bytes: usize,
+        class: TrafficClass,
+    ) -> Result<Leg, Delivery> {
+        self.sent += 1;
+        self.sent_bytes += bytes as u64;
+        if loopback {
+            let copy = SimDur::from_nanos(200 + (bytes as u64) / 10);
+            return Err(Delivery {
+                deliver_at: now + copy,
+                queued: SimDur::ZERO,
+                wire: copy,
+                dropped: None,
+            });
+        }
+        let spec = *self.up.spec();
+        let mut leg = Leg {
+            class,
+            bytes,
+            wire_len: spec.wire_bytes(bytes) as u64,
+            first_pkt: bytes.min(spec.mtu_payload),
+            now,
+            head: now,
+            tail: now,
+            queued: SimDur::ZERO,
+        };
+        if leg.cross(&mut self.up, spec.latency) {
+            Ok(leg)
+        } else {
+            Err(Delivery::dropped(now, DropDir::Uplink))
+        }
+    }
+}
+
+/// The switch side of the network: every link that more than one sender
+/// can reserve.
+pub struct Fabric {
     spec: LinkSpec,
-    nodes: Vec<NodeLinks>,
+    /// Switch → node, one per node.
+    downs: Vec<DirLink>,
     /// Node → rack (all zeros for the star).
     rack_of: Vec<usize>,
     /// Rack-switch → spine, one per rack; empty for the star.
@@ -126,29 +218,58 @@ pub struct Network {
     switch_downs: Vec<DirLink>,
     /// Inter-switch link parameters (equal to `spec` unless configured).
     switch_spec: LinkSpec,
-    /// Lifetime counters.
-    deliveries: u64,
-    payload_bytes: u64,
+}
+
+impl Fabric {
+    /// The legs after the sender's uplink: the receiver's downlink on the
+    /// star and inside a rack, rack uplink → spine downlink → receiver
+    /// downlink across racks. A tail-drop leaves the earlier links
+    /// reserved — the message did occupy them.
+    #[inline]
+    pub fn finish(&mut self, from: NodeId, to: NodeId, mut leg: Leg) -> Delivery {
+        let (r_from, r_to) = (self.rack_of[from.0], self.rack_of[to.0]);
+        let sw_lat = self.switch_spec.latency;
+        if r_from != r_to {
+            if !leg.cross(&mut self.switch_ups[r_from], sw_lat) {
+                return Delivery::dropped(leg.now, DropDir::RackUplink);
+            }
+            if !leg.cross(&mut self.switch_downs[r_to], sw_lat) {
+                return Delivery::dropped(leg.now, DropDir::SpineDownlink);
+            }
+        }
+        if !leg.cross(&mut self.downs[to.0], self.spec.latency) {
+            return Delivery::dropped(leg.now, DropDir::Downlink);
+        }
+        Delivery {
+            deliver_at: leg.tail,
+            queued: leg.queued,
+            wire: leg.tail.since(leg.now) - leg.queued,
+            dropped: None,
+        }
+    }
+}
+
+/// A switched full-duplex network: one star switch, or rack switches
+/// uplinked to a spine.
+pub struct Network {
+    /// `ports[i]` is node `i`'s sending side.
+    ports: Vec<Port>,
+    fabric: Fabric,
 }
 
 impl Network {
     /// Build a single-switch star of `n` nodes with identical links.
     pub fn new(n: usize, spec: LinkSpec) -> Self {
-        let nodes = (0..n)
-            .map(|_| NodeLinks {
-                up: DirLink::new(spec),
-                down: DirLink::new(spec),
-            })
-            .collect();
         Network {
-            spec,
-            nodes,
-            rack_of: vec![0; n],
-            switch_ups: Vec::new(),
-            switch_downs: Vec::new(),
-            switch_spec: spec,
-            deliveries: 0,
-            payload_bytes: 0,
+            ports: (0..n).map(|_| Port::new(spec)).collect(),
+            fabric: Fabric {
+                spec,
+                downs: (0..n).map(|_| DirLink::new(spec)).collect(),
+                rack_of: vec![0; n],
+                switch_ups: Vec::new(),
+                switch_downs: Vec::new(),
+                switch_spec: spec,
+            },
         }
     }
 
@@ -160,16 +281,17 @@ impl Network {
     pub fn hierarchical(placement: &Placement, spec: LinkSpec, switch_spec: LinkSpec) -> Self {
         let mut net = Network::new(placement.len(), spec);
         if !placement.is_star() {
-            net.rack_of = (0..placement.len())
+            let f = &mut net.fabric;
+            f.rack_of = (0..placement.len())
                 .map(|i| placement.rack_of(NodeId(i)))
                 .collect();
-            net.switch_ups = (0..placement.n_racks())
+            f.switch_ups = (0..placement.n_racks())
                 .map(|_| DirLink::new(switch_spec))
                 .collect();
-            net.switch_downs = (0..placement.n_racks())
+            f.switch_downs = (0..placement.n_racks())
                 .map(|_| DirLink::new(switch_spec))
                 .collect();
-            net.switch_spec = switch_spec;
+            f.switch_spec = switch_spec;
         }
         net
     }
@@ -177,82 +299,55 @@ impl Network {
     /// Add one more node; returns its id. The node joins the last rack
     /// (for the star: the only one).
     pub fn add_node(&mut self) -> NodeId {
-        self.nodes.push(NodeLinks {
-            up: DirLink::new(self.spec),
-            down: DirLink::new(self.spec),
-        });
-        self.rack_of.push(self.rack_of.last().copied().unwrap_or(0));
-        NodeId(self.nodes.len() - 1)
+        let f = &mut self.fabric;
+        self.ports.push(Port::new(f.spec));
+        f.downs.push(DirLink::new(f.spec));
+        f.rack_of.push(f.rack_of.last().copied().unwrap_or(0));
+        NodeId(f.downs.len() - 1)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.fabric.downs.len()
     }
 
     /// True if the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.fabric.downs.is_empty()
     }
 
     /// Link parameters.
     pub fn spec(&self) -> &LinkSpec {
-        &self.spec
+        &self.fabric.spec
     }
 
     /// Conservative parallel-simulation lookahead of this network (see
     /// [`LinkSpec::lookahead`]): the minimum interval between sending a
     /// message and its earliest possible delivery on another node.
     pub fn lookahead(&self) -> SimDur {
-        self.spec.lookahead()
+        self.fabric.spec.lookahead()
     }
 
-    /// Tear the network apart for sharded parallel execution: per-node
-    /// uplinks (owned by the sender's shard) and downlinks (owned by the
-    /// coordinator, reserved in serial delivery order), plus the lifetime
-    /// counters. [`Network::from_split`] reassembles an identical network.
-    pub fn split_links(self) -> SplitNet {
-        let mut ups = Vec::with_capacity(self.nodes.len());
-        let mut downs = Vec::with_capacity(self.nodes.len());
-        for n in self.nodes {
-            ups.push(n.up);
-            downs.push(n.down);
-        }
-        SplitNet {
-            spec: self.spec,
-            ups,
-            downs,
-            rack_of: self.rack_of,
-            switch_ups: self.switch_ups,
-            switch_downs: self.switch_downs,
-            switch_spec: self.switch_spec,
-            deliveries: self.deliveries,
-            payload_bytes: self.payload_bytes,
-        }
+    /// The two halves a send borrows separately: every node's [`Port`]
+    /// and the shared [`Fabric`].
+    pub fn split(&mut self) -> (&mut [Port], &mut Fabric) {
+        (&mut self.ports, &mut self.fabric)
     }
 
-    /// Rebuild a network from its split-out parts.
-    pub fn from_split(parts: SplitNet) -> Self {
-        assert_eq!(parts.ups.len(), parts.downs.len(), "mismatched link sets");
-        Network {
-            spec: parts.spec,
-            nodes: parts
-                .ups
-                .into_iter()
-                .zip(parts.downs)
-                .map(|(up, down)| NodeLinks { up, down })
-                .collect(),
-            rack_of: parts.rack_of,
-            switch_ups: parts.switch_ups,
-            switch_downs: parts.switch_downs,
-            switch_spec: parts.switch_spec,
-            deliveries: parts.deliveries,
-            payload_bytes: parts.payload_bytes,
-        }
+    /// Move the ports out for sharded execution (each goes to its node's
+    /// shard); per-port accessors panic until [`Network::restore_ports`].
+    pub fn take_ports(&mut self) -> Vec<Port> {
+        std::mem::take(&mut self.ports)
+    }
+
+    /// Put back the ports [`Network::take_ports`] moved out, in node order.
+    pub fn restore_ports(&mut self, ports: Vec<Port>) {
+        assert_eq!(ports.len(), self.len(), "one port per node");
+        self.ports = ports;
     }
 
     fn check(&self, id: NodeId) {
-        assert!(id.0 < self.nodes.len(), "unknown node {id}");
+        assert!(id.0 < self.len(), "unknown node {id}");
     }
 
     /// Enqueue a `bytes`-byte bulk message from `from` to `to` at time
@@ -276,92 +371,9 @@ impl Network {
     ) -> Delivery {
         self.check(from);
         self.check(to);
-        self.deliveries += 1;
-        self.payload_bytes += bytes as u64;
-        if from == to {
-            // In-kernel loopback: no serialization, just a copy.
-            let copy = SimDur::from_nanos(200 + (bytes as u64) / 10);
-            return Delivery {
-                deliver_at: now + copy,
-                queued: SimDur::ZERO,
-                wire: copy,
-                dropped: None,
-            };
-        }
-        // Packet-pipelined store-and-forward over the resolved path: each
-        // switch forwards packets as they arrive, so consecutive links'
-        // serializations overlap. On every link, transmission starts no
-        // earlier than the first packet's arrival (head constraint) and
-        // finishes no earlier than the last byte's arrival plus one more
-        // packet serialization (tail constraint). The star path is the
-        // two-link instance of the same loop — the arithmetic per hop is
-        // exactly the pre-hierarchy star code.
-        let wire_len = self.spec.wire_bytes(bytes) as u64;
-        let first_pkt = bytes.min(self.spec.mtu_payload);
-        let (r_from, r_to) = (self.rack_of[from.0], self.rack_of[to.0]);
-        let node_lat = self.spec.latency;
-        let sw_lat = self.switch_spec.latency;
-        let mut path = [(PathLink::NodeUp(from.0), node_lat, DropDir::Uplink); 4];
-        let hops = if r_from == r_to {
-            path[1] = (PathLink::NodeDown(to.0), node_lat, DropDir::Downlink);
-            2
-        } else {
-            path[1] = (PathLink::RackUp(r_from), sw_lat, DropDir::RackUplink);
-            path[2] = (PathLink::SpineDown(r_to), sw_lat, DropDir::SpineDownlink);
-            path[3] = (PathLink::NodeDown(to.0), node_lat, DropDir::Downlink);
-            4
-        };
-
-        let mut queued = SimDur::ZERO;
-        // Earliest start on the next link (first packet's arrival) and
-        // arrival time of the message's last byte there.
-        let mut head = now;
-        let mut tail = now;
-        for &(sel, latency, drop_dir) in &path[..hops] {
-            let link = match sel {
-                PathLink::NodeUp(i) => &mut self.nodes[i].up,
-                PathLink::RackUp(r) => &mut self.switch_ups[r],
-                PathLink::SpineDown(r) => &mut self.switch_downs[r],
-                PathLink::NodeDown(i) => &mut self.nodes[i].down,
-            };
-            if class == TrafficClass::Bulk && !link.admit(now, wire_len) {
-                return Delivery {
-                    deliver_at: now,
-                    queued: SimDur::ZERO,
-                    wire: SimDur::ZERO,
-                    dropped: Some(drop_dir),
-                };
-            }
-            let t_all = link.tx_time_now(bytes);
-            let t_first = link.tx_time_now(first_pkt);
-            let tail_constraint = tail + t_first;
-            let (start, finish) = match class {
-                TrafficClass::Bulk => {
-                    let (start, finish0) = link.reserve(head, t_all);
-                    let finish = finish0.max(tail_constraint);
-                    link.extend_busy(finish);
-                    (start, finish)
-                }
-                // Priority lane: serialize immediately, leave the bulk
-                // horizon untouched.
-                TrafficClass::Priority => ((head), (head + t_all).max(tail_constraint)),
-            };
-            link.account(now, bytes);
-            if class == TrafficClass::Bulk {
-                link.occupy(finish, wire_len);
-            }
-            queued += start - head;
-            head = start + t_first + latency;
-            tail = finish + latency;
-        }
-
-        let deliver_at = tail;
-        let wire = deliver_at.since(now) - queued;
-        Delivery {
-            deliver_at,
-            queued,
-            wire,
-            dropped: None,
+        match self.ports[from.0].send(now, from == to, bytes, class) {
+            Ok(leg) => self.fabric.finish(from, to, leg),
+            Err(done) => done,
         }
     }
 
@@ -370,7 +382,7 @@ impl Network {
     pub fn backlog(&self, now: SimTime, from: NodeId, to: NodeId) -> SimDur {
         self.check(from);
         self.check(to);
-        self.nodes[from.0].up.backlog(now) + self.nodes[to.0].down.backlog(now)
+        self.ports[from.0].up.backlog(now) + self.fabric.downs[to.0].backlog(now)
     }
 
     /// Add fluid background load along the path `from` → `to` (including
@@ -378,12 +390,12 @@ impl Network {
     pub(crate) fn add_background(&mut self, from: NodeId, to: NodeId, bps: f64) {
         self.check(from);
         self.check(to);
-        self.nodes[from.0].up.add_background(bps);
-        self.nodes[to.0].down.add_background(bps);
-        let (rf, rt) = (self.rack_of[from.0], self.rack_of[to.0]);
+        self.ports[from.0].up.add_background(bps);
+        self.fabric.downs[to.0].add_background(bps);
+        let (rf, rt) = (self.fabric.rack_of[from.0], self.fabric.rack_of[to.0]);
         if rf != rt {
-            self.switch_ups[rf].add_background(bps);
-            self.switch_downs[rt].add_background(bps);
+            self.fabric.switch_ups[rf].add_background(bps);
+            self.fabric.switch_downs[rt].add_background(bps);
         }
     }
 
@@ -391,74 +403,69 @@ impl Network {
     pub(crate) fn remove_background(&mut self, from: NodeId, to: NodeId, bps: f64) {
         self.check(from);
         self.check(to);
-        self.nodes[from.0].up.remove_background(bps);
-        self.nodes[to.0].down.remove_background(bps);
-        let (rf, rt) = (self.rack_of[from.0], self.rack_of[to.0]);
+        self.ports[from.0].up.remove_background(bps);
+        self.fabric.downs[to.0].remove_background(bps);
+        let (rf, rt) = (self.fabric.rack_of[from.0], self.fabric.rack_of[to.0]);
         if rf != rt {
-            self.switch_ups[rf].remove_background(bps);
-            self.switch_downs[rt].remove_background(bps);
+            self.fabric.switch_ups[rf].remove_background(bps);
+            self.fabric.switch_downs[rt].remove_background(bps);
         }
     }
 
     /// Mutable access to both directions of a node's link at once.
     pub fn links_mut(&mut self, id: NodeId) -> (&mut DirLink, &mut DirLink) {
         self.check(id);
-        let n = &mut self.nodes[id.0];
-        (&mut n.up, &mut n.down)
+        (&mut self.ports[id.0].up, &mut self.fabric.downs[id.0])
     }
 
     /// Mutable access to a node's uplink (tests, probes).
     pub fn uplink_mut(&mut self, id: NodeId) -> &mut DirLink {
         self.check(id);
-        &mut self.nodes[id.0].up
+        &mut self.ports[id.0].up
     }
 
     /// Mutable access to a node's downlink (tests, probes).
     pub fn downlink_mut(&mut self, id: NodeId) -> &mut DirLink {
         self.check(id);
-        &mut self.nodes[id.0].down
+        &mut self.fabric.downs[id.0]
     }
 
     /// Shared access to a node's uplink.
     pub fn uplink(&self, id: NodeId) -> &DirLink {
         self.check(id);
-        &self.nodes[id.0].up
+        &self.ports[id.0].up
     }
 
     /// Shared access to a node's downlink.
     pub fn downlink(&self, id: NodeId) -> &DirLink {
         self.check(id);
-        &self.nodes[id.0].down
+        &self.fabric.downs[id.0]
     }
 
     /// Lifetime count of messages accepted by [`Network::send`].
     pub fn deliveries(&self) -> u64 {
-        self.deliveries
+        self.ports.iter().map(|p| p.sent).sum()
     }
 
     /// Lifetime payload bytes accepted by [`Network::send`].
     pub fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
+        self.ports.iter().map(|p| p.sent_bytes).sum()
     }
 
     /// Number of racks (1 for the star).
     pub fn n_racks(&self) -> usize {
-        if self.switch_ups.is_empty() {
-            1
-        } else {
-            self.switch_ups.len()
-        }
+        self.fabric.switch_ups.len().max(1)
     }
 
     /// True when the fabric has a spine tier (more than one rack).
     pub fn is_hierarchical(&self) -> bool {
-        !self.switch_ups.is_empty()
+        !self.fabric.switch_ups.is_empty()
     }
 
     /// Which rack a node's link lands in (0 for the star).
     pub fn rack_of_node(&self, id: NodeId) -> usize {
         self.check(id);
-        self.rack_of[id.0]
+        self.fabric.rack_of[id.0]
     }
 
     /// Shared access to a rack's switch → spine link.
@@ -467,55 +474,48 @@ impl Network {
     ///
     /// Panics on a star network (no spine tier) or an unknown rack.
     pub fn switch_uplink(&self, rack: usize) -> &DirLink {
-        &self.switch_ups[rack]
+        &self.fabric.switch_ups[rack]
     }
 
     /// Shared access to the spine → rack-switch link (see
     /// [`Network::switch_uplink`] for panics).
     pub fn switch_downlink(&self, rack: usize) -> &DirLink {
-        &self.switch_downs[rack]
+        &self.fabric.switch_downs[rack]
     }
 
     /// Messages tail-dropped on the spine tier only (rack uplinks +
     /// downlinks); 0 by definition on a star.
     pub fn spine_drops(&self) -> u64 {
-        self.switch_ups
+        let f = &self.fabric;
+        f.switch_ups
             .iter()
-            .chain(&self.switch_downs)
+            .chain(&f.switch_downs)
             .map(DirLink::drops)
             .sum()
+    }
+
+    /// Every link direction: node links, then the inter-switch links.
+    fn links(&self) -> impl Iterator<Item = &DirLink> {
+        let f = &self.fabric;
+        let ups = self.ports.iter().map(|p| &p.up);
+        ups.chain(&f.downs)
+            .chain(&f.switch_ups)
+            .chain(&f.switch_downs)
     }
 
     /// Total messages tail-dropped by bounded link queues, every direction
     /// of every node plus the inter-switch links.
     pub fn link_drops(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.up.drops() + n.down.drops())
-            .sum::<u64>()
-            + self.spine_drops()
+        self.links().map(DirLink::drops).sum()
     }
 
     /// Largest queue-depth high-water mark across every link direction
     /// (inter-switch links included), as `(messages, wire bytes)` (the two
     /// maxima may come from different links).
     pub fn queue_hwm(&self) -> (usize, u64) {
-        let switches = || self.switch_ups.iter().chain(&self.switch_downs);
-        let msgs = self
-            .nodes
-            .iter()
-            .map(|n| n.up.hwm_msgs().max(n.down.hwm_msgs()))
-            .chain(switches().map(DirLink::hwm_msgs))
-            .max()
-            .unwrap_or(0);
-        let bytes = self
-            .nodes
-            .iter()
-            .map(|n| n.up.hwm_bytes().max(n.down.hwm_bytes()))
-            .chain(switches().map(DirLink::hwm_bytes))
-            .max()
-            .unwrap_or(0);
-        (msgs, bytes)
+        let msgs = self.links().map(DirLink::hwm_msgs).max();
+        let bytes = self.links().map(DirLink::hwm_bytes).max();
+        (msgs.unwrap_or(0), bytes.unwrap_or(0))
     }
 }
 

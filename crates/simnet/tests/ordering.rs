@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use simcore::{SimDur, SimTime};
-use simnet::link::LinkSpec;
-use simnet::{Network, NodeId};
+use simnet::link::{DirLink, LinkSpec};
+use simnet::{Network, NodeId, TopologySpec, TrafficClass};
 
 proptest! {
     #[test]
@@ -79,6 +79,56 @@ proptest! {
             total_tx += spec.tx_time(b);
         }
         prop_assert!(last >= SimTime::ZERO + total_tx);
+    }
+
+    #[test]
+    fn send_is_the_uplink_leg_then_the_remaining_legs(
+        racks in any::<bool>(),
+        msgs in proptest::collection::vec(
+            (0u64..400, 0usize..6, 0usize..6, 1usize..40_000, any::<bool>()),
+            1..60,
+        )
+    ) {
+        // A sharded run sends in two steps — the sender's port on its
+        // shard, the fabric on the coordinator — and must see exactly what
+        // `send_class` computes in one: same deliveries, same drops at the
+        // same bounded queues, same per-link accounting.
+        let spec = LinkSpec::fast_ethernet().with_queue(2, 30_000);
+        let build = || {
+            if racks {
+                let placement = TopologySpec::Racks { rack_size: 2 }.resolve(6);
+                Network::hierarchical(&placement, spec, spec)
+            } else {
+                Network::new(6, spec)
+            }
+        };
+        let (mut whole, mut halves) = (build(), build());
+        let mut t = SimTime::ZERO;
+        for (gap_us, from, to, bytes, priority) in msgs {
+            t += SimDur::from_micros(gap_us);
+            let (from, to) = (NodeId(from), NodeId(to));
+            let class = if priority { TrafficClass::Priority } else { TrafficClass::Bulk };
+            let one = whole.send_class(t, from, to, bytes, class);
+            let (ports, fabric) = halves.split();
+            let two = match ports[from.0].send(t, from == to, bytes, class) {
+                Ok(leg) => fabric.finish(from, to, leg),
+                Err(done) => done,
+            };
+            prop_assert_eq!(one, two);
+        }
+        let counters = |l: &DirLink| (l.messages(), l.bytes(), l.drops());
+        for i in (0..6).map(NodeId) {
+            prop_assert_eq!(counters(whole.uplink(i)), counters(halves.uplink(i)));
+            prop_assert_eq!(counters(whole.downlink(i)), counters(halves.downlink(i)));
+        }
+        for r in 0..if racks { 3 } else { 0 } {
+            let (a, b) = (whole.switch_uplink(r), halves.switch_uplink(r));
+            prop_assert_eq!(counters(a), counters(b));
+            let (a, b) = (whole.switch_downlink(r), halves.switch_downlink(r));
+            prop_assert_eq!(counters(a), counters(b));
+        }
+        prop_assert_eq!(whole.deliveries(), halves.deliveries());
+        prop_assert_eq!(whole.payload_bytes(), halves.payload_bytes());
     }
 }
 

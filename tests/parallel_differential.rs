@@ -380,6 +380,30 @@ fn resumed_runs_are_bit_identical() {
     assert_eq!(serial, chunked(4), "chunked threads=4 diverged");
 }
 
+#[test]
+fn workloads_started_mid_run_are_bit_identical() {
+    // The between-runs helpers must read the clock of whichever driver
+    // runs the cluster: linpack started at 5 s on the sharded driver used
+    // to see the idle serial scheduler's t = 0.
+    let run = |threads: usize| {
+        let cfg = ClusterConfig::new(4).host_cfg(2, HostConfig::uniprocessor());
+        let mut sim = ClusterSim::new(cfg);
+        sim.set_threads(threads);
+        sim.start();
+        sim.run_until(SimTime::from_secs(5));
+        sim.start_linpack(NodeId(2), 2);
+        sim.mark_linpack(NodeId(2));
+        sim.start_iperf(NodeId(1), NodeId(3), 40e6);
+        sim.run_until(SimTime::from_secs(12));
+        (sim.linpack_mflops(NodeId(2)).to_bits(), fingerprint(&sim))
+    };
+    let serial = run(1);
+    assert!(f64::from_bits(serial.0) > 0.0, "linpack made no progress");
+    for threads in [2, 3, 8] {
+        assert_eq!(serial, run(threads), "threads={threads} diverged");
+    }
+}
+
 // ---------- randomized differential ----------
 
 /// A randomly drawn scenario: node count, stagger, topology, pad, and an
