@@ -164,8 +164,6 @@ impl ClusterConfig {
 pub enum ClusterEvent {
     /// One d-mon polling iteration, with its generation token.
     Poll { i: usize, token: u64 },
-    /// The node's kernel service thread finished draining one CPU charge.
-    SvcDone { i: usize },
     /// A network message arrives at `hop.to`.
     Deliver(Frame),
     /// The `k`-th action of the fault timeline fires.
@@ -193,7 +191,7 @@ impl ClusterEvent {
     /// no node; it runs as node 0, whose shard hosts it.
     pub(crate) fn node(&self) -> usize {
         match *self {
-            ClusterEvent::Poll { i, .. } | ClusterEvent::SvcDone { i } => i,
+            ClusterEvent::Poll { i, .. } => i,
             ClusterEvent::Deliver(ref frame) => frame.hop.to.0,
             ClusterEvent::Fault { .. } => 0,
         }
@@ -211,7 +209,6 @@ impl HandleMsg<ClusterEvent> for ClusterWorld {
         let (now, mut node, view, mut sink) = self.enter(sim, msg.node());
         match msg {
             ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, &mut sink),
-            ClusterEvent::SvcDone { .. } => node.svc_drain(now, &mut sink),
             ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, &mut sink),
             ClusterEvent::Fault { k } => sink.fx(Fx::Member(Member::FaultAction { k })),
         }
@@ -461,9 +458,8 @@ impl ClusterWorld {
     /// serially: the service task is runnable while work is pending, so
     /// compute workloads (linpack) lose exactly the charged CPU time.
     pub fn charge_cpu(&mut self, sim: &mut ClusterSched, node: NodeId, cost: SimDur) {
-        let (now, mut n, _, mut sink) = self.enter(sim, node.0);
-        n.charge_cpu(now, cost, &mut sink);
-        self.settle(sim);
+        let task = self.svc[node.0].task;
+        self.hosts[node.0].cpu.charge(sim.now(), task, cost);
     }
 
     /// Send an event over the network and schedule its delivery. In the
@@ -544,16 +540,19 @@ impl ClusterWorld {
         }
     }
 
+    /// The node's CPU scheduler must be settled to the time of the crash:
+    /// between runs `run_until` saw to it, inside one `apply_action` does.
     fn crash(&mut self, node: NodeId, nodes: &mut impl NodeSet) {
         if !self.alive[node.0] {
             return;
         }
         self.alive[node.0] = false;
         let n = nodes.node(node);
-        // Invalidate the poll series so it stops at its next tick;
-        // in-flight kernel-thread work dies with the node.
+        // Invalidate the poll series so it stops at its next tick; the
+        // kernel thread's queued work dies with the node (the charge it
+        // is burning runs out).
         n.svc.poll_token += 1;
-        n.svc.pending.clear();
+        n.host.cpu.drop_queued(n.svc.task);
     }
 
     fn revive(
@@ -590,7 +589,13 @@ impl ClusterWorld {
         arm: &mut impl FnMut(SimTime, ClusterEvent),
     ) {
         match *action {
-            FaultAction::Crash(node) => self.crash(node, nodes),
+            FaultAction::Crash(node) => {
+                // A charge whose predecessor ended before this instant
+                // is burning already and runs out; what is still queued —
+                // also behind a burn that ends exactly now — dies.
+                nodes.node(node).host.cpu.settle_before(now);
+                self.crash(node, nodes);
+            }
             FaultAction::Revive(node) => self.revive(now, node, nodes, arm),
             // The node's uplink travels with the node; its downlink is
             // the fabric's.
@@ -695,8 +700,6 @@ impl ClusterSim {
             host.link_capacity_bps = cfg.link.bandwidth_bps;
             svc.push(NodeSvc {
                 task: host.cpu.spawn_service(SimTime::ZERO, "d-mon"),
-                pending: std::collections::VecDeque::new(),
-                busy: false,
                 poll_token: 0,
                 event_meter: BytesWindow::new(SimDur::from_secs(1)),
             });
@@ -831,13 +834,18 @@ impl ClusterSim {
             .map_or_else(|| self.sim.now(), |d| d.engine.now())
     }
 
-    /// Run the event loop until `t`.
+    /// Run the event loop until `t`. Every host's CPU scheduler is then
+    /// settled through `t`: inside the loop a burn ends when its host is
+    /// next looked at, and nobody outside the loop should have to know.
     pub fn run_until(&mut self, t: SimTime) {
         match self.driver.as_mut() {
             Some(driver) => driver.run_until(&mut self.world, t),
             None => {
                 self.sim.run_until(&mut self.world, t);
             }
+        }
+        for host in &mut self.world.hosts {
+            host.cpu.settle_through(t);
         }
     }
 
@@ -1002,6 +1010,29 @@ mod tests {
         assert!(w.digest_chan.is_none());
         assert_eq!(w.rack_chans.len(), 1);
         assert!(w.dmons.iter().all(|d| d.stats.digests_sent == 0));
+    }
+
+    #[test]
+    fn run_until_settles_every_host_through_its_bound() {
+        // Inside the loop a burn ends when its host is next looked at;
+        // whoever reads the world between runs sees it ended, on both
+        // engines, if it was due by the time the run stopped at.
+        for threads in [1, 2] {
+            let mut sim = ClusterSim::new(ClusterConfig::new(2));
+            sim.set_threads(threads);
+            let w = sim.world_mut();
+            let task = w.svc[1].task;
+            w.hosts[1]
+                .cpu
+                .charge(SimTime::ZERO, task, SimDur::from_millis(10));
+            let end = SimTime::from_millis(10);
+            sim.run_until(end - SimDur::from_nanos(1));
+            let cpu = &sim.world().hosts[1].cpu;
+            assert_eq!((cpu.runnable(), cpu.burn_end(task)), (1, Some(end)));
+            sim.run_until(end);
+            let cpu = &sim.world().hosts[1].cpu;
+            assert_eq!((cpu.runnable(), cpu.burn_end(task)), (0, None));
+        }
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! to replay. Because both run this code, both emit the same sequence,
 //! which is what makes a sharded run bit-identical to a serial one.
 
-use std::collections::VecDeque;
-
 use simcore::{SimDur, SimTime};
 use simnet::link::BytesWindow;
 use simnet::{ConnId, Leg, NodeId, Placement, Port, TrafficClass};
-use simos::cpu::TaskState;
 use simos::host::Host;
 use simos::TaskId;
 
@@ -66,17 +63,14 @@ pub(crate) trait Sink {
     fn should_drop(&mut self, from: NodeId, to: NodeId) -> bool;
 }
 
-/// A node's cluster-glue state: the d-mon kernel thread's service queue,
-/// the poll series, the event meter.
+/// A node's cluster-glue state: the d-mon kernel thread, the poll series,
+/// the event meter.
 pub(crate) struct NodeSvc {
-    /// The d-mon service task (kernel thread).
+    /// The d-mon service task (kernel thread). Its CPU charges are timed
+    /// burns of the host's scheduler: a serial server, so concurrent
+    /// charges queue rather than overlap (overlapping them would
+    /// under-account the stolen CPU).
     pub task: TaskId,
-    /// Pending CPU charges: the kernel thread is a serial server, so
-    /// concurrent charges queue rather than overlap (overlapping them
-    /// would under-account the stolen CPU).
-    pub pending: VecDeque<SimDur>,
-    /// Whether the service task is currently draining a charge.
-    pub busy: bool,
     /// Generation token of the node's poll series. Bumped on crash and
     /// revive so a stale `Poll` stops instead of polling a dead (or
     /// doubly-revived) node forever.
@@ -225,38 +219,11 @@ impl<'a> Node<'a> {
 
     /// Charge CPU time to the d-mon kernel thread. Charges drain
     /// serially: the service task is runnable while work is pending, so
-    /// compute workloads (linpack) lose exactly the charged CPU time.
+    /// compute workloads (linpack) lose exactly the charged CPU time. The
+    /// host's scheduler ends each burn by itself — no event is emitted.
     #[inline]
-    pub fn charge_cpu(&mut self, now: SimTime, cost: SimDur, sink: &mut impl Sink) {
-        if cost.is_zero() {
-            return;
-        }
-        self.svc.pending.push_back(cost);
-        if !self.svc.busy {
-            self.svc_drain(now, sink);
-        }
-    }
-
-    /// The service thread is free: start on the next pending charge, or
-    /// go back to sleep when there is none.
-    #[inline]
-    pub fn svc_drain(&mut self, now: SimTime, sink: &mut impl Sink) {
-        let i = self.host.node.0;
-        let (svc, cpu) = (&mut *self.svc, &mut self.host.cpu);
-        let Some(cost) = svc.pending.pop_front() else {
-            if svc.busy {
-                svc.busy = false;
-                cpu.set_state(now, svc.task, TaskState::Sleeping);
-            }
-            return;
-        };
-        cpu.advance(now);
-        if !svc.busy {
-            svc.busy = true;
-            cpu.set_state(now, svc.task, TaskState::Runnable);
-        }
-        let wall = SimDur::from_secs_f64(cost.as_secs_f64() / cpu.share());
-        sink.schedule_at(now + wall, ClusterEvent::SvcDone { i });
+    pub fn charge_cpu(&mut self, now: SimTime, cost: SimDur) {
+        self.host.cpu.charge(now, self.svc.task, cost);
     }
 
     /// Send an event from this node. In the central-concentrator
@@ -354,7 +321,7 @@ impl<'a> Node<'a> {
                     + calib.submit_cost(bytes)
                     + calib.kernel_path_recv
                     + calib.kernel_path_send;
-                self.charge_cpu(now, relay_cost, sink);
+                self.charge_cpu(now, relay_cost);
                 // Relay directly (not via transmit) so the final delivery
                 // keeps the original send time and the latency sampler
                 // sees true end-to-end latency.
@@ -374,14 +341,14 @@ impl<'a> Node<'a> {
             }
         }
 
-        // Kernel connection tracking on the receiving host.
+        // Kernel connection tracking on the receiving host (a first
+        // delivery opens the connection).
         let conn = ConnId {
             local: to,
             remote: ev.sender,
             proto: simnet::conn::Proto::Tcp,
             tag: ev.channel,
         };
-        self.host.conns.open(conn, now);
         self.host
             .conns
             .record_delivery(conn, now, bytes as u64, one_way);
@@ -397,7 +364,7 @@ impl<'a> Node<'a> {
                     latency_us: one_way.as_micros_f64(),
                 });
                 let handler = self.dmon.on_event(self.host, &ev, bytes, now, calib);
-                self.charge_cpu(now, handler + calib.kernel_path_recv, sink);
+                self.charge_cpu(now, handler + calib.kernel_path_recv);
 
                 // Central-concentrator topology: the hub relays.
                 if let (Some(hub), Some(m)) = (hub, ev.as_monitoring()) {
@@ -405,7 +372,7 @@ impl<'a> Node<'a> {
                         let hops = view.dir.plan_forward(ChannelId(ev.channel), m.origin);
                         for fwd in hops {
                             let relay_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
-                            self.charge_cpu(now, relay_cost, sink);
+                            self.charge_cpu(now, relay_cost);
                             self.transmit(now, fwd, ev.clone(), bytes, view, sink);
                         }
                     }
@@ -414,17 +381,17 @@ impl<'a> Node<'a> {
             }
             EventKind::Heartbeat => {
                 let handler = self.dmon.on_heartbeat(&ev, now, calib);
-                self.charge_cpu(now, handler + calib.heartbeat_path_recv, sink);
+                self.charge_cpu(now, handler + calib.heartbeat_path_recv);
             }
             EventKind::Digest => {
                 let handler = self.dmon.on_digest(self.host, &ev, bytes, now, calib);
-                self.charge_cpu(now, handler + calib.kernel_path_recv, sink);
+                self.charge_cpu(now, handler + calib.kernel_path_recv);
             }
             EventKind::Control => {
                 sink.fx(Fx::CtlDelivered);
                 let Some(msg) = ev.as_control() else { return };
                 let outcome = self.dmon.on_control(ev.sender, msg, calib);
-                self.charge_cpu(now, outcome.cpu + calib.kernel_path_recv, sink);
+                self.charge_cpu(now, outcome.cpu + calib.kernel_path_recv);
                 if let Some(reply) = outcome.reply {
                     // E.g. a filter rejection travelling back to the
                     // subscriber that tried to deploy it.
@@ -433,7 +400,7 @@ impl<'a> Node<'a> {
                         .make_control_event(view.ctl_chan, ev.sender, reply);
                     let bytes = wire::encoded_size(&rev);
                     let send_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
-                    self.charge_cpu(now, send_cost, sink);
+                    self.charge_cpu(now, send_cost);
                     let hop = Hop {
                         from: to,
                         to: ev.sender,
@@ -456,7 +423,7 @@ impl<'a> Node<'a> {
         let mut outcome = self
             .dmon
             .poll(self.host, view.dir, mon, ctl, now, view.calib);
-        self.charge_cpu(now, outcome.cpu_cost, sink);
+        self.charge_cpu(now, outcome.cpu_cost);
         for (hop, ev, bytes) in outcome.sends.drain(..) {
             self.transmit(now, hop, ev, bytes, view, sink);
         }
@@ -493,7 +460,7 @@ impl<'a> Node<'a> {
             view.calib,
         );
         if let Some((sends, cpu)) = planned {
-            self.charge_cpu(now, cpu, sink);
+            self.charge_cpu(now, cpu);
             for (hop, ev, bytes) in sends {
                 self.transmit(now, hop, ev, bytes, view, sink);
             }
@@ -513,7 +480,6 @@ mod tests {
     /// One thing a handler emitted.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Out {
-        SvcDone,
         Poll,
         Loopback,
         Fault(usize),
@@ -535,7 +501,6 @@ mod tests {
     impl Sink for Recorder {
         fn schedule_at(&mut self, _at: SimTime, ev: ClusterEvent) {
             self.log.push(match ev {
-                ClusterEvent::SvcDone { .. } => Out::SvcDone,
                 ClusterEvent::Poll { .. } => Out::Poll,
                 ClusterEvent::Deliver(_) => Out::Loopback,
                 ClusterEvent::Fault { k } => Out::Fault(k),
@@ -592,35 +557,61 @@ mod tests {
         assert_eq!(rec.log, [Out::CrashDrop]);
     }
 
+    /// When node `i`'s kernel thread ends the burn it has in service,
+    /// with the run-queue length it sits in.
+    fn burning(sim: &ClusterSim, i: usize) -> (Option<SimTime>, u32) {
+        let w = sim.world();
+        let cpu = &w.hosts[i].cpu;
+        (cpu.burn_end(w.svc[i].task), cpu.runnable())
+    }
+
+    /// What node 0's d-mon charges for a poll at `at`, taken from a twin
+    /// of the cluster under test.
+    fn poll_cost(mut twin: ClusterSim, at: SimTime) -> SimDur {
+        let w = twin.world_mut();
+        let (mon, ctl) = w.rack_chans[0];
+        let (dmon, host) = (&mut w.dmons[0], &mut w.hosts[0]);
+        dmon.poll(host, &w.dir, mon, ctl, at, &w.calib).cpu_cost
+    }
+
     #[test]
     fn monitoring_deliver_counts_before_it_charges() {
         let mut sim = ClusterSim::new(ClusterConfig::new(2));
         let frame = first_poll(&mut sim).frames.remove(0);
         assert_eq!(frame.ev.kind, EventKind::Monitoring);
+        let calib = &sim.world().calib;
+        let cost = calib.receive_cost(frame.bytes) + calib.kernel_path_recv;
         let at = SimTime::from_millis(1001);
         let rec = record(&mut sim, 1, |n, view, rec| n.deliver(at, frame, view, rec));
-        assert_eq!(rec.log, [Out::MonDelivered, Out::SvcDone]);
+        // The charge is no scheduler child: the host's CPU model holds it.
+        assert_eq!(rec.log, [Out::MonDelivered]);
+        assert_eq!(burning(&sim, 1), (Some(at + cost), 1));
     }
 
     #[test]
     fn dead_verdict_poll_orders_charge_sends_evict_digest_rearm() {
-        let bounds = (SimDur::from_secs(2), SimDur::from_secs(4));
-        let cfg = ClusterConfig::new(6).racks(3);
-        let mut sim = ClusterSim::new(cfg.failure_bounds(bounds.0, bounds.1));
-        sim.start();
-        sim.run_until(SimTime::from_secs(3));
-        sim.world_mut().kill_node(NodeId(1));
-        // Node 0 — rack 0's aggregator — last heard its rack-mate just
-        // after 2 s, so its poll at 7 s is the one that finds it Dead;
-        // node 2 is the rack-mate still listening.
-        sim.run_until(SimTime::from_millis(6500));
+        let build = || {
+            let bounds = (SimDur::from_secs(2), SimDur::from_secs(4));
+            let cfg = ClusterConfig::new(6).racks(3);
+            let mut sim = ClusterSim::new(cfg.failure_bounds(bounds.0, bounds.1));
+            sim.start();
+            sim.run_until(SimTime::from_secs(3));
+            sim.world_mut().kill_node(NodeId(1));
+            // Node 0 — rack 0's aggregator — last heard its rack-mate just
+            // after 2 s, so its poll at 7 s is the one that finds it Dead;
+            // node 2 is the rack-mate still listening.
+            sim.run_until(SimTime::from_millis(6500));
+            sim
+        };
+        let mut sim = build();
         let token = sim.world().svc[0].poll_token;
         let at = SimTime::from_secs(7);
         let rec = record(&mut sim, 0, |n, view, rec| n.tick(at, token, view, rec));
-        // CPU charge, the send to the live rack-mate, the eviction, the
-        // digest (planned around the peer just evicted), the re-arm last.
+        // The send to the live rack-mate, the eviction, the digest
+        // (planned around the peer just evicted), the re-arm last. The two
+        // CPU charges emit nothing: the poll's is being burnt, the
+        // digest's waits behind it.
         let expect = [
-            Out::SvcDone,
             Out::Wire(EventKind::Monitoring),
             Out::Evict(NodeId(1)),
             Out::Wire(EventKind::Digest),
@@ -629,17 +620,21 @@ mod tests {
         assert_eq!(rec.log, expect);
         assert_eq!(rec.frames[0].hop.to, NodeId(2));
         assert_eq!(rec.frames[1].hop.to, NodeId(3), "rack 1's aggregator");
+        assert_eq!(burning(&sim, 0), (Some(at + poll_cost(build(), at)), 1));
     }
 
     #[test]
     fn uplink_tail_drop_emits_nothing_and_chokes_the_stream() {
         let mut cfg = ClusterConfig::new(3);
         cfg.link = LinkSpec::fast_ethernet().with_queue(1, u64::MAX);
+        let at = SimTime::from_secs(1);
+        let cost = poll_cost(ClusterSim::new(cfg.clone()), at);
         let mut sim = ClusterSim::new(cfg);
         // Both subscribers' frames leave at the same instant: the first
         // fills the one-message uplink queue, the second is tail-dropped.
         let rec = first_poll(&mut sim);
-        assert_eq!(rec.log, [Out::SvcDone, Out::Wire(EventKind::Monitoring)]);
+        assert_eq!(rec.log, [Out::Wire(EventKind::Monitoring)]);
+        assert_eq!(burning(&sim, 0), (Some(at + cost), 1));
         let sent_to = rec.frames[0].hop.to;
         let dropped_to = NodeId(3 - sent_to.0);
         let dmon = &sim.world().dmons[0];

@@ -111,7 +111,6 @@ impl ShardWorld for PShard {
         let sink = &mut ShardSink { out, fault };
         match ev {
             ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, sink),
-            ClusterEvent::SvcDone { .. } => node.svc_drain(now, sink),
             ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, sink),
             ClusterEvent::Fault { k } => sink.fx(Fx::Member(Member::FaultAction { k })),
         }

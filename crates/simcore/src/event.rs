@@ -15,22 +15,24 @@
 //! wheel pays amortised `O(1)`: eight levels of 64 slots cover 2^48 ns
 //! (~78 hours) ahead of the cursor at 1 ns resolution; an event lands in the
 //! level addressed by the highest bit in which its time differs from the
-//! cursor, and cascades one level down each time the cursor enters its slot.
+//! cursor. The earliest slot of the lowest occupied level always holds the
+//! earliest event, so a pop takes it from there, moves the cursor to its
+//! time and re-places only what shared that slot with it — there is no
+//! level-by-level cascade.
 //! Events beyond the horizon overflow into a `BTreeMap` ordered by
 //! `(time, seq)` and are pulled back into the wheel once the cursor gets
 //! close. Cancellation removes the entry from its slot in place — no
 //! tombstones, so [`Sim::pending`] is exact.
 //!
-//! Firing order is identical to the old heap: within a level-0 slot all
-//! entries share the same timestamp and the minimum sequence number fires
-//! first, and any entry at a lower level strictly precedes every entry at a
-//! higher level or in the overflow map.
+//! Firing order is identical to the old heap: within a slot the least
+//! `(time, seq)` fires first, and any entry at a lower level strictly
+//! precedes every entry at a higher level or in the overflow map.
 //!
 //! # The payload slab
 //!
-//! A delivery a few hundred microseconds ahead lands on level 3 and is
-//! re-placed three times on its way down to level 0, so whatever a slot
-//! entry holds is moved four times per event. Slot entries therefore hold
+//! An entry moves each time an earlier event is popped from the slot it
+//! sits in (a delivery a few hundred microseconds ahead lands on level 3
+//! among its senders' other frames). Slot entries therefore hold
 //! only `(time, seq, index)` — 24 bytes — and the payloads (152 bytes for a
 //! cluster event) stay put in a per-wheel slab with a free list: `insert`
 //! puts one, a pop or a cancel takes it, and the slab is as long as the
@@ -40,8 +42,8 @@
 //! # The typed message lane
 //!
 //! Boxed closures are flexible but cost one heap allocation per scheduled
-//! event — ruinous on the hot path, where three event kinds (poll tick,
-//! service completion, delivery) account for nearly every firing. The
+//! event — ruinous on the hot path, where two event kinds (poll tick,
+//! delivery) account for nearly every firing. The
 //! second type parameter `Sim<W, M>` opens an allocation-free lane: plain
 //! `M` values live in their own wheel, share the single sequence counter
 //! with the closure wheel (so the two lanes interleave in exactly the
@@ -110,11 +112,23 @@ fn level_of(cur: u64, at: u64) -> usize {
 
 /// What a wheel slot holds per pending event: its key and the index of
 /// its payload in [`Wheel::slab`]. 24 bytes whatever `T` is — an entry is
-/// moved once per level it cascades through, its payload never.
+/// moved when a slot-mate is popped before it, its payload never.
 struct Entry {
     at: u64,
     seq: u64,
     idx: u32,
+}
+
+/// Index of the `(at, seq)`-least entry of a non-empty slot.
+#[inline]
+fn least(slot: &[Entry]) -> usize {
+    let mut k = 0;
+    for (j, e) in slot.iter().enumerate().skip(1) {
+        if (e.at, e.seq) < (slot[k].at, slot[k].seq) {
+            k = j;
+        }
+    }
+    k
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
@@ -126,7 +140,9 @@ struct Entry {
 /// - an entry physically stored at level `l`, slot `i` has all time digits
 ///   above level `l` equal to the cursor's and digit `l` equal to `i`
 ///   (strictly greater than the cursor's digit for `l >= 1`), because the
-///   cursor can only advance past a slot's window by cascading that slot.
+///   cursor only ever moves to the time of the entry being popped — the
+///   minimum — and a pop from a level `>= 1` slot re-places that slot's
+///   other entries, the only ones whose digit `l` the cursor has reached.
 pub(crate) struct Wheel<T> {
     /// Cursor in nanoseconds: lower bound of every pending entry. Never
     /// ahead of `Sim::now` at public API boundaries.
@@ -144,12 +160,13 @@ pub(crate) struct Wheel<T> {
     overflow: BTreeMap<(u64, u64), T>,
     /// Exact number of pending events (wheel + overflow).
     len: usize,
-    /// Per-level free lists of drained slot buffers. A cascade empties
-    /// its slot for a whole wrap of that level, so the buffer goes here
+    /// Per-level free lists of drained slot buffers. A pop from a level
+    /// `>= 1` empties its slot for a whole wrap of that level, so the
+    /// buffer goes here
     /// and the next slot of the *same level* to receive an entry takes it
     /// over: a periodic workload circulates one set of buffers per level
     /// instead of stranding a peak-sized buffer in every slot the cursor
-    /// ever visited (or re-allocating each cascaded slot). Per level
+    /// ever visited (or re-allocating each emptied slot). Per level
     /// because slot populations differ by level — a shared list would
     /// hand a level-5 buffer sized for every pending timer to a level-4
     /// slot holding a sixty-fourth of them.
@@ -157,6 +174,9 @@ pub(crate) struct Wheel<T> {
     /// Slot-buffer growths (each one allocator call), for the tests.
     #[cfg(test)]
     grows: u64,
+    /// Calls of [`Wheel::place`], for the tests.
+    #[cfg(test)]
+    places: u64,
 }
 
 impl<T> Wheel<T> {
@@ -172,6 +192,8 @@ impl<T> Wheel<T> {
             pool: std::array::from_fn(|_| Vec::new()),
             #[cfg(test)]
             grows: 0,
+            #[cfg(test)]
+            places: 0,
         }
     }
 
@@ -191,6 +213,7 @@ impl<T> Wheel<T> {
         #[cfg(test)]
         {
             self.grows += u64::from(slot.len() == slot.capacity());
+            self.places += 1;
         }
         slot.push(e);
         self.occ[l] |= 1 << idx;
@@ -250,13 +273,8 @@ impl<T> Wheel<T> {
             }
             let i = m.trailing_zeros() as usize;
             let slot = &self.slots[l * SLOTS + i];
-            let mut best = (u64::MAX, u64::MAX);
-            for e in slot {
-                if (e.at, e.seq) < best {
-                    best = (e.at, e.seq);
-                }
-            }
-            return Some(best);
+            let e = &slot[least(slot)];
+            return Some((e.at, e.seq));
         }
         self.overflow.first_key_value().map(|(&k, _)| k)
     }
@@ -315,85 +333,71 @@ impl<T> Wheel<T> {
         false
     }
 
-    /// Pop the earliest `(at, seq)` event if its time is `<= bound`,
-    /// cascading higher-level slots and draining the overflow map as the
-    /// cursor advances. The cursor never advances past `bound`.
+    /// Pop the earliest `(at, seq)` event if its time is `<= bound`;
+    /// otherwise nothing moves. The earliest slot of the lowest occupied
+    /// level holds the global minimum (see [`Wheel::next_key`]), whatever
+    /// that level is: the minimum is taken from there directly and the
+    /// cursor moves to its time. On a level `>= 1` the slot's other
+    /// entries are then re-placed relative to the new cursor, which keeps
+    /// the slot invariant: the cursor's digits above the level are
+    /// unchanged and its digit *at* the level is now the slot's own, so
+    /// the slot-mates differ from it only below the level and land there
+    /// (the lower levels were empty), while every other resident still
+    /// stores a greater digit at its own level. An event is thus placed
+    /// once when it is scheduled and once more only for each time an
+    /// earlier slot-mate is popped from a slot it shares — not once per
+    /// level between its slot and level 0.
     pub(crate) fn pop_min_if(&mut self, bound: u64) -> Option<(u64, u64, T)> {
         loop {
-            let mut cascaded = false;
-            for l in 0..LEVELS {
-                let m = self.occ[l];
-                if m == 0 {
-                    continue;
-                }
-                let i = m.trailing_zeros() as usize;
-                if l == 0 {
-                    // Level-0 slots are exact timestamps: prefix from the
-                    // cursor, low six bits from the slot index.
-                    let at = (self.cur & !(SLOTS as u64 - 1)) | i as u64;
-                    debug_assert!(at >= self.cur, "level-0 entry behind cursor");
-                    if at > bound {
-                        return None;
-                    }
-                    let slot = &mut self.slots[i];
-                    let mut k = 0;
-                    for (j, e) in slot.iter().enumerate().skip(1) {
-                        if e.seq < slot[k].seq {
-                            k = j;
-                        }
-                    }
-                    let e = slot.swap_remove(k);
-                    if slot.is_empty() {
-                        self.occ[0] &= !(1u64 << i);
-                    }
-                    debug_assert_eq!(e.at, at, "slot held a mis-addressed entry");
-                    self.cur = at;
-                    self.len -= 1;
-                    return Some((e.at, e.seq, self.take(e.idx)));
-                }
-                // Lowest occupied level is >= 1: cascade its earliest slot
-                // down. Everything in it re-lands at a lower level relative
-                // to the advanced cursor.
-                let shift = LEVEL_BITS * l as u32;
-                let above = shift + LEVEL_BITS;
-                let slot_start = (self.cur >> above << above) | ((i as u64) << shift);
-                if slot_start > bound {
+            let Some(l) = self.occ.iter().position(|&m| m != 0) else {
+                // The wheel is empty; jump the cursor to the overflow
+                // horizon if it is within the bound and pull near entries
+                // back in.
+                let (&(at, _), _) = self.overflow.first_key_value()?;
+                if at > bound {
                     return None;
                 }
-                debug_assert!(slot_start >= self.cur, "cascade would rewind cursor");
-                self.cur = slot_start;
+                self.cur = at;
+                while let Some((&(a, s), _)) = self.overflow.first_key_value() {
+                    if level_of(self.cur, a) >= LEVELS {
+                        break;
+                    }
+                    let f = self
+                        .overflow
+                        .remove(&(a, s))
+                        .expect("peeked overflow entry");
+                    self.put(a, s, f);
+                }
+                continue;
+            };
+            let i = self.occ[l].trailing_zeros() as usize;
+            let slot = &mut self.slots[l * SLOTS + i];
+            let k = least(slot);
+            if slot[k].at > bound {
+                return None;
+            }
+            let e = slot.swap_remove(k);
+            debug_assert!(e.at >= self.cur, "popped entry behind cursor");
+            self.cur = e.at;
+            self.len -= 1;
+            if l == 0 {
+                // Level-0 slot-mates share the popped entry's timestamp:
+                // they are where the new cursor wants them.
+                if slot.is_empty() {
+                    self.occ[0] &= !(1u64 << i);
+                }
+            } else {
                 // The slot stays empty until this level wraps: hand its
                 // buffer to the level's free list for the next slot that
                 // fills.
-                let mut v = std::mem::take(&mut self.slots[l * SLOTS + i]);
+                let mut v = std::mem::take(slot);
                 self.occ[l] &= !(1u64 << i);
                 for e in v.drain(..) {
                     self.place(e);
                 }
                 self.pool[l].push(v);
-                cascaded = true;
-                break;
             }
-            if cascaded {
-                continue;
-            }
-            // The wheel is empty; jump the cursor to the overflow horizon if
-            // it is within the bound and pull near entries back in.
-            let (&(at, _), _) = self.overflow.first_key_value()?;
-            if at > bound {
-                return None;
-            }
-            self.cur = at;
-            while let Some((&(a, s), _)) = self.overflow.first_key_value() {
-                if level_of(self.cur, a) >= LEVELS {
-                    break;
-                }
-                let f = self
-                    .overflow
-                    .remove(&(a, s))
-                    .expect("peeked overflow entry");
-                self.put(a, s, f);
-            }
+            return Some((e.at, e.seq, self.take(e.idx)));
         }
     }
 }
@@ -882,8 +886,8 @@ mod tests {
 
     #[test]
     fn cascaded_slots_recycle_their_buffers() {
-        // Drive the cursor through enough cascades that drained buffers
-        // pass through the per-level free lists into other slots, and
+        // Drive the cursor through enough level >= 1 pops that drained
+        // buffers pass through the per-level free lists into other slots, and
         // check ordering survives (correctness is what the invariants
         // guarantee; the capacity claim has its own test below).
         let mut w: Wheel<u64> = Wheel::new();
@@ -955,6 +959,79 @@ mod tests {
         // of ~17 entries (32 after doubling), a handful below.
         let retained = w.retained_capacity() as u64;
         assert!(retained <= 5 * TIMERS, "retained {retained} entries");
+    }
+
+    #[test]
+    fn a_delivery_is_placed_at_most_twice() {
+        // The shape of a 16-node star: polls 1 s apart per node and 1 ms
+        // apart between nodes, each sending a frame to every peer that
+        // arrives some 250 us later, 10 us after the previous one. A frame
+        // lands on level 3 beside its poll's other frames; the first of
+        // them to go moves the rest down once and every later pop finds
+        // its minimum where it lies. (Moving each entry down one level at
+        // a time placed every frame four times.)
+        const NODES: u64 = 16;
+        const POLL: u64 = u64::MAX;
+        let mut w: Wheel<u64> = Wheel::new();
+        let mut seq = 0;
+        let mut insert = |w: &mut Wheel<u64>, at: u64, what: u64| {
+            w.insert(at, seq, what);
+            seq += 1;
+        };
+        for i in 0..NODES {
+            insert(&mut w, 1_000_000_000 + i * 1_000_000, POLL);
+        }
+        let mut fired = 0u64;
+        while let Some((at, _, what)) = w.pop_min_if(60_000_000_000) {
+            fired += 1;
+            if what == POLL {
+                for j in 0..NODES - 1 {
+                    insert(&mut w, at + 250_000 + j * 10_000, j);
+                }
+                insert(&mut w, at + 1_000_000_000, POLL);
+            }
+        }
+        assert!(fired > 14_000, "a minute of polls and frames: {fired}");
+        assert!(
+            w.places <= 2 * fired,
+            "{} placements for {fired} events",
+            w.places
+        );
+    }
+
+    #[test]
+    fn slot_mates_of_a_direct_pop_are_found_where_they_landed() {
+        // Three entries share one level-3 slot. Popping the first moves
+        // the cursor into the slot and the other two down a level or
+        // more: `rekey` and `cancel` must address them from there.
+        let base = 5u64 << 18;
+        let mut w: Wheel<&'static str> = Wheel::new();
+        w.insert(base + 9_000, 0, "first");
+        w.insert(base + 9_000, 7, "same time");
+        w.insert(base + 70_000, 1, "later");
+        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("first"));
+        assert_eq!(w.cur, base + 9_000);
+        assert!(w.rekey(base + 9_000, 7, 3));
+        assert!(!w.rekey(base + 9_000, 7, 4), "old key is gone");
+        assert!(w.cancel(base + 70_000, 1));
+        assert_eq!(w.next_key(), Some((base + 9_000, 3)));
+        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("same time"));
+        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), None);
+        assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn a_bound_inside_the_earliest_slot_moves_nothing() {
+        let base = 5u64 << 18;
+        let mut w: Wheel<u8> = Wheel::new();
+        w.insert(base + 9_000, 0, 0);
+        let places = w.places;
+        assert!(w.pop_min_if(base + 8_999).is_none());
+        assert_eq!((w.cur, w.places), (0, places));
+        // An earlier event may still arrive behind the bound.
+        w.insert(base + 100, 1, 1);
+        assert_eq!(w.pop_min_if(base + 9_000).map(|e| e.2), Some(1));
+        assert_eq!(w.pop_min_if(base + 9_000).map(|e| e.2), Some(0));
     }
 
     #[test]

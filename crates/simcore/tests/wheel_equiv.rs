@@ -265,3 +265,52 @@ fn run_for_steps_match_single_run_until() {
     assert_eq!(w_stepped, w_one);
     assert_eq!(stepped.now(), one_shot.now());
 }
+
+/// The pop takes the minimum from whatever level it lies on and re-places
+/// only its slot-mates. The shapes that path adds, each against the
+/// reference: a bound that falls between a slot's start and its minimum
+/// (nothing may move, and an earlier event may still be scheduled behind
+/// it), several entries with one timestamp sharing a level-3 slot with
+/// others, and cancelling a slot-mate right after the minimum was taken
+/// from beside it. (`rekey` is not reachable through `Sim`; its twin of
+/// the last shape is a unit test in `event.rs`.)
+#[test]
+fn direct_pops_from_a_high_level_match_the_reference() {
+    let mut sim: Sim<World> = Sim::new();
+    let mut world: World = Vec::new();
+    let mut reference = RefSched::default();
+    let mut tag = 0u32;
+    let mut both = |sim: &mut Sim<World>, reference: &mut RefSched, at: u64| {
+        tag += 1;
+        (schedule_tag(sim, at, tag), reference.schedule_at(at, tag))
+    };
+    let run = |sim: &mut Sim<World>, world: &mut World, reference: &mut RefSched, until: u64| {
+        let n = sim.run_until(world, SimTime::from_nanos(until));
+        assert_eq!(n, reference.run_until(until));
+        assert_eq!(sim.now().as_nanos(), reference.now);
+        assert_eq!(*world, reference.log);
+    };
+
+    // Level 3, slot 5 (2^18 ns per slot); its minimum is 9 us in.
+    let slot = 5u64 << 18;
+    both(&mut sim, &mut reference, slot + 9_000);
+    let (mate, mate_ref) = both(&mut sim, &mut reference, slot + 70_000);
+    for _ in 0..3 {
+        both(&mut sim, &mut reference, slot + 40_000);
+    }
+    // The bound is past the slot's start but short of its minimum.
+    run(&mut sim, &mut world, &mut reference, slot + 8_000);
+    assert!(world.is_empty());
+    // Behind the bound, ahead of the old minimum: fires first.
+    both(&mut sim, &mut reference, slot + 8_500);
+    run(&mut sim, &mut world, &mut reference, slot + 9_000);
+    assert_eq!(world.len(), 2);
+    // The slot-mates were re-placed under the moved cursor: cancel one,
+    // and the three that share a timestamp fire in schedule order.
+    assert!(sim.cancel(mate));
+    assert!(reference.cancel(mate_ref));
+    both(&mut sim, &mut reference, slot + 40_000);
+    run(&mut sim, &mut world, &mut reference, u64::MAX);
+    assert_eq!(world.len(), 6);
+    assert_eq!(sim.pending(), 0);
+}

@@ -124,10 +124,17 @@ impl ConnTrack {
 
     /// Register a connection (no-op if already present).
     pub fn open(&mut self, id: ConnId, now: SimTime) {
-        if let Err(at) = self.order.binary_search(&id) {
+        self.entry(id, now);
+    }
+
+    /// The stats of `id`, which opens at `now` if it is not open yet: one
+    /// hash probe, and the sorted index is touched on first sight only.
+    fn entry(&mut self, id: ConnId, now: SimTime) -> &mut ConnStats {
+        self.conns.entry(id).or_insert_with(|| {
+            let (Ok(at) | Err(at)) = self.order.binary_search(&id);
             self.order.insert(at, id);
-            self.conns.insert(id, ConnStats::new(now));
-        }
+            ConnStats::new(now)
+        })
     }
 
     /// Remove a connection; returns its final stats if it existed.
@@ -138,14 +145,12 @@ impl ConnTrack {
         self.conns.remove(&id)
     }
 
-    /// Record a delivered message: `one_way` is its end-to-end delay,
-    /// `bytes` its payload size. RTT is sampled as twice the one-way delay
-    /// (symmetric paths in the star topology).
+    /// Record a delivered message on `id`, opening it if this is the first
+    /// the host sees of it: `one_way` is its end-to-end delay, `bytes` its
+    /// payload size. RTT is sampled as twice the one-way delay (symmetric
+    /// paths in the star topology).
     pub fn record_delivery(&mut self, id: ConnId, now: SimTime, bytes: u64, one_way: SimDur) {
-        let stats = self
-            .conns
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("record on unopened connection {id:?}"));
+        let stats = self.entry(id, now);
         stats.messages += 1;
         stats.bytes_total += bytes;
         stats.bw_window.record(now, bytes);
@@ -296,10 +301,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unopened connection")]
-    fn delivery_on_unknown_conn_panics() {
+    fn delivery_on_unknown_conn_opens_it() {
         let mut ct = ConnTrack::new();
-        ct.record_delivery(cid(3), SimTime::ZERO, 1, SimDur::ZERO);
+        ct.open(cid(5), SimTime::ZERO);
+        let at = SimTime::from_millis(7);
+        ct.record_delivery(cid(3), at, 1, SimDur::ZERO);
+        let s = ct.get(cid(3)).expect("opened by its first delivery");
+        assert_eq!((s.messages(), s.opened_at()), (1, at));
+        let tags: Vec<u32> = ct.iter().map(|(id, _)| id.tag).collect();
+        assert_eq!(tags, vec![3, 5], "and indexed in id order");
     }
 
     #[test]

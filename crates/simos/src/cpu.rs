@@ -10,9 +10,36 @@
 //!   from accumulated work over wall time;
 //! * **service** tasks model kernel work (d-mon polling, event handling,
 //!   stream processing): normally sleeping, woken to burn a caller-
-//!   specified amount of CPU time. The caller asks how long the burn will
-//!   take at the current share ([`CpuSched::service_cost`]) and schedules
-//!   the completion itself.
+//!   specified amount of CPU time ([`CpuSched::charge`]).
+//!
+//! # Timed burns
+//!
+//! A service task is a serial server: charges queue and are burnt one at a
+//! time, the task staying runnable from the first to the end of the last.
+//! The scheduler itself computes when each burn ends — the burn's CPU time
+//! over the share in force when it *starts*; later load changes are not
+//! applied retroactively — and stores that time. Nothing is scheduled for
+//! it. Instead every entry point that takes `now` first completes the burns
+//! that are due, in time order and each at its own timestamp: it
+//! integrates work up to the burn's end, then either starts the task's
+//! next queued burn there (at the share in force there) or puts the task
+//! to sleep there. The run-queue history, the work counters and the
+//! completion times are therefore what a caller firing one completion
+//! event per burn would have produced, whenever the scheduler happens to be
+//! looked at.
+//!
+//! **The tie rule.** A burn that ends at `t` is still running for a caller
+//! *at* `t`: entry points complete burns that end strictly before `now`. A
+//! poll at `t` counts the service thread in its run queue, a charge at `t`
+//! queues behind the burn, a queue drop at `t` drops what is behind it.
+//! [`CpuSched::settle_through`] is the one inclusive entry: whoever stops
+//! the clock at `t` (the end of an event loop run) calls it so that
+//! everything due by `t` has happened before anyone outside looks.
+//!
+//! The `&self` readers ([`CpuSched::loadavg`], [`CpuSched::runnable`],
+//! [`CpuSched::share`], the work counters) cannot complete anything: call
+//! [`CpuSched::advance`] at the time of the read first, as every caller in
+//! the tree does.
 //!
 //! The scheduler maintains a run-queue length history so dproc's CPU_MON
 //! can compute load averages over arbitrary, application-chosen windows —
@@ -50,6 +77,24 @@ struct Task {
     /// Accumulated CPU work, in flops for compute / cpu-seconds for service.
     work_done: f64,
     alive: bool,
+    /// Charged burns not yet started, in arrival order.
+    burns: VecDeque<SimDur>,
+    /// When the burn in service ends; `SimTime::MAX` while there is none.
+    burn_end: SimTime,
+}
+
+impl Task {
+    fn new(name: String, kind: Kind, state: TaskState) -> Self {
+        Task {
+            name,
+            kind,
+            state,
+            work_done: 0.0,
+            alive: true,
+            burns: VecDeque::new(),
+            burn_end: SimTime::MAX,
+        }
+    }
 }
 
 /// The longest window any load-average query may use.
@@ -74,6 +119,9 @@ pub struct CpuSched {
     runnable: u32,
     /// Lifetime busy cpu-seconds (all CPUs), for utilization accounting.
     busy_cpu_seconds: f64,
+    /// The earliest `burn_end` of any task (`SimTime::MAX`: no burn in
+    /// service) — what every entry point compares `now` with.
+    next_burn_end: SimTime,
 }
 
 impl CpuSched {
@@ -91,6 +139,7 @@ impl CpuSched {
             rq_history,
             runnable: 0,
             busy_cpu_seconds: 0.0,
+            next_burn_end: SimTime::MAX,
         }
     }
 
@@ -107,13 +156,8 @@ impl CpuSched {
     /// Spawn an always-runnable compute task (e.g. one linpack thread).
     pub fn spawn_compute(&mut self, now: SimTime, name: impl Into<String>) -> TaskId {
         self.advance(now);
-        self.tasks.push(Task {
-            name: name.into(),
-            kind: Kind::Compute,
-            state: TaskState::Runnable,
-            work_done: 0.0,
-            alive: true,
-        });
+        let task = Task::new(name.into(), Kind::Compute, TaskState::Runnable);
+        self.tasks.push(task);
         self.runnable += 1;
         self.record_runnable(now);
         TaskId(self.tasks.len() - 1)
@@ -122,17 +166,13 @@ impl CpuSched {
     /// Spawn a service task, initially sleeping.
     pub fn spawn_service(&mut self, now: SimTime, name: impl Into<String>) -> TaskId {
         self.advance(now);
-        self.tasks.push(Task {
-            name: name.into(),
-            kind: Kind::Service,
-            state: TaskState::Sleeping,
-            work_done: 0.0,
-            alive: true,
-        });
+        let task = Task::new(name.into(), Kind::Service, TaskState::Sleeping);
+        self.tasks.push(task);
         TaskId(self.tasks.len() - 1)
     }
 
-    /// Kill a task (removes it from the run queue; its counters freeze).
+    /// Kill a task (removes it from the run queue; its counters freeze,
+    /// its burns are dropped).
     pub fn kill(&mut self, now: SimTime, id: TaskId) {
         self.advance(now);
         let t = &mut self.tasks[id.0];
@@ -142,6 +182,9 @@ impl CpuSched {
         let was_runnable = t.state == TaskState::Runnable;
         t.alive = false;
         t.state = TaskState::Sleeping;
+        t.burns.clear();
+        t.burn_end = SimTime::MAX;
+        self.next_burn_end = self.earliest_burn_end();
         if was_runnable {
             self.runnable -= 1;
             self.record_runnable(now);
@@ -151,6 +194,11 @@ impl CpuSched {
     /// Change a task's state; updates the run-queue history.
     pub fn set_state(&mut self, now: SimTime, id: TaskId, state: TaskState) {
         self.advance(now);
+        self.transition(now, id, state);
+    }
+
+    /// `set_state` on a scheduler already integrated up to `now`.
+    fn transition(&mut self, now: SimTime, id: TaskId, state: TaskState) {
         let t = &mut self.tasks[id.0];
         assert!(t.alive, "set_state on dead task {}", t.name);
         if t.state == state {
@@ -207,13 +255,15 @@ impl CpuSched {
         (self.n_cpus as f64 / self.runnable as f64).min(1.0)
     }
 
-    /// Share a task *would* get if one more task became runnable.
-    pub fn share_with_extra(&self) -> f64 {
-        (self.n_cpus as f64 / (self.runnable + 1) as f64).min(1.0)
+    /// Bring the scheduler to `now`: complete the burns that ended before
+    /// it, then accrue work to the runnable tasks up to it.
+    pub fn advance(&mut self, now: SimTime) {
+        self.settle_before(now);
+        self.integrate(now);
     }
 
-    /// Accrue work to runnable tasks since the last advance.
-    pub fn advance(&mut self, now: SimTime) {
+    /// Accrue work to runnable tasks since the last integration.
+    fn integrate(&mut self, now: SimTime) {
         let dt = now.since(self.last_advance).as_secs_f64();
         if dt <= 0.0 {
             self.last_advance = self.last_advance.max(now);
@@ -235,11 +285,86 @@ impl CpuSched {
         self.last_advance = now;
     }
 
-    /// Wall-clock duration a burn of `cpu_seconds` will take for a service
-    /// task that is about to become runnable, at current load.
-    pub fn service_cost(&self, cpu_seconds: f64) -> SimDur {
-        assert!(cpu_seconds >= 0.0, "negative cpu cost");
-        SimDur::from_secs_f64(cpu_seconds / self.share_with_extra())
+    /// Charge `cost` of CPU time to service task `id`. An idle task wakes
+    /// at `now` and burns it at the share in force once it is runnable; a
+    /// task already burning queues it behind what it has. A zero cost is
+    /// no charge at all.
+    pub fn charge(&mut self, now: SimTime, id: TaskId, cost: SimDur) {
+        if cost.is_zero() {
+            return;
+        }
+        self.settle_before(now);
+        let t = &mut self.tasks[id.0];
+        debug_assert!(
+            t.alive && t.kind == Kind::Service,
+            "burns are for live service tasks"
+        );
+        if t.burn_end != SimTime::MAX {
+            t.burns.push_back(cost);
+            return;
+        }
+        self.integrate(now);
+        self.transition(now, id, TaskState::Runnable);
+        self.start_burn(now, id, cost);
+    }
+
+    /// Drop the burns `id` has queued behind the one in service, which
+    /// runs on. The scheduler must be settled to the time of the call
+    /// ([`CpuSched::settle_before`]), or burns that should have started
+    /// by then are dropped with the rest.
+    pub fn drop_queued(&mut self, id: TaskId) {
+        self.tasks[id.0].burns.clear();
+    }
+
+    /// When the burn `id` has in service ends; `None` while it has none.
+    pub fn burn_end(&self, id: TaskId) -> Option<SimTime> {
+        let end = self.tasks[id.0].burn_end;
+        (end != SimTime::MAX).then_some(end)
+    }
+
+    /// Complete the burns that end strictly before `now` (the tie rule of
+    /// the module doc). No work is accrued past the last completion.
+    #[inline]
+    pub fn settle_before(&mut self, now: SimTime) {
+        while self.next_burn_end < now {
+            self.complete_next_burn();
+        }
+    }
+
+    /// Complete the burns that end at or before `t`: for whoever stops
+    /// the clock at `t` and lets others look.
+    #[inline]
+    pub fn settle_through(&mut self, t: SimTime) {
+        while self.next_burn_end <= t {
+            self.complete_next_burn();
+        }
+    }
+
+    /// Task `id`, runnable since `now` or before, starts burning `cost`.
+    fn start_burn(&mut self, now: SimTime, id: TaskId, cost: SimDur) {
+        let end = now + SimDur::from_secs_f64(cost.as_secs_f64() / self.share());
+        self.tasks[id.0].burn_end = end;
+        self.next_burn_end = self.next_burn_end.min(end);
+    }
+
+    /// The earliest burn in service ends: at that instant its task starts
+    /// on its next charge, or goes back to sleep when it has none.
+    fn complete_next_burn(&mut self) {
+        let at = self.next_burn_end;
+        let i = self.tasks.iter().position(|t| t.burn_end == at);
+        let id = TaskId(i.expect("a burn in service ends at next_burn_end"));
+        self.integrate(at);
+        self.tasks[id.0].burn_end = SimTime::MAX;
+        self.next_burn_end = self.earliest_burn_end();
+        match self.tasks[id.0].burns.pop_front() {
+            Some(cost) => self.start_burn(at, id, cost),
+            None => self.transition(at, id, TaskState::Sleeping),
+        }
+    }
+
+    fn earliest_burn_end(&self) -> SimTime {
+        let ends = self.tasks.iter().map(|t| t.burn_end);
+        ends.min().unwrap_or(SimTime::MAX)
     }
 
     /// Current run-queue length.
@@ -402,18 +527,248 @@ mod tests {
     }
 
     #[test]
-    fn service_cost_scales_with_load() {
-        let mut s = sched();
+    fn burn_time_scales_with_load() {
+        /// When 10 ms of CPU charged at time zero are burnt.
+        fn ten_ms_done(s: &mut CpuSched) -> Option<SimTime> {
+            let svc = s.spawn_service(SimTime::ZERO, "dmon");
+            s.charge(SimTime::ZERO, svc, SimDur::from_millis(10));
+            s.burn_end(svc)
+        }
         // Idle machine: 10ms of CPU takes 10ms.
-        assert_eq!(s.service_cost(0.010), SimDur::from_millis(10));
+        assert_eq!(ten_ms_done(&mut sched()), Some(SimTime::from_millis(10)));
         // One linpack thread: the service task will share 50/50.
+        let mut s = sched();
         s.spawn_compute(SimTime::ZERO, "linpack");
-        assert_eq!(s.service_cost(0.010), SimDur::from_millis(20));
+        assert_eq!(ten_ms_done(&mut s), Some(SimTime::from_millis(20)));
         // Three more: share is 1/5.
-        for i in 0..3 {
+        let mut s = sched();
+        for i in 0..4 {
             s.spawn_compute(SimTime::ZERO, format!("l{i}"));
         }
-        assert_eq!(s.service_cost(0.010), SimDur::from_millis(50));
+        assert_eq!(ten_ms_done(&mut s), Some(SimTime::from_millis(50)));
+    }
+
+    #[test]
+    fn charges_burn_one_after_the_other() {
+        let ms = SimTime::from_millis;
+        let mut s = sched();
+        let c = s.spawn_compute(SimTime::ZERO, "linpack");
+        let svc = s.spawn_service(SimTime::ZERO, "dmon");
+        s.charge(ms(100), svc, SimDur::from_millis(10));
+        s.charge(ms(105), svc, SimDur::from_millis(5));
+        s.charge(ms(106), svc, SimDur::ZERO);
+        assert_eq!(s.burn_end(svc), Some(ms(120)), "the second waits");
+        // The linpack thread leaves mid-burn: the burn in service keeps
+        // the end it was given, the next one starts at the new share.
+        s.set_state(ms(110), c, TaskState::Sleeping);
+        s.advance(ms(121));
+        assert_eq!(s.burn_end(svc), Some(ms(125)));
+        s.advance(ms(200));
+        assert_eq!((s.burn_end(svc), s.runnable()), (None, 0));
+        let history: Vec<_> = s.rq_history.iter().copied().collect();
+        let want = [(0, 1), (100, 2), (110, 1), (125, 0)];
+        assert_eq!(history, want.map(|(t, l)| (ms(t), l)));
+        // 10 ms at half a CPU, 10 ms at a whole one, 5 ms at a whole one.
+        assert!((s.work_done(ms(200), svc) - 0.020).abs() < 1e-12);
+    }
+
+    /// The tie rule, poll case: an entry point at the instant a burn ends
+    /// still sees it running; stopping the clock there ends it.
+    #[test]
+    fn a_burn_ending_now_is_still_running_for_a_reader_at_now() {
+        let t = SimTime::from_millis(10);
+        let mut s = sched();
+        let svc = s.spawn_service(SimTime::ZERO, "dmon");
+        s.charge(SimTime::ZERO, svc, SimDur::from_millis(10));
+        s.advance(t);
+        assert_eq!((s.runnable(), s.burn_end(svc)), (1, Some(t)));
+        s.settle_through(t);
+        assert_eq!((s.runnable(), s.burn_end(svc)), (0, None));
+        assert_eq!(s.rq_history.back(), Some(&(t, 0)));
+    }
+
+    /// The tie rule, delivery case: a charge at the instant a burn ends
+    /// queues behind it, so the task never leaves the run queue — no pair
+    /// of zero-length history entries at the seam.
+    #[test]
+    fn a_charge_at_the_end_of_a_burn_queues_behind_it() {
+        let ms = SimTime::from_millis;
+        let mut s = sched();
+        let svc = s.spawn_service(SimTime::ZERO, "dmon");
+        s.charge(ms(1), svc, SimDur::from_millis(10));
+        s.charge(ms(11), svc, SimDur::from_millis(5));
+        assert_eq!(s.burn_end(svc), Some(ms(11)), "not yet started");
+        s.settle_through(ms(11));
+        assert_eq!(s.burn_end(svc), Some(ms(16)));
+        s.settle_through(ms(16));
+        let history: Vec<_> = s.rq_history.iter().copied().collect();
+        assert_eq!(history, [(ms(0), 0), (ms(1), 1), (ms(16), 0)]);
+    }
+
+    /// The tie rule, crash case: a queue drop at the instant a burn ends
+    /// takes the charge behind it; a nanosecond later that charge has
+    /// started and runs out.
+    #[test]
+    fn a_queue_drop_at_the_end_of_a_burn_drops_what_is_behind_it() {
+        let t = SimTime::from_millis(10);
+        let run = |crash_at: SimTime| {
+            let mut s = sched();
+            let svc = s.spawn_service(SimTime::ZERO, "dmon");
+            s.charge(SimTime::ZERO, svc, SimDur::from_millis(10));
+            s.charge(SimTime::from_millis(5), svc, SimDur::from_millis(5));
+            s.settle_before(crash_at);
+            s.drop_queued(svc);
+            s.advance(SimTime::from_secs(1));
+            assert_eq!(s.runnable(), 0);
+            s.rq_history.back().map(|&(t, _)| t)
+        };
+        assert_eq!(run(t), Some(t));
+        assert_eq!(
+            run(t + SimDur::from_nanos(1)),
+            Some(SimTime::from_millis(15))
+        );
+    }
+
+    /// The drive `charge` replaced, kept as the reference the burn queue
+    /// must agree with: the caller queues the charges itself, wakes the
+    /// task, computes `cost / share` and arranges to be called back then.
+    struct CallerDriven {
+        cpu: CpuSched,
+        svc: TaskId,
+        pending: VecDeque<SimDur>,
+        busy: bool,
+        /// The callback it has scheduled (`SimTime::MAX`: none).
+        done_at: SimTime,
+    }
+
+    impl CallerDriven {
+        fn charge(&mut self, now: SimTime, cost: SimDur) {
+            if cost.is_zero() {
+                return;
+            }
+            self.pending.push_back(cost);
+            if !self.busy {
+                self.drain(now);
+            }
+        }
+
+        fn drain(&mut self, now: SimTime) {
+            let Some(cost) = self.pending.pop_front() else {
+                if self.busy {
+                    self.busy = false;
+                    self.cpu.set_state(now, self.svc, TaskState::Sleeping);
+                }
+                return;
+            };
+            self.cpu.advance(now);
+            if !self.busy {
+                self.busy = true;
+                self.cpu.set_state(now, self.svc, TaskState::Runnable);
+            }
+            let wall = SimDur::from_secs_f64(cost.as_secs_f64() / self.cpu.share());
+            self.done_at = now + wall;
+        }
+
+        /// Run the callbacks due before `now` — or, `through`, at it.
+        fn run_callbacks(&mut self, now: SimTime, through: bool) {
+            while self.done_at < now || (through && self.done_at == now) {
+                let at = std::mem::replace(&mut self.done_at, SimTime::MAX);
+                self.drain(at);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        /// Run-queue history, work counters, load averages and completion
+        /// times come out bit for bit as under the caller-driven reference,
+        /// on any interleaving of charges (zero ones, ones landing mid-burn
+        /// or on the very end of one), compute tasks coming, going and
+        /// flipping state, reads and a queue drop. Times are whole
+        /// milliseconds so that ties do happen.
+        #[test]
+        fn burn_queue_matches_the_caller_driven_reference(
+            n_cpus in 1u32..3,
+            steps in proptest::collection::vec((0u64..4, 0u8..9, 0u64..7), 0..60),
+        ) {
+            let mut new = CpuSched::new(n_cpus, 1e6);
+            let svc = new.spawn_service(SimTime::ZERO, "dmon");
+            let mut old = CallerDriven {
+                cpu: CpuSched::new(n_cpus, 1e6),
+                svc,
+                pending: VecDeque::new(),
+                busy: false,
+                done_at: SimTime::MAX,
+            };
+            old.cpu.spawn_service(SimTime::ZERO, "dmon");
+            let mut computes: Vec<(TaskId, TaskState)> = Vec::new();
+            let mut t = 0;
+            for (dt, op, arg) in steps {
+                t += dt;
+                let now = SimTime::from_millis(t);
+                old.run_callbacks(now, false);
+                match op {
+                    0..=2 => {
+                        new.charge(now, svc, SimDur::from_millis(arg));
+                        old.charge(now, SimDur::from_millis(arg));
+                    }
+                    3 if !computes.is_empty() => {
+                        let k = arg as usize % computes.len();
+                        let (id, state) = &mut computes[k];
+                        *state = match *state {
+                            TaskState::Runnable => TaskState::Sleeping,
+                            TaskState::Sleeping => TaskState::Runnable,
+                        };
+                        new.set_state(now, *id, *state);
+                        old.cpu.set_state(now, *id, *state);
+                    }
+                    4 => {
+                        let id = new.spawn_compute(now, "hog");
+                        proptest::prop_assert_eq!(id, old.cpu.spawn_compute(now, "hog"));
+                        computes.push((id, TaskState::Runnable));
+                    }
+                    5 if !computes.is_empty() => {
+                        let (id, _) = computes.swap_remove(arg as usize % computes.len());
+                        new.kill(now, id);
+                        old.cpu.kill(now, id);
+                    }
+                    6 => {
+                        new.advance(now);
+                        old.cpu.advance(now);
+                        let window = SimDur::from_millis(arg + 1);
+                        proptest::prop_assert_eq!(
+                            new.loadavg(now, window).to_bits(),
+                            old.cpu.loadavg(now, window).to_bits()
+                        );
+                    }
+                    7 => {
+                        new.settle_before(now);
+                        new.drop_queued(svc);
+                        old.pending.clear();
+                    }
+                    _ => {
+                        new.advance(now);
+                        old.cpu.advance(now);
+                    }
+                }
+                new.settle_before(now);
+                let done_at = (old.done_at != SimTime::MAX).then_some(old.done_at);
+                proptest::prop_assert_eq!(new.burn_end(svc), done_at);
+                proptest::prop_assert_eq!(&new.rq_history, &old.cpu.rq_history);
+            }
+            let end = SimTime::from_millis(t + 100_000);
+            new.settle_through(end);
+            old.run_callbacks(end, true);
+            proptest::prop_assert_eq!(new.burn_end(svc), None);
+            proptest::prop_assert_eq!(&new.rq_history, &old.cpu.rq_history);
+            proptest::prop_assert_eq!(
+                new.busy_cpu_seconds.to_bits(),
+                old.cpu.busy_cpu_seconds.to_bits()
+            );
+            for (a, b) in new.tasks.iter().zip(&old.cpu.tasks) {
+                proptest::prop_assert_eq!(a.work_done.to_bits(), b.work_done.to_bits());
+            }
+        }
     }
 
     #[test]
