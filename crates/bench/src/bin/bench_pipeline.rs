@@ -109,7 +109,7 @@ fn measure_threaded(
     sim.run_until(SimTime::from_secs(warmup_s));
 
     let events_before = sim.world().mon_delivered;
-    let polls_before: u64 = sim.world().dmons.iter().map(|d| d.stats.iterations).sum();
+    let polls_before: u64 = sim.world().dmon_total(|s| s.iterations);
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
     sim.run_for(SimDur::from_secs(measure_s));
@@ -117,19 +117,8 @@ fn measure_threaded(
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
 
     let events = sim.world().mon_delivered - events_before;
-    let memo_bypassed: u64 = sim
-        .world()
-        .dmons
-        .iter()
-        .map(|d| d.stats.memo_bypassed)
-        .sum();
-    let polls: u64 = sim
-        .world()
-        .dmons
-        .iter()
-        .map(|d| d.stats.iterations)
-        .sum::<u64>()
-        - polls_before;
+    let memo_bypassed: u64 = sim.world().dmon_total(|s| s.memo_bypassed);
+    let polls: u64 = sim.world().dmon_total(|s| s.iterations) - polls_before;
     let wall_s = wall.as_secs_f64().max(1e-9);
     let shards = sim.shards();
     (
@@ -177,8 +166,8 @@ fn measure_overload() -> Overload {
     let w = sim.world();
     Overload {
         link_drops: w.net.link_drops(),
-        events_shed: w.dmons.iter().map(|d| d.stats.events_shed).sum(),
-        ladder_transitions: w.dmons.iter().map(|d| d.stats.ladder_transitions).sum(),
+        events_shed: w.dmon_total(|s| s.events_shed),
+        ladder_transitions: w.dmon_total(|s| s.ladder_transitions),
     }
 }
 
@@ -244,8 +233,8 @@ fn measure_filter_workload() -> FilterWorkload {
     sim.run_until(SimTime::from_secs(32));
     let w = sim.world();
     FilterWorkload {
-        filters_compiled: w.dmons.iter().map(|d| d.stats.filters_compiled).sum(),
-        interp_fallbacks: w.dmons.iter().map(|d| d.stats.interp_fallbacks).sum(),
+        filters_compiled: w.dmon_total(|s| s.filters_compiled),
+        interp_fallbacks: w.dmon_total(|s| s.interp_fallbacks),
         filter_events: w.mon_delivered - before,
     }
 }
@@ -291,9 +280,9 @@ fn measure_hier_digest() -> HierDigest {
         }
     }
     HierDigest {
-        digests_sent: w.dmons.iter().map(|d| d.stats.digests_sent).sum(),
-        digests_received: w.dmons.iter().map(|d| d.stats.digests_received).sum(),
-        digest_records: w.dmons.iter().map(|d| d.stats.digest_records).sum(),
+        digests_sent: w.dmon_total(|s| s.digests_sent),
+        digests_received: w.dmon_total(|s| s.digests_received),
+        digest_records: w.dmon_total(|s| s.digest_records),
         spine_drops: w.net.spine_drops(),
         staleness_p50_s: staleness.percentile(50.0),
         staleness_p95_s: staleness.percentile(95.0),
@@ -394,7 +383,7 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
         sim_secs,
         wall_ms: wall.as_secs_f64() * 1e3,
         events: w.mon_delivered,
-        digests_received: w.dmons.iter().map(|d| d.stats.digests_received).sum(),
+        digests_received: w.dmon_total(|s| s.digests_received),
         spine_drops: w.net.spine_drops(),
         staleness_p50_s: staleness.percentile(50.0),
         staleness_p95_s: staleness.percentile(95.0),

@@ -233,9 +233,9 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
     let w = sim.world();
     let drops = w.net.link_drops();
     let lost = w.fault.stats.events_lost;
-    let gaps: u64 = w.dmons.iter().map(|d| d.stats.gaps_detected).sum();
-    let shed: u64 = w.dmons.iter().map(|d| d.stats.events_shed).sum();
-    let transitions: u64 = w.dmons.iter().map(|d| d.stats.ladder_transitions).sum();
+    let gaps: u64 = w.dmon_total(|s| s.gaps_detected);
+    let shed: u64 = w.dmon_total(|s| s.events_shed);
+    let transitions: u64 = w.dmon_total(|s| s.ladder_transitions);
 
     // Exact gap accounting: every gap maps to a frame that was actually
     // destroyed — by a fault (crash/partition/loss) or a queue tail-drop.

@@ -352,7 +352,7 @@ impl Shell {
                     ClusterConfig::new(n)
                 } else {
                     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                    ClusterConfig::named(&refs)
+                    ClusterConfig::try_named(&refs).map_err(|e| e.to_string())?
                 };
                 if self.rack_size > 0 {
                     cfg = cfg.racks(self.rack_size);
@@ -580,9 +580,9 @@ impl Shell {
                             down.drops(),
                         ));
                     }
-                    let sent: u64 = w.dmons.iter().map(|d| d.stats.digests_sent).sum();
-                    let recv: u64 = w.dmons.iter().map(|d| d.stats.digests_received).sum();
-                    let records: u64 = w.dmons.iter().map(|d| d.stats.digest_records).sum();
+                    let sent: u64 = w.dmon_total(|s| s.digests_sent);
+                    let recv: u64 = w.dmon_total(|s| s.digests_received);
+                    let records: u64 = w.dmon_total(|s| s.digest_records);
                     out.push_str(&format!(
                         "digests: {sent} sent, {recv} received, {records} records"
                     ));
@@ -951,6 +951,28 @@ mod tests {
         // The control write installed a policy at etna.
         let sim = shell.sim.as_ref().unwrap();
         assert!(sim.world().dmons[2].policy_for(NodeId(0)).is_some());
+    }
+
+    #[test]
+    fn hostile_host_names_are_an_error_not_a_panic() {
+        let mut shell = Shell::new();
+        // `a/cpu` would put host 1's directory where host 0's cpu file is.
+        for (line, culprit) in [
+            ("cluster 2 a a/cpu", "a/cpu"),
+            ("cluster 2 alan status", "status"),
+            ("cluster 3 alan maui alan", "alan"),
+        ] {
+            let err = shell.exec(parse(line).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("{culprit:?}")), "{line}: {err}");
+            assert!(shell.sim.is_none(), "{line}: no cluster came up");
+        }
+        // The shell is still usable afterwards.
+        let up = shell
+            .exec(parse("cluster 2 a b").unwrap())
+            .unwrap()
+            .unwrap();
+        assert!(up.contains("a, b"), "{up}");
+        shell.exec(parse("run 5").unwrap()).unwrap();
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! stays single-threaded and deterministic.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use dproc::measure::iperf_probe_mbps;
 use kecho::{ControlMsg, ParamSpec};
 use simcore::parallel::{run_sweep, suggested_threads};
 use simcore::series::{Series, Table};
@@ -151,13 +150,13 @@ pub fn fig5_data() -> Table {
                 let mut sim = ClusterSim::new(ClusterConfig::new(2));
                 let now = sim.now();
                 let w = sim.world_mut();
-                return iperf_probe_mbps(w, now, NodeId(0), NodeId(1));
+                return w.iperf_probe_mbps(now, NodeId(0), NodeId(1));
             }
             let mut sim = micro_cluster(n, cfg, 0, false);
             sim.run_until(SimTime::ZERO + WARMUP);
             let now = sim.now();
             let w = sim.world_mut();
-            iperf_probe_mbps(w, now, NodeId(0), NodeId(1))
+            w.iperf_probe_mbps(now, NodeId(0), NodeId(1))
         });
         let mut s = Series::new(cfg.label());
         for (n, mbps) in points.iter().zip(results) {

@@ -19,7 +19,7 @@ use simos::workload::Linpack;
 use kecho::{ChannelId, Directory, Event, Hop, Topology};
 
 use crate::calib::Calib;
-use crate::dmon::DMon;
+use crate::dmon::{DMon, DmonStats};
 use crate::modules::standard_modules;
 use crate::node::{view_of, Cols, Fx, Member, Node, NodeSet, NodeSvc, Nodes, Sink, View};
 use crate::pcluster::ParallelDriver;
@@ -27,8 +27,10 @@ use crate::pcluster::ParallelDriver;
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Node hostnames; length = cluster size.
-    pub names: Vec<String>,
+    /// Node hostnames; length = cluster size. Private: every name is a
+    /// usable, distinct `/proc/cluster/<name>/` directory (checked by
+    /// [`ClusterConfig::try_named`]), which d-mon relies on.
+    names: Vec<String>,
     /// Per-node host hardware (same length as `names`).
     pub host_cfgs: Vec<HostConfig>,
     /// d-mon polling period (the paper compares 1 s and 2 s).
@@ -62,6 +64,30 @@ pub struct ClusterConfig {
     pub dead_after: Option<SimDur>,
 }
 
+/// Why a list of host names cannot name a cluster's nodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NameError {
+    /// Not a usable `/proc/cluster/<name>/` directory: empty, more than one
+    /// path component, `control` / `status` / `overload`, or `rack<k>` (a
+    /// rack's digests are filed there).
+    Unusable(String),
+    /// Given to more than one node.
+    Duplicate(String),
+}
+
+impl std::fmt::Display for NameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NameError::Unusable(n) => {
+                write!(f, "host name {n:?} cannot be a /proc/cluster directory")
+            }
+            NameError::Duplicate(n) => write!(f, "host name {n:?} is given to two nodes"),
+        }
+    }
+}
+
+impl std::error::Error for NameError {}
+
 impl ClusterConfig {
     /// `n` nodes named `node0..`, testbed hardware, 1 s polling.
     pub fn new(n: usize) -> Self {
@@ -69,9 +95,32 @@ impl ClusterConfig {
         Self::with_names(names)
     }
 
-    /// Nodes with explicit names.
+    /// Nodes with explicit names the caller wrote itself; panics on a set
+    /// [`ClusterConfig::try_named`] refuses.
     pub fn named(names: &[&str]) -> Self {
-        Self::with_names(names.iter().map(std::string::ToString::to_string).collect())
+        Self::try_named(names).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Nodes with explicit names from outside the program (a shell line, a
+    /// config file). Each becomes the directory `/proc/cluster/<name>/` on
+    /// every node, so it must be one non-empty path component, not a leaf
+    /// d-mon keeps per node or a rack's digest directory, and unlike every
+    /// other name.
+    pub fn try_named(names: &[&str]) -> Result<Self, NameError> {
+        for (i, name) in names.iter().enumerate() {
+            let rack_dir = name
+                .strip_prefix("rack")
+                .is_some_and(|k| k.parse::<u32>().is_ok());
+            if rack_dir || !crate::dmon::leaf_name_ok(name) {
+                return Err(NameError::Unusable(name.to_string()));
+            }
+            if names[..i].contains(name) {
+                return Err(NameError::Duplicate(name.to_string()));
+            }
+        }
+        Ok(Self::with_names(
+            names.iter().map(std::string::ToString::to_string).collect(),
+        ))
     }
 
     fn with_names(names: Vec<String>) -> Self {
@@ -400,6 +449,24 @@ impl ClusterWorld {
     pub fn event_rate(&mut self, node: NodeId, now: SimTime) -> f64 {
         let meter = &mut self.svc[node.0].event_meter;
         meter.bytes(now) as f64 / meter.window().as_secs_f64()
+    }
+
+    /// Iperf-style available bandwidth between two nodes, in Mbps, as the
+    /// paper's Fig. 5 and Fig. 10 measure it. The raw residual capacity
+    /// comes from the network model; the probe then behaves like Iperf did
+    /// on the testbed: minus the interrupt-interference of monitoring
+    /// events handled at either endpoint, scaled by UDP protocol
+    /// efficiency.
+    pub fn iperf_probe_mbps(&mut self, now: SimTime, from: NodeId, to: NodeId) -> f64 {
+        let raw = simnet::traffic::iperf_available_bps(&mut self.net, now, from, to);
+        let ev_rate = self.event_rate(from, now) + self.event_rate(to, now);
+        let penalty = ev_rate * self.calib.per_event_bw_cost_bits;
+        ((raw - penalty).max(0.0) * self.calib.iperf_efficiency) / 1e6
+    }
+
+    /// One [`DmonStats`] counter summed over every node's d-mon.
+    pub fn dmon_total(&self, counter: impl Fn(&DmonStats) -> u64) -> u64 {
+        self.dmons.iter().map(|d| counter(&d.stats)).sum()
     }
 
     /// Disjoint borrows of the world for one handler run: the per-node
@@ -952,6 +1019,62 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn idle_probe_reads_efficiency_scaled_capacity() {
+        let mut sim = ClusterSim::new(ClusterConfig::new(2));
+        // No start(): no monitoring traffic at all.
+        let now = sim.now();
+        let mbps = sim.world_mut().iperf_probe_mbps(now, NodeId(0), NodeId(1));
+        assert!((mbps - 96.0).abs() < 0.01, "idle probe: {mbps}");
+    }
+
+    #[test]
+    fn monitoring_traffic_shaves_bandwidth() {
+        let mut sim = ClusterSim::new(ClusterConfig::new(8));
+        sim.start();
+        sim.run_until(SimTime::from_secs(10));
+        let now = sim.now();
+        let mbps = sim.world_mut().iperf_probe_mbps(now, NodeId(0), NodeId(1));
+        assert!(mbps < 96.0, "monitoring shaves the probe: {mbps}");
+        assert!(mbps > 95.0, "but below half a percent: {mbps}");
+    }
+
+    #[test]
+    fn probe_with_update_period_2s_drops_less() {
+        let run = |period: u64| {
+            let mut sim =
+                ClusterSim::new(ClusterConfig::new(8).poll_period(SimDur::from_secs(period)));
+            sim.start();
+            sim.run_until(SimTime::from_secs(10));
+            let now = sim.now();
+            sim.world_mut().iperf_probe_mbps(now, NodeId(0), NodeId(1))
+        };
+        let p1 = run(1);
+        let p2 = run(2);
+        assert!(p2 > p1, "longer period, higher residual: {p1} vs {p2}");
+    }
+
+    #[test]
+    fn host_names_are_checked_where_they_enter() {
+        for bad in [
+            "", "a/cpu", "a//b", "/", "control", "status", "overload", "rack0", "rack12",
+        ] {
+            let err = ClusterConfig::try_named(&["a", bad]).unwrap_err();
+            assert_eq!(err, NameError::Unusable(bad.to_string()));
+            assert!(err.to_string().contains(&format!("{bad:?}")), "{err}");
+        }
+        let err = ClusterConfig::try_named(&["a", "b", "a"]).unwrap_err();
+        assert_eq!(err, NameError::Duplicate("a".to_string()));
+        // Names that merely look like d-mon's files are fine: a host
+        // called `cpu` owns `cluster/cpu/`, not anybody's `cpu` file.
+        let cfg = ClusterConfig::try_named(&["cpu", "rack", "rack0a", "extra"]).unwrap();
+        let mut sim = ClusterSim::new(cfg);
+        sim.start();
+        sim.run_until(SimTime::from_secs(5));
+        let seen = sim.world().hosts[1].proc.read("cluster/cpu/cpu").unwrap();
+        assert!(seen.starts_with("cpu "), "{seen}");
+    }
 
     #[test]
     fn three_node_cluster_builds_figure1_tree() {

@@ -1,0 +1,389 @@
+//! The failure detector and what recovery needs: Fresh → Stale → Dead by
+//! silence, `cluster/<peer>/status`, and the log of customizations this
+//! node deployed on remote publishers, replayed when one of them comes
+//! back. The verdict itself lives in the peer's [`PeerState::record`].
+//! Liveness is the heartbeat share of Fig. 8, not monitoring work.
+
+use std::collections::HashMap;
+
+use kecho::{ControlMsg, HeartbeatPayload, Observation};
+use simcore::{fastfmt, SimDur, SimTime};
+use simnet::NodeId;
+use simos::Host;
+
+use super::{cluster_file, DMon, DmonStats, PeerHealth, PollCx};
+use crate::peers::{PeerRecord, PeerState, PeerTable};
+
+pub(super) struct Detector {
+    /// Silence bound for Fresh → Stale.
+    stale_after: SimDur,
+    /// Silence bound for Stale → Dead.
+    dead_after: SimDur,
+    /// Customizations this node deployed on remote publishers, compacted
+    /// by [`Detector::record_deployment`].
+    deployed_ctl: HashMap<NodeId, Vec<ControlMsg>>,
+    /// Peers that recovered since the last poll and need re-deployment.
+    pending_resync: Vec<NodeId>,
+}
+
+impl Detector {
+    /// Defaults are 3× / 8× the polling period.
+    pub(super) fn new(poll_period: SimDur) -> Self {
+        Detector {
+            stale_after: poll_period.mul_f64(3.0),
+            dead_after: poll_period.mul_f64(8.0),
+            deployed_ctl: HashMap::new(),
+            pending_resync: Vec::new(),
+        }
+    }
+
+    pub(super) fn on_revive(&mut self) {
+        self.deployed_ctl.clear();
+        self.pending_resync.clear();
+    }
+
+    /// Fold a liveness proof — the stream position a data frame or a
+    /// heartbeat carried — into the detector and the origin's tracker.
+    /// Returns the origin's row and the stream observation so callers can
+    /// react to gaps, or `None` when the origin names no node of this
+    /// cluster — such a frame must be dropped, not indexed.
+    #[inline]
+    pub(super) fn note_alive<'p>(
+        &mut self,
+        peers: &'p mut PeerTable,
+        me: NodeId,
+        from: HeartbeatPayload,
+        now: SimTime,
+        stats: &mut DmonStats,
+    ) -> Option<(&'p mut PeerState, Observation)> {
+        let p = peers.touch(from.origin)?;
+        if from.origin == me {
+            return Some((p, Observation::default()));
+        }
+        let obs = p.tracker.observe(from.epoch, from.stream_seq);
+        stats.gaps_detected += obs.lost;
+        // A proven-lost frame spent one of the publisher's credits but
+        // consumed none of our receive capacity: repay it, so a healed
+        // path re-inflates its window (DESIGN.md §14).
+        p.repay = p
+            .repay
+            .saturating_add(u32::try_from(obs.lost).unwrap_or(u32::MAX));
+        if obs.healed {
+            // A straggler disproved an earlier loss accusation: keep the
+            // counter exact and take back the credit the accusation minted
+            // (the arrival earns the ordinary one in `on_event`).
+            stats.gaps_detected = stats.gaps_detected.saturating_sub(1);
+            p.repay = p.repay.saturating_sub(1);
+        }
+        let was_dead = p.record.is_some_and(|r| r.health == PeerHealth::Dead);
+        p.record = Some(PeerRecord {
+            last_heard: now,
+            health: PeerHealth::Fresh,
+            epoch: from.epoch,
+        });
+        if (was_dead || obs.restarted) && !self.pending_resync.contains(&from.origin) {
+            self.pending_resync.push(from.origin);
+        }
+        Some((p, obs))
+    }
+
+    /// Advance the failure detector to `now`: age every tracked peer,
+    /// refresh `/proc/cluster/<peer>/status`, and return peers newly
+    /// declared Dead. An evicted subscriber's per-stream send state is
+    /// reaped here — its stream is over, parked payloads are shed; a
+    /// later recovery starts from a clean slate — while lifetime counters
+    /// and the replay log (bounded by compaction) deliberately survive.
+    pub(super) fn check_peers(
+        &self,
+        peers: &mut PeerTable,
+        host: &mut Host,
+        names: &[String],
+        cx: &mut PollCx<'_>,
+    ) -> Vec<NodeId> {
+        let (now, stats) = (cx.now, &mut *cx.stats);
+        let mut dead = Vec::new();
+        for (peer, p) in peers.iter_mut() {
+            let Some(mut rec) = p.record else {
+                continue;
+            };
+            let age = now.since(rec.last_heard);
+            if rec.health != PeerHealth::Dead {
+                if age >= self.dead_after {
+                    rec.health = PeerHealth::Dead;
+                    stats.nodes_evicted += 1;
+                    stats.events_shed += p.reap();
+                    dead.push(peer);
+                } else if age >= self.stale_after {
+                    if rec.health == PeerHealth::Fresh {
+                        stats.nodes_suspected += 1;
+                    }
+                    rec.health = PeerHealth::Stale;
+                }
+                // Past the stale bound at least one heartbeat interval
+                // has gone unanswered; count one miss per silent check.
+                if age >= self.stale_after {
+                    stats.heartbeats_missed += 1;
+                }
+                p.record = Some(rec);
+            }
+            let slot = &mut p.status_handle;
+            let Some(h) = cluster_file(slot, &mut host.proc, &names[peer.0], "status") else {
+                continue;
+            };
+            // Piecewise assembly with the exact-output fast formatters;
+            // equivalent to
+            // `"{} last_update {:.3} age {:.3} epoch {}"` via `format!`.
+            let buf = host.proc.handle_buf(h);
+            buf.clear();
+            buf.push_str(match rec.health {
+                PeerHealth::Fresh => "fresh",
+                PeerHealth::Stale => "stale",
+                PeerHealth::Dead => "dead",
+            });
+            buf.push_str(" last_update ");
+            fastfmt::push_f64_fixed3(buf, rec.last_heard.as_secs_f64());
+            buf.push_str(" age ");
+            fastfmt::push_f64_fixed3(buf, age.as_secs_f64());
+            buf.push_str(" epoch ");
+            fastfmt::push_u64(buf, rec.epoch as u64);
+        }
+        dead
+    }
+
+    /// Resync recovered publishers: replay the customizations this node
+    /// had deployed on them (their volatile state died with them).
+    pub(super) fn resync(&mut self, cx: &mut PollCx<'_>) {
+        for peer in self.pending_resync.drain(..) {
+            cx.stats.resyncs += 1;
+            for msg in self.deployed_ctl.get(&peer).into_iter().flatten() {
+                cx.control(peer, msg.clone());
+            }
+        }
+    }
+
+    /// Remember a customization sent to `target` so it can be replayed in
+    /// order if the target restarts. The log is compacted so it stays
+    /// bounded under steady reconfiguration: a fresh `DeployFilter`
+    /// supersedes the previous one (`RemoveFilter` supersedes both), and a
+    /// non-additive `SetParam` for a metric supersedes every earlier rule
+    /// for the same metric root — only `and:` rules stack, because that is
+    /// their replay semantic.
+    pub(super) fn record_deployment(&mut self, target: NodeId, msg: &ControlMsg) {
+        /// A rule's metric root: what a replacing `SetParam` or a `clear:`
+        /// supersedes. `and:`/`clear:` prefixes are transparent; `window:`
+        /// keys module state, not rules, so it roots separately.
+        fn root(metric: &str) -> &str {
+            metric
+                .strip_prefix("and:")
+                .or_else(|| metric.strip_prefix("clear:"))
+                .unwrap_or(metric)
+        }
+        let log = self.deployed_ctl.entry(target).or_default();
+        match msg {
+            ControlMsg::SetParam { metric, .. } => {
+                // Additive rules stack on the target: every one is needed
+                // to rebuild the composed rule set.
+                if !metric.starts_with("and:") {
+                    let slot = root(metric);
+                    log.retain(
+                        |m| !matches!(m, ControlMsg::SetParam { metric: old, .. } if root(old) == slot),
+                    );
+                }
+                // `clear:` is kept too (it replays as a cheap no-op on a
+                // blank restart) because metric aliases — /proc file names
+                // vs E-code constants — can hide a rule it must still undo.
+                log.push(msg.clone());
+            }
+            ControlMsg::DeployFilter { .. } | ControlMsg::RemoveFilter => {
+                // A `RemoveFilter` is never logged, only what it removes.
+                log.retain(|m| !matches!(m, ControlMsg::DeployFilter { .. }));
+                if matches!(msg, ControlMsg::DeployFilter { .. }) {
+                    log.push(msg.clone());
+                }
+            }
+            ControlMsg::Announce
+            | ControlMsg::FilterRejected { .. }
+            | ControlMsg::Credit { .. } => {}
+        }
+    }
+}
+
+impl DMon {
+    /// Configure the failure detector's silence bounds.
+    pub fn set_failure_bounds(&mut self, stale_after: SimDur, dead_after: SimDur) {
+        assert!(
+            !stale_after.is_zero() && stale_after < dead_after,
+            "need 0 < stale_after < dead_after"
+        );
+        self.detector.stale_after = stale_after;
+        self.detector.dead_after = dead_after;
+        // Heartbeats must outpace the stale bound, whatever it is.
+        self.flow.heartbeat_every = self
+            .poll_period
+            .mul_f64(2.0)
+            .min(stale_after.mul_f64(2.0 / 3.0));
+    }
+
+    /// The failure detector's `(stale_after, dead_after)` silence bounds.
+    pub fn failure_bounds(&self) -> (SimDur, SimDur) {
+        (self.detector.stale_after, self.detector.dead_after)
+    }
+
+    /// Health of a remote peer; `None` until first contact.
+    pub fn peer_health(&self, peer: NodeId) -> Option<PeerHealth> {
+        self.peers.get(peer)?.record.map(|r| r.health)
+    }
+
+    /// Earliest future instant at which a currently-tracked peer could be
+    /// declared `Dead` by a poll: `last_heard + dead_after`, minimized over
+    /// peers not already dead. `None` when no verdict is pending. Used by
+    /// the parallel scheduler to decide whether a time window could contain
+    /// an eviction (a shared-registry mutation).
+    pub fn next_dead_deadline(&self) -> Option<SimTime> {
+        self.peers
+            .iter()
+            .filter_map(|p| p.record)
+            .filter(|r| r.health != PeerHealth::Dead)
+            .map(|r| r.last_heard + self.detector.dead_after)
+            .min()
+    }
+
+    /// Number of customization messages queued for replay to `target` if
+    /// it restarts (bounded by compaction in `record_deployment`).
+    pub fn deployed_ctl_len(&self, target: NodeId) -> usize {
+        self.detector.deployed_ctl.get(&target).map_or(0, Vec::len)
+    }
+
+    /// The channel registry announced that `peer` (re-)subscribed, which
+    /// proves it reachable before anything arrives on its stream: a Dead
+    /// verdict becomes Stale, so publication toward it resumes. Without
+    /// this, two nodes that evicted each other during a partition would
+    /// skip each other as subscribers forever.
+    pub fn on_peer_rejoin(&mut self, peer: NodeId, now: SimTime) {
+        // This node keeps no verdict on itself, so `peer == self` is a no-op.
+        if let Some(rec) = self.peers.get_mut(peer).and_then(|p| p.record.as_mut()) {
+            if rec.health == PeerHealth::Dead {
+                rec.health = PeerHealth::Stale;
+                rec.last_heard = now;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+    use kecho::ParamSpec;
+
+    #[test]
+    fn detector_walks_fresh_stale_dead_and_updates_status() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        // Defaults: stale at 3 s, dead at 8 s (1 s poll period).
+        let ev = mon_from(NodeId(1), mon, 0, 0);
+        dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
+
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(2), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
+        assert!(host
+            .proc
+            .read("cluster/maui/status")
+            .unwrap()
+            .starts_with("fresh"));
+
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(5), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Stale));
+        assert_eq!(dmon.stats.nodes_suspected, 1);
+        assert!(out.dead_peers.is_empty());
+        assert!(host
+            .proc
+            .read("cluster/maui/status")
+            .unwrap()
+            .starts_with("stale"));
+
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(10), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Dead));
+        assert_eq!(out.dead_peers, vec![NodeId(1)]);
+        assert_eq!(dmon.stats.nodes_evicted, 1);
+        assert!(host
+            .proc
+            .read("cluster/maui/status")
+            .unwrap()
+            .starts_with("dead"));
+        assert!(dmon.stats.heartbeats_missed > 0);
+        // A Dead subscriber gets no traffic even while still registered.
+        assert!(out.sends.iter().all(|(h, _, _)| h.to != NodeId(1)));
+    }
+
+    #[test]
+    fn dead_peer_speaking_again_triggers_resync_replay() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        // This node customized publisher 1 earlier.
+        host.proc.set("cluster/maui/control", "").unwrap();
+        host.proc
+            .write("cluster/maui/control", "period cpu 2")
+            .unwrap();
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
+
+        let ev = mon_from(NodeId(1), mon, 0, 0);
+        dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(10), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Dead));
+
+        // The publisher restarts: new epoch, stream reset.
+        let ev = mon_from(NodeId(1), mon, 1, 0);
+        dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(11), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(12), &calib);
+        assert_eq!(dmon.stats.resyncs, 1);
+        let replayed: Vec<_> = out
+            .sends
+            .iter()
+            .filter(|(h, ev, _)| h.to == NodeId(1) && ev.as_control().is_some())
+            .collect();
+        assert_eq!(replayed.len(), 1, "customization replayed");
+        assert_eq!(
+            replayed[0].1.as_control().unwrap(),
+            &ControlMsg::SetParam {
+                metric: "cpu".into(),
+                param: ParamSpec::Period { period_s: 2.0 }
+            }
+        );
+    }
+
+    #[test]
+    fn gap_detection_counts_dropped_stream_positions() {
+        let (mut dmon, mut host, _dir, mon, _ctl, calib) = setup();
+        for sseq in [0, 1, 4, 5] {
+            let ev = mon_from(NodeId(2), mon, 0, sseq);
+            dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
+        }
+        assert_eq!(dmon.stats.gaps_detected, 2, "positions 2 and 3 lost");
+    }
+
+    #[test]
+    fn revive_forgets_the_replay_log_and_keeps_the_bounds() {
+        let mut d = Detector::new(SimDur::from_secs(1));
+        d.record_deployment(NodeId(1), &ControlMsg::RemoveFilter);
+        d.record_deployment(
+            NodeId(1),
+            &ControlMsg::DeployFilter {
+                source: "{ }".into(),
+            },
+        );
+        d.pending_resync.push(NodeId(1));
+        assert_eq!(
+            d.deployed_ctl[&NodeId(1)].len(),
+            1,
+            "RemoveFilter is not replayed"
+        );
+        d.on_revive();
+        assert!(d.deployed_ctl.is_empty() && d.pending_resync.is_empty());
+        assert_eq!(
+            d.dead_after,
+            SimDur::from_secs(8),
+            "the bounds are configuration"
+        );
+    }
+}

@@ -1,0 +1,248 @@
+//! The aggregation tier: a rack aggregator folds its members' latest
+//! samples into one bounded per-metric digest and republishes it on the
+//! spine digest channel; every spine subscriber files the digests it
+//! receives under `/proc/cluster/rack<k>/`. Infrastructure overhead like
+//! heartbeats — outside the workload Figs. 6–8 measure.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use kecho::{ChannelId, DigestPayload, DigestRecord, Directory, Event};
+use simcore::{fastfmt, SimDur, SimTime};
+use simnet::NodeId;
+use simos::{Host, ProcHandle};
+
+use super::{cluster_file, DMon, Outbound, PlannedSend};
+use crate::calib::Calib;
+
+#[derive(Default)]
+pub(super) struct Digest {
+    /// Latest digest received per rack (spine subscribers only) — the
+    /// observability surface behind the shell's `racks` command.
+    latest: BTreeMap<u32, DigestPayload>,
+    /// Interned handles for `cluster/rack<k>/<file>`, by rack and metric
+    /// id.
+    handles: BTreeMap<(u32, u32), Option<ProcHandle>>,
+}
+
+impl Digest {
+    pub(super) fn on_revive(&mut self) {
+        self.latest.clear();
+    }
+}
+
+impl DMon {
+    /// The aggregator's polling step: fold this rack's latest member
+    /// samples (own host included) and submit the digest to every
+    /// digest-channel subscriber. Digests are summaries, not streams —
+    /// no `stream_seq`, no credits, no outbox: a lost digest is simply
+    /// superseded by the next one. Returns the planned sends plus the CPU
+    /// cost to charge; `None` while no member has produced a sample yet.
+    pub fn poll_digest(
+        &mut self,
+        dir: &Directory,
+        digest_chan: ChannelId,
+        rack: u32,
+        members: Range<usize>,
+        skip: &[NodeId],
+        calib: &Calib,
+    ) -> Option<(Vec<PlannedSend>, SimDur)> {
+        let node = self.node;
+        // (min, max, sum, count, newest_ts) per metric id.
+        let empty = (
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0f64,
+            0u32,
+            f64::NEG_INFINITY,
+        );
+        let mut acc = vec![empty; self.sample.modules.len()];
+        let mut out = Outbound::default();
+        let mut member_count = 0u32;
+        for m in members {
+            let peer = self.peers.get(NodeId(m));
+            let mut contributed = false;
+            for (id, slot) in acc.iter_mut().enumerate() {
+                let sample = if m == node.0 {
+                    self.sample.own_latest.get(id).copied().flatten()
+                } else {
+                    peer.and_then(|p| p.remote_values.get(id).copied().flatten())
+                };
+                let Some((value, ts)) = sample else { continue };
+                contributed = true;
+                slot.0 = slot.0.min(value);
+                slot.1 = slot.1.max(value);
+                slot.2 += value;
+                slot.3 += 1;
+                slot.4 = slot.4.max(ts.as_secs_f64());
+            }
+            if contributed {
+                member_count += 1;
+            }
+            // The fold reads the same per-member state a policy check
+            // would; charge it at the policy-evaluation rate.
+            out.cpu += calib.policy_eval;
+        }
+        let records: Vec<DigestRecord> = acc
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.3 > 0)
+            .map(|(id, a)| DigestRecord {
+                metric_id: id as u32,
+                min: a.0,
+                max: a.1,
+                mean: a.2 / f64::from(a.3),
+                count: a.3,
+                newest_ts: a.4,
+            })
+            .collect();
+        if records.is_empty() {
+            return None;
+        }
+        let payload = DigestPayload {
+            rack,
+            origin: node,
+            members: member_count,
+            records,
+        };
+        for sub in dir.subscribers(digest_chan) {
+            // `skip` carries peers this same polling step just evicted:
+            // the serial engine has already removed them from the
+            // directory (the skip is a no-op there), while the parallel
+            // mirror defers the directory write to effect replay — the
+            // skip makes both read the same effective subscriber set.
+            if sub == node || skip.contains(&sub) {
+                continue;
+            }
+            self.seq += 1;
+            let mut ev = Event::digest(digest_chan.0, self.seq, node, payload.clone());
+            // Digest consumers are enumerated per send (like monitoring
+            // streams), so the central-concentrator topology can relay.
+            ev.target = Some(sub);
+            out.submit(calib, sub, ev);
+            self.stats.digests_sent += 1;
+        }
+        (!out.sends.is_empty()).then_some((out.sends, out.cpu))
+    }
+
+    /// Handle an incoming rack digest: record freshness, refresh the
+    /// `/proc/cluster/rack<k>/...` summary files, and keep the latest
+    /// payload per rack for observability surfaces. Returns the handler
+    /// CPU cost, which stays out of the Fig. 8 receive-cost sampler.
+    pub fn on_digest(
+        &mut self,
+        host: &mut Host,
+        ev: &Event,
+        bytes: usize,
+        now: SimTime,
+        calib: &Calib,
+    ) -> SimDur {
+        let Some(payload) = ev.as_digest() else {
+            return SimDur::ZERO;
+        };
+        self.stats.digests_received += 1;
+        self.stats.digest_records += payload.records.len() as u64;
+        let newest = payload
+            .records
+            .iter()
+            .map(|r| r.newest_ts)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if newest.is_finite() {
+            self.stats
+                .digest_staleness_s
+                .add((now.as_secs_f64() - newest).max(0.0));
+        }
+        for r in &payload.records {
+            let slot = self.digest.handles.entry((payload.rack, r.metric_id));
+            let file = self.sample.modules.get(r.metric_id as usize);
+            let file = file.map_or("extra", |m| m.file_name());
+            let rack_dir = format_args!("rack{}", payload.rack);
+            let Some(h) = cluster_file(slot.or_default(), &mut host.proc, rack_dir, file) else {
+                continue;
+            };
+            let text = host.proc.handle_buf(h);
+            text.clear();
+            text.push_str("min ");
+            fastfmt::push_f64_display(text, r.min);
+            text.push_str(" max ");
+            fastfmt::push_f64_display(text, r.max);
+            text.push_str(" mean ");
+            fastfmt::push_f64_display(text, r.mean);
+            text.push_str(" count ");
+            fastfmt::push_u64(text, u64::from(r.count));
+            text.push_str(" ts ");
+            fastfmt::push_f64_fixed3(text, r.newest_ts);
+        }
+        match self.digest.latest.get_mut(&payload.rack) {
+            // The kept payload's record buffer is reused, not re-allocated.
+            Some(kept) => {
+                (kept.origin, kept.members) = (payload.origin, payload.members);
+                kept.records.clone_from(&payload.records);
+            }
+            None => {
+                self.digest.latest.insert(payload.rack, payload.clone());
+            }
+        }
+        calib.receive_cost(bytes)
+    }
+
+    /// The latest digest received for `rack`, if any.
+    pub fn rack_digest(&self, rack: u32) -> Option<&DigestPayload> {
+        self.digest.latest.get(&rack)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+
+    #[test]
+    fn aggregator_folds_own_and_heard_samples_and_subscribers_file_them() {
+        let (mut dmon, mut host, mon, calib) = racked();
+        let mut dir = Directory::default();
+        let dg = dir.open("dproc-digest");
+        for n in [0, 3] {
+            dir.subscribe(dg, NodeId(n));
+        }
+        let members = 0..3;
+        let polled = dmon.poll_digest(&dir, dg, 0, members.clone(), &[], &calib);
+        assert!(polled.is_none(), "nothing sampled or heard yet");
+
+        // maui reports LOADAVG 1.0; this node's own LOADAVG is idle.
+        let now = SimTime::from_secs(1);
+        dmon.on_event(&mut host, &mon_from(NodeId(1), mon, 0, 0), 90, now, &calib);
+        dmon.poll(&mut host, &dir, mon, ChannelId(1), now, &calib);
+        let skipped = dmon.poll_digest(&dir, dg, 0, members.clone(), &[NodeId(3)], &calib);
+        assert!(
+            skipped.is_none(),
+            "the only other subscriber was just evicted"
+        );
+        let (sends, cpu) = dmon.poll_digest(&dir, dg, 0, members, &[], &calib).unwrap();
+        assert_eq!((sends.len(), dmon.stats.digests_sent), (1, 1));
+        assert!(cpu > SimDur::ZERO);
+        let (hop, ev, _) = &sends[0];
+        assert_eq!((hop.to, ev.target), (NodeId(3), Some(NodeId(3))));
+        let payload = ev.as_digest().unwrap();
+        assert_eq!((payload.rack, payload.members), (0, 2));
+        let load = payload.records[0];
+        assert_eq!((load.metric_id, load.count), (0, 2));
+        assert_eq!((load.min, load.max, load.mean), (0.0, 1.0, 0.5));
+
+        // The receiving side: summary files under cluster/rack0/, the
+        // payload kept per rack, staleness sampled; gone after a restart.
+        let cost = dmon.on_digest(&mut host, ev, 200, SimTime::from_secs(2), &calib);
+        assert!(cost > SimDur::ZERO);
+        let text = host.proc.read("cluster/rack0/cpu").unwrap();
+        assert!(
+            text.starts_with("min 0 max 1 mean 0.5 count 2 ts "),
+            "{text}"
+        );
+        assert_eq!(dmon.rack_digest(0), Some(payload));
+        assert_eq!(dmon.stats.digests_received, 1);
+        assert_eq!(dmon.stats.digest_records, payload.records.len() as u64);
+        assert_eq!(dmon.stats.digest_staleness_s.len(), 1);
+        dmon.on_revive();
+        assert!(dmon.rack_digest(0).is_none());
+    }
+}

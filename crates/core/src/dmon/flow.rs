@@ -1,0 +1,440 @@
+//! Stage 3, *submit* (Figs. 6–7's event-submission cost): credit-based
+//! flow control on both sides of a stream. Publisher side, per
+//! subscriber: park the poll's records in the bounded outbox, drain it as
+//! far as the credit window allows, let a heartbeat ride a stream that
+//! carried no data. Subscriber side: top publishers up for the data this
+//! node absorbed. The per-stream state is the peer's [`PeerState`] row;
+//! the reasons behind each rule are DESIGN.md §14.
+
+use kecho::{
+    ControlMsg, Event, HeartbeatPayload, MonRecord, MonitoringPayload, GRANT_THRESHOLD, OUTBOX_CAP,
+};
+use simcore::SimDur;
+use simnet::NodeId;
+
+use super::sample::Sample;
+use super::{DMon, PollCx};
+use crate::peers::{OutboxEntry, PeerState, PeerTable};
+
+/// Longest a stream stays parked after consecutive uplink tail-drops
+/// (in polls). Kept at the failure detector's default dead bound so even
+/// the deepest backoff re-probes within one detection window — heartbeats
+/// keep flowing every `heartbeat_every` during a park, so liveness never
+/// depends on the retry.
+const CHOKE_PARK_CAP: u32 = 8;
+
+pub(super) struct Flow {
+    /// Extra payload bytes per event (models larger event bodies; Fig. 7
+    /// uses ~5 KB).
+    pub(super) event_pad: u32,
+    /// Minimum silence on a subscriber stream before a heartbeat rides it.
+    /// Kept under the detector's stale bound so a fully-filtered publisher
+    /// stays Fresh, but well above the polling period so heartbeats stay
+    /// cheap.
+    pub(super) heartbeat_every: SimDur,
+}
+
+impl Flow {
+    pub(super) fn new(poll_period: SimDur) -> Self {
+        Flow {
+            event_pad: 0,
+            heartbeat_every: poll_period.mul_f64(2.0),
+        }
+    }
+
+    /// Park one poll's records for a subscriber: a payload waits in the
+    /// bounded outbox and only leaves when a credit is available
+    /// (oldest-first; overflow sheds oldest). Remembers what was sent.
+    #[inline]
+    pub(super) fn enqueue(
+        p: &mut PeerState,
+        records: Vec<MonRecord>,
+        sample: &Sample,
+        cx: &mut PollCx<'_>,
+    ) {
+        if records.is_empty() {
+            return;
+        }
+        if p.last_sent.len() < sample.modules.len() {
+            p.last_sent.resize(sample.modules.len(), None);
+        }
+        for r in &records {
+            if let Some(slot) = p.last_sent.get_mut(r.metric_id as usize) {
+                *slot = Some((r.value, cx.now));
+            }
+        }
+        // Records for run-time-registered modules carry their schema
+        // (metric + /proc file names) so any subscriber can interpret
+        // them; with only base modules this allocates nothing.
+        let carried =
+            |(id, _, _): &&(u32, String, String)| records.iter().any(|r| r.metric_id == *id);
+        let ext_names = sample.ext_schema.iter().filter(carried).cloned().collect();
+        p.outbox.push_back(OutboxEntry { records, ext_names });
+        if p.outbox.len() > OUTBOX_CAP {
+            if let Some(e) = p.outbox.pop_front() {
+                kecho::put_record_buf(e.records);
+                cx.stats.events_shed += 1;
+            }
+        }
+    }
+
+    /// Drain a subscriber's outbox as far as credits allow; returns
+    /// whether any data left. Sequence numbers are stamped here, at the
+    /// actual send, so parked or shed payloads leave no hole in the
+    /// stream.
+    #[inline]
+    pub(super) fn drain(&self, p: &mut PeerState, sub: NodeId, cx: &mut PollCx<'_>) -> bool {
+        // A tail-drop park counts down here and always expires by itself;
+        // the stream then re-probes the path.
+        let choked = p.choke_park > 0;
+        if choked {
+            p.choke_park -= 1;
+        }
+        let mut sent_data = false;
+        while !choked && !p.outbox.is_empty() && p.credit.try_consume() {
+            let Some(e) = p.outbox.pop_front() else { break };
+            let payload = MonitoringPayload {
+                origin: cx.node,
+                epoch: cx.epoch,
+                stream_seq: p.next_stream_seq(),
+                credit_grant: piggyback_grant(p),
+                records: e.records,
+                pad_bytes: self.event_pad,
+                ext_names: e.ext_names,
+            };
+            let seq = cx.next_seq();
+            let mut ev = Event::monitoring(cx.mon_chan.0, seq, cx.node, payload);
+            // Streams are customized per subscriber, so every monitoring
+            // event is addressed — the central-concentrator topology
+            // needs the final destination to relay.
+            ev.target = Some(sub);
+            let (bytes, handler) = cx.out.submit(cx.calib, sub, ev);
+            cx.stats.events_sent += 1;
+            cx.stats.bytes_sent += bytes as u64;
+            // Submission samples accumulate within the iteration; the
+            // sampler takes the per-iteration total at close.
+            cx.stats.pending_submit += handler;
+            p.sent += 1;
+            p.stream_last_send = Some(cx.now);
+            sent_data = true;
+        }
+        if !p.outbox.is_empty() {
+            cx.stats.credits_stalled += 1;
+        }
+        sent_data
+    }
+
+    /// Let a heartbeat ride a stream that carried no data this poll.
+    /// Heartbeats never consume credits — a stalled stream still proves
+    /// this node alive.
+    #[inline]
+    pub(super) fn heartbeat(
+        &self,
+        p: &mut PeerState,
+        sub: NodeId,
+        sent_data: bool,
+        cx: &mut PollCx<'_>,
+    ) {
+        // Data sends substitute for heartbeats, except on a stream whose
+        // grant is overdue: its data frames are probably dying in the
+        // network, and frames that never arrive prove nothing.
+        let overdue = p.credit.grant_overdue();
+        if sent_data && !overdue {
+            return;
+        }
+        // Rate-limited to `heartbeat_every`, not one per poll: a liveness
+        // packet only needs to outpace the peer's stale bound, and
+        // Figs. 4/6 depend on filtered streams staying nearly free. An
+        // overdue stream skips the limit.
+        let silence = p.stream_last_send.map_or(SimDur::MAX, |t| cx.now.since(t));
+        if !overdue && silence < self.heartbeat_every {
+            return;
+        }
+        let payload = HeartbeatPayload {
+            origin: cx.node,
+            epoch: cx.epoch,
+            stream_seq: p.next_stream_seq(),
+        };
+        let seq = cx.next_seq();
+        let ev = Event::heartbeat(cx.mon_chan.0, seq, cx.node, sub, payload);
+        cx.out.queue(sub, ev);
+        cx.out.cpu += cx.calib.heartbeat_cost + cx.calib.heartbeat_path_send;
+        cx.stats.heartbeats_sent += 1;
+        p.sent += 1;
+        p.stream_last_send = Some(cx.now);
+    }
+
+    /// Subscriber side of flow control: top up publishers whose data this
+    /// node has absorbed since its last grant. Decided at poll time (not
+    /// per arrival), so grants are replay-safe and batch to about one
+    /// control frame per window half.
+    pub(super) fn grants(peers: &mut PeerTable, cx: &mut PollCx<'_>) {
+        for (publisher, p) in peers.iter_mut() {
+            // Batch absorbed-data grants behind the threshold, but flush
+            // the remainder once the publisher's data stream goes quiet:
+            // one trickling below the threshold would never be topped up.
+            let quiet = !std::mem::take(&mut p.data_since_poll);
+            let absorbed = if quiet || p.ungranted >= GRANT_THRESHOLD {
+                p.ungranted
+            } else {
+                0
+            };
+            // Loss repayments ship at once, never batched, and on the
+            // priority lane: they exist while the publisher's bulk frames
+            // are dying, when a piggybacked grant would die with its carrier.
+            let credits = absorbed + p.repay;
+            if credits > 0 {
+                p.ungranted -= absorbed;
+                p.repay = 0;
+                cx.control(publisher, ControlMsg::Credit { credits });
+            }
+        }
+    }
+}
+
+impl DMon {
+    /// Set the extra payload size per event.
+    pub fn set_event_pad(&mut self, pad: u32) {
+        self.flow.event_pad = pad;
+    }
+
+    /// Events (data + heartbeats) this publisher has submitted to one
+    /// subscriber over its lifetime.
+    pub fn sent_to(&self, subscriber: NodeId) -> u64 {
+        self.peers.get(subscriber).map_or(0, |p| p.sent)
+    }
+
+    /// Length of the last-sent row held for `subscriber` — zero once a
+    /// Dead eviction reaps it, non-zero again after publication resumes.
+    pub fn last_sent_len(&self, subscriber: NodeId) -> usize {
+        self.peers.get(subscriber).map_or(0, |p| p.last_sent.len())
+    }
+
+    /// Events parked for `sub` awaiting credits.
+    pub fn outbox_len(&self, sub: NodeId) -> usize {
+        self.peers.get(sub).map_or(0, |p| p.outbox.len())
+    }
+
+    /// Credits currently available toward `sub`.
+    pub fn credits_for(&self, sub: NodeId) -> u32 {
+        self.peers.get(sub).map_or(0, |p| p.credit.available())
+    }
+
+    /// The kernel's own uplink queue tail-dropped a data frame bound for
+    /// `sub` — locally observable, unlike in-network loss, so react at
+    /// once: park the stream (1, 2, 4, then 8 polls as drops repeat) and
+    /// erase the stream-send timestamp so the next poll sends a
+    /// priority-lane heartbeat instead.
+    pub fn on_wire_drop(&mut self, sub: NodeId) {
+        let Some(p) = self.peers.touch(sub) else {
+            return;
+        };
+        p.choke_run = p.choke_run.saturating_add(1);
+        p.choke_park = (1u32 << u32::from(p.choke_run - 1).min(3)).min(CHOKE_PARK_CAP);
+        p.stream_last_send = None;
+        self.ladder.wire_dropped = true;
+    }
+
+    /// Whether the stream toward `sub` is currently parked by a local
+    /// uplink tail-drop backoff.
+    pub fn choked_toward(&self, sub: NodeId) -> bool {
+        self.peers.get(sub).is_some_and(|p| p.choke_park > 0)
+    }
+}
+
+/// Piggyback this node's grant debt for the reverse stream onto a data
+/// frame leaving toward `p`, and return the *cumulative* counter the
+/// frame carries: if this frame tail-drops, the next surviving one
+/// re-delivers the grant. A stream whose own grant is overdue skips the
+/// attach — the debt waits for the priority-lane Credit frame.
+fn piggyback_grant(p: &mut PeerState) -> u32 {
+    if !p.credit.grant_overdue() {
+        let mut grant = p.ungranted.min(u32::from(u8::MAX));
+        if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
+            // The counter never rests on 0 (0 on the wire means "no grant
+            // info"): defer one credit so the cursor arithmetic stays
+            // unambiguous.
+            grant -= 1;
+        }
+        p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
+        p.ungranted -= grant;
+    }
+    u32::from(p.grant_cum)
+}
+
+/// The receiving end of [`piggyback_grant`]: fold the counter a data
+/// frame from `p` carried into the window toward `p`. Only
+/// stream-advancing arrivals move the cursor: a reordered straggler
+/// (`stale`) carries an outdated counter whose wrapping delta would read
+/// as a huge bogus grant. A restarted publisher starts a fresh counter,
+/// so the cursor restarts with it.
+#[inline]
+pub(super) fn accept_piggyback(p: &mut PeerState, credit_grant: u32, restarted: bool, stale: bool) {
+    if restarted {
+        p.grant_seen = 0;
+    }
+    let cum = credit_grant.min(u32::from(u8::MAX)) as u8;
+    if cum != 0 && !stale {
+        let delta = cum.wrapping_sub(p.grant_seen);
+        p.grant_seen = cum;
+        if delta > 0 {
+            p.grant(u32::from(delta));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+    use kecho::{StreamTracker, INITIAL_CREDITS};
+    use simcore::SimTime;
+
+    #[test]
+    fn event_pad_inflates_bytes() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        dmon.set_event_pad(5000);
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
+        assert!(out.sends[0].2 > 5000);
+    }
+
+    #[test]
+    fn stalled_outbox_sheds_oldest_and_drains_on_grant() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        // Keep the failure detector out of the picture: this test never
+        // delivers a frame, and eviction would reap the outboxes we are
+        // trying to overflow.
+        dmon.set_failure_bounds(SimDur::from_secs(100_000), SimDur::from_secs(200_000));
+
+        // No grant ever arrives, so each stream burns its initial window
+        // and parks events. The credit famine also walks the ladder down —
+        // stretched polls plus the change-coarsening gate slow production,
+        // so the load must keep moving for the digest records to keep
+        // passing the gate and overflow the bounded outbox. A period-3
+        // run-queue sawtooth (coprime with the top rung's stretch of 4)
+        // guarantees every stretched sample sees a >10 % swing; polls sit
+        // 120 s apart so the 60 s loadavg window settles between them.
+        let polls = 220u64;
+        let t = |s: u64| SimTime::from_secs(120 * s);
+        let mut burst: Vec<simos::cpu::TaskId> = Vec::new();
+        for s in 1..=polls {
+            if s % 3 == 0 {
+                for id in burst.drain(..) {
+                    host.cpu.kill(t(s), id);
+                }
+            } else {
+                for k in 0..4 {
+                    burst.push(host.cpu.spawn_compute(t(s), format!("burst{s}-{k}")));
+                }
+            }
+            dmon.poll(&mut host, &dir, mon, ctl, t(s), &calib);
+            for peer in [NodeId(1), NodeId(2)] {
+                assert!(dmon.outbox_len(peer) <= OUTBOX_CAP, "outbox over cap");
+            }
+        }
+        assert_eq!(dmon.outbox_len(NodeId(1)), OUTBOX_CAP, "backlog at cap");
+        assert_eq!(dmon.outbox_len(NodeId(2)), OUTBOX_CAP, "backlog at cap");
+        assert_eq!(dmon.credits_for(NodeId(1)), 0, "window exhausted");
+        assert!(dmon.stats.events_shed > 0, "overflow shed nothing");
+        assert!(dmon.stats.credits_stalled > 0, "stall polls were counted");
+        assert!(dmon.ladder_level() > 0, "famine never engaged the ladder");
+        assert_eq!(
+            dmon.stats.events_sent,
+            2 * u64::from(INITIAL_CREDITS),
+            "nothing left this node once the windows emptied"
+        );
+
+        // A grant from one subscriber reopens exactly that stream: the
+        // backlog drains oldest-first up to the granted budget while the
+        // other stream stays parked at the cap.
+        dmon.on_control(
+            NodeId(1),
+            &ControlMsg::Credit {
+                credits: INITIAL_CREDITS,
+            },
+            &calib,
+        );
+        let out = dmon.poll(&mut host, &dir, mon, ctl, t(polls + 1), &calib);
+        let to1 = out
+            .sends
+            .iter()
+            .filter(|(h, ev, _)| h.to == NodeId(1) && ev.as_monitoring().is_some())
+            .count();
+        assert_eq!(to1 as u32, INITIAL_CREDITS, "drained the granted budget");
+        assert!(dmon.outbox_len(NodeId(1)) < OUTBOX_CAP);
+        assert_eq!(dmon.outbox_len(NodeId(2)), OUTBOX_CAP, "no cross-talk");
+    }
+
+    #[test]
+    fn piggyback_counter_wraps_without_resting_on_zero_or_losing_a_credit() {
+        // `us` is this node's row for a peer it both publishes to and
+        // absorbs from; `them` is the peer's row for this node. Both
+        // cursors start a few steps below the mod-256 wrap.
+        let mut us = PeerState {
+            grant_cum: 250,
+            ..PeerState::default()
+        };
+        let mut them = PeerState {
+            grant_seen: 250,
+            ..PeerState::default()
+        };
+        let mut carried = Vec::new();
+        for frame in 0..6u64 {
+            // The peer spends three credits toward us; we absorb three
+            // frames and owe it three credits on our next data frame.
+            for _ in 0..3 {
+                assert!(them.credit.try_consume());
+            }
+            us.ungranted += 3;
+            let cum = piggyback_grant(&mut us);
+            assert_ne!(cum, 0, "0 on the wire means no grant info");
+            carried.push(cum);
+            // 253 + 3 would land on 0: one credit waits for the next
+            // frame, which re-attaches it.
+            assert_eq!(us.ungranted, u32::from(frame == 1), "frame {frame}");
+            // The frame that crosses the wrap tail-drops; the counter is
+            // cumulative, so the next frame re-delivers what it carried.
+            if frame != 1 {
+                accept_piggyback(&mut them, cum, false, false);
+                assert_eq!(them.credit.granted(), 3 * (frame + 1), "frame {frame}");
+                assert_eq!(them.credit.available(), INITIAL_CREDITS);
+            }
+        }
+        assert_eq!(carried, vec![253, 255, 3, 6, 9, 12]);
+        // A reordered straggler carrying an old counter moves nothing.
+        accept_piggyback(&mut them, 255, false, true);
+        assert_eq!((them.grant_seen, them.credit.granted()), (12, 18));
+    }
+
+    #[test]
+    fn stream_seq_wraps_with_the_gap_counted_once_wherever_the_drop_falls() {
+        for dropped in 0..6 {
+            let mut tx = PeerState {
+                stream_seq: u32::MAX - 2,
+                ..PeerState::default()
+            };
+            let mut rx = StreamTracker::new();
+            let mut seen = Vec::new();
+            for frame in 0..6 {
+                let seq = tx.next_stream_seq();
+                seen.push(seq);
+                if frame == dropped {
+                    continue;
+                }
+                let obs = rx.observe(0, seq);
+                assert!(!obs.stale && !obs.restarted, "drop {dropped} frame {frame}");
+                let revealed = frame == dropped + 1 && dropped > 0;
+                assert_eq!(
+                    obs.lost,
+                    u64::from(revealed),
+                    "drop {dropped} frame {frame}"
+                );
+            }
+            assert_eq!(seen, vec![u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1, 2]);
+            // A drop before first contact or after the last arrival is
+            // not (yet) a gap; any other is exactly one.
+            let expect = u64::from((1..5).contains(&dropped));
+            assert_eq!((rx.gaps(), rx.restarts()), (expect, 0), "drop {dropped}");
+        }
+    }
+}

@@ -1,0 +1,331 @@
+//! *Receive* (Fig. 8): what arrives on the monitoring channel. A data
+//! frame proves its origin alive, settles flow-control accounts and lands
+//! in `/proc/cluster/<origin>/` and the fast-path value store; a
+//! heartbeat only proves its origin alive. The stage's own state is the
+//! schema learned from peers' frames.
+
+use std::collections::BTreeMap;
+
+use kecho::{Event, HeartbeatPayload, StreamTracker};
+use simcore::{SimDur, SimTime};
+use simnet::NodeId;
+use simos::Host;
+
+use super::{cluster_file, flow, leaf_name_ok, DMon};
+use crate::calib::Calib;
+
+#[derive(Default)]
+pub(super) struct Receive {
+    /// Learned schema extensions: metric/file names for foreign ids beyond
+    /// the standard module set, per origin. Ordered so name lookups scan
+    /// an origin's range deterministically.
+    remote_ext: BTreeMap<(NodeId, u32), (String, String)>,
+    /// See [`DMon::events_rejected`].
+    rejected: u64,
+}
+
+impl Receive {
+    pub(super) fn on_revive(&mut self) {
+        self.remote_ext.clear();
+    }
+}
+
+impl DMon {
+    /// Handle an incoming monitoring event: update the `/proc/cluster`
+    /// tree and the fast-path store. A record whose file name (learned
+    /// from the frame's schema block) cannot be a leaf of
+    /// `cluster/<origin>/` is skipped and counted in `events_rejected`.
+    /// Returns the d-mon handler CPU cost (kernel network-path cost is
+    /// charged by the glue on top).
+    pub fn on_event(
+        &mut self,
+        host: &mut Host,
+        ev: &Event,
+        bytes: usize,
+        now: SimTime,
+        calib: &Calib,
+    ) -> SimDur {
+        let Some(payload) = ev.as_monitoring() else {
+            return SimDur::ZERO;
+        };
+        let origin = payload.origin;
+        let proof = HeartbeatPayload {
+            origin,
+            epoch: payload.epoch,
+            stream_seq: payload.stream_seq,
+        };
+        let (me, stats) = (self.node, &mut self.stats);
+        let alive = self
+            .detector
+            .note_alive(&mut self.peers, me, proof, now, stats);
+        let Some((p, obs)) = alive else {
+            self.receive.rejected += 1;
+            return SimDur::ZERO;
+        };
+        if origin != me {
+            // Grant accounting: this arrival consumed one of the credits
+            // we granted the publisher; the next poll tops it back up once
+            // enough have accumulated.
+            p.ungranted = p.ungranted.saturating_add(1);
+            p.data_since_poll = true;
+            flow::accept_piggyback(p, payload.credit_grant, obs.restarted, obs.stale);
+        }
+        let ext = &mut self.receive.remote_ext;
+        for (id, metric, file) in &payload.ext_names {
+            let known = ext.get(&(origin, *id));
+            if !known.is_some_and(|(m, f)| m == metric && f == file) {
+                // A changed file name (the origin restarted with another
+                // module layout) invalidates the cached /proc handle.
+                if let Some(slot) = p.file_handles.get_mut(*id as usize) {
+                    *slot = None;
+                }
+                ext.insert((origin, *id), (metric.clone(), file.clone()));
+            }
+        }
+        let origin_name = &self.cluster_names[origin.0];
+        for r in &payload.records {
+            let id = r.metric_id as usize;
+            let handles = &mut p.file_handles;
+            if handles.len() <= id {
+                handles.resize(id + 1, None);
+            }
+            if handles[id].is_none() {
+                let learned = || ext.get(&(origin, r.metric_id)).map(|(_, f)| f.as_str());
+                let file = self.sample.base_file_name(id).or_else(learned);
+                let file = file.unwrap_or("extra");
+                if leaf_name_ok(file) {
+                    cluster_file(&mut handles[id], &mut host.proc, origin_name, file);
+                }
+            }
+            let Some(h) = handles[id] else {
+                self.receive.rejected += 1;
+                continue;
+            };
+            let values = &mut p.remote_values;
+            if values.len() <= id {
+                values.resize(id + 1, None);
+            }
+            values[id] = Some((r.value, now));
+            // Numbers only: the file renders `"<file> <value> ts <ts>"`
+            // when somebody reads it.
+            host.proc.set_sample(h, r.value, r.timestamp);
+        }
+        // Make sure the control file for that node exists so applications
+        // can customize it.
+        if !p.ctl_ready {
+            let ctl = format!("cluster/{origin_name}/control");
+            p.ctl_ready = host.proc.intern(&ctl).is_ok();
+        }
+        let handler = calib.receive_cost(bytes);
+        stats.events_received += 1;
+        stats.bytes_received += bytes as u64;
+        stats.pending_receive += handler;
+        handler
+    }
+
+    /// Handle an incoming heartbeat: pure liveness, no data. Returns the
+    /// handler CPU cost. Heartbeats are deliberately cheap and stay out
+    /// of the Fig. 8 receive-cost sampler — they are the failure
+    /// detector's overhead, not monitoring work.
+    pub fn on_heartbeat(&mut self, ev: &Event, now: SimTime, calib: &Calib) -> SimDur {
+        let Some(hb) = ev.as_heartbeat() else {
+            return SimDur::ZERO;
+        };
+        // Loss repayment happens inside `note_alive`: a heartbeat that
+        // reveals a gap proves the publisher alive with its data dying on
+        // the wire, and the repaid credits let it re-probe the path
+        // without waiting a full round-trip of absorbed data.
+        let (me, stats) = (self.node, &mut self.stats);
+        let alive = self
+            .detector
+            .note_alive(&mut self.peers, me, *hb, now, stats);
+        if alive.is_none() {
+            self.receive.rejected += 1;
+            return SimDur::ZERO;
+        }
+        self.stats.heartbeats_received += 1;
+        calib.heartbeat_cost
+    }
+
+    /// Last value received from `origin` for the metric named `metric` —
+    /// the programmatic fast path next to the `/proc` text interface.
+    pub fn remote_value(&self, origin: NodeId, metric: &str) -> Option<(f64, SimTime)> {
+        let idx = match self.sample.env.index_of(metric) {
+            Some(idx) => idx,
+            // A metric this node has no module for: resolve through the
+            // schema the origin shipped with its events. The map is
+            // ordered by (origin, id), so this scans exactly the origin's
+            // ids in ascending order.
+            None => {
+                let ext = &self.receive.remote_ext;
+                let mut ids = ext.range((origin, 0)..=(origin, u32::MAX));
+                ids.find(|(_, (name, _))| name == metric)?.0 .1 as usize
+            }
+        };
+        *self.peers.get(origin)?.remote_values.get(idx)?
+    }
+
+    /// Frames dropped because their origin named no node of this cluster,
+    /// plus records skipped because a peer supplied an unusable file name
+    /// (kept off `DmonStats`, whose `Debug` text is part of recorded run
+    /// fingerprints).
+    pub fn events_rejected(&self) -> u64 {
+        self.receive.rejected
+    }
+
+    /// Read access to the stream tracker observing `peer`'s stream
+    /// (tests, probes).
+    pub fn stream_tracker(&self, peer: NodeId) -> Option<&StreamTracker> {
+        self.peers.get(peer).map(|p| &p.tracker)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::PeerHealth;
+    use super::*;
+    use kecho::{ChannelId, MonRecord, MonitoringPayload};
+
+    #[test]
+    fn on_event_populates_cluster_tree_and_fast_path() {
+        let (mut dmon, mut host, _dir, mon, _ctl, calib) = setup();
+        let ev = Event::monitoring(
+            mon.0,
+            1,
+            NodeId(2),
+            MonitoringPayload {
+                origin: NodeId(2),
+                epoch: 0,
+                stream_seq: 0,
+                credit_grant: 0,
+                records: vec![MonRecord {
+                    metric_id: 0,
+                    value: 2.5,
+                    last_value_sent: 1.0,
+                    timestamp: 3.0,
+                }],
+                pad_bytes: 0,
+                ext_names: Vec::new(),
+            },
+        );
+        let cost = dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(3), &calib);
+        assert!(cost >= calib.receive_base);
+        assert!(host.proc.read("cluster/etna/cpu").unwrap().contains("2.5"));
+        assert!(host.proc.exists("cluster/etna/control"));
+        let (v, t) = dmon.remote_value(NodeId(2), "LOADAVG").unwrap();
+        assert_eq!(v, 2.5);
+        assert_eq!(t, SimTime::from_secs(3));
+        assert_eq!(dmon.stats.events_received, 1);
+    }
+
+    fn hb_from(origin: NodeId, mon: ChannelId) -> Event {
+        let payload = HeartbeatPayload {
+            origin,
+            epoch: 0,
+            stream_seq: 0,
+        };
+        Event::heartbeat(mon.0, 1, origin, NodeId(0), payload)
+    }
+
+    #[test]
+    fn heartbeat_refreshes_peer_without_data() {
+        let (mut dmon, _host, _dir, mon, _ctl, calib) = setup();
+        let hb = hb_from(NodeId(1), mon);
+        let cost = dmon.on_heartbeat(&hb, SimTime::from_secs(1), &calib);
+        assert!(cost > SimDur::ZERO);
+        assert_eq!(dmon.stats.heartbeats_received, 1);
+        assert_eq!(dmon.stats.events_received, 0, "no data counted");
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
+    }
+
+    #[test]
+    fn events_from_outside_the_rack_spill_and_unknown_origins_are_dropped() {
+        let (mut dmon, mut host, mon, calib) = racked();
+        assert_eq!(dmon.tracked_peers(), 3, "the home rack");
+        let now = SimTime::from_secs(1);
+        let cost = dmon.on_event(&mut host, &mon_from(FAR, mon, 0, 0), 90, now, &calib);
+        assert!(cost > SimDur::ZERO);
+        assert_eq!(dmon.tracked_peers(), 4, "first touch spills one slot");
+        assert_eq!(dmon.peer_health(FAR), Some(PeerHealth::Fresh));
+        assert!(dmon.remote_value(FAR, "LOADAVG").is_some());
+        assert!(host.proc.exists("cluster/hood/cpu"));
+        for (k, origin) in BOGUS.into_iter().enumerate() {
+            let ev = mon_from(origin, mon, 0, 0);
+            assert_eq!(dmon.on_event(&mut host, &ev, 90, now, &calib), SimDur::ZERO);
+            assert_eq!(dmon.events_rejected(), k as u64 + 1);
+            assert_eq!(dmon.peer_health(origin), None);
+        }
+        assert_eq!(dmon.stats.events_received, 1, "only the real frame counted");
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+
+    /// A frame from etna carrying one record of extension metric 7, which
+    /// its schema block binds to the file name `file`.
+    fn ext_frame(mon: ChannelId, sseq: u32, file: &str) -> Event {
+        let payload = MonitoringPayload {
+            origin: NodeId(2),
+            epoch: 0,
+            stream_seq: sseq,
+            credit_grant: 0,
+            records: vec![MonRecord {
+                metric_id: 7,
+                value: 4.0,
+                last_value_sent: 0.0,
+                timestamp: 1.0,
+            }],
+            pad_bytes: 0,
+            ext_names: vec![(7, "EXT".to_string(), file.to_string())],
+        };
+        Event::monitoring(mon.0, 1, NodeId(2), payload)
+    }
+
+    #[test]
+    fn peer_supplied_file_names_cannot_panic_or_clobber() {
+        let (mut dmon, mut host, mon, calib) = racked();
+        let now = SimTime::from_secs(1);
+        // The peer's status and control files exist before the hostile
+        // frames arrive, as they do on a running node.
+        dmon.on_event(&mut host, &mon_from(NodeId(2), mon, 0, 0), 90, now, &calib);
+        host.proc.set("cluster/etna/status", "fresh").unwrap();
+        let listing = host.proc.list("cluster/etna").unwrap();
+        for (k, file) in ["", "a//b", "x/y", "control", "status", "overload"]
+            .into_iter()
+            .enumerate()
+        {
+            let ev = ext_frame(mon, 1 + k as u32, file);
+            assert!(dmon.on_event(&mut host, &ev, 90, now, &calib) > SimDur::ZERO);
+            assert_eq!(dmon.events_rejected(), 1 + k as u64, "{file:?} counted");
+            assert_eq!(host.proc.list("cluster/etna").unwrap(), listing, "{file:?}");
+            assert!(host.proc.is_dir("cluster/etna"));
+            assert_eq!(host.proc.read("cluster/etna/control").unwrap(), "");
+            assert_eq!(host.proc.read("cluster/etna/status").unwrap(), "fresh");
+            assert_eq!(dmon.remote_value(NodeId(2), "EXT"), None, "record skipped");
+        }
+        assert_eq!(dmon.stats.events_received, 7, "the frames themselves count");
+
+        let ev = ext_frame(mon, 7, "power");
+        dmon.on_event(&mut host, &ev, 90, now, &calib);
+        assert_eq!(dmon.events_rejected(), 6);
+        assert_eq!(
+            host.proc.read("cluster/etna/power").unwrap(),
+            "power 4 ts 1.000"
+        );
+        assert_eq!(dmon.remote_value(NodeId(2), "EXT"), Some((4.0, now)));
+    }
+
+    #[test]
+    fn heartbeats_from_outside_the_rack_spill_and_unknown_origins_are_dropped() {
+        let (mut dmon, _host, mon, calib) = racked();
+        let now = SimTime::from_secs(1);
+        assert!(dmon.on_heartbeat(&hb_from(FAR, mon), now, &calib) > SimDur::ZERO);
+        assert_eq!(dmon.peer_health(FAR), Some(PeerHealth::Fresh));
+        for origin in BOGUS {
+            let cost = dmon.on_heartbeat(&hb_from(origin, mon), now, &calib);
+            assert_eq!(cost, SimDur::ZERO);
+        }
+        assert_eq!(dmon.stats.heartbeats_received, 1);
+        assert_eq!(dmon.events_rejected(), 2);
+        assert_eq!(dmon.tracked_peers(), 4);
+    }
+}

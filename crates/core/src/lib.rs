@@ -11,17 +11,19 @@
 //! * [`control`] — the text protocol written into
 //!   `/proc/cluster/<node>/control` files and its parsing into control
 //!   messages,
-//! * [`dmon`] — the distributed-monitor kernel module: polls modules,
-//!   applies parameters and E-code filters per subscriber, submits events
-//!   on the KECho monitoring channel, consumes incoming events into the
-//!   local `/proc/cluster` tree, and handles control messages (including
-//!   run-time filter compilation),
+//! * [`dmon`] — the distributed-monitor kernel module, one sub-module
+//!   per stage of its loop: `sample` polls the modules, `select` applies
+//!   parameters and E-code filters per subscriber, `flow` submits events
+//!   on the KECho monitoring channel under credit flow control, `ladder`
+//!   degrades under overload, `detector` judges peers and replays
+//!   customizations, `receive` consumes incoming events into the local
+//!   `/proc/cluster` tree, `digest` is the rack aggregation tier; control
+//!   messages (including run-time filter compilation) are handled there
+//!   too,
 //! * [`cluster`] — the runnable composition: N simulated hosts on a
 //!   switched network, one d-mon each, with the discrete-event loop
 //!   driving polling, delivery, and workloads,
-//! * [`calib`] — every calibration constant in one documented place,
-//! * [`measure`] — derived measurements used by the figure harness (Iperf
-//!   probe adjustments, Mflops probes).
+//! * [`calib`] — every calibration constant in one documented place.
 //!
 //! # Quickstart
 //!
@@ -44,7 +46,6 @@ pub mod calib;
 pub mod cluster;
 pub mod control;
 pub mod dmon;
-pub mod measure;
 pub mod modules;
 pub(crate) mod node;
 pub mod params;

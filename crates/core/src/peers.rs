@@ -13,7 +13,7 @@
 //! not O(cluster).
 
 use std::collections::VecDeque;
-use std::ops::{Index, IndexMut, Range};
+use std::ops::Range;
 
 use kecho::{CreditWindow, MonRecord, StreamTracker};
 use simcore::SimTime;
@@ -274,21 +274,6 @@ impl PeerTable {
     }
 }
 
-/// Slot access for an id the caller already knows has one (its own
-/// `touch` succeeded, or the id came out of [`PeerTable::iter_mut`]).
-impl Index<NodeId> for PeerTable {
-    type Output = PeerState;
-    fn index(&self, id: NodeId) -> &PeerState {
-        self.get(id).expect("peer slot touched before use")
-    }
-}
-
-impl IndexMut<NodeId> for PeerTable {
-    fn index_mut(&mut self, id: NodeId) -> &mut PeerState {
-        self.get_mut(id).expect("peer slot touched before use")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,7 +295,11 @@ mod tests {
         }
         assert!(t.get_mut(NodeId(2)).is_none());
         assert_eq!(ids(&mut t), vec![1, 4, 5, 6, 7, 9, 10]);
-        assert_eq!(t[NodeId(10)].sent, 2, "second touch found the slot");
+        assert_eq!(
+            t.get(NodeId(10)).unwrap().sent,
+            2,
+            "second touch found the slot"
+        );
         assert_eq!(t.iter().count(), t.len());
         // Ids outside the cluster never get a slot.
         assert!(t.touch(NodeId(12)).is_none());

@@ -111,7 +111,7 @@ mod tests {
         Finding {
             rule,
             severity: Severity::Error,
-            file: "crates/core/src/dmon.rs".to_string(),
+            file: "crates/core/src/dmon/mod.rs".to_string(),
             line,
             col: 9,
             function: "poll".to_string(),

@@ -16,12 +16,20 @@
 /// *count* of lost positions is always preserved in [`StreamTracker::gaps`].
 pub const MAX_GAP_RANGES: usize = 32;
 
+/// Whether stream position `a` lies before `b`. Positions are compared in
+/// serial-number order (RFC 1982): the stream wraps at `u32::MAX`, so a
+/// position up to 2^31 behind `b` is the past and anything else is ahead.
+fn precedes(a: u32, b: u32) -> bool {
+    (a.wrapping_sub(b) as i32) < 0
+}
+
 /// What one arrival told us about the stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Observation {
     /// Sequence numbers proven lost, as an inclusive `(first, last)`
     /// range: everything between the last arrival and this one,
-    /// exclusive. `None` when the stream is contiguous. A gap is always
+    /// exclusive (`first > last` when the run crosses the u32 wrap).
+    /// `None` when the stream is contiguous. A gap is always
     /// one contiguous run, so this is O(1) memory no matter how long the
     /// outage was.
     pub missing: Option<(u32, u32)>,
@@ -80,7 +88,7 @@ impl StreamTracker {
                     self.next = Some(seq.wrapping_add(1));
                     self.restarts += 1;
                     obs.restarted = true;
-                } else if epoch < self.epoch || seq < expected {
+                } else if epoch < self.epoch || precedes(seq, expected) {
                     obs.stale = true;
                     if epoch == self.epoch && self.unlog_gap(seq) {
                         // A current-epoch straggler that fills a recorded
@@ -92,11 +100,12 @@ impl StreamTracker {
                         obs.healed = true;
                     }
                 } else {
-                    if seq > expected {
-                        obs.missing = Some((expected, seq - 1));
-                        obs.lost = u64::from(seq - expected);
+                    if seq != expected {
+                        let last = seq.wrapping_sub(1);
+                        obs.missing = Some((expected, last));
+                        obs.lost = u64::from(seq.wrapping_sub(expected));
                         self.gaps += obs.lost;
-                        self.log_gap(expected, seq - 1);
+                        self.log_gap(expected, last);
                     }
                     self.next = Some(seq.wrapping_add(1));
                 }
@@ -137,8 +146,14 @@ impl StreamTracker {
     /// Append a lost range to the bounded log, coalescing with the
     /// previous entry when contiguous.
     fn log_gap(&mut self, first: u32, last: u32) {
+        if first > last {
+            // The run crosses the u32 wrap: log it as two plain ranges so
+            // `unlog_gap`'s `first <= seq <= last` test stays valid.
+            self.log_gap(first, u32::MAX);
+            return self.log_gap(0, last);
+        }
         if let Some(tail) = self.gap_log.last_mut() {
-            if tail.1.wrapping_add(1) == first {
+            if tail.1.checked_add(1) == Some(first) {
                 tail.1 = last;
                 return;
             }
@@ -308,5 +323,25 @@ mod tests {
         t.observe(1, 3); // epoch 1, lost 1-2
         assert!(!t.observe(0, 1).healed, "old incarnation cannot heal");
         assert_eq!(t.gaps(), 2);
+    }
+
+    #[test]
+    fn a_gap_across_the_u32_wrap_is_a_gap_not_the_past() {
+        let mut t = StreamTracker::new();
+        t.observe(0, u32::MAX - 1);
+        // u32::MAX and 0 are lost; 1 arrives "below" the expected
+        // position numerically but ahead of it on the stream.
+        let obs = t.observe(0, 1);
+        assert!(!obs.stale && !obs.restarted);
+        assert_eq!((obs.missing, obs.lost), (Some((u32::MAX, 0)), 2));
+        assert_eq!(t.gap_ranges(), &[(u32::MAX, u32::MAX), (0, 0)]);
+        // Either side of the wrap heals like any other straggler, and a
+        // duplicate from before the wrap is still the past.
+        assert!(t.observe(0, 0).healed);
+        assert!(t.observe(0, u32::MAX).healed);
+        let dup = t.observe(0, u32::MAX - 1);
+        assert!(dup.stale && !dup.healed);
+        assert_eq!((t.gaps(), t.restarts()), (0, 0));
+        assert_eq!(t.observe(0, 2), Observation::default());
     }
 }

@@ -14,7 +14,6 @@
 //!   histograms,
 //! * [`series`] — time-series recording and tabular export used by the
 //!   figure-regeneration harness,
-//! * [`ratelimit`] — a token bucket used by the network model,
 //! * [`parallel`] — a scoped-thread replica runner used by parameter
 //!   sweeps,
 //! * [`pdes`] — a sharded conservative-window parallel scheduler whose
@@ -49,7 +48,6 @@ pub mod fastfmt;
 pub mod fxhash;
 pub mod parallel;
 pub mod pdes;
-pub mod ratelimit;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -103,7 +103,7 @@ impl Placement {
         let mut start = 0;
         for (k, len) in sizes.into_iter().enumerate() {
             racks.push(Rack { start, len });
-            rack_of.extend(std::iter::repeat(k).take(len));
+            rack_of.extend(std::iter::repeat_n(k, len));
             start += len;
         }
         Placement { racks, rack_of }

@@ -477,7 +477,7 @@ fn gap_memory_stays_bounded_through_sustained_loss() {
         );
         total_gaps += tr.gaps();
     }
-    let reported: u64 = w.dmons.iter().map(|d| d.stats.gaps_detected).sum();
+    let reported: u64 = w.dmon_total(|s| s.gaps_detected);
     assert_eq!(total_gaps, reported, "tracker and stats disagree on loss");
     assert!(
         reported <= w.fault.stats.events_lost,

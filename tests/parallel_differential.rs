@@ -260,9 +260,9 @@ fn compiled_filters_are_bit_identical() {
     setup(&mut probe);
     probe.run_until(SimTime::from_secs(12));
     let w = probe.world();
-    let compiled: u64 = w.dmons.iter().map(|d| d.stats.filters_compiled).sum();
-    let fallbacks: u64 = w.dmons.iter().map(|d| d.stats.interp_fallbacks).sum();
-    let bypassed: u64 = w.dmons.iter().map(|d| d.stats.memo_bypassed).sum();
+    let compiled: u64 = w.dmon_total(|s| s.filters_compiled);
+    let fallbacks: u64 = w.dmon_total(|s| s.interp_fallbacks);
+    let bypassed: u64 = w.dmon_total(|s| s.memo_bypassed);
     assert_eq!(compiled, 30, "every deployed filter must compile");
     assert_eq!(fallbacks, 0, "no certified shape may fall back");
     assert!(bypassed > 0, "impure filters must bypass the memo");
@@ -305,8 +305,8 @@ fn hierarchical_racks_are_bit_identical() {
     probe.apply_fault_plan(&plan);
     probe.run_until(SimTime::from_secs(14));
     let w = probe.world();
-    let sent: u64 = w.dmons.iter().map(|d| d.stats.digests_sent).sum();
-    let recv: u64 = w.dmons.iter().map(|d| d.stats.digests_received).sum();
+    let sent: u64 = w.dmon_total(|s| s.digests_sent);
+    let recv: u64 = w.dmon_total(|s| s.digests_received);
     assert!(sent > 0, "no digests sent — vacuous");
     assert!(recv > 0, "no digests received — vacuous");
     assert!(recv < sent, "the partition destroyed no digests — vacuous");
@@ -335,12 +335,7 @@ fn hierarchical_windows_run_parallel() {
         stats.windows_parallel > stats.windows_serial,
         "parallel windows should dominate a fault-free hierarchical run: {stats:?}"
     );
-    let recv: u64 = sim
-        .world()
-        .dmons
-        .iter()
-        .map(|d| d.stats.digests_received)
-        .sum();
+    let recv: u64 = sim.world().dmon_total(|s| s.digests_received);
     assert!(recv > 0, "no digests crossed the spine");
 }
 

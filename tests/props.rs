@@ -7,7 +7,6 @@ use dproc::params::{PolicySet, Rule, RuleCtx};
 use ecode::{EnvSpec, Filter, MetricRecord};
 use kecho::wire::{decode_event, encode_event, encoded_size};
 use kecho::{ControlMsg, Event, HeartbeatPayload, MonRecord, MonitoringPayload, ParamSpec};
-use simcore::ratelimit::TokenBucket;
 use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::ProcFs;
@@ -207,40 +206,6 @@ proptest! {
         let filter = Filter::compile(&src, &env).unwrap();
         let out = filter.run(&[MetricRecord::new(0, 0.0)]).unwrap();
         prop_assert_eq!(out.records()[0].value, (n * (n - 1) / 2) as f64);
-    }
-}
-
-// ---------- token bucket ----------
-
-proptest! {
-    #[test]
-    fn token_bucket_never_exceeds_burst(
-        rate in 1.0f64..1e6,
-        burst in 1.0f64..1e6,
-        steps in proptest::collection::vec((0u64..10_000, 0.0f64..1e5), 1..50),
-    ) {
-        let mut tb = TokenBucket::new(rate, burst, SimTime::ZERO);
-        let mut t = SimTime::ZERO;
-        for (dt_ms, want) in steps {
-            t += SimDur::from_millis(dt_ms);
-            let _ = tb.try_consume(want, t);
-            prop_assert!(tb.level(t) <= burst + 1e-9);
-        }
-    }
-
-    #[test]
-    fn token_bucket_wait_is_sufficient(
-        rate in 1.0f64..1e6,
-        burst in 1.0f64..1e6,
-        want in 0.0f64..1e6,
-    ) {
-        let mut tb = TokenBucket::new(rate, burst, SimTime::ZERO);
-        // Empty it first.
-        tb.consume_debt(burst, SimTime::ZERO);
-        let want = want.min(burst);
-        let wait = tb.wait_for(want, SimTime::ZERO);
-        let at = SimTime::ZERO + wait + SimDur::from_nanos(1);
-        prop_assert!(tb.try_consume(want, at), "after waiting, consumption succeeds");
     }
 }
 

@@ -2,7 +2,6 @@
 //! Figures 4–8, asserted rather than eyeballed.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use dproc::measure::iperf_probe_mbps;
 use kecho::{ControlMsg, ParamSpec, Topology};
 use simcore::{SimDur, SimTime};
 use simnet::NodeId;
@@ -98,7 +97,7 @@ fn bandwidth_perturbation_under_half_percent() {
     sim.run_until(SimTime::from_secs(70));
     let now = sim.now();
     let w = sim.world_mut();
-    let avail = iperf_probe_mbps(w, now, NodeId(0), NodeId(1));
+    let avail = w.iperf_probe_mbps(now, NodeId(0), NodeId(1));
     assert!(avail > 96.0 * 0.995, "Fig. 5: <0.5% drop, got {avail}");
     assert!(avail < 96.0, "but some drop is visible: {avail}");
 }

@@ -18,7 +18,7 @@ fn max_tracked_peers(n: usize) -> usize {
     sim.run_for(SimDur::from_secs(5));
     let w = sim.world();
     assert!(w.mon_delivered > 0, "{n} nodes: nothing was monitored");
-    let digests: u64 = w.dmons.iter().map(|d| d.stats.digests_received).sum();
+    let digests: u64 = w.dmon_total(|s| s.digests_received);
     assert!(digests > 0, "{n} nodes: the digest tier never ran");
     let tracked = w.dmons.iter().map(dproc::DMon::tracked_peers);
     tracked.max().expect("non-empty cluster")
