@@ -34,7 +34,7 @@ fn fig3_native(inputs: &[MetricRecord]) -> Vec<MetricRecord> {
 fn bench_compile(c: &mut Criterion) {
     let env = fig3_env();
     c.bench_function("ecode/compile_fig3", |b| {
-        b.iter(|| Filter::compile(black_box(FIG3_SOURCE), &env).unwrap())
+        b.iter(|| Filter::compile(black_box(FIG3_SOURCE), &env).unwrap());
     });
 }
 
@@ -47,7 +47,7 @@ fn bench_specialize(c: &mut Criterion) {
     let env = fig3_env();
     let filter = Filter::compile(FIG3_SOURCE, &env).unwrap();
     c.bench_function("ecode/specialize_fig3", |b| {
-        b.iter(|| compile_filter(black_box(&filter)).expect("fig3 compiles"))
+        b.iter(|| compile_filter(black_box(&filter)).expect("fig3 compiles"));
     });
 }
 
@@ -59,10 +59,10 @@ fn bench_execute(c: &mut Criterion) {
     let mut group = c.benchmark_group("ecode/execute_fig3");
     group.bench_function("vm", |b| b.iter(|| filter.run(black_box(&inputs)).unwrap()));
     group.bench_function("compiled", |b| {
-        b.iter(|| compiled.run(black_box(&inputs)).unwrap())
+        b.iter(|| compiled.run(black_box(&inputs)).unwrap());
     });
     group.bench_function("native_rust", |b| {
-        b.iter(|| fig3_native(black_box(&inputs)))
+        b.iter(|| fig3_native(black_box(&inputs)));
     });
     group.finish();
 }
@@ -74,7 +74,7 @@ fn bench_loop_heavy(c: &mut Criterion) {
     let filter = Filter::compile(src, &env).unwrap();
     let inputs = [MetricRecord::new(0, 1.0)];
     c.bench_function("ecode/loop_1000_iters", |b| {
-        b.iter(|| filter.run(black_box(&inputs)).unwrap())
+        b.iter(|| filter.run(black_box(&inputs)).unwrap());
     });
 }
 

@@ -17,7 +17,7 @@ fn bench_parameter_rule(c: &mut Criterion) {
         now: SimTime::from_secs(2),
     };
     c.bench_function("customization/parameter_delta15", |b| {
-        b.iter(|| policy.decide(black_box("LOADAVG"), black_box(&ctx)))
+        b.iter(|| policy.decide(black_box("LOADAVG"), black_box(&ctx)));
     });
 }
 
@@ -36,7 +36,7 @@ fn bench_equivalent_filter(c: &mut Criterion) {
     let filter = Filter::compile(src, &env).unwrap();
     let inputs = [MetricRecord::new(0, 1.3).with_last_sent(1.0)];
     c.bench_function("customization/ecode_delta15", |b| {
-        b.iter(|| filter.run(black_box(&inputs)).unwrap())
+        b.iter(|| filter.run(black_box(&inputs)).unwrap());
     });
 }
 
@@ -45,7 +45,7 @@ fn bench_filter_deployment(c: &mut Criterion) {
     let env = EnvSpec::new(["LOADAVG"]);
     let src = "{ if (input[LOADAVG].value > 2.0) { output[0] = input[LOADAVG]; } }";
     c.bench_function("customization/filter_compile", |b| {
-        b.iter(|| Filter::compile(black_box(src), &env).unwrap())
+        b.iter(|| Filter::compile(black_box(src), &env).unwrap());
     });
 }
 

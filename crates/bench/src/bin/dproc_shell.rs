@@ -115,7 +115,7 @@ fn parse(line: &str) -> Result<Cmd, String> {
             if n == 0 {
                 return Err("cluster needs at least one node".into());
             }
-            let names: Vec<String> = rest[1..].iter().map(|s| s.to_string()).collect();
+            let names: Vec<String> = rest[1..].iter().map(ToString::to_string).collect();
             if !names.is_empty() && names.len() != n {
                 return Err(format!("expected {n} names, got {}", names.len()));
             }
@@ -769,10 +769,7 @@ fn detlint_report() -> Result<String, String> {
     let mut root = std::env::current_dir().map_err(|e| format!("detlint: cwd: {e}"))?;
     loop {
         let manifest = root.join("Cargo.toml");
-        if std::fs::read_to_string(&manifest)
-            .map(|t| t.contains("[workspace]"))
-            .unwrap_or(false)
-        {
+        if std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("[workspace]")) {
             break;
         }
         if !root.pop() {

@@ -3,7 +3,7 @@
 //! One binary per evaluation figure of the paper (`fig4_cpu_perturbation`
 //! … `fig11_hybrid`), a `run_all` binary producing the complete
 //! EXPERIMENTS.md input, and an `ablation_topology` binary for the
-//! peer-to-peer vs. central-collector design comparison. Criterion
-//! microbenchmarks live under `benches/`.
+//! peer-to-peer vs. central-collector design comparison. The two
+//! criterion ablations EXPERIMENTS.md quotes live under `benches/`.
 
 pub mod harness;

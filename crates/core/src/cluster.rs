@@ -1118,7 +1118,7 @@ mod tests {
         assert!(w.hosts[0].proc.exists("cluster/rack1/cpu"));
         assert!(w.hosts[3].proc.exists("cluster/rack0/cpu"));
         assert!(w.dmons[0].stats.digests_sent > 0);
-        assert!(w.dmons[0].stats.digest_staleness_s.len() > 0);
+        assert!(!w.dmons[0].stats.digest_staleness_s.is_empty());
         // Non-aggregators stay off the spine entirely.
         assert_eq!(w.dmons[1].stats.digests_received, 0);
         assert!(!w.hosts[1].proc.exists("cluster/rack1/cpu"));
@@ -1359,8 +1359,7 @@ mod congestion_tests {
         let retx = w.hosts[1]
             .conns
             .get(conn)
-            .map(|s| s.retransmissions())
-            .unwrap_or(0);
+            .map_or(0, simnet::ConnStats::retransmissions);
         assert!(retx > 0, "queueing past the RTO counts retransmissions");
         // And the /proc detail carries it to remote observers.
         let now = sim.now();

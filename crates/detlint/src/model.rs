@@ -384,12 +384,8 @@ fn body_open(toks: &[Tok], from: usize) -> Option<usize> {
         let t = &toks[i];
         match &t.kind {
             TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => {
-                // `->` is not a closing angle.
-                if !(i > 0 && toks[i - 1].is_punct('-')) {
-                    angle -= 1;
-                }
-            }
+            // `->` is not a closing angle.
+            TokKind::Punct('>') if !(i > 0 && toks[i - 1].is_punct('-')) => angle -= 1,
             TokKind::Punct(';') if angle <= 0 => return None, // trait decl, no body
             TokKind::Punct('{') if angle <= 0 => return Some(i),
             _ => {}

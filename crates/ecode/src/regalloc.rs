@@ -290,7 +290,7 @@ mod tests {
         let c = chunk("{ return 1; int x = 0; }");
         let rm = map_registers(&c).unwrap();
         // Ops after ReturnValue never get a depth.
-        assert!(rm.depth_before.iter().any(|d| d.is_none()));
+        assert!(rm.depth_before.iter().any(Option::is_none));
     }
 
     #[test]

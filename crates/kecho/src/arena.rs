@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_span_gathers_nothing() {
-        let mut a = RecordArena::new();
+        let a = RecordArena::new();
         let m = a.mark();
         let s = a.span_since(m);
         assert!(s.is_empty());

@@ -816,10 +816,7 @@ mod tests {
         assert!(w.rekey(horizon + 1, 70, 1), "overflow entry rekeys");
         assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("late"));
         assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("early"));
-        assert_eq!(
-            w.pop_min_if(u64::MAX).map(|(a, s, v)| (a, s, v)).unwrap().1,
-            1
-        );
+        assert_eq!(w.pop_min_if(u64::MAX).unwrap().1, 1);
         assert!(!w.rekey(100, 9, 5), "fired entry reports false");
     }
 
@@ -891,13 +888,11 @@ mod tests {
         // check ordering survives (correctness is what the invariants
         // guarantee; the capacity claim has its own test below).
         let mut w: Wheel<u64> = Wheel::new();
-        let mut seq = 0u64;
         let mut expect = Vec::new();
-        for i in 0..200u64 {
-            let at = i * 1_000_003; // straddles several level boundaries
+        for seq in 0..200u64 {
+            let at = seq * 1_000_003; // straddles several level boundaries
             w.insert(at, seq, at);
             expect.push(at);
-            seq += 1;
         }
         let mut got = Vec::new();
         while let Some((at, _s, v)) = w.pop_min_if(u64::MAX) {
@@ -1116,7 +1111,7 @@ mod tests {
             |w: &mut W, _: &mut Sim<W>| w.log.push((2, "far")),
         );
         sim.schedule_at(SimTime::from_nanos(7), |w: &mut W, _: &mut Sim<W>| {
-            w.log.push((1, "near"))
+            w.log.push((1, "near"));
         });
         let far_cancel = sim.schedule_at(
             SimTime::from_nanos(horizon + 9),

@@ -892,7 +892,7 @@ mod tests {
         ) -> WindowMode {
             self.windows_seen += 1;
             match self.force_serial_every {
-                Some(k) if self.windows_seen % k == 0 => WindowMode::Serial,
+                Some(k) if self.windows_seen.is_multiple_of(k) => WindowMode::Serial,
                 _ => WindowMode::Parallel,
             }
         }
@@ -937,8 +937,7 @@ mod tests {
                 local: vec![usize::MAX; n],
             })
             .collect();
-        for i in 0..n {
-            let s = shard_of[i];
+        for (i, &s) in shard_of.iter().enumerate() {
             worlds[s].local[i] = worlds[s].nodes.len();
             worlds[s].nodes.push(ToyNode {
                 id: i,
@@ -1000,7 +999,8 @@ mod tests {
                 sim.schedule_at(now + SimDur::from_nanos(PERIOD), tick(i, n));
             }
         }
-        fn chain(i: usize, depth: u8) -> Box<dyn FnOnce(&mut World, &mut Sim<World>)> {
+        type Handler = Box<dyn FnOnce(&mut World, &mut Sim<World>)>;
+        fn chain(i: usize, depth: u8) -> Handler {
             Box::new(move |w, sim| {
                 w.nodes[i].chained += depth as u64;
                 if depth > 0 {
@@ -1073,8 +1073,7 @@ mod tests {
                     local: vec![usize::MAX; 6],
                 })
                 .collect();
-            for i in 0..6 {
-                let s = shard_of[i];
+            for (i, &s) in shard_of.iter().enumerate() {
                 worlds[s].local[i] = worlds[s].nodes.len();
                 worlds[s].nodes.push(ToyNode {
                     id: i,

@@ -8,7 +8,8 @@
 # crates/bench/baseline/run_all.txt: a change that does not mean to move a
 # figure must leave it as it is. On a difference prints the first line that
 # differs, both ways, and exits 1. `--update` rewrites the file from the
-# run, for a change that means to alter a figure.
+# run, for a change that means to alter a figure. Then checks what
+# EXPERIMENTS.md quotes of it by hand.
 set -eu
 cd "$(dirname "$0")/.."
 baseline=crates/bench/baseline/run_all.txt
@@ -33,3 +34,14 @@ else
     echo "  got:  $(sed -n "${line:-\$}p" "$out")"
     exit 1
 fi
+
+# Every line of a fenced block under a `## Figure` heading of
+# EXPERIMENTS.md must be a whole line of the pinned file.
+stray=$(awk '/^## /{fig = /^## Figure/} /^```/{fence = !fence; next} fig && fence' EXPERIMENTS.md |
+    grep -Fxv -f "$baseline" || true)
+if [ -n "$stray" ]; then
+    echo "DIFFERS  EXPERIMENTS.md quotes figure rows $baseline does not have:"
+    echo "$stray"
+    exit 1
+fi
+echo "ok       EXPERIMENTS.md: every quoted figure row is pinned"

@@ -139,7 +139,7 @@ where
         f(&mut b);
         per_iter.push(b.elapsed.as_nanos() as f64 / iters as f64);
     }
-    per_iter.sort_by(|a, b| a.total_cmp(b));
+    per_iter.sort_by(f64::total_cmp);
     let median = per_iter[per_iter.len() / 2];
     let min = per_iter[0];
     let max = per_iter[per_iter.len() - 1];
@@ -185,7 +185,7 @@ mod tests {
         let mut group = c.benchmark_group("shim");
         group.sample_size(2);
         group.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
+            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput);
         });
         group.finish();
     }

@@ -728,7 +728,10 @@ mod tests {
         }
         fn depth(t: &Tree) -> u32 {
             match t {
-                Tree::Leaf(_) => 0,
+                Tree::Leaf(v) => {
+                    assert!((0..10).contains(v), "leaf {v} outside its strategy");
+                    0
+                }
                 Tree::Node(a, b) => 1 + depth(a).max(depth(b)),
             }
         }

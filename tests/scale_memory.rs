@@ -3,36 +3,115 @@
 //! A d-mon exchanges streams only with its rack-scoped channels' members,
 //! so the peers it holds state for must stay at the rack size however
 //! many racks the cluster has — the property that keeps a 1024-node run's
-//! heap linear in the node count instead of quadratic.
+//! heap linear in the node count instead of quadratic. Both are measured
+//! here: the largest peer table, and the live heap the cluster holds per
+//! node.
+
+// Counting live heap bytes means wrapping the system allocator behind
+// `GlobalAlloc`, which is an unsafe trait.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use simcore::SimDur;
+use simcore::SimTime;
 
-const RACK: usize = 32;
+/// The system allocator, counting the bytes currently live.
+struct LiveBytes;
 
-/// The largest per-node peer table after 5 sim-s of polling, digests
-/// included, on `n` nodes in racks of [`RACK`].
-fn max_tracked_peers(n: usize) -> usize {
-    let mut sim = ClusterSim::new(ClusterConfig::new(n).racks(RACK));
+/// Unsigned with wrapping arithmetic: sizes allocated minus sizes freed
+/// is never negative.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: the caller's `layout`, as `GlobalAlloc::alloc` requires.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as u64, Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// Ceiling on live heap per node, per rack member: 200 KB per node at 32
+/// per rack. Rack-sized peer tables measure 3.3 to 3.4 KB per member at
+/// 256 and 1024 nodes / 32 per rack and at 4096 / 64; cluster-sized ones
+/// cost 11.7 at 1024 / 32 and grow with the node count.
+const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 6.25;
+
+/// `n` nodes in racks of `rack` after `secs` sim-s of polling, digests
+/// included: the largest per-node peer table, and the live heap the
+/// cluster holds per node in KB. Asserts on the way that the digest tier
+/// ran, the spine dropped nothing and the heap is under the ceiling.
+///
+/// `LIVE_BYTES` is process-wide, so runs are serialised.
+fn scale_run(n: usize, rack: usize, secs: u64) -> (usize, f64) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let live_before = LIVE_BYTES.load(Relaxed);
+    let mut sim = ClusterSim::new(ClusterConfig::new(n).racks(rack));
     sim.start();
-    sim.run_for(SimDur::from_secs(5));
+    sim.run_until(SimTime::from_secs(secs));
+    let heap_kb = (LIVE_BYTES.load(Relaxed) - live_before) as f64 / 1024.0 / n as f64;
     let w = sim.world();
     assert!(w.mon_delivered > 0, "{n} nodes: nothing was monitored");
     let digests: u64 = w.dmon_total(|s| s.digests_received);
     assert!(digests > 0, "{n} nodes: the digest tier never ran");
+    assert_eq!(w.net.spine_drops(), 0, "{n} nodes: spine drops");
+
+    let ceiling = HEAP_KB_PER_RACK_MEMBER_MAX * rack as f64;
+    assert!(
+        heap_kb <= ceiling,
+        "{n} nodes: {heap_kb:.1} KB of heap per node, over {ceiling:.0} KB \
+         (per-node state growing with the cluster?)"
+    );
     let tracked = w.dmons.iter().map(dproc::DMon::tracked_peers);
-    tracked.max().expect("non-empty cluster")
+    (tracked.max().expect("non-empty cluster"), heap_kb)
 }
 
 #[test]
 fn peer_tables_stay_rack_sized_as_the_cluster_grows() {
-    let at_256 = max_tracked_peers(256);
-    let at_1024 = max_tracked_peers(1024);
+    const RACK: usize = 32;
+    let (peers_256, heap_256) = scale_run(256, RACK, 5);
+    let (peers_1024, heap_1024) = scale_run(1024, RACK, 5);
     // Home range only: rack-scoped monitoring never touches an
     // out-of-rack peer, so nothing spills.
     assert!(
-        at_256 <= RACK,
-        "{at_256} peers tracked in a {RACK}-node rack"
+        peers_256 <= RACK,
+        "{peers_256} peers tracked in a {RACK}-node rack"
     );
-    assert_eq!(at_256, at_1024, "per-node state grew with the cluster");
+    assert_eq!(
+        peers_256, peers_1024,
+        "per-node state grew with the cluster"
+    );
+    assert!(
+        (heap_1024 / heap_256 - 1.0).abs() <= 0.05,
+        "heap per node {heap_256:.1} KB at 256 nodes, {heap_1024:.1} KB at 1024: not flat within 5 %"
+    );
+}
+
+/// The 4096-node / 64-rack run README and DESIGN.md §16 quote; CI runs it
+/// in release (`cargo test --release --test scale_memory -- --ignored`).
+#[test]
+#[ignore = "24 s in debug, 7 s in release"]
+fn four_thousand_nodes_keep_rack_sized_state() {
+    const RACK: usize = 64;
+    let (peers, _) = scale_run(4096, RACK, 8);
+    assert!(peers <= RACK, "{peers} peers tracked in a {RACK}-node rack");
 }
