@@ -1,58 +1,7 @@
 //! Ablation: peer-to-peer KECho channels vs. a Supermon-style central
-//! concentrator (DESIGN.md §5.4).
-//!
-//! The paper argues dproc's kernel-to-kernel peer-to-peer messaging
-//! "avoids central master collection points (scalability of
-//! communications, fault tolerance)". This binary quantifies that on the
-//! simulated cluster: the hub's link traffic grows ~quadratically with
-//! node count while the busiest peer-to-peer node grows linearly, and
-//! end-to-end monitoring latency inflates with the extra hop and the hub
-//! queueing.
-
-use dproc::cluster::{ClusterConfig, ClusterSim};
-use kecho::Topology;
-use simcore::series::{Series, Table};
-use simcore::SimTime;
-use simnet::NodeId;
-
-fn busiest_node_msgs(sim: &ClusterSim) -> u64 {
-    let w = sim.world();
-    (0..w.len())
-        .map(|i| w.net.uplink(NodeId(i)).messages() + w.net.downlink(NodeId(i)).messages())
-        .max()
-        .unwrap_or(0)
-}
-
-fn run(n: usize, topology: Topology) -> (u64, f64) {
-    let mut sim = ClusterSim::new(ClusterConfig::new(n).topology(topology));
-    sim.start();
-    sim.run_until(SimTime::from_secs(60));
-    (busiest_node_msgs(&sim), sim.world().mon_latency_us.mean())
-}
-
+//! collector (DESIGN.md §5.4), as two tables.
 fn main() {
-    let mut traffic = Table::new(
-        "Ablation: busiest node's link messages in 60 s (hot-spot growth)",
-        "nodes",
-    );
-    let mut latency = Table::new("Ablation: mean end-to-end monitoring latency (us)", "nodes");
-    let mut p2p_t = Series::new("peer-to-peer");
-    let mut hub_t = Series::new("central collector");
-    let mut p2p_l = Series::new("peer-to-peer");
-    let mut hub_l = Series::new("central collector");
-    for n in [2usize, 4, 8, 16, 24] {
-        let (t, l) = run(n, Topology::PeerToPeer);
-        p2p_t.push(n as f64, t as f64);
-        p2p_l.push(n as f64, l);
-        let (t, l) = run(n, Topology::Central(NodeId(0)));
-        hub_t.push(n as f64, t as f64);
-        hub_l.push(n as f64, l);
+    for table in dproc_bench::harness::ablation_topology_data() {
+        println!("{}", table.render());
     }
-    traffic.add(p2p_t);
-    traffic.add(hub_t);
-    latency.add(p2p_l);
-    latency.add(hub_l);
-    print!("{}", traffic.render());
-    println!();
-    print!("{}", latency.render());
 }

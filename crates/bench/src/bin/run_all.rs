@@ -1,5 +1,5 @@
-//! Runs every figure regeneration in sequence and prints the tables —
-//! the input recorded in EXPERIMENTS.md.
+//! Runs every figure regeneration in sequence, then the topology
+//! ablation, and prints the tables — the input recorded in EXPERIMENTS.md.
 use dproc_bench::harness as h;
 
 type FigFn = Box<dyn Fn() -> simcore::series::Table + Send>;
@@ -19,5 +19,9 @@ fn main() {
     for (name, f) in figs {
         eprintln!("[run_all] generating {name} ...");
         println!("{}", f().render());
+    }
+    eprintln!("[run_all] generating ablation_topology ...");
+    for table in h::ablation_topology_data() {
+        println!("{}", table.render());
     }
 }

@@ -1,17 +1,18 @@
 //! Shared experiment drivers for the figure-regeneration binaries.
 //!
 //! Each `figN_data` function rebuilds the corresponding figure of the
-//! paper's evaluation as a [`simcore::series::Table`]; the `fig*` binaries
-//! print them. Independent configuration points run in parallel on a
-//! scoped thread pool (`simcore::parallel`), while each simulation itself
-//! stays single-threaded and deterministic.
+//! paper's evaluation as a [`simcore::series::Table`], and
+//! [`ablation_topology_data`] the topology ablation's two; the `fig*` and
+//! `ablation_topology` binaries print them. Independent configuration
+//! points run in parallel on a scoped thread pool (`simcore::parallel`),
+//! while each simulation itself stays single-threaded and deterministic.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use kecho::{ControlMsg, ParamSpec};
 use simcore::parallel::{run_sweep, suggested_threads};
 use simcore::series::{Series, Table};
 use simcore::{SimDur, SimTime};
-use simnet::NodeId;
+use simnet::{NodeId, TopologySpec};
 use simos::host::HostConfig;
 use smartpointer::policy::{MonitorSet, Policy};
 use smartpointer::scenarios;
@@ -331,6 +332,43 @@ pub fn fig11_data(duration_s: u64) -> Table {
         table.add(s);
     }
     table
+}
+
+/// Topology ablation (DESIGN.md §5.4) — the paper's peer-to-peer channels
+/// against a Supermon-style relaying hub, by cluster size: the busiest
+/// node's link messages in 60 s (the hub's grow ~n², a peer's ~n) and the
+/// mean end-to-end monitoring latency (the extra hop plus hub queueing).
+pub fn ablation_topology_data() -> [Table; 2] {
+    let mut traffic = Table::new(
+        "Ablation: busiest node's link messages in 60 s (hot-spot growth)",
+        "nodes",
+    );
+    let mut latency = Table::new("Ablation: mean end-to-end monitoring latency (us)", "nodes");
+    let shapes = [
+        ("peer-to-peer", TopologySpec::Star),
+        ("central collector", TopologySpec::Hub { hub: NodeId(0) }),
+    ];
+    for (name, topo) in shapes {
+        let points = vec![2usize, 4, 8, 16, 24];
+        let results = run_sweep(points.clone(), suggested_threads(5), |n| {
+            let mut sim = ClusterSim::new(ClusterConfig::new(n).topo(topo.clone()));
+            sim.start();
+            sim.run_until(SimTime::from_secs(60));
+            let w = sim.world();
+            let link_msgs =
+                |i| w.net.uplink(NodeId(i)).messages() + w.net.downlink(NodeId(i)).messages();
+            let busiest = (0..n).map(link_msgs).max().unwrap_or(0);
+            (busiest, w.mon_latency_us.mean())
+        });
+        let (mut msgs, mut us) = (Series::new(name), Series::new(name));
+        for (n, (busiest, mean_us)) in points.iter().zip(results) {
+            msgs.push(*n as f64, busiest as f64);
+            us.push(*n as f64, mean_us);
+        }
+        traffic.add(msgs);
+        latency.add(us);
+    }
+    [traffic, latency]
 }
 
 #[cfg(test)]

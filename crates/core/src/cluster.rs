@@ -16,7 +16,7 @@ use simnet::{Fabric, FaultAction, Network, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
 
-use kecho::{ChannelId, Directory, Event, Hop, Topology};
+use kecho::{ChannelId, Directory, Event, Hop};
 
 use crate::calib::Calib;
 use crate::dmon::{DMon, DmonStats};
@@ -37,11 +37,10 @@ pub struct ClusterConfig {
     pub poll_period: SimDur,
     /// Link parameters (defaults to the paper's Fast Ethernet).
     pub link: LinkSpec,
-    /// Channel routing topology.
-    pub topology: Topology,
-    /// Physical fabric shape: one switch (the paper's testbed) or racks
-    /// behind top-of-rack switches uplinked to a spine. The star is the
-    /// 1-rack degenerate case and runs bit-identically to the
+    /// Fabric shape and routing: one switch (the paper's testbed), racks
+    /// behind top-of-rack switches uplinked to a spine, or one switch with
+    /// a relaying hub host (the central-collector baseline). The star is
+    /// the 1-rack degenerate case and runs bit-identically to the
     /// pre-hierarchy cluster.
     pub topo: TopologySpec,
     /// Inter-switch (rack ↔ spine) link parameters; only used when
@@ -130,7 +129,6 @@ impl ClusterConfig {
             host_cfgs: vec![HostConfig::testbed(); n],
             poll_period: SimDur::from_secs(1),
             link: LinkSpec::fast_ethernet(),
-            topology: Topology::PeerToPeer,
             topo: TopologySpec::Star,
             switch_link: LinkSpec::fast_ethernet(),
             calib: Calib::default(),
@@ -154,13 +152,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the topology.
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
-        self
-    }
-
-    /// Set the physical fabric shape.
+    /// Set the fabric shape.
     pub fn topo(mut self, spec: TopologySpec) -> Self {
         self.topo = spec;
         self
@@ -279,17 +271,11 @@ pub struct ClusterWorld {
     pub linpacks: Vec<Linpack>,
     /// The channel directory.
     pub dir: Directory,
-    /// The monitoring channel (rack 0's on a hierarchy — kept under the
-    /// legacy name so single-rack consumers are untouched).
-    pub mon_chan: ChannelId,
-    /// The control channel (rack 0's on a hierarchy).
-    pub ctl_chan: ChannelId,
     /// Resolved node → rack map (one rack on the star).
     pub placement: Placement,
-    /// Per-rack `(monitoring, control)` channels. On the star this is
-    /// exactly `[(mon_chan, ctl_chan)]`; on a hierarchy the rack scoping
-    /// is what shrinks every publisher's subscriber set from cluster-size
-    /// to rack-size.
+    /// Per-rack `(monitoring, control)` channels: one pair on the star; on
+    /// a hierarchy the rack scoping is what shrinks every publisher's
+    /// subscriber set from cluster-size to rack-size.
     pub rack_chans: Vec<(ChannelId, ChannelId)>,
     /// The spine digest channel rack aggregators publish their bounded
     /// roll-ups on; `None` on the star (no aggregation tier).
@@ -321,9 +307,6 @@ pub struct ClusterWorld {
     /// Membership effects the running handler emitted, applied when it
     /// returns; empty between events (the buffer is kept for reuse).
     pub(crate) deferred: Vec<Member>,
-    /// Endpoints and rate of each started flood, so stopping one can also
-    /// clear the hosts' NIC-level background observation.
-    pub(crate) flow_meta: std::collections::HashMap<simnet::FlowId, (NodeId, NodeId, f64)>,
 }
 
 /// The shared state handlers write only through [`Fx`]: link
@@ -529,19 +512,11 @@ impl ClusterWorld {
         self.hosts[node.0].cpu.charge(sim.now(), task, cost);
     }
 
-    /// Send an event over the network and schedule its delivery. In the
-    /// central-concentrator topology, leaf-to-leaf hops detour via the
-    /// hub, which relays them onward at delivery time.
+    /// Send an event over the network and schedule its delivery, by
+    /// whatever route the placement gives `hop`.
     pub fn transmit(&mut self, sim: &mut ClusterSched, hop: Hop, ev: Event, bytes: usize) {
         let (now, mut n, view, mut sink) = self.enter(sim, hop.from.0);
         n.transmit(now, hop, ev, bytes, &view, &mut sink);
-        self.settle(sim);
-    }
-
-    /// Run one d-mon polling iteration for node `i`. No-op on dead nodes.
-    pub fn poll_node(&mut self, sim: &mut ClusterSched, i: usize) {
-        let (now, mut n, view, mut sink) = self.enter(sim, i);
-        n.poll(now, &view, &mut sink);
         self.settle(sim);
     }
 
@@ -731,33 +706,19 @@ impl ClusterSim {
         assert!(n > 0, "cluster needs at least one node");
         assert_eq!(cfg.host_cfgs.len(), n, "one host config per node");
         let placement = cfg.topo.resolve(n);
-        let net = if placement.is_star() {
-            Network::new(n, cfg.link)
-        } else {
-            Network::hierarchical(&placement, cfg.link, cfg.switch_link)
-        };
-        let mut dir = Directory::new(cfg.topology);
-        // The star opens exactly the two legacy channels — same names,
-        // same insertion order as before the hierarchy existed, so every
-        // single-rack fingerprint is unchanged. A hierarchy opens one
-        // monitoring + control pair per rack plus the spine digest
-        // channel.
-        let (rack_chans, digest_chan) = if placement.is_star() {
-            let mon = dir.open("dproc-monitoring");
-            let ctl = dir.open("dproc-control");
-            (vec![(mon, ctl)], None)
-        } else {
-            let chans: Vec<(ChannelId, ChannelId)> = (0..placement.n_racks())
-                .map(|k| {
-                    let mon = dir.open(&format!("dproc-monitoring-rack{k}"));
-                    let ctl = dir.open(&format!("dproc-control-rack{k}"));
-                    (mon, ctl)
-                })
-                .collect();
-            let dg = dir.open("dproc-digest");
-            (chans, Some(dg))
-        };
-        let (mon_chan, ctl_chan) = rack_chans[0];
+        let net = Network::hierarchical(&placement, cfg.link, cfg.switch_link);
+        let mut dir = Directory::default();
+        // One monitoring + control pair per rack — the star's is the
+        // paper's two channels, ids 0 and 1 — and the digest channel when
+        // there is a spine to carry it.
+        let rack_chans: Vec<(ChannelId, ChannelId)> = (0..placement.n_racks())
+            .map(|k| {
+                let mon = dir.open(&format!("dproc-monitoring-rack{k}"));
+                let ctl = dir.open(&format!("dproc-control-rack{k}"));
+                (mon, ctl)
+            })
+            .collect();
+        let digest_chan = (!placement.is_star()).then(|| dir.open("dproc-digest"));
         let shared_names = std::sync::Arc::new(cfg.names.clone());
         let mut hosts = Vec::with_capacity(n);
         let mut dmons = Vec::with_capacity(n);
@@ -794,8 +755,6 @@ impl ClusterSim {
             dmons,
             linpacks: (0..n).map(|_| Linpack::new()).collect(),
             dir,
-            mon_chan,
-            ctl_chan,
             placement,
             rack_chans,
             digest_chan,
@@ -810,7 +769,6 @@ impl ClusterSim {
             poll_period: cfg.poll_period,
             fault_plan: Vec::new(),
             deferred: Vec::new(),
-            flow_meta: std::collections::HashMap::new(),
         };
         if cfg.auto_subscribe {
             for i in 0..n {
@@ -1000,19 +958,7 @@ impl ClusterSim {
         let id = self.world.flows.start(&mut self.world.net, from, to, bps);
         self.world.hosts[from.0].observed_background_bps += bps;
         self.world.hosts[to.0].observed_background_bps += bps;
-        self.world.flow_meta.insert(id, (from, to, bps));
         id
-    }
-
-    /// Stop a flood; clears the endpoints' NIC observations. Idempotent.
-    pub fn stop_iperf(&mut self, id: simnet::FlowId) {
-        self.world.flows.stop(&mut self.world.net, id);
-        if let Some((from, to, bps)) = self.world.flow_meta.remove(&id) {
-            let f = &mut self.world.hosts[from.0].observed_background_bps;
-            *f = (*f - bps).max(0.0);
-            let t = &mut self.world.hosts[to.0].observed_background_bps;
-            *t = (*t - bps).max(0.0);
-        }
     }
 }
 
@@ -1238,19 +1184,42 @@ mod tests {
 
     #[test]
     fn filter_rejection_travels_back_to_subscriber() {
-        let mut sim = ClusterSim::new(ClusterConfig::new(2));
-        sim.start();
-        sim.run_until(SimTime::from_secs(2));
-        sim.write_control(NodeId(1), "node0", "filter { while (1) { } }");
-        sim.run_until(SimTime::from_secs(6));
-        // The publisher refused the filter and never installed it...
-        assert!(!sim.world().dmons[0].has_filter(NodeId(1)));
-        assert_eq!(sim.world().dmons[0].stats.filters_rejected, 1);
-        // ...and the subscriber learned why, over the control channel.
-        let reason = sim.world().dmons[1]
-            .filter_rejection(NodeId(0))
-            .expect("rejection reply delivered");
-        assert!(reason.contains("unbounded"), "reason: {reason}");
+        use simnet::conn::Proto::Tcp;
+        // On the star, and inside the second rack of a hierarchy.
+        let cases = [
+            (ClusterConfig::new(2), 0, 1),
+            (ClusterConfig::new(6).racks(3), 3, 4),
+        ];
+        for (cfg, publisher, subscriber) in cases {
+            let (p, s) = (NodeId(publisher), NodeId(subscriber));
+            let mut sim = ClusterSim::new(cfg);
+            sim.start();
+            sim.run_until(SimTime::from_secs(2));
+            let target = format!("node{publisher}");
+            sim.write_control(s, &target, "filter { while (1) { } }");
+            sim.run_until(SimTime::from_secs(6));
+            let w = sim.world();
+            // The publisher refused the filter and never installed it...
+            assert!(!w.dmons[publisher].has_filter(s));
+            assert_eq!(w.dmons[publisher].stats.filters_rejected, 1);
+            // ...and the subscriber learned why, over the control channel
+            // the request went out on: its rack's, not rack 0's.
+            let reason = w.dmons[subscriber]
+                .filter_rejection(p)
+                .expect("rejection reply delivered");
+            assert!(reason.contains("unbounded"), "reason: {reason}");
+            let conn = |tag| simnet::ConnId {
+                local: s,
+                remote: p,
+                proto: Tcp,
+                tag,
+            };
+            let heard_on: Vec<u32> = (0..w.dir.len() as u32)
+                .filter(|&tag| w.hosts[subscriber].conns.get(conn(tag)).is_some())
+                .collect();
+            let (mon, ctl) = w.chans_of(subscriber);
+            assert_eq!(heard_on, [mon.0, ctl.0]);
+        }
     }
 
     #[test]
@@ -1285,7 +1254,7 @@ mod tests {
 
     #[test]
     fn central_topology_relays_through_hub() {
-        let cfg = ClusterConfig::new(4).topology(Topology::Central(NodeId(0)));
+        let cfg = ClusterConfig::new(4).topo(TopologySpec::Hub { hub: NodeId(0) });
         let mut sim = ClusterSim::new(cfg);
         sim.start();
         sim.run_until(SimTime::from_secs(5));
@@ -1301,6 +1270,29 @@ mod tests {
             hub_msgs > leaf_msgs * 2,
             "hub {hub_msgs} vs leaf {leaf_msgs}"
         );
+    }
+
+    #[test]
+    fn hub_delivers_each_event_exactly_once() {
+        // A relaying hub changes the route, not what arrives: every d-mon
+        // receives what it receives peer-to-peer, once, in stream order.
+        let observe = |topo: TopologySpec| {
+            let mut sim = ClusterSim::new(ClusterConfig::new(4).topo(topo));
+            sim.start();
+            sim.run_until(SimTime::from_secs(20));
+            let w = sim.world();
+            let per_node = |f: fn(&DmonStats) -> u64| -> Vec<u64> {
+                w.dmons.iter().map(|d| f(&d.stats)).collect()
+            };
+            (
+                per_node(|s| s.events_received),
+                per_node(|s| s.gaps_detected),
+                w.mon_delivered,
+            )
+        };
+        let p2p = observe(TopologySpec::Star);
+        assert_eq!(p2p, (vec![57; 4], vec![0; 4], 228));
+        assert_eq!(observe(TopologySpec::Hub { hub: NodeId(0) }), p2p);
     }
 
     #[test]
@@ -1354,7 +1346,7 @@ mod congestion_tests {
             local: NodeId(1),
             remote: NodeId(0),
             proto: Proto::Tcp,
-            tag: w.mon_chan.0,
+            tag: w.chans_of(0).0 .0,
         };
         let retx = w.hosts[1]
             .conns
@@ -1378,7 +1370,7 @@ mod congestion_tests {
             local: NodeId(1),
             remote: NodeId(0),
             proto: Proto::Tcp,
-            tag: w.mon_chan.0,
+            tag: w.chans_of(0).0 .0,
         };
         assert_eq!(w.hosts[1].conns.get(conn).unwrap().retransmissions(), 0);
     }

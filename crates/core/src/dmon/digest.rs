@@ -117,7 +117,7 @@ impl DMon {
             self.seq += 1;
             let mut ev = Event::digest(digest_chan.0, self.seq, node, payload.clone());
             // Digest consumers are enumerated per send (like monitoring
-            // streams), so the central-concentrator topology can relay.
+            // streams), so a node relaying the frame knows where it goes.
             ev.target = Some(sub);
             out.submit(calib, sub, ev);
             self.stats.digests_sent += 1;

@@ -105,8 +105,8 @@ impl Flow {
             let seq = cx.next_seq();
             let mut ev = Event::monitoring(cx.mon_chan.0, seq, cx.node, payload);
             // Streams are customized per subscriber, so every monitoring
-            // event is addressed — the central-concentrator topology
-            // needs the final destination to relay.
+            // event is addressed — a relaying hub needs the final
+            // destination to send it on.
             ev.target = Some(sub);
             let (bytes, handler) = cx.out.submit(cx.calib, sub, ev);
             cx.stats.events_sent += 1;

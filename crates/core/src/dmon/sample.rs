@@ -205,7 +205,7 @@ impl DMon {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use kecho::ControlMsg;
+    use kecho::{ControlMsg, ParamSpec};
     use simcore::SimTime;
     use simnet::NodeId;
 
@@ -267,6 +267,31 @@ mod tests {
             "no new skips once a default subscriber exists"
         );
         assert!(host.proc.exists("cluster/alan/mem"));
+    }
+
+    #[test]
+    fn one_subscriber_without_a_filter_forces_every_module() {
+        // `by_policy` reads `latest[i]` unguarded, on this: a subscriber
+        // with the defaults or with parameter rules gets every metric,
+        // however narrow the read sets the others deployed.
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        let narrow = ControlMsg::DeployFilter {
+            source: "{ output[0] = input[LOADAVG]; }".into(),
+        };
+        dmon.on_control(NodeId(1), &narrow, &calib);
+        let rule = ControlMsg::SetParam {
+            metric: "cpu".into(),
+            param: ParamSpec::Above { bound: 1e18 },
+        };
+        for (t, rules) in [(1, None), (2, Some(&rule))] {
+            if let Some(msg) = rules {
+                dmon.on_control(NodeId(2), msg, &calib);
+            }
+            dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(t), &calib);
+            assert!(dmon.sample.needed.iter().all(|&n| n));
+            assert!(dmon.sample.latest.iter().all(Option::is_some));
+        }
+        assert_eq!(dmon.stats.modules_skipped, 0);
     }
 
     #[test]

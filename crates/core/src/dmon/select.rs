@@ -40,6 +40,8 @@ pub(super) struct DeployedFilter {
     pub(super) filter: Filter,
     /// The memo key: see [`Select::filter_ids`].
     id: u32,
+    /// How the effect certificate lets runs be shared within a poll.
+    memo: MemoClass,
     /// Specialized register closure; `None` ⇒ interpreter fallback.
     compiled: Option<CompiledFilter>,
 }
@@ -94,14 +96,13 @@ impl Memo {
                 timestamp: now.as_secs_f64(),
             });
         }
-        let memo_class = df.filter.cert().effects.memo;
-        if memo_class == MemoClass::Bypass {
+        if df.memo == MemoClass::Bypass {
             // Per-subscriber state feeds the output: one run per
             // subscriber, observable via `memo_bypassed`.
             stats.memo_bypassed += 1;
             return materialize(&mut self.arena, df.run(&self.inputs));
         }
-        let key = (memo_class == MemoClass::SnapshotKeyed).then_some(&self.inputs);
+        let key = (df.memo == MemoClass::SnapshotKeyed).then_some(&self.inputs);
         let mut entries = self.entries.iter();
         if let Some(m) = entries.find(|m| m.id == df.id && m.inputs.as_ref() == key) {
             return m.result;
@@ -219,6 +220,7 @@ impl Select {
             None => stats.interp_fallbacks += 1,
         }
         let df = DeployedFilter {
+            memo: filter.cert().effects.memo,
             filter,
             id,
             compiled,
@@ -302,9 +304,10 @@ fn by_policy(
     let mut records = kecho::take_record_buf();
     records.reserve(sample.latest.len());
     for (i, (s, module)) in sample.latest.iter().zip(&sample.modules).enumerate() {
-        // Policy-driven subscribers force every module to be sampled;
-        // `None` only defends against future callers.
-        let Some(value) = *s else { continue };
+        // A subscriber without a filter makes `mark_needed` sample every
+        // module, so no slot is a skipped one here.
+        debug_assert!(s.is_some(), "module {i} skipped under a policy subscriber");
+        let value = s.unwrap_or(0.0);
         let last = last_sent.get(i).copied().flatten();
         let last_value = last.map_or(0.0, |(v, _)| v);
         let ctx = RuleCtx {

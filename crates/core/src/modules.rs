@@ -55,11 +55,6 @@ impl CpuMon {
             window: SimDur::from_secs(60),
         }
     }
-
-    /// With an explicit window.
-    pub fn with_window(window: SimDur) -> Self {
-        CpuMon { window }
-    }
 }
 
 impl Default for CpuMon {

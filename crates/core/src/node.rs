@@ -14,7 +14,7 @@ use simnet::{ConnId, Leg, NodeId, Placement, Port, TrafficClass};
 use simos::host::Host;
 use simos::TaskId;
 
-use kecho::{wire, ChannelId, Directory, Event, EventKind, Hop, Topology};
+use kecho::{wire, ChannelId, Directory, Event, EventKind, Hop};
 
 use crate::calib::Calib;
 use crate::cluster::{ClusterEvent, Frame};
@@ -152,7 +152,6 @@ pub(crate) struct View<'a> {
     pub placement: &'a Placement,
     pub rack_chans: &'a [(ChannelId, ChannelId)],
     pub digest_chan: Option<ChannelId>,
-    pub ctl_chan: ChannelId,
     pub alive: &'a [bool],
     pub evicted: &'a [bool],
     pub poll_period: SimDur,
@@ -168,7 +167,6 @@ macro_rules! view_of {
             placement: &$w.placement,
             rack_chans: &$w.rack_chans,
             digest_chan: $w.digest_chan,
-            ctl_chan: $w.ctl_chan,
             alive: &$w.alive,
             evicted: &$w.evicted,
             poll_period: $w.poll_period,
@@ -226,27 +224,27 @@ impl<'a> Node<'a> {
         self.host.cpu.charge(now, self.svc.task, cost);
     }
 
-    /// Send an event from this node. In the central-concentrator
-    /// topology, leaf-to-leaf hops detour via the hub, which relays them
-    /// onward at delivery time.
+    /// Send an event from this node — the one place a next hop is chosen.
+    /// When the placement routes the frame through another host, the
+    /// event carries its final destination so that host can send it on.
     #[inline]
     pub fn transmit(
         &mut self,
         now: SimTime,
         mut hop: Hop,
-        ev: Event,
+        mut ev: Event,
         bytes: usize,
         view: &View<'_>,
         sink: &mut impl Sink,
     ) {
         debug_assert_eq!(hop.from, self.host.node, "a node sends only its own");
-        if let Topology::Central(hub) = view.dir.topology() {
-            if hop.from != hub && hop.to != hub {
-                hop.to = hub;
-            }
-        }
         if !view.alive[hop.from.0] {
             return;
+        }
+        let via = view.placement.next_hop(hop.from, hop.to);
+        if via != hop.to {
+            ev.target.get_or_insert(hop.to);
+            hop.to = via;
         }
         self.svc.event_meter.record(now, 1);
         self.host.on_net_bytes(bytes as u64);
@@ -309,36 +307,28 @@ impl<'a> Node<'a> {
         self.svc.event_meter.record(now, 1);
         self.host.on_net_bytes(bytes as u64);
 
-        // Central-concentrator transit: a hub receiving an event addressed
-        // elsewhere relays it onward instead of consuming it.
-        let hub = match view.dir.topology() {
-            Topology::Central(hub) if hub == to => Some(hub),
-            _ => None,
-        };
-        if let (Some(hub), Some(target)) = (hub, ev.target) {
-            if target != hub {
-                let relay_cost = calib.receive_cost(bytes)
-                    + calib.submit_cost(bytes)
-                    + calib.kernel_path_recv
-                    + calib.kernel_path_send;
-                self.charge_cpu(now, relay_cost);
-                // Relay directly (not via transmit) so the final delivery
-                // keeps the original send time and the latency sampler
-                // sees true end-to-end latency.
-                self.svc.event_meter.record(now, 1);
-                let relay = Frame {
-                    hop: Hop {
-                        from: hub,
-                        to: target,
-                    },
-                    ev,
-                    bytes,
-                    sent_at,
-                    queued: SimDur::ZERO,
-                };
-                self.send_message(now, relay, sink);
-                return;
-            }
+        // Transit: a frame addressed to another node is sent on, not
+        // consumed. The relay keeps the original send time, so the latency
+        // sampler sees true end-to-end latency.
+        if let Some(target) = ev.target.filter(|&t| t != to) {
+            let relay_cost = calib.receive_cost(bytes)
+                + calib.submit_cost(bytes)
+                + calib.kernel_path_recv
+                + calib.kernel_path_send;
+            self.charge_cpu(now, relay_cost);
+            self.svc.event_meter.record(now, 1);
+            let relay = Frame {
+                hop: Hop {
+                    from: to,
+                    to: target,
+                },
+                ev,
+                bytes,
+                sent_at,
+                queued: SimDur::ZERO,
+            };
+            self.send_message(now, relay, sink);
+            return;
         }
 
         // Kernel connection tracking on the receiving host (a first
@@ -365,18 +355,6 @@ impl<'a> Node<'a> {
                 });
                 let handler = self.dmon.on_event(self.host, &ev, bytes, now, calib);
                 self.charge_cpu(now, handler + calib.kernel_path_recv);
-
-                // Central-concentrator topology: the hub relays.
-                if let (Some(hub), Some(m)) = (hub, ev.as_monitoring()) {
-                    if m.origin != hub {
-                        let hops = view.dir.plan_forward(ChannelId(ev.channel), m.origin);
-                        for fwd in hops {
-                            let relay_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
-                            self.charge_cpu(now, relay_cost);
-                            self.transmit(now, fwd, ev.clone(), bytes, view, sink);
-                        }
-                    }
-                }
                 ev.recycle();
             }
             EventKind::Heartbeat => {
@@ -395,9 +373,8 @@ impl<'a> Node<'a> {
                 if let Some(reply) = outcome.reply {
                     // E.g. a filter rejection travelling back to the
                     // subscriber that tried to deploy it.
-                    let rev = self
-                        .dmon
-                        .make_control_event(view.ctl_chan, ev.sender, reply);
+                    let chan = ChannelId(ev.channel);
+                    let rev = self.dmon.make_control_event(chan, ev.sender, reply);
                     let bytes = wire::encoded_size(&rev);
                     let send_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
                     self.charge_cpu(now, send_cost);

@@ -270,11 +270,6 @@ impl CompiledFilter {
         (self.exec)(inputs)
     }
 
-    /// Number of register instructions.
-    pub fn instruction_count(&self) -> usize {
-        self.n_ops
-    }
-
     /// How many of them are fused superinstructions.
     pub fn superinstruction_count(&self) -> usize {
         self.n_fused

@@ -6,16 +6,10 @@
 //! the two channels. All other d-mon modules ... retrieve the channel
 //! identifiers from the registry and subscribe."
 //!
-//! [`Directory`] is that registry plus the per-channel subscriber lists.
-//! Submission is *planned* here ([`Directory::plan_submission`]) as a list
-//! of hops; the cluster glue executes them on the simulated network. Two
-//! topologies exist:
-//!
-//! * [`Topology::PeerToPeer`] — the paper's design: the publisher sends
-//!   directly to every subscriber,
-//! * [`Topology::Central`] — the Supermon-style baseline the paper argues
-//!   against: everything goes through one concentrator node which relays
-//!   to subscribers (`plan_forward`). Used by the scalability ablation.
+//! [`Directory`] is that registry plus the per-channel subscriber lists,
+//! and nothing else: who subscribes to what. Through whom a frame travels
+//! on its way to a subscriber is the fabric's business
+//! ([`simnet::Placement::next_hop`]), not the registry's.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
@@ -25,15 +19,6 @@ use simnet::NodeId;
 /// Identifier of a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub u32);
-
-/// How events reach subscribers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// Publisher → each subscriber directly (the paper's KECho).
-    PeerToPeer,
-    /// Publisher → concentrator → each subscriber (Supermon-style).
-    Central(NodeId),
-}
 
 /// One network hop of a planned submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,34 +36,13 @@ struct ChannelInfo {
 }
 
 /// The channel directory server.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Directory {
     channels: Vec<ChannelInfo>,
     by_name: HashMap<String, ChannelId>,
-    topology: Topology,
-}
-
-impl Default for Directory {
-    fn default() -> Self {
-        Self::new(Topology::PeerToPeer)
-    }
 }
 
 impl Directory {
-    /// An empty directory with the given routing topology.
-    pub fn new(topology: Topology) -> Self {
-        Directory {
-            channels: Vec::new(),
-            by_name: HashMap::new(),
-            topology,
-        }
-    }
-
-    /// The routing topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
     /// Look up a channel by name, creating it if absent — the "first
     /// d-mon to contact the registry creates the channels" behaviour.
     pub fn open(&mut self, name: &str) -> ChannelId {
@@ -139,48 +103,14 @@ impl Directory {
         self.channels[id.0 as usize].subscribers.contains(&node)
     }
 
-    /// Plan the hops for `from` publishing on channel `id`. The publisher
-    /// never sends to itself (its d-mon consumes locally).
-    ///
-    /// * peer-to-peer: one hop per remote subscriber;
-    /// * central: a single hop to the concentrator (unless the publisher
-    ///   *is* the concentrator, in which case it fans out directly).
+    /// The hops for `from` publishing on channel `id`: one per remote
+    /// subscriber, in node order. The publisher never sends to itself (its
+    /// d-mon consumes locally).
     pub fn plan_submission(&self, id: ChannelId, from: NodeId) -> Vec<Hop> {
-        match self.topology {
-            Topology::PeerToPeer => self
-                .subscribers(id)
-                .filter(|&n| n != from)
-                .map(|to| Hop { from, to })
-                .collect(),
-            Topology::Central(hub) => {
-                if from == hub {
-                    self.subscribers(id)
-                        .filter(|&n| n != hub)
-                        .map(|to| Hop { from, to })
-                        .collect()
-                } else if self.subscriber_count(id) == 0
-                    || (self.subscriber_count(id) == 1 && self.is_subscribed(id, from))
-                {
-                    // Nobody else wants it; skip the hub round-trip.
-                    Vec::new()
-                } else {
-                    vec![Hop { from, to: hub }]
-                }
-            }
-        }
-    }
-
-    /// In central topology: the hops the concentrator performs when it
-    /// receives an event originated by `origin`. Empty in peer-to-peer.
-    pub fn plan_forward(&self, id: ChannelId, origin: NodeId) -> Vec<Hop> {
-        match self.topology {
-            Topology::PeerToPeer => Vec::new(),
-            Topology::Central(hub) => self
-                .subscribers(id)
-                .filter(|&n| n != origin && n != hub)
-                .map(|to| Hop { from: hub, to })
-                .collect(),
-        }
+        self.subscribers(id)
+            .filter(|&n| n != from)
+            .map(|to| Hop { from, to })
+            .collect()
     }
 }
 
@@ -233,69 +163,5 @@ mod tests {
             hops.iter().map(|h| h.to).collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(1), NodeId(3)]
         );
-        assert!(d.plan_forward(c, NodeId(2)).is_empty());
-    }
-
-    #[test]
-    fn central_plan_routes_via_hub() {
-        let mut d = Directory::new(Topology::Central(NodeId(0)));
-        let c = d.open("mon");
-        for n in 0..4 {
-            d.subscribe(c, NodeId(n));
-        }
-        // Publisher 2 sends one hop to the hub...
-        let hops = d.plan_submission(c, NodeId(2));
-        assert_eq!(
-            hops,
-            vec![Hop {
-                from: NodeId(2),
-                to: NodeId(0)
-            }]
-        );
-        // ...and the hub forwards to everyone except origin and itself.
-        let fwd = d.plan_forward(c, NodeId(2));
-        assert_eq!(
-            fwd,
-            vec![
-                Hop {
-                    from: NodeId(0),
-                    to: NodeId(1)
-                },
-                Hop {
-                    from: NodeId(0),
-                    to: NodeId(3)
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn central_hub_publishes_directly() {
-        let mut d = Directory::new(Topology::Central(NodeId(0)));
-        let c = d.open("mon");
-        for n in 0..3 {
-            d.subscribe(c, NodeId(n));
-        }
-        let hops = d.plan_submission(c, NodeId(0));
-        assert_eq!(hops.len(), 2);
-        assert!(hops.iter().all(|h| h.from == NodeId(0)));
-    }
-
-    #[test]
-    fn central_skips_hub_hop_when_no_audience() {
-        let mut d = Directory::new(Topology::Central(NodeId(0)));
-        let c = d.open("mon");
-        // Only the publisher itself subscribes.
-        d.subscribe(c, NodeId(2));
-        assert!(d.plan_submission(c, NodeId(2)).is_empty());
-        // Empty channel: nothing to do either.
-        let c2 = d.open("other");
-        assert!(d.plan_submission(c2, NodeId(1)).is_empty());
-    }
-
-    #[test]
-    fn topology_accessor() {
-        let d = Directory::new(Topology::Central(NodeId(7)));
-        assert_eq!(d.topology(), Topology::Central(NodeId(7)));
     }
 }

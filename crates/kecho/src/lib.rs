@@ -13,9 +13,10 @@
 //!   two channels (monitoring records; control messages),
 //! * [`wire`] — a compact binary codec (`bytes`-based) for those payloads;
 //!   a real kernel module would marshal structs the same way,
-//! * [`directory`] — the channel registry plus subscription state, with
-//!   both the paper's peer-to-peer topology and a Supermon-style central
-//!   concentrator as the ablation baseline (`Topology::Central`),
+//! * [`directory`] — the channel registry plus subscription state (the
+//!   Supermon-style central collector the paper argues against is a
+//!   routing shape of the fabric, `simnet::TopologySpec::Hub`, not a mode
+//!   of this crate),
 //! * [`stream`] — per-stream sequence/epoch continuity tracking: gap
 //!   detection and publisher-restart recognition,
 //! * [`arena`] — a structure-of-arrays record arena for batched event
@@ -36,7 +37,7 @@ pub mod wire;
 
 pub use arena::{RecordArena, RecordSpan};
 pub use credit::{CreditWindow, GRANT_OVERDUE, GRANT_THRESHOLD, INITIAL_CREDITS, OUTBOX_CAP};
-pub use directory::{ChannelId, Directory, Hop, Topology};
+pub use directory::{ChannelId, Directory, Hop};
 pub use event::{
     put_record_buf, take_record_buf, ControlMsg, DigestPayload, DigestRecord, Event, EventKind,
     HeartbeatPayload, MonRecord, MonitoringPayload, ParamSpec,

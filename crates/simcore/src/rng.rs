@@ -91,15 +91,6 @@ impl SimRng {
         self.f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Standard normal via Box–Muller (one value per call; simple and
-    /// deterministic).
-    pub fn normal(&mut self, mean: f64, stddev: f64) -> f64 {
-        let u1 = self.f64().max(f64::MIN_POSITIVE);
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + stddev * z
-    }
-
     /// Exponential with the given mean (`mean = 1/λ`). Panics on
     /// non-positive mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
@@ -190,17 +181,6 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets hit");
-    }
-
-    #[test]
-    fn normal_moments_roughly_right() {
-        let mut r = SimRng::seed_from_u64(5);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness reproduces the paper's figures as text tables.
 //! [`Series`] records `(x, y)` points for one curve; [`Table`] lays several
-//! curves over a shared x-axis and renders aligned columns or TSV.
+//! curves over a shared x-axis and renders aligned columns.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -55,21 +55,6 @@ impl Series {
             .iter()
             .find(|(px, _)| (*px - x).abs() < 1e-12)
             .map(|&(_, y)| y)
-    }
-
-    /// Minimum y (`NaN` if empty).
-    pub fn y_min(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::NAN, f64::min)
-    }
-
-    /// Maximum y (`NaN` if empty).
-    pub fn y_max(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::NAN, f64::max)
-    }
-
-    /// Final y value, if any.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
     }
 }
 
@@ -160,26 +145,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as tab-separated values (gnuplot-friendly).
-    pub fn to_tsv(&self) -> String {
-        let xs = self.x_axis();
-        let mut out = String::new();
-        let mut header = vec![self.x_label.clone()];
-        header.extend(self.series.iter().map(|s| s.name().to_string()));
-        let _ = writeln!(out, "{}", header.join("\t"));
-        for &x in &xs {
-            let mut row = vec![trim_float(x)];
-            for s in &self.series {
-                row.push(match s.at(x) {
-                    Some(y) => trim_float(y),
-                    None => "nan".to_string(),
-                });
-            }
-            let _ = writeln!(out, "{}", row.join("\t"));
-        }
-        out
-    }
 }
 
 /// Format a float compactly: integers without decimals, otherwise 4
@@ -205,9 +170,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.at(1.0), Some(10.0));
         assert_eq!(s.at(3.0), None);
-        assert_eq!(s.y_min(), 10.0);
-        assert_eq!(s.y_max(), 20.0);
-        assert_eq!(s.last_y(), Some(20.0));
         assert!(!s.is_empty());
     }
 
@@ -231,18 +193,6 @@ mod tests {
         assert!(lines[2].contains('-') || lines[4].contains('-'));
         assert!(t.get("a").is_some());
         assert!(t.get("zzz").is_none());
-    }
-
-    #[test]
-    fn tsv_has_header_and_rows() {
-        let mut a = Series::new("y1");
-        a.push(0.0, 1.0);
-        let mut t = Table::new("t", "n");
-        t.add(a);
-        let tsv = t.to_tsv();
-        let mut lines = tsv.lines();
-        assert_eq!(lines.next(), Some("n\ty1"));
-        assert_eq!(lines.next(), Some("0\t1"));
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl Ewma {
     pub fn get(&self) -> Option<f64> {
         self.value
     }
-
-    /// Current average or the provided default.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
 }
 
 /// Stores all samples; offers exact percentiles. Fine at simulation scale.
@@ -301,10 +296,6 @@ impl Histogram {
     pub fn bucket(&self, i: usize) -> u64 {
         self.buckets[i]
     }
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
     /// Total observations (including under/overflow).
     pub fn count(&self) -> u64 {
         self.count
@@ -316,10 +307,6 @@ impl Histogram {
     /// Observations below the lower bound.
     pub fn underflow(&self) -> u64 {
         self.underflow
-    }
-    /// Lower edge of bucket `i`.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        self.lo + self.width * i as f64
     }
 }
 
@@ -447,7 +434,7 @@ mod tests {
         for _ in 0..64 {
             e.add(10.0);
         }
-        assert!((e.get_or(0.0) - 10.0).abs() < 1e-6);
+        assert!((e.get().unwrap() - 10.0).abs() < 1e-6);
     }
 
     #[test]
@@ -491,8 +478,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.count(), 7);
-        assert_eq!(h.bucket_lo(3), 3.0);
-        assert_eq!(h.num_buckets(), 10);
     }
 
     #[test]

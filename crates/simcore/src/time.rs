@@ -124,18 +124,6 @@ impl SimDur {
         SimDur((self.0 as f64 * k).round() as u64)
     }
 
-    /// Divide by a non-negative float, rounding to nanoseconds.
-    pub fn div_f64(self, k: f64) -> SimDur {
-        assert!(k > 0.0, "non-positive duration divisor {k}");
-        SimDur((self.0 as f64 / k).round() as u64)
-    }
-
-    /// How many whole times `other` fits into `self`.
-    pub fn div_dur(self, other: SimDur) -> u64 {
-        assert!(other.0 > 0, "division by zero duration");
-        self.0 / other.0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(other.0))
@@ -285,10 +273,8 @@ mod tests {
     fn duration_scaling() {
         let d = SimDur::from_secs(1);
         assert_eq!(d.mul_f64(0.5), SimDur::from_millis(500));
-        assert_eq!(d.div_f64(4.0), SimDur::from_millis(250));
         assert_eq!(d * 3, SimDur::from_secs(3));
         assert_eq!(d / 4, SimDur::from_millis(250));
-        assert_eq!(SimDur::from_secs(10).div_dur(SimDur::from_secs(3)), 3);
     }
 
     #[test]

@@ -296,16 +296,6 @@ impl Network {
         net
     }
 
-    /// Add one more node; returns its id. The node joins the last rack
-    /// (for the star: the only one).
-    pub fn add_node(&mut self) -> NodeId {
-        let f = &mut self.fabric;
-        self.ports.push(Port::new(f.spec));
-        f.downs.push(DirLink::new(f.spec));
-        f.rack_of.push(f.rack_of.last().copied().unwrap_or(0));
-        NodeId(f.downs.len() - 1)
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.fabric.downs.len()
@@ -462,12 +452,6 @@ impl Network {
         !self.fabric.switch_ups.is_empty()
     }
 
-    /// Which rack a node's link lands in (0 for the star).
-    pub fn rack_of_node(&self, id: NodeId) -> usize {
-        self.check(id);
-        self.fabric.rack_of[id.0]
-    }
-
     /// Shared access to a rack's switch → spine link.
     ///
     /// # Panics
@@ -530,7 +514,9 @@ mod tests {
     #[test]
     fn unloaded_delivery_is_wire_time_only() {
         let mut n = net(2);
+        assert_eq!((n.len(), n.is_empty()), (2, false));
         let d = n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1000);
+        assert_eq!((n.deliveries(), n.payload_bytes()), (1, 1000));
         assert_eq!(d.queued, SimDur::ZERO);
         // ~2 serializations of ~1078 wire bytes at 100 Mbps + 2*30us
         let expect_us = 2.0 * 1078.0 * 8.0 / 100.0 + 60.0;
@@ -590,19 +576,6 @@ mod tests {
             d_slow.latency(SimTime::ZERO),
             d_fast.latency(SimTime::ZERO)
         );
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut n = net(1);
-        let id = n.add_node();
-        assert_eq!(id, NodeId(1));
-        assert_eq!(n.len(), 2);
-        assert!(!n.is_empty());
-        // New node is usable.
-        n.send(SimTime::ZERO, NodeId(0), id, 10);
-        assert_eq!(n.deliveries(), 1);
-        assert_eq!(n.payload_bytes(), 10);
     }
 
     #[test]
@@ -680,7 +653,6 @@ mod tests {
     fn cross_rack_pays_four_hops() {
         let mut n = rack_net(&[2, 2]);
         assert!(n.is_hierarchical());
-        assert_eq!(n.rack_of_node(NodeId(3)), 1);
         let intra = n.send(SimTime::ZERO, NodeId(0), NodeId(1), 1000);
         // A different sender, so the inter-rack probe sees idle links.
         let inter = n.send(SimTime::ZERO, NodeId(1), NodeId(2), 1000);

@@ -8,7 +8,9 @@
 //! per-rack state anywhere in the stack can be a dense slice instead of a
 //! hash map, and the single-rack case degenerates to exactly the old
 //! star: every consumer that asks "is this a star?" gets the same answer
-//! from the same resolver.
+//! from the same resolver. The placement also owns *routing between
+//! hosts*: [`Placement::next_hop`] is the one place that knows through
+//! whom a frame travels.
 
 use crate::network::NodeId;
 
@@ -30,6 +32,13 @@ pub enum TopologySpec {
     RackList {
         /// Nodes in each rack, front to back.
         sizes: Vec<usize>,
+    },
+    /// One switch like [`TopologySpec::Star`], but every frame between two
+    /// other nodes is relayed by the `hub` host: the Supermon-style central
+    /// collector the paper argues against, kept as the ablation baseline.
+    Hub {
+        /// The relaying node.
+        hub: NodeId,
     },
 }
 
@@ -60,6 +69,13 @@ impl TopologySpec {
                 );
                 Placement::from_sizes(sizes.clone())
             }
+            TopologySpec::Hub { hub } => {
+                assert!(hub.0 < n, "the hub must be a cluster node");
+                Placement {
+                    relay: Some(*hub),
+                    ..Placement::star(n)
+                }
+            }
         }
     }
 }
@@ -86,6 +102,8 @@ impl Rack {
 pub struct Placement {
     racks: Vec<Rack>,
     rack_of: Vec<usize>,
+    /// The host every frame between two other nodes detours through.
+    relay: Option<NodeId>,
 }
 
 impl Placement {
@@ -94,6 +112,7 @@ impl Placement {
         Placement {
             racks: vec![Rack { start: 0, len: n }],
             rack_of: vec![0; n],
+            relay: None,
         }
     }
 
@@ -106,7 +125,11 @@ impl Placement {
             rack_of.extend(std::iter::repeat_n(k, len));
             start += len;
         }
-        Placement { racks, rack_of }
+        Placement {
+            racks,
+            rack_of,
+            relay: None,
+        }
     }
 
     /// Total node count.
@@ -155,6 +178,17 @@ impl Placement {
     /// True when `node` is its rack's aggregator.
     pub fn is_aggregator(&self, node: NodeId) -> bool {
         !self.is_star() && self.racks[self.rack_of[node.0]].start == node.0
+    }
+
+    /// The node `from` hands a frame for `to` to: `to` itself on switched
+    /// fabrics (the switches route), the hub when one relays and neither
+    /// endpoint is it.
+    #[inline]
+    pub fn next_hop(&self, from: NodeId, to: NodeId) -> NodeId {
+        match self.relay {
+            Some(hub) if from != hub && to != hub => hub,
+            _ => to,
+        }
     }
 
     /// Store-and-forward hop count (link traversals) between two nodes:
@@ -212,6 +246,22 @@ mod tests {
         assert_eq!(p.rack(1).range(), 1..5);
         assert_eq!(p.aggregator(1), NodeId(1));
         assert_eq!(p.racks().count(), 3);
+    }
+
+    #[test]
+    fn hub_is_a_star_with_a_host_level_detour() {
+        let p = TopologySpec::Hub { hub: NodeId(2) }.resolve(4);
+        assert!(p.is_star());
+        assert!(!p.is_aggregator(NodeId(2)));
+        assert_eq!(p.next_hop(NodeId(0), NodeId(3)), NodeId(2));
+        assert_eq!(p.next_hop(NodeId(2), NodeId(3)), NodeId(3));
+        assert_eq!(p.next_hop(NodeId(0), NodeId(2)), NodeId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be a cluster node")]
+    fn hub_must_be_in_the_cluster() {
+        TopologySpec::Hub { hub: NodeId(4) }.resolve(4);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Routing properties of resolved topologies: every placement the spec
-//! resolver can produce must route every node pair, charge latency that
+//! resolver can produce must route every node pair (through the hub host
+//! only when the shape has one), charge latency that
 //! matches the tree depth of the path, and — for the single-rack
 //! degenerate case — reproduce the star network bit for bit.
 
@@ -32,6 +33,25 @@ proptest! {
             seen += rack.len;
         }
         prop_assert_eq!(seen, n);
+    }
+
+    #[test]
+    fn next_hop_is_the_destination_unless_a_hub_relays(
+        sizes in sizes_strategy(),
+        hub in 0usize..16,
+    ) {
+        let n: usize = sizes.iter().sum();
+        let hub = NodeId(hub % n);
+        let racks = TopologySpec::RackList { sizes }.resolve(n);
+        let star = TopologySpec::Star.resolve(n);
+        let relayed = TopologySpec::Hub { hub }.resolve(n);
+        prop_assert!(relayed.is_star(), "a hub is a host, not a second switch");
+        for (from, to) in (0..n).flat_map(|f| (0..n).map(move |t| (NodeId(f), NodeId(t)))) {
+            prop_assert_eq!(racks.next_hop(from, to), to);
+            prop_assert_eq!(star.next_hop(from, to), to);
+            let via = if from == hub || to == hub { to } else { hub };
+            prop_assert_eq!(relayed.next_hop(from, to), via);
+        }
     }
 
     #[test]

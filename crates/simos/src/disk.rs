@@ -32,7 +32,6 @@ pub struct Disk {
     sectors_written: u64,
     read_window: BytesWindow,
     write_window: BytesWindow,
-    ops_window: BytesWindow,
 }
 
 impl Disk {
@@ -53,7 +52,6 @@ impl Disk {
             sectors_written: 0,
             read_window: BytesWindow::new(window),
             write_window: BytesWindow::new(window),
-            ops_window: BytesWindow::new(window),
         }
     }
 
@@ -83,7 +81,6 @@ impl Disk {
                 self.write_window.record(now, sectors);
             }
         }
-        self.ops_window.record(now, 1);
         (start, finish)
     }
 
@@ -117,12 +114,6 @@ impl Disk {
     /// Sectors written within the sliding window ending at `now`.
     pub fn sectors_written_rate(&mut self, now: SimTime) -> u64 {
         self.write_window.bytes(now)
-    }
-
-    /// I/O operations within the sliding window ending at `now` — the
-    /// "disk usage" number the paper's filters compare against thresholds.
-    pub fn ops_rate(&mut self, now: SimTime) -> u64 {
-        self.ops_window.bytes(now)
     }
 }
 
@@ -172,7 +163,6 @@ mod tests {
         assert_eq!(d.sectors_read_rate(SimTime::from_secs(2)), 0);
         d.submit(SimTime::from_secs(2), IoDir::Write, 512 * 10);
         assert_eq!(d.sectors_written_rate(SimTime::from_secs(2)), 10);
-        assert_eq!(d.ops_rate(SimTime::from_secs(2)), 1);
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl Host {
         }
     }
 
-    /// Attach a battery (marks this host as a mobile device).
-    pub fn with_battery(mut self, battery: crate::power::Battery) -> Self {
-        self.battery = Some(battery);
-        self
-    }
-
     /// Bill NIC traffic to the battery, if any.
     pub fn on_net_bytes(&mut self, bytes: u64) {
         if let Some(b) = &mut self.battery {

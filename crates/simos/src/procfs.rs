@@ -234,22 +234,6 @@ impl ProcFs {
         }
     }
 
-    /// Create a directory (and parents). Idempotent.
-    pub fn mkdir(&mut self, path: &str) -> Result<(), ProcError> {
-        let parts = components(path)?;
-        let mut cur = &mut self.root;
-        for d in &parts {
-            let entry = cur
-                .entry(d.to_string())
-                .or_insert_with(|| Node::Dir(BTreeMap::new()));
-            match entry {
-                Node::Dir(children) => cur = children,
-                Node::File(_) => return Err(ProcError::WrongKind(path.to_string())),
-            }
-        }
-        Ok(())
-    }
-
     fn lookup(&self, path: &str) -> Result<&Node, ProcError> {
         let parts = components(path)?;
         let mut cur = &self.root;

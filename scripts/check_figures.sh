@@ -3,8 +3,8 @@
 #
 #   scripts/check_figures.sh [--update]
 #
-# Builds and runs `run_all` (the paper's Figs. 4-11 as text tables, seeded
-# and deterministic) and compares its output, both streams, byte for byte with
+# Builds and runs `run_all` (the paper's Figs. 4-11 and the topology
+# ablation as text tables, seeded and deterministic) and compares its output, both streams, byte for byte with
 # crates/bench/baseline/run_all.txt: a change that does not mean to move a
 # figure must leave it as it is. On a difference prints the first line that
 # differs, both ways, and exits 1. `--update` rewrites the file from the
@@ -36,8 +36,10 @@ else
 fi
 
 # Every line of a fenced block under a `## Figure` heading of
-# EXPERIMENTS.md must be a whole line of the pinned file.
-stray=$(awk '/^## /{fig = /^## Figure/} /^```/{fence = !fence; next} fig && fence' EXPERIMENTS.md |
+# EXPERIMENTS.md, or under the `ablation_topology` heading of its
+# `## Ablations`, must be a whole line of the pinned file.
+stray=$(awk '/^## /{fig = /^## Figure/} /^### /{fig = /ablation_topology/}
+    /^```/{fence = !fence; next} fig && fence' EXPERIMENTS.md |
     grep -Fxv -f "$baseline" || true)
 if [ -n "$stray" ]; then
     echo "DIFFERS  EXPERIMENTS.md quotes figure rows $baseline does not have:"

@@ -8,9 +8,8 @@
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use dproc::modules::PowerMon;
-use kecho::Topology;
 use simcore::{SimDur, SimTime};
-use simnet::NodeId;
+use simnet::{NodeId, TopologySpec};
 use simos::host::HostConfig;
 use simos::Battery;
 
@@ -104,8 +103,8 @@ fn battery_metric_usable_in_ecode_filters() {
 
 #[test]
 fn p2p_survives_a_crash_central_does_not() {
-    let survivors_exchange = |topology: Topology| {
-        let mut sim = ClusterSim::new(ClusterConfig::new(4).topology(topology));
+    let survivors_exchange = |topo: TopologySpec| {
+        let mut sim = ClusterSim::new(ClusterConfig::new(4).topo(topo));
         sim.start();
         sim.run_until(SimTime::from_secs(5));
         // Node 0 (the hub, in central mode) dies.
@@ -120,8 +119,8 @@ fn p2p_survives_a_crash_central_does_not() {
             .sum();
         after - before
     };
-    let p2p = survivors_exchange(Topology::PeerToPeer);
-    let central = survivors_exchange(Topology::Central(NodeId(0)));
+    let p2p = survivors_exchange(TopologySpec::Star);
+    let central = survivors_exchange(TopologySpec::Hub { hub: NodeId(0) });
     // Peer-to-peer: 3 survivors × 2 peers × ~20 events.
     assert!(p2p >= 100, "survivors keep monitoring each other: {p2p}");
     // Central: everything routed through the dead hub is lost (a couple

@@ -7,10 +7,9 @@
 //! serial renumbering, see `simcore::pdes`) is only as good as this file.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use kecho::Topology;
 use proptest::prelude::*;
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, LinkSpec, NodeId};
+use simnet::{FaultPlan, LinkSpec, NodeId, TopologySpec};
 use simos::host::HostConfig;
 
 /// Everything observable about a finished run, in comparable form.
@@ -102,11 +101,11 @@ fn microsecond_stagger_is_bit_identical() {
 #[test]
 fn central_topology_is_bit_identical() {
     // Hub relays exercise the transit path (original send timestamps,
-    // relay CPU charges, fan-out on the monitoring channel).
+    // relay CPU charges, the hub's uplink shared by every stream).
     assert_differential(
         "central",
         12,
-        || ClusterConfig::new(5).topology(Topology::Central(NodeId(0))),
+        || ClusterConfig::new(5).topo(TopologySpec::Hub { hub: NodeId(0) }),
         |_| {},
     );
 }
@@ -407,11 +406,8 @@ fn workloads_started_mid_run_are_bit_identical() {
 struct RandomScenario {
     nodes: usize,
     stagger_us: u64,
-    central: bool,
+    topo: TopologySpec,
     event_pad: u32,
-    /// Rack size for a hierarchical topology (star when `None`; the
-    /// central-concentrator ablation always stays a star).
-    rack_size: Option<usize>,
     plan: Option<(u64, usize, usize)>,
     threads: usize,
     secs: u64,
@@ -421,9 +417,13 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
     (
         2usize..7,
         prop_oneof![Just(1u64), Just(300), Just(1000)],
-        any::<bool>(),
+        prop_oneof![
+            Just(TopologySpec::Star),
+            Just(TopologySpec::Hub { hub: NodeId(0) }),
+            Just(TopologySpec::Racks { rack_size: 2 }),
+            Just(TopologySpec::Racks { rack_size: 3 }),
+        ],
         prop_oneof![Just(0u32), Just(256)],
-        prop_oneof![Just(None), Just(Some(2usize)), Just(Some(3usize))],
         (any::<bool>(), any::<u64>(), 0usize..6, 0usize..6),
         2usize..9,
         6u64..10,
@@ -432,18 +432,16 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
             |(
                 nodes,
                 stagger_us,
-                central,
+                topo,
                 event_pad,
-                rack_size,
                 (with_plan, seed, crash, partner),
                 threads,
                 secs,
             )| RandomScenario {
                 nodes,
                 stagger_us,
-                central,
+                topo,
                 event_pad,
-                rack_size: if central { None } else { rack_size },
                 plan: with_plan.then_some((seed, crash, partner)),
                 threads,
                 secs,
@@ -452,15 +450,10 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
 }
 
 fn run_random(s: &RandomScenario, threads: usize) -> Fingerprint {
-    let mut cfg = ClusterConfig::new(s.nodes)
+    let cfg = ClusterConfig::new(s.nodes)
         .stagger(SimDur::from_micros(s.stagger_us))
-        .event_pad(s.event_pad);
-    if s.central {
-        cfg = cfg.topology(Topology::Central(NodeId(0)));
-    }
-    if let Some(rack_size) = s.rack_size {
-        cfg = cfg.racks(rack_size);
-    }
+        .event_pad(s.event_pad)
+        .topo(s.topo.clone());
     let mut sim = ClusterSim::new(cfg);
     sim.set_threads(threads);
     sim.start();

@@ -2,9 +2,9 @@
 //! Figures 4–8, asserted rather than eyeballed.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use kecho::{ControlMsg, ParamSpec, Topology};
+use kecho::{ControlMsg, ParamSpec};
 use simcore::{SimDur, SimTime};
-use simnet::NodeId;
+use simnet::{NodeId, TopologySpec};
 use simos::host::HostConfig;
 
 fn configured(n: usize, param: Option<ParamSpec>, uni0: bool) -> ClusterSim {
@@ -117,8 +117,8 @@ fn receive_cost_matches_fig8_band() {
 
 #[test]
 fn central_collector_bottlenecks_where_p2p_does_not() {
-    let busiest = |topology: Topology| {
-        let mut sim = ClusterSim::new(ClusterConfig::new(12).topology(topology));
+    let busiest = |topo: TopologySpec| {
+        let mut sim = ClusterSim::new(ClusterConfig::new(12).topo(topo));
         sim.start();
         sim.run_until(SimTime::from_secs(30));
         let w = sim.world();
@@ -127,8 +127,8 @@ fn central_collector_bottlenecks_where_p2p_does_not() {
             .max()
             .unwrap()
     };
-    let p2p = busiest(Topology::PeerToPeer);
-    let hub = busiest(Topology::Central(NodeId(0)));
+    let p2p = busiest(TopologySpec::Star);
+    let hub = busiest(TopologySpec::Hub { hub: NodeId(0) });
     assert!(
         hub > p2p * 4,
         "the concentrator is a hot spot: hub {hub} vs p2p {p2p}"
