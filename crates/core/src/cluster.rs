@@ -1354,10 +1354,10 @@ mod congestion_tests {
             .map_or(0, simnet::ConnStats::retransmissions);
         assert!(retx > 0, "queueing past the RTO counts retransmissions");
         // And the /proc detail carries it to remote observers.
-        let now = sim.now();
-        let w = sim.world_mut();
-        let sample = crate::modules::NetMon::default().collect_for_test(&mut w.hosts[1], now);
-        assert!(sample.contains("retx"), "{sample}");
+        let detail = w.hosts[1].proc.read("cluster/node1/net").unwrap();
+        let reported = format!("n1->n0 tag {} rtt_us ", conn.tag);
+        let line = detail.lines().find(|l| l.contains(&reported)).unwrap();
+        assert!(!line.contains(" retx 0 "), "{line}");
     }
 
     #[test]

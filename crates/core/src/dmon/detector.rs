@@ -14,6 +14,22 @@ use simos::Host;
 use super::{cluster_file, DMon, DmonStats, PeerHealth, PollCx};
 use crate::peers::{PeerRecord, PeerState, PeerTable};
 
+/// The text of a `status` file: `"{} last_update {:.3} age {:.3} epoch {}"`
+/// of `[health, last_heard ns, age ns, epoch]`, the times in seconds.
+pub(super) fn render_status(rec: &[u64], out: &mut String) {
+    let &[health, last_heard, age, epoch] = rec else {
+        return;
+    };
+    const HEALTH: [&str; 3] = ["fresh", "stale", "dead"];
+    out.push_str(HEALTH.get(health as usize).copied().unwrap_or("?"));
+    out.push_str(" last_update ");
+    fastfmt::push_f64_fixed3(out, SimTime::from_nanos(last_heard).as_secs_f64());
+    out.push_str(" age ");
+    fastfmt::push_f64_fixed3(out, SimDur::from_nanos(age).as_secs_f64());
+    out.push_str(" epoch ");
+    fastfmt::push_u64(out, epoch);
+}
+
 pub(super) struct Detector {
     /// Silence bound for Fresh → Stale.
     stale_after: SimDur,
@@ -130,22 +146,13 @@ impl Detector {
             let Some(h) = cluster_file(slot, &mut host.proc, &names[peer.0], "status") else {
                 continue;
             };
-            // Piecewise assembly with the exact-output fast formatters;
-            // equivalent to
-            // `"{} last_update {:.3} age {:.3} epoch {}"` via `format!`.
-            let buf = host.proc.handle_buf(h);
-            buf.clear();
-            buf.push_str(match rec.health {
-                PeerHealth::Fresh => "fresh",
-                PeerHealth::Stale => "stale",
-                PeerHealth::Dead => "dead",
-            });
-            buf.push_str(" last_update ");
-            fastfmt::push_f64_fixed3(buf, rec.last_heard.as_secs_f64());
-            buf.push_str(" age ");
-            fastfmt::push_f64_fixed3(buf, age.as_secs_f64());
-            buf.push_str(" epoch ");
-            fastfmt::push_u64(buf, rec.epoch as u64);
+            let words = [
+                rec.health as u64,
+                rec.last_heard.as_nanos(),
+                age.as_nanos(),
+                u64::from(rec.epoch),
+            ];
+            host.proc.set_record(h, render_status, &words);
         }
         dead
     }

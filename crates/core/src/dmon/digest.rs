@@ -25,6 +25,24 @@ pub(super) struct Digest {
     handles: BTreeMap<(u32, u32), Option<ProcHandle>>,
 }
 
+/// The text of a rack summary file: `"min {} max {} mean {} count {} ts
+/// {:.3}"` of `[min bits, max bits, mean bits, count, newest_ts bits]`.
+pub(super) fn render_digest(rec: &[u64], out: &mut String) {
+    let &[min, max, mean, count, newest_ts] = rec else {
+        return;
+    };
+    out.push_str("min ");
+    fastfmt::push_f64_display(out, f64::from_bits(min));
+    out.push_str(" max ");
+    fastfmt::push_f64_display(out, f64::from_bits(max));
+    out.push_str(" mean ");
+    fastfmt::push_f64_display(out, f64::from_bits(mean));
+    out.push_str(" count ");
+    fastfmt::push_u64(out, count);
+    out.push_str(" ts ");
+    fastfmt::push_f64_fixed3(out, f64::from_bits(newest_ts));
+}
+
 impl Digest {
     pub(super) fn on_revive(&mut self) {
         self.latest.clear();
@@ -160,18 +178,14 @@ impl DMon {
             let Some(h) = cluster_file(slot.or_default(), &mut host.proc, rack_dir, file) else {
                 continue;
             };
-            let text = host.proc.handle_buf(h);
-            text.clear();
-            text.push_str("min ");
-            fastfmt::push_f64_display(text, r.min);
-            text.push_str(" max ");
-            fastfmt::push_f64_display(text, r.max);
-            text.push_str(" mean ");
-            fastfmt::push_f64_display(text, r.mean);
-            text.push_str(" count ");
-            fastfmt::push_u64(text, u64::from(r.count));
-            text.push_str(" ts ");
-            fastfmt::push_f64_fixed3(text, r.newest_ts);
+            let words = [
+                r.min.to_bits(),
+                r.max.to_bits(),
+                r.mean.to_bits(),
+                u64::from(r.count),
+                r.newest_ts.to_bits(),
+            ];
+            host.proc.set_record(h, render_digest, &words);
         }
         match self.digest.latest.get_mut(&payload.rack) {
             // The kept payload's record buffer is reused, not re-allocated.

@@ -6,10 +6,10 @@
 //! submit cost; published at `cluster/<own>/overload`.
 
 use kecho::MonRecord;
-use simcore::fastfmt;
 use simos::{Host, ProcHandle};
 
 use super::{cluster_file, DMon, DmonStats};
+use crate::modules::push_fields;
 
 /// Data-plane stretch multiplier per degradation-ladder level: at level
 /// `L` a node builds data events only every `LADDER_STRETCH[L]`-th poll.
@@ -116,17 +116,26 @@ impl Ladder {
         let Some(h) = cluster_file(slot, &mut host.proc, own, "overload") else {
             return;
         };
-        let buf = host.proc.handle_buf(h);
-        buf.clear();
-        buf.push_str("level ");
-        fastfmt::push_u64(buf, u64::from(self.level));
-        buf.push_str(" events_shed ");
-        fastfmt::push_u64(buf, stats.events_shed);
-        buf.push_str(" credits_stalled ");
-        fastfmt::push_u64(buf, stats.credits_stalled);
-        buf.push_str(" ladder_transitions ");
-        fastfmt::push_u64(buf, stats.ladder_transitions);
+        let words = [
+            u64::from(self.level),
+            stats.events_shed,
+            stats.credits_stalled,
+            stats.ladder_transitions,
+        ];
+        host.proc.set_record(h, render_overload, &words);
     }
+}
+
+/// The text of an `overload` file: `"level {} events_shed {}
+/// credits_stalled {} ladder_transitions {}"`.
+pub(super) fn render_overload(rec: &[u64], out: &mut String) {
+    const LABELS: [&str; 4] = [
+        "level ",
+        " events_shed ",
+        " credits_stalled ",
+        " ladder_transitions ",
+    ];
+    push_fields(out, &LABELS, rec);
 }
 
 #[cfg(test)]

@@ -193,17 +193,18 @@ pub struct ControlOutcome {
     pub reply: Option<ControlMsg>,
 }
 
-/// Health of a remote peer as judged by the local failure detector.
+/// Health of a remote peer as judged by the local failure detector. The
+/// discriminant is the first word of a `status` record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerHealth {
     /// Heard from within the staleness bound.
-    Fresh,
+    Fresh = 0,
     /// Silent past the staleness bound — its `/proc/cluster` view may no
     /// longer reflect reality.
-    Stale,
+    Stale = 1,
     /// Silent past the death bound — treated as crashed and evicted from
     /// the registry until it speaks again.
-    Dead,
+    Dead = 2,
 }
 
 /// The send list of one polling step and the CPU bill that goes with it.
@@ -398,7 +399,7 @@ impl DMon {
     /// incarnation is bumped so peers recognize the restart. Lifetime
     /// stats survive — they model the observer, not the kernel.
     pub fn on_revive(&mut self) {
-        self.epoch += 1;
+        self.epoch = self.epoch.wrapping_add(1);
         self.rejections.clear();
         // Per-peer stream, detector and flow-control state is volatile
         // too: windows reopen full, parked payloads died with the kernel.
@@ -676,6 +677,30 @@ pub(crate) mod testkit {
     pub(crate) const FAR: NodeId = NodeId(4);
     pub(crate) const BOGUS: [NodeId; 2] = [NodeId(6), NodeId(usize::MAX)];
 
+    /// Floats the fast formatters special-case or hand to `std`, for the
+    /// renderer proptests.
+    pub(crate) fn edge_f64() -> impl proptest::Strategy<Value = f64> {
+        use proptest::Strategy as _;
+        proptest::prop_oneof![
+            proptest::Just(f64::NAN),
+            proptest::Just(f64::INFINITY),
+            proptest::Just(f64::NEG_INFINITY),
+            proptest::Just(-0.0),
+            proptest::Just(9_007_199_254_740_993.0), // 2^53 + 1, rounds to even
+            (1u64 << 53..1 << 62).prop_map(|n| n as f64),
+            (0u64..1 << 54).prop_map(|n| n as f64),
+            (0u64..1_000_000_000_000_000).prop_map(|ns| ns as f64 / 1e9),
+            proptest::any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    /// What a reader of a record with this renderer sees.
+    pub(crate) fn rendered(render: simos::RecordRender, rec: &[u64]) -> String {
+        let mut out = String::new();
+        render(rec, &mut out);
+        out
+    }
+
     /// How many data events a poll planned.
     pub(crate) fn data_sends(out: &PollOutcome) -> usize {
         let is_data = |s: &&PlannedSend| s.1.as_monitoring().is_some();
@@ -704,6 +729,119 @@ mod tests {
         assert!(out.cpu_cost > SimDur::ZERO);
         assert_eq!(dmon.stats.events_sent, 2);
         assert_eq!(dmon.stats.iterations, 1);
+    }
+
+    /// Fails when a writer on the poll or digest path goes back to
+    /// assembling a `String`: every file those paths refresh holds a
+    /// record, and the text exists only in what a reader is handed.
+    #[test]
+    fn poll_and_digest_paths_store_records_not_text() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        for peer in [1, 2] {
+            let ev = mon_from(NodeId(peer), mon, 0, 0);
+            dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
+        }
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(2), &calib);
+        let records: Vec<_> = (0..6u32)
+            .map(|metric_id| kecho::DigestRecord {
+                metric_id,
+                min: 0.0,
+                max: 1.0,
+                mean: 0.5,
+                count: 2,
+                newest_ts: 1.5,
+            })
+            .collect();
+        let payload = kecho::DigestPayload {
+            rack: 1,
+            origin: NodeId(2),
+            members: 2,
+            records,
+        };
+        let ev = Event::digest(2, 1, NodeId(2), payload);
+        dmon.on_digest(&mut host, &ev, 200, SimTime::from_secs(2), &calib);
+
+        let mut is_record = |path: &str| {
+            assert!(host.proc.exists(path), "{path}");
+            let h = host.proc.intern(path).unwrap();
+            host.proc.is_record(h)
+        };
+        for path in [
+            "cluster/alan/cpu",
+            "cluster/alan/mem",
+            "cluster/alan/disk",
+            "cluster/alan/net",
+            "cluster/alan/pmc",
+            "cluster/alan/overload",
+            "cluster/maui/status",
+            "cluster/etna/status",
+            "cluster/rack1/cpu",
+            "cluster/rack1/pmc",
+            "cluster/rack1/extra",
+        ] {
+            assert!(is_record(path), "{path} holds no record");
+        }
+        // `control` is the one text file d-mon keeps, and it is empty.
+        assert!(!is_record("cluster/alan/control"));
+        assert_eq!(host.proc.read("cluster/alan/control").unwrap(), "");
+        assert_eq!(
+            host.proc.read("cluster/maui/status").unwrap(),
+            "fresh last_update 1.000 age 1.000 epoch 0"
+        );
+        assert_eq!(
+            host.proc.read("cluster/rack1/extra").unwrap(),
+            "min 0 max 1 mean 0.5 count 2 ts 1.500"
+        );
+    }
+
+    proptest::proptest! {
+        /// The stage renderers against the `format!` strings their
+        /// comments quote.
+        #[test]
+        fn stage_renderers_match_their_format_strings(
+            health in 0usize..3,
+            last_heard in proptest::any::<u64>(),
+            age in proptest::any::<u64>(),
+            w in proptest::collection::vec(proptest::any::<u64>(), 4),
+            min in edge_f64(),
+            max in edge_f64(),
+            mean in edge_f64(),
+            ts in edge_f64(),
+        ) {
+            let (verdict, name) = [
+                (PeerHealth::Fresh, "fresh"),
+                (PeerHealth::Stale, "stale"),
+                (PeerHealth::Dead, "dead"),
+            ][health];
+            let epoch = w[0] as u32;
+            proptest::prop_assert_eq!(
+                rendered(
+                    detector::render_status,
+                    &[verdict as u64, last_heard, age, u64::from(epoch)]
+                ),
+                format!(
+                    "{name} last_update {:.3} age {:.3} epoch {epoch}",
+                    SimTime::from_nanos(last_heard).as_secs_f64(),
+                    SimDur::from_nanos(age).as_secs_f64()
+                )
+            );
+            proptest::prop_assert_eq!(
+                rendered(ladder::render_overload, &w),
+                format!(
+                    "level {} events_shed {} credits_stalled {} ladder_transitions {}",
+                    w[0], w[1], w[2], w[3]
+                )
+            );
+            let count = w[1] as u32;
+            let rec = [min, max, mean].map(f64::to_bits);
+            proptest::prop_assert_eq!(
+                rendered(
+                    digest::render_digest,
+                    &[rec[0], rec[1], rec[2], u64::from(count), ts.to_bits()]
+                ),
+                format!("min {min} max {max} mean {mean} count {count} ts {ts:.3}")
+            );
+        }
     }
 
     #[test]
@@ -801,6 +939,10 @@ mod tests {
         assert!(dmon.policy_for(NodeId(1)).is_none());
         assert_eq!(dmon.peer_health(NodeId(1)), None);
         assert_eq!(dmon.stats.control_handled, before, "stats survive");
+        // The incarnation wraps like the stream positions it tags.
+        dmon.epoch = u32::MAX;
+        dmon.on_revive();
+        assert_eq!(dmon.epoch(), 0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Stage 1, *collect* (the sampling share of Figs. 6–7): the registered
 //! modules, the metric environment they define, the mask of modules some
 //! subscriber can consume this poll, and this node's own
-//! `/proc/cluster/<own>/` files. Out: `latest`, this poll's sample per
-//! module, for `select`; `own_latest` for the rack digest.
+//! `/proc/cluster/<own>/` files — each stored as the record its module's
+//! `sample` filled, which the module's renderer turns into text when the
+//! file is read. Out: `latest`, this poll's sample per module, for
+//! `select`; `own_latest` for the rack digest.
 
 use ecode::{EnvSpec, MetricSet};
 use kecho::ParamSpec;
@@ -28,10 +30,9 @@ pub(super) struct Sample {
     needed: Vec<bool>,
     /// This poll's sample per module; `None` where the module was skipped.
     pub(super) latest: Vec<Option<f64>>,
-    /// Detail text rotated through the own-metric `/proc` slots via
-    /// `swap_handle`, so module collection reuses the slots' own capacity
-    /// instead of allocating.
-    detail: String,
+    /// The words of the module being sampled, copied from here into its
+    /// own-metric `/proc` slot; reused across modules and polls.
+    rec: Vec<u64>,
     /// Interned `/proc` handles for this node's own metric files, by
     /// module index; resolved on first write, O(1) afterwards.
     file_handles: Vec<Option<ProcHandle>>,
@@ -53,7 +54,7 @@ impl Sample {
             ext_schema: Vec::new(),
             needed: Vec::new(),
             latest: Vec::new(),
-            detail: String::new(),
+            rec: Vec::new(),
             file_handles: vec![None; n],
             ctl_handle: None,
             own_latest: vec![None; n],
@@ -113,20 +114,19 @@ impl Sample {
                 self.latest.push(None);
                 continue;
             }
-            self.detail.clear();
-            let value = module.collect(host, cx.now, &mut self.detail);
+            self.rec.clear();
+            let value = module.sample(host, cx.now, &mut self.rec);
             cx.out.cpu += cx.calib.collect_per_module;
             let slot = &mut self.file_handles[i];
             if let Some(h) = cluster_file(slot, &mut host.proc, own, module.file_name()) {
-                let detail = std::mem::take(&mut self.detail);
-                self.detail = host.proc.swap_handle(h, detail);
+                host.proc.set_record(h, module.renderer(), &self.rec);
             }
             self.own_latest[i] = Some((value, cx.now));
             self.latest.push(Some(value));
         }
-        if let Some(h) = cluster_file(&mut self.ctl_handle, &mut host.proc, own, "control") {
-            host.proc.handle_buf(h).clear();
-        }
+        // `control` only has to exist: a write to it is queued for the
+        // next poll, never stored, so the file is always empty.
+        cluster_file(&mut self.ctl_handle, &mut host.proc, own, "control");
     }
 
     /// Which modules at least one remote subscriber's stream can consume.

@@ -3,8 +3,17 @@
 //! Each module registers with d-mon and is polled through a callback at
 //! every iteration — exactly the paper's `register_service(callback)`
 //! design. A module produces one headline metric value (what travels in
-//! monitoring events and what E-code filters see) plus a detail string
-//! (what appears in the remote `/proc/cluster/<node>/<file>` entry).
+//! monitoring events and what E-code filters see) plus a detail *record*:
+//! the numbers behind this node's own `/proc/cluster/<node>/<file>` entry.
+//!
+//! The contract of [`MonitorModule`] is the kernel's for a pseudo-file:
+//! [`MonitorModule::sample`] is the poll callback and moves numbers only
+//! — it fills a few `u64` words and formats nothing; the function
+//! [`MonitorModule::renderer`] names turns such a record into the file's
+//! text, and runs when somebody reads the file (`simos::ProcFs` keeps the
+//! words and the function, see its module docs), so a reader pays for
+//! presentation and a poll does not. [`MonitorModule::collect`], sample
+//! and render in one call, is a shim for the frozen benchmark probe.
 //!
 //! The five modules of the paper:
 //!
@@ -22,7 +31,7 @@
 use simcore::fastfmt;
 use simcore::{SimDur, SimTime};
 use simos::pmc::PmcEvent;
-use simos::Host;
+use simos::{Host, RecordRender};
 
 /// A monitoring module registered with d-mon. `Send` so a node's d-mon
 /// (modules included) can live on a worker shard of the parallel scheduler.
@@ -31,14 +40,39 @@ pub trait MonitorModule: Send + Sync {
     fn file_name(&self) -> &'static str;
     /// Name of the metric constant in E-code filter environments.
     fn metric_name(&self) -> &'static str;
-    /// The d-mon poll callback: append the `/proc` detail text to
-    /// `detail` (handed in cleared, reused across polls so steady-state
-    /// collection allocates nothing) and return the headline value that
-    /// travels on the channel and that filters compare.
-    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64;
+    /// The d-mon poll callback: append the words of the `/proc` detail
+    /// record to `rec` (handed in cleared, reused across polls so
+    /// steady-state sampling allocates nothing) and return the headline
+    /// value that travels on the channel and that filters compare.
+    /// Numbers only — text is the [`MonitorModule::renderer`]'s job.
+    fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64;
+    /// The function that turns a record [`MonitorModule::sample`] filled
+    /// into the file's text. It runs when the file is read, on the words
+    /// alone, so everything the text shows must be in the record.
+    fn renderer(&self) -> RecordRender;
+    /// Sample and render in one call, appending the text to `detail`.
+    /// Kept only because the frozen `benchmark/src/probes.rs` times it
+    /// (`dproc.modules.collect_ns`); d-mon never calls it. ROADMAP item
+    /// 2(d)'s `benchmark/`-scoped PR re-points that probe at `sample` and
+    /// deletes this method.
+    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64 {
+        let mut rec = Vec::new();
+        let value = self.sample(host, now, &mut rec);
+        self.renderer()(&rec, detail);
+        value
+    }
     /// Change the module's averaging window, when it has one (the paper's
     /// CPU MON takes an application-specified period). Default: ignored.
     fn set_window(&mut self, _window: SimDur) {}
+}
+
+/// Append each label followed by its word in decimal: the
+/// `"<label>{}<label>{}..."` most detail files are.
+pub(crate) fn push_fields(out: &mut String, labels: &[&str], words: &[u64]) {
+    for (label, word) in labels.iter().zip(words) {
+        out.push_str(label);
+        fastfmt::push_u64(out, *word);
+    }
 }
 
 /// CPU MON: average run-queue length over an application-specified window
@@ -55,6 +89,17 @@ impl CpuMon {
             window: SimDur::from_secs(60),
         }
     }
+
+    /// `"loadavg {:.2} window_s {} runnable {} cpus {}"` of
+    /// `[loadavg bits, window_s, runnable, cpus]`.
+    fn render(rec: &[u64], out: &mut String) {
+        let Some((&la, counts)) = rec.split_first() else {
+            return;
+        };
+        out.push_str("loadavg ");
+        fastfmt::push_f64_fixed(out, f64::from_bits(la), 2);
+        push_fields(out, &[" window_s ", " runnable ", " cpus "], counts);
+    }
 }
 
 impl Default for CpuMon {
@@ -70,21 +115,20 @@ impl MonitorModule for CpuMon {
     fn metric_name(&self) -> &'static str {
         "LOADAVG"
     }
-    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64 {
+    fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
         host.cpu.advance(now);
         let la = host.cpu.loadavg(now, self.window);
-        // Piecewise assembly with the exact-output fast formatters;
-        // equivalent to
-        // `"loadavg {:.2} window_s {} runnable {} cpus {}"` via `format!`.
-        detail.push_str("loadavg ");
-        fastfmt::push_f64_fixed(detail, la, 2);
-        detail.push_str(" window_s ");
-        fastfmt::push_u64(detail, self.window.as_secs());
-        detail.push_str(" runnable ");
-        fastfmt::push_u64(detail, host.cpu.runnable() as u64);
-        detail.push_str(" cpus ");
-        fastfmt::push_u64(detail, host.cpu.n_cpus() as u64);
+        let (runnable, cpus) = (host.cpu.runnable(), host.cpu.n_cpus());
+        rec.extend([
+            la.to_bits(),
+            self.window.as_secs(),
+            runnable as u64,
+            cpus as u64,
+        ]);
         la
+    }
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
     fn set_window(&mut self, window: SimDur) {
         if !window.is_zero() {
@@ -97,6 +141,13 @@ impl MonitorModule for CpuMon {
 #[derive(Debug, Default)]
 pub struct MemMon;
 
+impl MemMon {
+    /// `"free_bytes {} free_pages {} total_pages {}"`.
+    fn render(rec: &[u64], out: &mut String) {
+        push_fields(out, &["free_bytes ", " free_pages ", " total_pages "], rec);
+    }
+}
+
 impl MonitorModule for MemMon {
     fn file_name(&self) -> &'static str {
         "mem"
@@ -104,23 +155,34 @@ impl MonitorModule for MemMon {
     fn metric_name(&self) -> &'static str {
         "FREEMEM"
     }
-    fn collect(&mut self, host: &mut Host, _now: SimTime, detail: &mut String) -> f64 {
+    fn sample(&mut self, host: &mut Host, _now: SimTime, rec: &mut Vec<u64>) -> f64 {
         let free = host.mem.free_bytes();
-        // Equivalent to
-        // `"free_bytes {} free_pages {} total_pages {}"` via `format!`.
-        detail.push_str("free_bytes ");
-        fastfmt::push_u64(detail, free);
-        detail.push_str(" free_pages ");
-        fastfmt::push_u64(detail, host.mem.nr_free_pages());
-        detail.push_str(" total_pages ");
-        fastfmt::push_u64(detail, host.mem.total_pages());
+        rec.extend([free, host.mem.nr_free_pages(), host.mem.total_pages()]);
         free as f64
+    }
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
 }
 
 /// DISK MON: sectors read+written over its window (default 1 s).
 #[derive(Debug)]
 pub struct DiskMon;
+
+impl DiskMon {
+    /// `"sectors_window {} reads {} writes {} sectors_read {}
+    /// sectors_written {}"`.
+    fn render(rec: &[u64], out: &mut String) {
+        const LABELS: [&str; 5] = [
+            "sectors_window ",
+            " reads ",
+            " writes ",
+            " sectors_read ",
+            " sectors_written ",
+        ];
+        push_fields(out, &LABELS, rec);
+    }
+}
 
 impl MonitorModule for DiskMon {
     fn file_name(&self) -> &'static str {
@@ -129,22 +191,21 @@ impl MonitorModule for DiskMon {
     fn metric_name(&self) -> &'static str {
         "DISKUSAGE"
     }
-    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64 {
+    fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
         let sr = host.disk.sectors_read_rate(now);
         let sw = host.disk.sectors_written_rate(now);
-        // Equivalent to `"sectors_window {} reads {} writes {} sectors_read
-        // {} sectors_written {}"` via `format!`.
-        detail.push_str("sectors_window ");
-        fastfmt::push_u64(detail, sr + sw);
-        detail.push_str(" reads ");
-        fastfmt::push_u64(detail, host.disk.reads());
-        detail.push_str(" writes ");
-        fastfmt::push_u64(detail, host.disk.writes());
-        detail.push_str(" sectors_read ");
-        fastfmt::push_u64(detail, host.disk.sectors_read());
-        detail.push_str(" sectors_written ");
-        fastfmt::push_u64(detail, host.disk.sectors_written());
+        let d = &host.disk;
+        rec.extend([
+            sr + sw,
+            d.reads(),
+            d.writes(),
+            d.sectors_read(),
+            d.sectors_written(),
+        ]);
         (sr + sw) as f64
+    }
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
 }
 
@@ -154,12 +215,43 @@ impl MonitorModule for DiskMon {
 /// The headline value is what the SmartPointer server consumes to size a
 /// client's stream.
 #[derive(Debug, Default)]
-pub struct NetMon {
-    /// Reused per-connection line buffers: formatting the connection table
-    /// every poll is the single hottest formatting site in the pipeline,
-    /// so lines are assembled with the exact-output fast formatters into
-    /// pooled `String`s instead of fresh `format!` allocations.
-    line_pool: Vec<String>,
+pub struct NetMon;
+
+impl NetMon {
+    /// One connection's words in the record — local, remote, tag, rtt_us,
+    /// retx, lost — by the label each is listed under.
+    const CONN_LABELS: [&str; 6] = ["conn n", "->n", " tag ", " rtt_us ", " retx ", " lost "];
+
+    /// `"avail_bps {:.0} used_bps {:.0}\n"`, then one
+    /// `"conn {}->{} tag {} rtt_us {} retx {} lost {}"` line per
+    /// connection (`NodeId` displays as `n<index>`), `\n`-joined. The
+    /// lines are listed sorted *as strings* (`n10` before `n2`), which is
+    /// not the record's connection-id order.
+    fn render(rec: &[u64], out: &mut String) {
+        let Some((&[avail, used], conns)) = rec.split_first_chunk() else {
+            return;
+        };
+        out.push_str("avail_bps ");
+        fastfmt::push_f64_fixed(out, f64::from_bits(avail), 0);
+        out.push_str(" used_bps ");
+        fastfmt::push_f64_fixed(out, f64::from_bits(used), 0);
+        out.push('\n');
+        let mut lines: Vec<String> = conns
+            .chunks_exact(Self::CONN_LABELS.len())
+            .map(|c| {
+                let mut line = String::with_capacity(48);
+                push_fields(&mut line, &Self::CONN_LABELS, c);
+                line
+            })
+            .collect();
+        lines.sort_unstable();
+        for (i, line) in lines.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(line);
+        }
+    }
 }
 
 impl MonitorModule for NetMon {
@@ -169,57 +261,38 @@ impl MonitorModule for NetMon {
     fn metric_name(&self) -> &'static str {
         "NET_AVAIL"
     }
-    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64 {
+    fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
         let avail = host.available_bps(now);
         let total = host.conns.total_used_bps(now);
-        // Each line is byte-identical to the old
-        // `"conn {}->{} tag {} rtt_us {} retx {} lost {}"` formatting
-        // (NodeId displays as `n<index>`).
-        let mut used = 0;
+        rec.extend([avail.to_bits(), total.to_bits()]);
         // detlint: allow(unordered-iter) ConnTrack::iter walks its sorted index
         for (id, st) in host.conns.iter() {
-            if self.line_pool.len() == used {
-                self.line_pool.push(String::with_capacity(48));
-            }
-            let s = &mut self.line_pool[used];
-            used += 1;
-            s.clear();
-            s.push_str("conn n");
-            fastfmt::push_u64(s, id.local.0 as u64);
-            s.push_str("->n");
-            fastfmt::push_u64(s, id.remote.0 as u64);
-            s.push_str(" tag ");
-            fastfmt::push_u64(s, id.tag as u64);
-            s.push_str(" rtt_us ");
-            fastfmt::push_u64(s, st.rtt().map_or(0, simcore::SimDur::as_micros));
-            s.push_str(" retx ");
-            fastfmt::push_u64(s, st.retransmissions());
-            s.push_str(" lost ");
-            fastfmt::push_u64(s, st.losses());
-        }
-        // Sorting the pool slice keeps the listing deterministic (the
-        // connection table iterates in hash order); buffer ownership just
-        // moves within the pool.
-        self.line_pool[..used].sort_unstable();
-        detail.reserve(28 + used * 48);
-        detail.push_str("avail_bps ");
-        fastfmt::push_f64_fixed(detail, avail, 0);
-        detail.push_str(" used_bps ");
-        fastfmt::push_f64_fixed(detail, total, 0);
-        detail.push('\n');
-        for (i, line) in self.line_pool[..used].iter().enumerate() {
-            if i > 0 {
-                detail.push('\n');
-            }
-            detail.push_str(line);
+            rec.extend([
+                id.local.0 as u64,
+                id.remote.0 as u64,
+                u64::from(id.tag),
+                st.rtt().map_or(0, simcore::SimDur::as_micros),
+                st.retransmissions(),
+                st.losses(),
+            ]);
         }
         avail
+    }
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
 }
 
 /// PMC: cumulative cache-miss counter.
 #[derive(Debug, Default)]
 pub struct PmcMon;
+
+impl PmcMon {
+    /// `"cache_misses {} instructions {} cycles {}"`.
+    fn render(rec: &[u64], out: &mut String) {
+        push_fields(out, &["cache_misses ", " instructions ", " cycles "], rec);
+    }
+}
 
 impl MonitorModule for PmcMon {
     fn file_name(&self) -> &'static str {
@@ -228,17 +301,17 @@ impl MonitorModule for PmcMon {
     fn metric_name(&self) -> &'static str {
         "CACHE_MISS"
     }
-    fn collect(&mut self, host: &mut Host, _now: SimTime, detail: &mut String) -> f64 {
+    fn sample(&mut self, host: &mut Host, _now: SimTime, rec: &mut Vec<u64>) -> f64 {
         let misses = host.pmc.read(PmcEvent::CacheMisses);
-        // Equivalent to
-        // `"cache_misses {} instructions {} cycles {}"` via `format!`.
-        detail.push_str("cache_misses ");
-        fastfmt::push_u64(detail, misses);
-        detail.push_str(" instructions ");
-        fastfmt::push_u64(detail, host.pmc.read(PmcEvent::Instructions));
-        detail.push_str(" cycles ");
-        fastfmt::push_u64(detail, host.pmc.read(PmcEvent::Cycles));
+        rec.extend([
+            misses,
+            host.pmc.read(PmcEvent::Instructions),
+            host.pmc.read(PmcEvent::Cycles),
+        ]);
         misses as f64
+    }
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
 }
 
@@ -249,6 +322,24 @@ impl MonitorModule for PmcMon {
 #[derive(Debug, Default)]
 pub struct PowerMon;
 
+impl PowerMon {
+    /// `"battery_fraction {:.4} level_j {:.1} empty {}"` of `[fraction
+    /// bits, level_j bits, empty]`; `"mains_powered"` of the empty record.
+    fn render(rec: &[u64], out: &mut String) {
+        use std::fmt::Write;
+        let &[fraction, level_j, empty] = rec else {
+            out.push_str("mains_powered");
+            return;
+        };
+        let (fraction, level_j) = (f64::from_bits(fraction), f64::from_bits(level_j));
+        let empty = empty != 0;
+        let _ = write!(
+            out,
+            "battery_fraction {fraction:.4} level_j {level_j:.1} empty {empty}"
+        );
+    }
+}
+
 impl MonitorModule for PowerMon {
     fn file_name(&self) -> &'static str {
         "power"
@@ -256,35 +347,18 @@ impl MonitorModule for PowerMon {
     fn metric_name(&self) -> &'static str {
         "BATTERY"
     }
-    fn collect(&mut self, host: &mut Host, now: SimTime, detail: &mut String) -> f64 {
-        use std::fmt::Write;
+    fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
         host.advance(now);
-        match &host.battery {
-            Some(b) => {
-                let _ = write!(
-                    detail,
-                    "battery_fraction {:.4} level_j {:.1} empty {}",
-                    b.fraction(),
-                    b.level_j(),
-                    b.is_empty()
-                );
-                b.fraction()
-            }
-            None => {
-                detail.push_str("mains_powered");
-                1.0
-            }
-        }
+        let Some(b) = &host.battery else { return 1.0 };
+        rec.extend([
+            b.fraction().to_bits(),
+            b.level_j().to_bits(),
+            u64::from(b.is_empty()),
+        ]);
+        b.fraction()
     }
-}
-
-impl NetMon {
-    /// Test helper: collect and return just the detail text.
-    #[doc(hidden)]
-    pub fn collect_for_test(&mut self, host: &mut Host, now: SimTime) -> String {
-        let mut detail = String::new();
-        self.collect(host, now, &mut detail);
-        detail
+    fn renderer(&self) -> RecordRender {
+        Self::render
     }
 }
 
@@ -294,7 +368,7 @@ pub fn standard_modules() -> Vec<Box<dyn MonitorModule>> {
         Box::new(CpuMon::new()),
         Box::new(MemMon),
         Box::new(DiskMon),
-        Box::new(NetMon::default()),
+        Box::new(NetMon),
         Box::new(PmcMon),
     ]
 }
@@ -302,6 +376,7 @@ pub fn standard_modules() -> Vec<Box<dyn MonitorModule>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dmon::testkit::{edge_f64, rendered};
     use simnet::NodeId;
     use simos::host::HostConfig;
 
@@ -309,11 +384,108 @@ mod tests {
         Host::new("t", NodeId(0), &HostConfig::testbed())
     }
 
-    /// Collect into a throwaway buffer, returning `(value, detail)`.
+    /// One poll callback and what a reader of its record would see:
+    /// `(value, detail)`.
     fn collect(m: &mut dyn MonitorModule, h: &mut Host, now: SimTime) -> (f64, String) {
-        let mut detail = String::new();
-        let value = m.collect(h, now, &mut detail);
-        (value, detail)
+        let mut rec = Vec::new();
+        let value = m.sample(h, now, &mut rec);
+        (value, rendered(m.renderer(), &rec))
+    }
+
+    #[test]
+    fn collect_shim_is_sample_then_render() {
+        let (mut a, mut b) = (host(), host());
+        for mut m in standard_modules() {
+            let mut text = String::from("kept ");
+            let value = m.collect(&mut a, SimTime::from_secs(1), &mut text);
+            let (want, detail) = collect(&mut *m, &mut b, SimTime::from_secs(1));
+            assert_eq!((value, text), (want, format!("kept {detail}")));
+        }
+    }
+
+    proptest::proptest! {
+        /// Each fixed-size renderer against the `format!` string its
+        /// comment quotes.
+        #[test]
+        fn renderers_match_their_format_strings(
+            x in edge_f64(),
+            y in edge_f64(),
+            w in proptest::collection::vec(proptest::any::<u64>(), 5),
+            empty in proptest::any::<bool>(),
+        ) {
+            proptest::prop_assert_eq!(
+                rendered(CpuMon::render, &[x.to_bits(), w[0], w[1], w[2]]),
+                format!("loadavg {x:.2} window_s {} runnable {} cpus {}", w[0], w[1], w[2])
+            );
+            proptest::prop_assert_eq!(
+                rendered(MemMon::render, &w[..3]),
+                format!("free_bytes {} free_pages {} total_pages {}", w[0], w[1], w[2])
+            );
+            proptest::prop_assert_eq!(
+                rendered(DiskMon::render, &w),
+                format!(
+                    "sectors_window {} reads {} writes {} sectors_read {} sectors_written {}",
+                    w[0], w[1], w[2], w[3], w[4]
+                )
+            );
+            proptest::prop_assert_eq!(
+                rendered(PmcMon::render, &w[..3]),
+                format!("cache_misses {} instructions {} cycles {}", w[0], w[1], w[2])
+            );
+            proptest::prop_assert_eq!(
+                rendered(PowerMon::render, &[x.to_bits(), y.to_bits(), u64::from(empty)]),
+                format!("battery_fraction {x:.4} level_j {y:.1} empty {empty}")
+            );
+            proptest::prop_assert_eq!(rendered(PowerMon::render, &[]), "mains_powered");
+        }
+
+        /// NET MON over 0–40 connections, node ids past 9 and 99: the
+        /// listing is sorted as strings, whatever order the record has.
+        #[test]
+        fn net_renderer_lists_connections_sorted_as_strings(
+            avail in edge_f64(),
+            used in edge_f64(),
+            conns in proptest::collection::vec(
+                (0u64..300, 0u64..300, 0u64..4, proptest::any::<u64>(), 0u64..1000, 0u64..1000),
+                0..41,
+            ),
+        ) {
+            let mut rec = vec![avail.to_bits(), used.to_bits()];
+            let mut lines = Vec::new();
+            for &(l, r, tag, rtt, retx, lost) in &conns {
+                rec.extend([l, r, tag, rtt, retx, lost]);
+                lines.push(format!(
+                    "conn n{l}->n{r} tag {tag} rtt_us {rtt} retx {retx} lost {lost}"
+                ));
+            }
+            lines.sort();
+            let want = format!("avail_bps {avail:.0} used_bps {used:.0}\n{}", lines.join("\n"));
+            proptest::prop_assert_eq!(rendered(NetMon::render, &rec), want);
+        }
+    }
+
+    #[test]
+    fn net_mon_lists_n10_before_n2() {
+        let mut h = host();
+        for remote in [2, 10] {
+            let id = simnet::ConnId {
+                local: NodeId(0),
+                remote: NodeId(remote),
+                proto: simnet::conn::Proto::Tcp,
+                tag: 0,
+            };
+            h.conns.open(id, SimTime::ZERO);
+        }
+        let mut rec = Vec::new();
+        NetMon.sample(&mut h, SimTime::ZERO, &mut rec);
+        assert_eq!(
+            (rec[3], rec[3 + NetMon::CONN_LABELS.len()]),
+            (2, 10),
+            "id order"
+        );
+        let text = rendered(NetMon::render, &rec);
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert!(lines[0].starts_with("conn n0->n10 ") && lines[1].starts_with("conn n0->n2 "));
     }
 
     #[test]
@@ -376,7 +548,7 @@ mod tests {
     #[test]
     fn net_mon_reports_available_bandwidth_and_connections() {
         let mut h = host();
-        let mut m = NetMon::default();
+        let mut m = NetMon;
         let id = simnet::ConnId {
             local: NodeId(0),
             remote: NodeId(1),

@@ -16,9 +16,10 @@
 /// *count* of lost positions is always preserved in [`StreamTracker::gaps`].
 pub const MAX_GAP_RANGES: usize = 32;
 
-/// Whether stream position `a` lies before `b`. Positions are compared in
-/// serial-number order (RFC 1982): the stream wraps at `u32::MAX`, so a
-/// position up to 2^31 behind `b` is the past and anything else is ahead.
+/// Whether stream position (or publisher epoch) `a` lies before `b`. Both
+/// are compared in serial-number order (RFC 1982): the counter wraps at
+/// `u32::MAX`, so a value up to 2^31 behind `b` is the past and anything
+/// else is ahead.
 fn precedes(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) < 0
 }
@@ -83,12 +84,12 @@ impl StreamTracker {
                 self.next = Some(seq.wrapping_add(1));
             }
             Some(expected) => {
-                if epoch > self.epoch {
+                if precedes(self.epoch, epoch) {
                     self.epoch = epoch;
                     self.next = Some(seq.wrapping_add(1));
                     self.restarts += 1;
                     obs.restarted = true;
-                } else if epoch < self.epoch || precedes(seq, expected) {
+                } else if precedes(epoch, self.epoch) || precedes(seq, expected) {
                     obs.stale = true;
                     if epoch == self.epoch && self.unlog_gap(seq) {
                         // A current-epoch straggler that fills a recorded
@@ -242,6 +243,29 @@ mod tests {
         assert_eq!(t.gaps(), 0);
         assert_eq!(t.restarts(), 1);
         assert_eq!(t.observe(1, 1), Observation::default());
+    }
+
+    #[test]
+    fn epochs_compare_in_serial_order_across_the_wrap() {
+        // A publisher restarting its way over the u32 wrap: each new
+        // incarnation is a restart, never a gap, and a straggler from the
+        // incarnation before it is the past, on either side of the wrap.
+        let mut t = StreamTracker::new();
+        let first = u32::MAX - 1;
+        t.observe(first, 7);
+        t.observe(first, 8);
+        let mut old = first;
+        for (restarts, epoch) in [u32::MAX, 0, 1].into_iter().enumerate() {
+            let obs = t.observe(epoch, 0);
+            assert!(obs.restarted && obs.missing.is_none(), "epoch {epoch}");
+            assert_eq!(t.restarts(), restarts as u64 + 1);
+            let straggler = t.observe(old, 9);
+            assert!(straggler.stale && !straggler.restarted, "epoch {old}");
+            assert!(!straggler.healed && straggler.missing.is_none());
+            assert_eq!(t.observe(epoch, 1), Observation::default());
+            old = epoch;
+        }
+        assert_eq!(t.gaps(), 0);
     }
 
     #[test]

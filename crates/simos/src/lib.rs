@@ -39,4 +39,4 @@ pub use host::Host;
 pub use mem::Memory;
 pub use pmc::Pmc;
 pub use power::Battery;
-pub use procfs::{ProcFs, ProcHandle};
+pub use procfs::{ProcFs, ProcHandle, RecordRender};

@@ -11,14 +11,25 @@
 //! # Text on read
 //!
 //! A pseudo-file has no stored text: a kernel generates it when somebody
-//! reads it. A file here is either text its owner wrote or a numeric
-//! *sample* — a `(value, ts)` pair stored by [`ProcFs::set_sample`], 16
-//! bytes and no formatting — which [`ProcFs::read`] renders as
-//! `"<leaf> <value> ts <ts:.3>"` (`<leaf>` is the file's own name) when
-//! asked. The remote-view files d-mon refreshes on every received frame
-//! are samples: the per-frame path stores numbers, and only a reader pays
-//! for text. The writers that want a `String` ([`ProcFs::handle_buf`] and
-//! its siblings) first turn a sample into the text a reader would see.
+//! reads it. A file here holds one of three things:
+//!
+//! - *text* its owner wrote ([`ProcFs::set`], [`ProcFs::set_handle`]);
+//! - a numeric *sample* — a `(value, ts)` pair stored by
+//!   [`ProcFs::set_sample`], 16 bytes and no formatting — which
+//!   [`ProcFs::read`] renders as `"<leaf> <value> ts <ts:.3>"` (`<leaf>` is
+//!   the file's own name) when asked. The remote-view files d-mon
+//!   refreshes on every received frame are samples;
+//! - a *record* — a few `u64` words copied by [`ProcFs::set_record`] into
+//!   a buffer the slot keeps and reuses, plus the plain function
+//!   ([`RecordRender`]) that turns those words into the file's text.
+//!   Everything d-mon writes per poll and per digest is a record: module
+//!   details, per-peer `status`, `overload`, the rack summaries.
+//!
+//! So the poll, frame and digest paths store numbers — a snapshot taken
+//! at the instant the text used to be written — and only a reader pays
+//! for presentation; reading caches nothing, the slot keeps its numbers.
+//! [`ProcFs::handle_buf`], the one writer that hands out a `String`,
+//! first turns a sample or a record into the text a reader would see.
 //!
 //! Paths are `/`-separated, relative to the `/proc` root; a leading `/` or
 //! `/proc/` prefix is accepted and stripped, so `"/proc/cluster/alan/cpu"`,
@@ -69,12 +80,42 @@ enum Node {
     File(usize),
 }
 
-/// What a file holds: text its owner wrote, or a numeric sample that is
-/// rendered when read (see the module docs).
+/// Turns a record's words into the file's text, appending to the string.
+/// A plain function: what it needs beyond the words is not in the file.
+pub type RecordRender = fn(&[u64], &mut String);
+
+/// What a file holds: text its owner wrote, or numbers that are rendered
+/// when read (see the module docs).
 #[derive(Debug, Clone)]
 enum Content {
     Text(String),
-    Sample { value: f64, ts: f64 },
+    Sample {
+        value: f64,
+        ts: f64,
+    },
+    Record {
+        words: Vec<u64>,
+        render: RecordRender,
+    },
+}
+
+impl Content {
+    /// The text a reader sees.
+    fn render(&self, leaf: &str) -> Cow<'_, str> {
+        let mut out = String::new();
+        match self {
+            Content::Text(s) => return Cow::Borrowed(s),
+            Content::Sample { value, ts } => {
+                out.push_str(leaf);
+                out.push(' ');
+                fastfmt::push_f64_display(&mut out, *value);
+                out.push_str(" ts ");
+                fastfmt::push_f64_fixed3(&mut out, *ts);
+            }
+            Content::Record { words, render } => render(words, &mut out),
+        }
+        Cow::Owned(out)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -96,18 +137,6 @@ pub struct ProcFs {
     leaves: Vec<Box<str>>,
     leaf_ids: BTreeMap<Box<str>, u32>,
     pending_writes: Vec<(String, String)>,
-}
-
-/// A sample's text: `"<leaf> <value> ts <ts:.3>"`, byte for byte what
-/// `format!` produces.
-fn render_sample(leaf: &str, value: f64, ts: f64) -> String {
-    let mut out = String::new();
-    out.push_str(leaf);
-    out.push(' ');
-    fastfmt::push_f64_display(&mut out, value);
-    out.push_str(" ts ");
-    fastfmt::push_f64_fixed3(&mut out, ts);
-    out
 }
 
 /// Split and normalize a path. Returns the component list.
@@ -191,47 +220,57 @@ impl ProcFs {
         self.files[h.0].content = Content::Sample { value, ts };
     }
 
-    /// Format new content directly into an interned file, reusing the
-    /// existing `String`'s capacity (steady-state writes allocate nothing).
-    pub fn set_handle_fmt(&mut self, h: ProcHandle, args: std::fmt::Arguments<'_>) {
-        use std::fmt::Write;
-        let s = self.handle_buf(h);
-        s.clear();
-        let _ = s.write_fmt(args);
+    /// Store a record in an interned file: `words` are copied into the
+    /// slot's own buffer (kept across writes, so a steady-state store
+    /// allocates nothing) and no text is made. A reader sees what `render`
+    /// makes of the words, rendered when it reads.
+    pub fn set_record(&mut self, h: ProcHandle, render: RecordRender, words: &[u64]) {
+        match &mut self.files[h.0].content {
+            Content::Record {
+                words: kept,
+                render: r,
+            } => {
+                kept.clear();
+                kept.extend_from_slice(words);
+                *r = render;
+            }
+            other => {
+                let words = words.to_vec();
+                *other = Content::Record { words, render };
+            }
+        }
     }
 
-    /// Direct mutable access to an interned file's content buffer, for
-    /// callers that assemble content piecewise (clear + push) instead of
-    /// going through the `fmt` machinery. A sample is first turned into
-    /// the text a reader would see.
+    /// Whether an interned file currently holds a record (rather than
+    /// text or a sample).
+    pub fn is_record(&self, h: ProcHandle) -> bool {
+        matches!(self.files[h.0].content, Content::Record { .. })
+    }
+
+    /// Direct mutable access to an interned file's text, for callers that
+    /// assemble content piecewise (clear + push). A sample or a record is
+    /// first turned into the text a reader would see, and the slot holds
+    /// text from then on. Nothing in the workspace writes this way any
+    /// more; the frozen `benchmark/src/probes.rs` times a write through it
+    /// (`simos.procfs.write_handle_ns`), and ROADMAP item 2(d)'s
+    /// `benchmark/`-scoped PR decides whether it goes with that probe.
     pub fn handle_buf(&mut self, h: ProcHandle) -> &mut String {
         let file = &mut self.files[h.0];
-        if let Content::Sample { value, ts } = file.content {
-            let text = render_sample(&self.leaves[file.leaf as usize], value, ts);
-            file.content = Content::Text(text);
+        if !matches!(file.content, Content::Text(_)) {
+            let text = file.content.render(&self.leaves[file.leaf as usize]);
+            file.content = Content::Text(text.into_owned());
         }
         let Content::Text(s) = &mut file.content else {
-            unreachable!("a sample slot was just rendered")
+            unreachable!("numbers were just rendered")
         };
         s
     }
 
-    /// Swap an owned string into an interned file, handing the previous
-    /// content (and its capacity) back to the caller for reuse.
-    pub fn swap_handle(&mut self, h: ProcHandle, mut content: String) -> String {
-        std::mem::swap(self.handle_buf(h), &mut content);
-        content
-    }
-
-    /// Read an interned file's content; a sample is rendered into a copy.
+    /// Read an interned file's content; a sample or a record is rendered
+    /// into a copy.
     pub fn read_handle(&self, h: ProcHandle) -> Cow<'_, str> {
         let file = &self.files[h.0];
-        match &file.content {
-            Content::Text(s) => Cow::Borrowed(s),
-            Content::Sample { value, ts } => {
-                Cow::Owned(render_sample(&self.leaves[file.leaf as usize], *value, *ts))
-            }
-        }
+        file.content.render(&self.leaves[file.leaf as usize])
     }
 
     fn lookup(&self, path: &str) -> Result<&Node, ProcError> {
@@ -249,8 +288,8 @@ impl ProcFs {
             .ok_or_else(|| ProcError::NotFound(path.to_string()))
     }
 
-    /// Read a file's contents (userspace `cat`); a sample is rendered
-    /// into a copy.
+    /// Read a file's contents (userspace `cat`); a sample or a record is
+    /// rendered into a copy.
     pub fn read(&self, path: &str) -> Result<Cow<'_, str>, ProcError> {
         match self.lookup(path)? {
             Node::File(idx) => Ok(self.read_handle(ProcHandle(*idx))),
@@ -448,11 +487,6 @@ mod tests {
         // Interning an existing path (even via a different spelling)
         // returns the same handle.
         assert_eq!(fs.intern("/proc/cluster/alan/cpu").unwrap(), h);
-        fs.set_handle_fmt(h, format_args!("{:.2}", 1.25));
-        assert_eq!(fs.read("cluster/alan/cpu").unwrap(), "1.25");
-        let prev = fs.swap_handle(h, "2.0".to_string());
-        assert_eq!(prev, "1.25");
-        assert_eq!(fs.read_handle(h), "2.0");
     }
 
     #[test]
@@ -509,14 +543,6 @@ mod tests {
         assert_eq!(fs.handle_buf(h), "mem 7 ts 2.000");
         fs.handle_buf(h).push('!');
         assert_eq!(fs.read_handle(h), "mem 7 ts 2.000!");
-
-        fs.set_sample(h, 8.0, 3.0);
-        assert_eq!(fs.swap_handle(h, "swapped".to_string()), "mem 8 ts 3.000");
-        assert_eq!(fs.read_handle(h), "swapped");
-
-        fs.set_sample(h, 9.0, 4.0);
-        fs.set_handle_fmt(h, format_args!("{}", 1.5));
-        assert_eq!(fs.read_handle(h), "1.5");
     }
 
     #[test]
@@ -539,6 +565,81 @@ mod tests {
         assert!(!fs.exists("cluster/alan/net"));
         assert_eq!(fs.read_handle(h), "net 100 ts 1.000");
         assert_eq!(fs.handle_buf(h), "net 100 ts 1.000");
+    }
+
+    /// A renderer for the record tests: the words in decimal, `+`-joined.
+    fn render_sum(words: &[u64], out: &mut String) {
+        for (i, w) in words.iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            fastfmt::push_u64(out, *w);
+        }
+    }
+
+    fn words_of(fs: &ProcFs, h: ProcHandle) -> Option<&Vec<u64>> {
+        match &fs.files[h.0].content {
+            Content::Record { words, .. } => Some(words),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn record_holds_no_text_before_or_after_a_read() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/status").unwrap();
+        fs.set_record(h, render_sum, &[1, 20, 300]);
+        assert!(fs.is_record(h));
+        assert_eq!(fs.read("cluster/alan/status").unwrap(), "1+20+300");
+        assert_eq!(fs.read("/proc/cluster/alan/status").unwrap(), "1+20+300");
+        assert_eq!(fs.read_handle(h), "1+20+300");
+        // Reading renders a copy and caches nothing.
+        assert_eq!(words_of(&fs, h), Some(&vec![1, 20, 300]));
+    }
+
+    #[test]
+    fn record_buffer_is_kept_across_stores() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/net").unwrap();
+        fs.set_record(h, render_sum, &[1, 2, 3, 4, 5, 6]);
+        let buf = words_of(&fs, h).unwrap().as_ptr();
+        fs.set_record(h, render_sum, &[7, 8]);
+        fs.set_record(h, render_sum, &[9, 10, 11, 12, 13, 14]);
+        assert_eq!(words_of(&fs, h).unwrap().as_ptr(), buf, "no new buffer");
+        assert_eq!(fs.read_handle(h), "9+10+11+12+13+14");
+        // A sample or a text write replaces the record; a record replaces
+        // either.
+        fs.set_sample(h, 1.0, 0.0);
+        assert!(!fs.is_record(h));
+        assert_eq!(fs.read_handle(h), "net 1 ts 0.000");
+        fs.set_record(h, render_sum, &[]);
+        assert_eq!(fs.read_handle(h), "");
+        fs.set_handle(h, "text");
+        assert!(!fs.is_record(h));
+        fs.set_record(h, render_sum, &[4]);
+        assert_eq!(fs.read_handle(h), "4");
+    }
+
+    #[test]
+    fn handle_buf_on_a_record_yields_its_text_and_leaves_a_text_slot() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/overload").unwrap();
+        fs.set_record(h, render_sum, &[5, 6]);
+        assert_eq!(fs.handle_buf(h), "5+6");
+        assert!(matches!(fs.files[h.0].content, Content::Text(_)));
+        fs.handle_buf(h).push('!');
+        assert_eq!(fs.read("cluster/alan/overload").unwrap(), "5+6!");
+    }
+
+    #[test]
+    fn record_through_a_handle_to_a_removed_file_round_trips() {
+        let mut fs = ProcFs::new();
+        let h = fs.intern("cluster/alan/status").unwrap();
+        fs.remove("cluster/alan").unwrap();
+        fs.set_record(h, render_sum, &[2, 3]);
+        assert!(!fs.exists("cluster/alan/status"));
+        assert_eq!(fs.read_handle(h), "2+3");
+        assert_eq!(fs.handle_buf(h), "2+3");
     }
 
     /// Floats the fast formatters special-case or hand to `std`.
