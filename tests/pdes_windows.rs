@@ -1,0 +1,99 @@
+//! The sharded engine's window plan, pinned: how many windows each
+//! scenario runs in parallel, how many the planner sends serial, how many
+//! parallel windows had at most one busy shard, and how many events ran.
+//! All four are functions of the event population and the planner — not of
+//! how a window's shards are handed to threads — so an engine or planner
+//! change that means to keep the plan must leave every constant here as it
+//! is. (Recorded on a two-CPU box: with `available_parallelism() == 1`
+//! this commit's engine counts *every* parallel window as inline.)
+
+use dproc::cluster::{ClusterConfig, ClusterSim};
+use simcore::{SimDur, SimTime};
+use simnet::{FaultPlan, NodeId};
+
+/// `(windows_parallel, windows_serial, windows_inline, executed)`.
+type Plan = (u64, u64, u64, u64);
+
+const SHARDS: [usize; 3] = [2, 3, 8];
+
+fn plan_of(sim: &ClusterSim) -> Plan {
+    let s = sim.parallel_stats().expect("parallel driver");
+    (
+        s.windows_parallel,
+        s.windows_serial,
+        s.windows_inline,
+        s.executed,
+    )
+}
+
+fn run(
+    cfg: impl Fn() -> ClusterConfig,
+    faults: Option<&FaultPlan>,
+    secs: u64,
+    step_s: u64,
+) -> [Plan; 3] {
+    SHARDS.map(|shards| {
+        let mut sim = ClusterSim::new(cfg());
+        sim.set_threads(shards);
+        sim.start();
+        if let Some(plan) = faults {
+            sim.apply_fault_plan(plan);
+        }
+        let mut t = 0;
+        while t < secs {
+            t = (t + step_s).min(secs);
+            sim.run_until(SimTime::from_secs(t));
+        }
+        plan_of(&sim)
+    })
+}
+
+fn star16() -> ClusterConfig {
+    ClusterConfig::new(16).stagger(SimDur::from_micros(1))
+}
+
+#[test]
+fn fault_free_star_plan_is_pinned() {
+    assert_eq!(run(star16, None, 8, 8), [(64, 0, 8, 1793); 3]);
+}
+
+#[test]
+fn stepped_star_plan_is_pinned() {
+    // One `run_until` per simulated second, as the churn-style callers
+    // drive a cluster. A window never reaches past the call's `until`, so
+    // the seven inner boundaries each split one window in two; the events
+    // are the same.
+    assert_eq!(run(star16, None, 8, 1), [(71, 0, 15, 1793); 3]);
+}
+
+const LIFECYCLE: [Plan; 3] = [(103, 9, 51, 275), (103, 9, 48, 275), (103, 9, 48, 275)];
+
+#[test]
+fn crash_evict_revive_rejoin_plan_is_pinned() {
+    // Node 1 falls silent at 2 s, its peers reach the Dead verdict 4 s
+    // later and evict it, it comes back at 9 s and re-registers: fault
+    // actions, the eviction horizon and the rejoin hazard each send their
+    // windows serial.
+    let cfg = || ClusterConfig::new(5).failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4));
+    let faults = FaultPlan::new(42)
+        .crash_at(SimTime::from_secs(2), NodeId(1))
+        .revive_at(SimTime::from_secs(9), NodeId(1));
+    assert_eq!(run(cfg, Some(&faults), 14, 14), LIFECYCLE);
+}
+
+const RACKS: [Plan; 3] = [(157, 3, 131, 196), (157, 3, 129, 196), (157, 3, 129, 196)];
+
+#[test]
+fn rack_aggregator_crash_plan_is_pinned() {
+    // Six nodes in three racks; rack 1's aggregator (node 2) crashes and
+    // is evicted from its rack channel and the spine digest channel.
+    let cfg = || {
+        ClusterConfig::new(6)
+            .racks(2)
+            .failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4))
+    };
+    let faults = FaultPlan::new(7)
+        .crash_at(SimTime::from_secs(3), NodeId(2))
+        .revive_at(SimTime::from_secs(10), NodeId(2));
+    assert_eq!(run(cfg, Some(&faults), 14, 14), RACKS);
+}
