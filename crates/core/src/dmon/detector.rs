@@ -255,6 +255,19 @@ impl DMon {
             .min()
     }
 
+    /// No poll of this d-mon declares a peer Dead before this instant, for
+    /// as long as its failure bounds stand: the pending deadline of
+    /// [`DMon::next_dead_deadline`], or `now + dead_after` if that is
+    /// sooner — the earliest deadline a peer first heard at `now` or later
+    /// can have, and likewise one heard again after a Dead verdict. Unlike
+    /// the deadline itself, which a newly heard peer can pull *earlier*,
+    /// this bound holds until time reaches it, so the parallel scheduler
+    /// can keep it instead of walking the peer table every window.
+    pub fn dead_horizon(&self, now: SimTime) -> SimTime {
+        let cap = now + self.detector.dead_after;
+        self.next_dead_deadline().map_or(cap, |d| d.min(cap))
+    }
+
     /// Number of customization messages queued for replay to `target` if
     /// it restarts (bounded by compaction in `record_deployment`).
     pub fn deployed_ctl_len(&self, target: NodeId) -> usize {
@@ -367,6 +380,36 @@ mod tests {
             dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
         }
         assert_eq!(dmon.stats.gaps_detected, 2, "positions 2 and 3 lost");
+    }
+
+    #[test]
+    fn dead_horizon_is_the_pending_deadline_capped_one_dead_bound_out() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        let secs = SimTime::from_secs;
+        // Nobody heard yet: no deadline, but a peer first heard at 5 s
+        // would have one at 13 s (defaults: Dead after 8 s).
+        assert_eq!(dmon.next_dead_deadline(), None);
+        assert_eq!(dmon.dead_horizon(secs(5)), secs(13));
+
+        // Heard at 1 s: the deadline is 9 s, inside the cap from 2 s …
+        let ev = mon_from(NodeId(1), mon, 0, 0);
+        dmon.on_event(&mut host, &ev, 90, secs(1), &calib);
+        assert_eq!(dmon.dead_horizon(secs(2)), secs(9));
+        // … and a second peer, first heard later, cannot undercut it.
+        let ev = mon_from(NodeId(2), mon, 0, 0);
+        dmon.on_event(&mut host, &ev, 90, secs(3), &calib);
+        assert_eq!(dmon.next_dead_deadline(), Some(secs(9)));
+
+        // The cap follows the smallest bound in force.
+        dmon.set_failure_bounds(SimDur::from_secs(1), SimDur::from_secs(2));
+        assert_eq!(dmon.dead_horizon(SimTime::ZERO), secs(2));
+        assert_eq!(dmon.dead_horizon(secs(2)), secs(3), "1 s + 2 s is due");
+
+        // A Dead record has no deadline left to wait for.
+        dmon.poll(&mut host, &dir, mon, ctl, secs(10), &calib);
+        assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Dead));
+        assert_eq!(dmon.peer_health(NodeId(2)), Some(PeerHealth::Dead));
+        assert_eq!(dmon.dead_horizon(secs(10)), secs(12));
     }
 
     #[test]

@@ -39,17 +39,22 @@
 //! * any live failure detector could reach a Dead verdict inside the
 //!   window (an eviction writes the directory).
 //!
+//! The last two take a walk over every node to see, so `plan` keeps what
+//! the last walk found (`PlanCache`) and walks again only where that can
+//! have changed; in a debug build it checks every verdict against the walk.
+//!
 //! In a serial window the coordinating thread runs one event at a time
 //! and replays its effects before the next, which is the serial engine's
 //! behaviour exactly.
 
 use std::collections::BTreeSet;
 
-use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode};
+use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
 use simcore::{SimDur, SimTime};
 use simnet::{FaultState, NodeId, Placement};
 
 use crate::cluster::{ClusterEvent, ClusterWorld};
+use crate::dmon::DMon;
 use crate::node::{view_of, Fx, Member, Node, NodeSet, Nodes, Sink};
 
 /// One worker shard's world: the columns of the nodes it owns.
@@ -118,14 +123,14 @@ impl ShardWorld for PShard {
 }
 
 /// Every shard's nodes, by cluster-wide id.
-struct ShardNodes<'a, 'w> {
-    worlds: &'a mut [&'w mut PShard],
+struct ShardNodes<'a, 's, 'g> {
+    worlds: &'a mut Worlds<'s, 'g, PShard>,
     shard_of: &'a [u32],
 }
 
-impl NodeSet for ShardNodes<'_, '_> {
+impl NodeSet for ShardNodes<'_, '_, '_> {
     fn node(&mut self, id: NodeId) -> Node<'_> {
-        let w = &mut *self.worlds[self.shard_of[id.0] as usize];
+        let w = &mut self.worlds[self.shard_of[id.0] as usize];
         Node::at(w.local[id.0], w.nodes.cols())
     }
 }
@@ -137,14 +142,71 @@ pub(crate) struct PCoord {
     fault_pending: BTreeSet<(SimTime, usize)>,
     /// Node → shard assignment.
     shard_of: Vec<u32>,
+    /// What `plan` remembers of its last look at every node, so that a
+    /// window is planned without one.
+    cache: PlanCache,
+}
+
+/// The two hazards that take a walk over every node to see, as of the last
+/// walk. Both can only change where [`PlanCache::STALE`] is set again: a
+/// membership effect (liveness, eviction and rejoin bits, a Dead record
+/// rewritten by `on_peer_rejoin`, a revived d-mon's emptied peer table) and
+/// the start of a `run_until` (between runs the caller may have changed
+/// anything, failure bounds included) — or, for the horizon, by time
+/// reaching it.
+struct PlanCache {
+    /// H-rejoin: some live node is still evicted.
+    rejoining: bool,
+    /// H-evict: no live failure detector reaches a Dead verdict before
+    /// this instant. Taken at a window start `t`, it is the earliest
+    /// `last_heard + dead_after` over the live d-mons' peers, capped at
+    /// `t + dead_after`: a record's `last_heard` only moves later, and a
+    /// peer first heard — or heard again after a Dead verdict — after `t`
+    /// has `t + dead_after` at the least ([`DMon::dead_horizon`]). A
+    /// window whose bound stays before it cannot hold an eviction; one
+    /// that reaches it looks again.
+    ///
+    /// [`DMon::dead_horizon`]: crate::dmon::DMon::dead_horizon
+    evict_horizon: SimTime,
+}
+
+impl PlanCache {
+    /// A horizon every window reaches: the next `plan` walks the nodes.
+    const STALE: PlanCache = PlanCache {
+        rejoining: true,
+        evict_horizon: SimTime::ZERO,
+    };
+}
+
+/// H-rejoin, looked up: a revived-but-unregistered node's next poll writes
+/// the directory.
+fn rejoin_hazard(shared: &ClusterWorld) -> bool {
+    let mut members = shared.alive.iter().zip(&shared.evicted);
+    members.any(|(&alive, &evicted)| alive && evicted)
+}
+
+/// The live nodes' d-mons, shard by shard.
+fn live_dmons<'a>(
+    shared: &'a ClusterWorld,
+    worlds: &'a Worlds<'_, '_, PShard>,
+) -> impl Iterator<Item = &'a DMon> {
+    let dmons = worlds.iter().flat_map(|w| &w.nodes.dmons);
+    dmons.filter(|dmon| shared.alive[dmon.node().0])
+}
+
+/// H-evict, looked up: a live failure detector could reach a Dead verdict
+/// (a directory eviction) at a poll inside the window. `last_heard` only
+/// moves later during a window, so this is conservative.
+fn evict_hazard(shared: &ClusterWorld, worlds: &Worlds<'_, '_, PShard>, bound: SimTime) -> bool {
+    live_dmons(shared, worlds).any(|dmon| dmon.next_dead_deadline().is_some_and(|d| d <= bound))
 }
 
 impl Coordinator<PShard> for PCoord {
     fn plan(
         &mut self,
         shared: &ClusterWorld,
-        worlds: &[&PShard],
-        _t0: SimTime,
+        worlds: &Worlds<'_, '_, PShard>,
+        t0: SimTime,
         bound: SimTime,
     ) -> WindowMode {
         // H-fault: a fault action inside the window flips alive bits,
@@ -157,20 +219,21 @@ impl Coordinator<PShard> for PCoord {
         if shared.fault.loss_prob() > 0.0 || !shared.fault.partitions().is_empty() {
             return WindowMode::Serial;
         }
-        // H-rejoin: a revived-but-unregistered node's next poll writes
-        // the directory.
-        let mut members = shared.alive.iter().zip(&shared.evicted);
-        if members.any(|(&alive, &evicted)| alive && evicted) {
-            return WindowMode::Serial;
-        }
-        // H-evict: a live failure detector could reach a Dead verdict (a
-        // directory eviction) at a poll inside the window. `last_heard`
-        // only moves later during a window, so this is conservative.
-        let hazard = worlds.iter().flat_map(|w| &w.nodes.dmons).any(|dmon| {
-            let deadline = dmon.next_dead_deadline();
-            shared.alive[dmon.node().0] && deadline.is_some_and(|d| d <= bound)
-        });
-        if hazard {
+        let evicting = bound >= self.cache.evict_horizon && {
+            let horizons = live_dmons(shared, worlds).map(|dmon| dmon.dead_horizon(t0));
+            self.cache = PlanCache {
+                rejoining: rejoin_hazard(shared),
+                evict_horizon: horizons.min().unwrap_or(SimTime::MAX),
+            };
+            evict_hazard(shared, worlds, bound)
+        };
+        debug_assert_eq!(
+            (self.cache.rejoining, evicting),
+            (rejoin_hazard(shared), evict_hazard(shared, worlds, bound)),
+            "plan cache went stale: horizon {} at a window to {bound}",
+            self.cache.evict_horizon
+        );
+        if self.cache.rejoining || evicting {
             WindowMode::Serial
         } else {
             WindowMode::Parallel
@@ -183,7 +246,7 @@ impl Coordinator<PShard> for PCoord {
         now: SimTime,
         fx: Fx,
         shared: &mut ClusterWorld,
-        worlds: &mut [&mut PShard],
+        worlds: &mut Worlds<'_, '_, PShard>,
         sched: &mut Sched<'_, '_, ClusterEvent>,
     ) {
         let shard_of = &self.shard_of[..];
@@ -194,6 +257,7 @@ impl Coordinator<PShard> for PCoord {
             if let Member::FaultAction { k } = m {
                 self.fault_pending.remove(&(now, k));
             }
+            self.cache = PlanCache::STALE;
             let mut nodes = ShardNodes { worlds, shard_of };
             shared.apply_member(now, m, &mut nodes, &mut arm);
         }
@@ -243,6 +307,7 @@ impl ParallelDriver {
             coord: PCoord {
                 fault_pending: BTreeSet::new(),
                 shard_of,
+                cache: PlanCache::STALE,
             },
             shards: worlds,
         }
@@ -264,6 +329,7 @@ impl ParallelDriver {
         for (row, &s) in world.take_nodes().into_rows().zip(&self.coord.shard_of) {
             self.shards[s as usize].nodes.push(row);
         }
+        self.coord.cache = PlanCache::STALE;
         let shards = std::mem::take(&mut self.shards);
         self.shards = self.engine.run_until(shards, world, &mut self.coord, until);
         // Each shard holds its nodes in id order, so walking the
@@ -276,5 +342,107 @@ impl ParallelDriver {
             nodes.push(row.expect("every node is on its shard"));
         }
         world.restore_nodes(nodes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The three ways the planner's kept horizon could go stale. In a debug
+    //! build `plan` itself compares every verdict with the walk it replaces
+    //! and panics on a difference; a release build would show one here as
+    //! an eviction replayed at the end of a parallel window, which the
+    //! serial engine applies at once.
+
+    use super::*;
+    use crate::cluster::{ClusterConfig, ClusterSim};
+    use simnet::FaultPlan;
+
+    const TIGHT: (SimDur, SimDur) = (SimDur::from_millis(400), SimDur::from_millis(900));
+
+    /// What a run leaves behind that a misplaced eviction would move.
+    fn outcome(sim: &ClusterSim) -> (u64, u64, u64, u64, Vec<String>) {
+        let w = sim.world();
+        (
+            w.dmon_total(|s| s.nodes_evicted),
+            w.dmon_total(|s| s.resyncs),
+            w.mon_delivered,
+            w.mon_latency_us.mean().to_bits(),
+            w.hosts.iter().map(|h| h.proc.render_tree()).collect(),
+        )
+    }
+
+    /// Drive the same script on the serial engine and on two shards: the
+    /// same outcome, and the sharded run's window counts.
+    fn on_both_engines(script: impl Fn(&mut ClusterSim)) -> simcore::pdes::EngineStats {
+        let run = |threads| {
+            let mut sim = ClusterSim::new(ClusterConfig::new(4));
+            sim.set_threads(threads);
+            sim.start();
+            script(&mut sim);
+            sim
+        };
+        let (serial, sharded) = (run(1), run(2));
+        assert!(outcome(&serial).0 > 0, "nobody was evicted — vacuous");
+        assert_eq!(outcome(&serial), outcome(&sharded));
+        sharded.parallel_stats().expect("parallel driver")
+    }
+
+    fn set_bounds(sim: &mut ClusterSim, (stale, dead): (SimDur, SimDur)) {
+        for dmon in &mut sim.world_mut().dmons {
+            dmon.set_failure_bounds(stale, dead);
+        }
+    }
+
+    #[test]
+    fn a_peer_first_heard_after_the_walk_is_inside_the_horizon() {
+        // The first window's walk finds no peer record at all: there is no
+        // deadline, and only the cap (that walk's time + `dead_after`)
+        // brings the planner back before the first verdict — which, with a
+        // Dead bound under the polling period, comes at the second poll,
+        // with no membership effect and no run boundary before it.
+        let stats = on_both_engines(|sim| {
+            set_bounds(sim, TIGHT);
+            sim.run_until(SimTime::from_secs(4));
+        });
+        assert!(stats.windows_serial > 0 && stats.windows_parallel > 0);
+    }
+
+    #[test]
+    fn bounds_shrunk_between_two_runs_are_seen_by_the_next() {
+        // Five quiet seconds leave a horizon some eight seconds out; the
+        // caller then tightens the bounds, and the very next polls evict.
+        let stats = on_both_engines(|sim| {
+            sim.run_until(SimTime::from_secs(5));
+            set_bounds(sim, TIGHT);
+            sim.run_until(SimTime::from_secs(8));
+        });
+        assert!(stats.windows_serial > 0);
+    }
+
+    #[test]
+    fn a_rejoin_brings_the_planner_back_to_parallel_windows() {
+        // Crash, Dead verdict, eviction, revival, rejoin: the rejoin turns
+        // every peer's Dead record of the node into a Stale one heard
+        // "now", and clears the last evicted-but-alive bit. Both are
+        // membership effects, so the planner looks again — and from then
+        // on plans parallel windows, which it would never do on the
+        // hazards it kept from before.
+        let mut sim = ClusterSim::new(
+            ClusterConfig::new(4).failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4)),
+        );
+        sim.set_threads(2);
+        sim.start();
+        let faults = FaultPlan::new(3)
+            .crash_at(SimTime::from_secs(2), NodeId(1))
+            .revive_at(SimTime::from_secs(8), NodeId(1));
+        sim.apply_fault_plan(&faults);
+        sim.run_until(SimTime::from_secs(10));
+        assert!(sim.world().dmon_total(|s| s.nodes_evicted) > 0);
+        assert!(sim.world().evicted.iter().all(|&e| !e), "node 1 rejoined");
+        let before = sim.parallel_stats().expect("parallel driver");
+        sim.run_until(SimTime::from_secs(13));
+        let after = sim.parallel_stats().expect("parallel driver");
+        assert_eq!(after.windows_serial, before.windows_serial);
+        assert!(after.windows_parallel > before.windows_parallel);
     }
 }

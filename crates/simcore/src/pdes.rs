@@ -17,10 +17,20 @@
 //!
 //! 1. finds the globally earliest pending event time `t0` (windows are
 //!    event-driven; idle stretches are skipped entirely),
-//! 2. lets every shard execute its own events in `[t0, t0 + lookahead)`
-//!    concurrently against a frozen snapshot of the shared state,
+//! 2. publishes the window `[t0, t0 + lookahead)` and lets whoever is free
+//!    *claim* its shards off one atomic counter: the coordinating thread
+//!    claims and runs shards itself, and `min(shards, cores) - 1` workers
+//!    claim whatever it has not reached yet. Every claimed shard executes
+//!    its own events against a frozen snapshot of the shared state; the
+//!    coordinating thread waits only for shards another thread has claimed
+//!    and not finished. A worker that wakes late finds nothing left and
+//!    costs nothing; with one usable core no worker exists and the
+//!    coordinating thread runs every shard in turn,
 //! 3. replays a deterministic merge of the shards' execution logs to
 //!    assign exact sequence numbers and apply cross-shard effects.
+//!
+//! Which thread ran which shard never shows in a result: shard windows are
+//! mutually independent and the merge in step 3 is pure data.
 //!
 //! # The replay that makes it exact
 //!
@@ -56,9 +66,11 @@
 //! identical). Fault-free stretches run fully parallel.
 
 use std::any::Any;
+use std::ops::{Index, IndexMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
+use std::thread::Thread;
 
 use crate::event::Wheel;
 use crate::time::{SimDur, SimTime};
@@ -107,6 +119,7 @@ enum LogEmit<Fx> {
 }
 
 /// One executed event in a shard's window log.
+#[derive(Clone, Copy)]
 struct LogRec {
     at: u64,
     /// The key it was popped with: exact, or provisional for in-window
@@ -116,10 +129,20 @@ struct LogRec {
     emits: u32,
 }
 
-/// A shard's execution log for one window.
+/// A shard's execution log for one window, and the replay's place in it.
+/// The buffers are cleared, not dropped, when a window has been replayed:
+/// after the first few windows a log holds its working size and logging
+/// allocates nothing.
 struct WindowLog<Fx> {
     records: Vec<LogRec>,
     emits: Vec<LogEmit<Fx>>,
+    /// Exact sequence numbers the replay has assigned to this shard's
+    /// in-window children so far, indexed by provisional id (assignment
+    /// order == log order).
+    prov: Vec<u64>,
+    /// How many of `records` and `emits` the replay has consumed.
+    next_rec: usize,
+    next_emit: usize,
 }
 
 impl<Fx> Default for WindowLog<Fx> {
@@ -127,7 +150,47 @@ impl<Fx> Default for WindowLog<Fx> {
         WindowLog {
             records: Vec::new(),
             emits: Vec::new(),
+            prov: Vec::new(),
+            next_rec: 0,
+            next_emit: 0,
         }
+    }
+}
+
+impl<Fx> WindowLog<Fx> {
+    /// `(time, exact seq)` of the next record to replay. A provisional key
+    /// is always resolvable: its parent ran earlier on the same shard, so
+    /// the merge has already assigned its exact seq.
+    fn head(&self) -> Option<(u64, u64)> {
+        let r = self.records.get(self.next_rec)?;
+        let key = if r.key & PROV_BIT != 0 {
+            self.prov[(r.key & !PROV_BIT) as usize]
+        } else {
+            r.key
+        };
+        Some((r.at, key))
+    }
+
+    /// Consume the head record; returns how many emissions follow it.
+    fn pop_record(&mut self) -> u32 {
+        let r = self.records[self.next_rec];
+        self.next_rec += 1;
+        r.emits
+    }
+
+    /// Consume the next logged emission.
+    fn pop_emit(&mut self) -> LogEmit<Fx> {
+        let e = std::mem::replace(&mut self.emits[self.next_emit], LogEmit::Local { at: 0 });
+        self.next_emit += 1;
+        e
+    }
+
+    fn clear(&mut self) {
+        self.records.clear();
+        self.emits.clear();
+        self.prov.clear();
+        self.next_rec = 0;
+        self.next_emit = 0;
     }
 }
 
@@ -204,19 +267,65 @@ pub enum WindowMode {
 
 /// Cross-shard scheduling handle available while applying effects: inserts
 /// carry freshly assigned exact sequence numbers.
-pub struct Sched<'s, 'w, Ev> {
-    wheels: &'s mut [&'w mut Wheel<Ev>],
+pub struct Sched<'s, 'g, Ev> {
+    wheels: &'s mut [MutexGuard<'g, Wheel<Ev>>],
     seq: &'s mut u64,
+    /// While a parallel window is replayed: its inclusive bound, which
+    /// nothing scheduled here may fall inside.
+    window_bound: Option<u64>,
 }
 
 impl<Ev> Sched<'_, '_, Ev> {
     /// Schedule `ev` on `shard` at `at` with the next exact sequence
     /// number (the number the serial run would assign at this point).
+    ///
+    /// # Panics
+    ///
+    /// While a parallel window is replayed, if `at` is not past the
+    /// window: every shard has already run its events up to the bound, so
+    /// the event would execute after later ones. The lookahead the engine
+    /// was built with is the coordinator's promise that this cannot
+    /// happen. (A serial window re-picks the global minimum after every
+    /// event, so there any `at` is in order.)
     pub fn schedule(&mut self, shard: usize, at: SimTime, ev: Ev) -> u64 {
+        if let Some(bound) = self.window_bound {
+            assert!(
+                at.as_nanos() > bound,
+                "lookahead violated: an effect scheduled work at {at}, inside a parallel \
+                 window that runs to {}",
+                SimTime::from_nanos(bound)
+            );
+        }
         let seq = *self.seq;
         *self.seq += 1;
         self.wheels[shard].insert(at.as_nanos(), seq, ev);
         seq
+    }
+}
+
+/// Every shard's world, indexed by shard, as the coordinator sees them
+/// between the handler phases of two windows.
+pub struct Worlds<'s, 'g, W: ShardWorld> {
+    shards: &'s mut [MutexGuard<'g, Shard<W>>],
+}
+
+impl<W: ShardWorld> Worlds<'_, '_, W> {
+    /// The worlds in shard order.
+    pub fn iter(&self) -> impl Iterator<Item = &W> {
+        self.shards.iter().map(|s| &s.world)
+    }
+}
+
+impl<W: ShardWorld> Index<usize> for Worlds<'_, '_, W> {
+    type Output = W;
+    fn index(&self, shard: usize) -> &W {
+        &self.shards[shard].world
+    }
+}
+
+impl<W: ShardWorld> IndexMut<usize> for Worlds<'_, '_, W> {
+    fn index_mut(&mut self, shard: usize) -> &mut W {
+        &mut self.shards[shard].world
     }
 }
 
@@ -229,43 +338,47 @@ pub trait Coordinator<W: ShardWorld> {
     fn plan(
         &mut self,
         shared: &W::Shared,
-        worlds: &[&W],
+        worlds: &Worlds<'_, '_, W>,
         t0: SimTime,
         bound: SimTime,
     ) -> WindowMode;
 
     /// Apply one global effect emitted by an event at `now`, in exact
-    /// serial order. May schedule follow-up events on any shard via `sched`.
+    /// serial order. May schedule follow-up events on any shard via
+    /// `sched` — in a parallel window only past the window's bound, which
+    /// is what the engine's lookahead promises ([`Sched::schedule`]).
     fn apply(
         &mut self,
         now: SimTime,
         fx: W::Fx,
         shared: &mut W::Shared,
-        worlds: &mut [&mut W],
+        worlds: &mut Worlds<'_, '_, W>,
         sched: &mut Sched<'_, '_, W::Ev>,
     );
 }
 
-/// Per-shard slot: wheel + world + window log, locked as a unit.
-struct Slot<W: ShardWorld> {
-    wheel: Wheel<W::Ev>,
+/// A shard's world and window log. A shard and its wheel each sit behind a
+/// mutex of their own — whoever claims the shard for a window locks both,
+/// and between handler phases the coordinating thread holds every one —
+/// so that a replay can lend out all worlds ([`Worlds`]) and all wheels
+/// ([`Sched`]) at once.
+struct Shard<W: ShardWorld> {
     world: W,
     log: WindowLog<W::Fx>,
-    prov_ctr: u64,
 }
 
-impl<W: ShardWorld> Slot<W> {
+impl<W: ShardWorld> Shard<W> {
     /// Run this shard's events in the window (times `<= bound`) against
     /// frozen shared state, logging every emission.
-    fn run_window(&mut self, bound: u64, shared: &W::Shared) {
-        self.prov_ctr = 0;
-        while let Some((at, key, ev)) = self.wheel.pop_min_if(bound) {
+    fn run_window(&mut self, wheel: &mut Wheel<W::Ev>, bound: u64, shared: &W::Shared) {
+        let mut prov_ctr = 0;
+        while let Some((at, key, ev)) = wheel.pop_min_if(bound) {
             let before = self.log.emits.len();
             let mut out = Emit {
                 now: at,
-                wheel: &mut self.wheel,
+                wheel,
                 emits: &mut self.log.emits,
-                prov_ctr: &mut self.prov_ctr,
+                prov_ctr: &mut prov_ctr,
             };
             self.world.execute(
                 SimTime::from_nanos(at),
@@ -282,40 +395,79 @@ impl<W: ShardWorld> Slot<W> {
     }
 }
 
-/// A sense-reversing spin barrier. Windows are microseconds of work, so an
-/// OS-blocking barrier's wakeup latency would dominate; spinning keeps the
-/// window turnaround in the nanosecond range, with a yield fallback so long
-/// serial phases don't monopolize the machine. When the machine has fewer
-/// cores than barrier parties, spinning only steals cycles from whichever
-/// thread holds real work — the caller passes `spin_limit = 0` and waiters
-/// yield immediately.
-struct SpinBarrier {
+/// How long a waiting thread polls before it gives the core away: a worker
+/// with nothing to claim parks, the coordinating thread waiting for a
+/// claimed shard yields. A replay between two dense windows is shorter
+/// than this, so through a stretch of them a worker stays awake and is
+/// woken by nothing but a store.
+const POLL_SPINS: u32 = 1 << 12;
+
+/// The claim state of the published window, shared by the coordinating
+/// thread and the workers.
+///
+/// `next.store(0, Release)` opens a window and publishes `bound` and the
+/// reset of `done` with it; a claim is `next.fetch_add(1, AcqRel)`
+/// returning an index below `n`, which reads that store or a later claim
+/// in its release sequence, so whoever holds a claim sees the bound of the
+/// window the claim belongs to. A window stays open until `done` reaches
+/// `n` — every index claimed and finished — so a thread that was
+/// descheduled between looking at `next` and claiming gets either nothing
+/// or a shard of the then-current window, never a stale one.
+struct Ctl {
     n: usize,
-    spin_limit: u32,
-    count: AtomicUsize,
-    generation: AtomicUsize,
+    /// Inclusive bound of the published window.
+    bound: AtomicU64,
+    /// Next unclaimed shard of the published window; `>= n` when there is
+    /// nothing to claim.
+    next: AtomicUsize,
+    /// Shards of the published window finished so far. The `Release`
+    /// increment follows the claimant's unlocks; the coordinating thread's
+    /// `Acquire` load of `n` precedes its replay.
+    done: AtomicUsize,
+    shutdown: AtomicBool,
+    /// The first panic a claimed shard raised, on whichever thread.
+    panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
+    panicked: AtomicBool,
 }
 
-impl SpinBarrier {
-    fn new(n: usize, spin_limit: u32) -> Self {
-        SpinBarrier {
+impl Ctl {
+    fn new(n: usize) -> Self {
+        Ctl {
             n,
-            spin_limit,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
+            bound: AtomicU64::new(0),
+            next: AtomicUsize::new(n),
+            done: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            panic_payload: Mutex::new(None),
+            panicked: AtomicBool::new(false),
         }
     }
 
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-            return;
+    fn publish(&self, bound: u64) {
+        self.bound.store(bound, Ordering::Relaxed);
+        self.done.store(0, Ordering::Relaxed);
+        self.next.store(0, Ordering::Release);
+    }
+
+    fn open(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.n
+    }
+
+    fn claim(&self) -> Option<usize> {
+        // Look first: polling with the `fetch_add` would run the counter
+        // up while no window is open.
+        if !self.open() {
+            return None;
         }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            if spins < self.spin_limit {
+        let i = self.next.fetch_add(1, Ordering::AcqRel);
+        (i < self.n).then_some(i)
+    }
+
+    /// Wait for the shards other threads have claimed.
+    fn wait_done(&self) {
+        let mut spins = 0;
+        while self.done.load(Ordering::Acquire) < self.n {
+            if spins < POLL_SPINS {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
@@ -325,29 +477,83 @@ impl SpinBarrier {
     }
 }
 
-const OP_RUN: usize = 0;
-const OP_SHUTDOWN: usize = 1;
-
-/// Worker control block shared between the coordinating thread and shards.
-struct Ctl {
-    bound: AtomicU64,
-    op: AtomicUsize,
-    panicked: AtomicBool,
-    panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
+/// What one `run_until` shares between the coordinating thread and its
+/// workers.
+struct Crew<'a, W: ShardWorld> {
+    wheels: &'a [Mutex<Wheel<W::Ev>>],
+    shards: &'a [Mutex<Shard<W>>],
+    shared: &'a RwLock<&'a mut W::Shared>,
+    ctl: &'a Ctl,
 }
 
-/// Cumulative engine counters, for benchmarks and tests.
+impl<W: ShardWorld> Clone for Crew<'_, W> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<W: ShardWorld> Copy for Crew<'_, W> {}
+
+impl<W: ShardWorld> Crew<'_, W> {
+    /// Claim shards of the open window until none is left and run each.
+    /// Every thread of the crew runs a window through this, the
+    /// coordinating thread included, so a panicking shard is handled the
+    /// same wherever it was claimed: the payload is kept for `run_until`
+    /// to re-raise and the shard still counts as done, which is what lets
+    /// the window close.
+    fn claim_and_run(&self) {
+        let ctl = self.ctl;
+        while let Some(i) = ctl.claim() {
+            let bound = ctl.bound.load(Ordering::Relaxed);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let sh = self.shared.read().expect("shared lock");
+                let mut wheel = self.wheels[i].lock().expect("wheel lock");
+                let mut shard = self.shards[i].lock().expect("shard lock");
+                shard.run_window(&mut wheel, bound, &**sh);
+            }));
+            if let Err(p) = r {
+                let mut first = ctl.panic_payload.lock().expect("panic slot");
+                first.get_or_insert(p);
+                ctl.panicked.store(true, Ordering::Release);
+            }
+            ctl.done.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// A worker: claim from every window that opens; with nothing open,
+    /// poll for a while, then park until the coordinating thread has more
+    /// shards than it can claim itself — or shuts the crew down.
+    fn work(&self) {
+        let mut spins = 0;
+        while !self.ctl.shutdown.load(Ordering::Acquire) {
+            if self.ctl.open() {
+                self.claim_and_run();
+                spins = 0;
+            } else if spins < POLL_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+                spins = 0;
+            }
+        }
+    }
+}
+
+/// Cumulative engine counters, for benchmarks and tests. All four depend
+/// on the event population and the coordinator's plan only — not on the
+/// machine, nor on which thread ran which shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events executed so far.
     pub executed: u64,
-    /// Windows run with all shards in parallel.
+    /// Windows run in parallel mode: shards claimed, then replayed.
     pub windows_parallel: u64,
     /// Windows run serially because the planner saw a hazard.
     pub windows_serial: u64,
-    /// Parallel-mode windows where only one shard had events, executed
-    /// inline on the coordinating thread without a barrier round-trip
-    /// (also counted in `windows_parallel`).
+    /// Parallel-mode windows in which at most one shard had events, so
+    /// there was nothing to share out (also counted in
+    /// `windows_parallel`).
     pub windows_inline: u64,
 }
 
@@ -417,10 +623,12 @@ impl<W: ShardWorld> Engine<W> {
         seq
     }
 
-    /// Run the event population until `until` (inclusive), spawning one
-    /// worker thread per shard. `worlds[i]` is shard `i`'s node-local
-    /// state; it is returned (reassembled by the caller) when the episode
-    /// completes.
+    /// Run the event population until `until` (inclusive) on the calling
+    /// thread and `min(shards, available_parallelism) - 1` workers, which
+    /// live for this call. `worlds[i]` is shard `i`'s node-local state; it
+    /// is returned (reassembled by the caller) when the episode completes.
+    /// A panic in a handler, `plan` or `apply` is re-raised here, on
+    /// whichever thread it happened; the engine is not usable afterwards.
     pub fn run_until<C: Coordinator<W>>(
         &mut self,
         worlds: Vec<W>,
@@ -428,280 +636,223 @@ impl<W: ShardWorld> Engine<W> {
         coord: &mut C,
         until: SimTime,
     ) -> Vec<W> {
-        let n_shards = self.wheels.len();
-        assert_eq!(worlds.len(), n_shards, "one world per shard");
+        let n = self.wheels.len();
+        assert_eq!(worlds.len(), n, "one world per shard");
         let until = until.as_nanos();
         assert!(until >= self.now, "cannot run backwards");
 
-        let slots: Vec<Mutex<Slot<W>>> = worlds
+        let wheels: Vec<_> = self.wheels.drain(..).map(Mutex::new).collect();
+        let shards: Vec<_> = worlds
             .into_iter()
-            .zip(self.wheels.drain(..))
-            .map(|(world, wheel)| {
-                Mutex::new(Slot {
-                    wheel,
-                    world,
-                    log: WindowLog::default(),
-                    prov_ctr: 0,
-                })
+            .map(|world| {
+                let log = WindowLog::default();
+                Mutex::new(Shard { world, log })
             })
             .collect();
-        let shared_lock: RwLock<&mut W::Shared> = RwLock::new(shared);
-        // Spin only when every barrier party can own a core; oversubscribed
-        // (CI boxes, laptops under load) the spin would displace the one
-        // thread making progress.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let spin_limit = if cores > n_shards { 4096 } else { 0 };
-        let barrier = SpinBarrier::new(n_shards + 1, spin_limit);
-        let ctl = Ctl {
-            bound: AtomicU64::new(0),
-            op: AtomicUsize::new(OP_RUN),
-            panicked: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
+        let shared_lock = RwLock::new(shared);
+        let ctl = Ctl::new(n);
+        let crew = Crew {
+            wheels: &wheels,
+            shards: &shards,
+            shared: &shared_lock,
+            ctl: &ctl,
         };
-
-        let mut seq = self.seq;
-        let mut stats = self.stats;
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let (mut seq, mut stats) = (self.seq, self.stats);
 
         let caught = std::thread::scope(|scope| {
-            for slot in slots.iter().take(n_shards) {
-                let shared_lock = &shared_lock;
-                let barrier = &barrier;
-                let ctl = &ctl;
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if ctl.op.load(Ordering::Acquire) == OP_SHUTDOWN {
-                        break;
-                    }
-                    let bound = ctl.bound.load(Ordering::Acquire);
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let sh = shared_lock.read().expect("shared lock");
-                        let mut slot = slot.lock().expect("slot lock");
-                        slot.run_window(bound, &**sh);
-                    }));
-                    if let Err(p) = r {
-                        *ctl.panic_payload.lock().expect("panic slot") = Some(p);
-                        ctl.panicked.store(true, Ordering::Release);
-                    }
-                    barrier.wait();
-                });
-            }
-
+            let workers: Vec<Thread> = (1..n.min(cores))
+                .map(|_| scope.spawn(move || crew.work()).thread().clone())
+                .collect();
             let main = catch_unwind(AssertUnwindSafe(|| {
-                Self::drive(
-                    &slots,
-                    &shared_lock,
+                let mut run = Run {
+                    crew,
+                    workers: &workers,
                     coord,
-                    &barrier,
-                    &ctl,
+                    wheels: Vec::with_capacity(n),
+                    shards: Vec::with_capacity(n),
+                    next_at: vec![None; n],
+                    serial_emits: Vec::new(),
+                    seq: &mut seq,
+                    stats: &mut stats,
+                    lookahead: self.lookahead,
                     until,
-                    self.lookahead,
-                    &mut seq,
-                    &mut stats,
-                );
+                };
+                run.drive();
             }));
-
-            // Always release the workers, even when the main loop panicked,
-            // otherwise the scope join below would deadlock on the barrier.
-            ctl.op.store(OP_SHUTDOWN, Ordering::Release);
-            barrier.wait();
+            // Always release the workers, even when the window loop
+            // panicked, or the scope would wait for them for ever.
+            ctl.shutdown.store(true, Ordering::Release);
+            workers.iter().for_each(Thread::unpark);
             main.err()
         });
 
+        let in_shard = ctl.panic_payload.lock().expect("panic slot").take();
+        if let Some(p) = in_shard.or(caught) {
+            resume_unwind(p);
+        }
         self.seq = seq;
         self.stats = stats;
         self.now = until;
-
         // Put the wheels back and hand the worlds to the caller.
-        let mut worlds = Vec::with_capacity(n_shards);
-        for slot in slots {
-            let slot = slot.into_inner().expect("slot lock");
-            self.wheels.push(slot.wheel);
-            worlds.push(slot.world);
-        }
+        let unwrapped = wheels
+            .into_iter()
+            .map(|m| m.into_inner().expect("wheel lock"));
+        self.wheels.extend(unwrapped);
+        let shards = shards.into_iter();
+        shards
+            .map(|m| m.into_inner().expect("shard lock").world)
+            .collect()
+    }
+}
 
-        if let Some(p) = ctl.panic_payload.lock().expect("panic slot").take() {
-            resume_unwind(p);
-        }
-        if let Some(p) = caught {
-            resume_unwind(p);
-        }
-        worlds
+/// The coordinating thread's state for one `run_until`: between the handler
+/// phases of two parallel windows it holds every wheel and every shard, so
+/// finding the next window, planning it, replaying it and running a serial
+/// window touch no lock, and all its scratch is built here, once.
+struct Run<'a, 'c, W: ShardWorld, C> {
+    crew: Crew<'a, W>,
+    workers: &'c [Thread],
+    coord: &'c mut C,
+    /// Every wheel and every shard, locked — or both empty while a parallel
+    /// window's shards are out to be claimed.
+    wheels: Vec<MutexGuard<'a, Wheel<W::Ev>>>,
+    shards: Vec<MutexGuard<'a, Shard<W>>>,
+    /// Each shard's earliest pending time, as of the last window start.
+    next_at: Vec<Option<u64>>,
+    /// The emissions of the one event a serial window has in flight.
+    serial_emits: Vec<LogEmit<W::Fx>>,
+    seq: &'c mut u64,
+    stats: &'c mut EngineStats,
+    lookahead: u64,
+    until: u64,
+}
+
+impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
+    fn lock_all(&mut self) {
+        let wheels = self.crew.wheels.iter();
+        self.wheels
+            .extend(wheels.map(|m| m.lock().expect("wheel lock")));
+        let shards = self.crew.shards.iter();
+        self.shards
+            .extend(shards.map(|m| m.lock().expect("shard lock")));
     }
 
-    /// The window loop run by the coordinating thread.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<C: Coordinator<W>>(
-        slots: &[Mutex<Slot<W>>],
-        shared_lock: &RwLock<&mut W::Shared>,
-        coord: &mut C,
-        barrier: &SpinBarrier,
-        ctl: &Ctl,
-        until: u64,
-        lookahead: u64,
-        seq: &mut u64,
-        stats: &mut EngineStats,
-    ) {
-        // One core means worker dispatch is pure context-switch overhead;
-        // keep every window on this thread (still through the parallel
-        // code path, so results stay bit-identical).
-        let inline_all =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1;
-        let mut next_at: Vec<Option<u64>> = vec![None; slots.len()];
+    /// The window loop.
+    fn drive(&mut self) {
+        self.lock_all();
         loop {
-            if ctl.panicked.load(Ordering::Acquire) {
-                return;
-            }
             // Event-driven window start: the globally earliest pending time.
-            let mut t0 = None;
-            for (slot, next) in slots.iter().zip(&mut next_at) {
-                let s = slot.lock().expect("slot lock");
-                *next = s.wheel.next_key().map(|(at, _)| at);
-                if let Some(at) = *next {
-                    t0 = Some(t0.map_or(at, |t: u64| t.min(at)));
-                }
+            for (wheel, next) in self.wheels.iter().zip(&mut self.next_at) {
+                *next = wheel.next_key().map(|(at, _)| at);
             }
-            let Some(t0) = t0 else { return };
-            if t0 > until {
+            let Some(t0) = self.next_at.iter().flatten().copied().min() else {
+                return;
+            };
+            if t0 > self.until {
                 return;
             }
             // Inclusive bound: any event at `t >= t0` schedules cross-shard
             // work at `t + lookahead > t0 + lookahead - 1`.
-            let bound = t0.saturating_add(lookahead - 1).min(until);
-            // Shards whose earliest event falls inside the window. New
-            // events only appear at `>= t0 + lookahead > bound` (emissions
-            // are shard-local; cross-shard work arrives via replay), so a
-            // shard idle now stays idle for this whole window.
-            let active: usize = next_at
-                .iter()
-                .filter(|n| n.is_some_and(|at| at <= bound))
-                .count();
-
+            let bound = t0.saturating_add(self.lookahead - 1).min(self.until);
             let mode = {
-                let guards: Vec<MutexGuard<'_, Slot<W>>> =
-                    slots.iter().map(|m| m.lock().expect("slot lock")).collect();
-                let refs: Vec<&W> = guards.iter().map(|g| &g.world).collect();
-                let sh = shared_lock.read().expect("shared lock");
-                coord.plan(
-                    &**sh,
-                    &refs,
-                    SimTime::from_nanos(t0),
-                    SimTime::from_nanos(bound),
-                )
+                let sh = self.crew.shared.read().expect("shared lock");
+                let worlds = Worlds {
+                    shards: &mut self.shards,
+                };
+                let (t0, bound) = (SimTime::from_nanos(t0), SimTime::from_nanos(bound));
+                self.coord.plan(&**sh, &worlds, t0, bound)
             };
-
             match mode {
                 WindowMode::Serial => {
-                    Self::serial_window(slots, shared_lock, coord, bound, seq, stats);
-                    stats.windows_serial += 1;
-                }
-                WindowMode::Parallel if active <= 1 || inline_all => {
-                    // Inline execution on this thread: with one busy shard
-                    // a barrier round-trip costs more than the window, and
-                    // on a single-core machine dispatching to workers only
-                    // adds context switches. Same frozen-shared execution
-                    // per shard (sequentially), same replay — shard
-                    // windows are mutually independent, so execution order
-                    // between shards is immaterial.
-                    {
-                        let sh = shared_lock.read().expect("shared lock");
-                        for (slot, next) in slots.iter().zip(&next_at) {
-                            if next.is_some_and(|at| at <= bound) {
-                                let mut slot = slot.lock().expect("slot lock");
-                                slot.run_window(bound, &**sh);
-                            }
-                        }
-                    }
-                    Self::replay(slots, shared_lock, coord, seq, stats);
-                    stats.windows_parallel += 1;
-                    stats.windows_inline += 1;
+                    self.serial_window(bound);
+                    self.stats.windows_serial += 1;
                 }
                 WindowMode::Parallel => {
-                    ctl.bound.store(bound, Ordering::Release);
-                    barrier.wait();
-                    // Shards execute their window concurrently here.
-                    barrier.wait();
-                    if ctl.panicked.load(Ordering::Acquire) {
+                    // Shards whose earliest event falls inside the window.
+                    // New events only appear at `>= t0 + lookahead > bound`
+                    // (emissions are shard-local; cross-shard work arrives
+                    // via replay), so a shard idle now stays idle for this
+                    // whole window.
+                    let busy = self.next_at.iter().flatten();
+                    let busy = busy.filter(|&&at| at <= bound).count();
+                    self.run_shards(bound, busy);
+                    if self.crew.ctl.panicked.load(Ordering::Acquire) {
                         return;
                     }
-                    Self::replay(slots, shared_lock, coord, seq, stats);
-                    stats.windows_parallel += 1;
+                    self.lock_all();
+                    self.replay(bound);
+                    self.stats.windows_parallel += 1;
+                    self.stats.windows_inline += u64::from(busy <= 1);
                 }
             }
         }
+    }
+
+    /// The handler phase of a parallel window: let go of every shard, open
+    /// the window, claim what this thread can, and wait until the last
+    /// claimed shard is done. Workers are woken only for the
+    /// busy shards this thread cannot start on at once; one that is still
+    /// polling needs no waking, and one that wakes late finds nothing.
+    fn run_shards(&mut self, bound: u64, busy: usize) {
+        self.wheels.clear();
+        self.shards.clear();
+        self.crew.ctl.publish(bound);
+        let spare = busy.saturating_sub(1).min(self.workers.len());
+        self.workers[..spare].iter().for_each(Thread::unpark);
+        self.crew.claim_and_run();
+        self.crew.ctl.wait_done();
     }
 
     /// Merge the shard logs of a parallel window in exact `(time, seq)`
     /// order, assigning serial sequence numbers to in-window children and
     /// applying global effects in serial position.
-    fn replay<C: Coordinator<W>>(
-        slots: &[Mutex<Slot<W>>],
-        shared_lock: &RwLock<&mut W::Shared>,
-        coord: &mut C,
-        seq: &mut u64,
-        stats: &mut EngineStats,
-    ) {
-        let n = slots.len();
-        let mut guards: Vec<MutexGuard<'_, Slot<W>>> =
-            slots.iter().map(|m| m.lock().expect("slot lock")).collect();
-        let mut wheels: Vec<&mut Wheel<W::Ev>> = Vec::with_capacity(n);
-        let mut worlds: Vec<&mut W> = Vec::with_capacity(n);
-        let mut records = Vec::with_capacity(n);
-        let mut emits = Vec::with_capacity(n);
-        for g in &mut guards {
-            let s: &mut Slot<W> = g;
-            let log = std::mem::take(&mut s.log);
-            wheels.push(&mut s.wheel);
-            worlds.push(&mut s.world);
-            records.push(log.records.into_iter().peekable());
-            emits.push(log.emits.into_iter());
-        }
-        let mut sh = shared_lock.write().expect("shared lock");
-        // Exact seqs already assigned to each shard's in-window children,
-        // indexed by provisional id (assignment order == shard log order).
-        let mut prov_map: Vec<Vec<u64>> = vec![Vec::new(); n];
-
+    fn replay(&mut self, bound: u64) {
+        let mut sh = self.crew.shared.write().expect("shared lock");
         loop {
-            // Head with the smallest (time, exact seq). A provisional head
-            // key is always resolvable: its parent ran earlier on the same
-            // shard, so the merge has already assigned its exact seq.
+            // The head with the smallest (time, exact seq).
             let mut best: Option<(u64, u64, usize)> = None;
-            for s in 0..n {
-                if let Some(r) = records[s].peek() {
-                    let key = if r.key & PROV_BIT != 0 {
-                        prov_map[s][(r.key & !PROV_BIT) as usize]
-                    } else {
-                        r.key
-                    };
-                    if best.is_none_or(|(a, k, _)| (r.at, key) < (a, k)) {
-                        best = Some((r.at, key, s));
+            for (s, shard) in self.shards.iter().enumerate() {
+                if let Some((at, key)) = shard.log.head() {
+                    if best.is_none_or(|(a, k, _)| (at, key) < (a, k)) {
+                        best = Some((at, key, s));
                     }
                 }
             }
             let Some((at, _, s)) = best else { break };
-            let rec = records[s].next().expect("peeked record");
-            stats.executed += 1;
+            let emits = self.shards[s].log.pop_record();
+            self.stats.executed += 1;
             let now_t = SimTime::from_nanos(at);
-            for _ in 0..rec.emits {
-                match emits[s].next().expect("logged emission") {
+            for _ in 0..emits {
+                let log = &mut self.shards[s].log;
+                match log.pop_emit() {
                     LogEmit::Local { at: child_at } => {
-                        let prov_id = prov_map[s].len() as u64;
-                        let exact = *seq;
-                        *seq += 1;
-                        prov_map[s].push(exact);
+                        let prov_id = log.prov.len() as u64;
+                        let exact = *self.seq;
+                        *self.seq += 1;
+                        log.prov.push(exact);
                         // Still-pending children are promoted in place; a
                         // `false` return means the child already fired
                         // inside the window (its own log record follows).
-                        let _ = wheels[s].rekey(child_at, PROV_BIT | prov_id, exact);
+                        let _ = self.wheels[s].rekey(child_at, PROV_BIT | prov_id, exact);
                     }
                     LogEmit::Fx(fx) => {
-                        let mut sched = Sched {
-                            wheels: &mut wheels,
-                            seq,
+                        let mut worlds = Worlds {
+                            shards: &mut self.shards,
                         };
-                        coord.apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
+                        let mut sched = Sched {
+                            wheels: &mut self.wheels,
+                            seq: self.seq,
+                            window_bound: Some(bound),
+                        };
+                        self.coord
+                            .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
                     }
                 }
             }
+        }
+        for shard in &mut self.shards {
+            shard.log.clear();
         }
     }
 
@@ -709,30 +860,11 @@ impl<W: ShardWorld> Engine<W> {
     /// `(time, seq)` order with exclusive shared access. Each event's
     /// emissions are replayed immediately, so ordering and sequence
     /// numbering are identical to the serial scheduler's.
-    fn serial_window<C: Coordinator<W>>(
-        slots: &[Mutex<Slot<W>>],
-        shared_lock: &RwLock<&mut W::Shared>,
-        coord: &mut C,
-        bound: u64,
-        seq: &mut u64,
-        stats: &mut EngineStats,
-    ) {
-        let n = slots.len();
-        let mut guards: Vec<MutexGuard<'_, Slot<W>>> =
-            slots.iter().map(|m| m.lock().expect("slot lock")).collect();
-        let mut wheels: Vec<&mut Wheel<W::Ev>> = Vec::with_capacity(n);
-        let mut worlds: Vec<&mut W> = Vec::with_capacity(n);
-        for g in &mut guards {
-            let s: &mut Slot<W> = g;
-            wheels.push(&mut s.wheel);
-            worlds.push(&mut s.world);
-        }
-        let mut sh = shared_lock.write().expect("shared lock");
-        let mut emits: Vec<LogEmit<W::Fx>> = Vec::new();
-
+    fn serial_window(&mut self, bound: u64) {
+        let mut sh = self.crew.shared.write().expect("shared lock");
         loop {
             let mut best: Option<(u64, u64, usize)> = None;
-            for (s, wheel) in wheels.iter().enumerate() {
+            for (s, wheel) in self.wheels.iter().enumerate() {
                 if let Some((at, key)) = wheel.next_key() {
                     if at <= bound && best.is_none_or(|(a, k, _)| (at, key) < (a, k)) {
                         best = Some((at, key, s));
@@ -740,36 +872,42 @@ impl<W: ShardWorld> Engine<W> {
                 }
             }
             let Some((_, _, s)) = best else { break };
-            let (at, _key, ev) = wheels[s].pop_min_if(bound).expect("peeked event");
-            stats.executed += 1;
+            let (at, _key, ev) = self.wheels[s].pop_min_if(bound).expect("peeked event");
+            self.stats.executed += 1;
             let now_t = SimTime::from_nanos(at);
             let mut prov_ctr = 0u64;
             {
                 let mut out = Emit {
                     now: at,
-                    wheel: wheels[s],
-                    emits: &mut emits,
+                    wheel: &mut self.wheels[s],
+                    emits: &mut self.serial_emits,
                     prov_ctr: &mut prov_ctr,
                 };
-                worlds[s].execute(now_t, ev, &mut out, &mut SharedView::Exclusive(&mut **sh));
+                let world = &mut self.shards[s].world;
+                world.execute(now_t, ev, &mut out, &mut SharedView::Exclusive(&mut **sh));
             }
             // Immediate per-event replay: exact seqs in emission order.
             let mut local_id = 0u64;
-            for e in emits.drain(..) {
+            for e in self.serial_emits.drain(..) {
                 match e {
                     LogEmit::Local { at: child_at } => {
-                        let exact = *seq;
-                        *seq += 1;
-                        let promoted = wheels[s].rekey(child_at, PROV_BIT | local_id, exact);
+                        let exact = *self.seq;
+                        *self.seq += 1;
+                        let promoted = self.wheels[s].rekey(child_at, PROV_BIT | local_id, exact);
                         debug_assert!(promoted, "serial-window child vanished before replay");
                         local_id += 1;
                     }
                     LogEmit::Fx(fx) => {
-                        let mut sched = Sched {
-                            wheels: &mut wheels,
-                            seq,
+                        let mut worlds = Worlds {
+                            shards: &mut self.shards,
                         };
-                        coord.apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
+                        let mut sched = Sched {
+                            wheels: &mut self.wheels,
+                            seq: self.seq,
+                            window_bound: None,
+                        };
+                        self.coord
+                            .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
                     }
                 }
             }
@@ -880,17 +1018,34 @@ mod tests {
     struct ToyCoord {
         force_serial_every: Option<u64>,
         windows_seen: u64,
+        /// Latency of a cross-shard send; anything below `DELAY` breaks
+        /// the lookahead the engine was built with.
+        delay: u64,
+        /// `plan` panics at this window.
+        plan_panics_at: Option<u64>,
+    }
+
+    impl ToyCoord {
+        fn new(force_serial_every: Option<u64>) -> Self {
+            ToyCoord {
+                force_serial_every,
+                windows_seen: 0,
+                delay: DELAY,
+                plan_panics_at: None,
+            }
+        }
     }
 
     impl Coordinator<ToyShard> for ToyCoord {
         fn plan(
             &mut self,
             _shared: &ToyShared,
-            _worlds: &[&ToyShard],
+            _worlds: &Worlds<'_, '_, ToyShard>,
             _t0: SimTime,
             _bound: SimTime,
         ) -> WindowMode {
             self.windows_seen += 1;
+            assert_ne!(Some(self.windows_seen), self.plan_panics_at, "plan boom");
             match self.force_serial_every {
                 Some(k) if self.windows_seen.is_multiple_of(k) => WindowMode::Serial,
                 _ => WindowMode::Parallel,
@@ -902,7 +1057,7 @@ mod tests {
             now: SimTime,
             fx: TFx,
             shared: &mut ToyShared,
-            _worlds: &mut [&mut ToyShard],
+            _worlds: &mut Worlds<'_, '_, ToyShard>,
             sched: &mut Sched<'_, '_, TEv>,
         ) {
             let TFx::Send { from, to, val } = fx;
@@ -911,7 +1066,7 @@ mod tests {
                 .push((now.as_nanos(), format!("{from}->{to}:{val}")));
             sched.schedule(
                 shared.shard_of[to],
-                now + SimDur::from_nanos(DELAY),
+                now + SimDur::from_nanos(self.delay),
                 TEv::Recv { i: to, val },
             );
         }
@@ -923,12 +1078,22 @@ mod tests {
         executed: u64,
     }
 
-    fn run_parallel(
-        n: usize,
-        shards: usize,
-        horizon_ns: u64,
-        serial_every: Option<u64>,
-    ) -> RunResult {
+    /// When node `i` first ticks. Seed 0 is an even 7 ns stagger; any
+    /// other seed scatters the nodes over one period, so ticks, chains and
+    /// arrivals of different nodes collide in ever different ways.
+    fn first_tick(seed: u64, i: usize) -> u64 {
+        let even = PERIOD + i as u64 * 7;
+        if seed == 0 {
+            return even;
+        }
+        let scatter = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+        even + scatter.wrapping_mul(i as u64 + 1) % PERIOD
+    }
+
+    /// An engine over `shards` shards with `n` ring nodes dealt round-robin
+    /// and their first ticks seeded in node order, like the serial run's
+    /// schedule calls.
+    fn toy(n: usize, shards: usize, seed: u64) -> (Engine<ToyShard>, Vec<ToyShard>, ToyShared) {
         let mut engine: Engine<ToyShard> = Engine::new(shards, SimDur::from_nanos(DELAY));
         let shard_of: Vec<usize> = (0..n).map(|i| i % shards).collect();
         let mut worlds: Vec<ToyShard> = (0..shards)
@@ -945,24 +1110,34 @@ mod tests {
                 chained: 0,
                 received: 0,
             });
+            engine.schedule(s, SimTime::from_nanos(first_tick(seed, i)), TEv::Tick { i });
         }
-        let mut shared = ToyShared {
+        let shared = ToyShared {
             n,
             shard_of,
             trace: Vec::new(),
         };
-        let mut coord = ToyCoord {
-            force_serial_every: serial_every,
-            windows_seen: 0,
-        };
-        // Seed in node order, like the serial run's schedule calls.
-        for i in 0..n {
-            engine.schedule(
-                shared.shard_of[i],
-                SimTime::from_nanos(PERIOD + i as u64 * 7),
-                TEv::Tick { i },
-            );
-        }
+        (engine, worlds, shared)
+    }
+
+    fn run_parallel(
+        n: usize,
+        shards: usize,
+        horizon_ns: u64,
+        serial_every: Option<u64>,
+    ) -> RunResult {
+        run_seeded(n, shards, horizon_ns, serial_every, 0)
+    }
+
+    fn run_seeded(
+        n: usize,
+        shards: usize,
+        horizon_ns: u64,
+        serial_every: Option<u64>,
+        seed: u64,
+    ) -> RunResult {
+        let (mut engine, worlds, mut shared) = toy(n, shards, seed);
+        let mut coord = ToyCoord::new(serial_every);
         // Split across two episodes to exercise engine persistence.
         let mid = SimTime::from_nanos(horizon_ns / 2);
         let worlds = engine.run_until(worlds, &mut shared, &mut coord, mid);
@@ -983,7 +1158,7 @@ mod tests {
 
     /// The same model on the serial scheduler, with schedule calls in the
     /// same program order.
-    fn run_serial(n: usize, horizon_ns: u64) -> RunResult {
+    fn run_serial(n: usize, horizon_ns: u64, seed: u64) -> RunResult {
         struct World {
             nodes: Vec<ToyNode>,
             trace: Vec<(u64, String)>,
@@ -1026,7 +1201,7 @@ mod tests {
             trace: Vec::new(),
         };
         for i in 0..n {
-            sim.schedule_at(SimTime::from_nanos(PERIOD + i as u64 * 7), tick(i, n));
+            sim.schedule_at(SimTime::from_nanos(first_tick(seed, i)), tick(i, n));
         }
         sim.run_until(&mut world, SimTime::from_nanos(horizon_ns));
         RunResult {
@@ -1038,7 +1213,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_scheduler() {
-        let serial = run_serial(9, 200_000);
+        let serial = run_serial(9, 200_000, 0);
         for shards in [1, 2, 4, 8] {
             let par = run_parallel(9, shards, 200_000, None);
             assert_eq!(par.nodes, serial.nodes, "{shards} shards: node state");
@@ -1065,39 +1240,8 @@ mod tests {
         // point — equality across shard counts is.
         let mut seqs = Vec::new();
         for shards in [1, 3, 5] {
-            let mut engine: Engine<ToyShard> = Engine::new(shards, SimDur::from_nanos(DELAY));
-            let shard_of: Vec<usize> = (0..6).map(|i| i % shards).collect();
-            let mut worlds: Vec<ToyShard> = (0..shards)
-                .map(|_| ToyShard {
-                    nodes: Vec::new(),
-                    local: vec![usize::MAX; 6],
-                })
-                .collect();
-            for (i, &s) in shard_of.iter().enumerate() {
-                worlds[s].local[i] = worlds[s].nodes.len();
-                worlds[s].nodes.push(ToyNode {
-                    id: i,
-                    ticks: 0,
-                    chained: 0,
-                    received: 0,
-                });
-            }
-            let mut shared = ToyShared {
-                n: 6,
-                shard_of,
-                trace: Vec::new(),
-            };
-            let mut coord = ToyCoord {
-                force_serial_every: None,
-                windows_seen: 0,
-            };
-            for i in 0..6 {
-                engine.schedule(
-                    shared.shard_of[i],
-                    SimTime::from_nanos(PERIOD + i as u64),
-                    TEv::Tick { i },
-                );
-            }
+            let (mut engine, worlds, mut shared) = toy(6, shards, 0);
+            let mut coord = ToyCoord::new(None);
             engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(60_000));
             seqs.push(engine.seq());
         }
@@ -1121,21 +1265,6 @@ mod tests {
                 panic!("boom");
             }
         }
-        struct NopCoord;
-        impl Coordinator<Bomb> for NopCoord {
-            fn plan(&mut self, (): &(), _w: &[&Bomb], _t0: SimTime, _b: SimTime) -> WindowMode {
-                WindowMode::Parallel
-            }
-            fn apply(
-                &mut self,
-                _now: SimTime,
-                (): (),
-                (): &mut (),
-                _worlds: &mut [&mut Bomb],
-                _sched: &mut Sched<'_, '_, ()>,
-            ) {
-            }
-        }
         let r = catch_unwind(AssertUnwindSafe(|| {
             let mut engine: Engine<Bomb> = Engine::new(2, SimDur::from_nanos(100));
             engine.schedule(0, SimTime::from_nanos(10), ());
@@ -1148,5 +1277,188 @@ mod tests {
             );
         }));
         assert!(r.is_err(), "shard panic must reach the caller");
+    }
+    #[test]
+    fn more_shards_than_threads_match_serial() {
+        // Eight shards on whatever the box has: the coordinating thread
+        // and at most seven workers, usually far fewer, claim them in
+        // whatever order they get to. Fifty differently scattered rings,
+        // every third with hazard windows mixed in.
+        for seed in 1..=50 {
+            let n = 9 + seed as usize % 8;
+            let serial = run_serial(n, 60_000, seed);
+            let every = (seed % 3 == 0).then_some(2 + seed % 4);
+            let par = run_seeded(n, 8, 60_000, every, seed);
+            assert_eq!(par.nodes, serial.nodes, "seed {seed}: node state");
+            assert_eq!(par.trace, serial.trace, "seed {seed}: effect order");
+            assert_eq!(par.executed, serial.executed, "seed {seed}: executed");
+        }
+    }
+
+    #[test]
+    fn a_run_to_the_current_time_has_no_window() {
+        let (mut engine, worlds, mut shared) = toy(5, 4, 0);
+        let mut coord = ToyCoord::new(None);
+        // Before the first event: nothing to plan, no window opened, so no
+        // worker is ever unparked — and the parked ones must still be let
+        // go when the call returns.
+        let early = SimTime::from_nanos(PERIOD - 1);
+        let worlds = engine.run_until(worlds, &mut shared, &mut coord, early);
+        assert_eq!(coord.windows_seen, 0);
+        assert_eq!(engine.stats(), EngineStats::default());
+        assert_eq!(engine.now(), early);
+
+        let t = SimTime::from_nanos(20_000);
+        let worlds = engine.run_until(worlds, &mut shared, &mut coord, t);
+        let (stats, seen, seq) = (engine.stats(), coord.windows_seen, engine.seq());
+        assert!(stats.windows_parallel > 0);
+        // To the current time again: the same, at once.
+        let worlds = engine.run_until(worlds, &mut shared, &mut coord, t);
+        assert_eq!(
+            (engine.stats(), coord.windows_seen, engine.seq()),
+            (stats, seen, seq)
+        );
+        assert_eq!(worlds.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violated")]
+    fn a_send_inside_the_window_is_refused() {
+        // The engine was promised `DELAY` of lookahead; a coordinator that
+        // delivers faster would have its event run after later ones on a
+        // shard that has already finished the window.
+        let (mut engine, worlds, mut shared) = toy(4, 2, 0);
+        let mut coord = ToyCoord::new(None);
+        coord.delay = DELAY / 2;
+        engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(20_000));
+    }
+
+    #[test]
+    fn serial_windows_need_no_lookahead() {
+        // A serial window picks the global minimum again after every
+        // event, so the same short delay is in order there: the run agrees
+        // with one single shard, where nothing is cross-shard.
+        let run = |shards: usize| {
+            let (mut engine, worlds, mut shared) = toy(4, shards, 0);
+            let mut coord = ToyCoord::new(Some(1));
+            coord.delay = DELAY / 2;
+            engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(20_000));
+            (shared.trace, engine.seq())
+        };
+        assert_eq!(run(1), run(3));
+    }
+
+    /// A shard world that panics on one kind of thread and, on the other,
+    /// waits until that has happened — which forces who claims the shard
+    /// that panics.
+    struct Picky {
+        coordinating: std::thread::ThreadId,
+        panics_on_coordinating: bool,
+        panicking: std::sync::Arc<AtomicBool>,
+    }
+
+    impl ShardWorld for Picky {
+        type Ev = ();
+        type Fx = ();
+        type Shared = ();
+        fn execute(
+            &mut self,
+            _now: SimTime,
+            (): (),
+            _out: &mut Emit<'_, (), ()>,
+            _shared: &mut SharedView<'_, ()>,
+        ) {
+            let here = std::thread::current().id() == self.coordinating;
+            if here == self.panics_on_coordinating {
+                self.panicking.store(true, Ordering::SeqCst);
+                panic!("boom, coordinating thread: {here}");
+            }
+            while !self.panicking.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    struct NopCoord;
+
+    impl<W: ShardWorld<Fx = ()>> Coordinator<W> for NopCoord {
+        fn plan(
+            &mut self,
+            _shared: &W::Shared,
+            _worlds: &Worlds<'_, '_, W>,
+            _t0: SimTime,
+            _bound: SimTime,
+        ) -> WindowMode {
+            WindowMode::Parallel
+        }
+
+        fn apply(
+            &mut self,
+            _now: SimTime,
+            (): (),
+            _shared: &mut W::Shared,
+            _worlds: &mut Worlds<'_, '_, W>,
+            _sched: &mut Sched<'_, '_, W::Ev>,
+        ) {
+        }
+    }
+
+    /// Two shards with one event each in the first window; whichever
+    /// thread `panics_on_coordinating` names claims one of them and panics
+    /// while the other thread is inside the other. The payload's text.
+    fn picky_panic(panics_on_coordinating: bool) -> String {
+        let panicking = std::sync::Arc::new(AtomicBool::new(false));
+        let worlds = (0..2).map(|_| Picky {
+            coordinating: std::thread::current().id(),
+            panics_on_coordinating,
+            panicking: panicking.clone(),
+        });
+        let mut engine: Engine<Picky> = Engine::new(2, SimDur::from_nanos(100));
+        engine.schedule(0, SimTime::from_nanos(10), ());
+        engine.schedule(1, SimTime::from_nanos(10), ());
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            let until = SimTime::from_nanos(1_000);
+            engine.run_until(worlds.collect(), &mut (), &mut NopCoord, until);
+        }));
+        let payload = r.expect_err("the shard's panic must reach the caller");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panic_in_a_shard_the_coordinating_thread_claimed_propagates() {
+        assert_eq!(picky_panic(true), "boom, coordinating thread: true");
+    }
+
+    #[test]
+    fn a_panic_in_a_shard_a_worker_claimed_propagates() {
+        if std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1 {
+            // No worker on one CPU: the coordinating thread claims every
+            // shard, which the test above covers.
+            return;
+        }
+        assert_eq!(picky_panic(false), "boom, coordinating thread: false");
+    }
+
+    #[test]
+    fn a_panic_in_plan_reaches_the_caller_past_the_workers() {
+        // The window loop dies between two windows, with every worker
+        // alive — polling, or parked for good if nobody lets it go. (No
+        // shard is out at that point: a window closes only when every
+        // claimed shard is done, and `plan` runs after that.)
+        let (mut engine, worlds, mut shared) = toy(9, 8, 0);
+        let mut coord = ToyCoord::new(None);
+        coord.plan_panics_at = Some(3);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(50_000));
+        }));
+        let payload = r.expect_err("plan's panic must reach the caller");
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(text.contains("plan boom"), "{text}");
     }
 }

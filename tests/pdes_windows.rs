@@ -2,10 +2,12 @@
 //! scenario runs in parallel, how many the planner sends serial, how many
 //! parallel windows had at most one busy shard, and how many events ran.
 //! All four are functions of the event population and the planner — not of
-//! how a window's shards are handed to threads — so an engine or planner
-//! change that means to keep the plan must leave every constant here as it
-//! is. (Recorded on a two-CPU box: with `available_parallelism() == 1`
-//! this commit's engine counts *every* parallel window as inline.)
+//! the machine, nor of which thread claims which shard of a window — so an
+//! engine or planner change that means to keep the plan must leave every
+//! constant here as it is. Recorded at `b97af09`, before windows were
+//! claimed and the planner kept its eviction horizon (on a two-CPU box:
+//! that engine counted every parallel window inline on one CPU; this one
+//! gives the same four numbers under `taskset -c 0`, and CI runs both).
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use simcore::{SimDur, SimTime};
