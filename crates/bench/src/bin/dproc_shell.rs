@@ -695,67 +695,17 @@ impl Shell {
 /// metric environment; the report matches what a publisher would decide
 /// at deploy time.
 fn lint_report(source: &str) -> Result<String, String> {
-    use ecode::{vm, CostBound, EnvSpec, Filter, MetricSet};
-
     let names: Vec<&str> = dproc::modules::standard_modules()
         .iter()
         .map(|m| m.metric_name())
         .collect();
-    let env = EnvSpec::new(names);
-    let filter = Filter::compile(source, &env).map_err(|e| format!("lint: compile error: {e}"))?;
-    let cert = filter.cert();
-    let mut out = String::new();
-    for d in &cert.diagnostics {
-        out.push_str(&format!("{d}\n"));
-    }
-    match &cert.cost {
-        CostBound::Bounded(n) => out.push_str(&format!(
-            "cost: at most {n} VM instructions (budget {})\n",
-            vm::DEFAULT_BUDGET
-        )),
-        CostBound::Unbounded { pos, reason } => {
-            out.push_str(&format!("cost: unbounded (at {pos}): {reason}\n"));
-        }
-    }
-    match &cert.reads {
-        MetricSet::All => out.push_str("reads: all metrics (dynamic input index)\n"),
-        MetricSet::Fixed(set) if set.is_empty() => out.push_str("reads: nothing\n"),
-        MetricSet::Fixed(set) => {
-            let names: Vec<String> = set
-                .iter()
-                .map(|&i| {
-                    env.name_of(i)
-                        .map_or_else(|| format!("#{i}"), str::to_string)
-                })
-                .collect();
-            out.push_str(&format!("reads: {}\n", names.join(", ")));
-        }
-    }
-    match &cert.effects.writes {
-        MetricSet::All => out.push_str("writes: all output slots (dynamic index)\n"),
-        MetricSet::Fixed(set) if set.is_empty() => out.push_str("writes: nothing\n"),
-        MetricSet::Fixed(set) => {
-            let slots: Vec<String> = set.iter().map(|i| format!("output[{i}]")).collect();
-            out.push_str(&format!("writes: {}\n", slots.join(", ")));
-        }
-    }
-    let memo_note = match cert.effects.memo {
-        ecode::MemoClass::Shared => "one evaluation serves every subscriber",
-        ecode::MemoClass::SnapshotKeyed => {
-            "shared per input snapshot, records copied per subscriber"
-        }
-        ecode::MemoClass::Bypass => "touches last_value_sent — evaluated per subscriber",
-    };
-    out.push_str(&format!(
-        "memo: {} ({memo_note}); memo_safe = {}\n",
-        cert.effects.memo.label(),
-        cert.memo_safe
-    ));
-    match filter.admission_error() {
-        None => out.push_str("verdict: admitted"),
-        Some(reason) => out.push_str(&format!("verdict: rejected — {reason}")),
-    }
-    Ok(out)
+    ecode::lint_report(
+        source,
+        &ecode::EnvSpec::new(names),
+        ecode::vm::DEFAULT_BUDGET,
+    )
+    .map(|(report, _admitted)| report)
+    .map_err(|e| format!("lint: compile error: {e}"))
 }
 
 /// Run the workspace replay-safety lint (same engine as

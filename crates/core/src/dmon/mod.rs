@@ -569,7 +569,7 @@ impl DMon {
                 calib.filter_compile
             }
             ControlMsg::RemoveFilter => {
-                self.select.filters.remove(&from);
+                self.select.remove(from);
                 calib.policy_eval
             }
             ControlMsg::Announce => SimDur::ZERO,

@@ -141,7 +141,7 @@ impl Sample {
         let mut any_remote = false;
         for sub in subs {
             any_remote = true;
-            match select.filters.get(&sub).map(|f| &f.filter.cert().reads) {
+            match select.reads_of(sub) {
                 Some(MetricSet::Fixed(set)) => {
                     for &i in set {
                         if i < n {

@@ -1,14 +1,15 @@
 //! Stage 2, *decide* (the policy/filter share of Figs. 6–7): what each
 //! subscriber configured here — parameter rules or a deployed E-code
-//! filter — and the per-poll memo that lets subscribers with the same
-//! filter share one run. In: this poll's samples and the subscriber's
-//! last-sent row; out: the records to ship to it.
+//! filter, admitted once per distinct source — and the per-poll memo that
+//! lets subscribers with the same filter share one run. In: this poll's
+//! samples and the subscriber's last-sent row; out: the records to ship
+//! to it.
 
 use std::collections::HashMap;
 
 use ecode::{
     compile_filter, CompiledFilter, EnvSpec, Filter, FilterOutput, MemoClass, MetricRecord,
-    RuntimeError,
+    MetricSet, RuntimeError,
 };
 use kecho::{ControlMsg, MonRecord, ParamSpec, RecordArena, RecordSpan};
 use simcore::SimTime;
@@ -34,19 +35,46 @@ struct MemoEntry {
     result: Option<(RecordSpan, u64)>,
 }
 
-/// A filter admitted at deploy time, with everything the per-poll path
-/// needs resolved at admission.
-pub(super) struct DeployedFilter {
-    pub(super) filter: Filter,
-    /// The memo key: see [`Select::filter_ids`].
-    id: u32,
+/// One distinct filter source in use here, admitted once for every
+/// subscriber that deploys it, with everything the per-poll path needs
+/// resolved at admission.
+struct Admitted {
+    filter: Filter,
     /// How the effect certificate lets runs be shared within a poll.
     memo: MemoClass,
     /// Specialized register closure; `None` ⇒ interpreter fallback.
     compiled: Option<CompiledFilter>,
+    /// Subscribers whose stream this artefact decides.
+    users: u32,
 }
 
-impl DeployedFilter {
+impl Admitted {
+    /// The only place d-mon runs the E-code front end and lowers its
+    /// result. Admission control: a filter only runs if the static
+    /// verifier produced a finite worst-case instruction bound that fits
+    /// the VM budget. `Err(None)` is a compile error, `Err(Some(reason))`
+    /// the verifier's refusal.
+    fn new(source: &str, env: &EnvSpec) -> Result<Admitted, Option<String>> {
+        let filter = Filter::compile(source, env).map_err(|_| None)?;
+        if let Some(reason) = filter.admission_error() {
+            return Err(Some(reason));
+        }
+        Ok(Admitted {
+            memo: filter.cert().effects.memo,
+            compiled: compile_filter(&filter),
+            filter,
+            users: 0,
+        })
+    }
+
+    /// Count one deployment per subscriber in `users`.
+    fn count(&self, users: u32, stats: &mut DmonStats) {
+        match self.compiled {
+            Some(_) => stats.filters_compiled += u64::from(users),
+            None => stats.interp_fallbacks += u64::from(users),
+        }
+    }
+
     /// One evaluation: the compiled closure when available, the stack
     /// VM otherwise. The two are bit-identical — outputs, budget
     /// exhaustion, and runtime faults — pinned by the
@@ -71,13 +99,14 @@ struct Memo {
 }
 
 impl Memo {
-    /// Evaluate `df` for one subscriber, sharing the run with earlier
-    /// subscribers of this poll when its effect certificate allows. How a
-    /// run may be shared was decided at deploy time, so it costs a field
-    /// read here.
+    /// Evaluate slot `id`'s filter for one subscriber, sharing the run
+    /// with earlier subscribers of this poll when its effect certificate
+    /// allows. How a run may be shared was decided at deploy time, so it
+    /// costs a field read here.
     fn run(
         &mut self,
-        df: &DeployedFilter,
+        id: u32,
+        df: &Admitted,
         last_sent: &[Option<(f64, SimTime)>],
         samples: &[Option<f64>],
         now: SimTime,
@@ -104,11 +133,11 @@ impl Memo {
         }
         let key = (df.memo == MemoClass::SnapshotKeyed).then_some(&self.inputs);
         let mut entries = self.entries.iter();
-        if let Some(m) = entries.find(|m| m.id == df.id && m.inputs.as_ref() == key) {
+        if let Some(m) = entries.find(|m| m.id == id && m.inputs.as_ref() == key) {
             return m.result;
         }
         let result = materialize(&mut self.arena, df.run(&self.inputs));
-        let (id, inputs) = (df.id, key.cloned());
+        let inputs = key.cloned();
         self.entries.push(MemoEntry { id, inputs, result });
         result
     }
@@ -131,22 +160,83 @@ fn materialize(
     Some(result)
 }
 
+/// The admitted artefacts in use here and who uses which.
+#[derive(Default)]
+struct Table {
+    /// The slot deciding each subscriber that has a filter deployed.
+    by_sub: HashMap<NodeId, u32>,
+    /// One artefact per distinct source in use, indexed by the dense id
+    /// that keys the per-poll memo; `None` is a free slot. A slot lives
+    /// while a subscriber maps to it, so the table never outgrows the
+    /// number of subscribers with a filter.
+    slots: Vec<Option<Admitted>>,
+    /// Source → slot, for exactly the occupied slots (deploy-time only).
+    filter_ids: HashMap<String, u32>,
+}
+
+impl Table {
+    /// The slot and artefact deciding `sub`'s stream, if it has a filter.
+    #[inline]
+    fn of(&self, sub: NodeId) -> Option<(u32, &Admitted)> {
+        let &id = self.by_sub.get(&sub)?;
+        Some((id, self.slots[id as usize].as_ref()?))
+    }
+
+    /// Store a fresh artefact in the lowest free slot.
+    fn occupy(&mut self, admitted: Admitted) -> u32 {
+        let free = self.slots.iter().position(Option::is_none);
+        let id = free.unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        let source = admitted.filter.source().to_string();
+        self.filter_ids.insert(source, id as u32);
+        self.slots[id] = Some(admitted);
+        id as u32
+    }
+
+    /// `sub` uses slot `id` from now on, and no longer whatever it used
+    /// before.
+    fn enter(&mut self, sub: NodeId, id: u32) -> Option<&Admitted> {
+        if self.by_sub.get(&sub) != Some(&id) {
+            self.leave(sub);
+            self.by_sub.insert(sub, id);
+            self.slots[id as usize].as_mut()?.users += 1;
+        }
+        self.slots[id as usize].as_ref()
+    }
+
+    /// `sub` stops using its slot, if it has one; the last user frees the
+    /// slot and its `filter_ids` entry. The freed id may name another
+    /// source by the next poll: memo entries are read only between
+    /// `begin_poll`, which clears them, and the end of that poll's
+    /// subscriber loop, and no control message is handled in between, so a
+    /// recycled id never meets a run of the source it used to name.
+    fn leave(&mut self, sub: NodeId) {
+        let Some(id) = self.by_sub.remove(&sub) else {
+            return;
+        };
+        let slot = &mut self.slots[id as usize];
+        let Some(admitted) = slot else { return };
+        admitted.users -= 1;
+        if admitted.users == 0 {
+            self.filter_ids.remove(admitted.filter.source());
+            *slot = None;
+        }
+    }
+}
+
 #[derive(Default)]
 pub(super) struct Select {
     policies: HashMap<NodeId, PolicySet>,
-    pub(super) filters: HashMap<NodeId, DeployedFilter>,
-    /// Dense filter id per distinct deployed source (deploy-time only).
-    /// Identical sources share an id so the per-poll memo can share
-    /// their runs; ids survive removals and restarts — they only need
-    /// to be dense enough to stay cheap, not compact.
-    filter_ids: HashMap<String, u32>,
+    table: Table,
     memo: Memo,
 }
 
 impl Select {
     pub(super) fn on_revive(&mut self) {
         self.policies.clear();
-        self.filters.clear();
+        self.table = Table::default();
     }
 
     /// Apply a `SetParam` from `from`: `clear:<metric>` drops its rules,
@@ -162,11 +252,12 @@ impl Select {
         }
     }
 
-    /// Compile and admit a filter for `from`. Admission control: a filter
-    /// only runs if the static verifier produced a finite worst-case
-    /// instruction bound that fits the VM budget. A rejected filter is
-    /// never installed (any previously deployed filter stays in force)
-    /// and the subscriber is told why through the returned reply.
+    /// Put `from`'s stream under the filter `source`. A source some
+    /// subscriber already runs here is a table lookup; any other is
+    /// admitted first. A source that does not compile or that the
+    /// verifier refuses changes nothing (any previously deployed filter
+    /// stays in force) and the subscriber is told why through the
+    /// returned reply.
     pub(super) fn deploy(
         &mut self,
         from: NodeId,
@@ -174,58 +265,52 @@ impl Select {
         env: &EnvSpec,
         stats: &mut DmonStats,
     ) -> Option<ControlMsg> {
-        let Ok(f) = Filter::compile(source, env) else {
-            stats.filter_errors += 1;
-            return None;
+        let table = &mut self.table;
+        let id = match table.filter_ids.get(source) {
+            Some(&id) => id,
+            None => match Admitted::new(source, env) {
+                // Leave first: a lone user's replacement reuses its slot.
+                Ok(admitted) => {
+                    table.leave(from);
+                    table.occupy(admitted)
+                }
+                Err(None) => {
+                    stats.filter_errors += 1;
+                    return None;
+                }
+                Err(Some(reason)) => {
+                    stats.filters_rejected += 1;
+                    return Some(ControlMsg::FilterRejected { reason });
+                }
+            },
         };
-        if let Some(reason) = f.admission_error() {
-            stats.filters_rejected += 1;
-            return Some(ControlMsg::FilterRejected { reason });
+        if let Some(admitted) = table.enter(from, id) {
+            admitted.count(1, stats);
         }
-        self.install(from, f, stats);
         None
     }
 
-    /// The environment grew: recompile every deployed filter against it.
-    pub(super) fn recompile(&mut self, env: &EnvSpec, stats: &mut DmonStats) {
-        // detlint: allow(unordered-iter) sorted before use on the next line
-        let mut sources: Vec<(NodeId, String)> = self
-            .filters
-            .iter()
-            .map(|(&sub, f)| (sub, f.filter.source().to_string()))
-            .collect();
-        sources.sort_by_key(|&(sub, _)| sub);
-        for (sub, source) in sources {
-            if let Ok(f) = Filter::compile(&source, env) {
-                self.install(sub, f, stats);
-            }
-        }
+    /// `RemoveFilter` from `sub`: its parameter rules decide again.
+    pub(super) fn remove(&mut self, sub: NodeId) {
+        self.table.leave(sub);
     }
 
-    /// Install an admitted filter for `sub`: assign its dense id and
-    /// specialize it into a register closure (interpreter fallback when
-    /// the lowering declines the chunk).
-    fn install(&mut self, sub: NodeId, filter: Filter, stats: &mut DmonStats) {
-        let id = match self.filter_ids.get(filter.source()) {
-            Some(&id) => id,
-            None => {
-                let id = self.filter_ids.len() as u32;
-                self.filter_ids.insert(filter.source().to_string(), id);
-                id
+    /// What `sub`'s filter may read; `None` without a filter.
+    pub(super) fn reads_of(&self, sub: NodeId) -> Option<&MetricSet> {
+        self.table.of(sub).map(|(_, a)| &a.filter.cert().reads)
+    }
+
+    /// The environment grew: admit every source in use again against it,
+    /// once each, and count the deployment for each of its subscribers. A
+    /// source that no longer compiles keeps its old artefact.
+    pub(super) fn recompile(&mut self, env: &EnvSpec, stats: &mut DmonStats) {
+        for slot in self.table.slots.iter_mut().flatten() {
+            if let Ok(fresh) = Admitted::new(slot.filter.source(), env) {
+                let users = slot.users;
+                fresh.count(users, stats);
+                *slot = Admitted { users, ..fresh };
             }
-        };
-        let compiled = compile_filter(&filter);
-        match compiled {
-            Some(_) => stats.filters_compiled += 1,
-            None => stats.interp_fallbacks += 1,
         }
-        let df = DeployedFilter {
-            memo: filter.cert().effects.memo,
-            filter,
-            id,
-            compiled,
-        };
-        self.filters.insert(sub, df);
     }
 
     /// Forget the previous poll's memo.
@@ -245,11 +330,11 @@ impl Select {
         sample: &Sample,
         cx: &mut PollCx<'_>,
     ) -> Vec<MonRecord> {
-        let Some(df) = self.filters.get(&sub) else {
+        let Some((id, df)) = self.table.of(sub) else {
             return by_policy(self.policies.get(&sub), last_sent, sample, cx);
         };
         let memo = &mut self.memo;
-        match memo.run(df, last_sent, &sample.latest, cx.now, cx.stats) {
+        match memo.run(id, df, last_sent, &sample.latest, cx.now, cx.stats) {
             Some((span, instructions)) => {
                 // The modeled cost is charged per logical run — the
                 // figures measure what a kernel would spend, not what the
@@ -281,12 +366,12 @@ impl DMon {
 
     /// Whether a subscriber has a filter deployed here.
     pub fn has_filter(&self, subscriber: NodeId) -> bool {
-        self.select.filters.contains_key(&subscriber)
+        self.select.table.by_sub.contains_key(&subscriber)
     }
 
     /// The deployed filter of a subscriber, certificate included.
     pub fn filter_for(&self, subscriber: NodeId) -> Option<&Filter> {
-        self.select.filters.get(&subscriber).map(|df| &df.filter)
+        self.select.table.of(subscriber).map(|(_, a)| &a.filter)
     }
 }
 
@@ -533,7 +618,7 @@ mod tests {
         let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
         for sub in [NodeId(1), NodeId(2)] {
             deploy(&mut dmon, sub, IMPURE_SRC);
-            assert!(!dmon.filter_for(sub).unwrap().cert().memo_safe);
+            assert!(!dmon.filter_for(sub).unwrap().cert().memo_safe());
         }
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
         // Both subscribers got their own VM run despite identical source.
@@ -581,7 +666,7 @@ mod tests {
         for sub in [NodeId(1), NodeId(2)] {
             deploy(&mut dmon, sub, PURE_SRC);
             let cert = dmon.filter_for(sub).unwrap().cert();
-            assert!(cert.memo_safe);
+            assert!(cert.memo_safe());
             assert_eq!(cert.effects.memo, MemoClass::SnapshotKeyed);
         }
         let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
@@ -617,23 +702,130 @@ mod tests {
         assert_eq!(dmon.stats.memo_bypassed, 0);
     }
 
+    /// Occupied slots and `filter_ids` entries of a d-mon's table.
+    fn table_size(dmon: &super::super::DMon) -> (usize, usize) {
+        let t = &dmon.select.table;
+        (t.slots.iter().flatten().count(), t.filter_ids.len())
+    }
+
+    fn slot_id(dmon: &super::super::DMon, sub: usize) -> u32 {
+        dmon.select.table.by_sub[&NodeId(sub)]
+    }
+
     #[test]
-    fn identical_sources_share_a_dense_id_and_compile_once_each() {
+    fn a_known_source_is_admitted_once_and_counted_per_deploy() {
         let (mut dmon, _host, _dir, _mon, _ctl, _calib) = setup();
         for sub in [NodeId(1), NodeId(2)] {
             deploy(&mut dmon, sub, PURE_SRC);
         }
-        // Same source → same memo id, so the per-poll memo shares runs
-        // on a u32 compare.
-        let id_of = |dmon: &super::super::DMon, sub: usize| dmon.select.filters[&NodeId(sub)].id;
-        assert_eq!(id_of(&dmon, 1), id_of(&dmon, 2));
-        deploy(&mut dmon, NodeId(2), IMPURE_SRC);
-        // Distinct sources never share an id: ids are keyed on the exact
-        // source text, not on a hash of it.
-        assert_ne!(id_of(&dmon, 1), id_of(&dmon, 2));
-        // Every admission was specialized into a register closure.
+        // Same source → same slot, hence same memo id and the very same
+        // artefact, while every admitted deploy is counted.
+        assert_eq!(slot_id(&dmon, 1), slot_id(&dmon, 2));
+        let (a, b) = (dmon.filter_for(NodeId(1)), dmon.filter_for(NodeId(2)));
+        assert!(std::ptr::eq(a.unwrap(), b.unwrap()));
+        assert_eq!(table_size(&dmon), (1, 1));
+        assert_eq!(dmon.stats.filters_compiled, 2);
+        // Deploying what one already runs changes nothing but the count.
+        deploy(&mut dmon, NodeId(2), PURE_SRC);
+        assert_eq!(dmon.select.table.of(NodeId(2)).unwrap().1.users, 2);
         assert_eq!(dmon.stats.filters_compiled, 3);
+        deploy(&mut dmon, NodeId(2), IMPURE_SRC);
+        // Distinct sources never share a slot: slots are keyed on the
+        // exact source text, not on a hash of it.
+        assert_ne!(slot_id(&dmon, 1), slot_id(&dmon, 2));
+        assert_eq!(table_size(&dmon), (2, 2));
+        // Every admission was specialized into a register closure.
+        assert_eq!(dmon.stats.filters_compiled, 4);
         assert_eq!(dmon.stats.interp_fallbacks, 0);
-        assert!(dmon.select.filters[&NodeId(1)].compiled.is_some());
+        assert!(dmon
+            .select
+            .table
+            .of(NodeId(1))
+            .unwrap()
+            .1
+            .compiled
+            .is_some());
+    }
+
+    #[test]
+    fn the_last_user_frees_the_slot() {
+        let (mut dmon, _host, _dir, _mon, _ctl, calib) = setup();
+        for sub in [NodeId(1), NodeId(2)] {
+            deploy(&mut dmon, sub, PURE_SRC);
+        }
+        dmon.on_control(NodeId(1), &ControlMsg::RemoveFilter, &calib);
+        assert!(!dmon.has_filter(NodeId(1)));
+        assert_eq!(dmon.filter_for(NodeId(2)).unwrap().source(), PURE_SRC);
+        assert_eq!(table_size(&dmon), (1, 1), "one of two users left");
+        dmon.on_control(NodeId(2), &ControlMsg::RemoveFilter, &calib);
+        assert!(!dmon.has_filter(NodeId(2)));
+        assert_eq!(table_size(&dmon), (0, 0), "the last one freed it");
+        // Removing twice, or with nothing deployed, is harmless.
+        dmon.on_control(NodeId(2), &ControlMsg::RemoveFilter, &calib);
+        assert_eq!(table_size(&dmon), (0, 0));
+    }
+
+    #[test]
+    fn a_refused_replacement_frees_nothing() {
+        let (mut dmon, _host, _dir, _mon, _ctl, _calib) = setup();
+        deploy(&mut dmon, NodeId(1), PURE_SRC);
+        let before = dmon.filter_for(NodeId(1)).unwrap() as *const Filter;
+        deploy(&mut dmon, NodeId(1), "{ while (1) { } }");
+        deploy(&mut dmon, NodeId(1), "{ this is not e-code }");
+        assert_eq!(dmon.stats.filters_rejected, 1);
+        assert_eq!(dmon.stats.filter_errors, 1);
+        assert_eq!(dmon.stats.filters_compiled, 1);
+        assert!(std::ptr::eq(dmon.filter_for(NodeId(1)).unwrap(), before));
+        assert_eq!(table_size(&dmon), (1, 1));
+        assert!(!dmon
+            .select
+            .table
+            .filter_ids
+            .contains_key("{ while (1) { } }"));
+    }
+
+    #[test]
+    fn a_subscriber_with_a_changing_constant_holds_one_slot() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        deploy(&mut dmon, NodeId(2), PURE_SRC);
+        for k in 0..1000 {
+            let src =
+                format!("{{ if (input[LOADAVG].value > {k}) {{ output[0] = input[LOADAVG]; }} }}");
+            deploy(&mut dmon, NodeId(1), &src);
+            assert_eq!(dmon.filter_for(NodeId(1)).unwrap().source(), src);
+            // Sub 2 keeps slot 0; sub 1's slot is freed and taken again.
+            assert_eq!((slot_id(&dmon, 2), slot_id(&dmon, 1)), (0, 1));
+            assert_eq!(dmon.select.table.slots.len(), 2);
+            assert_eq!(table_size(&dmon), (2, 2));
+        }
+        assert_eq!(dmon.stats.filters_compiled, 1001);
+        // A recycled id never meets a memoized run of the source it used
+        // to name: the threshold-999 filter suppresses, then the
+        // passthrough deployed into its slot sends, poll after poll.
+        let to1 = |out: &super::super::PollOutcome| {
+            let mut sends = out.sends.iter().filter(|(h, _, _)| h.to == NodeId(1));
+            sends.any(|(_, ev, _)| ev.as_monitoring().is_some())
+        };
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
+        assert!(!to1(&out));
+        deploy(&mut dmon, NodeId(1), "{ output[0] = input[FREEMEM]; }");
+        assert_eq!(slot_id(&dmon, 1), 1);
+        let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(2), &calib);
+        assert!(to1(&out));
+    }
+
+    #[test]
+    fn revive_empties_the_table() {
+        let (mut dmon, _host, _dir, _mon, _ctl, _calib) = setup();
+        deploy(&mut dmon, NodeId(1), PURE_SRC);
+        deploy(&mut dmon, NodeId(2), IMPURE_SRC);
+        dmon.on_revive();
+        assert!(!dmon.has_filter(NodeId(1)) && !dmon.has_filter(NodeId(2)));
+        assert_eq!(table_size(&dmon), (0, 0));
+        assert!(dmon.select.table.slots.is_empty());
+        // Lifetime stats survive, and the next deploy starts at slot 0.
+        assert_eq!(dmon.stats.filters_compiled, 2);
+        deploy(&mut dmon, NodeId(2), PURE_SRC);
+        assert_eq!(slot_id(&dmon, 2), 0);
     }
 }

@@ -1,9 +1,15 @@
-//! Effect analysis: output write-set, state-dependence, and the memo
-//! classification that gates the publisher's shared-filter memo.
+//! The syntactic walk behind a certificate: metric read-set, output
+//! write-set, state-dependence, and the memo classification that gates
+//! the publisher's shared-filter memo.
 //!
-//! The VM itself is a pure function of its inputs — a filter cannot
-//! touch anything outside its locals and output slots. The *only*
-//! per-subscriber state a publisher feeds in is each metric's
+//! **Read and write sets.** Indices that are compile-time constants go
+//! into a [`MetricSet::Fixed`]; a single dynamic or negative index (e.g.
+//! `input[i]` in a loop) collapses the set to [`MetricSet::All`]. d-mon
+//! uses the read set to skip sampling modules no deployed filter reads.
+//!
+//! **Memo class.** The VM itself is a pure function of its inputs — a
+//! filter cannot touch anything outside its locals and output slots. The
+//! *only* per-subscriber state a publisher feeds in is each metric's
 //! `last_value_sent`, which differs between subscribers of the same
 //! channel. Sharing one VM run across subscribers (the per-poll memo in
 //! d-mon) is therefore sound exactly when the output is provably
@@ -75,53 +81,31 @@ pub struct EffectSummary {
     pub memo: MemoClass,
 }
 
-impl EffectSummary {
-    /// True when the memo may serve this filter at all (any class but
-    /// [`MemoClass::Bypass`]). Mirrored as `FilterCert::memo_safe`.
-    pub fn memo_safe(&self) -> bool {
-        self.memo != MemoClass::Bypass
-    }
-
-    /// True when repeated evaluation against the same snapshot is
-    /// indistinguishable from a single one. Every filter is — the VM
-    /// holds no persistent state — but the flag is part of the
-    /// certificate so the deploy layer asserts it rather than assumes
-    /// it.
-    pub fn idempotent(&self) -> bool {
-        true
-    }
-}
-
-/// Scan a folded program for its effect summary.
-pub fn scan(prog: &RProgram) -> EffectSummary {
+/// `(reads, effects)` of a folded program, from one walk.
+pub fn scan(prog: &RProgram) -> (MetricSet, EffectSummary) {
     let mut scanner = Scanner {
-        writes: MetricSet::empty(),
-        reads_last_sent: false,
-        writes_last_sent: false,
-        copies_records: false,
+        reads: MetricSet::empty(),
+        fx: EffectSummary {
+            writes: MetricSet::empty(),
+            reads_last_sent: false,
+            writes_last_sent: false,
+            copies_records: false,
+            memo: MemoClass::Shared,
+        },
     };
     scanner.stmts(&prog.body);
-    let memo = if scanner.reads_last_sent || scanner.writes_last_sent {
-        MemoClass::Bypass
-    } else if scanner.copies_records {
-        MemoClass::SnapshotKeyed
-    } else {
-        MemoClass::Shared
-    };
-    EffectSummary {
-        writes: scanner.writes,
-        reads_last_sent: scanner.reads_last_sent,
-        writes_last_sent: scanner.writes_last_sent,
-        copies_records: scanner.copies_records,
-        memo,
+    let Scanner { reads, mut fx } = scanner;
+    if fx.reads_last_sent || fx.writes_last_sent {
+        fx.memo = MemoClass::Bypass;
+    } else if fx.copies_records {
+        fx.memo = MemoClass::SnapshotKeyed;
     }
+    (reads, fx)
 }
 
 struct Scanner {
-    writes: MetricSet,
-    reads_last_sent: bool,
-    writes_last_sent: bool,
-    copies_records: bool,
+    reads: MetricSet,
+    fx: EffectSummary,
 }
 
 impl Scanner {
@@ -135,9 +119,9 @@ impl Scanner {
         match &stmt.kind {
             RStmtKind::Store { value, .. } => self.expr(value),
             RStmtKind::OutputRecord { index, input_index } => {
-                self.copies_records = true;
-                self.write_index(index);
-                self.expr(input_index);
+                self.fx.copies_records = true;
+                self.index(index, false);
+                self.index(input_index, true);
             }
             RStmtKind::OutputField {
                 index,
@@ -145,9 +129,9 @@ impl Scanner {
                 value,
             } => {
                 if *field == Field::LastValueSent {
-                    self.writes_last_sent = true;
+                    self.fx.writes_last_sent = true;
                 }
-                self.write_index(index);
+                self.index(index, false);
                 self.expr(value);
             }
             RStmtKind::If { cond, then, else_ } => {
@@ -187,9 +171,9 @@ impl Scanner {
             RExprKind::ConstI(_) | RExprKind::ConstF(_) | RExprKind::Local(_) => {}
             RExprKind::InputField(index, field) => {
                 if *field == Field::LastValueSent {
-                    self.reads_last_sent = true;
+                    self.fx.reads_last_sent = true;
                 }
-                self.expr(index);
+                self.index(index, true);
             }
             RExprKind::Binary(_, l, r) => {
                 self.expr(l);
@@ -199,12 +183,19 @@ impl Scanner {
         }
     }
 
-    /// Record a write to `output[index]`.
-    fn write_index(&mut self, index: &RExpr) {
+    /// Record a read of `input[index]` (whole record or field) or a
+    /// write to `output[index]`.
+    fn index(&mut self, index: &RExpr, read: bool) {
+        let set = if read {
+            &mut self.reads
+        } else {
+            &mut self.fx.writes
+        };
         match index.kind {
-            RExprKind::ConstI(v) if v >= 0 => self.writes.insert(v as usize),
+            RExprKind::ConstI(v) if v >= 0 => set.insert(v as usize),
+            // Dynamic or negative index: assume any slot may be touched.
             _ => {
-                self.writes.make_all();
+                set.make_all();
                 self.expr(index);
             }
         }

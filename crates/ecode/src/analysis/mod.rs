@@ -1,5 +1,5 @@
 //! Static analysis over the resolved filter IR: cost certification,
-//! dataflow diagnostics, and metric read-set extraction.
+//! metric read-set and effect extraction, and dataflow diagnostics.
 //!
 //! The paper compiles operator-supplied E-code and runs it inside the
 //! monitoring path — kernel-resident in the original dproc. Running
@@ -10,31 +10,33 @@
 //!
 //! * [`certify`] runs on the **folded** program (exactly what the
 //!   bytecode compiler sees) and produces a [`FilterCert`]: a worst-case
-//!   instruction bound mirroring the VM's per-op budget accounting, the
-//!   set of metric indices the filter reads, and whether it can emit
-//!   records at all. Loops must have inferable trip counts (affine
-//!   induction variables over constant bounds); anything else is
-//!   [`CostBound::Unbounded`] and the deployment layer rejects it.
+//!   instruction bound mirroring the VM's per-op budget accounting, and —
+//!   from one syntactic walk — the metric indices the filter reads, the
+//!   output slots it writes and how its runs may be shared. Loops must
+//!   have inferable trip counts (affine induction variables over constant
+//!   bounds); anything else is [`CostBound::Unbounded`] and the deployment
+//!   layer rejects it. [`crate::Filter::compile`] runs it and attaches the
+//!   result to the [`crate::Filter`]; admission needs nothing else.
 //! * [`lint`] runs on the **unfolded** program (so constant conditions
 //!   the optimizer would erase are still visible) and reports
 //!   [`Diagnostic`]s with source positions: use of a variable before
 //!   initialization, unreachable statements, always-true/false
 //!   conditions, possible integer division by zero, stores whose value
 //!   is overwritten before any use, and filters that can never emit.
-//!
-//! Both run automatically in [`crate::Filter::compile`]; the result is
-//! attached to the [`crate::Filter`].
+//!   Diagnostics are advisory, so no publisher computes them: they are
+//!   produced by [`lint_report`], when a person asks for one.
 
 mod cfg;
 mod cost;
 mod dataflow;
 mod effects;
 mod interval;
-mod readset;
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::error::CompileError;
+use crate::filter::EnvSpec;
 use crate::sema::RProgram;
 use crate::token::Pos;
 
@@ -129,6 +131,16 @@ impl MetricSet {
         }
     }
 
+    /// Render for a report: `all` when the set collapsed, `nothing` when
+    /// it is empty, else the members through `name`, comma-separated.
+    fn describe(&self, all: &str, name: impl Fn(usize) -> String) -> String {
+        match self {
+            MetricSet::All => all.to_string(),
+            MetricSet::Fixed(s) if s.is_empty() => "nothing".to_string(),
+            MetricSet::Fixed(s) => s.iter().map(|&i| name(i)).collect::<Vec<_>>().join(", "),
+        }
+    }
+
     /// Add one index.
     pub fn insert(&mut self, index: usize) {
         if let MetricSet::Fixed(s) = self {
@@ -149,21 +161,24 @@ pub struct FilterCert {
     pub cost: CostBound,
     /// Metric indices the filter may read.
     pub reads: MetricSet,
-    /// Whether any reachable statement emits an output record.
-    pub emits: bool,
-    /// Whether the publisher's shared-filter memo may serve this filter
-    /// at all: proven false when the filter reads or writes the
-    /// per-subscriber `last_value_sent` state, in which case it must be
-    /// evaluated once per subscriber.
-    pub memo_safe: bool,
-    /// The full effect summary behind `memo_safe`: write-set,
-    /// state-dependence flags, and the sharing class.
+    /// Write-set, state-dependence flags, and the sharing class.
     pub effects: EffectSummary,
-    /// Lint findings (advisory; never block deployment by themselves).
-    pub diagnostics: Vec<Diagnostic>,
 }
 
 impl FilterCert {
+    /// Whether any statement emits an output record.
+    pub fn emits(&self) -> bool {
+        self.effects.copies_records
+    }
+
+    /// Whether the publisher's shared-filter memo may serve this filter
+    /// at all: false when the filter reads or writes the per-subscriber
+    /// `last_value_sent` state, in which case it must be evaluated once
+    /// per subscriber.
+    pub fn memo_safe(&self) -> bool {
+        self.effects.memo != MemoClass::Bypass
+    }
+
     /// True when a finite worst-case instruction bound was proven.
     pub fn is_certified(&self) -> bool {
         matches!(self.cost, CostBound::Bounded(_))
@@ -204,29 +219,57 @@ pub fn lint(prog: &RProgram) -> Vec<Diagnostic> {
     diags
 }
 
-/// Certify a **folded** program: worst-case cost bound plus read/emit
-/// sets. Run this on exactly the program the bytecode compiler compiles,
-/// or the bound will not cover the emitted instruction stream.
+/// Certify a **folded** program: worst-case cost bound plus read set
+/// and effects. Run this on exactly the program the bytecode compiler
+/// compiles, or the bound will not cover the emitted instruction stream.
 pub fn certify(prog: &RProgram) -> FilterCert {
-    let (reads, emits) = readset::scan(prog);
-    let effects = effects::scan(prog);
+    let (reads, effects) = effects::scan(prog);
     FilterCert {
         cost: cost::bound_program(prog),
         reads,
-        emits,
-        memo_safe: effects.memo_safe(),
         effects,
-        diagnostics: Vec::new(),
     }
 }
 
-/// Full analysis as [`crate::Filter::compile`] runs it: lint the
-/// unfolded program, certify the folded one, attach the lints to the
-/// certificate.
-pub fn analyze_for_deploy(unfolded: &RProgram, folded: &RProgram) -> FilterCert {
-    let mut cert = certify(folded);
-    cert.diagnostics = lint(unfolded);
-    cert
+/// Everything the verifier can say about `source`, as text, and whether
+/// a publisher with `budget` would admit it: the lint findings on the
+/// unfolded program, then the certificate of the folded one (cost, read
+/// and write sets, emit flag, memo class) and the verdict. What
+/// `ecode-lint` and the shell's `lint` print.
+pub fn lint_report(
+    source: &str,
+    env: &EnvSpec,
+    budget: u64,
+) -> Result<(String, bool), CompileError> {
+    let resolved = crate::sema::analyze(&crate::parser::parse(source)?, env)?;
+    let mut lines: Vec<String> = lint(&resolved).iter().map(ToString::to_string).collect();
+    let cert = certify(&crate::opt::fold_program(resolved));
+    lines.push(match &cert.cost {
+        CostBound::Bounded(n) => format!("cost: at most {n} VM instructions (budget {budget})"),
+        CostBound::Unbounded { pos, reason } => format!("cost: unbounded (at {pos}): {reason}"),
+    });
+    let (fx, unnamed) = (&cert.effects, |i| format!("#{i}"));
+    let metric = |i| env.name_of(i).map_or_else(|| unnamed(i), str::to_string);
+    let reads = cert
+        .reads
+        .describe("all metrics (dynamic input index)", metric);
+    let slot = |i| format!("output[{i}]");
+    let writes = fx.writes.describe("all output slots (dynamic index)", slot);
+    let emits = if cert.emits() { "yes" } else { "no" };
+    lines.push(format!("reads: {reads}\nwrites: {writes}\nemits: {emits}"));
+    let (label, safe) = (fx.memo.label(), cert.memo_safe());
+    let note = match fx.memo {
+        MemoClass::Shared => "one evaluation serves every subscriber",
+        MemoClass::SnapshotKeyed => "shared per input snapshot, records copied per subscriber",
+        MemoClass::Bypass => "touches last_value_sent — evaluated per subscriber",
+    };
+    lines.push(format!("memo: {label} ({note}); memo_safe = {safe}"));
+    let verdict = cert.admission_error(budget);
+    lines.push(match &verdict {
+        None => "verdict: admitted".to_string(),
+        Some(reason) => format!("verdict: rejected — {reason}"),
+    });
+    Ok((lines.join("\n"), verdict.is_none()))
 }
 
 #[cfg(test)]

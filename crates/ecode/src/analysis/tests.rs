@@ -18,9 +18,7 @@ fn lints(src: &str) -> Vec<Diagnostic> {
 }
 
 fn deploy_cert(src: &str) -> FilterCert {
-    let unfolded = resolved(src);
-    let folded = fold_program(unfolded.clone());
-    analyze_for_deploy(&unfolded, &folded)
+    certify(&fold_program(resolved(src)))
 }
 
 fn find(diags: &[Diagnostic], kind: LintKind) -> Vec<&Diagnostic> {
@@ -372,7 +370,7 @@ fn over_budget_bound_is_rejected_by_admission() {
 fn fig3_read_set_is_all_four_metrics() {
     let folded = fold_program(analyze(&parse(FIG3_SOURCE).unwrap(), &fig3_env()).unwrap());
     let cert = certify(&folded);
-    assert!(cert.emits);
+    assert!(cert.emits());
     let MetricSet::Fixed(s) = &cert.reads else {
         panic!("Figure 3 indices are constants");
     };
@@ -402,7 +400,7 @@ fn no_input_reads_is_empty_set() {
     let cert = deploy_cert("{ int x = 1; x = x + 1; }");
     assert_eq!(cert.reads, MetricSet::empty());
     assert!(!cert.reads.contains(0));
-    assert!(!cert.emits);
+    assert!(!cert.emits());
 }
 
 #[test]
@@ -411,7 +409,74 @@ fn dead_branch_reads_drop_out_after_folding() {
     // is gone, so the read set is empty.
     let cert = deploy_cert("{ if (0) { output[0] = input[B]; } }");
     assert_eq!(cert.reads, MetricSet::empty());
-    assert!(!cert.emits);
+    assert!(!cert.emits());
+}
+
+/// What `readset::scan`, the walk `effects::scan` absorbed, returned at
+/// its last commit for every filter source in this file, plus a dynamic
+/// and two negative constant indices (`None` is [`MetricSet::All`]).
+#[test]
+fn merged_walk_reads_what_the_separate_read_set_walk_read() {
+    type Case = (&'static str, Option<&'static [usize]>, bool);
+    let cases: &[Case] = &[
+        ("{ int x;\n  if (input[A].value > 1) { x = 1; }\n  int y = x;\n  output[0] = input[A]; }", Some(&[0]), true),
+        ("{}", Some(&[]), false),
+        ("{ int x;\n  if (input[A].value > 1) { x = 1; } else { x = 2; }\n  output[0] = input[A];\n  output[0].value = x; }", Some(&[0]), true),
+        ("{ int x; x = 5; output[0] = input[A]; output[0].value = x; }", Some(&[0]), true),
+        ("{ output[0] = input[A];\n  return 1;\n  output[1] = input[B]; }", Some(&[0, 1]), true),
+        ("{ output[0] = input[A];\n  return 1;\n  int a = 1;\n  int b = 2;\n  a = b; }", Some(&[0]), true),
+        ("{ while (1) { output[0] = input[A]; }\n  output[1] = input[B]; }", Some(&[0, 1]), true),
+        ("{ int x = 1;\n  x = 2;\n  output[0] = input[A];\n  output[0].value = x; }", Some(&[0]), true),
+        ("{ int x = 1;\n  if (input[A].value > 1) { output[0] = input[A]; output[0].value = x; }\n  x = 2;\n  output[1] = input[B];\n  output[1].value = x; }", Some(&[0, 1]), true),
+        ("{ int i = 0; output[0] = input[A]; i = i + 1; }", Some(&[0]), true),
+        ("{ int x = 1; x = x + 1; }", Some(&[]), false),
+        ("{ output[0] = input[A]; }", Some(&[0]), true),
+        ("{ if (0) { output[0] = input[A]; } }", Some(&[]), false),
+        ("{ int x = 5;\n  if (x > 3) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ int x = 1; int y = 2;\n  if (x + 1 > y + 5) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ if (input[A].value > 2) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ for (int i = 0; i < 5; i = i + 1) { if (i > 2) { output[0] = input[A]; } } }", Some(&[0]), true),
+        ("{ output[0] = input[A];\n  int x = 7 / 0;\n  output[0].value = x; }", Some(&[0]), true),
+        ("{ int n = 0;\n  if (input[A].value > 1) { n = 2; }\n  int y = 4 / n;\n  output[0] = input[A];\n  output[0].value = y; }", Some(&[0]), true),
+        ("{ int n = 2;\n  if (input[A].value > 1) { n = 4; }\n  int y = 8 / n;\n  output[0] = input[A];\n  output[0].value = y; }", Some(&[0]), true),
+        ("{ double d = 1.0 / 0.0; output[0] = input[A]; output[0].value = d; }", Some(&[0]), true),
+        ("{ int x = 1; output[0] = input[A]; }", Some(&[0]), true),
+        ("{ int s = 0; for (int i = 0; i < 10; i = i + 1) { s = s + i; } output[0] = input[A]; output[0].value = s; }", Some(&[0]), true),
+        ("{ int i = 0; while (i < 3) { output[i] = input[i]; i = i + 1; } }", None, true),
+        ("{ int i = 3; while (i > 0) { i = i - 1; } output[0] = input[A]; }", Some(&[0]), true),
+        ("{ int s = 0; for (int i = 0; i < 4; i = i + 1) { for (int j = 0; j < 5; j = j + 1) { s = s + 1; } } output[0] = input[A]; output[0].value = s; }", Some(&[0]), true),
+        ("{ int n = 6; int s = 0; for (int i = 0; i < n; i = i + 1) { s = s + 1; } output[0] = input[A]; output[0].value = s; }", Some(&[0]), true),
+        ("{ int s = 0; for (int i = 0; i < 6; i = i + 1) { if (i % 2 == 0) { continue; } s = s + 1; } output[0] = input[A]; output[0].value = s; }", Some(&[0]), true),
+        ("{\n  while (1) { }\n}", Some(&[]), false),
+        ("{ int i = 0; while (i < 10) { if (input[A].value > 1) { i = i + 1; } } }", Some(&[0]), false),
+        ("{ int i = 0; while (i < 10) { if (input[A].value > 1) { continue; } i = i + 1; } }", Some(&[0]), false),
+        ("{ for (int i = 0; i < 10; i = i - 1) { } }", Some(&[]), false),
+        ("{ int i = 0; while (i < input[A].id) { i = i + 1; } }", Some(&[0]), false),
+        ("{ for (int i = 5; i < 5; i = i + 1) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ int s = 0; for (int i = 0; i < 5000; i = i + 1) { s = s + 1; } output[0] = input[A]; }", Some(&[0]), true),
+        ("{ if (input[C].value > 2) { output[0] = input[C]; } }", Some(&[2]), true),
+        ("{ for (int i = 0; i < 3; i = i + 1) { output[i] = input[i]; } }", None, true),
+        ("{ if (0) { output[0] = input[B]; } }", Some(&[]), false),
+        ("{ int x = 1; x = 2;\n  if (0) { output[0] = input[A]; } }", Some(&[]), false),
+        ("{ int x = 0; if (input[A].value > 1) { x = 2; } }", Some(&[0]), false),
+        ("{ if (input[A].value > 1) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ if (input[A].value > input[A].last_value_sent) { output[0] = input[A]; } }", Some(&[0]), true),
+        ("{ output[0] = input[A]; output[0].last_value_sent = 5.0; }", Some(&[0]), true),
+        ("{ if (input[B].value > 1e18) { int x = input[A].last_value_sent; } }", Some(&[0, 1]), false),
+        ("{ int i; for (i = 0; i < 2; i = i + 1) { output[i] = input[A]; } }", Some(&[0]), true),
+        ("{ output[0] = input[A]; output[0].value = input[B].last_value_sent; }", Some(&[0, 1]), true),
+        ("{ int i = 0; if (input[i].value > 1) { output[0] = input[A]; } }", None, true),
+        ("{ output[0] = input[0 - 1]; }", None, true),
+        ("{ if (input[0-1].value > 1) { output[0] = input[B]; } }", None, true),
+    ];
+    for &(src, reads, emits) in cases {
+        let cert = deploy_cert(src);
+        let want = reads.map_or(MetricSet::All, |r| {
+            MetricSet::Fixed(r.iter().copied().collect())
+        });
+        assert_eq!(cert.reads, want, "{src}");
+        assert_eq!(cert.emits(), emits, "{src}");
+    }
 }
 
 // ---- plumbing -------------------------------------------------------
@@ -445,8 +510,60 @@ fn diagnostic_display_format() {
 fn cert_attached_by_filter_compile() {
     let f = crate::Filter::compile(FIG3_SOURCE, &fig3_env()).unwrap();
     assert!(f.cert().is_certified());
-    assert!(f.cert().emits);
-    assert!(f.cert().diagnostics.is_empty());
+    assert!(f.cert().emits());
+}
+
+#[test]
+fn lint_findings_come_from_the_report_not_from_admission() {
+    // Dead store, constant condition, unreachable code, never emits: the
+    // certificate a publisher admits on carries none of it, and the
+    // report made from the same source lists all of it.
+    let src = "{ int x = 1;\n  x = 2;\n  if (x > 1) { return 1; }\n  x = 3; }";
+    let f = crate::Filter::compile(src, &env()).unwrap();
+    assert_eq!(*f.cert(), deploy_cert(src));
+    let (report, admitted) = lint_report(f.source(), f.env(), f.budget()).unwrap();
+    assert!(admitted);
+    for kind in ["dead-store", "constant-condition", "never-emits"] {
+        assert!(report.contains(kind), "{kind} missing from:\n{report}");
+    }
+    let found = lints(src);
+    assert!(found.len() >= 3, "{found:?}");
+    assert!(found.iter().all(|d| report.contains(&d.to_string())));
+    assert!(report.ends_with("verdict: admitted"), "{report}");
+}
+
+#[test]
+fn report_renders_the_whole_certificate() {
+    let (report, admitted) = lint_report("{ output[1] = input[B]; }", &env(), 3).unwrap();
+    assert!(!admitted, "bound 4 over a budget of 3");
+    let want = "cost: at most 4 VM instructions (budget 3)\n\
+                reads: B\n\
+                writes: output[1]\n\
+                emits: yes\n\
+                memo: snapshot-keyed (shared per input snapshot, records copied per subscriber); \
+                memo_safe = true\n\
+                verdict: rejected — filter worst-case cost 4 exceeds the instruction budget 3";
+    assert_eq!(report, want);
+    let (dynamic, _) = lint_report(
+        "{ int i; for (i = 0; i < 2; i = i + 1) { output[i] = input[i]; } }",
+        &env(),
+        999,
+    )
+    .unwrap();
+    assert!(
+        dynamic.contains("reads: all metrics (dynamic input index)"),
+        "{dynamic}"
+    );
+    assert!(
+        dynamic.contains("writes: all output slots (dynamic index)"),
+        "{dynamic}"
+    );
+    let (none, _) = lint_report("{ int x = 0; }", &env(), 999).unwrap();
+    assert!(
+        none.contains("reads: nothing\nwrites: nothing\nemits: no"),
+        "{none}"
+    );
+    assert!(lint_report("{ nonsense", &env(), 999).is_err());
 }
 
 // ---- effect pass ----------------------------------------------------
@@ -454,18 +571,17 @@ fn cert_attached_by_filter_compile() {
 #[test]
 fn pure_non_emitting_filter_is_shared_class() {
     let cert = deploy_cert("{ int x = 0; if (input[A].value > 1) { x = 2; } }");
-    assert!(cert.memo_safe);
+    assert!(cert.memo_safe());
     assert_eq!(cert.effects.memo, MemoClass::Shared);
     assert!(!cert.effects.reads_last_sent);
     assert!(!cert.effects.copies_records);
     assert_eq!(cert.effects.writes, MetricSet::empty());
-    assert!(cert.effects.idempotent());
 }
 
 #[test]
 fn record_emitting_filter_is_snapshot_keyed() {
     let cert = deploy_cert("{ if (input[A].value > 1) { output[0] = input[A]; } }");
-    assert!(cert.memo_safe);
+    assert!(cert.memo_safe());
     assert_eq!(cert.effects.memo, MemoClass::SnapshotKeyed);
     assert!(cert.effects.copies_records);
     let MetricSet::Fixed(writes) = &cert.effects.writes else {
@@ -478,7 +594,7 @@ fn record_emitting_filter_is_snapshot_keyed() {
 fn last_value_sent_read_forces_bypass() {
     let cert =
         deploy_cert("{ if (input[A].value > input[A].last_value_sent) { output[0] = input[A]; } }");
-    assert!(!cert.memo_safe);
+    assert!(!cert.memo_safe());
     assert_eq!(cert.effects.memo, MemoClass::Bypass);
     assert!(cert.effects.reads_last_sent);
 }
@@ -486,7 +602,7 @@ fn last_value_sent_read_forces_bypass() {
 #[test]
 fn last_value_sent_write_forces_bypass() {
     let cert = deploy_cert("{ output[0] = input[A]; output[0].last_value_sent = 5.0; }");
-    assert!(!cert.memo_safe);
+    assert!(!cert.memo_safe());
     assert!(cert.effects.writes_last_sent);
     assert!(!cert.effects.reads_last_sent);
 }
@@ -498,7 +614,7 @@ fn never_taken_last_value_sent_read_still_forces_bypass() {
     // constant-false branch is different — the folder erases it before
     // certification, and with it the read.)
     let cert = deploy_cert("{ if (input[B].value > 1e18) { int x = input[A].last_value_sent; } }");
-    assert!(!cert.memo_safe);
+    assert!(!cert.memo_safe());
 }
 
 #[test]
@@ -513,7 +629,7 @@ fn fig3_is_bypass_class() {
     // Figure 3's CACHE_MISS clause compares against last_value_sent, so
     // the whole filter is per-subscriber.
     let f = crate::Filter::compile(FIG3_SOURCE, &fig3_env()).unwrap();
-    assert!(!f.cert().memo_safe);
+    assert!(!f.cert().memo_safe());
     assert_eq!(f.cert().effects.memo, MemoClass::Bypass);
 }
 
@@ -521,6 +637,6 @@ fn fig3_is_bypass_class() {
 fn output_field_value_read_of_state_is_caught() {
     // The state read hides inside an output-field value expression.
     let cert = deploy_cert("{ output[0] = input[A]; output[0].value = input[B].last_value_sent; }");
-    assert!(!cert.memo_safe);
+    assert!(!cert.memo_safe());
     assert!(cert.effects.reads_last_sent);
 }

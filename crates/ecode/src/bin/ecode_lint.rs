@@ -16,7 +16,7 @@
 use std::io::Read;
 use std::process::ExitCode;
 
-use ecode::{vm, CostBound, EnvSpec, Filter, MetricSet};
+use ecode::{lint_report, vm, EnvSpec};
 
 const USAGE: &str = "usage: ecode-lint [--env NAME,NAME,...] [--budget N] [FILE|-]";
 
@@ -84,63 +84,24 @@ fn run(args: Vec<String>) -> Result<bool, String> {
             .map(str::trim)
             .filter(|s| !s.is_empty()),
     );
-    let filter = Filter::compile_with_budget(&source, &env, budget)
-        .map_err(|e| format!("compile error: {e}"))?;
-    print!("{}", report(&filter, &env, budget));
-    Ok(filter.admission_error().is_none())
-}
-
-/// The full human-readable report for a compiled filter.
-fn report(filter: &Filter, env: &EnvSpec, budget: u64) -> String {
-    use std::fmt::Write;
-
-    let cert = filter.cert();
-    let mut out = String::new();
-    for d in &cert.diagnostics {
-        writeln!(out, "{d}").unwrap();
-    }
-
-    match &cert.cost {
-        CostBound::Bounded(n) => {
-            writeln!(out, "cost: at most {n} VM instructions (budget {budget})").unwrap();
-        }
-        CostBound::Unbounded { pos, reason } => {
-            writeln!(out, "cost: unbounded (at {pos}): {reason}").unwrap();
-        }
-    }
-
-    match &cert.reads {
-        MetricSet::All => writeln!(out, "reads: all metrics (dynamic input index)").unwrap(),
-        MetricSet::Fixed(set) if set.is_empty() => writeln!(out, "reads: nothing").unwrap(),
-        MetricSet::Fixed(set) => {
-            let names: Vec<String> = set
-                .iter()
-                .map(|&i| {
-                    env.name_of(i)
-                        .map_or_else(|| format!("#{i}"), str::to_string)
-                })
-                .collect();
-            writeln!(out, "reads: {}", names.join(", ")).unwrap();
-        }
-    }
-    writeln!(out, "emits: {}", if cert.emits { "yes" } else { "no" }).unwrap();
-
-    match filter.admission_error() {
-        None => writeln!(out, "verdict: admitted").unwrap(),
-        Some(reason) => writeln!(out, "verdict: rejected — {reason}").unwrap(),
-    }
-    out
+    let (report, admitted) =
+        lint_report(&source, &env, budget).map_err(|e| format!("compile error: {e}"))?;
+    println!("{report}");
+    Ok(admitted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn report(source: &str) -> (String, bool) {
+        lint_report(source, &EnvSpec::new(["LOADAVG"]), vm::DEFAULT_BUDGET).unwrap()
+    }
+
     #[test]
     fn report_for_admissible_filter() {
-        let env = EnvSpec::new(["LOADAVG"]);
-        let f = Filter::compile("{ output[0] = input[LOADAVG]; }", &env).unwrap();
-        let r = report(&f, &env, vm::DEFAULT_BUDGET);
+        let (r, admitted) = report("{ output[0] = input[LOADAVG]; }");
+        assert!(admitted);
         assert!(r.contains("cost: at most"));
         assert!(r.contains("reads: LOADAVG"));
         assert!(r.contains("emits: yes"));
@@ -149,9 +110,8 @@ mod tests {
 
     #[test]
     fn report_for_unbounded_filter() {
-        let env = EnvSpec::new(["LOADAVG"]);
-        let f = Filter::compile("{ while (1) { } }", &env).unwrap();
-        let r = report(&f, &env, vm::DEFAULT_BUDGET);
+        let (r, admitted) = report("{ while (1) { } }");
+        assert!(!admitted);
         assert!(r.contains("cost: unbounded"));
         assert!(r.contains("verdict: rejected"));
     }

@@ -6,7 +6,7 @@
 //! executable artifact out, compiled once — and `bench/benches/ecode.rs`
 //! quantifies the VM-vs-native execution gap as an ablation.
 
-use crate::ast::{BinOp, Field, Ty, UnOp};
+use crate::ast::{BinOp, Field, UnOp};
 use crate::sema::{RExpr, RExprKind, RProgram, RStmt, RStmtKind};
 
 /// One VM instruction. Jump targets are absolute instruction indices.
@@ -327,13 +327,6 @@ impl Compiler {
             }
         }
     }
-}
-
-// Give the compiler access to expression types if ever needed (kept for
-// future constant folding; silences the unused-field lint meaningfully).
-#[allow(dead_code)]
-fn ty_of(e: &RExpr) -> Ty {
-    e.ty
 }
 
 #[cfg(test)]

@@ -200,10 +200,8 @@ impl Filter {
         env: &EnvSpec,
         budget: u64,
     ) -> Result<Filter, CompileError> {
-        let ast = parse(source)?;
-        let resolved = analyze(&ast, env)?;
-        let folded = crate::opt::fold_program(resolved.clone());
-        let cert = analysis::analyze_for_deploy(&resolved, &folded);
+        let folded = crate::opt::fold_program(analyze(&parse(source)?, env)?);
+        let cert = analysis::certify(&folded);
         let chunk = bytecode::compile(&folded);
         Ok(Filter {
             chunk,
@@ -250,7 +248,8 @@ impl Filter {
     }
 
     /// The static-analysis certificate: worst-case cost bound, metric
-    /// read set, emit flag, and lint diagnostics.
+    /// read set and effects. Lint diagnostics are not part of it — ask
+    /// [`crate::lint_report`] for those.
     pub fn cert(&self) -> &FilterCert {
         &self.cert
     }

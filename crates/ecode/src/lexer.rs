@@ -8,19 +8,17 @@ pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
     Lexer::new(src).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
-    src: &'a str,
     i: usize,
     line: u32,
     col: u32,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+impl Lexer {
+    fn new(src: &str) -> Self {
         Lexer {
             chars: src.chars().collect(),
-            src,
             i: 0,
             line: 1,
             col: 1,
@@ -178,7 +176,7 @@ impl<'a> Lexer<'a> {
 
     fn symbol(&mut self, pos: Pos) -> Result<Tok, CompileError> {
         let c = self.bump().expect("symbol() called at eof");
-        let two = |lexer: &mut Lexer<'a>, tok: Tok| {
+        let two = |lexer: &mut Lexer, tok: Tok| {
             lexer.bump();
             Ok(tok)
         };
@@ -217,14 +215,6 @@ impl<'a> Lexer<'a> {
                 format!("unexpected character `{other}`"),
             )),
         }
-    }
-}
-
-// Keep a reference to the raw source for future diagnostics without
-// triggering dead-code warnings.
-impl std::fmt::Debug for Lexer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Lexer(at {}, {} bytes)", self.pos(), self.src.len())
     }
 }
 

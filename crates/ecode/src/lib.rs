@@ -69,7 +69,8 @@ pub mod token;
 pub mod vm;
 
 pub use analysis::{
-    CostBound, Diagnostic, EffectSummary, FilterCert, LintKind, MemoClass, MetricSet, Severity,
+    lint_report, CostBound, Diagnostic, EffectSummary, FilterCert, LintKind, MemoClass, MetricSet,
+    Severity,
 };
 pub use compile::{compile_filter, CompiledFilter};
 pub use error::{CompileError, RuntimeError};

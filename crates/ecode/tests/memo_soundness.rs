@@ -48,7 +48,7 @@ proptest! {
         );
         let f = Filter::compile(&src, &env()).unwrap();
         prop_assert_eq!(f.cert().effects.memo, MemoClass::Shared);
-        prop_assert!(f.cert().memo_safe);
+        prop_assert!(f.cert().memo_safe());
         // Two subscribers whose only difference is send history must see
         // the same verdict — that's what lets one evaluation serve both.
         let a = f.run(&inputs(v0, v1, lastx, lastx)).unwrap();
@@ -73,7 +73,7 @@ proptest! {
         );
         let f = Filter::compile(&src, &env()).unwrap();
         prop_assert_eq!(f.cert().effects.memo, MemoClass::SnapshotKeyed);
-        prop_assert!(f.cert().memo_safe);
+        prop_assert!(f.cert().memo_safe());
         let snap = inputs(v0, 0.0, last0, 0.0);
         let once = f.run(&snap).unwrap();
         let again = f.run(&snap).unwrap();
@@ -94,7 +94,7 @@ proptest! {
         let f = Filter::compile(src, &env()).unwrap();
         // Certified unsafe to share...
         prop_assert_eq!(f.cert().effects.memo, MemoClass::Bypass);
-        prop_assert!(!f.cert().memo_safe);
+        prop_assert!(!f.cert().memo_safe());
         prop_assert!(f.cert().effects.reads_last_sent);
         // ...and the witness: two subscribers, send history straddling
         // the sample, observe different results from the same poll.
@@ -113,7 +113,7 @@ proptest! {
         let src = "{ output[0] = input[LOADAVG]; output[0].last_value_sent = 0.0; }";
         let f = Filter::compile(src, &env()).unwrap();
         prop_assert_eq!(f.cert().effects.memo, MemoClass::Bypass);
-        prop_assert!(!f.cert().memo_safe);
+        prop_assert!(!f.cert().memo_safe());
         prop_assert!(f.cert().effects.writes_last_sent);
         let out = f.run(&inputs(value, 0.0, 7.0, 0.0)).unwrap();
         prop_assert_eq!(out.records_if_accepted().len(), 1);
@@ -133,7 +133,7 @@ proptest! {
             _ => "{ output[0] = input[LOADAVG]; output[1] = input[FREEMEM]; }".to_string(),
         };
         let f = Filter::compile(&src, &env()).unwrap();
-        prop_assert!(f.cert().memo_safe, "{}", src);
+        prop_assert!(f.cert().memo_safe(), "{}", src);
         prop_assert!(!f.cert().effects.reads_last_sent);
         prop_assert!(!f.cert().effects.writes_last_sent);
     }

@@ -102,6 +102,60 @@ fn battery_metric_usable_in_ecode_filters() {
 }
 
 #[test]
+fn registration_readmits_each_source_once_for_all_its_subscribers() {
+    let mut sim = ClusterSim::new(ClusterConfig::named(&["server", "desk", "handheld"]));
+    sim.start();
+    sim.world_mut().hosts[2].battery = Some(Battery::handheld());
+    // Two subscribers share one source on the handheld.
+    let shared = "{ if (input[LOADAVG].value >= 0) { output[0] = input[LOADAVG]; } }";
+    for sub in [0, 1] {
+        sim.write_control(NodeId(sub), "handheld", &format!("filter {shared}"));
+    }
+    sim.run_until(SimTime::from_secs(5));
+    let handheld = &sim.world().dmons[2];
+    assert_eq!(handheld.stats.filters_compiled, 2);
+    assert_eq!(handheld.filter_for(NodeId(0)).unwrap().env().len(), 5);
+
+    sim.world_mut().dmons[2].register_module(Box::new(PowerMon));
+    let handheld = &sim.world().dmons[2];
+    // Counted per subscriber, admitted per source: both still hold one
+    // artefact, now compiled against the grown environment.
+    assert_eq!(handheld.stats.filters_compiled, 4);
+    assert_eq!(handheld.stats.filter_errors, 0);
+    let (a, b) = (
+        handheld.filter_for(NodeId(0)),
+        handheld.filter_for(NodeId(1)),
+    );
+    assert!(std::ptr::eq(a.unwrap(), b.unwrap()));
+    assert_eq!(a.unwrap().source(), shared);
+    assert_eq!(a.unwrap().env().index_of("BATTERY"), Some(5));
+
+    // Both filters stay in force over the six-metric samples, and a
+    // subscriber can now replace its own with one that reads BATTERY.
+    let before: Vec<u64> = (0..2)
+        .map(|i| sim.world().dmons[i].stats.events_received)
+        .collect();
+    sim.write_control(
+        NodeId(1),
+        "handheld",
+        "filter { output[0] = input[BATTERY]; }",
+    );
+    sim.run_until(SimTime::from_secs(15));
+    for (i, &was) in before.iter().enumerate() {
+        assert!(sim.world().dmons[i].stats.events_received > was, "node {i}");
+    }
+    let handheld = &sim.world().dmons[2];
+    assert_eq!(handheld.stats.filter_errors, 0);
+    assert_eq!(handheld.filter_for(NodeId(0)).unwrap().source(), shared);
+    assert!(sim.world().dmons[1]
+        .remote_value(NodeId(2), "BATTERY")
+        .is_some());
+    assert!(sim.world().dmons[0]
+        .remote_value(NodeId(2), "BATTERY")
+        .is_none());
+}
+
+#[test]
 fn p2p_survives_a_crash_central_does_not() {
     let survivors_exchange = |topo: TopologySpec| {
         let mut sim = ClusterSim::new(ClusterConfig::new(4).topo(topo));
