@@ -709,11 +709,8 @@ fn lint_report(source: &str) -> Result<String, String> {
 }
 
 /// Run the workspace replay-safety lint (same engine as
-/// `cargo run -p detlint -- --check`) and summarize the result plus the
-/// committed baseline.
+/// `cargo run -p detlint -- --check`) and summarize the result.
 fn detlint_report() -> Result<String, String> {
-    use std::path::PathBuf;
-
     // The shell may run from anywhere; find the workspace root the same
     // way the detlint CLI does.
     let mut root = std::env::current_dir().map_err(|e| format!("detlint: cwd: {e}"))?;
@@ -726,17 +723,14 @@ fn detlint_report() -> Result<String, String> {
             return Err("detlint: no workspace root above the current directory".into());
         }
     }
-    let baseline_path: PathBuf = root.join("detlint.baseline");
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let baseline = detlint::Baseline::parse(&baseline_text);
-    let report = detlint::run_scan(&root, &baseline).map_err(|e| format!("detlint: {e}"))?;
+    let report = detlint::run_scan(&root).map_err(|e| format!("detlint: {e}"))?;
     let mut out = String::new();
     for f in &report.fresh {
         out.push_str(&f.render());
         out.push('\n');
     }
     out.push_str(&format!(
-        "detlint: {} files, {} fns scanned; {} error(s), {} warning(s), {} baselined",
+        "detlint: {} files, {} fns scanned; {} error(s), {} warning(s)",
         report.files_scanned,
         report.fns_scanned,
         report.fresh_errors(),
@@ -744,8 +738,7 @@ fn detlint_report() -> Result<String, String> {
             .fresh
             .iter()
             .filter(|f| f.severity == detlint::Severity::Warning)
-            .count(),
-        report.baselined.len()
+            .count()
     ));
     Ok(out)
 }

@@ -5,29 +5,30 @@
 //! Liveness is the heartbeat share of Fig. 8, not monitoring work.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use kecho::{ControlMsg, HeartbeatPayload, Observation};
-use simcore::{fastfmt, SimDur, SimTime};
+use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::Host;
 
 use super::{cluster_file, DMon, DmonStats, PeerHealth, PollCx};
 use crate::peers::{PeerRecord, PeerState, PeerTable};
 
-/// The text of a `status` file: `"{} last_update {:.3} age {:.3} epoch {}"`
-/// of `[health, last_heard ns, age ns, epoch]`, the times in seconds.
+/// The text of a `status` file, from `[health, last_heard ns, age ns,
+/// epoch]`; the times read in seconds.
 pub(super) fn render_status(rec: &[u64], out: &mut String) {
     let &[health, last_heard, age, epoch] = rec else {
         return;
     };
     const HEALTH: [&str; 3] = ["fresh", "stale", "dead"];
-    out.push_str(HEALTH.get(health as usize).copied().unwrap_or("?"));
-    out.push_str(" last_update ");
-    fastfmt::push_f64_fixed3(out, SimTime::from_nanos(last_heard).as_secs_f64());
-    out.push_str(" age ");
-    fastfmt::push_f64_fixed3(out, SimDur::from_nanos(age).as_secs_f64());
-    out.push_str(" epoch ");
-    fastfmt::push_u64(out, epoch);
+    let health = HEALTH.get(health as usize).copied().unwrap_or("?");
+    let last_update = SimTime::from_nanos(last_heard).as_secs_f64();
+    let age = SimDur::from_nanos(age).as_secs_f64();
+    let _ = write!(
+        out,
+        "{health} last_update {last_update:.3} age {age:.3} epoch {epoch}"
+    );
 }
 
 pub(super) struct Detector {

@@ -5,10 +5,11 @@
 //! heartbeats — outside the workload Figs. 6–8 measure.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::ops::Range;
 
 use kecho::{ChannelId, DigestPayload, DigestRecord, Directory, Event};
-use simcore::{fastfmt, SimDur, SimTime};
+use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::{Host, ProcHandle};
 
@@ -25,22 +26,17 @@ pub(super) struct Digest {
     handles: BTreeMap<(u32, u32), Option<ProcHandle>>,
 }
 
-/// The text of a rack summary file: `"min {} max {} mean {} count {} ts
-/// {:.3}"` of `[min bits, max bits, mean bits, count, newest_ts bits]`.
+/// The text of a rack summary file, from `[min bits, max bits, mean bits,
+/// count, newest_ts bits]`.
 pub(super) fn render_digest(rec: &[u64], out: &mut String) {
     let &[min, max, mean, count, newest_ts] = rec else {
         return;
     };
-    out.push_str("min ");
-    fastfmt::push_f64_display(out, f64::from_bits(min));
-    out.push_str(" max ");
-    fastfmt::push_f64_display(out, f64::from_bits(max));
-    out.push_str(" mean ");
-    fastfmt::push_f64_display(out, f64::from_bits(mean));
-    out.push_str(" count ");
-    fastfmt::push_u64(out, count);
-    out.push_str(" ts ");
-    fastfmt::push_f64_fixed3(out, f64::from_bits(newest_ts));
+    let [min, max, mean, ts] = [min, max, mean, newest_ts].map(f64::from_bits);
+    let _ = write!(
+        out,
+        "min {min} max {max} mean {mean} count {count} ts {ts:.3}"
+    );
 }
 
 impl Digest {

@@ -5,11 +5,12 @@
 //! borderline load cannot flap the level. The overload half of Figs. 6–7's
 //! submit cost; published at `cluster/<own>/overload`.
 
+use std::fmt::Write;
+
 use kecho::MonRecord;
 use simos::{Host, ProcHandle};
 
 use super::{cluster_file, DMon, DmonStats};
-use crate::modules::push_fields;
 
 /// Data-plane stretch multiplier per degradation-ladder level: at level
 /// `L` a node builds data events only every `LADDER_STRETCH[L]`-th poll.
@@ -126,16 +127,16 @@ impl Ladder {
     }
 }
 
-/// The text of an `overload` file: `"level {} events_shed {}
-/// credits_stalled {} ladder_transitions {}"`.
+/// The text of an `overload` file.
 pub(super) fn render_overload(rec: &[u64], out: &mut String) {
-    const LABELS: [&str; 4] = [
-        "level ",
-        " events_shed ",
-        " credits_stalled ",
-        " ladder_transitions ",
-    ];
-    push_fields(out, &LABELS, rec);
+    let &[level, shed, stalled, transitions] = rec else {
+        return;
+    };
+    let _ = write!(
+        out,
+        "level {level} events_shed {shed} credits_stalled {stalled} \
+         ladder_transitions {transitions}"
+    );
 }
 
 #[cfg(test)]

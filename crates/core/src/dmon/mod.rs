@@ -677,8 +677,8 @@ pub(crate) mod testkit {
     pub(crate) const FAR: NodeId = NodeId(4);
     pub(crate) const BOGUS: [NodeId; 2] = [NodeId(6), NodeId(usize::MAX)];
 
-    /// Floats the fast formatters special-case or hand to `std`, for the
-    /// renderer proptests.
+    /// Floats at the edges of `{}` and `{:.N}` formatting, for NET MON's
+    /// renderer proptest.
     pub(crate) fn edge_f64() -> impl proptest::Strategy<Value = f64> {
         use proptest::Strategy as _;
         proptest::prop_oneof![
@@ -792,56 +792,6 @@ mod tests {
             host.proc.read("cluster/rack1/extra").unwrap(),
             "min 0 max 1 mean 0.5 count 2 ts 1.500"
         );
-    }
-
-    proptest::proptest! {
-        /// The stage renderers against the `format!` strings their
-        /// comments quote.
-        #[test]
-        fn stage_renderers_match_their_format_strings(
-            health in 0usize..3,
-            last_heard in proptest::any::<u64>(),
-            age in proptest::any::<u64>(),
-            w in proptest::collection::vec(proptest::any::<u64>(), 4),
-            min in edge_f64(),
-            max in edge_f64(),
-            mean in edge_f64(),
-            ts in edge_f64(),
-        ) {
-            let (verdict, name) = [
-                (PeerHealth::Fresh, "fresh"),
-                (PeerHealth::Stale, "stale"),
-                (PeerHealth::Dead, "dead"),
-            ][health];
-            let epoch = w[0] as u32;
-            proptest::prop_assert_eq!(
-                rendered(
-                    detector::render_status,
-                    &[verdict as u64, last_heard, age, u64::from(epoch)]
-                ),
-                format!(
-                    "{name} last_update {:.3} age {:.3} epoch {epoch}",
-                    SimTime::from_nanos(last_heard).as_secs_f64(),
-                    SimDur::from_nanos(age).as_secs_f64()
-                )
-            );
-            proptest::prop_assert_eq!(
-                rendered(ladder::render_overload, &w),
-                format!(
-                    "level {} events_shed {} credits_stalled {} ladder_transitions {}",
-                    w[0], w[1], w[2], w[3]
-                )
-            );
-            let count = w[1] as u32;
-            let rec = [min, max, mean].map(f64::to_bits);
-            proptest::prop_assert_eq!(
-                rendered(
-                    digest::render_digest,
-                    &[rec[0], rec[1], rec[2], u64::from(count), ts.to_bits()]
-                ),
-                format!("min {min} max {max} mean {mean} count {count} ts {ts:.3}")
-            );
-        }
     }
 
     #[test]

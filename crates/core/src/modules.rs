@@ -28,7 +28,8 @@
 //! [`PowerMon`] (`power` / `BATTERY`) is the run-time-deployable sixth
 //! module for mobile hosts.
 
-use simcore::fastfmt;
+use std::fmt::Write;
+
 use simcore::{SimDur, SimTime};
 use simos::pmc::PmcEvent;
 use simos::{Host, RecordRender};
@@ -66,15 +67,6 @@ pub trait MonitorModule: Send + Sync {
     fn set_window(&mut self, _window: SimDur) {}
 }
 
-/// Append each label followed by its word in decimal: the
-/// `"<label>{}<label>{}..."` most detail files are.
-pub(crate) fn push_fields(out: &mut String, labels: &[&str], words: &[u64]) {
-    for (label, word) in labels.iter().zip(words) {
-        out.push_str(label);
-        fastfmt::push_u64(out, *word);
-    }
-}
-
 /// CPU MON: average run-queue length over an application-specified window
 /// (default 1 minute, like `/proc/loadavg`'s shortest).
 #[derive(Debug)]
@@ -90,15 +82,16 @@ impl CpuMon {
         }
     }
 
-    /// `"loadavg {:.2} window_s {} runnable {} cpus {}"` of
-    /// `[loadavg bits, window_s, runnable, cpus]`.
+    /// The record is `[loadavg bits, window_s, runnable, cpus]`.
     fn render(rec: &[u64], out: &mut String) {
-        let Some((&la, counts)) = rec.split_first() else {
+        let &[la, window_s, runnable, cpus] = rec else {
             return;
         };
-        out.push_str("loadavg ");
-        fastfmt::push_f64_fixed(out, f64::from_bits(la), 2);
-        push_fields(out, &[" window_s ", " runnable ", " cpus "], counts);
+        let la = f64::from_bits(la);
+        let _ = write!(
+            out,
+            "loadavg {la:.2} window_s {window_s} runnable {runnable} cpus {cpus}"
+        );
     }
 }
 
@@ -142,9 +135,14 @@ impl MonitorModule for CpuMon {
 pub struct MemMon;
 
 impl MemMon {
-    /// `"free_bytes {} free_pages {} total_pages {}"`.
     fn render(rec: &[u64], out: &mut String) {
-        push_fields(out, &["free_bytes ", " free_pages ", " total_pages "], rec);
+        let &[free, free_pages, total_pages] = rec else {
+            return;
+        };
+        let _ = write!(
+            out,
+            "free_bytes {free} free_pages {free_pages} total_pages {total_pages}"
+        );
     }
 }
 
@@ -170,17 +168,15 @@ impl MonitorModule for MemMon {
 pub struct DiskMon;
 
 impl DiskMon {
-    /// `"sectors_window {} reads {} writes {} sectors_read {}
-    /// sectors_written {}"`.
     fn render(rec: &[u64], out: &mut String) {
-        const LABELS: [&str; 5] = [
-            "sectors_window ",
-            " reads ",
-            " writes ",
-            " sectors_read ",
-            " sectors_written ",
-        ];
-        push_fields(out, &LABELS, rec);
+        let &[window, reads, writes, read, written] = rec else {
+            return;
+        };
+        let _ = write!(
+            out,
+            "sectors_window {window} reads {reads} writes {writes} \
+             sectors_read {read} sectors_written {written}"
+        );
     }
 }
 
@@ -218,39 +214,30 @@ impl MonitorModule for DiskMon {
 pub struct NetMon;
 
 impl NetMon {
-    /// One connection's words in the record — local, remote, tag, rtt_us,
-    /// retx, lost — by the label each is listed under.
-    const CONN_LABELS: [&str; 6] = ["conn n", "->n", " tag ", " rtt_us ", " retx ", " lost "];
-
-    /// `"avail_bps {:.0} used_bps {:.0}\n"`, then one
-    /// `"conn {}->{} tag {} rtt_us {} retx {} lost {}"` line per
-    /// connection (`NodeId` displays as `n<index>`), `\n`-joined. The
-    /// lines are listed sorted *as strings* (`n10` before `n2`), which is
-    /// not the record's connection-id order.
+    /// The record is `[avail bits, used bits]`, then six words per
+    /// connection (`NodeId` displays as `n<index>`). The connection lines
+    /// are listed sorted *as strings* (`n10` before `n2`), which is not
+    /// the record's connection-id order.
     fn render(rec: &[u64], out: &mut String) {
         let Some((&[avail, used], conns)) = rec.split_first_chunk() else {
             return;
         };
-        out.push_str("avail_bps ");
-        fastfmt::push_f64_fixed(out, f64::from_bits(avail), 0);
-        out.push_str(" used_bps ");
-        fastfmt::push_f64_fixed(out, f64::from_bits(used), 0);
-        out.push('\n');
+        let (avail, used) = (f64::from_bits(avail), f64::from_bits(used));
+        let (conns, _) = conns.as_chunks::<6>();
         let mut lines: Vec<String> = conns
-            .chunks_exact(Self::CONN_LABELS.len())
-            .map(|c| {
-                let mut line = String::with_capacity(48);
-                push_fields(&mut line, &Self::CONN_LABELS, c);
-                line
+            .iter()
+            .map(|[local, remote, tag, rtt_us, retx, lost]| {
+                format!(
+                    "conn n{local}->n{remote} tag {tag} rtt_us {rtt_us} retx {retx} lost {lost}"
+                )
             })
             .collect();
         lines.sort_unstable();
-        for (i, line) in lines.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            out.push_str(line);
-        }
+        let _ = write!(
+            out,
+            "avail_bps {avail:.0} used_bps {used:.0}\n{}",
+            lines.join("\n")
+        );
     }
 }
 
@@ -288,9 +275,14 @@ impl MonitorModule for NetMon {
 pub struct PmcMon;
 
 impl PmcMon {
-    /// `"cache_misses {} instructions {} cycles {}"`.
     fn render(rec: &[u64], out: &mut String) {
-        push_fields(out, &["cache_misses ", " instructions ", " cycles "], rec);
+        let &[misses, instructions, cycles] = rec else {
+            return;
+        };
+        let _ = write!(
+            out,
+            "cache_misses {misses} instructions {instructions} cycles {cycles}"
+        );
     }
 }
 
@@ -323,10 +315,9 @@ impl MonitorModule for PmcMon {
 pub struct PowerMon;
 
 impl PowerMon {
-    /// `"battery_fraction {:.4} level_j {:.1} empty {}"` of `[fraction
-    /// bits, level_j bits, empty]`; `"mains_powered"` of the empty record.
+    /// The record is `[fraction bits, level_j bits, empty]`, or empty on
+    /// a mains-powered host.
     fn render(rec: &[u64], out: &mut String) {
-        use std::fmt::Write;
         let &[fraction, level_j, empty] = rec else {
             out.push_str("mains_powered");
             return;
@@ -404,41 +395,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Each fixed-size renderer against the `format!` string its
-        /// comment quotes.
-        #[test]
-        fn renderers_match_their_format_strings(
-            x in edge_f64(),
-            y in edge_f64(),
-            w in proptest::collection::vec(proptest::any::<u64>(), 5),
-            empty in proptest::any::<bool>(),
-        ) {
-            proptest::prop_assert_eq!(
-                rendered(CpuMon::render, &[x.to_bits(), w[0], w[1], w[2]]),
-                format!("loadavg {x:.2} window_s {} runnable {} cpus {}", w[0], w[1], w[2])
-            );
-            proptest::prop_assert_eq!(
-                rendered(MemMon::render, &w[..3]),
-                format!("free_bytes {} free_pages {} total_pages {}", w[0], w[1], w[2])
-            );
-            proptest::prop_assert_eq!(
-                rendered(DiskMon::render, &w),
-                format!(
-                    "sectors_window {} reads {} writes {} sectors_read {} sectors_written {}",
-                    w[0], w[1], w[2], w[3], w[4]
-                )
-            );
-            proptest::prop_assert_eq!(
-                rendered(PmcMon::render, &w[..3]),
-                format!("cache_misses {} instructions {} cycles {}", w[0], w[1], w[2])
-            );
-            proptest::prop_assert_eq!(
-                rendered(PowerMon::render, &[x.to_bits(), y.to_bits(), u64::from(empty)]),
-                format!("battery_fraction {x:.4} level_j {y:.1} empty {empty}")
-            );
-            proptest::prop_assert_eq!(rendered(PowerMon::render, &[]), "mains_powered");
-        }
-
         /// NET MON over 0–40 connections, node ids past 9 and 99: the
         /// listing is sorted as strings, whatever order the record has.
         #[test]
@@ -478,11 +434,7 @@ mod tests {
         }
         let mut rec = Vec::new();
         NetMon.sample(&mut h, SimTime::ZERO, &mut rec);
-        assert_eq!(
-            (rec[3], rec[3 + NetMon::CONN_LABELS.len()]),
-            (2, 10),
-            "id order"
-        );
+        assert_eq!((rec[3], rec[9]), (2, 10), "id order");
         let text = rendered(NetMon::render, &rec);
         let lines: Vec<&str> = text.lines().skip(1).collect();
         assert!(lines[0].starts_with("conn n0->n10 ") && lines[1].starts_with("conn n0->n2 "));

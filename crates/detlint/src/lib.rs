@@ -14,18 +14,16 @@
 //! `// detlint:` directives; [`model`] extracts functions, impl owners,
 //! a name-based call graph, and which identifiers are unordered maps or
 //! channel `Directory`s; [`rules`] evaluates the replay-safety rules on
-//! everything reachable from `shard-entry` roots; [`baseline`] lets
-//! pre-existing findings be grandfathered without weakening the gate
-//! for new code.
+//! everything reachable from `shard-entry` roots. A justified exception
+//! is a `// detlint: allow(<rule>) <reason>` comment next to the code it
+//! excuses; there is no other way past the gate.
 
-pub mod baseline;
 pub mod lexer;
 pub mod model;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-pub use baseline::Baseline;
 pub use rules::{Finding, Severity};
 
 /// Crate source dirs scanned by default, relative to the workspace
@@ -38,13 +36,11 @@ pub const SCAN_DIRS: &[&str] = &[
     "crates/simnet/src",
 ];
 
-/// Scan result: findings plus how the baseline split them.
+/// Scan result.
 #[derive(Debug)]
 pub struct Report {
-    /// Findings not covered by the baseline.
+    /// Findings no inline `allow` excuses.
     pub fresh: Vec<Finding>,
-    /// Findings covered by the baseline.
-    pub baselined: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Functions found.
@@ -88,8 +84,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Build the workspace model from explicit files. Paths are stored
-/// relative to `root` when possible (stable baseline keys across
-/// machines).
+/// relative to `root` when possible (the same report on every machine).
 pub fn build_workspace(root: &Path, files: &[PathBuf]) -> std::io::Result<model::Workspace> {
     let mut ws = model::Workspace::default();
     for path in files {
@@ -104,16 +99,12 @@ pub fn build_workspace(root: &Path, files: &[PathBuf]) -> std::io::Result<model:
     Ok(ws)
 }
 
-/// Run the full scan over `root` against `baseline`.
-pub fn run_scan(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
+/// Run the full scan over `root`.
+pub fn run_scan(root: &Path) -> std::io::Result<Report> {
     let files = scan_files(root)?;
     let ws = build_workspace(root, &files)?;
-    let findings = rules::run(&ws);
-    let (baselined, fresh): (Vec<Finding>, Vec<Finding>) =
-        findings.into_iter().partition(|f| baseline.contains(f));
     Ok(Report {
-        fresh,
-        baselined,
+        fresh: rules::run(&ws),
         files_scanned: ws.files.len(),
         fns_scanned: ws.fns.len(),
     })
@@ -181,12 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn real_workspace_has_no_unbaselined_errors() {
-        let root = repo_root();
-        let baseline_path = root.join("detlint.baseline");
-        let text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-        let bl = Baseline::parse(&text);
-        let report = run_scan(&root, &bl).expect("scan");
+    fn real_workspace_has_no_errors() {
+        let report = run_scan(&repo_root()).expect("scan");
         assert!(report.files_scanned > 10, "scan found the real tree");
         let errors: Vec<String> = report
             .fresh
@@ -194,10 +181,6 @@ mod tests {
             .filter(|f| f.severity == Severity::Error)
             .map(Finding::render)
             .collect();
-        assert!(
-            errors.is_empty(),
-            "unbaselined detlint errors:\n{}",
-            errors.join("\n")
-        );
+        assert!(errors.is_empty(), "detlint errors:\n{}", errors.join("\n"));
     }
 }

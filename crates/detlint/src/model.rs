@@ -48,7 +48,7 @@ pub struct FnInfo {
 /// One scanned file.
 #[derive(Debug)]
 pub struct FileModel {
-    /// Path as given to [`Workspace::add_file`] (display + baseline key).
+    /// Path as given to [`Workspace::add_file`] (display).
     pub path: String,
     /// Token stream (test modules removed).
     pub tokens: Vec<Tok>,

@@ -36,7 +36,7 @@ use crate::model::{FnInfo, Workspace};
 pub enum Severity {
     /// Advisory; reported but does not fail the gate.
     Warning,
-    /// Fails `--check` unless baselined or allowed.
+    /// Fails `--check` unless allowed inline.
     Error,
 }
 
@@ -67,7 +67,7 @@ pub struct Finding {
     pub function: String,
     /// Human-readable message.
     pub message: String,
-    /// The offending source line, trimmed (baseline key material).
+    /// The offending source line, trimmed.
     pub snippet: String,
 }
 

@@ -105,32 +105,19 @@ fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
     Ok(out)
 }
 
-thread_local! {
-    /// Encoder scratch buffer. `BytesMut::split` hands the written bytes
-    /// to the caller; with the real `bytes` crate the capacity beyond them
-    /// stays pooled here, so steady-state encoding reuses one allocation
-    /// instead of growing a fresh 64-byte buffer per event (the vendored
-    /// shim approximates the same call pattern).
-    static ENCODE_POOL: std::cell::RefCell<BytesMut> = std::cell::RefCell::new(BytesMut::new());
-}
-
 /// Encode an event to bytes.
 ///
-/// The output buffer is carved from a thread-local pool and reserved at
-/// exactly [`encoded_size`] up front, so encoding performs no growth
-/// reallocations and the size formula is checked (in debug builds) on
-/// every encode.
+/// The buffer is reserved at exactly [`encoded_size`] up front, so
+/// encoding performs no growth reallocations and the size formula is
+/// checked (in debug builds) on every encode.
 pub fn encode_event(ev: &Event) -> Bytes {
-    ENCODE_POOL.with(|pool| {
-        let mut buf = pool.borrow_mut();
-        let need = encoded_size(ev);
-        buf.reserve(need);
-        write_event(&mut buf, ev);
-        let sum = fnv1a32(&buf[..]);
-        buf.put_u32_le(sum);
-        debug_assert_eq!(buf.len(), need, "encoded_size disagrees with encoder");
-        buf.split().freeze()
-    })
+    let need = encoded_size(ev);
+    let mut buf = BytesMut::with_capacity(need);
+    write_event(&mut buf, ev);
+    let sum = fnv1a32(&buf[..]);
+    buf.put_u32_le(sum);
+    debug_assert_eq!(buf.len(), need, "encoded_size disagrees with encoder");
+    buf.freeze()
 }
 
 fn write_event(buf: &mut BytesMut, ev: &Event) {
@@ -245,9 +232,9 @@ fn write_event(buf: &mut BytesMut, ev: &Event) {
 }
 
 /// Decode an event from bytes. Parse errors (truncation, bad tags, bad
-/// strings) are reported as such; a frame that parses but fails the
-/// integrity trailer is [`WireError::Corrupt`] — either way a mutated
-/// buffer can never be silently attributed to a stream.
+/// strings) are reported as such; a frame that parses but has bytes left
+/// over or fails the integrity trailer is [`WireError::Corrupt`] — either
+/// way a mutated buffer can never be silently attributed to a stream.
 pub fn decode_event(full: Bytes) -> Result<Event, WireError> {
     if full.remaining() < 4 {
         return Err(WireError::Truncated);
@@ -449,6 +436,11 @@ fn parse_body(mut buf: Bytes) -> Result<Event, WireError> {
             })
         }
     };
+    // A body longer than its payload is not this event's encoding, even
+    // when the trailer checksums all of it.
+    if buf.remaining() > 0 {
+        return Err(WireError::Corrupt);
+    }
     Ok(Event {
         kind,
         channel,
@@ -762,6 +754,57 @@ mod tests {
             decode_event(Bytes::from(raw)).unwrap_err(),
             WireError::Corrupt
         );
+    }
+
+    /// `ev`'s frame with `extra` spliced in after the payload and the
+    /// trailer recomputed over all of it must not decode as `ev`.
+    fn assert_left_over_bytes_rejected(ev: &Event) {
+        let full = encode_event(ev);
+        for extra in [&[0u8][..], &[0xAB; 7]] {
+            let mut raw = full[..full.len() - 4].to_vec();
+            raw.extend_from_slice(extra);
+            raw.extend_from_slice(&fnv1a32(&raw).to_le_bytes());
+            assert_eq!(
+                decode_event(Bytes::from(raw)),
+                Err(WireError::Corrupt),
+                "{} left-over bytes",
+                extra.len()
+            );
+        }
+    }
+
+    #[test]
+    fn left_over_bytes_after_a_monitoring_payload_are_corrupt() {
+        assert_left_over_bytes_rejected(&mon_event(3));
+    }
+
+    #[test]
+    fn left_over_bytes_after_a_control_payload_are_corrupt() {
+        let credit = ControlMsg::Credit { credits: 9 };
+        for msg in [ControlMsg::RemoveFilter, credit] {
+            assert_left_over_bytes_rejected(&Event::control(2, 5, NodeId(0), NodeId(1), msg));
+        }
+    }
+
+    #[test]
+    fn left_over_bytes_after_a_heartbeat_payload_are_corrupt() {
+        let payload = HeartbeatPayload {
+            origin: NodeId(2),
+            epoch: 1,
+            stream_seq: 17,
+        };
+        assert_left_over_bytes_rejected(&Event::heartbeat(1, 6, NodeId(2), NodeId(0), payload));
+    }
+
+    #[test]
+    fn left_over_bytes_after_a_digest_payload_are_corrupt() {
+        let payload = DigestPayload {
+            rack: 1,
+            origin: NodeId(4),
+            members: 3,
+            records: Vec::new(),
+        };
+        assert_left_over_bytes_rejected(&Event::digest(3, 11, NodeId(4), payload));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! * [`rng`] — seedable, reproducible random number generation
 //!   (SplitMix64 seeding a Xoshiro256** core) plus small distribution
 //!   helpers,
-//! * [`stats`] — online statistics (Welford), time-weighted averages,
-//!   exponentially weighted moving averages, samplers with percentiles and
-//!   histograms,
+//! * [`stats`] — time-weighted averages, exponentially weighted moving
+//!   averages and samplers with percentiles,
 //! * [`series`] — time-series recording and tabular export used by the
 //!   figure-regeneration harness,
 //! * [`parallel`] — a scoped-thread replica runner used by parameter
@@ -44,7 +43,6 @@
 //! ```
 
 pub mod event;
-pub mod fastfmt;
 pub mod fxhash;
 pub mod parallel;
 pub mod pdes;
@@ -62,6 +60,6 @@ pub use time::{SimDur, SimTime};
 pub mod prelude {
     pub use crate::event::{EventId, HandleMsg, Repeat, Sim};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Ewma, OnlineStats, Sampler, TimeWeighted};
+    pub use crate::stats::{Ewma, Sampler, TimeWeighted};
     pub use crate::time::{SimDur, SimTime};
 }

@@ -1,102 +1,7 @@
-//! Online statistics used throughout the simulator and the benchmark
-//! harness: Welford accumulators, time-weighted averages, EWMAs, sample
-//! reservoirs with percentiles, and histograms.
+//! Online statistics used by the simulator and the figure harness:
+//! time-weighted averages, EWMAs and sample reservoirs with percentiles.
 
 use crate::time::{SimDur, SimTime};
-
-/// Numerically stable online mean/variance (Welford), plus min/max.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel-safe combine).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    /// Minimum observation (`NaN` if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-    /// Maximum observation (`NaN` if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-}
 
 /// Time-weighted average of a piecewise-constant signal (e.g. queue length,
 /// CPU utilization): each reported value holds until the next report.
@@ -252,159 +157,9 @@ impl Sampler {
     }
 }
 
-/// Fixed-width linear histogram with overflow bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Histogram over `[lo, hi)` with `n` equal-width buckets.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "bad histogram bounds");
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            overflow: 0,
-            underflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record a value.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-    /// Total observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-    /// Observations above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-    /// Observations below the lower bound.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-}
-
-/// A windowed rate meter: counts events and reports events/sec over the
-/// elapsed window, resetting on demand. Used for client event-rate plots.
-#[derive(Debug, Clone)]
-pub struct RateMeter {
-    window_start: SimTime,
-    count: u64,
-}
-
-impl RateMeter {
-    /// Begin measuring at `t0`.
-    pub fn new(t0: SimTime) -> Self {
-        RateMeter {
-            window_start: t0,
-            count: 0,
-        }
-    }
-
-    /// Record one event.
-    pub fn tick(&mut self) {
-        self.count += 1;
-    }
-
-    /// Events per second since the window started (0 if no time elapsed).
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.window_start).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / dt
-        }
-    }
-
-    /// Events counted in the current window.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Reset the window to start at `now`.
-    pub fn reset(&mut self, now: SimTime) {
-        self.window_start = now;
-        self.count = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.add(x);
-        }
-        for &x in &data[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.add(1.0);
-        a.add(3.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
 
     #[test]
     fn time_weighted_average() {
@@ -464,32 +219,5 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.percentile(50.0).is_nan());
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.9, -1.0, 10.0, 25.0] {
-            h.add(x);
-        }
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 2);
-        assert_eq!(h.bucket(9), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn rate_meter() {
-        let mut m = RateMeter::new(SimTime::ZERO);
-        for _ in 0..50 {
-            m.tick();
-        }
-        assert!((m.rate(SimTime::from_secs(10)) - 5.0).abs() < 1e-12);
-        assert_eq!(m.count(), 50);
-        m.reset(SimTime::from_secs(10));
-        assert_eq!(m.count(), 0);
-        assert_eq!(m.rate(SimTime::from_secs(10)), 0.0);
     }
 }

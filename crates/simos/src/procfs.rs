@@ -37,8 +37,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-
-use simcore::fastfmt;
+use std::fmt::Write;
 
 /// Errors from pseudo-file operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,11 +105,7 @@ impl Content {
         match self {
             Content::Text(s) => return Cow::Borrowed(s),
             Content::Sample { value, ts } => {
-                out.push_str(leaf);
-                out.push(' ');
-                fastfmt::push_f64_display(&mut out, *value);
-                out.push_str(" ts ");
-                fastfmt::push_f64_fixed3(&mut out, *ts);
+                let _ = write!(out, "{leaf} {value} ts {ts:.3}");
             }
             Content::Record { words, render } => render(words, &mut out),
         }
@@ -570,10 +565,8 @@ mod tests {
     /// A renderer for the record tests: the words in decimal, `+`-joined.
     fn render_sum(words: &[u64], out: &mut String) {
         for (i, w) in words.iter().enumerate() {
-            if i > 0 {
-                out.push('+');
-            }
-            fastfmt::push_u64(out, *w);
+            let sep = if i > 0 { "+" } else { "" };
+            let _ = write!(out, "{sep}{w}");
         }
     }
 
@@ -640,42 +633,6 @@ mod tests {
         assert!(!fs.exists("cluster/alan/status"));
         assert_eq!(fs.read_handle(h), "2+3");
         assert_eq!(fs.handle_buf(h), "2+3");
-    }
-
-    /// Floats the fast formatters special-case or hand to `std`.
-    fn edge_f64() -> impl proptest::Strategy<Value = f64> {
-        use proptest::Strategy as _;
-        proptest::prop_oneof![
-            proptest::Just(f64::NAN),
-            proptest::Just(f64::INFINITY),
-            proptest::Just(f64::NEG_INFINITY),
-            proptest::Just(-0.0),
-            proptest::Just(9_007_199_254_740_993.0), // 2^53 + 1, rounds to even
-            proptest::Just(1.152_921_504_606_847e18), // 2^60
-            proptest::Just(5e-324),                  // smallest subnormal
-            proptest::Just(2.225_073_858_507_201e-308), // largest subnormal
-            (0u64..1 << 54).prop_map(|n| n as f64),
-            (0u64..1_000_000_000_000_000).prop_map(|ns| ns as f64 / 1e9),
-            proptest::any::<u64>().prop_map(f64::from_bits),
-        ]
-    }
-
-    proptest::proptest! {
-        /// A sample reads as exactly the text the receive path used to
-        /// store, whatever the floats.
-        #[test]
-        fn sample_reads_as_the_formatted_text(
-            leaf in "[a-zA-Z0-9_. -]{1,12}",
-            value in edge_f64(),
-            ts in edge_f64(),
-        ) {
-            let mut fs = ProcFs::new();
-            let h = fs.intern(&format!("cluster/alan/{leaf}")).unwrap();
-            fs.set_sample(h, value, ts);
-            let want = format!("{leaf} {value} ts {ts:.3}");
-            proptest::prop_assert_eq!(fs.read_handle(h).into_owned(), want.clone());
-            proptest::prop_assert_eq!(fs.handle_buf(h).clone(), want);
-        }
     }
 
     #[test]

@@ -181,24 +181,6 @@ impl BytesMut {
         }
     }
 
-    /// Reserve capacity for at least `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Split off everything written so far, leaving `self` empty.
-    ///
-    /// The real crate returns a view into the same shared region and keeps
-    /// the remaining capacity in `self` for reuse; this shim moves the
-    /// whole backing `Vec` out instead, which preserves the call pattern
-    /// (`buf.split().freeze()`) at the cost of not retaining pool
-    /// capacity.
-    pub fn split(&mut self) -> BytesMut {
-        BytesMut {
-            buf: std::mem::take(&mut self.buf),
-        }
-    }
-
     /// Convert into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
