@@ -227,6 +227,11 @@ pub struct Frame {
     pub queued: SimDur,
 }
 
+// Every delivery moves one of these through the scheduler and into its
+// handler by value: two and a half cache lines today.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Frame>() == 152);
+
 impl ClusterEvent {
     /// The node that executes this event. The fault timeline belongs to
     /// no node; it runs as node 0, whose shard hosts it.

@@ -12,7 +12,7 @@ use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::Host;
 
-use super::{cluster_file, DMon, DmonStats, PeerHealth, PollCx};
+use super::{intern_cluster_file, DMon, DmonStats, PeerHealth, PollCx};
 use crate::peers::{PeerRecord, PeerState, PeerTable};
 
 /// The text of a `status` file, from `[health, last_heard ns, age ns,
@@ -143,8 +143,11 @@ impl Detector {
                 }
                 p.record = Some(rec);
             }
-            let slot = &mut p.status_handle;
-            let Some(h) = cluster_file(slot, &mut host.proc, &names[peer.0], "status") else {
+            if p.status_cells.is_none() {
+                let h = intern_cluster_file(&mut host.proc, &names[peer.0], "status");
+                p.status_cells = h.map(|h| host.proc.record_cells(h, render_status));
+            }
+            let Some(cells) = p.status_cells else {
                 continue;
             };
             let words = [
@@ -153,7 +156,7 @@ impl Detector {
                 age.as_nanos(),
                 u64::from(rec.epoch),
             ];
-            host.proc.set_record(h, render_status, &words);
+            host.proc.set_cells(cells, words);
         }
         dead
     }

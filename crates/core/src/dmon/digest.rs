@@ -80,7 +80,7 @@ impl DMon {
                 let sample = if m == node.0 {
                     self.sample.own_latest.get(id).copied().flatten()
                 } else {
-                    peer.and_then(|p| p.remote_values.get(id).copied().flatten())
+                    peer.and_then(|p| p.remote_values.get(id as u32))
                 };
                 let Some((value, ts)) = sample else { continue };
                 contributed = true;

@@ -55,13 +55,11 @@ impl Flow {
         if records.is_empty() {
             return;
         }
-        if p.last_sent.len() < sample.modules.len() {
-            p.last_sent.resize(sample.modules.len(), None);
-        }
-        for r in &records {
-            if let Some(slot) = p.last_sent.get_mut(r.metric_id as usize) {
-                *slot = Some((r.value, cx.now));
-            }
+        for r in records
+            .iter()
+            .filter(|r| (r.metric_id as usize) < sample.modules.len())
+        {
+            p.last_sent.set(r.metric_id, (r.value, cx.now));
         }
         // Records for run-time-registered modules carry their schema
         // (metric + /proc file names) so any subscriber can interpret
@@ -204,8 +202,9 @@ impl DMon {
         self.peers.get(subscriber).map_or(0, |p| p.sent)
     }
 
-    /// Length of the last-sent row held for `subscriber` — zero once a
-    /// Dead eviction reaps it, non-zero again after publication resumes.
+    /// Metrics with a last-sent value held for `subscriber` — zero once a
+    /// Dead eviction reaps the row, non-zero again after publication
+    /// resumes.
     pub fn last_sent_len(&self, subscriber: NodeId) -> usize {
         self.peers.get(subscriber).map_or(0, |p| p.last_sent.len())
     }

@@ -276,9 +276,19 @@ fn cluster_file(
     leaf: &str,
 ) -> Option<ProcHandle> {
     if slot.is_none() {
-        *slot = proc.intern(&format!("cluster/{dir}/{leaf}")).ok();
+        *slot = intern_cluster_file(proc, dir, leaf);
     }
     *slot
+}
+
+/// The handle of `cluster/<dir>/<leaf>`, for a caller that keeps what it
+/// claims there (the file's cells) rather than the handle.
+fn intern_cluster_file(
+    proc: &mut ProcFs,
+    dir: impl std::fmt::Display,
+    leaf: &str,
+) -> Option<ProcHandle> {
+    proc.intern(&format!("cluster/{dir}/{leaf}")).ok()
 }
 
 /// Whether `name` can be one component of a `cluster/...` path: a host
@@ -386,6 +396,14 @@ impl DMon {
     /// out-of-rack cluster member that has legitimately shown up.
     pub fn tracked_peers(&self) -> usize {
         self.peers.len()
+    }
+
+    /// Where the glue keeps the position of `peer`'s connection in the
+    /// host's connection table between deliveries: in the row this d-mon
+    /// holds for `peer`, if it holds one.
+    #[inline]
+    pub(crate) fn conn_at(&mut self, peer: NodeId) -> Option<&mut u32> {
+        self.peers.get_mut(peer).map(|p| &mut p.conn_at)
     }
 
     /// Why `publisher` last refused this node's filter deployment, if it

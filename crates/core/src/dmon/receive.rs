@@ -11,7 +11,7 @@ use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::Host;
 
-use super::{cluster_file, flow, leaf_name_ok, DMon};
+use super::{flow, intern_cluster_file, leaf_name_ok, DMon};
 use crate::calib::Calib;
 
 #[derive(Default)]
@@ -34,7 +34,9 @@ impl DMon {
     /// Handle an incoming monitoring event: update the `/proc/cluster`
     /// tree and the fast-path store. A record whose file name (learned
     /// from the frame's schema block) cannot be a leaf of
-    /// `cluster/<origin>/` is skipped and counted in `events_rejected`.
+    /// `cluster/<origin>/`, or whose metric id is one too many beyond the
+    /// standard set for the origin's row, is skipped and counted in
+    /// `events_rejected`.
     /// Returns the d-mon handler CPU cost (kernel network-path cost is
     /// charged by the glue on top).
     pub fn on_event(
@@ -75,40 +77,37 @@ impl DMon {
             let known = ext.get(&(origin, *id));
             if !known.is_some_and(|(m, f)| m == metric && f == file) {
                 // A changed file name (the origin restarted with another
-                // module layout) invalidates the cached /proc handle.
-                if let Some(slot) = p.file_handles.get_mut(*id as usize) {
-                    *slot = None;
-                }
+                // module layout) invalidates the cached /proc cells.
+                p.file_cells.unset(*id);
                 ext.insert((origin, *id), (metric.clone(), file.clone()));
             }
         }
         let origin_name = &self.cluster_names[origin.0];
         for r in &payload.records {
-            let id = r.metric_id as usize;
-            let handles = &mut p.file_handles;
-            if handles.len() <= id {
-                handles.resize(id + 1, None);
-            }
-            if handles[id].is_none() {
-                let learned = || ext.get(&(origin, r.metric_id)).map(|(_, f)| f.as_str());
-                let file = self.sample.base_file_name(id).or_else(learned);
+            let id = r.metric_id;
+            let mut cells = p.file_cells.get(id);
+            // The id is the peer's to choose: beyond the standard set it
+            // gets one of a bounded number of slots, or nothing.
+            if cells.is_none() && p.file_cells.has_room(id) {
+                let learned = || ext.get(&(origin, id)).map(|(_, f)| f.as_str());
+                let file = self.sample.base_file_name(id as usize).or_else(learned);
                 let file = file.unwrap_or("extra");
                 if leaf_name_ok(file) {
-                    cluster_file(&mut handles[id], &mut host.proc, origin_name, file);
+                    let h = intern_cluster_file(&mut host.proc, origin_name, file);
+                    cells = h.map(|h| host.proc.sample_cells(h));
+                }
+                if let Some(c) = cells {
+                    p.file_cells.set(id, c);
                 }
             }
-            let Some(h) = handles[id] else {
+            let Some(c) = cells else {
                 self.receive.rejected += 1;
                 continue;
             };
-            let values = &mut p.remote_values;
-            if values.len() <= id {
-                values.resize(id + 1, None);
-            }
-            values[id] = Some((r.value, now));
+            p.remote_values.set(id, (r.value, now));
             // Numbers only: the file renders `"<file> <value> ts <ts>"`
             // when somebody reads it.
-            host.proc.set_sample(h, r.value, r.timestamp);
+            host.proc.set_sample(c, r.value, r.timestamp);
         }
         // Make sure the control file for that node exists so applications
         // can customize it.
@@ -162,12 +161,13 @@ impl DMon {
                 ids.find(|(_, (name, _))| name == metric)?.0 .1 as usize
             }
         };
-        *self.peers.get(origin)?.remote_values.get(idx)?
+        self.peers.get(origin)?.remote_values.get(idx as u32)
     }
 
     /// Frames dropped because their origin named no node of this cluster,
     /// plus records skipped because a peer supplied an unusable file name
-    /// (kept off `DmonStats`, whose `Debug` text is part of recorded run
+    /// or more metric ids beyond the standard set than a row holds (kept
+    /// off `DmonStats`, whose `Debug` text is part of recorded run
     /// fingerprints).
     pub fn events_rejected(&self) -> u64 {
         self.receive.rejected

@@ -15,6 +15,11 @@ use simos::{Host, ProcHandle};
 use super::select::Select;
 use super::{cluster_file, DMon, PollCx};
 use crate::modules::MonitorModule;
+use crate::peers::{INLINE_METRICS, SPILL_METRICS};
+
+/// Most modules one d-mon runs: every metric id it sends has a slot in
+/// each subscriber's last-sent row.
+const MAX_MODULES: usize = INLINE_METRICS + SPILL_METRICS;
 
 pub(super) struct Sample {
     pub(super) modules: Vec<Box<dyn MonitorModule>>,
@@ -47,6 +52,7 @@ pub(super) struct Sample {
 impl Sample {
     pub(super) fn new(modules: Vec<Box<dyn MonitorModule>>) -> Self {
         let n = modules.len();
+        assert!(n <= MAX_MODULES, "more modules than a peer row holds");
         Sample {
             env: EnvSpec::new(modules.iter().map(|m| m.metric_name().to_string())),
             modules,
@@ -184,6 +190,10 @@ impl DMon {
             s.env.index_of(module.metric_name()).is_none(),
             "metric `{}` already registered",
             module.metric_name()
+        );
+        assert!(
+            s.modules.len() < MAX_MODULES,
+            "more modules than a peer row holds"
         );
         let mut names: Vec<String> = s.env.names().map(str::to_string).collect();
         names.push(module.metric_name().to_string());

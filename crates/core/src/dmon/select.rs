@@ -18,6 +18,7 @@ use simnet::NodeId;
 use super::sample::Sample;
 use super::{DMon, DmonStats, PollCx};
 use crate::params::{PolicySet, Rule, RuleCtx};
+use crate::peers::{MetricRow, Stamped};
 
 /// One memoized filter evaluation within the current poll, keyed by the
 /// dense filter id (a hit is a u32 compare, no hashing on the poll path)
@@ -107,7 +108,7 @@ impl Memo {
         &mut self,
         id: u32,
         df: &Admitted,
-        last_sent: &[Option<(f64, SimTime)>],
+        last_sent: &MetricRow<Stamped>,
         samples: &[Option<f64>],
         now: SimTime,
         stats: &mut DmonStats,
@@ -117,7 +118,7 @@ impl Memo {
         // the placeholder is unobservable.
         self.inputs.clear();
         for (i, s) in samples.iter().enumerate() {
-            let last = last_sent.get(i).copied().flatten();
+            let last = last_sent.get(i as u32);
             self.inputs.push(MetricRecord {
                 id: i as u32,
                 value: s.unwrap_or(0.0),
@@ -326,7 +327,7 @@ impl Select {
     pub(super) fn records(
         &mut self,
         sub: NodeId,
-        last_sent: &[Option<(f64, SimTime)>],
+        last_sent: &MetricRow<Stamped>,
         sample: &Sample,
         cx: &mut PollCx<'_>,
     ) -> Vec<MonRecord> {
@@ -379,7 +380,7 @@ impl DMon {
 /// for it, or goes out unconditionally when there are none.
 fn by_policy(
     policy: Option<&PolicySet>,
-    last_sent: &[Option<(f64, SimTime)>],
+    last_sent: &MetricRow<Stamped>,
     sample: &Sample,
     cx: &mut PollCx<'_>,
 ) -> Vec<MonRecord> {
@@ -393,7 +394,7 @@ fn by_policy(
         // module, so no slot is a skipped one here.
         debug_assert!(s.is_some(), "module {i} skipped under a policy subscriber");
         let value = s.unwrap_or(0.0);
-        let last = last_sent.get(i).copied().flatten();
+        let last = last_sent.get(i as u32);
         let last_value = last.map_or(0.0, |(v, _)| v);
         let ctx = RuleCtx {
             value,
@@ -643,7 +644,7 @@ mod tests {
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(100), &calib);
         for (sub, believed) in [(1, 0.0), (2, 1e12)] {
             let row = &mut dmon.peers.get_mut(NodeId(sub)).unwrap().last_sent;
-            row[0] = Some((believed, SimTime::from_secs(100)));
+            row.set(0, (believed, SimTime::from_secs(100)));
         }
         let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(101), &calib);
         let recs = |to: NodeId| {

@@ -332,21 +332,20 @@ impl<'a> Node<'a> {
         }
 
         // Kernel connection tracking on the receiving host (a first
-        // delivery opens the connection).
+        // delivery opens the connection). Heavy queueing means the
+        // transport retransmitted: NET MON's per-connection counters
+        // should show congestion. The sender's row remembers where its
+        // connection sat in the table last time.
         let conn = ConnId {
             local: to,
             remote: ev.sender,
             proto: simnet::conn::Proto::Tcp,
             tag: ev.channel,
         };
-        self.host
-            .conns
-            .record_delivery(conn, now, bytes as u64, one_way);
-        // Heavy queueing means the transport retransmitted: NET MON's
-        // per-connection counters should show congestion.
-        if queued > calib.rto {
-            self.host.conns.record_retransmission(conn);
-        }
+        let (conns, retransmitted) = (&mut self.host.conns, queued > calib.rto);
+        let mut unkept = u32::MAX;
+        let at = self.dmon.conn_at(ev.sender).unwrap_or(&mut unkept);
+        *at = conns.record_delivery(*at, conn, now, bytes as u64, one_way, retransmitted);
 
         match ev.kind {
             EventKind::Monitoring => {

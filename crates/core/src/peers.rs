@@ -18,9 +18,102 @@ use std::ops::Range;
 use kecho::{CreditWindow, MonRecord, StreamTracker};
 use simcore::SimTime;
 use simnet::NodeId;
-use simos::ProcHandle;
+use simos::CellHandle;
 
 use crate::dmon::PeerHealth;
+
+/// Metric ids a [`MetricRow`] keeps inline: the standard module set
+/// ([`crate::modules::standard_modules`]), whose ids every node agrees on.
+pub(crate) const INLINE_METRICS: usize = 5;
+
+/// Ids at or beyond [`INLINE_METRICS`] one [`MetricRow`] holds at most —
+/// modules registered at run time, on this node or on the peer. The bound
+/// is what makes a peer-supplied id cost a slot and never `O(id)`.
+pub(crate) const SPILL_METRICS: usize = 16;
+
+/// One value per metric id, for one peer: the standard ids in the row
+/// itself, so their address follows from the row's, and the rest in a
+/// small sorted spill that a standard-only cluster never allocates.
+#[derive(Debug)]
+pub(crate) struct MetricRow<T> {
+    /// Bit `id` is set when `inline[id]` holds a value.
+    present: u8,
+    inline: [T; INLINE_METRICS],
+    /// `(id, value)` for ids from [`INLINE_METRICS`] up, ascending by id,
+    /// at most [`SPILL_METRICS`] of them.
+    spill: Vec<(u32, T)>,
+}
+
+impl<T: Copy + Default> Default for MetricRow<T> {
+    fn default() -> Self {
+        MetricRow {
+            present: 0,
+            inline: [T::default(); INLINE_METRICS],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Default> MetricRow<T> {
+    fn spill_pos(&self, id: u32) -> Result<usize, usize> {
+        self.spill.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
+    /// The value held for `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: u32) -> Option<T> {
+        if (id as usize) < INLINE_METRICS {
+            return (self.present & 1 << id != 0).then(|| self.inline[id as usize]);
+        }
+        self.spill_pos(id).ok().map(|i| self.spill[i].1)
+    }
+
+    /// Whether [`MetricRow::set`] would store a value for `id`: always,
+    /// except for a new id beyond the inline set when the spill is full.
+    pub(crate) fn has_room(&self, id: u32) -> bool {
+        (id as usize) < INLINE_METRICS
+            || self.spill.len() < SPILL_METRICS
+            || self.spill_pos(id).is_ok()
+    }
+
+    /// Hold `value` for `id`, if there is room for it.
+    #[inline]
+    pub(crate) fn set(&mut self, id: u32, value: T) {
+        if (id as usize) < INLINE_METRICS {
+            self.present |= 1 << id;
+            self.inline[id as usize] = value;
+            return;
+        }
+        match self.spill_pos(id) {
+            Ok(i) => self.spill[i].1 = value,
+            Err(i) if self.spill.len() < SPILL_METRICS => self.spill.insert(i, (id, value)),
+            Err(_) => {}
+        }
+    }
+
+    /// Forget what is held for `id`.
+    pub(crate) fn unset(&mut self, id: u32) {
+        if (id as usize) < INLINE_METRICS {
+            self.present &= !(1 << id);
+        } else if let Ok(i) = self.spill_pos(id) {
+            self.spill.remove(i);
+        }
+    }
+
+    /// Forget everything; the spill's memory goes too.
+    pub(crate) fn clear(&mut self) {
+        self.present = 0;
+        self.spill = Vec::new();
+    }
+
+    /// Number of ids a value is held for.
+    pub(crate) fn len(&self) -> usize {
+        self.present.count_ones() as usize + self.spill.len()
+    }
+}
+
+/// A metric value and when it was sent or received.
+pub(crate) type Stamped = (f64, SimTime);
 
 /// What the failure detector remembers about one remote peer.
 #[derive(Debug, Clone, Copy)]
@@ -41,11 +134,16 @@ pub(crate) struct OutboxEntry {
 /// Everything one d-mon remembers about one peer, in both roles: the
 /// peer as a *subscriber* of this node's stream (send side) and as a
 /// *publisher* this node listens to (receive side).
+///
+/// A row is found by arithmetic ([`PeerTable`]) and, but for the outbox
+/// and the spills no standard-only cluster has, everything in it is at a
+/// fixed offset from there: a handler's loads of one row do not wait for
+/// one another.
 #[derive(Default)]
 pub(crate) struct PeerState {
-    /// Last value actually sent to this subscriber, by metric id.
-    /// Reaped when the subscriber is evicted as Dead.
-    pub(crate) last_sent: Vec<Option<(f64, SimTime)>>,
+    /// Last value actually sent to this subscriber, by this node's metric
+    /// id. Reaped when the subscriber is evicted as Dead.
+    pub(crate) last_sent: MetricRow<Stamped>,
     /// Next `stream_seq` toward this subscriber (data and heartbeats
     /// share the numbering). Kept across the subscriber's death so a
     /// heal without a restart shows no spurious stream reset.
@@ -77,9 +175,9 @@ pub(crate) struct PeerState {
     /// credit grant resets it.
     pub(crate) choke_run: u8,
 
-    /// Last value received from this publisher, by metric id — the
-    /// fast-path store applications read alongside `/proc`.
-    pub(crate) remote_values: Vec<Option<(f64, SimTime)>>,
+    /// Last value received from this publisher, by the publisher's metric
+    /// id — the fast-path store applications read alongside `/proc`.
+    pub(crate) remote_values: MetricRow<Stamped>,
     /// Continuity tracker for this publisher's incoming stream.
     pub(crate) tracker: StreamTracker,
     /// Failure-detector verdict; `None` until first contact.
@@ -100,14 +198,26 @@ pub(crate) struct PeerState {
     /// flushes the remainder.
     pub(crate) data_since_poll: bool,
 
-    /// Interned handle for `cluster/<peer>/status`.
-    pub(crate) status_handle: Option<ProcHandle>,
-    /// Interned handles for `cluster/<peer>/<file>`, by metric id — the
-    /// receive path's hottest writes.
-    pub(crate) file_handles: Vec<Option<ProcHandle>>,
+    /// The four words of `cluster/<peer>/status`, once claimed.
+    pub(crate) status_cells: Option<CellHandle<4>>,
+    /// The sample cells of `cluster/<peer>/<file>`, by the publisher's
+    /// metric id — the receive path's hottest writes.
+    pub(crate) file_cells: MetricRow<CellHandle<2>>,
     /// Whether `cluster/<peer>/control` already exists.
     pub(crate) ctl_ready: bool,
+    /// Where the glue last found this peer's connection in the host's
+    /// connection table (`simnet::ConnTrack::record_delivery` takes it
+    /// as a hint and checks it).
+    pub(crate) conn_at: u32,
 }
+
+// The budget of one (node, peer) pair: seven and a quarter cache lines,
+// of which a received frame touches about five and a send to the peer
+// four. `racks1024-digest` holds 31 744 of these rows and visits each a
+// few times per simulated second, so a row that grows shows up there as
+// a slower run — and here, first, as a failed build.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<PeerState>() == 464);
 
 impl PeerState {
     /// The peer was evicted as Dead: its stream is over, so per-stream
@@ -120,7 +230,7 @@ impl PeerState {
         for e in self.outbox.drain(..) {
             kecho::put_record_buf(e.records);
         }
-        self.last_sent = Vec::new();
+        self.last_sent.clear();
         self.stream_last_send = None;
         self.credit = CreditWindow::new();
         self.grant_cum = 0;
@@ -134,26 +244,22 @@ impl PeerState {
     }
 
     /// This node crash-restarted: everything volatile is lost. The
-    /// interned `status`/`control` paths survive — the host and its proc
-    /// tree persist across a restart in this model — but the per-metric
-    /// file handles go, because the ext name→id bindings they were
-    /// resolved through were learned from the peer and are relearned.
-    /// The emptied buffers keep their capacity: the restarted node
-    /// refills them within a poll, and regrowing them costs 7 % more
-    /// allocator calls per delivered frame on a crash-cycling cluster.
+    /// `status`/`control` files survive — the host and its proc tree
+    /// persist across a restart in this model, as does its connection
+    /// table — but the per-metric file cells go, because the ext name→id
+    /// bindings they were resolved through were learned from the peer and
+    /// are relearned. The emptied outbox keeps its buffer.
     pub(crate) fn on_revive(&mut self) {
         let old = std::mem::take(self);
         *self = PeerState {
-            last_sent: cleared(old.last_sent),
-            remote_values: cleared(old.remote_values),
-            file_handles: cleared(old.file_handles),
             outbox: {
                 let mut outbox = old.outbox;
                 outbox.clear();
                 outbox
             },
-            status_handle: old.status_handle,
+            status_cells: old.status_cells,
             ctl_ready: old.ctl_ready,
+            conn_at: old.conn_at,
             ..PeerState::default()
         };
     }
@@ -172,11 +278,6 @@ impl PeerState {
         self.choke_park = 0;
         self.choke_run = 0;
     }
-}
-
-fn cleared<T>(mut v: Vec<T>) -> Vec<T> {
-    v.clear();
-    v
 }
 
 /// The peer table of one d-mon: a dense home range plus a sorted spill.
@@ -311,16 +412,15 @@ mod tests {
     /// in both directions with a stalled window and a lossy stream.
     fn busy_slot() -> PeerState {
         let at = SimTime::from_secs(5);
-        let handle = simos::ProcFs::new().intern("cluster/peer/status").ok();
+        let mut proc = simos::ProcFs::new();
+        let handle = proc.intern("cluster/peer/status").unwrap();
         let mut p = PeerState {
-            last_sent: vec![Some((1.0, at))],
             stream_seq: 7,
             stream_last_send: Some(at),
             sent: 9,
             grant_cum: 3,
             choke_park: 2,
             choke_run: 2,
-            remote_values: vec![Some((2.0, at))],
             record: Some(PeerRecord {
                 last_heard: at,
                 health: PeerHealth::Stale,
@@ -330,11 +430,17 @@ mod tests {
             repay: 2,
             grant_seen: 5,
             data_since_poll: true,
-            status_handle: handle,
-            file_handles: vec![handle],
+            status_cells: Some(proc.record_cells(handle, |_, _| ())),
             ctl_ready: true,
+            conn_at: 4,
             ..PeerState::default()
         };
+        // One standard id and one registered at run time, in each row.
+        for id in [0, INLINE_METRICS as u32] {
+            p.last_sent.set(id, (1.0, at));
+            p.remote_values.set(id, (2.0, at));
+            p.file_cells.set(id, proc.sample_cells(handle));
+        }
         assert!(p.credit.try_consume());
         for _ in 0..2 {
             p.outbox.push_back(OutboxEntry {
@@ -352,7 +458,7 @@ mod tests {
         let mut p = busy_slot();
         assert_eq!(p.reap(), 2, "both parked payloads shed");
         // The stream toward the dead subscriber is over...
-        assert!(p.last_sent.is_empty() && p.outbox.is_empty());
+        assert_eq!((p.last_sent.len(), p.outbox.len()), (0, 0));
         assert_eq!(p.stream_last_send, None);
         assert_eq!(p.credit.available(), kecho::INITIAL_CREDITS);
         assert_eq!(p.credit.unacked(), 0);
@@ -365,18 +471,18 @@ mod tests {
         assert_eq!((p.sent, p.stream_seq), (9, 7));
         assert_eq!(p.tracker.gaps(), 1);
         assert!(p.record.is_some());
-        assert_eq!(p.remote_values.len(), 1);
-        assert!(p.status_handle.is_some() && p.ctl_ready);
-        assert_eq!(p.file_handles.len(), 1);
+        assert_eq!(p.remote_values.len(), 2);
+        assert!(p.status_cells.is_some() && p.ctl_ready);
+        assert_eq!((p.file_cells.len(), p.conn_at), (2, 4));
     }
 
     #[test]
     fn revive_keeps_only_the_interned_paths() {
         let mut p = busy_slot();
         p.on_revive();
-        assert!(p.status_handle.is_some() && p.ctl_ready);
-        assert!(p.file_handles.is_empty(), "learned bindings are relearned");
-        assert!(p.last_sent.is_empty() && p.remote_values.is_empty());
+        assert!(p.status_cells.is_some() && p.ctl_ready && p.conn_at == 4);
+        assert_eq!(p.file_cells.len(), 0, "learned bindings are relearned");
+        assert_eq!((p.last_sent.len(), p.remote_values.len()), (0, 0));
         assert!(p.outbox.is_empty() && p.record.is_none());
         assert_eq!((p.sent, p.stream_seq, p.stream_last_send), (0, 0, None));
         assert_eq!(p.tracker.gaps(), 0);
@@ -384,6 +490,109 @@ mod tests {
         assert_eq!((p.grant_cum, p.grant_seen), (0, 0));
         assert_eq!((p.choke_park, p.choke_run), (0, 0));
         assert_eq!((p.ungranted, p.repay, p.data_since_poll), (0, 0, false));
+    }
+
+    /// What [`MetricRow`] replaced: a vector indexed by metric id, grown
+    /// to `id + 1` on a store. The model refuses what the row refuses, so
+    /// the two can be compared slot for slot.
+    #[derive(Default)]
+    struct VecRow(Vec<Option<u64>>);
+
+    impl VecRow {
+        fn beyond(&self) -> usize {
+            self.0.iter().skip(INLINE_METRICS).flatten().count()
+        }
+        fn get(&self, id: u32) -> Option<u64> {
+            self.0.get(id as usize).copied().flatten()
+        }
+        fn set(&mut self, id: u32, v: u64) {
+            let id = id as usize;
+            if id >= INLINE_METRICS
+                && self.get(id as u32).is_none()
+                && self.beyond() >= SPILL_METRICS
+            {
+                return;
+            }
+            if self.0.len() <= id {
+                self.0.resize(id + 1, None);
+            }
+            self.0[id] = Some(v);
+        }
+        fn unset(&mut self, id: u32) {
+            if let Some(slot) = self.0.get_mut(id as usize) {
+                *slot = None;
+            }
+        }
+    }
+
+    #[test]
+    fn metric_row_matches_the_vector_it_replaced() {
+        let mut rng = simcore::SimRng::seed_from_u64(0x00E7_21C0);
+        // Ids on both sides of the inline capacity, few enough to collide
+        // and more than the spill holds.
+        let ids = (INLINE_METRICS + SPILL_METRICS + 4) as u64;
+        for case in 0..64 {
+            let (mut row, mut model) = (MetricRow::<u64>::default(), VecRow::default());
+            for step in 0..400u64 {
+                let id = rng.below(ids) as u32;
+                match rng.below(10) {
+                    0 => {
+                        row.unset(id);
+                        model.unset(id);
+                    }
+                    1 if step % 7 == 0 => {
+                        row.clear();
+                        model.0.clear();
+                    }
+                    _ => {
+                        assert_eq!(
+                            row.has_room(id),
+                            (id as usize) < INLINE_METRICS
+                                || model.get(id).is_some()
+                                || model.beyond() < SPILL_METRICS,
+                            "case {case} step {step} id {id}"
+                        );
+                        row.set(id, step);
+                        model.set(id, step);
+                    }
+                }
+                for id in 0..ids as u32 {
+                    assert_eq!(
+                        row.get(id),
+                        model.get(id),
+                        "case {case} step {step} id {id}"
+                    );
+                }
+                assert_eq!(row.len(), model.0.iter().flatten().count());
+                assert!(row.spill.len() <= SPILL_METRICS);
+                assert!(
+                    row.spill.windows(2).all(|w| w[0].0 < w[1].0),
+                    "spill sorted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_huge_metric_id_costs_one_slot() {
+        let mut row = MetricRow::<u64>::default();
+        for (k, id) in [u32::MAX, 1 << 20, INLINE_METRICS as u32]
+            .into_iter()
+            .enumerate()
+        {
+            row.set(id, k as u64);
+        }
+        assert_eq!(row.get(u32::MAX), Some(0));
+        assert_eq!((row.len(), row.spill.capacity() <= 4), (3, true));
+        // A full spill refuses new ids and still updates the ones it has.
+        for id in 100..100 + SPILL_METRICS as u32 {
+            row.set(id, 9);
+        }
+        assert_eq!(row.len(), SPILL_METRICS);
+        assert!(!row.has_room(7) && row.has_room(u32::MAX) && row.has_room(0));
+        row.set(7, 1);
+        row.set(u32::MAX, 5);
+        assert_eq!((row.get(7), row.get(u32::MAX)), (None, Some(5)));
     }
 
     #[test]

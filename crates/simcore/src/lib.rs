@@ -60,6 +60,6 @@ pub use time::{SimDur, SimTime};
 pub mod prelude {
     pub use crate::event::{EventId, HandleMsg, Repeat, Sim};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Ewma, Sampler, TimeWeighted};
+    pub use crate::stats::{Sampler, TimeWeighted};
     pub use crate::time::{SimDur, SimTime};
 }

@@ -1,5 +1,5 @@
 //! Online statistics used by the simulator and the figure harness:
-//! time-weighted averages, EWMAs and sample reservoirs with percentiles.
+//! time-weighted averages and sample reservoirs with percentiles.
 
 use crate::time::{SimDur, SimTime};
 
@@ -56,36 +56,6 @@ impl TimeWeighted {
     /// Whether `new` has been called (always true; kept for API symmetry).
     pub fn started(&self) -> bool {
         self.started
-    }
-}
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` in `(0, 1]`: weight of the newest observation.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range: {alpha}");
-        Ewma { alpha, value: None }
-    }
-
-    /// Add an observation and return the updated average.
-    pub fn add(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average (`None` before the first observation).
-    pub fn get(&self) -> Option<f64> {
-        self.value
     }
 }
 
@@ -179,23 +149,6 @@ mod tests {
         let tw = TimeWeighted::new(SimTime::from_secs(5), 42.0);
         assert_eq!(tw.mean_at(SimTime::from_secs(5)), 42.0);
         assert_eq!(tw.current(), 42.0);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        e.add(0.0);
-        for _ in 0..64 {
-            e.add(10.0);
-        }
-        assert!((e.get().unwrap() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha out of range")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 
     #[test]

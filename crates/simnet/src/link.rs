@@ -76,13 +76,35 @@ impl LinkSpec {
     }
 }
 
+/// Entries a [`BytesWindow`] holds inline. A per-connection window fed
+/// once per poll holds one or two; link and event meters hold dozens and
+/// spill.
+const WINDOW_INLINE: usize = 2;
+
 /// Sliding-window byte accounting, used to estimate recent utilization.
+///
+/// The entries are one FIFO: the oldest [`WINDOW_INLINE`] sit in the
+/// struct itself, whatever is newer than those in a deque behind a
+/// pointer — so a quiet window is 64 bytes, costs no second cache line
+/// and no allocation, and a busy one prunes and reads the same entries in
+/// the same order as a plain deque.
 #[derive(Debug, Clone)]
 pub struct BytesWindow {
     window: SimDur,
-    entries: VecDeque<(SimTime, u64)>,
     total: u64,
+    /// The oldest entries, oldest first: `head[..head_len]`.
+    head: [(SimTime, u64); WINDOW_INLINE],
+    head_len: usize,
+    /// Entries newer than all of `head`; empty unless `head` is full, and
+    /// allocated the first time that happens. Boxed for the struct's size:
+    /// a deque's four words here would be a window's third.
+    #[allow(clippy::box_collection)]
+    tail: Option<Box<VecDeque<(SimTime, u64)>>>,
 }
+
+// `simnet::conn` fits a connection's row in two cache lines on this.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<BytesWindow>() == 64);
 
 impl BytesWindow {
     /// Track bytes over a sliding `window`.
@@ -90,19 +112,21 @@ impl BytesWindow {
         assert!(!window.is_zero(), "zero-width byte window");
         BytesWindow {
             window,
-            entries: VecDeque::new(),
             total: 0,
+            head: [(SimTime::ZERO, 0); WINDOW_INLINE],
+            head_len: 0,
+            tail: None,
         }
     }
 
     fn prune(&mut self, now: SimTime) {
         let cutoff = now - self.window;
-        while let Some(&(t, b)) = self.entries.front() {
-            if t < cutoff {
-                self.entries.pop_front();
-                self.total -= b;
-            } else {
-                break;
+        while self.head_len > 0 && self.head[0].0 < cutoff {
+            self.total -= self.head[0].1;
+            self.head.copy_within(1..self.head_len, 0);
+            match self.tail.as_mut().and_then(|tail| tail.pop_front()) {
+                Some(next) => self.head[self.head_len - 1] = next,
+                None => self.head_len -= 1,
             }
         }
     }
@@ -110,7 +134,12 @@ impl BytesWindow {
     /// Record `bytes` transferred at `now`.
     pub fn record(&mut self, now: SimTime, bytes: u64) {
         self.prune(now);
-        self.entries.push_back((now, bytes));
+        if self.head_len < WINDOW_INLINE {
+            self.head[self.head_len] = (now, bytes);
+            self.head_len += 1;
+        } else {
+            self.tail.get_or_insert_default().push_back((now, bytes));
+        }
         self.total += bytes;
     }
 

@@ -39,4 +39,4 @@ pub use host::Host;
 pub use mem::Memory;
 pub use pmc::Pmc;
 pub use power::Battery;
-pub use procfs::{ProcFs, ProcHandle, RecordRender};
+pub use procfs::{CellHandle, ProcFs, ProcHandle, RecordRender};

@@ -14,22 +14,27 @@
 //! reads it. A file here holds one of three things:
 //!
 //! - *text* its owner wrote ([`ProcFs::set`], [`ProcFs::set_handle`]);
-//! - a numeric *sample* — a `(value, ts)` pair stored by
-//!   [`ProcFs::set_sample`], 16 bytes and no formatting — which
-//!   [`ProcFs::read`] renders as `"<leaf> <value> ts <ts:.3>"` (`<leaf>` is
-//!   the file's own name) when asked. The remote-view files d-mon
-//!   refreshes on every received frame are samples;
 //! - a *record* — a few `u64` words copied by [`ProcFs::set_record`] into
 //!   a buffer the slot keeps and reuses, plus the plain function
 //!   ([`RecordRender`]) that turns those words into the file's text.
-//!   Everything d-mon writes per poll and per digest is a record: module
-//!   details, per-peer `status`, `overload`, the rack summaries.
+//!   What d-mon writes per poll and per digest with a length that can
+//!   change is a record: module details, `overload`, the rack summaries;
+//! - *cells* — a fixed number of words in one arena the filesystem keeps
+//!   for all such files, claimed once ([`ProcFs::sample_cells`],
+//!   [`ProcFs::record_cells`]) and stored through a [`CellHandle`] from
+//!   then on. A store is a copy into the arena at an offset the writer
+//!   already holds: it reads nothing of the file, so it waits for
+//!   nothing. Two kinds: a numeric *sample*, a `(value, ts)` pair that
+//!   [`ProcFs::read`] renders as `"<leaf> <value> ts <ts:.3>"` (`<leaf>` is
+//!   the file's own name) — the remote-view files d-mon refreshes on
+//!   every received frame — and a fixed-width record with its
+//!   [`RecordRender`], the per-peer `status` files.
 //!
 //! So the poll, frame and digest paths store numbers — a snapshot taken
 //! at the instant the text used to be written — and only a reader pays
 //! for presentation; reading caches nothing, the slot keeps its numbers.
 //! [`ProcFs::handle_buf`], the one writer that hands out a `String`,
-//! first turns a sample or a record into the text a reader would see.
+//! first turns cells or a record into the text a reader would see.
 //!
 //! Paths are `/`-separated, relative to the `/proc` root; a leading `/` or
 //! `/proc/` prefix is accepted and stripped, so `"/proc/cluster/alan/cpu"`,
@@ -72,6 +77,14 @@ impl std::error::Error for ProcError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcHandle(usize);
 
+/// Handle to the `N` words a file keeps in the filesystem's cell arena:
+/// where they are, so a store is a copy and nothing else. Valid for the
+/// lifetime of the filesystem, like a [`ProcHandle`]. The file shows those
+/// words until text or a record is stored in it by [`ProcHandle`]; stores
+/// through a `CellHandle` it no longer shows are harmless and invisible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CellHandle<const N: usize>(u32);
+
 #[derive(Debug, Clone)]
 enum Node {
     Dir(BTreeMap<String, Node>),
@@ -88,26 +101,37 @@ pub type RecordRender = fn(&[u64], &mut String);
 #[derive(Debug, Clone)]
 enum Content {
     Text(String),
-    Sample {
-        value: f64,
-        ts: f64,
-    },
     Record {
         words: Vec<u64>,
         render: RecordRender,
+    },
+    /// `len` words of the cell arena from `at`; a sample (the bits of
+    /// `value`, then of `ts`) when `render` is `None`.
+    Cells {
+        at: u32,
+        len: u32,
+        render: Option<RecordRender>,
     },
 }
 
 impl Content {
     /// The text a reader sees.
-    fn render(&self, leaf: &str) -> Cow<'_, str> {
+    fn render(&self, leaf: &str, cells: &[u64]) -> Cow<'_, str> {
         let mut out = String::new();
-        match self {
-            Content::Text(s) => return Cow::Borrowed(s),
-            Content::Sample { value, ts } => {
-                let _ = write!(out, "{leaf} {value} ts {ts:.3}");
+        match *self {
+            Content::Text(ref s) => return Cow::Borrowed(s),
+            Content::Record { ref words, render } => render(words, &mut out),
+            Content::Cells { at, len, render } => {
+                let words = &cells[at as usize..][..len as usize];
+                match (render, words) {
+                    (Some(render), _) => render(words, &mut out),
+                    (None, &[value, ts]) => {
+                        let (value, ts) = (f64::from_bits(value), f64::from_bits(ts));
+                        let _ = write!(out, "{leaf} {value} ts {ts:.3}");
+                    }
+                    (None, _) => {}
+                }
             }
-            Content::Record { words, render } => render(words, &mut out),
         }
         Cow::Owned(out)
     }
@@ -121,6 +145,14 @@ struct File {
     leaf: u32,
 }
 
+// A slot of the slab, eight of them to five cache lines. What is stored
+// per frame and per peer per poll lives in the cell arena instead (16 and
+// 32 bytes a file, side by side), so a slot is read by readers, by
+// `set_record` and when a file is claimed — and a thousand-node run holds
+// 270 000 of them.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<File>() == 40);
+
 /// The pseudo-filesystem of one host.
 #[derive(Debug, Default)]
 pub struct ProcFs {
@@ -131,6 +163,9 @@ pub struct ProcFs {
     /// a dozen names (`cpu`, `mem`, `control`, ...).
     leaves: Vec<Box<str>>,
     leaf_ids: BTreeMap<Box<str>, u32>,
+    /// The words of every file that holds cells, each file's together, in
+    /// the order the files claimed them.
+    cells: Vec<u64>,
     pending_writes: Vec<(String, String)>,
 }
 
@@ -209,10 +244,56 @@ impl ProcFs {
         self.files[h.0].content = Content::Text(content.into());
     }
 
-    /// Store a numeric sample in an interned file: two floats, no text.
-    /// A reader sees `"<leaf> <value> ts <ts:.3>"`, rendered when it reads.
-    pub fn set_sample(&mut self, h: ProcHandle, value: f64, ts: f64) {
-        self.files[h.0].content = Content::Sample { value, ts };
+    /// Make an interned file a numeric sample — two floats, no text — and
+    /// return where [`ProcFs::set_sample`] stores them. A reader sees
+    /// `"<leaf> <value> ts <ts:.3>"`, rendered when it reads (zeros until
+    /// the first store).
+    pub fn sample_cells(&mut self, h: ProcHandle) -> CellHandle<2> {
+        self.claim_cells(h, None)
+    }
+
+    /// Make an interned file a record of exactly `N` words and return
+    /// where [`ProcFs::set_cells`] stores them. A reader sees what
+    /// `render` makes of the words (zeros until the first store).
+    pub fn record_cells<const N: usize>(
+        &mut self,
+        h: ProcHandle,
+        render: RecordRender,
+    ) -> CellHandle<N> {
+        self.claim_cells(h, Some(render))
+    }
+
+    /// A file that already holds `N` cells keeps them; any other gets `N`
+    /// fresh ones at the end of the arena (cells are never reused).
+    fn claim_cells<const N: usize>(
+        &mut self,
+        h: ProcHandle,
+        render: Option<RecordRender>,
+    ) -> CellHandle<N> {
+        let content = &mut self.files[h.0].content;
+        let at = match *content {
+            Content::Cells { at, len, .. } if len as usize == N => at,
+            _ => {
+                let at = u32::try_from(self.cells.len()).expect("cell arena under 32 GB");
+                self.cells.resize(self.cells.len() + N, 0);
+                at
+            }
+        };
+        let len = N as u32;
+        *content = Content::Cells { at, len, render };
+        CellHandle(at)
+    }
+
+    /// Store a numeric sample: a copy of two words, nothing read.
+    #[inline]
+    pub fn set_sample(&mut self, c: CellHandle<2>, value: f64, ts: f64) {
+        self.set_cells(c, [value.to_bits(), ts.to_bits()]);
+    }
+
+    /// Store a fixed-width record: a copy of `N` words, nothing read.
+    #[inline]
+    pub fn set_cells<const N: usize>(&mut self, c: CellHandle<N>, words: [u64; N]) {
+        self.cells[c.0 as usize..][..N].copy_from_slice(&words);
     }
 
     /// Store a record in an interned file: `words` are copied into the
@@ -236,14 +317,21 @@ impl ProcFs {
         }
     }
 
-    /// Whether an interned file currently holds a record (rather than
-    /// text or a sample).
+    /// Whether an interned file currently holds a record, in its own
+    /// buffer or in cells (rather than text or a sample).
     pub fn is_record(&self, h: ProcHandle) -> bool {
-        matches!(self.files[h.0].content, Content::Record { .. })
+        matches!(
+            self.files[h.0].content,
+            Content::Record { .. }
+                | Content::Cells {
+                    render: Some(_),
+                    ..
+                }
+        )
     }
 
     /// Direct mutable access to an interned file's text, for callers that
-    /// assemble content piecewise (clear + push). A sample or a record is
+    /// assemble content piecewise (clear + push). Cells or a record are
     /// first turned into the text a reader would see, and the slot holds
     /// text from then on. Nothing in the workspace writes this way any
     /// more; the frozen `benchmark/src/probes.rs` times a write through it
@@ -252,8 +340,9 @@ impl ProcFs {
     pub fn handle_buf(&mut self, h: ProcHandle) -> &mut String {
         let file = &mut self.files[h.0];
         if !matches!(file.content, Content::Text(_)) {
-            let text = file.content.render(&self.leaves[file.leaf as usize]);
-            file.content = Content::Text(text.into_owned());
+            let leaf = &self.leaves[file.leaf as usize];
+            let text = file.content.render(leaf, &self.cells).into_owned();
+            file.content = Content::Text(text);
         }
         let Content::Text(s) = &mut file.content else {
             unreachable!("numbers were just rendered")
@@ -261,11 +350,12 @@ impl ProcFs {
         s
     }
 
-    /// Read an interned file's content; a sample or a record is rendered
+    /// Read an interned file's content; cells or a record are rendered
     /// into a copy.
     pub fn read_handle(&self, h: ProcHandle) -> Cow<'_, str> {
         let file = &self.files[h.0];
-        file.content.render(&self.leaves[file.leaf as usize])
+        let leaf = &self.leaves[file.leaf as usize];
+        file.content.render(leaf, &self.cells)
     }
 
     fn lookup(&self, path: &str) -> Result<&Node, ProcError> {
@@ -283,7 +373,7 @@ impl ProcFs {
             .ok_or_else(|| ProcError::NotFound(path.to_string()))
     }
 
-    /// Read a file's contents (userspace `cat`); a sample or a record is
+    /// Read a file's contents (userspace `cat`); cells or a record are
     /// rendered into a copy.
     pub fn read(&self, path: &str) -> Result<Cow<'_, str>, ProcError> {
         match self.lookup(path)? {
@@ -520,35 +610,50 @@ mod tests {
     fn sample_renders_on_read_under_every_spelling_of_the_path() {
         let mut fs = ProcFs::new();
         let h = fs.intern("cluster/alan/cpu").unwrap();
-        fs.set_sample(h, 0.4375, 1234.5678);
+        let c = fs.sample_cells(h);
+        assert_eq!(fs.read_handle(h), "cpu 0 ts 0.000", "claimed, not stored");
+        fs.set_sample(c, 0.4375, 1234.5678);
         let want = "cpu 0.4375 ts 1234.568";
         assert_eq!(fs.read("cluster/alan/cpu").unwrap(), want);
         assert_eq!(fs.read("/cluster/alan/cpu").unwrap(), want);
         assert_eq!(fs.read("/proc/cluster/alan/cpu").unwrap(), want);
         assert_eq!(fs.read_handle(h), want);
-        // Reading renders a copy; the slot still holds the numbers.
-        assert!(matches!(fs.files[h.0].content, Content::Sample { .. }));
+        // Reading renders a copy; the file still holds the numbers.
+        assert!(matches!(fs.files[h.0].content, Content::Cells { .. }));
     }
 
     #[test]
     fn string_writers_see_a_sample_as_its_text() {
         let mut fs = ProcFs::new();
         let h = fs.intern("cluster/alan/mem").unwrap();
-        fs.set_sample(h, 7.0, 2.0);
+        let c = fs.sample_cells(h);
+        fs.set_sample(c, 7.0, 2.0);
         assert_eq!(fs.handle_buf(h), "mem 7 ts 2.000");
         fs.handle_buf(h).push('!');
         assert_eq!(fs.read_handle(h), "mem 7 ts 2.000!");
     }
 
     #[test]
-    fn sample_after_a_text_write_wins() {
+    fn a_file_shows_whatever_was_claimed_or_written_last() {
         let mut fs = ProcFs::new();
         fs.set("cluster/alan/disk", "by hand").unwrap();
         let h = fs.intern("cluster/alan/disk").unwrap();
-        fs.set_sample(h, -1.0, 0.0);
+        let c = fs.sample_cells(h);
+        fs.set_sample(c, -1.0, 0.0);
         assert_eq!(fs.read("cluster/alan/disk").unwrap(), "disk -1 ts 0.000");
+        // Text by handle replaces the sample; a store through the cell
+        // handle the file no longer shows changes nothing a reader sees.
         fs.set_handle(h, "text again");
+        fs.set_sample(c, 5.0, 5.0);
         assert_eq!(fs.read("cluster/alan/disk").unwrap(), "text again");
+        // Claiming again makes it a sample again, in fresh cells.
+        let again = fs.sample_cells(h);
+        assert_ne!(again, c);
+        fs.set_sample(again, 2.0, 1.0);
+        assert_eq!(fs.read("cluster/alan/disk").unwrap(), "disk 2 ts 1.000");
+        // A file that holds its cells keeps them when claimed again.
+        assert_eq!(fs.sample_cells(h), again);
+        assert_eq!(fs.read("cluster/alan/disk").unwrap(), "disk 2 ts 1.000");
     }
 
     #[test]
@@ -556,10 +661,46 @@ mod tests {
         let mut fs = ProcFs::new();
         let h = fs.intern("cluster/alan/net").unwrap();
         fs.remove("cluster/alan").unwrap();
-        fs.set_sample(h, 100.0, 1.0);
+        let c = fs.sample_cells(h);
+        fs.set_sample(c, 100.0, 1.0);
         assert!(!fs.exists("cluster/alan/net"));
         assert_eq!(fs.read_handle(h), "net 100 ts 1.000");
         assert_eq!(fs.handle_buf(h), "net 100 ts 1.000");
+    }
+
+    #[test]
+    fn files_claim_their_cells_side_by_side_and_keep_to_them() {
+        let mut fs = ProcFs::new();
+        let files = ["cpu", "mem", "status", "disk"].map(|leaf| {
+            let path = format!("cluster/alan/{leaf}");
+            fs.intern(&path).unwrap()
+        });
+        let cpu = fs.sample_cells(files[0]);
+        let mem = fs.sample_cells(files[1]);
+        let status: CellHandle<3> = fs.record_cells(files[2], render_sum);
+        let disk = fs.sample_cells(files[3]);
+        assert_eq!((cpu.0, mem.0, status.0, disk.0), (0, 2, 4, 7));
+        assert_eq!(fs.cells.len(), 9);
+        assert!(fs.is_record(files[2]) && !fs.is_record(files[0]));
+        // Every store lands in its own file's words and nowhere else.
+        fs.set_sample(cpu, 1.0, 1.0);
+        fs.set_sample(mem, 2.0, 2.0);
+        fs.set_cells(status, [10, 20, 30]);
+        fs.set_sample(disk, 3.0, 3.0);
+        fs.set_cells(status, [7, 8, 9]);
+        fs.set_sample(mem, 4.0, 4.0);
+        let read: Vec<_> = files.iter().map(|&h| fs.read_handle(h)).collect();
+        let want = [
+            "cpu 1 ts 1.000",
+            "mem 4 ts 4.000",
+            "7+8+9",
+            "disk 3 ts 3.000",
+        ];
+        assert_eq!(read, want);
+        // The same file as a record of another width: other cells.
+        let wider: CellHandle<4> = fs.record_cells(files[2], render_sum);
+        assert_eq!((wider.0, fs.cells.len()), (9, 13));
+        assert_eq!(fs.read_handle(files[2]), "0+0+0+0");
     }
 
     /// A renderer for the record tests: the words in decimal, `+`-joined.
@@ -602,7 +743,8 @@ mod tests {
         assert_eq!(fs.read_handle(h), "9+10+11+12+13+14");
         // A sample or a text write replaces the record; a record replaces
         // either.
-        fs.set_sample(h, 1.0, 0.0);
+        let c = fs.sample_cells(h);
+        fs.set_sample(c, 1.0, 0.0);
         assert!(!fs.is_record(h));
         assert_eq!(fs.read_handle(h), "net 1 ts 0.000");
         fs.set_record(h, render_sum, &[]);

@@ -128,7 +128,7 @@ impl SmartPointer {
                 proto: Proto::Tcp,
                 tag: STREAM_TAG,
             };
-            world.hosts[node.0].conns.open(conn, now);
+            world.hosts[node.0].conns.open(conn);
             clients.push(ClientRt {
                 node,
                 policy,
@@ -293,8 +293,10 @@ fn on_frame_delivered(
     }
     // Kernel-observable side effects: connection stats, disk, cache.
     let host = &mut w.hosts[node.0];
+    // No position kept between frames: a client's table is a few rows.
+    let one_way = now.since(emitted_at);
     host.conns
-        .record_delivery(conn, now, bytes as u64, now.since(emitted_at));
+        .record_delivery(u32::MAX, conn, now, bytes as u64, one_way, false);
     if write_to_disk {
         host.disk.submit(now, IoDir::Write, bytes as u64);
     }

@@ -49,11 +49,12 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static GLOBAL: LiveBytes = LiveBytes;
 
-/// Ceiling on live heap per node, per rack member: 200 KB per node at 32
-/// per rack. Rack-sized peer tables measure 3.3 to 3.4 KB per member at
-/// 256 and 1024 nodes / 32 per rack and at 4096 / 64; cluster-sized ones
-/// cost 11.7 at 1024 / 32 and grow with the node count.
-const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 6.25;
+/// Ceiling on live heap per node, per rack member: 100 KB per node at 32
+/// per rack. Rack-sized peer tables measure 2.6 to 2.7 KB per member at
+/// 256 and 1024 nodes / 32 per rack and at 4096 / 64 — the ceiling is
+/// the largest of those plus 15 % — while cluster-sized ones cost three
+/// to four times that at 1024 / 32 and grow with the node count.
+const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 3.15;
 
 /// `n` nodes in racks of `rack` after `secs` sim-s of polling, digests
 /// included: the largest per-node peer table, and the live heap the
