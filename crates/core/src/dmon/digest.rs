@@ -13,8 +13,12 @@ use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::{Host, ProcHandle};
 
-use super::{cluster_file, DMon, Outbound, PlannedSend};
+use super::{intern_cluster_file, DMon, Outbound, PlannedSend};
 use crate::calib::Calib;
+use crate::peers::{INLINE_METRICS, SPILL_METRICS};
+
+/// Summary files one `cluster/rack<k>/` directory holds at most.
+const RACK_FILES: usize = INLINE_METRICS + SPILL_METRICS;
 
 #[derive(Default)]
 pub(super) struct Digest {
@@ -154,6 +158,14 @@ impl DMon {
         let Some(payload) = ev.as_digest() else {
             return SimDur::ZERO;
         };
+        // The rack is the sender's to name: a cluster has no more racks
+        // than nodes, so a number beyond that names none and gets no
+        // directory and no kept payload.
+        let rack = payload.rack;
+        if rack as usize >= self.cluster_names.len() {
+            self.receive.rejected += 1;
+            return SimDur::ZERO;
+        }
         self.stats.digests_received += 1;
         self.stats.digest_records += payload.records.len() as u64;
         let newest = payload
@@ -166,14 +178,27 @@ impl DMon {
                 .digest_staleness_s
                 .add((now.as_secs_f64() - newest).max(0.0));
         }
+        let handles = &mut self.digest.handles;
         for r in &payload.records {
-            let slot = self.digest.handles.entry((payload.rack, r.metric_id));
-            let file = self.sample.modules.get(r.metric_id as usize);
-            let file = file.map_or("extra", |m| m.file_name());
-            let rack_dir = format_args!("rack{}", payload.rack);
-            let Some(h) = cluster_file(slot.or_default(), &mut host.proc, rack_dir, file) else {
-                continue;
+            let key = (rack, r.metric_id);
+            let h = match handles.get(&key) {
+                Some(&h) => h,
+                // So are the metric ids: a rack directory holds as many
+                // files as one peer's row holds metrics.
+                None if handles.range((rack, 0)..=(rack, u32::MAX)).count() >= RACK_FILES => {
+                    self.receive.rejected += 1;
+                    continue;
+                }
+                None => {
+                    let file = self.sample.modules.get(r.metric_id as usize);
+                    let file = file.map_or("extra", |m| m.file_name());
+                    let rack_dir = format_args!("rack{rack}");
+                    let h = intern_cluster_file(&mut host.proc, rack_dir, file);
+                    handles.insert(key, h);
+                    h
+                }
             };
+            let Some(h) = h else { continue };
             let words = [
                 r.min.to_bits(),
                 r.max.to_bits(),
@@ -183,14 +208,14 @@ impl DMon {
             ];
             host.proc.set_record(h, render_digest, &words);
         }
-        match self.digest.latest.get_mut(&payload.rack) {
+        match self.digest.latest.get_mut(&rack) {
             // The kept payload's record buffer is reused, not re-allocated.
             Some(kept) => {
                 (kept.origin, kept.members) = (payload.origin, payload.members);
                 kept.records.clone_from(&payload.records);
             }
             None => {
-                self.digest.latest.insert(payload.rack, payload.clone());
+                self.digest.latest.insert(rack, payload.clone());
             }
         }
         calib.receive_cost(bytes)

@@ -12,6 +12,7 @@ use kecho::{
 use simcore::SimDur;
 use simnet::NodeId;
 
+use super::ladder::Ladder;
 use super::sample::Sample;
 use super::{DMon, PollCx};
 use crate::peers::{OutboxEntry, PeerState, PeerTable};
@@ -42,24 +43,34 @@ impl Flow {
         }
     }
 
-    /// Park one poll's records for a subscriber: a payload waits in the
-    /// bounded outbox and only leaves when a credit is available
-    /// (oldest-first; overflow sheds oldest). Remembers what was sent.
+    /// Park what one poll decided for a subscriber, less what the ladder
+    /// no longer sends: a payload waits in the bounded outbox and only
+    /// leaves when a credit is available (oldest-first; overflow sheds
+    /// oldest). Remembers what was sent. A payload is born here and
+    /// nowhere else, so a suppressed stream never touches the pool.
     #[inline]
     pub(super) fn enqueue(
         p: &mut PeerState,
-        records: Vec<MonRecord>,
+        decided: &[MonRecord],
+        ladder: &Ladder,
         sample: &Sample,
         cx: &mut PollCx<'_>,
     ) {
-        if records.is_empty() {
+        if !decided.iter().any(|r| ladder.keeps(r)) {
             return;
         }
-        for r in records
-            .iter()
-            .filter(|r| (r.metric_id as usize) < sample.modules.len())
-        {
-            p.last_sent.set(r.metric_id, (r.value, cx.now));
+        // Sized before it is filled: a fresh buffer (the pool was dry) is
+        // one allocator call, not one per doubling. One loop fills it and
+        // remembers what was sent; a filtered `extend` or a copy and a
+        // `retain`, then a second pass, read 5–8 ns a subscriber slower on
+        // `star16-period`.
+        let mut records = kecho::take_record_buf();
+        records.reserve(decided.len());
+        for r in decided.iter().filter(|r| ladder.keeps(r)) {
+            records.push(*r);
+            if (r.metric_id as usize) < sample.modules.len() {
+                p.last_sent.set(r.metric_id, (r.value, cx.now));
+            }
         }
         // Records for run-time-registered modules carry their schema
         // (metric + /proc file names) so any subscriber can interpret

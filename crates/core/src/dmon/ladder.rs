@@ -70,20 +70,21 @@ impl Ladder {
         iterations.is_multiple_of(LADDER_STRETCH[self.level as usize])
     }
 
-    /// Levels 2+ coarsen: only meaningfully-changed samples survive.
-    /// Levels 3+ shed low-priority modules entirely; the top level keeps
-    /// a single-metric digest.
+    /// Whether a decided record is still sent at this level. Levels 2+
+    /// coarsen: only meaningfully-changed samples survive. Levels 3+ shed
+    /// low-priority modules entirely; the top level keeps a single-metric
+    /// digest.
     #[inline]
-    pub(super) fn coarsen(&self, records: &mut Vec<MonRecord>) {
-        if self.level >= 2 {
-            records.retain(|r| {
-                (r.value - r.last_value_sent).abs() > LADDER_DELTA_GATE * r.last_value_sent.abs()
-            });
-        }
-        if self.level >= 3 {
-            let keep = if self.level >= LADDER_TOP { 1 } else { 2 };
-            records.retain(|r| (r.metric_id as usize) < keep);
-        }
+    pub(super) fn keeps(&self, r: &MonRecord) -> bool {
+        let modules = match self.level {
+            0..=2 => u32::MAX,
+            3 => 2,
+            _ => 1,
+        };
+        r.metric_id < modules
+            && (self.level < 2
+                || (r.value - r.last_value_sent).abs()
+                    > LADDER_DELTA_GATE * r.last_value_sent.abs())
     }
 
     /// Close one poll: `stalled` says a subscriber's stream stayed
@@ -216,9 +217,24 @@ mod tests {
             rec(2, 2.0, 1.0),
             rec(3, 2.0, 1.0),
         ];
-        let kept = |l: &Ladder| {
+        // The reference: the two rules as `retain` passes over a vector.
+        let coarsened = |level: u8| {
             let mut r = all.clone();
-            l.coarsen(&mut r);
+            if level >= 2 {
+                r.retain(|r| {
+                    (r.value - r.last_value_sent).abs()
+                        > LADDER_DELTA_GATE * r.last_value_sent.abs()
+                });
+            }
+            if level >= 3 {
+                let keep = if level >= LADDER_TOP { 1 } else { 2 };
+                r.retain(|r| (r.metric_id as usize) < keep);
+            }
+            r
+        };
+        let kept = |l: &Ladder| {
+            let r: Vec<_> = all.iter().copied().filter(|r| l.keeps(r)).collect();
+            assert_eq!(r, coarsened(l.level), "level {}", l.level);
             r.iter().map(|r| r.metric_id).collect::<Vec<_>>()
         };
         let data_polls = |l: &Ladder| (0..4).filter(|&i| l.data_poll(i)).count();

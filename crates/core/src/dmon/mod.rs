@@ -501,9 +501,8 @@ impl DMon {
             }
             // A stretched-away poll builds no data, only heartbeats.
             if data_poll {
-                let mut records = self.select.records(sub, &p.last_sent, sample, &mut cx);
-                self.ladder.coarsen(&mut records);
-                Flow::enqueue(p, records, sample, &mut cx);
+                let decided = self.select.records(sub, &p.last_sent, sample, &mut cx);
+                Flow::enqueue(p, decided, &self.ladder, sample, &mut cx);
             }
             let sent_data = self.flow.drain(p, sub, &mut cx);
             self.flow.heartbeat(p, sub, sent_data, &mut cx);

@@ -13,6 +13,7 @@ use simos::Host;
 
 use super::{flow, intern_cluster_file, leaf_name_ok, DMon};
 use crate::calib::Calib;
+use crate::peers::SPILL_METRICS;
 
 #[derive(Default)]
 pub(super) struct Receive {
@@ -21,7 +22,7 @@ pub(super) struct Receive {
     /// an origin's range deterministically.
     remote_ext: BTreeMap<(NodeId, u32), (String, String)>,
     /// See [`DMon::events_rejected`].
-    rejected: u64,
+    pub(super) rejected: u64,
 }
 
 impl Receive {
@@ -75,12 +76,21 @@ impl DMon {
         let ext = &mut self.receive.remote_ext;
         for (id, metric, file) in &payload.ext_names {
             let known = ext.get(&(origin, *id));
-            if !known.is_some_and(|(m, f)| m == metric && f == file) {
-                // A changed file name (the origin restarted with another
-                // module layout) invalidates the cached /proc cells.
-                p.file_cells.unset(*id);
-                ext.insert((origin, *id), (metric.clone(), file.clone()));
+            if known.is_some_and(|(m, f)| m == metric && f == file) {
+                continue;
             }
+            // The ids are the peer's to choose: it gets as many names as
+            // its row has slots beyond the standard set, since a name for
+            // an id the row cannot hold names nothing.
+            let of_origin = (origin, 0)..=(origin, u32::MAX);
+            if known.is_none() && ext.range(of_origin).count() >= SPILL_METRICS {
+                self.receive.rejected += 1;
+                continue;
+            }
+            // A changed file name (the origin restarted with another
+            // module layout) invalidates the cached /proc cells.
+            p.file_cells.unset(*id);
+            ext.insert((origin, *id), (metric.clone(), file.clone()));
         }
         let origin_name = &self.cluster_names[origin.0];
         for r in &payload.records {
@@ -164,10 +174,11 @@ impl DMon {
         self.peers.get(origin)?.remote_values.get(idx as u32)
     }
 
-    /// Frames dropped because their origin named no node of this cluster,
-    /// plus records skipped because a peer supplied an unusable file name
-    /// or more metric ids beyond the standard set than a row holds (kept
-    /// off `DmonStats`, whose `Debug` text is part of recorded run
+    /// Frames and digests dropped because their origin or rack named no
+    /// node or rack of this cluster, plus records, schema names and digest
+    /// files skipped because a peer supplied an unusable file name or
+    /// more metric ids than a row or a rack directory holds (kept off
+    /// `DmonStats`, whose `Debug` text is part of recorded run
     /// fingerprints).
     pub fn events_rejected(&self) -> u64 {
         self.receive.rejected

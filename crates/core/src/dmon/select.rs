@@ -11,7 +11,7 @@ use ecode::{
     compile_filter, CompiledFilter, EnvSpec, Filter, FilterOutput, MemoClass, MetricRecord,
     MetricSet, RuntimeError,
 };
-use kecho::{ControlMsg, MonRecord, ParamSpec, RecordArena, RecordSpan};
+use kecho::{ControlMsg, MonRecord, ParamSpec};
 use simcore::SimTime;
 use simnet::NodeId;
 
@@ -26,15 +26,21 @@ use crate::peers::{MetricRow, Stamped};
 /// `MemoClass::Bypass` filters never reach this table.
 struct MemoEntry {
     id: u32,
-    /// `None` for `MemoClass::Shared`: the output is provably independent
-    /// of per-subscriber state, so the id alone keys the entry. `Some` for
-    /// `MemoClass::SnapshotKeyed`: emitted records copy per-subscriber
-    /// `last_value_sent`, so a hit also needs an equal input snapshot.
-    inputs: Option<Vec<MetricRecord>>,
-    /// Accepted records (a span in the per-poll [`RecordArena`], see
-    /// [`materialize`]) + executed instructions, or `None` for a VM fault.
-    result: Option<(RecordSpan, u64)>,
+    /// Where the entry's key starts in [`Memo::keys`]. Empty for
+    /// `MemoClass::Shared`: the output is provably independent of
+    /// per-subscriber state, so the id alone keys the entry. For
+    /// `MemoClass::SnapshotKeyed` emitted records copy per-subscriber
+    /// `last_value_sent`, so a hit also needs equal last-sent values, one
+    /// per sampled metric — all that differs between two subscribers'
+    /// inputs within a poll.
+    key: usize,
+    /// Accepted records (offsets into [`Memo::arena`]) + executed
+    /// instructions, or `None` for a VM fault.
+    result: Option<(Span, u64)>,
 }
+
+/// Where one run's accepted records lie in [`Memo::arena`].
+type Span = (usize, usize);
 
 /// One distinct filter source in use here, admitted once for every
 /// subscriber that deploys it, with everything the per-poll path needs
@@ -88,14 +94,15 @@ impl Admitted {
     }
 }
 
-/// The per-poll filter memo: its entries, the SoA arena backing their
-/// record spans (filter outputs are materialized there once per distinct
-/// run; per-subscriber payloads gather spans out of it) and the filter
-/// input vector reused across subscribers and polls.
+/// The per-poll filter memo: its entries, the keys and the accepted
+/// records they point into (each written once per distinct run, in the
+/// shape the wire carries) and the filter input vector reused across runs
+/// and polls.
 #[derive(Default)]
 struct Memo {
     entries: Vec<MemoEntry>,
-    arena: RecordArena,
+    keys: Vec<f64>,
+    arena: Vec<MonRecord>,
     inputs: Vec<MetricRecord>,
 }
 
@@ -112,53 +119,56 @@ impl Memo {
         samples: &[Option<f64>],
         now: SimTime,
         stats: &mut DmonStats,
-    ) -> Option<(RecordSpan, u64)> {
-        // Skipped slots get a zero placeholder: a module is only skipped
-        // when every deployed filter's certificate proves it unread, so
-        // the placeholder is unobservable.
-        self.inputs.clear();
-        for (i, s) in samples.iter().enumerate() {
-            let last = last_sent.get(i as u32);
-            self.inputs.push(MetricRecord {
-                id: i as u32,
-                value: s.unwrap_or(0.0),
-                last_value_sent: last.map_or(0.0, |(v, _)| v),
-                timestamp: now.as_secs_f64(),
-            });
-        }
+    ) -> Option<(Span, u64)> {
+        let last = |i: usize| last_sent.get(i as u32).map_or(0.0, |(v, _)| v);
+        let keyed = df.memo == MemoClass::SnapshotKeyed;
+        let (n, key) = (if keyed { samples.len() } else { 0 }, self.keys.len());
         if df.memo == MemoClass::Bypass {
             // Per-subscriber state feeds the output: one run per
             // subscriber, observable via `memo_bypassed`.
             stats.memo_bypassed += 1;
-            return materialize(&mut self.arena, df.run(&self.inputs));
+        } else {
+            // The subscriber's key goes where a miss keeps it; a hit
+            // drops it. (One id is one artefact for the whole poll, so
+            // the keys of the entries under it are all as long.)
+            self.keys.extend((0..n).map(last));
+            let keys = &self.keys;
+            let same = |m: &&MemoEntry| keys[m.key..m.key + n] == keys[key..key + n];
+            if let Some(m) = self.entries.iter().find(|m| m.id == id && same(m)) {
+                self.keys.truncate(key);
+                return m.result;
+            }
         }
-        let key = (df.memo == MemoClass::SnapshotKeyed).then_some(&self.inputs);
-        let mut entries = self.entries.iter();
-        if let Some(m) = entries.find(|m| m.id == id && m.inputs.as_ref() == key) {
-            return m.result;
+        // A run: the input vector is built for it, and what it accepts is
+        // written to the arena once, as the wire carries it. Skipped
+        // slots get a zero placeholder: a module is only skipped when
+        // every deployed filter's certificate proves it unread, so the
+        // placeholder is unobservable.
+        self.inputs.clear();
+        let input = |(i, s): (usize, &Option<f64>)| MetricRecord {
+            id: i as u32,
+            value: s.unwrap_or(0.0),
+            last_value_sent: last(i),
+            timestamp: now.as_secs_f64(),
+        };
+        self.inputs.extend(samples.iter().enumerate().map(input));
+        let start = self.arena.len();
+        let result = df.run(&self.inputs).ok().map(|out| {
+            self.arena.extend(out.iter_accepted().map(|r| MonRecord {
+                metric_id: r.id,
+                value: r.value,
+                last_value_sent: r.last_value_sent,
+                timestamp: r.timestamp,
+            }));
+            let instructions = out.instructions();
+            out.recycle();
+            ((start, self.arena.len()), instructions)
+        });
+        if df.memo != MemoClass::Bypass {
+            self.entries.push(MemoEntry { id, key, result });
         }
-        let result = materialize(&mut self.arena, df.run(&self.inputs));
-        let inputs = key.cloned();
-        self.entries.push(MemoEntry { id, inputs, result });
         result
     }
-}
-
-/// One encode: a run's accepted records are pushed into the per-poll SoA
-/// arena exactly once; the span (Copy) is what the memo stores and what
-/// every sharing subscriber gathers from.
-fn materialize(
-    arena: &mut RecordArena,
-    out: Result<FilterOutput, RuntimeError>,
-) -> Option<(RecordSpan, u64)> {
-    let out = out.ok()?;
-    let mark = arena.mark();
-    for r in out.iter_accepted() {
-        arena.push(r.id, r.value, r.last_value_sent, r.timestamp);
-    }
-    let result = (arena.span_since(mark), out.instructions());
-    out.recycle();
-    Some(result)
 }
 
 /// The admitted artefacts in use here and who uses which.
@@ -232,6 +242,8 @@ pub(super) struct Select {
     policies: HashMap<NodeId, PolicySet>,
     table: Table,
     memo: Memo,
+    /// What the parameter path decided for the subscriber at hand.
+    decided: Vec<MonRecord>,
 }
 
 impl Select {
@@ -317,12 +329,14 @@ impl Select {
     /// Forget the previous poll's memo.
     pub(super) fn begin_poll(&mut self) {
         self.memo.entries.clear();
+        self.memo.keys.clear();
         self.memo.arena.clear();
     }
 
     /// Decide which metric records to send to one subscriber. A deployed
     /// filter takes over the decision entirely; otherwise the
     /// subscriber's parameter rules (or the send-everything default) do.
+    /// The records are this stage's until the next call.
     #[inline]
     pub(super) fn records(
         &mut self,
@@ -330,30 +344,27 @@ impl Select {
         last_sent: &MetricRow<Stamped>,
         sample: &Sample,
         cx: &mut PollCx<'_>,
-    ) -> Vec<MonRecord> {
+    ) -> &[MonRecord] {
         let Some((id, df)) = self.table.of(sub) else {
-            return by_policy(self.policies.get(&sub), last_sent, sample, cx);
+            let policy = self.policies.get(&sub);
+            by_policy(policy, last_sent, sample, cx, &mut self.decided);
+            return &self.decided;
         };
         let memo = &mut self.memo;
         match memo.run(id, df, last_sent, &sample.latest, cx.now, cx.stats) {
-            Some((span, instructions)) => {
+            Some(((start, end), instructions)) => {
                 // The modeled cost is charged per logical run — the
                 // figures measure what a kernel would spend, not what the
                 // memo saves the simulator.
                 cx.out.cpu += cx.calib.ecode_instr * instructions;
-                // N enqueues: gather the span into a pooled payload
-                // buffer — a columnar copy, no allocation in steady
-                // state.
-                let mut records = kecho::take_record_buf();
-                memo.arena.gather_into(span, &mut records);
-                records
+                &memo.arena[start..end]
             }
             None => {
                 // A faulting filter sends nothing (a kernel would also
                 // disable it; we keep it and count the fault — per
                 // subscriber, even when the run itself was memoized).
                 cx.stats.filter_errors += 1;
-                Vec::new()
+                &[]
             }
         }
     }
@@ -383,12 +394,10 @@ fn by_policy(
     last_sent: &MetricRow<Stamped>,
     sample: &Sample,
     cx: &mut PollCx<'_>,
-) -> Vec<MonRecord> {
+    decided: &mut Vec<MonRecord>,
+) {
     let (now, calib) = (cx.now, cx.calib);
-    // Recycled from delivered events (the delivery paths call
-    // `Event::recycle`), so the steady state allocates nothing.
-    let mut records = kecho::take_record_buf();
-    records.reserve(sample.latest.len());
+    decided.clear();
     for (i, (s, module)) in sample.latest.iter().zip(&sample.modules).enumerate() {
         // A subscriber without a filter makes `mark_needed` sample every
         // module, so no slot is a skipped one here.
@@ -404,11 +413,10 @@ fn by_policy(
         };
         // A subscriber with no policy is charged one evaluation per
         // metric and gets everything.
-        let metric = || module.metric_name();
-        let rules = policy.map_or(1, |p| p.rule_count(metric()).max(1) as u64);
-        cx.out.cpu += calib.policy_eval * rules;
-        if policy.is_none_or(|p| p.decide(metric(), &ctx)) {
-            records.push(MonRecord {
+        let rules = policy.map(|p| p.rules_for(module.metric_name()));
+        cx.out.cpu += calib.policy_eval * rules.map_or(1, |r| r.len().max(1) as u64);
+        if rules.is_none_or(|r| r.iter().all(|rule| rule.admits(&ctx))) {
+            decided.push(MonRecord {
                 metric_id: i as u32,
                 value,
                 last_value_sent: last_value,
@@ -416,7 +424,6 @@ fn by_policy(
             });
         }
     }
-    records
 }
 
 #[cfg(test)]
@@ -697,10 +704,77 @@ mod tests {
         let entries = &dmon.select.memo.entries;
         assert_eq!(entries.len(), 1);
         assert!(
-            entries[0].inputs.is_none(),
-            "fingerprint-only entries never clone the input snapshot"
+            dmon.select.memo.keys.is_empty(),
+            "fingerprint-only entries keep no key"
         );
         assert_eq!(dmon.stats.memo_bypassed, 0);
+    }
+
+    #[test]
+    fn the_last_sent_key_hits_and_misses_where_the_whole_input_key_did() {
+        let (dmon, ..) = setup();
+        let Ok(df) = Admitted::new(PURE_SRC, &dmon.sample.env) else {
+            panic!("the passthrough filter is admitted");
+        };
+        assert_eq!(df.memo, MemoClass::SnapshotKeyed);
+        let n = dmon.sample.env.len();
+        let mut rng = simcore::SimRng::seed_from_u64(0x000A_11CE);
+        let mut stats = DmonStats::default();
+        let mut memo = Memo::default();
+        // Last-sent values drawn from few enough that whole rows repeat,
+        // rows differ in one metric, and the two zeroes and NaN meet
+        // themselves and each other.
+        let drawn = [0.0, -0.0, 1.0, 2.5, f64::NAN];
+        let (mut hits, mut misses) = (0, 0);
+        for poll in 0..300u64 {
+            let now = SimTime::from_secs(poll);
+            let samples: Vec<_> = (0..n).map(|_| Some(rng.range_f64(-1.0, 1.0))).collect();
+            memo.entries.clear();
+            memo.keys.clear();
+            memo.arena.clear();
+            // The key as it was: the whole input vector of every run of
+            // this poll, compared by `MetricRecord`'s derived `==`.
+            let mut model: Vec<Vec<MetricRecord>> = Vec::new();
+            for sub in 0..12 {
+                let mut row = MetricRow::<Stamped>::default();
+                for id in 0..n as u32 {
+                    // An unset slot reads as 0.0, like a zero that was sent.
+                    if !rng.chance(0.05) {
+                        let v = if rng.chance(0.85) {
+                            1.0
+                        } else {
+                            *rng.pick(&drawn)
+                        };
+                        row.set(id, (v, now));
+                    }
+                }
+                let inputs: Vec<_> = (0..n)
+                    .map(|i| MetricRecord {
+                        id: i as u32,
+                        value: samples[i].unwrap_or(0.0),
+                        last_value_sent: row.get(i as u32).map_or(0.0, |(v, _)| v),
+                        timestamp: now.as_secs_f64(),
+                    })
+                    .collect();
+                let expect = model.iter().position(|seen| *seen == inputs);
+                let result = memo.run(0, &df, &row, &samples, now, &mut stats);
+                let at = format!("poll {poll} subscriber {sub}");
+                match expect {
+                    Some(entry) => {
+                        hits += 1;
+                        assert_eq!(memo.entries.len(), model.len(), "{at}: a hit");
+                        assert_eq!(result, memo.entries[entry].result, "{at}: the first match");
+                    }
+                    None => {
+                        misses += 1;
+                        model.push(inputs);
+                        assert_eq!(memo.entries.len(), model.len(), "{at}: a miss");
+                    }
+                }
+                assert_eq!(memo.keys.len(), model.len() * n, "{at}: one key per entry");
+            }
+        }
+        assert!(hits > 500 && misses > 500, "{hits} hits, {misses} misses");
     }
 
     /// Occupied slots and `filter_ids` entries of a d-mon's table.

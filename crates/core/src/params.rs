@@ -46,7 +46,7 @@ impl Rule {
     }
 
     /// Evaluate against the current sample.
-    fn admits(&self, ctx: &RuleCtx) -> bool {
+    pub(crate) fn admits(&self, ctx: &RuleCtx) -> bool {
         match *self {
             Rule::Period(period) => match ctx.last_sent_at {
                 None => true,
@@ -125,7 +125,7 @@ impl PolicySet {
     }
 
     /// Rules that apply to `metric`: its own if any, else the wildcard.
-    fn rules_for(&self, metric: &str) -> &[Rule] {
+    pub(crate) fn rules_for(&self, metric: &str) -> &[Rule] {
         match self.per_metric.get(metric) {
             Some(rules) if !rules.is_empty() => rules,
             _ => &self.wildcard,

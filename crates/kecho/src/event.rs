@@ -320,9 +320,19 @@ impl Event {
     }
 }
 
+/// Record buffers one thread's pool keeps: one poll round of the largest
+/// single-rack fan-out the suite runs, `star64-sharded2`'s 64 nodes with
+/// 63 subscribers each. Every buffer of a round is in flight before the
+/// first delivery hands one back, so a smaller pool drops buffers at the
+/// end of each round and allocates them again at the start of the next.
+/// A bound all the same: the thread that delivers a frame is not always
+/// the one that built it, and the pool of a thread that mostly delivers
+/// would otherwise only grow.
+const RECORD_POOL_CAP: usize = 64 * 63;
+
 thread_local! {
     /// Recycled record buffers, the per-delivery analogue of the wire
-    /// codec's encode pool. Bounded so a burst can't pin memory forever.
+    /// codec's encode pool.
     static RECORD_POOL: std::cell::RefCell<Vec<Vec<MonRecord>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -340,7 +350,7 @@ pub fn put_record_buf(mut v: Vec<MonRecord>) {
     v.clear();
     RECORD_POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.len() < 64 {
+        if pool.len() < RECORD_POOL_CAP {
             pool.push(v);
         }
     });

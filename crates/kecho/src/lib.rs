@@ -19,23 +19,19 @@
 //!   of this crate),
 //! * [`stream`] — per-stream sequence/epoch continuity tracking: gap
 //!   detection and publisher-restart recognition,
-//! * [`arena`] — a structure-of-arrays record arena for batched event
-//!   assembly: one filter evaluation materializes its accepted records
-//!   once, and each subscriber sharing the result gathers a span into a
-//!   pooled payload buffer (one encode, N enqueues).
+//! * [`credit`] — the credit window a publisher spends toward one
+//!   subscriber, and the constants both ends of flow control agree on.
 //!
 //! The crate is pure: submission *plans* hops (`(from, to)` pairs); the
 //! cluster glue in `dproc` turns hops into `simnet` sends and schedules
 //! deliveries.
 
-pub mod arena;
 pub mod credit;
 pub mod directory;
 pub mod event;
 pub mod stream;
 pub mod wire;
 
-pub use arena::{RecordArena, RecordSpan};
 pub use credit::{CreditWindow, GRANT_OVERDUE, GRANT_THRESHOLD, INITIAL_CREDITS, OUTBOX_CAP};
 pub use directory::{ChannelId, Directory, Hop};
 pub use event::{

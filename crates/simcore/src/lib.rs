@@ -43,7 +43,6 @@
 //! ```
 
 pub mod event;
-pub mod fxhash;
 pub mod parallel;
 pub mod pdes;
 pub mod rng;
@@ -52,7 +51,6 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventId, HandleMsg, Repeat, Sim};
-pub use fxhash::{FxHashMap, FxHashSet};
 pub use rng::SimRng;
 pub use time::{SimDur, SimTime};
 

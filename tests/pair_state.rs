@@ -1,7 +1,7 @@
 //! The state one node keeps per peer — a connection's byte window, its row
 //! in the connection table, the per-metric rows of the d-mon peer table —
 //! checked against the plain structures it replaced, and against a peer
-//! that picks its metric ids to hurt.
+//! that picks its metric ids, schema names and digest racks to hurt.
 //!
 //! Every case is drawn from a fixed seed and there is a fixed number of
 //! them, so a failure reproduces by running the test again.
@@ -17,7 +17,10 @@ use std::collections::{BTreeMap, VecDeque};
 use dproc::dmon::DMon;
 use dproc::modules::{standard_modules, MonitorModule, PowerMon};
 use dproc::{Calib, PeerHealth};
-use kecho::{ChannelId, ControlMsg, Directory, Event, MonRecord, MonitoringPayload};
+use kecho::{
+    ChannelId, ControlMsg, DigestPayload, DigestRecord, Directory, Event, MonRecord,
+    MonitoringPayload,
+};
 use simcore::{SimDur, SimRng, SimTime};
 use simnet::conn::Proto;
 use simnet::link::BytesWindow;
@@ -244,6 +247,21 @@ fn nine_metric_dmon() -> (DMon, Host, Directory, ChannelId, ChannelId) {
 /// [`nine_metric_dmon`]'s modules would attach.
 fn frame_from_1(mon: ChannelId, sseq: u32, records: &[(u32, f64)]) -> Event {
     let ext_names = [("BATTERY", "power")].into_iter().chain(EXTRAS);
+    let ext_names = (5u32..)
+        .zip(ext_names)
+        .filter(|(id, _)| records.iter().any(|r| r.0 == *id))
+        .map(|(id, (metric, file))| (id, metric.to_string(), file.to_string()))
+        .collect();
+    frame_with_schema(mon, sseq, records, ext_names)
+}
+
+/// A data frame from node 1 whose schema block is the caller's to write.
+fn frame_with_schema(
+    mon: ChannelId,
+    sseq: u32,
+    records: &[(u32, f64)],
+    ext_names: Vec<(u32, String, String)>,
+) -> Event {
     let payload = MonitoringPayload {
         origin: NodeId(1),
         epoch: 0,
@@ -259,11 +277,7 @@ fn frame_from_1(mon: ChannelId, sseq: u32, records: &[(u32, f64)]) -> Event {
             })
             .collect(),
         pad_bytes: 0,
-        ext_names: (5u32..)
-            .zip(ext_names)
-            .filter(|(id, _)| records.iter().any(|r| r.0 == *id))
-            .map(|(id, (metric, file))| (id, metric.to_string(), file.to_string()))
-            .collect(),
+        ext_names,
     };
     Event::monitoring(mon.0, u64::from(sseq), NodeId(1), payload)
 }
@@ -456,4 +470,115 @@ fn hostile_metric_ids_cost_a_bounded_row_and_leave_standard_records_alone() {
         host.proc.list("cluster/maui").unwrap(),
         ["control", "cpu", "disk", "extra", "mem", "net", "pmc"]
     );
+}
+
+// ---------- a peer that chooses what its schema blocks and digests name ----------
+
+#[test]
+fn hostile_schema_blocks_cost_a_bounded_table_and_leave_learned_names_alone() {
+    let names = ["alan", "maui"].map(String::from).to_vec();
+    let mut dmon = DMon::new(NodeId(0), names, standard_modules(), SimDur::from_secs(1));
+    let mut host = Host::new("alan", NodeId(0), &HostConfig::testbed());
+    let calib = Calib::default();
+    let mon = ChannelId(0);
+    // Warm: the peer's row, its standard files, and one name honestly
+    // learned — POWER MON's, which this node has no module for.
+    let warm: Vec<(u32, f64)> = (0..6).map(|id| (id, 1.0)).collect();
+    let now = SimTime::from_secs(1);
+    dmon.on_event(&mut host, &frame_from_1(mon, 0, &warm), 120, now, &calib);
+    assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((1.0, now)));
+
+    let before = LIVE.with(Cell::get);
+    // Ten thousand frames, each naming two ids nobody has heard of: at the
+    // parent commit every one of the twenty thousand names was kept.
+    for k in 1..=10_000u32 {
+        let value = f64::from(k);
+        let schema = [k, 20_000 + k]
+            .map(|id| ((1 << 20) + id, format!("M_{id}"), format!("f{id}")))
+            .to_vec();
+        let records = [(2, value), (5, value)];
+        let ev = frame_with_schema(mon, k, &records, schema);
+        dmon.on_event(&mut host, &ev, 120, now, &calib);
+        drop(ev);
+        // The records of the same frame land, under the learned name too.
+        assert_eq!(
+            dmon.remote_value(NodeId(1), "DISKUSAGE"),
+            Some((value, now))
+        );
+        assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((value, now)));
+        let grown = LIVE.with(Cell::get) - before;
+        assert!(
+            grown < 8192,
+            "frame {k}: {grown} bytes held for a peer's choice of names"
+        );
+    }
+    // A row has sixteen slots past the standard set, so an origin gets
+    // sixteen names: POWER MON's and the first fifteen of these.
+    assert_eq!(dmon.events_rejected(), 20_000 - 15);
+    assert_eq!(
+        host.proc.list("cluster/maui").unwrap(),
+        ["control", "cpu", "disk", "mem", "net", "pmc", "power"]
+    );
+}
+
+#[test]
+fn hostile_digests_cost_bounded_tables_and_leave_the_racks_that_exist_alone() {
+    let names = ["alan", "maui", "etna"].map(String::from).to_vec();
+    let mut dmon = DMon::new(NodeId(0), names, standard_modules(), SimDur::from_secs(1));
+    let mut host = Host::new("alan", NodeId(0), &HostConfig::testbed());
+    let calib = Calib::default();
+    let record = |metric_id, mean| DigestRecord {
+        metric_id,
+        min: mean,
+        max: mean,
+        mean,
+        count: 1,
+        // No sample time, so no freshness sample: that sampler keeps one
+        // value per digest received, whoever sent it.
+        newest_ts: f64::NEG_INFINITY,
+    };
+    let digest = |seq: u32, rack, records| {
+        let payload = DigestPayload {
+            rack,
+            origin: NodeId(1),
+            members: 1,
+            records,
+        };
+        Event::digest(2, u64::from(seq), NodeId(1), payload)
+    };
+    let now = SimTime::from_secs(1);
+    // Warm: rack 0's directory and its `cpu` summary exist.
+    let warm = digest(0, 0, vec![record(0, 0.0)]);
+    dmon.on_digest(&mut host, &warm, 100, now, &calib);
+
+    let before = LIVE.with(Cell::get);
+    // Ten thousand digests. The even ones are rack 0's, each with a metric
+    // id of its own next to the real one; the odd ones each name a rack of
+    // their own, which a three-node cluster cannot have. At the parent
+    // commit every rack kept a payload and every (rack, id) a handle.
+    for k in 1..=10_000u32 {
+        let value = f64::from(k);
+        let rack = if k % 2 == 0 { 0 } else { 1000 + k };
+        let ev = digest(k, rack, vec![record(0, value), record(100 + k, -1.0)]);
+        dmon.on_digest(&mut host, &ev, 100, now, &calib);
+        drop(ev);
+        if rack == 0 {
+            let text = host.proc.read("cluster/rack0/cpu").unwrap();
+            assert!(text.contains(&format!("mean {value} ")), "{k}: {text}");
+            assert_eq!(dmon.rack_digest(0).unwrap().records[0].mean, value);
+        }
+        let grown = LIVE.with(Cell::get) - before;
+        assert!(
+            grown < 8192,
+            "digest {k}: {grown} bytes held for a peer's choice of racks and ids"
+        );
+    }
+    assert!(dmon.rack_digest(1001).is_none());
+    assert_eq!(dmon.stats.digests_received, 1 + 5000);
+    // Five thousand digests for racks that cannot be, and all but twenty
+    // of rack 0's five thousand strange ids: its directory holds
+    // twenty-one files' worth of ids, and `cpu` has one.
+    assert_eq!(dmon.events_rejected(), 5000 + (5000 - 20));
+    assert_eq!(host.proc.list("cluster/rack0").unwrap(), ["cpu", "extra"]);
+    assert!(host.proc.list("cluster/rack1001").is_err());
 }
