@@ -16,7 +16,7 @@ use simnet::{Fabric, FaultAction, Network, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
 
-use kecho::{ChannelId, Directory, Event, Hop};
+use kecho::{ChannelId, Directory, Event, Hop, RecordPool};
 
 use crate::calib::Calib;
 use crate::dmon::{DMon, DmonStats};
@@ -700,6 +700,9 @@ pub struct ClusterSim {
     started: bool,
     threads: usize,
     driver: Option<ParallelDriver>,
+    /// The record buffers this simulation's events reuse, lent to the
+    /// thread that runs it for each [`ClusterSim::run_until`].
+    pool: RecordPool,
 }
 
 impl ClusterSim {
@@ -787,6 +790,7 @@ impl ClusterSim {
             started: false,
             threads: 1,
             driver: None,
+            pool: RecordPool::default(),
         }
     }
 
@@ -868,6 +872,7 @@ impl ClusterSim {
     /// settled through `t`: inside the loop a burn ends when its host is
     /// next looked at, and nobody outside the loop should have to know.
     pub fn run_until(&mut self, t: SimTime) {
+        let _lent = self.pool.lend();
         match self.driver.as_mut() {
             Some(driver) => driver.run_until(&mut self.world, t),
             None => {

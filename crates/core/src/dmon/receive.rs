@@ -15,6 +15,10 @@ use super::{flow, intern_cluster_file, leaf_name_ok, DMon};
 use crate::calib::Calib;
 use crate::peers::SPILL_METRICS;
 
+/// The longest name a peer's schema block may teach, in bytes: the longest
+/// a `/proc` leaf can be (`NAME_MAX`).
+const NAME_MAX: usize = 255;
+
 #[derive(Default)]
 pub(super) struct Receive {
     /// Learned schema extensions: metric/file names for foreign ids beyond
@@ -37,7 +41,8 @@ impl DMon {
     /// from the frame's schema block) cannot be a leaf of
     /// `cluster/<origin>/`, or whose metric id is one too many beyond the
     /// standard set for the origin's row, is skipped and counted in
-    /// `events_rejected`.
+    /// `events_rejected`, and so is a schema entry naming a metric or file
+    /// in more than 255 bytes.
     /// Returns the d-mon handler CPU cost (kernel network-path cost is
     /// charged by the glue on top).
     pub fn on_event(
@@ -75,6 +80,13 @@ impl DMon {
         }
         let ext = &mut self.receive.remote_ext;
         for (id, metric, file) in &payload.ext_names {
+            // The names are the peer's to choose, up to the frame's size:
+            // one longer than a `/proc` leaf can be names nothing, and is
+            // neither kept nor made into a path.
+            if metric.len().max(file.len()) > NAME_MAX {
+                self.receive.rejected += 1;
+                continue;
+            }
             let known = ext.get(&(origin, *id));
             if known.is_some_and(|(m, f)| m == metric && f == file) {
                 continue;
@@ -176,10 +188,10 @@ impl DMon {
 
     /// Frames and digests dropped because their origin or rack named no
     /// node or rack of this cluster, plus records, schema names and digest
-    /// files skipped because a peer supplied an unusable file name or
-    /// more metric ids than a row or a rack directory holds (kept off
-    /// `DmonStats`, whose `Debug` text is part of recorded run
-    /// fingerprints).
+    /// files skipped because a peer supplied an unusable file name, a
+    /// schema name longer than 255 bytes, or more metric ids than a row or
+    /// a rack directory holds (kept off `DmonStats`, whose `Debug` text is
+    /// part of recorded run fingerprints).
     pub fn events_rejected(&self) -> u64 {
         self.receive.rejected
     }

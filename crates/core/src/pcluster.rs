@@ -49,6 +49,7 @@
 
 use std::collections::BTreeSet;
 
+use kecho::RecordPool;
 use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
 use simcore::{SimDur, SimTime};
 use simnet::{FaultState, NodeId, Placement};
@@ -57,12 +58,16 @@ use crate::cluster::{ClusterEvent, ClusterWorld};
 use crate::dmon::DMon;
 use crate::node::{view_of, Fx, Member, Node, NodeSet, Nodes, Sink};
 
-/// One worker shard's world: the columns of the nodes it owns.
+/// One worker shard's world: the columns of the nodes it owns, and the
+/// record buffers their handlers reuse.
 pub(crate) struct PShard {
     nodes: Nodes,
     /// Cluster-wide node id → index in `nodes` (`usize::MAX` for nodes on
     /// other shards).
     local: Vec<usize>,
+    /// Lent to whichever thread runs a handler of this shard, so the
+    /// buffers stay with the shard and not with the thread that claimed it.
+    pool: RecordPool,
 }
 
 /// A shard's sink: everything is logged for replay. Only a serial window
@@ -114,6 +119,7 @@ impl ShardWorld for PShard {
         };
         let mut node = Node::at(self.local[ev.node()], self.nodes.cols());
         let sink = &mut ShardSink { out, fault };
+        let _lent = self.pool.lend();
         match ev {
             ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, sink),
             ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, sink),
@@ -295,6 +301,7 @@ impl ParallelDriver {
             .map(|_| PShard {
                 nodes: Nodes::default(),
                 local: vec![usize::MAX; n],
+                pool: RecordPool::default(),
             })
             .collect();
         let mut sizes = vec![0; shards];

@@ -310,7 +310,7 @@ impl Event {
     }
 
     /// Consume the event, returning its monitoring record buffer to the
-    /// thread-local pool (no-op for control/heartbeat events). Call this
+    /// calling thread's pool (no-op for control/heartbeat events). Call this
     /// at the end of a delivery path instead of dropping the event so the
     /// publisher's next [`take_record_buf`] reuses the allocation.
     pub fn recycle(self) {
@@ -320,32 +320,75 @@ impl Event {
     }
 }
 
-/// Record buffers one thread's pool keeps: one poll round of the largest
-/// single-rack fan-out the suite runs, `star64-sharded2`'s 64 nodes with
-/// 63 subscribers each. Every buffer of a round is in flight before the
-/// first delivery hands one back, so a smaller pool drops buffers at the
-/// end of each round and allocates them again at the start of the next.
-/// A bound all the same: the thread that delivers a frame is not always
-/// the one that built it, and the pool of a thread that mostly delivers
-/// would otherwise only grow.
+/// Record buffers one pool keeps: one poll round of the largest world a
+/// single shard runs, which is serial `star64`'s 64 nodes with 63
+/// subscribers each (serial is one shard; two shards of it build half a
+/// round each and get half a round back). Every buffer of a round is in
+/// flight before the first delivery hands one back, so a smaller pool
+/// drops buffers at the end of each round and allocates them again at the
+/// start of the next. A bound all the same: a pool whose owner mostly
+/// delivers would otherwise only grow.
 const RECORD_POOL_CAP: usize = 64 * 63;
 
 thread_local! {
-    /// Recycled record buffers, the per-delivery analogue of the wire
-    /// codec's encode pool.
+    /// The calling thread's record buffers, the per-delivery analogue of
+    /// the wire codec's encode pool: the [`RecordPool`] lent to it by the
+    /// simulation or shard it is running, or else the thread's own (a
+    /// caller driving d-mon by hand).
     static RECORD_POOL: std::cell::RefCell<Vec<Vec<MonRecord>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Take an empty `Vec<MonRecord>` from the thread-local pool (allocates
-/// only when the pool is dry).
+/// The record buffers one simulation, or one shard of a sharded one,
+/// reuses. It reaches a thread only through [`RecordPool::lend`], so
+/// which thread ran which shard changes no allocation count.
+#[derive(Default)]
+pub struct RecordPool(Vec<Vec<MonRecord>>);
+
+impl RecordPool {
+    /// Make this pool the calling thread's until the returned guard drops,
+    /// on return and on unwind alike: every [`take_record_buf`] and
+    /// [`put_record_buf`] in between uses it. Dropping the guard gives the
+    /// thread back the pool it had, so lends nest as scopes do.
+    pub fn lend(&mut self) -> Lent<'_> {
+        swap_pool(&mut self.0);
+        Lent {
+            pool: &mut self.0,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
+/// A [`RecordPool`] lent to the thread that made it. It holds the pool the
+/// lend displaced until it drops, and it is not `Send`: it stays on that
+/// thread.
+#[must_use = "the pool goes back when the guard drops"]
+pub struct Lent<'a> {
+    pool: &'a mut Vec<Vec<MonRecord>>,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        swap_pool(self.pool);
+    }
+}
+
+/// Exchange `pool` with the calling thread's: a lent pool goes in, and the
+/// one it displaces waits in the lender's place until it comes back.
+fn swap_pool(pool: &mut Vec<Vec<MonRecord>>) {
+    RECORD_POOL.with(|p| std::mem::swap(&mut *p.borrow_mut(), pool));
+}
+
+/// Take an empty `Vec<MonRecord>` from the calling thread's pool
+/// (allocates only when the pool is dry).
 pub fn take_record_buf() -> Vec<MonRecord> {
     RECORD_POOL
         .with(|p| p.borrow_mut().pop())
         .unwrap_or_default()
 }
 
-/// Return a record buffer to the thread-local pool for reuse.
+/// Return a record buffer to the calling thread's pool for reuse.
 pub fn put_record_buf(mut v: Vec<MonRecord>) {
     v.clear();
     RECORD_POOL.with(|p| {
@@ -403,5 +446,43 @@ mod tests {
         assert_eq!(h.as_heartbeat().unwrap().stream_seq, 4);
         assert!(h.as_monitoring().is_none());
         assert!(h.as_control().is_none());
+    }
+
+    /// The capacities of what a pool holds: each buffer below is made with
+    /// a capacity of its own, so a capacity says which one it is.
+    fn caps(pool: &RecordPool) -> Vec<usize> {
+        pool.0.iter().map(Vec::capacity).collect()
+    }
+
+    #[test]
+    fn a_lend_hands_the_pool_over_and_back_on_return_on_unwind_and_in_stack_order() {
+        let buf = Vec::<MonRecord>::with_capacity;
+        let (mut outer, mut inner) = (RecordPool::default(), RecordPool::default());
+        // The test thread's own pool.
+        put_record_buf(buf(1));
+        {
+            let _outer = outer.lend();
+            assert_eq!(take_record_buf().capacity(), 0, "the lent pool is empty");
+            put_record_buf(buf(2));
+            {
+                let _inner = inner.lend();
+                put_record_buf(buf(3));
+            }
+            // The inner lend has given the thread back the outer pool.
+            let two = take_record_buf();
+            assert_eq!(two.capacity(), 2);
+            put_record_buf(two);
+        }
+        assert_eq!((caps(&outer), caps(&inner)), (vec![2], vec![3]));
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _inner = inner.lend();
+            put_record_buf(buf(4));
+            std::panic::resume_unwind(Box::new("boom"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(caps(&inner), [3, 4], "given back on unwind");
+        assert_eq!(take_record_buf().capacity(), 1, "the thread's own is back");
+        assert_eq!(take_record_buf().capacity(), 0, "and held nothing else");
     }
 }

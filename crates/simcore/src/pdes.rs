@@ -30,7 +30,11 @@
 //!    assign exact sequence numbers and apply cross-shard effects.
 //!
 //! Which thread ran which shard never shows in a result: shard windows are
-//! mutually independent and the merge in step 3 is pure data.
+//! mutually independent and the merge in step 3 is pure data. Nor does it
+//! show in an allocator count, provided what a shard's handlers reuse
+//! lives in the [`ShardWorld`] and not in the thread that claimed it (the
+//! cluster's shards each own their record pool and lend it to that
+//! thread); see [`EngineStats`].
 //!
 //! # The replay that makes it exact
 //!
@@ -542,7 +546,12 @@ impl<W: ShardWorld> Crew<'_, W> {
 
 /// Cumulative engine counters, for benchmarks and tests. All four depend
 /// on the event population and the coordinator's plan only — not on the
-/// machine, nor on which thread ran which shard.
+/// machine, nor on which thread ran which shard. So does the number of
+/// allocator calls a run makes, but for the `min(shards, cores) - 1`
+/// workers each [`Engine::run_until`] spawns: the engine's scratch belongs
+/// to a shard (its window log) or to the call, never to a thread, and a
+/// world that keeps buffers for its handlers must keep them in the world
+/// too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events executed so far.

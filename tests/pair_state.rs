@@ -522,6 +522,54 @@ fn hostile_schema_blocks_cost_a_bounded_table_and_leave_learned_names_alone() {
 }
 
 #[test]
+fn schema_names_longer_than_a_proc_leaf_are_refused_and_hold_no_heap() {
+    let names = ["alan", "maui"].map(String::from).to_vec();
+    let mut dmon = DMon::new(NodeId(0), names, standard_modules(), SimDur::from_secs(1));
+    let mut host = Host::new("alan", NodeId(0), &HostConfig::testbed());
+    let calib = Calib::default();
+    let mon = ChannelId(0);
+    // Warm, as above: POWER MON's name honestly learned.
+    let warm: Vec<(u32, f64)> = (0..6).map(|id| (id, 1.0)).collect();
+    let now = SimTime::from_secs(1);
+    dmon.on_event(&mut host, &frame_from_1(mon, 0, &warm), 120, now, &calib);
+    let listing = host.proc.list("cluster/maui").unwrap();
+
+    let before = LIVE.with(Cell::get);
+    // Sixteen ids, each named in 64 KB — a frame has room for that. At
+    // the parent commit the table kept fifteen of them, metric and file
+    // names both: close to two megabytes for one peer.
+    let long = |c: char, id: u32| format!("{c}{id}{}", "x".repeat(64 << 10));
+    for k in 1..=8u32 {
+        let value = f64::from(k);
+        let schema = (0..16u32)
+            .map(|i| ((1 << 20) + i, long('M', i), long('f', i)))
+            .collect();
+        let records = [(2, value), (5, value)];
+        let ev = frame_with_schema(mon, k, &records, schema);
+        dmon.on_event(&mut host, &ev, 120, now, &calib);
+        drop(ev);
+        // The valid records of the same frame land.
+        assert_eq!(
+            dmon.remote_value(NodeId(1), "DISKUSAGE"),
+            Some((value, now))
+        );
+        assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((value, now)));
+        assert_eq!(dmon.remote_value(NodeId(1), &long('M', 0)), None);
+        let grown = LIVE.with(Cell::get) - before;
+        assert!(
+            grown < 8192,
+            "frame {k}: {grown} bytes held for a peer's choice of names"
+        );
+    }
+    assert_eq!(
+        dmon.events_rejected(),
+        8 * 16,
+        "every long name, every frame"
+    );
+    assert_eq!(host.proc.list("cluster/maui").unwrap(), listing);
+}
+
+#[test]
 fn hostile_digests_cost_bounded_tables_and_leave_the_racks_that_exist_alone() {
     let names = ["alan", "maui", "etna"].map(String::from).to_vec();
     let mut dmon = DMon::new(NodeId(0), names, standard_modules(), SimDur::from_secs(1));

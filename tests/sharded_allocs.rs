@@ -1,11 +1,14 @@
-//! A poll round's payload buffers come back: on a 64-node star run on two
-//! engine shards, where the thread that delivers a frame is not always the
-//! one that built it, a simulated second more costs next to no allocator
-//! calls per frame it delivers. The record pool holds a whole round
-//! (`kecho::event`'s `RECORD_POOL_CAP`); when it held 64 buffers of the
-//! round's 4032, every frame was a `malloc` on one thread and a `free` on
-//! the other. Counted with an allocator of this binary's own, over every
-//! thread — the only test here, so nothing else runs beside it.
+//! A poll round's payload buffers come back, and what a run costs the
+//! allocator is a property of the run: on a 64-node star run on two engine
+//! shards, where the thread that delivers a frame is not always the one
+//! that built it, a simulated second more costs next to no allocator calls
+//! per frame it delivers, and the same run makes the same number of calls
+//! whichever thread drives it and whichever thread claims which shard. The
+//! simulation and each shard own their record pool (`kecho::RecordPool`)
+//! and lend it to the thread that runs them; a pool holds a whole round
+//! (`kecho::event`'s `RECORD_POOL_CAP`). Counted with an allocator of this
+//! binary's own, over every thread — the only test here, so nothing else
+//! runs beside it.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -40,39 +43,53 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `(allocator calls, monitoring frames delivered)` of the star built and
-/// run for `secs` simulated seconds in one `run_until`, on a thread of its
-/// own: the record pools are per thread and the engine's workers live for
-/// one `run_until`, so every run starts with every pool empty.
-fn run(secs: u64) -> (u64, u64) {
-    let star = move || {
-        let before = CALLS.load(Relaxed);
-        let mut sim = ClusterSim::new(ClusterConfig::new(64).stagger(SimDur::from_micros(1)));
-        sim.set_threads(2);
-        sim.start();
-        sim.run_until(SimTime::from_secs(secs));
-        assert!(sim.parallel_stats().is_some(), "the sharded engine ran it");
-        (CALLS.load(Relaxed) - before, sim.world().mon_delivered)
-    };
-    std::thread::spawn(star).join().expect("the run panicked")
+/// The 64-node star on two shards, started.
+fn star() -> ClusterSim {
+    let mut sim = ClusterSim::new(ClusterConfig::new(64).stagger(SimDur::from_micros(1)));
+    sim.set_threads(2);
+    sim.start();
+    sim
+}
+
+/// Allocator calls of the star built and run for ten seconds in ten
+/// one-second `run_until` calls: ten crews of workers, each claiming
+/// shards in whatever order it gets to them.
+fn ten_slices() -> u64 {
+    let before = CALLS.load(Relaxed);
+    let mut sim = star();
+    for s in 1..=10 {
+        sim.run_until(SimTime::from_secs(s));
+    }
+    assert!(sim.parallel_stats().is_some(), "the sharded engine ran it");
+    CALLS.load(Relaxed) - before
 }
 
 #[test]
-fn thirty_more_seconds_on_two_shards_cost_under_a_tenth_of_a_call_per_frame() {
-    // Two runs of one deterministic cluster: what the longer one adds to
-    // the shorter is thirty simulated seconds after a three-second warm-up
-    // (set-up, first contact, vectors growing to size). Thirty, because
-    // which thread claims which shard is a race, and with it how many
-    // buffers each run's two pools come to hold between them — one round's
-    // worth or two. That difference is 0.2 calls per frame over five
-    // seconds and 0.03 over thirty; the pool of 64 reads 0.97 over either.
-    let (warm_calls, warm_frames) = run(3);
-    let (calls, frames) = run(33);
-    let more = frames - warm_frames;
+fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per_frame() {
+    // The same run on this thread, on it again, and on a fresh one. Were
+    // the pools the threads', the first run would leave this thread's pool
+    // full for the second, a worker's would die with it at the end of
+    // every `run_until`, and which shard a thread claimed would decide
+    // which pool a buffer went back to.
+    let here = ten_slices();
+    let again = ten_slices();
+    let fresh = std::thread::spawn(ten_slices)
+        .join()
+        .expect("the run panicked");
+    assert_eq!((again, fresh), (here, here), "allocator calls per run");
+
+    // Thirty simulated seconds after a three-second warm-up (set-up, first
+    // contact, vectors growing to size), in one `run_until`.
+    let mut sim = star();
+    sim.run_until(SimTime::from_secs(3));
+    let (warm_calls, warm_frames) = (CALLS.load(Relaxed), sim.world().mon_delivered);
+    sim.run_until(SimTime::from_secs(33));
+    let calls = CALLS.load(Relaxed) - warm_calls;
+    let more = sim.world().mon_delivered - warm_frames;
     assert_eq!(more, 30 * 64 * 63, "a frame per pair per second");
-    let per_frame = calls.saturating_sub(warm_calls) as f64 / more as f64;
+    let per_frame = calls as f64 / more as f64;
     assert!(
-        per_frame < 0.1,
-        "{per_frame:.3} allocator calls per delivered frame ({warm_calls} calls in 3 s, {calls} in 33 s)"
+        per_frame < 0.01,
+        "{per_frame:.4} allocator calls per delivered frame ({calls} calls in 30 s)"
     );
 }
