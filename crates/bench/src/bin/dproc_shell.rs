@@ -926,7 +926,7 @@ mod tests {
         assert!(ok.contains("verdict: admitted"), "{ok}");
         assert!(ok.contains("reads: LOADAVG"), "{ok}");
         assert!(ok.contains("writes: output[0]"), "{ok}");
-        assert!(ok.contains("memo: snapshot-keyed"), "{ok}");
+        assert!(ok.contains("memo: shared"), "{ok}");
         assert!(ok.contains("memo_safe = true"), "{ok}");
         let bad = shell
             .exec(parse("lint { while (1) { } }").unwrap())

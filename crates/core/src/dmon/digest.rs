@@ -22,8 +22,9 @@ const RACK_FILES: usize = INLINE_METRICS + SPILL_METRICS;
 
 #[derive(Default)]
 pub(super) struct Digest {
-    /// Latest digest received per rack (spine subscribers only) — the
-    /// observability surface behind the shell's `racks` command.
+    /// Latest digest received per rack (spine subscribers only), at most
+    /// `RACK_FILES` records of it — the observability surface behind the
+    /// shell's `racks` command.
     latest: BTreeMap<u32, DigestPayload>,
     /// Interned handles for `cluster/rack<k>/<file>`, by rack and metric
     /// id.
@@ -144,9 +145,10 @@ impl DMon {
     }
 
     /// Handle an incoming rack digest: record freshness, refresh the
-    /// `/proc/cluster/rack<k>/...` summary files, and keep the latest
-    /// payload per rack for observability surfaces. Returns the handler
-    /// CPU cost, which stays out of the Fig. 8 receive-cost sampler.
+    /// `/proc/cluster/rack<k>/...` summary files, and keep what they show
+    /// of the latest payload per rack for observability surfaces. Returns
+    /// the handler CPU cost, which stays out of the Fig. 8 receive-cost
+    /// sampler.
     pub fn on_digest(
         &mut self,
         host: &mut Host,
@@ -178,6 +180,20 @@ impl DMon {
                 .digest_staleness_s
                 .add((now.as_secs_f64() - newest).max(0.0));
         }
+        // What is kept of the payload is one record per metric id the rack
+        // directory has a file for, the last one the digest carried for it:
+        // a valid digest, one record per id, is kept whole, and a peer's
+        // record count costs nothing past `RACK_FILES`. The kept buffer is
+        // reused, and sized as a copy of a valid digest would be.
+        let cap = payload.records.len().min(RACK_FILES);
+        let latest = &mut self.digest.latest;
+        let kept = latest.entry(rack).or_insert_with(|| DigestPayload {
+            records: Vec::with_capacity(cap),
+            ..*payload
+        });
+        (kept.origin, kept.members) = (payload.origin, payload.members);
+        kept.records.clear();
+        kept.records.reserve(cap);
         let handles = &mut self.digest.handles;
         for r in &payload.records {
             let key = (rack, r.metric_id);
@@ -207,15 +223,9 @@ impl DMon {
                 r.newest_ts.to_bits(),
             ];
             host.proc.set_record(h, render_digest, &words);
-        }
-        match self.digest.latest.get_mut(&rack) {
-            // The kept payload's record buffer is reused, not re-allocated.
-            Some(kept) => {
-                (kept.origin, kept.members) = (payload.origin, payload.members);
-                kept.records.clone_from(&payload.records);
-            }
-            None => {
-                self.digest.latest.insert(rack, payload.clone());
+            match kept.records.iter_mut().find(|k| k.metric_id == r.metric_id) {
+                Some(k) => *k = *r,
+                None => kept.records.push(*r),
             }
         }
         calib.receive_cost(bytes)

@@ -21,19 +21,13 @@ use crate::params::{PolicySet, Rule, RuleCtx};
 use crate::peers::{MetricRow, Stamped};
 
 /// One memoized filter evaluation within the current poll, keyed by the
-/// dense filter id (a hit is a u32 compare, no hashing on the poll path)
-/// and by what the filter's effect certificate proved.
+/// dense filter id alone (a hit is a u32 compare, no hashing on the poll
+/// path): its effect certificate proved that everything a run produces is
+/// the same for every subscriber but the emitted records'
+/// `last_value_sent`, which `Memo::run` stamps per subscriber.
 /// `MemoClass::Bypass` filters never reach this table.
 struct MemoEntry {
     id: u32,
-    /// Where the entry's key starts in [`Memo::keys`]. Empty for
-    /// `MemoClass::Shared`: the output is provably independent of
-    /// per-subscriber state, so the id alone keys the entry. For
-    /// `MemoClass::SnapshotKeyed` emitted records copy per-subscriber
-    /// `last_value_sent`, so a hit also needs equal last-sent values, one
-    /// per sampled metric — all that differs between two subscribers'
-    /// inputs within a poll.
-    key: usize,
     /// Accepted records (offsets into [`Memo::arena`]) + executed
     /// instructions, or `None` for a VM fault.
     result: Option<(Span, u64)>,
@@ -94,14 +88,12 @@ impl Admitted {
     }
 }
 
-/// The per-poll filter memo: its entries, the keys and the accepted
-/// records they point into (each written once per distinct run, in the
-/// shape the wire carries) and the filter input vector reused across runs
-/// and polls.
+/// The per-poll filter memo: its entries, the accepted records they point
+/// into (each written once per distinct run, in the shape the wire
+/// carries) and the filter input vector reused across runs and polls.
 #[derive(Default)]
 struct Memo {
     entries: Vec<MemoEntry>,
-    keys: Vec<f64>,
     arena: Vec<MonRecord>,
     inputs: Vec<MetricRecord>,
 }
@@ -120,24 +112,21 @@ impl Memo {
         now: SimTime,
         stats: &mut DmonStats,
     ) -> Option<(Span, u64)> {
-        let last = |i: usize| last_sent.get(i as u32).map_or(0.0, |(v, _)| v);
-        let keyed = df.memo == MemoClass::SnapshotKeyed;
-        let (n, key) = (if keyed { samples.len() } else { 0 }, self.keys.len());
+        let last = |i: u32| last_sent.get(i).map_or(0.0, |(v, _)| v);
         if df.memo == MemoClass::Bypass {
             // Per-subscriber state feeds the output: one run per
             // subscriber, observable via `memo_bypassed`.
             stats.memo_bypassed += 1;
-        } else {
-            // The subscriber's key goes where a miss keeps it; a hit
-            // drops it. (One id is one artefact for the whole poll, so
-            // the keys of the entries under it are all as long.)
-            self.keys.extend((0..n).map(last));
-            let keys = &self.keys;
-            let same = |m: &&MemoEntry| keys[m.key..m.key + n] == keys[key..key + n];
-            if let Some(m) = self.entries.iter().find(|m| m.id == id && same(m)) {
-                self.keys.truncate(key);
-                return m.result;
+        } else if let Some(m) = self.entries.iter().find(|m| m.id == id) {
+            // A shared run's records differ between subscribers only in
+            // `last_value_sent`, and a record's `id` names the input it
+            // was copied from: stamp this subscriber's value in place.
+            if let Some(((start, end), _)) = m.result {
+                for r in &mut self.arena[start..end] {
+                    r.last_value_sent = last(r.metric_id);
+                }
             }
+            return m.result;
         }
         // A run: the input vector is built for it, and what it accepts is
         // written to the arena once, as the wire carries it. Skipped
@@ -148,7 +137,7 @@ impl Memo {
         let input = |(i, s): (usize, &Option<f64>)| MetricRecord {
             id: i as u32,
             value: s.unwrap_or(0.0),
-            last_value_sent: last(i),
+            last_value_sent: last(i as u32),
             timestamp: now.as_secs_f64(),
         };
         self.inputs.extend(samples.iter().enumerate().map(input));
@@ -165,7 +154,7 @@ impl Memo {
             ((start, self.arena.len()), instructions)
         });
         if df.memo != MemoClass::Bypass {
-            self.entries.push(MemoEntry { id, key, result });
+            self.entries.push(MemoEntry { id, result });
         }
         result
     }
@@ -329,7 +318,6 @@ impl Select {
     /// Forget the previous poll's memo.
     pub(super) fn begin_poll(&mut self) {
         self.memo.entries.clear();
-        self.memo.keys.clear();
         self.memo.arena.clear();
     }
 
@@ -618,7 +606,7 @@ mod tests {
     const IMPURE_SRC: &str =
         "{ if (input[LOADAVG].value > input[LOADAVG].last_value_sent) { output[0] = input[LOADAVG]; } }";
 
-    /// Source of a pure passthrough filter — SnapshotKeyed class.
+    /// Source of a pure passthrough filter — Shared class.
     const PURE_SRC: &str = "{ output[0] = input[LOADAVG]; }";
 
     #[test]
@@ -675,7 +663,7 @@ mod tests {
             deploy(&mut dmon, sub, PURE_SRC);
             let cert = dmon.filter_for(sub).unwrap().cert();
             assert!(cert.memo_safe());
-            assert_eq!(cert.effects.memo, MemoClass::SnapshotKeyed);
+            assert_eq!(cert.effects.memo, MemoClass::Shared);
         }
         let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
         assert_eq!(dmon.stats.memo_bypassed, 0);
@@ -701,49 +689,51 @@ mod tests {
             );
         }
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
-        let entries = &dmon.select.memo.entries;
-        assert_eq!(entries.len(), 1);
-        assert!(
-            dmon.select.memo.keys.is_empty(),
-            "fingerprint-only entries keep no key"
-        );
+        assert_eq!(dmon.select.memo.entries.len(), 1);
         assert_eq!(dmon.stats.memo_bypassed, 0);
     }
 
     #[test]
-    fn the_last_sent_key_hits_and_misses_where_the_whole_input_key_did() {
+    fn one_run_serves_every_subscriber_with_its_own_last_sent_values() {
         let (dmon, ..) = setup();
-        let Ok(df) = Admitted::new(PURE_SRC, &dmon.sample.env) else {
-            panic!("the passthrough filter is admitted");
+        // Copies records out of slot order, some of them twice, and edits
+        // the copies' other fields: only `last_value_sent` may differ
+        // between subscribers.
+        let src = "{ for (int i = 0; i < 5; i = i + 1) { \
+                     if (input[i].value > 0.0) { output[4 - i] = input[i]; \
+                       output[4 - i].value = input[i].value * 2.0; } } \
+                   output[5] = input[CACHE_MISS]; \
+                   output[5].timestamp = input[LOADAVG].value; \
+                   if (input[FREEMEM].value < -0.9) { return 0; } }";
+        let Ok(df) = Admitted::new(src, &dmon.sample.env) else {
+            panic!("the record-copying filter is admitted");
         };
-        assert_eq!(df.memo, MemoClass::SnapshotKeyed);
+        assert_eq!(df.memo, MemoClass::Shared);
         let n = dmon.sample.env.len();
         let mut rng = simcore::SimRng::seed_from_u64(0x000A_11CE);
         let mut stats = DmonStats::default();
         let mut memo = Memo::default();
-        // Last-sent values drawn from few enough that whole rows repeat,
-        // rows differ in one metric, and the two zeroes and NaN meet
-        // themselves and each other.
-        let drawn = [0.0, -0.0, 1.0, 2.5, f64::NAN];
-        let (mut hits, mut misses) = (0, 0);
-        for poll in 0..300u64 {
+        let drawn = [0.0, -0.0, 1.0, 2.5, f64::NAN, f64::INFINITY];
+        let bits = |r: &MonRecord| {
+            let f = [r.value, r.last_value_sent, r.timestamp].map(f64::to_bits);
+            (r.metric_id, f)
+        };
+        let mut emitted = 0;
+        for poll in 0..50u64 {
             let now = SimTime::from_secs(poll);
             let samples: Vec<_> = (0..n).map(|_| Some(rng.range_f64(-1.0, 1.0))).collect();
             memo.entries.clear();
-            memo.keys.clear();
             memo.arena.clear();
-            // The key as it was: the whole input vector of every run of
-            // this poll, compared by `MetricRecord`'s derived `==`.
-            let mut model: Vec<Vec<MetricRecord>> = Vec::new();
-            for sub in 0..12 {
+            for sub in 0..12u64 {
+                // A row of the subscriber's own: unset slots read as 0.0,
+                // and the two zeroes, NaN and infinity turn up.
                 let mut row = MetricRow::<Stamped>::default();
                 for id in 0..n as u32 {
-                    // An unset slot reads as 0.0, like a zero that was sent.
-                    if !rng.chance(0.05) {
-                        let v = if rng.chance(0.85) {
-                            1.0
-                        } else {
+                    if rng.chance(0.9) {
+                        let v = if rng.chance(0.5) {
                             *rng.pick(&drawn)
+                        } else {
+                            (sub * 100 + u64::from(id)) as f64
                         };
                         row.set(id, (v, now));
                     }
@@ -756,25 +746,34 @@ mod tests {
                         timestamp: now.as_secs_f64(),
                     })
                     .collect();
-                let expect = model.iter().position(|seen| *seen == inputs);
+                let own = df.run(&inputs).expect("the filter cannot fault");
+                let want: Vec<_> = own
+                    .iter_accepted()
+                    .map(|r| MonRecord {
+                        metric_id: r.id,
+                        value: r.value,
+                        last_value_sent: r.last_value_sent,
+                        timestamp: r.timestamp,
+                    })
+                    .collect();
                 let result = memo.run(0, &df, &row, &samples, now, &mut stats);
                 let at = format!("poll {poll} subscriber {sub}");
-                match expect {
-                    Some(entry) => {
-                        hits += 1;
-                        assert_eq!(memo.entries.len(), model.len(), "{at}: a hit");
-                        assert_eq!(result, memo.entries[entry].result, "{at}: the first match");
-                    }
-                    None => {
-                        misses += 1;
-                        model.push(inputs);
-                        assert_eq!(memo.entries.len(), model.len(), "{at}: a miss");
-                    }
-                }
-                assert_eq!(memo.keys.len(), model.len() * n, "{at}: one key per entry");
+                let Some(((start, end), instructions)) = result else {
+                    panic!("{at}: the shared run faulted");
+                };
+                assert_eq!(instructions, own.instructions(), "{at}");
+                let got = &memo.arena[start..end];
+                assert_eq!(
+                    got.iter().map(bits).collect::<Vec<_>>(),
+                    want.iter().map(bits).collect::<Vec<_>>(),
+                    "{at}"
+                );
+                assert_eq!(memo.entries.len(), 1, "{at}: one run for the poll");
+                emitted += got.len();
             }
         }
-        assert!(hits > 500 && misses > 500, "{hits} hits, {misses} misses");
+        assert_eq!(stats.memo_bypassed, 0);
+        assert!(emitted > 1000, "{emitted} records compared");
     }
 
     /// Occupied slots and `filter_ids` entries of a d-mon's table.

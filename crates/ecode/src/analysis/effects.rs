@@ -11,24 +11,27 @@
 //! filter cannot touch anything outside its locals and output slots. The
 //! *only* per-subscriber state a publisher feeds in is each metric's
 //! `last_value_sent`, which differs between subscribers of the same
-//! channel. Sharing one VM run across subscribers (the per-poll memo in
-//! d-mon) is therefore sound exactly when the output is provably
-//! independent of that field. This pass proves it, or refuses to.
+//! channel. An output slot only comes into existence by copying an input
+//! record (`output[k] = input[j]`; assigning a field of an empty slot is
+//! a runtime error), and input `j` carries `id = j`. So unless the filter
+//! touches `last_value_sent` or assigns an output `id`, everything it
+//! produces — records, accept flag, instruction count, error — is the
+//! same for every subscriber of a poll, except that an emitted record
+//! carries the subscriber's own `last_value_sent` for the record's `id`.
+//! One run, stamped per subscriber, serves them all. This pass proves
+//! that, or refuses to.
 //!
-//! Three classes fall out of the walk:
+//! Two classes fall out of the walk:
 //!
-//! * [`MemoClass::Shared`] — the filter neither reads
-//!   `last_value_sent` nor emits whole records (a whole-record emit
-//!   copies the per-subscriber field into the output). Its result is
-//!   identical for every subscriber within a poll, so one run keyed on
-//!   the source fingerprint alone serves them all.
-//! * [`MemoClass::SnapshotKeyed`] — the filter emits whole records but
-//!   never *reads* `last_value_sent`: its decisions are shared, but the
-//!   emitted bytes embed per-subscriber state, so a shared run is sound
-//!   only under full input-snapshot equality.
+//! * [`MemoClass::Shared`] — the filter neither reads nor writes
+//!   `last_value_sent`, and does not both copy records and assign an
+//!   output `id`. One run per poll serves every subscriber; d-mon stamps
+//!   each emitted record with that subscriber's last-sent value for its
+//!   `id`.
 //! * [`MemoClass::Bypass`] — the filter reads or writes
-//!   `last_value_sent`; its behaviour is genuinely per-subscriber and
-//!   the memo must be bypassed entirely.
+//!   `last_value_sent`, or copies records and assigns an output `id` (the
+//!   one way `id` stops naming the record's source). Its behaviour is
+//!   per-subscriber and the memo is bypassed entirely.
 //!
 //! The walk is conservative: any syntactic occurrence counts, reachable
 //! or not. A dead `last_value_sent` read costs sharing, never
@@ -42,13 +45,12 @@ use crate::sema::{RExpr, RExprKind, RProgram, RStmt, RStmtKind};
 /// subscribers that deployed identical source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoClass {
-    /// Output provably independent of per-subscriber state: share on
-    /// the source fingerprint alone.
+    /// Output provably the same for every subscriber but for each emitted
+    /// record's `last_value_sent`, which is the subscriber's own for the
+    /// record's `id`: one run per poll, stamped per subscriber.
     Shared,
-    /// Decisions are state-independent but emitted records copy
-    /// per-subscriber state: share only under input-snapshot equality.
-    SnapshotKeyed,
-    /// Reads or writes per-subscriber state: never share.
+    /// Reads or writes per-subscriber state, or renames a copied record:
+    /// never share.
     Bypass,
 }
 
@@ -57,7 +59,6 @@ impl MemoClass {
     pub fn label(self) -> &'static str {
         match self {
             MemoClass::Shared => "shared",
-            MemoClass::SnapshotKeyed => "snapshot-keyed",
             MemoClass::Bypass => "per-subscriber",
         }
     }
@@ -77,6 +78,8 @@ pub struct EffectSummary {
     /// Emits a whole input record (`output[i] = input[j];`), which
     /// copies the per-subscriber `last_value_sent` field verbatim.
     pub copies_records: bool,
+    /// Assigns `output[...].id` somewhere.
+    pub writes_id: bool,
     /// The sharing verdict derived from the flags above.
     pub memo: MemoClass,
 }
@@ -90,15 +93,14 @@ pub fn scan(prog: &RProgram) -> (MetricSet, EffectSummary) {
             reads_last_sent: false,
             writes_last_sent: false,
             copies_records: false,
+            writes_id: false,
             memo: MemoClass::Shared,
         },
     };
     scanner.stmts(&prog.body);
     let Scanner { reads, mut fx } = scanner;
-    if fx.reads_last_sent || fx.writes_last_sent {
+    if fx.reads_last_sent || fx.writes_last_sent || (fx.copies_records && fx.writes_id) {
         fx.memo = MemoClass::Bypass;
-    } else if fx.copies_records {
-        fx.memo = MemoClass::SnapshotKeyed;
     }
     (reads, fx)
 }
@@ -128,8 +130,10 @@ impl Scanner {
                 field,
                 value,
             } => {
-                if *field == Field::LastValueSent {
-                    self.fx.writes_last_sent = true;
+                match field {
+                    Field::LastValueSent => self.fx.writes_last_sent = true,
+                    Field::Id => self.fx.writes_id = true,
+                    Field::Value | Field::Timestamp => {}
                 }
                 self.index(index, false);
                 self.expr(value);

@@ -173,8 +173,8 @@ impl FilterCert {
 
     /// Whether the publisher's shared-filter memo may serve this filter
     /// at all: false when the filter reads or writes the per-subscriber
-    /// `last_value_sent` state, in which case it must be evaluated once
-    /// per subscriber.
+    /// `last_value_sent` state or renames a copied record, in which case
+    /// it must be evaluated once per subscriber.
     pub fn memo_safe(&self) -> bool {
         self.effects.memo != MemoClass::Bypass
     }
@@ -259,9 +259,8 @@ pub fn lint_report(
     lines.push(format!("reads: {reads}\nwrites: {writes}\nemits: {emits}"));
     let (label, safe) = (fx.memo.label(), cert.memo_safe());
     let note = match fx.memo {
-        MemoClass::Shared => "one evaluation serves every subscriber",
-        MemoClass::SnapshotKeyed => "shared per input snapshot, records copied per subscriber",
-        MemoClass::Bypass => "touches last_value_sent — evaluated per subscriber",
+        MemoClass::Shared => "one run serves every subscriber, stamped with its last_value_sent",
+        MemoClass::Bypass => "touches last_value_sent or renames a copy — run per subscriber",
     };
     lines.push(format!("memo: {label} ({note}); memo_safe = {safe}"));
     let verdict = cert.admission_error(budget);

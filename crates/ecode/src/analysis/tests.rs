@@ -540,7 +540,7 @@ fn report_renders_the_whole_certificate() {
                 reads: B\n\
                 writes: output[1]\n\
                 emits: yes\n\
-                memo: snapshot-keyed (shared per input snapshot, records copied per subscriber); \
+                memo: shared (one run serves every subscriber, stamped with its last_value_sent); \
                 memo_safe = true\n\
                 verdict: rejected — filter worst-case cost 4 exceeds the instruction budget 3";
     assert_eq!(report, want);
@@ -579,11 +579,12 @@ fn pure_non_emitting_filter_is_shared_class() {
 }
 
 #[test]
-fn record_emitting_filter_is_snapshot_keyed() {
+fn record_emitting_filter_is_shared_class() {
     let cert = deploy_cert("{ if (input[A].value > 1) { output[0] = input[A]; } }");
     assert!(cert.memo_safe());
-    assert_eq!(cert.effects.memo, MemoClass::SnapshotKeyed);
+    assert_eq!(cert.effects.memo, MemoClass::Shared);
     assert!(cert.effects.copies_records);
+    assert!(!cert.effects.writes_id);
     let MetricSet::Fixed(writes) = &cert.effects.writes else {
         panic!("constant slot index should stay fixed");
     };
@@ -621,7 +622,23 @@ fn never_taken_last_value_sent_read_still_forces_bypass() {
 fn dynamic_output_slot_collapses_write_set() {
     let cert = deploy_cert("{ int i; for (i = 0; i < 2; i = i + 1) { output[i] = input[A]; } }");
     assert_eq!(cert.effects.writes, MetricSet::All);
-    assert_eq!(cert.effects.memo, MemoClass::SnapshotKeyed);
+    assert_eq!(cert.effects.memo, MemoClass::Shared);
+}
+
+#[test]
+fn renaming_a_copied_record_forces_bypass() {
+    // The copy's `id` no longer names its source, so a shared run could
+    // not stamp it with the subscriber's last-sent value for that source.
+    let cert = deploy_cert("{ output[0] = input[A]; output[0].id = 3; }");
+    assert!(!cert.memo_safe());
+    assert_eq!(cert.effects.memo, MemoClass::Bypass);
+    assert!(cert.effects.copies_records && cert.effects.writes_id);
+    assert!(!cert.effects.reads_last_sent && !cert.effects.writes_last_sent);
+    // Without a copy an `id` assignment meets an empty slot and faults
+    // the same way for every subscriber.
+    let cert = deploy_cert("{ output[0].id = 3; }");
+    assert_eq!(cert.effects.memo, MemoClass::Shared);
+    assert!(cert.effects.writes_id);
 }
 
 #[test]

@@ -630,3 +630,69 @@ fn hostile_digests_cost_bounded_tables_and_leave_the_racks_that_exist_alone() {
     assert_eq!(host.proc.list("cluster/rack0").unwrap(), ["cpu", "extra"]);
     assert!(host.proc.list("cluster/rack1001").is_err());
 }
+
+#[test]
+fn a_digests_record_count_costs_a_bounded_kept_payload_per_rack() {
+    // 64 nodes, so 64 rack numbers a digest may name.
+    let names: Vec<String> = (0..64).map(|k| format!("n{k}")).collect();
+    let racks = names.len() as u32;
+    let mut dmon = DMon::new(NodeId(0), names, standard_modules(), SimDur::from_secs(1));
+    let mut host = Host::new("n0", NodeId(0), &HostConfig::testbed());
+    let calib = Calib::default();
+    let now = SimTime::from_secs(1);
+    let digest = |seq: u64, rack, records| {
+        let payload = DigestPayload {
+            rack,
+            origin: NodeId(1),
+            members: 1,
+            records,
+        };
+        Event::digest(2, seq, NodeId(1), payload)
+    };
+    let record = |metric_id, mean| DigestRecord {
+        metric_id,
+        min: mean,
+        max: mean,
+        mean,
+        count: 1,
+        newest_ts: f64::NEG_INFINITY,
+    };
+
+    let before = LIVE.with(Cell::get);
+    // Every rack number, three times over, in digests of 255 records (a
+    // frame has room for them) that name ids 0..128 and then most of them
+    // again. At the parent commit each rack kept the whole payload, 10 200
+    // bytes of records a rack: 42 MB per spine subscriber at 4096 nodes.
+    let mut seq = 0;
+    for _ in 0..3 {
+        for rack in 0..racks {
+            let records = (0..255u32).map(|i| record(i % 128, f64::from(i))).collect();
+            seq += 1;
+            dmon.on_digest(&mut host, &digest(seq, rack, records), 100, now, &calib);
+        }
+    }
+    let grown = LIVE.with(Cell::get) - before;
+    let per_rack = grown / i64::from(racks);
+    assert!(
+        per_rack < 4096,
+        "{per_rack} bytes held per rack for a peer's record count ({grown} in all)"
+    );
+    assert_eq!(dmon.stats.digest_records, 3 * 255 * u64::from(racks));
+    // One record per id the directory has a file for, the last one sent.
+    for rack in 0..racks {
+        let kept = &dmon.rack_digest(rack).expect("a kept digest").records;
+        let ids: Vec<u32> = kept.iter().map(|r| r.metric_id).collect();
+        assert_eq!(ids, (0..21).collect::<Vec<_>>(), "rack {rack}");
+        assert!(kept.iter().all(|r| r.mean == f64::from(128 + r.metric_id)));
+    }
+    // A valid digest, one record per standard metric, is kept whole.
+    let valid: Vec<_> = (0..5).map(|id| record(id, 0.5)).collect();
+    let ev = digest(seq + 1, 7, valid);
+    dmon.on_digest(&mut host, &ev, 100, now, &calib);
+    assert_eq!(dmon.rack_digest(7), ev.as_digest());
+    let text = host.proc.read("cluster/rack7/cpu").unwrap();
+    assert!(
+        text.starts_with("min 0.5 max 0.5 mean 0.5 count 1"),
+        "{text}"
+    );
+}

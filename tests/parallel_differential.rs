@@ -214,14 +214,15 @@ fn overload_backpressure_is_bit_identical() {
 #[test]
 fn compiled_filters_are_bit_identical() {
     // Certified E-code filters take over every stream: two shapes the
-    // register compiler specializes into closures (one `Shared`-memo,
-    // one `SnapshotKeyed`) plus one impure shape that bypasses the memo
-    // per subscriber. Compiled execution, memo sharing, and the batched
+    // register compiler specializes into closures (a threshold and a
+    // passthrough, both `Shared`: one run per poll, stamped per
+    // subscriber) plus one impure shape that bypasses the memo per
+    // subscriber. Compiled execution, memo sharing, and the batched
     // span gather must all replay bit-identically under sharded
     // execution — the dmon counters inside the fingerprint compare the
     // compile/fallback/bypass split too.
     const SHARED: &str = "{ if (input[LOADAVG].value > 0.25) { output[0] = input[LOADAVG]; } }";
-    const SNAP: &str = "{ output[0] = input[FREEMEM]; }";
+    const PASSTHROUGH: &str = "{ output[0] = input[FREEMEM]; }";
     const IMPURE: &str =
         "{ if (input[LOADAVG].value > input[LOADAVG].last_value_sent) { output[0] = input[LOADAVG]; } }";
     let cfg = || ClusterConfig::new(6).stagger(SimDur::from_micros(1));
@@ -236,7 +237,7 @@ fn compiled_filters_are_bit_identical() {
                 }
                 let source = match (p + s) % 3 {
                     0 => SHARED,
-                    1 => SNAP,
+                    1 => PASSTHROUGH,
                     _ => IMPURE,
                 };
                 w.dmons[p].on_control(

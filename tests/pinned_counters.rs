@@ -40,10 +40,11 @@ fn overload_policy_counters_are_pinned() {
     );
 }
 
-/// Subscriber-independent by its effect certificate (`Shared` memo class).
+/// A threshold on load (`Shared` memo class, like every filter here: one
+/// run per poll, stamped per subscriber).
 const SHARED_FILTER: &str = "{ if (input[LOADAVG].value > 0.25) { output[0] = input[LOADAVG]; } }";
-/// A pure passthrough (`SnapshotKeyed`).
-const SNAPSHOT_FILTER: &str = "{ output[0] = input[FREEMEM]; }";
+/// A pure passthrough (`Shared`).
+const PASSTHROUGH_FILTER: &str = "{ output[0] = input[FREEMEM]; }";
 
 /// An 8-node mesh where each of the 56 streams gets one of two certified
 /// filters: every admission must land on the register compiler, none on
@@ -61,7 +62,7 @@ fn filter_mesh_compile_counters_are_pinned() {
             let source = if (p + s) % 2 == 0 {
                 SHARED_FILTER
             } else {
-                SNAPSHOT_FILTER
+                PASSTHROUGH_FILTER
             };
             let msg = kecho::ControlMsg::DeployFilter {
                 source: source.into(),
