@@ -406,7 +406,7 @@ impl Shell {
             Cmd::Ctl { node, target, text } => {
                 let id = self.node(&node)?;
                 // Validate locally so typos surface immediately.
-                if let Err(e) = dproc::control::parse_control(&text) {
+                if let Err(e) = dproc::control::Command::parse(&text) {
                     return Err(format!("ctl: {e}"));
                 }
                 let sim = self.sim.as_mut().expect("checked");

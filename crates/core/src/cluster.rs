@@ -52,9 +52,6 @@ pub struct ClusterConfig {
     pub event_pad: u32,
     /// Per-node offset of the first poll, avoiding phase-locked polling.
     pub stagger: SimDur,
-    /// Subscribe every node to both channels at start (the normal dproc
-    /// deployment).
-    pub auto_subscribe: bool,
     /// Failure-detector silence bound for Fresh → Stale; `None` keeps the
     /// d-mon default (3× the polling period).
     pub stale_after: Option<SimDur>,
@@ -134,7 +131,6 @@ impl ClusterConfig {
             calib: Calib::default(),
             event_pad: 0,
             stagger: SimDur::from_millis(1),
-            auto_subscribe: true,
             stale_after: None,
             dead_after: None,
         }
@@ -161,12 +157,6 @@ impl ClusterConfig {
     /// Shorthand: racks of `rack_size` nodes behind top-of-rack switches.
     pub fn racks(self, rack_size: usize) -> Self {
         self.topo(TopologySpec::Racks { rack_size })
-    }
-
-    /// Set the inter-switch (rack ↔ spine) link parameters.
-    pub fn switch_link(mut self, spec: LinkSpec) -> Self {
-        self.switch_link = spec;
-        self
     }
 
     /// Set the poll start stagger between nodes. Tiny staggers (e.g.
@@ -301,9 +291,8 @@ pub struct ClusterWorld {
     /// Injected network faults: partitions, message loss, link
     /// degradation — plus the counters every dropped delivery feeds.
     pub fault: simnet::FaultState,
-    /// Nodes the failure detector evicted from the directory. Only these
-    /// auto-rejoin when they find themselves unsubscribed — nodes that
-    /// were never subscribed (manual-subscription setups) stay out.
+    /// Nodes the failure detector evicted from the directory; each
+    /// re-registers when its next poll finds it unsubscribed.
     pub(crate) evicted: Vec<bool>,
     /// Polling period, kept for re-arming a revived node's poll series.
     pub(crate) poll_period: SimDur,
@@ -778,10 +767,8 @@ impl ClusterSim {
             fault_plan: Vec::new(),
             deferred: Vec::new(),
         };
-        if cfg.auto_subscribe {
-            for i in 0..n {
-                world.subscribe_node(NodeId(i));
-            }
+        for i in 0..n {
+            world.subscribe_node(NodeId(i));
         }
         ClusterSim {
             sim: Sim::new(),
@@ -1229,6 +1216,21 @@ mod tests {
                 .collect();
             let (mon, ctl) = w.chans_of(subscriber);
             assert_eq!(heard_on, [mon.0, ctl.0]);
+            // The next deployment toward the publisher forgets the stale
+            // reason, a fresh refusal brings one back, `nofilter` forgets
+            // it again.
+            for (text, refused, installed) in [
+                ("filter { output[0] = input[LOADAVG]; }", false, true),
+                ("filter { while (1) { } }", true, true),
+                ("nofilter", false, false),
+            ] {
+                sim.write_control(s, &target, text);
+                sim.run_until(sim.now() + SimDur::from_secs(4));
+                let w = sim.world();
+                let reason = w.dmons[subscriber].filter_rejection(p);
+                assert_eq!(reason.is_some(), refused, "{text}: {reason:?}");
+                assert_eq!(w.dmons[publisher].has_filter(s), installed, "{text}");
+            }
         }
     }
 

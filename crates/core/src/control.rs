@@ -1,4 +1,4 @@
-//! The control-file text protocol.
+//! The control-file text protocol: one write is one [`Command`].
 //!
 //! Applications customize remote monitoring by writing plain text into
 //! `/proc/cluster/<node>/control`. Each write is one command:
@@ -9,7 +9,7 @@
 //! above <metric|*> <bound>         # threshold: send while value > bound
 //! below <metric|*> <bound>         # threshold: send while value < bound
 //! range <metric> <lo> <hi>         # threshold: send while lo <= v <= hi
-//! and <metric> <rule...>           # add a rule without replacing (AND)
+//! and <rule> <metric> <args...>    # add one of the five rules above (AND)
 //! clear <metric|*>                 # drop the metric's rules
 //! window <metric> <seconds>        # module averaging window (CPU MON)
 //! filter <e-code source...>        # deploy a dynamic filter (rest of write)
@@ -18,7 +18,27 @@
 //!
 //! `period`/`delta`/`above`/`below`/`range` *replace* the metric's rules;
 //! `and ...` adds to them, enabling the paper's "every 2 s IF above 80%"
-//! combinations.
+//! combinations. A metric is named by its `/proc` file (`cpu`) or its
+//! E-code constant (`LOADAVG`), and a name never holds a `:`.
+//!
+//! A command has two spellings, and this module is the only code that
+//! knows either: the text above, which [`Command::parse`] reads, and the
+//! [`ControlMsg`] a subscriber sends the publisher, which
+//! [`Command::to_msg`] writes and [`Command::of`] reads. Three commands
+//! have no message of their own and ride on `SetParam` as a prefix of the
+//! metric name:
+//!
+//! | command | wire message |
+//! |---|---|
+//! | `<rule> <metric> …` | `SetParam { metric: "<metric>", param }` |
+//! | `and <rule> <metric> …` | `SetParam { metric: "and:<metric>", param }` |
+//! | `clear <metric>` | `SetParam { metric: "clear:<metric>", param: Period { period_s: 1.0 } }` (a placeholder `param`) |
+//! | `window <metric> <s>` | `SetParam { metric: "window:<metric>", param: Period { period_s: <s> } }` |
+//! | `filter <source>` | `DeployFilter { source }` |
+//! | `nofilter` | `RemoveFilter` |
+//!
+//! Because a name cannot hold the `:` that ends a prefix, no name reads as
+//! one, and `Command::of(&c.to_msg()) == Some(c)` for every parsed `c`.
 
 use kecho::{ControlMsg, ParamSpec};
 
@@ -43,18 +63,73 @@ fn err(message: impl Into<String>) -> ControlParseError {
     }
 }
 
+/// The wire prefixes of `and`, `clear` and `window` (module doc).
+const AND: &str = "and:";
+const CLEAR: &str = "clear:";
+const WINDOW: &str = "window:";
+
+/// One customization, as written to a control file or carried on the
+/// wire; borrowed from whichever it was read from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Command<'a> {
+    /// A parameter rule for `metric` (`*` = every metric): it replaces
+    /// the metric's rules, or with `and` adds to them.
+    Rule {
+        /// Metric the rule gates.
+        metric: &'a str,
+        /// The rule.
+        param: ParamSpec,
+        /// `and`-combined rather than replacing.
+        and: bool,
+    },
+    /// Drop the rules of `metric` (`*` = the wildcard rules).
+    Clear { metric: &'a str },
+    /// Set the averaging window of the module whose `/proc` file is
+    /// `file` to `secs` seconds.
+    Window { file: &'a str, secs: f64 },
+    /// Put the stream under the E-code filter `source`.
+    Filter { source: &'a str },
+    /// Remove the deployed filter.
+    NoFilter,
+}
+
 fn parse_f64(s: &str, what: &str) -> Result<f64, ControlParseError> {
     s.parse::<f64>()
         .map_err(|_| err(format!("{what} `{s}` is not a number")))
 }
 
-/// Internal: parse one rule command's spec portion.
-fn parse_spec(cmd: &str, args: &[&str]) -> Result<ParamSpec, ControlParseError> {
-    match cmd {
+/// Exactly `N` whitespace-separated words of `s`.
+fn words<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut it = s.split_whitespace();
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = it.next()?;
+    }
+    it.next().is_none().then_some(out)
+}
+
+/// `s` split at its first whitespace, the rest left-trimmed.
+fn head(s: &str) -> (&str, &str) {
+    match s.split_once(char::is_whitespace) {
+        Some((h, r)) => (h, r.trim_start()),
+        None => (s, ""),
+    }
+}
+
+/// A metric name as written: never one that could read as a prefix.
+fn name(s: &str) -> Result<&str, ControlParseError> {
+    if s.contains(':') {
+        return Err(err(format!("metric `{s}` must not contain `:`")));
+    }
+    Ok(s)
+}
+
+/// The spec of rule verb `verb` from its arguments.
+fn parse_spec(verb: &str, args: &str) -> Result<ParamSpec, ControlParseError> {
+    let usage = |u: &str| err(format!("usage: {verb} {u}"));
+    match verb {
         "period" => {
-            let [v] = args else {
-                return Err(err("usage: period <metric|*> <seconds>"));
-            };
+            let [v] = words(args).ok_or_else(|| usage("<metric|*> <seconds>"))?;
             let period_s = parse_f64(v, "period")?;
             if period_s <= 0.0 {
                 return Err(err("period must be positive"));
@@ -62,35 +137,24 @@ fn parse_spec(cmd: &str, args: &[&str]) -> Result<ParamSpec, ControlParseError> 
             Ok(ParamSpec::Period { period_s })
         }
         "delta" => {
-            let [v] = args else {
-                return Err(err("usage: delta <metric|*> <fraction>"));
-            };
+            let [v] = words(args).ok_or_else(|| usage("<metric|*> <fraction>"))?;
             let fraction = parse_f64(v, "fraction")?;
             if !(0.0..=1.0).contains(&fraction) {
                 return Err(err("delta fraction must be within [0, 1]"));
             }
             Ok(ParamSpec::DeltaFraction { fraction })
         }
-        "above" => {
-            let [v] = args else {
-                return Err(err("usage: above <metric|*> <bound>"));
-            };
-            Ok(ParamSpec::Above {
-                bound: parse_f64(v, "bound")?,
-            })
-        }
-        "below" => {
-            let [v] = args else {
-                return Err(err("usage: below <metric|*> <bound>"));
-            };
-            Ok(ParamSpec::Below {
-                bound: parse_f64(v, "bound")?,
+        "above" | "below" => {
+            let [v] = words(args).ok_or_else(|| usage("<metric|*> <bound>"))?;
+            let bound = parse_f64(v, "bound")?;
+            Ok(if verb == "above" {
+                ParamSpec::Above { bound }
+            } else {
+                ParamSpec::Below { bound }
             })
         }
         "range" => {
-            let [lo, hi] = args else {
-                return Err(err("usage: range <metric> <lo> <hi>"));
-            };
+            let [lo, hi] = words(args).ok_or_else(|| usage("<metric> <lo> <hi>"))?;
             let lo = parse_f64(lo, "lo")?;
             let hi = parse_f64(hi, "hi")?;
             if lo > hi {
@@ -102,138 +166,127 @@ fn parse_spec(cmd: &str, args: &[&str]) -> Result<ParamSpec, ControlParseError> 
     }
 }
 
-/// The result of parsing one control write: the wire message plus whether
-/// the rule should *add* to (vs replace) the metric's existing rules.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlDirective {
-    /// The message to ship to the publisher.
-    pub msg: ControlMsg,
-    /// `and`-combined rather than replacing.
-    pub additive: bool,
-}
-
-/// Parse one control-file write.
-pub fn parse_control(text: &str) -> Result<ControlDirective, ControlParseError> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
-        return Err(err("empty control write"));
+impl<'a> Command<'a> {
+    /// Parse one control-file write — the only parser of the text.
+    pub fn parse(text: &'a str) -> Result<Command<'a>, ControlParseError> {
+        let (verb, rest) = head(text.trim());
+        match verb {
+            "" => Err(err("empty control write")),
+            "filter" if rest.is_empty() => Err(err("usage: filter <e-code source>")),
+            "filter" => Ok(Command::Filter { source: rest }),
+            "nofilter" if rest.is_empty() => Ok(Command::NoFilter),
+            "nofilter" => Err(err("nofilter takes no arguments")),
+            "clear" => {
+                let [metric] = words(rest).ok_or_else(|| err("usage: clear <metric|*>"))?;
+                let metric = name(metric)?;
+                Ok(Command::Clear { metric })
+            }
+            "window" => {
+                let usage = || err("usage: window <metric> <seconds>");
+                let [file, secs] = words(rest).ok_or_else(usage)?;
+                let secs = parse_f64(secs, "window")?;
+                if secs <= 0.0 {
+                    return Err(err("window must be positive"));
+                }
+                let file = name(file)?;
+                Ok(Command::Window { file, secs })
+            }
+            "and" => match head(rest) {
+                (verb @ ("period" | "delta" | "above" | "below" | "range"), rest) => {
+                    Self::rule(verb, rest, true)
+                }
+                _ => Err(err(
+                    "`and` only combines parameter rules: and <period|delta|above|below|range> <metric> <args...>",
+                )),
+            },
+            verb => Self::rule(verb, rest, false),
+        }
     }
-    let (head, rest) = match trimmed.split_once(char::is_whitespace) {
-        Some((h, r)) => (h, r.trim_start()),
-        None => (trimmed, ""),
-    };
-    match head {
-        "filter" => {
-            if rest.is_empty() {
-                return Err(err("usage: filter <e-code source>"));
-            }
-            Ok(ControlDirective {
-                msg: ControlMsg::DeployFilter {
-                    source: rest.to_string(),
-                },
-                additive: false,
-            })
+
+    /// `<verb> <metric> <args...>` as a rule.
+    fn rule(verb: &str, rest: &'a str, and: bool) -> Result<Command<'a>, ControlParseError> {
+        let (metric, args) = head(rest);
+        if metric.is_empty() {
+            return Err(err(format!("usage: {verb} <metric|*> <args...>")));
         }
-        "nofilter" => {
-            if !rest.is_empty() {
-                return Err(err("nofilter takes no arguments"));
+        let param = parse_spec(verb, args)?;
+        let metric = name(metric)?;
+        Ok(Command::Rule { metric, param, and })
+    }
+
+    /// The wire message that carries this command.
+    pub fn to_msg(&self) -> ControlMsg {
+        let set = |prefix: &str, metric: &str, param| ControlMsg::SetParam {
+            metric: [prefix, metric].concat(),
+            param,
+        };
+        match *self {
+            Command::Rule { metric, param, and } => set(if and { AND } else { "" }, metric, param),
+            Command::Clear { metric } => set(CLEAR, metric, ParamSpec::Period { period_s: 1.0 }),
+            Command::Window { file, secs } => {
+                set(WINDOW, file, ParamSpec::Period { period_s: secs })
             }
-            Ok(ControlDirective {
-                msg: ControlMsg::RemoveFilter,
-                additive: false,
-            })
+            Command::Filter { source } => ControlMsg::DeployFilter {
+                source: source.to_string(),
+            },
+            Command::NoFilter => ControlMsg::RemoveFilter,
         }
-        "clear" => {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            let [metric] = parts[..] else {
-                return Err(err("usage: clear <metric|*>"));
-            };
-            // Encoded as a zero-period sentinel? No — use Range over all
-            // reals with the special metric prefix; simpler: a dedicated
-            // pseudo-rule the d-mon interprets.
-            Ok(ControlDirective {
-                msg: ControlMsg::SetParam {
-                    metric: format!("clear:{metric}"),
-                    param: ParamSpec::Period { period_s: 1.0 },
-                },
-                additive: false,
-            })
+    }
+
+    /// The command a wire message carries; `None` for a message that is
+    /// no customization (credits, replies, announcements) or that no
+    /// [`Command::to_msg`] writes.
+    pub fn of(msg: &'a ControlMsg) -> Option<Command<'a>> {
+        let (metric, param) = match msg {
+            ControlMsg::SetParam { metric, param } => (metric.as_str(), *param),
+            ControlMsg::DeployFilter { source } => return Some(Command::Filter { source }),
+            ControlMsg::RemoveFilter => return Some(Command::NoFilter),
+            _ => return None,
+        };
+        let (prefix, metric) = [AND, CLEAR, WINDOW]
+            .into_iter()
+            .find_map(|p| Some((p, metric.strip_prefix(p)?)))
+            .unwrap_or(("", metric));
+        let rule = |and| Some(Command::Rule { metric, param, and });
+        match (prefix, param) {
+            _ if metric.contains(':') => None,
+            ("", _) => rule(false),
+            (AND, _) => rule(true),
+            (CLEAR, _) => Some(Command::Clear { metric }),
+            (WINDOW, ParamSpec::Period { period_s: secs }) => {
+                Some(Command::Window { file: metric, secs })
+            }
+            _ => None,
         }
-        "window" => {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            let [metric, secs] = parts[..] else {
-                return Err(err("usage: window <metric> <seconds>"));
-            };
-            let period_s = parse_f64(secs, "window")?;
-            if period_s <= 0.0 {
-                return Err(err("window must be positive"));
-            }
-            Ok(ControlDirective {
-                msg: ControlMsg::SetParam {
-                    metric: format!("window:{metric}"),
-                    param: ParamSpec::Period { period_s },
-                },
-                additive: false,
-            })
-        }
-        "and" => {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            if parts.len() < 2 {
-                return Err(err("usage: and <cmd> <metric> <args...>"));
-            }
-            let inner = parse_control(rest)?;
-            if inner.additive {
-                return Err(err("`and and` is not a thing"));
-            }
-            match &inner.msg {
-                ControlMsg::SetParam { .. } => Ok(ControlDirective {
-                    msg: inner.msg,
-                    additive: true,
-                }),
-                _ => Err(err("`and` only combines parameter rules")),
-            }
-        }
-        cmd @ ("period" | "delta" | "above" | "below" | "range") => {
-            let parts: Vec<&str> = rest.split_whitespace().collect();
-            if parts.is_empty() {
-                return Err(err(format!("usage: {cmd} <metric|*> <args...>")));
-            }
-            let metric = parts[0];
-            let spec = parse_spec(cmd, &parts[1..])?;
-            Ok(ControlDirective {
-                msg: ControlMsg::SetParam {
-                    metric: metric.to_string(),
-                    param: spec,
-                },
-                additive: false,
-            })
-        }
-        other => Err(err(format!("unknown control command `{other}`"))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn msg(text: &str) -> ControlMsg {
+        Command::parse(text).unwrap().to_msg()
+    }
 
     #[test]
     fn parses_period() {
-        let d = parse_control("period cpu 2").unwrap();
+        let c = Command::parse("period cpu 2").unwrap();
         assert_eq!(
-            d.msg,
+            c.to_msg(),
             ControlMsg::SetParam {
                 metric: "cpu".into(),
                 param: ParamSpec::Period { period_s: 2.0 }
             }
         );
-        assert!(!d.additive);
+        assert!(matches!(c, Command::Rule { and: false, .. }));
     }
 
     #[test]
     fn parses_delta_wildcard() {
-        let d = parse_control("delta * 0.15").unwrap();
         assert_eq!(
-            d.msg,
+            msg("delta * 0.15"),
             ControlMsg::SetParam {
                 metric: "*".into(),
                 param: ParamSpec::DeltaFraction { fraction: 0.15 }
@@ -244,21 +297,21 @@ mod tests {
     #[test]
     fn parses_bounds_and_range() {
         assert!(matches!(
-            parse_control("above cpu 0.8").unwrap().msg,
+            msg("above cpu 0.8"),
             ControlMsg::SetParam {
                 param: ParamSpec::Above { bound },
                 ..
             } if bound == 0.8
         ));
         assert!(matches!(
-            parse_control("below mem 5e7").unwrap().msg,
+            msg("below mem 5e7"),
             ControlMsg::SetParam {
                 param: ParamSpec::Below { bound },
                 ..
             } if bound == 5e7
         ));
         assert!(matches!(
-            parse_control("range disk 100 200").unwrap().msg,
+            msg("range disk 100 200"),
             ControlMsg::SetParam {
                 param: ParamSpec::Range { lo, hi },
                 ..
@@ -268,25 +321,25 @@ mod tests {
 
     #[test]
     fn and_marks_additive() {
-        let d = parse_control("and above cpu 0.8").unwrap();
-        assert!(d.additive);
-        assert!(matches!(d.msg, ControlMsg::SetParam { .. }));
+        let c = Command::parse("and above cpu 0.8").unwrap();
+        assert!(matches!(c, Command::Rule { and: true, .. }));
+        assert!(
+            matches!(c.to_msg(), ControlMsg::SetParam { ref metric, .. } if metric == "and:cpu")
+        );
     }
 
     #[test]
     fn filter_takes_rest_verbatim() {
         let src = "{ output[0] = input[LOADAVG]; }";
-        let d = parse_control(&format!("filter {src}")).unwrap();
         assert_eq!(
-            d.msg,
+            msg(&format!("filter {src}")),
             ControlMsg::DeployFilter {
                 source: src.to_string()
             }
         );
         // multiline source survives
         let multi = "filter {\n int i = 0;\n}";
-        let d = parse_control(multi).unwrap();
-        let ControlMsg::DeployFilter { source } = d.msg else {
+        let ControlMsg::DeployFilter { source } = msg(multi) else {
             panic!()
         };
         assert!(source.contains("int i = 0;"));
@@ -294,15 +347,11 @@ mod tests {
 
     #[test]
     fn nofilter_and_clear_and_window() {
-        assert_eq!(
-            parse_control("nofilter").unwrap().msg,
-            ControlMsg::RemoveFilter
-        );
-        let d = parse_control("clear cpu").unwrap();
-        assert!(matches!(d.msg, ControlMsg::SetParam { ref metric, .. } if metric == "clear:cpu"));
-        let d = parse_control("window cpu 5").unwrap();
+        assert_eq!(msg("nofilter"), ControlMsg::RemoveFilter);
+        let m = msg("clear cpu");
+        assert!(matches!(m, ControlMsg::SetParam { ref metric, .. } if metric == "clear:cpu"));
         assert!(
-            matches!(d.msg, ControlMsg::SetParam { ref metric, param: ParamSpec::Period { period_s } }
+            matches!(msg("window cpu 5"), ControlMsg::SetParam { ref metric, param: ParamSpec::Period { period_s } }
             if metric == "window:cpu" && period_s == 5.0)
         );
     }
@@ -322,16 +371,141 @@ mod tests {
             "filter",
             "and and above cpu 1",
             "and nofilter",
+            "and filter { }",
+            "and",
             "window cpu 0",
             "clear",
         ] {
-            assert!(parse_control(bad).is_err(), "should reject `{bad}`");
+            assert!(Command::parse(bad).is_err(), "should reject `{bad}`");
+        }
+    }
+
+    /// A name holding `:` would be spliced into a wire prefix, and `and`
+    /// of a command that is no rule would stack an inert rule under a
+    /// prefixed name: both are refused.
+    #[test]
+    fn rejects_names_and_combinations_that_would_read_as_prefixes() {
+        for bad in [
+            "period clear:cpu 5",
+            "period window:cpu 2",
+            "above and:cpu 1",
+            "clear and:cpu",
+            "window window:cpu 5",
+            "and clear cpu",
+            "and window cpu 5",
+        ] {
+            assert!(Command::parse(bad).is_err(), "should reject `{bad}`");
+        }
+    }
+
+    #[test]
+    fn wire_messages_no_command_writes_read_as_none() {
+        let set = |metric: &str, param| ControlMsg::SetParam {
+            metric: metric.into(),
+            param,
+        };
+        let above = ParamSpec::Above { bound: 1.0 };
+        for m in [
+            set("and:clear:cpu", above),
+            set("clear:window:cpu", above),
+            set("window:cpu", above),
+            set("cpu:x", above),
+            ControlMsg::Announce,
+            ControlMsg::Credit { credits: 1 },
+            ControlMsg::FilterRejected { reason: "r".into() },
+        ] {
+            assert_eq!(Command::of(&m), None, "{m:?}");
         }
     }
 
     #[test]
     fn error_display() {
-        let e = parse_control("bogus x").unwrap_err();
+        let e = Command::parse("bogus x").unwrap_err();
         assert!(e.to_string().contains("bad control write"));
+    }
+
+    /// What the wire carried for a command before [`Command`] existed,
+    /// spelled out independently: the pin `to_msg` must keep.
+    fn wire_of(verb: &str, metric: &str, args: &[f64], and: bool) -> ControlMsg {
+        let param = match (verb, args) {
+            ("period" | "window", &[v]) => ParamSpec::Period { period_s: v },
+            ("delta", &[v]) => ParamSpec::DeltaFraction { fraction: v },
+            ("above", &[v]) => ParamSpec::Above { bound: v },
+            ("below", &[v]) => ParamSpec::Below { bound: v },
+            ("range", &[lo, hi]) => ParamSpec::Range { lo, hi },
+            ("clear", &[]) => ParamSpec::Period { period_s: 1.0 },
+            _ => unreachable!("{verb} {args:?}"),
+        };
+        let metric = match (verb, and) {
+            ("clear", _) => format!("clear:{metric}"),
+            ("window", _) => format!("window:{metric}"),
+            (_, true) => format!("and:{metric}"),
+            _ => metric.to_string(),
+        };
+        ControlMsg::SetParam { metric, param }
+    }
+
+    /// One accepted write: verb, metric, arguments, `and`.
+    fn accepted() -> impl Strategy<Value = (String, String, Vec<f64>, bool)> {
+        let metric = prop_oneof![
+            Just("*"),
+            Just("cpu"),
+            Just("mem"),
+            Just("disk"),
+            Just("net"),
+            Just("pmc"),
+            Just("LOADAVG"),
+            Just("FREEMEM"),
+            Just("CACHE_MISS"),
+            Just("power"),
+        ];
+        let positive = (1u64..1 << 40).prop_map(|n| n as f64 / 1024.0);
+        let bound = proptest::num::f64::NORMAL;
+        let fraction = (0u64..1001).prop_map(|n| n as f64 / 1000.0);
+        let verb = (0u64..8, positive, bound, bound, fraction).prop_map(|(k, p, b, c, f)| {
+            let (lo, hi) = if b <= c { (b, c) } else { (c, b) };
+            match k {
+                0 => ("period", vec![p]),
+                1 => ("delta", vec![f]),
+                2 => ("above", vec![b]),
+                3 => ("below", vec![b]),
+                4 => ("range", vec![lo, hi]),
+                5 => ("clear", vec![]),
+                6 => ("window", vec![p]),
+                _ => ("range", vec![b, b]),
+            }
+        });
+        (verb, metric, any::<bool>()).prop_map(|((verb, args), metric, and)| {
+            let and = and && !matches!(verb, "clear" | "window");
+            (verb.to_string(), metric.to_string(), args, and)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn every_accepted_write_round_trips_through_the_wire(write in accepted()) {
+            let (verb, metric, args, and) = write;
+            let mut text = format!("{}{verb} {metric}", if and { "and " } else { "" });
+            for a in &args {
+                text.push_str(&format!(" {a}"));
+            }
+            let cmd = Command::parse(&text).map_err(|e| TestCaseError::fail(format!("{text}: {e}")))?;
+            let wire = cmd.to_msg();
+            prop_assert_eq!(&wire, &wire_of(&verb, &metric, &args, and), "{}", text);
+            prop_assert_eq!(Command::of(&wire), Some(cmd), "{}", text);
+        }
+    }
+
+    #[test]
+    fn filters_round_trip_through_the_wire() {
+        for text in [
+            "filter { output[0] = input[LOADAVG]; }",
+            "filter x",
+            "nofilter",
+        ] {
+            let cmd = Command::parse(text).unwrap();
+            assert_eq!(Command::of(&cmd.to_msg()), Some(cmd), "{text}");
+        }
     }
 }

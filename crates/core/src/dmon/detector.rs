@@ -1,10 +1,10 @@
 //! The failure detector and what recovery needs: Fresh → Stale → Dead by
-//! silence, `cluster/<peer>/status`, and the log of customizations this
-//! node deployed on remote publishers, replayed when one of them comes
-//! back. The verdict itself lives in the peer's [`PeerState::record`].
+//! silence, `cluster/<peer>/status`, and the replay of the customizations
+//! this node deployed on a remote publisher when that publisher comes
+//! back. The verdict lives in the peer's [`PeerState::record`], the
+//! replay log in its [`crate::peers::Custom::replay`].
 //! Liveness is the heartbeat share of Fig. 8, not monitoring work.
 
-use std::collections::HashMap;
 use std::fmt::Write;
 
 use kecho::{ControlMsg, HeartbeatPayload, Observation};
@@ -13,6 +13,7 @@ use simnet::NodeId;
 use simos::Host;
 
 use super::{intern_cluster_file, DMon, DmonStats, PeerHealth, PollCx};
+use crate::control::Command;
 use crate::peers::{PeerRecord, PeerState, PeerTable};
 
 /// The text of a `status` file, from `[health, last_heard ns, age ns,
@@ -36,9 +37,6 @@ pub(super) struct Detector {
     stale_after: SimDur,
     /// Silence bound for Stale → Dead.
     dead_after: SimDur,
-    /// Customizations this node deployed on remote publishers, compacted
-    /// by [`Detector::record_deployment`].
-    deployed_ctl: HashMap<NodeId, Vec<ControlMsg>>,
     /// Peers that recovered since the last poll and need re-deployment.
     pending_resync: Vec<NodeId>,
 }
@@ -49,13 +47,11 @@ impl Detector {
         Detector {
             stale_after: poll_period.mul_f64(3.0),
             dead_after: poll_period.mul_f64(8.0),
-            deployed_ctl: HashMap::new(),
             pending_resync: Vec::new(),
         }
     }
 
     pub(super) fn on_revive(&mut self) {
-        self.deployed_ctl.clear();
         self.pending_resync.clear();
     }
 
@@ -163,59 +159,42 @@ impl Detector {
 
     /// Resync recovered publishers: replay the customizations this node
     /// had deployed on them (their volatile state died with them).
-    pub(super) fn resync(&mut self, cx: &mut PollCx<'_>) {
+    pub(super) fn resync(&mut self, peers: &PeerTable, cx: &mut PollCx<'_>) {
         for peer in self.pending_resync.drain(..) {
             cx.stats.resyncs += 1;
-            for msg in self.deployed_ctl.get(&peer).into_iter().flatten() {
+            let custom = peers.get(peer).and_then(|p| p.custom.as_ref());
+            for msg in custom.into_iter().flat_map(|c| &c.replay) {
                 cx.control(peer, msg.clone());
             }
         }
     }
+}
 
-    /// Remember a customization sent to `target` so it can be replayed in
-    /// order if the target restarts. The log is compacted so it stays
-    /// bounded under steady reconfiguration: a fresh `DeployFilter`
-    /// supersedes the previous one (`RemoveFilter` supersedes both), and a
-    /// non-additive `SetParam` for a metric supersedes every earlier rule
-    /// for the same metric root — only `and:` rules stack, because that is
-    /// their replay semantic.
-    pub(super) fn record_deployment(&mut self, target: NodeId, msg: &ControlMsg) {
-        /// A rule's metric root: what a replacing `SetParam` or a `clear:`
-        /// supersedes. `and:`/`clear:` prefixes are transparent; `window:`
-        /// keys module state, not rules, so it roots separately.
-        fn root(metric: &str) -> &str {
-            metric
-                .strip_prefix("and:")
-                .or_else(|| metric.strip_prefix("clear:"))
-                .unwrap_or(metric)
+/// Remember `cmd`, sent as `msg`, in the replay log of the publisher it
+/// went to, so it can be replayed in order if that publisher restarts.
+/// The log is compacted so it stays bounded under steady
+/// reconfiguration: a fresh `filter` supersedes the previous one (a
+/// `nofilter` removes it and is not logged itself), a replacing
+/// rule or a `clear` supersedes every earlier rule and `clear` for the
+/// same metric, and a `window` the earlier `window` for the same file.
+/// Only `and` rules stack, because that is their replay semantic.
+pub(super) fn record_deployment(log: &mut Vec<ControlMsg>, cmd: Command<'_>, msg: &ControlMsg) {
+    use Command::{Clear, Filter, NoFilter, Rule, Window};
+    let supersedes = |old: Command<'_>| match (cmd, old) {
+        (Rule { and: true, .. }, _) => false,
+        (Rule { metric, .. } | Clear { metric }, Rule { metric: m, .. } | Clear { metric: m }) => {
+            metric == m
         }
-        let log = self.deployed_ctl.entry(target).or_default();
-        match msg {
-            ControlMsg::SetParam { metric, .. } => {
-                // Additive rules stack on the target: every one is needed
-                // to rebuild the composed rule set.
-                if !metric.starts_with("and:") {
-                    let slot = root(metric);
-                    log.retain(
-                        |m| !matches!(m, ControlMsg::SetParam { metric: old, .. } if root(old) == slot),
-                    );
-                }
-                // `clear:` is kept too (it replays as a cheap no-op on a
-                // blank restart) because metric aliases — /proc file names
-                // vs E-code constants — can hide a rule it must still undo.
-                log.push(msg.clone());
-            }
-            ControlMsg::DeployFilter { .. } | ControlMsg::RemoveFilter => {
-                // A `RemoveFilter` is never logged, only what it removes.
-                log.retain(|m| !matches!(m, ControlMsg::DeployFilter { .. }));
-                if matches!(msg, ControlMsg::DeployFilter { .. }) {
-                    log.push(msg.clone());
-                }
-            }
-            ControlMsg::Announce
-            | ControlMsg::FilterRejected { .. }
-            | ControlMsg::Credit { .. } => {}
-        }
+        (Window { file, .. }, Window { file: f, .. }) => file == f,
+        (Filter { .. } | NoFilter, Filter { .. }) => true,
+        _ => false,
+    };
+    log.retain(|m| !Command::of(m).is_some_and(supersedes));
+    // `clear` is kept too (it replays as a cheap no-op on a blank
+    // restart) because metric aliases — /proc file names vs E-code
+    // constants — can hide a rule it must still undo.
+    if cmd != NoFilter {
+        log.push(msg.clone());
     }
 }
 
@@ -275,7 +254,8 @@ impl DMon {
     /// Number of customization messages queued for replay to `target` if
     /// it restarts (bounded by compaction in `record_deployment`).
     pub fn deployed_ctl_len(&self, target: NodeId) -> usize {
-        self.detector.deployed_ctl.get(&target).map_or(0, Vec::len)
+        let custom = self.peers.get(target).and_then(|p| p.custom.as_ref());
+        custom.map_or(0, |c| c.replay.len())
     }
 
     /// The channel registry announced that `peer` (re-)subscribed, which
@@ -417,27 +397,48 @@ mod tests {
     }
 
     #[test]
-    fn revive_forgets_the_replay_log_and_keeps_the_bounds() {
+    fn revive_forgets_pending_resyncs_and_keeps_the_bounds() {
         let mut d = Detector::new(SimDur::from_secs(1));
-        d.record_deployment(NodeId(1), &ControlMsg::RemoveFilter);
-        d.record_deployment(
-            NodeId(1),
-            &ControlMsg::DeployFilter {
-                source: "{ }".into(),
-            },
-        );
         d.pending_resync.push(NodeId(1));
-        assert_eq!(
-            d.deployed_ctl[&NodeId(1)].len(),
-            1,
-            "RemoveFilter is not replayed"
-        );
         d.on_revive();
-        assert!(d.deployed_ctl.is_empty() && d.pending_resync.is_empty());
+        assert!(d.pending_resync.is_empty());
         assert_eq!(
             d.dead_after,
             SimDur::from_secs(8),
             "the bounds are configuration"
         );
+    }
+
+    #[test]
+    fn the_replay_log_keeps_what_a_blank_restart_needs() {
+        let mut log = Vec::new();
+        for text in [
+            "nofilter",
+            "filter { }",
+            "period cpu 2",
+            "and above cpu 0.5",
+            "window cpu 5",
+            "delta mem 0.1",
+            "filter { int x = 0; }",
+            "window cpu 3",
+            "clear cpu",
+            "and below mem 9",
+        ] {
+            let cmd = Command::parse(text).unwrap();
+            record_deployment(&mut log, cmd, &cmd.to_msg());
+        }
+        let kept: Vec<_> = log.iter().map(|m| Command::of(m).unwrap()).collect();
+        let want = [
+            "delta mem 0.1",
+            "filter { int x = 0; }",
+            "window cpu 3",
+            "clear cpu",
+            "and below mem 9",
+        ]
+        .map(|t| Command::parse(t).unwrap());
+        assert_eq!(kept, want);
+        let cmd = Command::NoFilter;
+        record_deployment(&mut log, cmd, &cmd.to_msg());
+        assert_eq!(log.len(), 4, "nofilter removes the filter and is not kept");
     }
 }

@@ -403,17 +403,23 @@ mod tests {
             // frame, which re-attaches it.
             assert_eq!(us.ungranted, u32::from(frame == 1), "frame {frame}");
             // The frame that crosses the wrap tail-drops; the counter is
-            // cumulative, so the next frame re-delivers what it carried.
+            // cumulative, so the next frame re-delivers what it carried:
+            // every credit spent so far is acknowledged, none twice.
             if frame != 1 {
                 accept_piggyback(&mut them, cum, false, false);
-                assert_eq!(them.credit.granted(), 3 * (frame + 1), "frame {frame}");
+                assert_eq!(them.grant_seen, cum as u8, "frame {frame}");
+                assert_eq!(them.credit.unacked(), 0, "frame {frame}");
                 assert_eq!(them.credit.available(), INITIAL_CREDITS);
             }
         }
         assert_eq!(carried, vec![253, 255, 3, 6, 9, 12]);
         // A reordered straggler carrying an old counter moves nothing.
+        for _ in 0..3 {
+            assert!(them.credit.try_consume());
+        }
         accept_piggyback(&mut them, 255, false, true);
-        assert_eq!((them.grant_seen, them.credit.granted()), (12, 18));
+        assert_eq!(them.grant_seen, 12);
+        assert_eq!((them.credit.available(), them.credit.unacked()), (13, 3));
     }
 
     #[test]

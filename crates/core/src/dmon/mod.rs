@@ -29,7 +29,6 @@ mod receive;
 mod sample;
 mod select;
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -40,8 +39,9 @@ use simnet::NodeId;
 use simos::{Host, ProcFs, ProcHandle};
 
 use crate::calib::Calib;
-use crate::control::parse_control;
+use crate::control::Command;
 use crate::modules::MonitorModule;
+use crate::params::{PolicySet, Rule};
 use crate::peers::PeerTable;
 
 use detector::Detector;
@@ -312,8 +312,9 @@ pub struct DMon {
     /// names; one table shared by every d-mon of the cluster.
     cluster_names: Arc<Vec<String>>,
     poll_period: SimDur,
-    /// Everything this node remembers per peer, one row per node of the
-    /// home range, so every per-peer loop is O(rack), not O(cluster).
+    /// Everything this node remembers per peer, customizations included,
+    /// one row per node of the home range, so every per-peer loop is
+    /// O(rack), not O(cluster).
     peers: PeerTable,
     sample: Sample,
     select: Select,
@@ -322,9 +323,6 @@ pub struct DMon {
     detector: Detector,
     receive: Receive,
     digest: Digest,
-    /// Why a remote publisher last refused this node's filter, keyed by
-    /// publisher (populated by incoming [`ControlMsg::FilterRejected`]).
-    rejections: HashMap<NodeId, String>,
     /// Spare send list, handed back through [`DMon::recycle_sends`].
     send_buf: Vec<PlannedSend>,
     /// Self-observability.
@@ -371,7 +369,6 @@ impl DMon {
             detector: Detector::new(poll_period),
             receive: Receive::default(),
             digest: Digest::default(),
-            rejections: HashMap::new(),
             send_buf: Vec::new(),
             stats: DmonStats::default(),
         }
@@ -407,9 +404,10 @@ impl DMon {
     }
 
     /// Why `publisher` last refused this node's filter deployment, if it
-    /// did (cleared by a subsequent successful deployment).
+    /// did (cleared by the next `filter` or `nofilter` written toward it).
     pub fn filter_rejection(&self, publisher: NodeId) -> Option<&str> {
-        self.rejections.get(&publisher).map(String::as_str)
+        let custom = self.peers.get(publisher)?.custom.as_ref()?;
+        custom.rejection.as_deref()
     }
 
     /// Crash-stop restart: volatile state (deployed policies/filters,
@@ -418,9 +416,9 @@ impl DMon {
     /// stats survive — they model the observer, not the kernel.
     pub fn on_revive(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        self.rejections.clear();
-        // Per-peer stream, detector and flow-control state is volatile
-        // too: windows reopen full, parked payloads died with the kernel.
+        // Per-peer stream, detector, flow-control and customization state
+        // is volatile too: windows reopen full, parked payloads died with
+        // the kernel, and so did every rule, filter and replay log.
         // Interned status/control paths survive — the host (and its proc
         // tree) persists across a crash-restart in this model.
         self.peers.iter_mut().for_each(|(_, p)| p.on_revive());
@@ -479,11 +477,10 @@ impl DMon {
         };
 
         // 1. Sample what some subscriber can consume; refresh own /proc.
-        let (sample, names) = (&mut self.sample, &self.cluster_names);
-        sample.collect(host, &names[node.0], subs(), &self.select, &mut cx);
+        let (sample, names, peers) = (&mut self.sample, &self.cluster_names, &mut self.peers);
+        sample.collect(host, &names[node.0], subs(), peers, &self.select, &mut cx);
 
         // 2. Age the failure detector; the newly Dead go to the glue.
-        let peers = &mut self.peers;
         let dead_peers = self.detector.check_peers(peers, host, names, &mut cx);
 
         // 3. Per subscriber: parameters or filter decide what to send, the
@@ -501,7 +498,7 @@ impl DMon {
             }
             // A stretched-away poll builds no data, only heartbeats.
             if data_poll {
-                let decided = self.select.records(sub, &p.last_sent, sample, &mut cx);
+                let decided = self.select.records(p, sample, &mut cx);
                 Flow::enqueue(p, decided, &self.ladder, sample, &mut cx);
             }
             let sent_data = self.flow.drain(p, sub, &mut cx);
@@ -513,7 +510,7 @@ impl DMon {
         // customizations to publishers that recovered since the last poll;
         // 5. turn application control-file writes into control events.
         Flow::grants(peers, &mut cx);
-        self.detector.resync(&mut cx);
+        self.detector.resync(peers, &mut cx);
         let mut out = cx.out;
         self.drain_control_writes(host, ctl_chan, calib, &mut out);
 
@@ -536,7 +533,8 @@ impl DMon {
     /// Drain application writes to `cluster/<name>/control` files into
     /// control events — that is how applications reach remote d-mons. A
     /// write to this node's own file short-circuits the wire, so a
-    /// rejection reply is applied locally too.
+    /// rejection reply is applied locally too. A `filter` or `nofilter`
+    /// toward a publisher forgets why it refused the last one.
     fn drain_control_writes(
         &mut self,
         host: &mut Host,
@@ -546,84 +544,100 @@ impl DMon {
     ) {
         let node = self.node;
         for (path, data) in host.proc.drain_writes() {
-            match route_control_write(&self.cluster_names, &path, &data) {
-                Some((target, msg)) if target == node => {
-                    if let Some(reply) = self.on_control(node, &msg, calib).reply {
-                        self.on_control(node, &reply, calib);
-                    }
+            let Some((target, cmd)) = route_control_write(&self.cluster_names, &path, &data) else {
+                self.stats.control_errors += 1;
+                continue;
+            };
+            let p = self
+                .peers
+                .touch(target)
+                .expect("a target found by name is a cluster member");
+            if let (Command::Filter { .. } | Command::NoFilter, Some(c)) = (cmd, &mut p.custom) {
+                c.rejection = None;
+            }
+            let msg = cmd.to_msg();
+            if target == node {
+                if let Some(reply) = self.on_control(node, &msg, calib).reply {
+                    self.on_control(node, &reply, calib);
                 }
-                Some((target, msg)) => {
-                    self.detector.record_deployment(target, &msg);
-                    let ev = self.make_control_event(ctl_chan, target, msg);
-                    out.submit(calib, target, ev);
-                }
-                None => self.stats.control_errors += 1,
+            } else {
+                detector::record_deployment(&mut p.custom().replay, cmd, &msg);
+                let ev = self.make_control_event(ctl_chan, target, msg);
+                out.submit(calib, target, ev);
             }
         }
     }
 
-    /// Handle an incoming control event sent by subscriber `from`.
+    /// Handle an incoming control event sent by peer `from`; what it
+    /// configures goes in `from`'s row.
     pub fn on_control(&mut self, from: NodeId, msg: &ControlMsg, calib: &Calib) -> ControlOutcome {
-        let (mut cpu, mut reply) = (SimDur::ZERO, None);
-        if from.0 >= self.cluster_names.len() {
-            // A sender outside the cluster owns no stream here to
-            // configure or top up: count the frame and drop it.
+        let (mut cpu, mut reply) = (calib.policy_eval, None);
+        // A sender outside the cluster owns no stream here to configure
+        // or top up, and no row: count the frame and drop it.
+        let Some(p) = self.peers.touch(from) else {
             self.stats.control_errors += 1;
-            return ControlOutcome { cpu, reply };
-        }
-        self.stats.control_handled += 1;
-        cpu = match msg {
-            ControlMsg::SetParam { metric, param } => {
-                match metric.strip_prefix("window:") {
-                    Some(file) => self.sample.set_window(file, param),
-                    None => self.select.set_param(from, metric, *param, &self.sample),
-                }
-                calib.policy_eval
-            }
-            ControlMsg::DeployFilter { source } => {
-                let (env, stats) = (&self.sample.env, &mut self.stats);
-                reply = self.select.deploy(from, source, env, stats);
-                calib.filter_compile
-            }
-            ControlMsg::RemoveFilter => {
-                self.select.remove(from);
-                calib.policy_eval
-            }
-            ControlMsg::Announce => SimDur::ZERO,
-            ControlMsg::Credit { credits } => {
-                // We are the publisher: the subscriber absorbed data and
-                // reopens our window toward it. A grant is also fresh
-                // evidence the path works, so a choked stream reopens.
-                if let Some(p) = self.peers.touch(from) {
-                    p.grant(*credits);
-                }
-                calib.policy_eval
-            }
-            ControlMsg::FilterRejected { reason } => {
-                // We are the subscriber: a publisher refused our filter.
-                self.rejections.insert(from, reason.clone());
-                calib.policy_eval
-            }
+            return ControlOutcome {
+                cpu: SimDur::ZERO,
+                reply,
+            };
         };
+        self.stats.control_handled += 1;
+        match (msg, Command::of(msg)) {
+            (ControlMsg::Announce, _) => cpu = SimDur::ZERO,
+            // We are the publisher: the subscriber absorbed data and
+            // reopens our window toward it. A grant is also fresh
+            // evidence the path works, so a choked stream reopens.
+            (ControlMsg::Credit { credits }, _) => p.grant(*credits),
+            // We are the subscriber: a publisher refused our filter.
+            (ControlMsg::FilterRejected { reason }, _) => {
+                p.custom().rejection = Some(reason.clone());
+            }
+            // A replacing rule or a `clear` drops the metric's rules; a
+            // rule then adds itself.
+            (_, Some(cmd @ (Command::Rule { metric, .. } | Command::Clear { metric }))) => {
+                let policy = p.custom().policy.get_or_insert_with(PolicySet::new);
+                let metric = self.sample.metric_name_of(metric);
+                if !matches!(cmd, Command::Rule { and: true, .. }) {
+                    policy.clear_metric(metric);
+                }
+                if let Command::Rule { param, .. } = cmd {
+                    policy.add_rule(metric, Rule::from_spec(param));
+                }
+            }
+            // The window is the module's, shared by every subscriber.
+            (_, Some(Command::Window { file, secs })) => self.sample.set_window(file, secs),
+            (_, Some(Command::Filter { source })) => {
+                let (env, stats) = (&self.sample.env, &mut self.stats);
+                reply = self
+                    .select
+                    .deploy(&mut p.custom().filter, source, env, stats);
+                cpu = calib.filter_compile;
+            }
+            (_, Some(Command::NoFilter)) => {
+                if let Some(c) = &mut p.custom {
+                    self.select.remove(&mut c.filter);
+                }
+            }
+            // A prefix no `Command::to_msg` writes configures nothing.
+            (_, None) => {
+                self.stats.control_errors += 1;
+                cpu = SimDur::ZERO;
+            }
+        }
         ControlOutcome { cpu, reply }
     }
 }
 
 /// Turn a write to `cluster/<name>/control` into the node it addresses
-/// and the message it carries.
-fn route_control_write(names: &[String], path: &str, data: &str) -> Option<(NodeId, ControlMsg)> {
+/// and the command it carries.
+fn route_control_write<'a>(
+    names: &[String],
+    path: &str,
+    data: &'a str,
+) -> Option<(NodeId, Command<'a>)> {
     let name = path.strip_prefix("cluster/")?.strip_suffix("/control")?;
     let target = names.iter().position(|n| n == name)?;
-    let directive = parse_control(data).ok()?;
-    let msg = match directive.msg {
-        // The additive flag travels as a metric-name prefix.
-        ControlMsg::SetParam { metric, param } if directive.additive => ControlMsg::SetParam {
-            metric: format!("and:{metric}"),
-            param,
-        },
-        other => other,
-    };
-    Some((NodeId(target), msg))
+    Some((NodeId(target), Command::parse(data).ok()?))
 }
 
 #[cfg(test)]
@@ -874,6 +888,85 @@ mod tests {
             .unwrap();
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
         assert_eq!(dmon.stats.control_errors, 1);
+    }
+
+    /// Writes `texts` to this node's own control file and polls once.
+    fn write_own(texts: &[&str]) -> DMon {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        host.proc.set("cluster/alan/control", "").unwrap();
+        for text in texts {
+            host.proc.write("cluster/alan/control", *text).unwrap();
+        }
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
+        dmon
+    }
+
+    /// A metric name holding `:` used to be spliced into a wire prefix:
+    /// `period clear:cpu 5` erased the `above cpu` rule, and `period
+    /// window:cpu 2` retuned CPU MON's window. Both are refused now.
+    #[test]
+    fn a_metric_name_cannot_carry_a_wire_prefix() {
+        let dmon = write_own(&["above cpu 0.5", "period clear:cpu 5", "period window:cpu 2"]);
+        assert_eq!(dmon.stats.control_errors, 2);
+        let policy = dmon.policy_for(NodeId(0)).expect("the first write applied");
+        assert_eq!(policy.rule_count("LOADAVG"), 1, "the `above` rule stands");
+    }
+
+    /// `and` combines rules only: `and clear cpu` and `and window cpu 5`
+    /// used to install an inert rule each, under a prefixed name no
+    /// `clear` removes, and count no error.
+    #[test]
+    fn and_of_something_that_is_no_rule_is_refused() {
+        let dmon = write_own(&["and clear cpu", "and window cpu 5"]);
+        assert_eq!(dmon.stats.control_errors, 2);
+        assert!(dmon.policy_for(NodeId(0)).is_none_or(PolicySet::is_empty));
+    }
+
+    /// Every customization lives in its pair's row: a Dead eviction keeps
+    /// them all, a restart of this node forgets them all.
+    #[test]
+    fn revive_forgets_every_customization_and_a_dead_reap_keeps_them() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        let (maui, etna) = (NodeId(1), NodeId(2));
+        // maui and etna customize their streams here...
+        let rule = ControlMsg::SetParam {
+            metric: "cpu".into(),
+            param: ParamSpec::Period { period_s: 2.0 },
+        };
+        dmon.on_control(maui, &rule, &calib);
+        let filter = ControlMsg::DeployFilter {
+            source: "{ output[0] = input[LOADAVG]; }".into(),
+        };
+        dmon.on_control(etna, &filter, &calib);
+        // ...this node customizes maui's, and etna refused its filter.
+        host.proc.set("cluster/maui/control", "").unwrap();
+        host.proc
+            .write("cluster/maui/control", "period cpu 2")
+            .unwrap();
+        let refused = ControlMsg::FilterRejected {
+            reason: "unbounded".into(),
+        };
+        dmon.on_control(etna, &refused, &calib);
+        let held = |d: &DMon| {
+            [
+                d.policy_for(maui).is_some(),
+                d.has_filter(etna),
+                d.deployed_ctl_len(maui) == 1,
+                d.filter_rejection(etna).is_some(),
+            ]
+        };
+        for peer in [maui, etna] {
+            let ev = mon_from(peer, mon, 0, 0);
+            dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(1), &calib);
+        }
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
+        assert_eq!(held(&dmon), [true; 4]);
+        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(10), &calib);
+        assert_eq!(dmon.peer_health(maui), Some(PeerHealth::Dead));
+        assert_eq!(dmon.peer_health(etna), Some(PeerHealth::Dead));
+        assert_eq!(held(&dmon), [true; 4], "the reap keeps them");
+        dmon.on_revive();
+        assert_eq!(held(&dmon), [false; 4], "the restart forgets them");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! `select`; `own_latest` for the rack digest.
 
 use ecode::{EnvSpec, MetricSet};
-use kecho::ParamSpec;
 use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::{Host, ProcHandle};
@@ -15,7 +14,7 @@ use simos::{Host, ProcHandle};
 use super::select::Select;
 use super::{cluster_file, DMon, PollCx};
 use crate::modules::MonitorModule;
-use crate::peers::{INLINE_METRICS, SPILL_METRICS};
+use crate::peers::{PeerState, PeerTable, INLINE_METRICS, SPILL_METRICS};
 
 /// Most modules one d-mon runs: every metric id it sends has a slot in
 /// each subscriber's last-sent row.
@@ -83,13 +82,10 @@ impl Sample {
         by_file.map_or(name, |m| m.metric_name())
     }
 
-    /// `window:<file>` control: retune the averaging window of the module
-    /// behind `file`.
-    pub(super) fn set_window(&mut self, file: &str, param: &ParamSpec) {
-        let window = match param {
-            ParamSpec::Period { period_s } => SimDur::from_secs_f64(*period_s),
-            _ => SimDur::ZERO,
-        };
+    /// `window` control: retune the averaging window of the module behind
+    /// `file`.
+    pub(super) fn set_window(&mut self, file: &str, secs: f64) {
+        let window = SimDur::from_secs_f64(secs);
         for m in &mut self.modules {
             if m.file_name() == file {
                 m.set_window(window);
@@ -109,10 +105,11 @@ impl Sample {
         host: &mut Host,
         own: &str,
         subs: impl Iterator<Item = NodeId>,
+        peers: &PeerTable,
         select: &Select,
         cx: &mut PollCx<'_>,
     ) {
-        self.mark_needed(subs, select);
+        self.mark_needed(subs, peers, select);
         self.latest.clear();
         for (i, module) in self.modules.iter_mut().enumerate() {
             if !self.needed[i] {
@@ -140,14 +137,19 @@ impl Sample {
     /// read set; any other subscriber (parameter rules or defaults)
     /// receives every metric. With no remote subscribers everything is
     /// collected so local `/proc` views stay fresh.
-    fn mark_needed(&mut self, subs: impl Iterator<Item = NodeId>, select: &Select) {
+    fn mark_needed(
+        &mut self,
+        subs: impl Iterator<Item = NodeId>,
+        peers: &PeerTable,
+        select: &Select,
+    ) {
         let n = self.modules.len();
         self.needed.clear();
         self.needed.resize(n, false);
         let mut any_remote = false;
         for sub in subs {
             any_remote = true;
-            match select.reads_of(sub) {
+            match select.reads_of(peers.get(sub).and_then(PeerState::filter_slot)) {
                 Some(MetricSet::Fixed(set)) => {
                     for &i in set {
                         if i < n {

@@ -1,9 +1,10 @@
-//! Stage 2, *decide* (the policy/filter share of Figs. 6–7): what each
-//! subscriber configured here — parameter rules or a deployed E-code
-//! filter, admitted once per distinct source — and the per-poll memo that
-//! lets subscribers with the same filter share one run. In: this poll's
-//! samples and the subscriber's last-sent row; out: the records to ship
-//! to it.
+//! Stage 2, *decide* (the policy/filter share of Figs. 6–7): the E-code
+//! filters subscribers deployed here, admitted once per distinct source,
+//! and the per-poll memo that lets subscribers with the same filter share
+//! one run. What each subscriber configured — parameter rules or the slot
+//! of its filter — is in its row ([`crate::peers::Custom`]). In: this
+//! poll's samples and the subscriber's row; out: the records to ship to
+//! it.
 
 use std::collections::HashMap;
 
@@ -11,14 +12,14 @@ use ecode::{
     compile_filter, CompiledFilter, EnvSpec, Filter, FilterOutput, MemoClass, MetricRecord,
     MetricSet, RuntimeError,
 };
-use kecho::{ControlMsg, MonRecord, ParamSpec};
+use kecho::{ControlMsg, MonRecord};
 use simcore::SimTime;
 use simnet::NodeId;
 
 use super::sample::Sample;
 use super::{DMon, DmonStats, PollCx};
-use crate::params::{PolicySet, Rule, RuleCtx};
-use crate::peers::{MetricRow, Stamped};
+use crate::params::{PolicySet, RuleCtx};
+use crate::peers::{MetricRow, PeerState, Stamped};
 
 /// One memoized filter evaluation within the current poll, keyed by the
 /// dense filter id alone (a hit is a u32 compare, no hashing on the poll
@@ -160,14 +161,13 @@ impl Memo {
     }
 }
 
-/// The admitted artefacts in use here and who uses which.
+/// The admitted artefacts in use here. Which subscriber uses which slot
+/// is in the subscriber's row, and the table's methods take that slot.
 #[derive(Default)]
 struct Table {
-    /// The slot deciding each subscriber that has a filter deployed.
-    by_sub: HashMap<NodeId, u32>,
     /// One artefact per distinct source in use, indexed by the dense id
     /// that keys the per-poll memo; `None` is a free slot. A slot lives
-    /// while a subscriber maps to it, so the table never outgrows the
+    /// while a subscriber's row names it, so the table never outgrows the
     /// number of subscribers with a filter.
     slots: Vec<Option<Admitted>>,
     /// Source → slot, for exactly the occupied slots (deploy-time only).
@@ -175,10 +175,10 @@ struct Table {
 }
 
 impl Table {
-    /// The slot and artefact deciding `sub`'s stream, if it has a filter.
+    /// The artefact in a subscriber's slot, if it has one.
     #[inline]
-    fn of(&self, sub: NodeId) -> Option<(u32, &Admitted)> {
-        let &id = self.by_sub.get(&sub)?;
+    fn of(&self, slot: Option<u32>) -> Option<(u32, &Admitted)> {
+        let id = slot?;
         Some((id, self.slots[id as usize].as_ref()?))
     }
 
@@ -195,40 +195,39 @@ impl Table {
         id as u32
     }
 
-    /// `sub` uses slot `id` from now on, and no longer whatever it used
-    /// before.
-    fn enter(&mut self, sub: NodeId, id: u32) -> Option<&Admitted> {
-        if self.by_sub.get(&sub) != Some(&id) {
-            self.leave(sub);
-            self.by_sub.insert(sub, id);
+    /// The subscriber whose slot is `slot` uses `id` from now on, and no
+    /// longer whatever it used before.
+    fn enter(&mut self, slot: &mut Option<u32>, id: u32) -> Option<&Admitted> {
+        if *slot != Some(id) {
+            self.leave(slot);
+            *slot = Some(id);
             self.slots[id as usize].as_mut()?.users += 1;
         }
         self.slots[id as usize].as_ref()
     }
 
-    /// `sub` stops using its slot, if it has one; the last user frees the
-    /// slot and its `filter_ids` entry. The freed id may name another
+    /// A subscriber stops using its slot, if it has one; the last user
+    /// frees the slot and its `filter_ids` entry. The freed id may name another
     /// source by the next poll: memo entries are read only between
     /// `begin_poll`, which clears them, and the end of that poll's
     /// subscriber loop, and no control message is handled in between, so a
     /// recycled id never meets a run of the source it used to name.
-    fn leave(&mut self, sub: NodeId) {
-        let Some(id) = self.by_sub.remove(&sub) else {
+    fn leave(&mut self, slot: &mut Option<u32>) {
+        let Some(id) = slot.take() else {
             return;
         };
-        let slot = &mut self.slots[id as usize];
-        let Some(admitted) = slot else { return };
+        let entry = &mut self.slots[id as usize];
+        let Some(admitted) = entry else { return };
         admitted.users -= 1;
         if admitted.users == 0 {
             self.filter_ids.remove(admitted.filter.source());
-            *slot = None;
+            *entry = None;
         }
     }
 }
 
 #[derive(Default)]
 pub(super) struct Select {
-    policies: HashMap<NodeId, PolicySet>,
     table: Table,
     memo: Memo,
     /// What the parameter path decided for the subscriber at hand.
@@ -236,33 +235,20 @@ pub(super) struct Select {
 }
 
 impl Select {
+    /// The rows' slots are forgotten with the rows (`PeerState::on_revive`).
     pub(super) fn on_revive(&mut self) {
-        self.policies.clear();
         self.table = Table::default();
     }
 
-    /// Apply a `SetParam` from `from`: `clear:<metric>` drops its rules,
-    /// `and:<metric>` stacks one, a bare metric replaces them.
-    pub(super) fn set_param(&mut self, from: NodeId, metric: &str, param: ParamSpec, s: &Sample) {
-        let policy = self.policies.entry(from).or_default();
-        if let Some(rest) = metric.strip_prefix("clear:") {
-            policy.clear_metric(s.metric_name_of(rest));
-        } else if let Some(rest) = metric.strip_prefix("and:") {
-            policy.add_rule(s.metric_name_of(rest), Rule::from_spec(param));
-        } else {
-            policy.set_rule(s.metric_name_of(metric), Rule::from_spec(param));
-        }
-    }
-
-    /// Put `from`'s stream under the filter `source`. A source some
-    /// subscriber already runs here is a table lookup; any other is
-    /// admitted first. A source that does not compile or that the
-    /// verifier refuses changes nothing (any previously deployed filter
-    /// stays in force) and the subscriber is told why through the
-    /// returned reply.
+    /// Put the stream of the subscriber whose slot is `slot` under the
+    /// filter `source`. A source some subscriber already runs here is a
+    /// table lookup; any other is admitted first. A source that does not
+    /// compile or that the verifier refuses changes nothing (any
+    /// previously deployed filter stays in force) and the subscriber is
+    /// told why through the returned reply.
     pub(super) fn deploy(
         &mut self,
-        from: NodeId,
+        slot: &mut Option<u32>,
         source: &str,
         env: &EnvSpec,
         stats: &mut DmonStats,
@@ -273,7 +259,7 @@ impl Select {
             None => match Admitted::new(source, env) {
                 // Leave first: a lone user's replacement reuses its slot.
                 Ok(admitted) => {
-                    table.leave(from);
+                    table.leave(slot);
                     table.occupy(admitted)
                 }
                 Err(None) => {
@@ -286,20 +272,21 @@ impl Select {
                 }
             },
         };
-        if let Some(admitted) = table.enter(from, id) {
+        if let Some(admitted) = table.enter(slot, id) {
             admitted.count(1, stats);
         }
         None
     }
 
-    /// `RemoveFilter` from `sub`: its parameter rules decide again.
-    pub(super) fn remove(&mut self, sub: NodeId) {
-        self.table.leave(sub);
+    /// `RemoveFilter` from the subscriber whose slot is `slot`: its
+    /// parameter rules decide again.
+    pub(super) fn remove(&mut self, slot: &mut Option<u32>) {
+        self.table.leave(slot);
     }
 
-    /// What `sub`'s filter may read; `None` without a filter.
-    pub(super) fn reads_of(&self, sub: NodeId) -> Option<&MetricSet> {
-        self.table.of(sub).map(|(_, a)| &a.filter.cert().reads)
+    /// What the filter in `slot` may read; `None` without a filter.
+    pub(super) fn reads_of(&self, slot: Option<u32>) -> Option<&MetricSet> {
+        self.table.of(slot).map(|(_, a)| &a.filter.cert().reads)
     }
 
     /// The environment grew: admit every source in use again against it,
@@ -328,13 +315,13 @@ impl Select {
     #[inline]
     pub(super) fn records(
         &mut self,
-        sub: NodeId,
-        last_sent: &MetricRow<Stamped>,
+        sub: &PeerState,
         sample: &Sample,
         cx: &mut PollCx<'_>,
     ) -> &[MonRecord] {
-        let Some((id, df)) = self.table.of(sub) else {
-            let policy = self.policies.get(&sub);
+        let last_sent = &sub.last_sent;
+        let Some((id, df)) = self.table.of(sub.filter_slot()) else {
+            let policy = sub.custom.as_ref().and_then(|c| c.policy.as_ref());
             by_policy(policy, last_sent, sample, cx, &mut self.decided);
             return &self.decided;
         };
@@ -361,17 +348,18 @@ impl Select {
 impl DMon {
     /// The policy a subscriber currently has configured here.
     pub fn policy_for(&self, subscriber: NodeId) -> Option<&PolicySet> {
-        self.select.policies.get(&subscriber)
+        self.peers.get(subscriber)?.custom.as_ref()?.policy.as_ref()
     }
 
     /// Whether a subscriber has a filter deployed here.
     pub fn has_filter(&self, subscriber: NodeId) -> bool {
-        self.select.table.by_sub.contains_key(&subscriber)
+        self.filter_for(subscriber).is_some()
     }
 
     /// The deployed filter of a subscriber, certificate included.
     pub fn filter_for(&self, subscriber: NodeId) -> Option<&Filter> {
-        self.select.table.of(subscriber).map(|(_, a)| &a.filter)
+        let slot = self.peers.get(subscriber)?.filter_slot();
+        self.select.table.of(slot).map(|(_, a)| &a.filter)
     }
 }
 
@@ -418,6 +406,7 @@ fn by_policy(
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use kecho::ParamSpec;
 
     #[test]
     fn policy_gates_metrics_per_subscriber() {
@@ -783,7 +772,7 @@ mod tests {
     }
 
     fn slot_id(dmon: &super::super::DMon, sub: usize) -> u32 {
-        dmon.select.table.by_sub[&NodeId(sub)]
+        dmon.peers.get(NodeId(sub)).unwrap().filter_slot().unwrap()
     }
 
     #[test]
@@ -801,7 +790,8 @@ mod tests {
         assert_eq!(dmon.stats.filters_compiled, 2);
         // Deploying what one already runs changes nothing but the count.
         deploy(&mut dmon, NodeId(2), PURE_SRC);
-        assert_eq!(dmon.select.table.of(NodeId(2)).unwrap().1.users, 2);
+        let slot = Some(slot_id(&dmon, 2));
+        assert_eq!(dmon.select.table.of(slot).unwrap().1.users, 2);
         assert_eq!(dmon.stats.filters_compiled, 3);
         deploy(&mut dmon, NodeId(2), IMPURE_SRC);
         // Distinct sources never share a slot: slots are keyed on the
@@ -811,14 +801,8 @@ mod tests {
         // Every admission was specialized into a register closure.
         assert_eq!(dmon.stats.filters_compiled, 4);
         assert_eq!(dmon.stats.interp_fallbacks, 0);
-        assert!(dmon
-            .select
-            .table
-            .of(NodeId(1))
-            .unwrap()
-            .1
-            .compiled
-            .is_some());
+        let slot = Some(slot_id(&dmon, 1));
+        assert!(dmon.select.table.of(slot).unwrap().1.compiled.is_some());
     }
 
     #[test]

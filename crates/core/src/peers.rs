@@ -11,16 +11,24 @@
 //! nothing. Iteration is always in ascending node id, so every per-peer
 //! loop (detector, grants, eviction) is deterministic and costs O(rack),
 //! not O(cluster).
+//!
+//! That includes what customization leaves behind, in both roles: the
+//! rules and filter slot a subscriber configured here, and the replay log
+//! and last refusal of what this node deployed on a publisher. It sits
+//! behind one optional handle, [`PeerState::custom`], so an uncustomized
+//! pair pays a word for it, and its lifecycle is the row's:
+//! [`PeerState::on_revive`] forgets it, [`PeerState::reap`] keeps it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use kecho::{CreditWindow, MonRecord, StreamTracker};
+use kecho::{ControlMsg, CreditWindow, MonRecord, StreamTracker};
 use simcore::SimTime;
 use simnet::NodeId;
 use simos::CellHandle;
 
 use crate::dmon::PeerHealth;
+use crate::params::PolicySet;
 
 /// Metric ids a [`MetricRow`] keeps inline: the standard module set
 /// ([`crate::modules::standard_modules`]), whose ids every node agrees on.
@@ -131,6 +139,23 @@ pub(crate) struct OutboxEntry {
     pub(crate) ext_names: Vec<(u32, String, String)>,
 }
 
+/// The customizations of one pair, in both roles.
+#[derive(Default)]
+pub(crate) struct Custom {
+    /// The peer as a subscriber here: its parameter rules, once it set or
+    /// cleared one.
+    pub(crate) policy: Option<PolicySet>,
+    /// The peer as a subscriber here: the slot of the filter deciding its
+    /// stream (`select`'s table).
+    pub(crate) filter: Option<u32>,
+    /// The peer as a publisher: what this node deployed on it, replayed in
+    /// order when it restarts (compacted by `detector::record_deployment`).
+    pub(crate) replay: Vec<ControlMsg>,
+    /// The peer as a publisher: why it last refused this node's filter,
+    /// until the next `filter` or `nofilter` written toward it.
+    pub(crate) rejection: Option<String>,
+}
+
 /// Everything one d-mon remembers about one peer, in both roles: the
 /// peer as a *subscriber* of this node's stream (send side) and as a
 /// *publisher* this node listens to (receive side).
@@ -209,22 +234,25 @@ pub(crate) struct PeerState {
     /// connection table (`simnet::ConnTrack::record_delivery` takes it
     /// as a hint and checks it).
     pub(crate) conn_at: u32,
+
+    /// What customization left for this pair; `None` until some did.
+    pub(crate) custom: Option<Box<Custom>>,
 }
 
-// The budget of one (node, peer) pair: seven and a quarter cache lines,
+// The budget of one (node, peer) pair: seven and an eighth cache lines,
 // of which a received frame touches about five and a send to the peer
 // four. `racks1024-digest` holds 31 744 of these rows and visits each a
 // few times per simulated second, so a row that grows shows up there as
 // a slower run — and here, first, as a failed build.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<PeerState>() == 464);
+const _: () = assert!(std::mem::size_of::<PeerState>() == 456);
 
 impl PeerState {
     /// The peer was evicted as Dead: its stream is over, so per-stream
     /// send state and flow control reset (a later recovery starts from a
     /// clean slate, its window reopened full). Lifetime counters, the
-    /// stream position, the tracker and the detector verdict survive.
-    /// Returns the number of parked payloads shed.
+    /// stream position, the tracker, the detector verdict and the pair's
+    /// customizations survive. Returns the number of parked payloads shed.
     pub(crate) fn reap(&mut self) -> u64 {
         let shed = self.outbox.len() as u64;
         for e in self.outbox.drain(..) {
@@ -262,6 +290,17 @@ impl PeerState {
             conn_at: old.conn_at,
             ..PeerState::default()
         };
+    }
+
+    /// This pair's customizations, created empty on first use.
+    pub(crate) fn custom(&mut self) -> &mut Custom {
+        self.custom.get_or_insert_with(Box::default)
+    }
+
+    /// The slot of the filter deciding this subscriber's stream here.
+    #[inline]
+    pub(crate) fn filter_slot(&self) -> Option<u32> {
+        self.custom.as_ref()?.filter
     }
 
     /// Allocate the next stream position toward this subscriber.
@@ -450,6 +489,11 @@ mod tests {
         }
         p.tracker.observe(1, 0);
         assert_eq!(p.tracker.observe(1, 2).lost, 1);
+        let c = p.custom();
+        c.policy = Some(PolicySet::new());
+        c.filter = Some(3);
+        c.replay.push(ControlMsg::RemoveFilter);
+        c.rejection = Some("unbounded".into());
         p
     }
 
@@ -474,6 +518,10 @@ mod tests {
         assert_eq!(p.remote_values.len(), 2);
         assert!(p.status_cells.is_some() && p.ctl_ready);
         assert_eq!((p.file_cells.len(), p.conn_at), (2, 4));
+        // So do the pair's customizations, in both roles.
+        let c = p.custom.as_deref().expect("customizations kept");
+        assert!(c.policy.is_some() && c.rejection.is_some());
+        assert_eq!((c.filter, c.replay.len()), (Some(3), 1));
     }
 
     #[test]
@@ -490,6 +538,7 @@ mod tests {
         assert_eq!((p.grant_cum, p.grant_seen), (0, 0));
         assert_eq!((p.choke_park, p.choke_run), (0, 0));
         assert_eq!((p.ungranted, p.repay, p.data_since_poll), (0, 0, false));
+        assert!(p.custom.is_none(), "customizations died with the kernel");
     }
 
     /// What [`MetricRow`] replaced: a vector indexed by metric id, grown

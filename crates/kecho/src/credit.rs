@@ -56,8 +56,6 @@ pub const OUTBOX_CAP: usize = 32;
 #[derive(Debug, Clone)]
 pub struct CreditWindow {
     credits: u32,
-    granted: u64,
-    consumed: u64,
     /// Credits spent since the last grant arrived — the publisher's only
     /// local signal that the subscriber has stopped absorbing its stream.
     unacked: u32,
@@ -75,8 +73,6 @@ impl CreditWindow {
     pub fn new() -> Self {
         CreditWindow {
             credits: INITIAL_CREDITS,
-            granted: 0,
-            consumed: 0,
             unacked: 0,
         }
     }
@@ -94,7 +90,6 @@ impl CreditWindow {
             return false;
         }
         self.credits -= 1;
-        self.consumed += 1;
         self.unacked = self.unacked.saturating_add(1);
         true
     }
@@ -119,22 +114,9 @@ impl CreditWindow {
     pub fn grant(&mut self, credits: u32) {
         let add = credits.min(INITIAL_CREDITS - self.credits.min(INITIAL_CREDITS));
         self.credits += add;
-        self.granted += u64::from(add);
         // A grant acknowledges spend regardless of the cap: the
         // subscriber would not grant for positions it never absorbed.
         self.unacked = self.unacked.saturating_sub(credits);
-    }
-
-    /// Lifetime credits granted by the subscriber (post-cap).
-    #[must_use]
-    pub fn granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Lifetime credits consumed by data events.
-    #[must_use]
-    pub fn consumed(&self) -> u64 {
-        self.consumed
     }
 }
 
@@ -151,7 +133,7 @@ mod tests {
         }
         assert_eq!(w.available(), 0);
         assert!(!w.try_consume(), "empty window refuses");
-        assert_eq!(w.consumed(), u64::from(INITIAL_CREDITS));
+        assert_eq!(w.unacked(), INITIAL_CREDITS, "a refusal spends nothing");
     }
 
     #[test]
@@ -167,7 +149,10 @@ mod tests {
         assert_eq!(w.available(), INITIAL_CREDITS);
         w.grant(1000);
         assert_eq!(w.available(), INITIAL_CREDITS);
-        assert_eq!(w.granted(), 10, "only real replenishment counted");
+        // The capped credits are not banked: the next spend comes out of
+        // the capped window.
+        assert!(w.try_consume());
+        assert_eq!(w.available(), INITIAL_CREDITS - 1);
     }
 
     #[test]

@@ -142,7 +142,10 @@ pub enum ParamSpec {
 pub enum ControlMsg {
     /// Set a parameter for one metric (by name) at the target node.
     SetParam {
-        /// Metric name (e.g. `"cpu"`); `"*"` applies to all.
+        /// Metric name (e.g. `"cpu"`); `"*"` applies to all. d-mon's
+        /// `and`, `clear` and `window` commands ride here as a prefix of
+        /// the name; `dproc::control`'s module doc is the one place that
+        /// spells them.
         metric: String,
         /// The parameter.
         param: ParamSpec,
