@@ -604,7 +604,7 @@ impl ClusterWorld {
         self.alive[node.0] = true;
         let n = nodes.node(node);
         // Proc writes queued before the crash died with it.
-        let _ = n.host.proc.drain_writes();
+        n.host.proc.drain_writes().for_each(drop);
         n.dmon.on_revive();
         n.svc.poll_token += 1;
         let token = n.svc.poll_token;
@@ -689,9 +689,13 @@ pub struct ClusterSim {
     started: bool,
     threads: usize,
     driver: Option<ParallelDriver>,
-    /// The record buffers this simulation's events reuse, lent to the
-    /// thread that runs it for each [`ClusterSim::run_until`].
+    /// The record buffers and control texts this simulation's events
+    /// reuse, lent to the thread that runs it for each
+    /// [`ClusterSim::run_until`].
     pool: RecordPool,
+    /// The path of the last [`ClusterSim::write_control`], kept so that a
+    /// write allocates nothing.
+    ctl_path: String,
 }
 
 impl ClusterSim {
@@ -778,6 +782,7 @@ impl ClusterSim {
             threads: 1,
             driver: None,
             pool: RecordPool::default(),
+            ctl_path: String::new(),
         }
     }
 
@@ -918,11 +923,13 @@ impl ClusterSim {
     /// path component names no control file: nothing is created and the
     /// write counts in the node's `stats.control_errors`.
     pub fn write_control(&mut self, node: NodeId, target_name: &str, text: &str) {
-        let path = format!("cluster/{target_name}/control");
+        let path = &mut self.ctl_path;
+        path.clear();
+        path.extend(["cluster/", target_name, "/control"]);
         let proc = &mut self.world.hosts[node.0].proc;
         let one_component = !target_name.is_empty() && !target_name.contains('/');
-        let file = one_component && (proc.exists(&path) || proc.set(&path, "").is_ok());
-        if !(file && proc.write(&path, text).is_ok()) {
+        let file = one_component && (proc.exists(path) || proc.set(path, "").is_ok());
+        if !(file && proc.write(path, text).is_ok()) {
             self.world.dmons[node.0].stats.control_errors += 1;
         }
     }

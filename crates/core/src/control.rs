@@ -39,6 +39,12 @@
 //!
 //! Because a name cannot hold the `:` that ends a prefix, no name reads as
 //! one, and `Command::of(&c.to_msg()) == Some(c)` for every parsed `c`.
+//! Every number a command carries is finite: the text refuses `NaN` and
+//! `inf`, and a message whose parameter is not finite reads as no command.
+//!
+//! The text of a message `to_msg` writes is taken from the running
+//! thread's pool of control texts (`kecho::take_text`); whoever consumes
+//! the message gives it back (`ControlMsg::recycle`).
 
 use kecho::{ControlMsg, ParamSpec};
 
@@ -93,9 +99,25 @@ pub enum Command<'a> {
     NoFilter,
 }
 
+/// A finite number: `NaN` and the infinities parse as floats, but no rule
+/// or window means anything by them.
 fn parse_f64(s: &str, what: &str) -> Result<f64, ControlParseError> {
-    s.parse::<f64>()
-        .map_err(|_| err(format!("{what} `{s}` is not a number")))
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(err(format!("{what} `{s}` is not a finite number"))),
+    }
+}
+
+/// Whether every number `param` carries is finite, as every number a
+/// control write can state is.
+fn finite(param: ParamSpec) -> bool {
+    match param {
+        ParamSpec::Period { period_s: v }
+        | ParamSpec::DeltaFraction { fraction: v }
+        | ParamSpec::Above { bound: v }
+        | ParamSpec::Below { bound: v } => v.is_finite(),
+        ParamSpec::Range { lo, hi } => lo.is_finite() && hi.is_finite(),
+    }
 }
 
 /// Exactly `N` whitespace-separated words of `s`.
@@ -214,10 +236,16 @@ impl<'a> Command<'a> {
         Ok(Command::Rule { metric, param, and })
     }
 
-    /// The wire message that carries this command.
+    /// The wire message that carries this command, its text taken from
+    /// the running thread's pool.
     pub fn to_msg(&self) -> ControlMsg {
+        let text = |parts: &[&str]| {
+            let mut text = kecho::take_text();
+            text.extend(parts.iter().copied());
+            text
+        };
         let set = |prefix: &str, metric: &str, param| ControlMsg::SetParam {
-            metric: [prefix, metric].concat(),
+            metric: text(&[prefix, metric]),
             param,
         };
         match *self {
@@ -227,7 +255,7 @@ impl<'a> Command<'a> {
                 set(WINDOW, file, ParamSpec::Period { period_s: secs })
             }
             Command::Filter { source } => ControlMsg::DeployFilter {
-                source: source.to_string(),
+                source: text(&[source]),
             },
             Command::NoFilter => ControlMsg::RemoveFilter,
         }
@@ -235,7 +263,8 @@ impl<'a> Command<'a> {
 
     /// The command a wire message carries; `None` for a message that is
     /// no customization (credits, replies, announcements) or that no
-    /// [`Command::to_msg`] writes.
+    /// [`Command::to_msg`] writes, such as one with a parameter that is not
+    /// finite.
     pub fn of(msg: &'a ControlMsg) -> Option<Command<'a>> {
         let (metric, param) = match msg {
             ControlMsg::SetParam { metric, param } => (metric.as_str(), *param),
@@ -249,7 +278,7 @@ impl<'a> Command<'a> {
             .unwrap_or(("", metric));
         let rule = |and| Some(Command::Rule { metric, param, and });
         match (prefix, param) {
-            _ if metric.contains(':') => None,
+            _ if metric.contains(':') || !finite(param) => None,
             ("", _) => rule(false),
             (AND, _) => rule(true),
             (CLEAR, _) => Some(Command::Clear { metric }),
@@ -378,6 +407,57 @@ mod tests {
         ] {
             assert!(Command::parse(bad).is_err(), "should reject `{bad}`");
         }
+    }
+
+    /// `period cpu NaN` used to mean "every poll", `period cpu inf` "once,
+    /// then never", and `window cpu inf` a window of `u64::MAX` ns.
+    #[test]
+    fn rejects_numbers_that_are_not_finite() {
+        for bad in [
+            "period cpu NaN",
+            "period cpu inf",
+            "and period * +infinity",
+            "delta cpu nan",
+            "above cpu inf",
+            "below mem -inf",
+            "range disk -inf 5",
+            "range disk 1 inf",
+            "range disk NaN NaN",
+            "above cpu 1e400",
+            "window cpu inf",
+            "window cpu NaN",
+        ] {
+            let e = Command::parse(bad).expect_err(bad);
+            assert!(e.message.contains("not a finite number"), "{bad}: {e}");
+        }
+        let set = |param| ControlMsg::SetParam {
+            metric: "cpu".into(),
+            param,
+        };
+        for param in [
+            ParamSpec::Period { period_s: f64::NAN },
+            ParamSpec::Period {
+                period_s: f64::INFINITY,
+            },
+            ParamSpec::DeltaFraction { fraction: f64::NAN },
+            ParamSpec::Above {
+                bound: f64::NEG_INFINITY,
+            },
+            ParamSpec::Below { bound: f64::NAN },
+            ParamSpec::Range {
+                lo: 0.0,
+                hi: f64::INFINITY,
+            },
+        ] {
+            assert_eq!(Command::of(&set(param)), None, "{param:?}");
+        }
+        let window = ControlMsg::SetParam {
+            metric: "window:cpu".into(),
+            param: ParamSpec::Period {
+                period_s: f64::INFINITY,
+            },
+        };
+        assert_eq!(Command::of(&window), None);
     }
 
     /// A name holding `:` would be spliced into a wire prefix, and `and`

@@ -164,7 +164,7 @@ impl Detector {
             cx.stats.resyncs += 1;
             let custom = peers.get(peer).and_then(|p| p.custom.as_ref());
             for msg in custom.into_iter().flat_map(|c| &c.replay) {
-                cx.control(peer, msg.clone());
+                cx.control(peer, msg.pooled_clone());
             }
         }
     }
@@ -177,7 +177,9 @@ impl Detector {
 /// `nofilter` removes it and is not logged itself), a replacing
 /// rule or a `clear` supersedes every earlier rule and `clear` for the
 /// same metric, and a `window` the earlier `window` for the same file.
-/// Only `and` rules stack, because that is their replay semantic.
+/// Only `and` rules stack, because that is their replay semantic. The
+/// logged copy's text comes from the pool, and a superseded entry's goes
+/// back to it.
 pub(super) fn record_deployment(log: &mut Vec<ControlMsg>, cmd: Command<'_>, msg: &ControlMsg) {
     use Command::{Clear, Filter, NoFilter, Rule, Window};
     let supersedes = |old: Command<'_>| match (cmd, old) {
@@ -189,12 +191,13 @@ pub(super) fn record_deployment(log: &mut Vec<ControlMsg>, cmd: Command<'_>, msg
         (Filter { .. } | NoFilter, Filter { .. }) => true,
         _ => false,
     };
-    log.retain(|m| !Command::of(m).is_some_and(supersedes));
+    let superseded = |m: &mut ControlMsg| Command::of(m).is_some_and(supersedes);
+    log.extract_if(.., superseded).for_each(ControlMsg::recycle);
     // `clear` is kept too (it replays as a cheap no-op on a blank
     // restart) because metric aliases — /proc file names vs E-code
     // constants — can hide a rule it must still undo.
     if cmd != NoFilter {
-        log.push(msg.clone());
+        log.push(msg.pooled_clone());
     }
 }
 

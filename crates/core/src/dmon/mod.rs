@@ -533,8 +533,9 @@ impl DMon {
     /// Drain application writes to `cluster/<name>/control` files into
     /// control events — that is how applications reach remote d-mons. A
     /// write to this node's own file short-circuits the wire, so a
-    /// rejection reply is applied locally too. A `filter` or `nofilter`
-    /// toward a publisher forgets why it refused the last one.
+    /// rejection reply is applied locally too, and its texts go straight
+    /// back to the pool. A `filter` or `nofilter` toward a publisher
+    /// forgets why it refused the last one.
     fn drain_control_writes(
         &mut self,
         host: &mut Host,
@@ -544,7 +545,7 @@ impl DMon {
     ) {
         let node = self.node;
         for (path, data) in host.proc.drain_writes() {
-            let Some((target, cmd)) = route_control_write(&self.cluster_names, &path, &data) else {
+            let Some((target, cmd)) = route_control_write(&self.cluster_names, path, data) else {
                 self.stats.control_errors += 1;
                 continue;
             };
@@ -559,7 +560,9 @@ impl DMon {
             if target == node {
                 if let Some(reply) = self.on_control(node, &msg, calib).reply {
                     self.on_control(node, &reply, calib);
+                    reply.recycle();
                 }
+                msg.recycle();
             } else {
                 detector::record_deployment(&mut p.custom().replay, cmd, &msg);
                 let ev = self.make_control_event(ctl_chan, target, msg);
@@ -895,7 +898,7 @@ mod tests {
         let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
         host.proc.set("cluster/alan/control", "").unwrap();
         for text in texts {
-            host.proc.write("cluster/alan/control", *text).unwrap();
+            host.proc.write("cluster/alan/control", text).unwrap();
         }
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
         dmon
@@ -920,6 +923,23 @@ mod tests {
         let dmon = write_own(&["and clear cpu", "and window cpu 5"]);
         assert_eq!(dmon.stats.control_errors, 2);
         assert!(dmon.policy_for(NodeId(0)).is_none_or(PolicySet::is_empty));
+    }
+
+    /// A wire rule whose number is not finite configures nothing and is
+    /// counted, as the same rule written to a control file is.
+    #[test]
+    fn a_rule_whose_number_is_not_finite_is_an_error_on_either_path() {
+        let (mut dmon, _host, _dir, _mon, _ctl, calib) = setup();
+        let wire = ControlMsg::SetParam {
+            metric: "cpu".into(),
+            param: ParamSpec::Period { period_s: f64::NAN },
+        };
+        dmon.on_control(NodeId(1), &wire, &calib);
+        assert_eq!(dmon.stats.control_errors, 1);
+        assert!(dmon.policy_for(NodeId(1)).is_none_or(PolicySet::is_empty));
+        let dmon = write_own(&["period cpu NaN", "window cpu inf", "above * -inf"]);
+        assert_eq!(dmon.stats.control_errors, 3);
+        assert!(dmon.policy_for(NodeId(0)).is_none());
     }
 
     /// Every customization lives in its pair's row: a Dead eviction keeps

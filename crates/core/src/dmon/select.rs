@@ -1,10 +1,11 @@
 //! Stage 2, *decide* (the policy/filter share of Figs. 6–7): the E-code
-//! filters subscribers deployed here, admitted once per distinct source,
-//! and the per-poll memo that lets subscribers with the same filter share
-//! one run. What each subscriber configured — parameter rules or the slot
-//! of its filter — is in its row ([`crate::peers::Custom`]). In: this
-//! poll's samples and the subscriber's row; out: the records to ship to
-//! it.
+//! filters subscribers deployed here, each distinct source admitted once
+//! and kept while a slot of the table holds it — past its last user, until
+//! a new source needs the slot — and the per-poll memo that lets
+//! subscribers with the same filter share one run. What each subscriber
+//! configured — parameter rules or the slot of its filter — is in its row
+//! ([`crate::peers::Custom`]). In: this poll's samples and the
+//! subscriber's row; out: the records to ship to it.
 
 use std::collections::HashMap;
 
@@ -161,16 +162,19 @@ impl Memo {
     }
 }
 
-/// The admitted artefacts in use here. Which subscriber uses which slot
-/// is in the subscriber's row, and the table's methods take that slot.
+/// The admitted artefacts here. Which subscriber uses which slot is in
+/// the subscriber's row, and the table's methods take that slot.
 #[derive(Default)]
 struct Table {
-    /// One artefact per distinct source in use, indexed by the dense id
-    /// that keys the per-poll memo; `None` is a free slot. A slot lives
-    /// while a subscriber's row names it, so the table never outgrows the
-    /// number of subscribers with a filter.
+    /// One artefact per distinct source, indexed by the dense id that keys
+    /// the per-poll memo; `None` is a free slot. An artefact whose last
+    /// user left stays in its slot, *idle*, so deploying its source again
+    /// is a lookup; a new source takes the lowest free or idle slot. A new
+    /// slot is made only when every slot is in use, so the table never
+    /// outgrows the number of subscribers with a filter.
     slots: Vec<Option<Admitted>>,
-    /// Source → slot, for exactly the occupied slots (deploy-time only).
+    /// Source → slot, for exactly the occupied slots, idle ones included
+    /// (deploy-time only).
     filter_ids: HashMap<String, u32>,
 }
 
@@ -182,13 +186,20 @@ impl Table {
         Some((id, self.slots[id as usize].as_ref()?))
     }
 
-    /// Store a fresh artefact in the lowest free slot.
+    /// Store a fresh artefact in the lowest slot that is free or idle,
+    /// evicting the idle artefact.
     fn occupy(&mut self, admitted: Admitted) -> u32 {
-        let free = self.slots.iter().position(Option::is_none);
+        let free = self
+            .slots
+            .iter()
+            .position(|s| s.as_ref().is_none_or(|a| a.users == 0));
         let id = free.unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
         });
+        if let Some(idle) = self.slots[id].take() {
+            self.filter_ids.remove(idle.filter.source());
+        }
         let source = admitted.filter.source().to_string();
         self.filter_ids.insert(source, id as u32);
         self.slots[id] = Some(admitted);
@@ -206,22 +217,19 @@ impl Table {
         self.slots[id as usize].as_ref()
     }
 
-    /// A subscriber stops using its slot, if it has one; the last user
-    /// frees the slot and its `filter_ids` entry. The freed id may name another
-    /// source by the next poll: memo entries are read only between
-    /// `begin_poll`, which clears them, and the end of that poll's
-    /// subscriber loop, and no control message is handled in between, so a
-    /// recycled id never meets a run of the source it used to name.
+    /// A subscriber stops using its slot, if it has one; after the last
+    /// user the artefact stays, idle. Its id may name another source by
+    /// the next poll, once a new source evicts it: memo entries are read
+    /// only between `begin_poll`, which clears them, and the end of that
+    /// poll's subscriber loop, and no control message is handled in
+    /// between, so a recycled id never meets a run of the source it used
+    /// to name.
     fn leave(&mut self, slot: &mut Option<u32>) {
         let Some(id) = slot.take() else {
             return;
         };
-        let entry = &mut self.slots[id as usize];
-        let Some(admitted) = entry else { return };
-        admitted.users -= 1;
-        if admitted.users == 0 {
-            self.filter_ids.remove(admitted.filter.source());
-            *entry = None;
+        if let Some(admitted) = &mut self.slots[id as usize] {
+            admitted.users -= 1;
         }
     }
 }
@@ -241,8 +249,8 @@ impl Select {
     }
 
     /// Put the stream of the subscriber whose slot is `slot` under the
-    /// filter `source`. A source some subscriber already runs here is a
-    /// table lookup; any other is admitted first. A source that does not
+    /// filter `source`. A source the table holds, in use or idle, is a
+    /// lookup; any other is admitted first. A source that does not
     /// compile or that the verifier refuses changes nothing (any
     /// previously deployed filter stays in force) and the subscriber is
     /// told why through the returned reply.
@@ -291,10 +299,16 @@ impl Select {
 
     /// The environment grew: admit every source in use again against it,
     /// once each, and count the deployment for each of its subscribers. A
-    /// source that no longer compiles keeps its old artefact.
+    /// source that no longer compiles keeps its old artefact. Idle
+    /// artefacts were admitted against the old environment, so they go.
     pub(super) fn recompile(&mut self, env: &EnvSpec, stats: &mut DmonStats) {
-        for slot in self.table.slots.iter_mut().flatten() {
-            if let Ok(fresh) = Admitted::new(slot.filter.source(), env) {
+        let Table { slots, filter_ids } = &mut self.table;
+        for entry in slots.iter_mut() {
+            let Some(slot) = entry else { continue };
+            if slot.users == 0 {
+                filter_ids.remove(slot.filter.source());
+                *entry = None;
+            } else if let Ok(fresh) = Admitted::new(slot.filter.source(), env) {
                 let users = slot.users;
                 fresh.count(users, stats);
                 *slot = Admitted { users, ..fresh };
@@ -407,6 +421,7 @@ mod tests {
     use super::super::testkit::*;
     use super::*;
     use kecho::ParamSpec;
+    use simcore::SimDur;
 
     #[test]
     fn policy_gates_metrics_per_subscriber() {
@@ -805,22 +820,110 @@ mod tests {
         assert!(dmon.select.table.of(slot).unwrap().1.compiled.is_some());
     }
 
+    /// The users of the artefact in slot `id`.
+    fn users(dmon: &super::super::DMon, id: u32) -> u32 {
+        dmon.select.table.slots[id as usize].as_ref().unwrap().users
+    }
+
     #[test]
-    fn the_last_user_frees_the_slot() {
+    fn the_last_user_leaves_the_artefact_idle_and_its_source_comes_back_to_it() {
         let (mut dmon, _host, _dir, _mon, _ctl, calib) = setup();
         for sub in [NodeId(1), NodeId(2)] {
             deploy(&mut dmon, sub, PURE_SRC);
         }
+        let artefact = dmon.filter_for(NodeId(1)).unwrap() as *const Filter;
         dmon.on_control(NodeId(1), &ControlMsg::RemoveFilter, &calib);
         assert!(!dmon.has_filter(NodeId(1)));
         assert_eq!(dmon.filter_for(NodeId(2)).unwrap().source(), PURE_SRC);
-        assert_eq!(table_size(&dmon), (1, 1), "one of two users left");
+        assert_eq!((table_size(&dmon), users(&dmon, 0)), ((1, 1), 1));
         dmon.on_control(NodeId(2), &ControlMsg::RemoveFilter, &calib);
         assert!(!dmon.has_filter(NodeId(2)));
-        assert_eq!(table_size(&dmon), (0, 0), "the last one freed it");
+        assert_eq!(table_size(&dmon), (1, 1), "the last one leaves it idle");
+        assert_eq!(users(&dmon, 0), 0);
         // Removing twice, or with nothing deployed, is harmless.
         dmon.on_control(NodeId(2), &ControlMsg::RemoveFilter, &calib);
-        assert_eq!(table_size(&dmon), (0, 0));
+        assert_eq!((table_size(&dmon), users(&dmon, 0)), ((1, 1), 0));
+        // Deploying the source again enters the same artefact, unadmitted,
+        // and counts the deployment.
+        deploy(&mut dmon, NodeId(1), PURE_SRC);
+        assert!(std::ptr::eq(dmon.filter_for(NodeId(1)).unwrap(), artefact));
+        assert_eq!((slot_id(&dmon, 1), users(&dmon, 0)), (0, 1));
+        assert_eq!(dmon.stats.filters_compiled, 3);
+    }
+
+    /// A new source takes the lowest slot that is free or idle, and the
+    /// table holds exactly as many slots as when the last user freed a
+    /// slot: the most distinct sources ever in use at once.
+    #[test]
+    fn a_new_source_takes_the_lowest_idle_slot_and_the_table_grows_no_larger() {
+        let names = (0..8).map(|i| format!("n{i}")).collect();
+        let modules = crate::modules::standard_modules();
+        let mut dmon = super::super::DMon::new(NodeId(0), names, modules, SimDur::from_secs(1));
+        let source = |k: u64| {
+            format!("{{ if (input[LOADAVG].value > {k}) {{ output[0] = input[LOADAVG]; }} }}")
+        };
+        // Slots 0, 1, 2 for three sources; the first two go idle.
+        for (sub, k) in [(1, 0), (2, 1), (3, 2)] {
+            deploy(&mut dmon, NodeId(sub), &source(k));
+        }
+        let calib = crate::Calib::default();
+        for sub in [2, 1] {
+            dmon.on_control(NodeId(sub), &ControlMsg::RemoveFilter, &calib);
+        }
+        assert_eq!(table_size(&dmon), (3, 3));
+        deploy(&mut dmon, NodeId(4), &source(3));
+        assert_eq!(slot_id(&dmon, 4), 0, "the lowest idle slot");
+        assert!(!dmon.select.table.filter_ids.contains_key(&source(0)));
+        deploy(&mut dmon, NodeId(5), &source(0));
+        assert_eq!(slot_id(&dmon, 5), 1, "an evicted source is admitted again");
+        assert_eq!(dmon.select.table.slots.len(), 3);
+
+        // Seeded churn over seven subscribers and six sources.
+        let mut rng = simcore::SimRng::seed_from_u64(0x5107);
+        let mut deployed: [Option<u64>; 8] =
+            [None, None, None, Some(2), Some(3), Some(0), None, None];
+        let mut most_in_use = 3;
+        for step in 0..2000 {
+            let sub = 1 + rng.below(7) as usize;
+            if rng.chance(0.3) {
+                dmon.on_control(NodeId(sub), &ControlMsg::RemoveFilter, &calib);
+                deployed[sub] = None;
+            } else {
+                let k = rng.below(6);
+                deploy(&mut dmon, NodeId(sub), &source(k));
+                deployed[sub] = Some(k);
+            }
+            let mut in_use: Vec<_> = deployed.iter().flatten().collect();
+            in_use.sort_unstable();
+            in_use.dedup();
+            most_in_use = most_in_use.max(in_use.len());
+            let table = &dmon.select.table;
+            assert_eq!(table.slots.len(), most_in_use, "step {step}");
+            let used = table.slots.iter().flatten().filter(|a| a.users > 0).count();
+            assert_eq!(used, in_use.len(), "step {step}");
+            for (sub, k) in deployed.iter().enumerate() {
+                let got = dmon.filter_for(NodeId(sub)).map(Filter::source);
+                assert_eq!(got, k.map(source).as_deref(), "step {step} sub {sub}");
+            }
+        }
+    }
+
+    #[test]
+    fn recompile_drops_idle_artefacts_and_never_brings_one_back() {
+        let (mut dmon, _host, _dir, _mon, _ctl, calib) = setup();
+        deploy(&mut dmon, NodeId(1), PURE_SRC);
+        deploy(&mut dmon, NodeId(2), IMPURE_SRC);
+        dmon.on_control(NodeId(1), &ControlMsg::RemoveFilter, &calib);
+        assert_eq!(table_size(&dmon), (2, 2), "PURE_SRC idle");
+        dmon.register_module(Box::new(crate::modules::PowerMon));
+        // The idle artefact knew five metrics: it is gone, not recompiled;
+        // the one in use knows six now.
+        assert_eq!(table_size(&dmon), (1, 1));
+        assert!(!dmon.select.table.filter_ids.contains_key(PURE_SRC));
+        assert_eq!(dmon.filter_for(NodeId(2)).unwrap().env().len(), 6);
+        deploy(&mut dmon, NodeId(1), PURE_SRC);
+        assert_eq!(dmon.filter_for(NodeId(1)).unwrap().env().len(), 6);
+        assert_eq!(slot_id(&dmon, 1), 0, "admitted again into the freed slot");
     }
 
     #[test]

@@ -364,27 +364,36 @@ impl<'a> Node<'a> {
                 let handler = self.dmon.on_digest(self.host, &ev, bytes, now, calib);
                 self.charge_cpu(now, handler + calib.kernel_path_recv);
             }
-            EventKind::Control => {
-                sink.fx(Fx::CtlDelivered);
-                let Some(msg) = ev.as_control() else { return };
-                let outcome = self.dmon.on_control(ev.sender, msg, calib);
-                self.charge_cpu(now, outcome.cpu + calib.kernel_path_recv);
-                if let Some(reply) = outcome.reply {
-                    // E.g. a filter rejection travelling back to the
-                    // subscriber that tried to deploy it.
-                    let chan = ChannelId(ev.channel);
-                    let rev = self.dmon.make_control_event(chan, ev.sender, reply);
-                    let bytes = wire::encoded_size(&rev);
-                    let send_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
-                    self.charge_cpu(now, send_cost);
-                    let hop = Hop {
-                        from: to,
-                        to: ev.sender,
-                    };
-                    self.transmit(now, hop, rev, bytes, view, sink);
-                }
-            }
+            EventKind::Control => self.deliver_control(now, ev, view, sink),
         }
+    }
+
+    /// A control event reached its target: handle it, send any reply back
+    /// to its sender, and give its text back to the pool. Kept out of line:
+    /// inlined into [`Node::deliver`], whose monitoring branch runs for
+    /// nearly every frame, it slowed `overload8-faults` by ≈ 6 %.
+    #[inline(never)]
+    fn deliver_control(&mut self, now: SimTime, ev: Event, view: &View<'_>, sink: &mut impl Sink) {
+        let calib = view.calib;
+        sink.fx(Fx::CtlDelivered);
+        let Some(msg) = ev.as_control() else { return };
+        let outcome = self.dmon.on_control(ev.sender, msg, calib);
+        self.charge_cpu(now, outcome.cpu + calib.kernel_path_recv);
+        if let Some(reply) = outcome.reply {
+            // E.g. a filter rejection travelling back to the
+            // subscriber that tried to deploy it.
+            let chan = ChannelId(ev.channel);
+            let rev = self.dmon.make_control_event(chan, ev.sender, reply);
+            let bytes = wire::encoded_size(&rev);
+            let send_cost = calib.submit_cost(bytes) + calib.kernel_path_send;
+            self.charge_cpu(now, send_cost);
+            let hop = Hop {
+                from: self.host.node,
+                to: ev.sender,
+            };
+            self.transmit(now, hop, rev, bytes, view, sink);
+        }
+        ev.recycle();
     }
 
     /// Run one d-mon polling iteration. No-op on a dead node.

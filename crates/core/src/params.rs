@@ -82,7 +82,9 @@ pub struct RuleCtx {
 }
 
 /// The rules one subscriber configured at a publisher: per metric name,
-/// with `"*"` as the any-metric fallback.
+/// with `"*"` as the any-metric fallback. A metric keeps its entry, and the
+/// entry its buffer, when its rules are cleared, so replacing a rule for a
+/// metric seen before allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PolicySet {
     per_metric: HashMap<String, Vec<Rule>>,
@@ -100,11 +102,10 @@ impl PolicySet {
     pub fn add_rule(&mut self, metric: &str, rule: Rule) {
         if metric == "*" {
             self.wildcard.push(rule);
+        } else if let Some(rules) = self.per_metric.get_mut(metric) {
+            rules.push(rule);
         } else {
-            self.per_metric
-                .entry(metric.to_string())
-                .or_default()
-                .push(rule);
+            self.per_metric.insert(metric.to_string(), vec![rule]);
         }
     }
 
@@ -112,8 +113,8 @@ impl PolicySet {
     pub fn clear_metric(&mut self, metric: &str) {
         if metric == "*" {
             self.wildcard.clear();
-        } else {
-            self.per_metric.remove(metric);
+        } else if let Some(rules) = self.per_metric.get_mut(metric) {
+            rules.clear();
         }
     }
 
@@ -247,6 +248,28 @@ mod tests {
             !p.decide("cpu", &ctx(2.0, 0.0, None, 0)),
             "back to wildcard"
         );
+    }
+
+    #[test]
+    fn a_cleared_metric_keeps_its_buffer_and_reads_as_unset() {
+        let mut p = PolicySet::new();
+        p.set_rule("*", Rule::Above(100.0));
+        p.add_rule("cpu", Rule::Above(1.0));
+        p.add_rule("cpu", Rule::Below(5.0));
+        let buf = p.per_metric["cpu"].as_ptr();
+        p.clear_metric("cpu");
+        assert_eq!(p.rule_count("cpu"), 1, "the wildcard applies again");
+        assert!(!p.decide("cpu", &ctx(2.0, 0.0, None, 0)));
+        p.clear_metric("*");
+        assert!(p.is_empty(), "an emptied entry is no rule");
+        p.set_rule("cpu", Rule::Below(3.0));
+        p.add_rule("cpu", Rule::Above(1.0));
+        assert_eq!(p.per_metric["cpu"].as_ptr(), buf, "the same buffer");
+        assert_eq!(p.rule_count("cpu"), 2);
+        assert!(p.decide("cpu", &ctx(2.0, 0.0, None, 0)));
+        // Clearing a metric never seen adds no entry.
+        p.clear_metric("mem");
+        assert!(!p.per_metric.contains_key("mem"));
     }
 
     #[test]

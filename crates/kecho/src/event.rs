@@ -312,13 +312,49 @@ impl Event {
         }
     }
 
-    /// Consume the event, returning its monitoring record buffer to the
-    /// calling thread's pool (no-op for control/heartbeat events). Call this
-    /// at the end of a delivery path instead of dropping the event so the
-    /// publisher's next [`take_record_buf`] reuses the allocation.
+    /// Consume the event, returning its monitoring record buffer or its
+    /// control text to the calling thread's pool (no-op for heartbeats and
+    /// digests). Call this at the end of a delivery path instead of
+    /// dropping the event so the next [`take_record_buf`] or [`take_text`]
+    /// reuses the allocation.
     pub fn recycle(self) {
-        if let Payload::Monitoring(m) = self.payload {
-            put_record_buf(m.records);
+        match self.payload {
+            Payload::Monitoring(m) => put_record_buf(m.records),
+            Payload::Control(c) => c.recycle(),
+            Payload::Heartbeat(_) | Payload::Digest(_) => {}
+        }
+    }
+}
+
+impl ControlMsg {
+    /// A copy whose parameter name or filter source is taken from the
+    /// calling thread's pool ([`take_text`]): what a replay log keeps.
+    pub fn pooled_clone(&self) -> ControlMsg {
+        let text = |s: &str| {
+            let mut t = take_text();
+            t.push_str(s);
+            t
+        };
+        match self {
+            ControlMsg::SetParam { metric, param } => ControlMsg::SetParam {
+                metric: text(metric),
+                param: *param,
+            },
+            ControlMsg::DeployFilter { source } => ControlMsg::DeployFilter {
+                source: text(source),
+            },
+            other => other.clone(),
+        }
+    }
+
+    /// Consume the message, returning its text, if it carries one, to the
+    /// calling thread's pool.
+    pub fn recycle(self) {
+        match self {
+            ControlMsg::SetParam { metric: text, .. }
+            | ControlMsg::DeployFilter { source: text }
+            | ControlMsg::FilterRejected { reason: text } => put_text(text),
+            ControlMsg::RemoveFilter | ControlMsg::Announce | ControlMsg::Credit { .. } => {}
         }
     }
 }
@@ -333,26 +369,49 @@ impl Event {
 /// delivers would otherwise only grow.
 const RECORD_POOL_CAP: usize = 64 * 63;
 
-thread_local! {
-    /// The calling thread's record buffers, the per-delivery analogue of
-    /// the wire codec's encode pool: the [`RecordPool`] lent to it by the
-    /// simulation or shard it is running, or else the thread's own (a
-    /// caller driving d-mon by hand).
-    static RECORD_POOL: std::cell::RefCell<Vec<Vec<MonRecord>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Control texts one pool keeps. A text is out of the pool while its
+/// message is in flight or logged for replay (a handful per peer), and
+/// what comes back is only what the logs shed since they were largest, so
+/// the pool stays far below this; the bound is for an owner that mostly
+/// receives.
+const TEXT_POOL_CAP: usize = 256;
+
+/// What one pool holds: record buffers, and the texts control messages
+/// carry (a metric name, a filter source, a refusal's reason). A text
+/// keeps its capacity in the pool, so once the pool has carried the
+/// longest text a run writes, taking one allocates nothing.
+#[derive(Default)]
+struct Buffers {
+    records: Vec<Vec<MonRecord>>,
+    texts: Vec<String>,
 }
 
-/// The record buffers one simulation, or one shard of a sharded one,
-/// reuses. It reaches a thread only through [`RecordPool::lend`], so
-/// which thread ran which shard changes no allocation count.
+thread_local! {
+    /// The calling thread's buffers, the per-delivery analogue of the wire
+    /// codec's encode pool: the [`RecordPool`] lent to it by the
+    /// simulation or shard it is running, or else the thread's own (a
+    /// caller driving d-mon by hand).
+    static POOL: std::cell::RefCell<Buffers> = const {
+        std::cell::RefCell::new(Buffers {
+            records: Vec::new(),
+            texts: Vec::new(),
+        })
+    };
+}
+
+/// The record buffers and control texts one simulation, or one shard of a
+/// sharded one, reuses. It reaches a thread only through
+/// [`RecordPool::lend`], so which thread ran which shard changes no
+/// allocation count.
 #[derive(Default)]
-pub struct RecordPool(Vec<Vec<MonRecord>>);
+pub struct RecordPool(Buffers);
 
 impl RecordPool {
     /// Make this pool the calling thread's until the returned guard drops,
-    /// on return and on unwind alike: every [`take_record_buf`] and
-    /// [`put_record_buf`] in between uses it. Dropping the guard gives the
-    /// thread back the pool it had, so lends nest as scopes do.
+    /// on return and on unwind alike: every [`take_record_buf`],
+    /// [`put_record_buf`], [`take_text`] and recycled text in between uses
+    /// it. Dropping the guard gives the thread back the pool it had, so
+    /// lends nest as scopes do.
     pub fn lend(&mut self) -> Lent<'_> {
         swap_pool(&mut self.0);
         Lent {
@@ -367,7 +426,7 @@ impl RecordPool {
 /// thread.
 #[must_use = "the pool goes back when the guard drops"]
 pub struct Lent<'a> {
-    pool: &'a mut Vec<Vec<MonRecord>>,
+    pool: &'a mut Buffers,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
@@ -379,25 +438,44 @@ impl Drop for Lent<'_> {
 
 /// Exchange `pool` with the calling thread's: a lent pool goes in, and the
 /// one it displaces waits in the lender's place until it comes back.
-fn swap_pool(pool: &mut Vec<Vec<MonRecord>>) {
-    RECORD_POOL.with(|p| std::mem::swap(&mut *p.borrow_mut(), pool));
+fn swap_pool(pool: &mut Buffers) {
+    POOL.with(|p| std::mem::swap(&mut *p.borrow_mut(), pool));
 }
 
 /// Take an empty `Vec<MonRecord>` from the calling thread's pool
 /// (allocates only when the pool is dry).
 pub fn take_record_buf() -> Vec<MonRecord> {
-    RECORD_POOL
-        .with(|p| p.borrow_mut().pop())
+    POOL.with(|p| p.borrow_mut().records.pop())
         .unwrap_or_default()
 }
 
 /// Return a record buffer to the calling thread's pool for reuse.
 pub fn put_record_buf(mut v: Vec<MonRecord>) {
     v.clear();
-    RECORD_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < RECORD_POOL_CAP {
-            pool.push(v);
+    POOL.with(|p| {
+        let records = &mut p.borrow_mut().records;
+        if records.len() < RECORD_POOL_CAP {
+            records.push(v);
+        }
+    });
+}
+
+/// Take an empty `String` from the calling thread's pool, for the text of
+/// a control message; it comes back when the message is recycled
+/// ([`ControlMsg::recycle`], [`Event::recycle`]). Allocates only when the
+/// pool is dry.
+pub fn take_text() -> String {
+    POOL.with(|p| p.borrow_mut().texts.pop())
+        .unwrap_or_default()
+}
+
+/// Return a control text to the calling thread's pool for reuse.
+fn put_text(mut s: String) {
+    s.clear();
+    POOL.with(|p| {
+        let texts = &mut p.borrow_mut().texts;
+        if texts.len() < TEXT_POOL_CAP {
+            texts.push(s);
         }
     });
 }
@@ -454,7 +532,7 @@ mod tests {
     /// The capacities of what a pool holds: each buffer below is made with
     /// a capacity of its own, so a capacity says which one it is.
     fn caps(pool: &RecordPool) -> Vec<usize> {
-        pool.0.iter().map(Vec::capacity).collect()
+        pool.0.records.iter().map(Vec::capacity).collect()
     }
 
     #[test]
@@ -487,5 +565,29 @@ mod tests {
         assert_eq!(caps(&inner), [3, 4], "given back on unwind");
         assert_eq!(take_record_buf().capacity(), 1, "the thread's own is back");
         assert_eq!(take_record_buf().capacity(), 0, "and held nothing else");
+    }
+
+    #[test]
+    fn a_recycled_control_text_comes_back_with_its_capacity_in_the_lent_pool() {
+        let mut pool = RecordPool::default();
+        let _lent = pool.lend();
+        let source = "{ output[0] = input[LOADAVG]; }";
+        let sent = ControlMsg::DeployFilter {
+            source: source.into(),
+        };
+        // A copy for a replay log and the message on the wire: both come
+        // back, the event's through `Event::recycle`.
+        let logged = sent.pooled_clone();
+        assert_eq!(logged, sent);
+        Event::control(2, 1, NodeId(0), NodeId(1), sent).recycle();
+        logged.recycle();
+        let again = [take_text(), take_text()];
+        assert!(again
+            .iter()
+            .all(|t| t.is_empty() && t.capacity() >= source.len()));
+        assert_eq!(take_text().capacity(), 0, "and held nothing else");
+        // Messages without text give nothing back.
+        ControlMsg::Credit { credits: 1 }.recycle();
+        assert_eq!(take_text().capacity(), 0);
     }
 }

@@ -43,6 +43,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write;
+use std::ops::Range;
 
 /// Errors from pseudo-file operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,29 +161,39 @@ pub struct ProcFs {
     /// Files, slab-indexed by [`Node::File`] and [`ProcHandle`].
     files: Vec<File>,
     /// Distinct file names, interned: a host has thousands of files under
-    /// a dozen names (`cpu`, `mem`, `control`, ...).
+    /// a dozen names (`cpu`, `mem`, `control`, ...), so a name is found by
+    /// a scan, once per file.
     leaves: Vec<Box<str>>,
-    leaf_ids: BTreeMap<Box<str>, u32>,
     /// The words of every file that holds cells, each file's together, in
     /// the order the files claimed them.
     cells: Vec<u64>,
-    pending_writes: Vec<(String, String)>,
+    /// Userspace writes not yet drained, in write order: where each one's
+    /// normalized path and data lie in `write_text`.
+    pending_writes: Vec<(Range<usize>, Range<usize>)>,
+    /// The pending writes' paths and data, back to back. One buffer, kept
+    /// from one batch of writes to the next, so a write allocates nothing
+    /// once it has held the largest batch.
+    write_text: String,
 }
 
-/// Split and normalize a path. Returns the component list.
-fn components(path: &str) -> Result<Vec<&str>, ProcError> {
+/// `path` with the `/proc/` or `/` prefix and any trailing `/` stripped:
+/// one or more non-empty components, `/`-separated.
+fn normalize(path: &str) -> Result<&str, ProcError> {
     let trimmed = path
         .trim_start_matches("/proc/")
         .trim_start_matches('/')
         .trim_end_matches('/');
-    if trimmed.is_empty() {
+    if trimmed.is_empty() || trimmed.split('/').any(str::is_empty) {
         return Err(ProcError::BadPath(path.to_string()));
     }
-    let parts: Vec<&str> = trimmed.split('/').collect();
-    if parts.iter().any(|p| p.is_empty()) {
-        return Err(ProcError::BadPath(path.to_string()));
-    }
-    Ok(parts)
+    Ok(trimmed)
+}
+
+/// A path's parent directories, walked in place, and its last component.
+fn parent_and_leaf(path: &str) -> Result<(std::str::SplitTerminator<'_, char>, &str), ProcError> {
+    let path = normalize(path)?;
+    let (dirs, leaf) = path.rsplit_once('/').unwrap_or(("", path));
+    Ok((dirs.split_terminator('/'), leaf))
 }
 
 impl ProcFs {
@@ -203,8 +214,7 @@ impl ProcFs {
     /// and its parent directories if absent. Resolution cost is paid once;
     /// writes through the handle are O(1).
     pub fn intern(&mut self, path: &str) -> Result<ProcHandle, ProcError> {
-        let parts = components(path)?;
-        let (file, dirs) = parts.split_last().expect("non-empty components");
+        let (dirs, file) = parent_and_leaf(path)?;
         let mut cur = &mut self.root;
         for d in dirs {
             let entry = cur
@@ -215,18 +225,16 @@ impl ProcFs {
                 Node::File(_) => return Err(ProcError::WrongKind(path.to_string())),
             }
         }
-        match cur.get(*file) {
+        match cur.get(file) {
             Some(Node::Dir(_)) => Err(ProcError::WrongKind(path.to_string())),
             Some(Node::File(idx)) => Ok(ProcHandle(*idx)),
             None => {
                 let idx = self.files.len();
-                let leaf = match self.leaf_ids.get(*file) {
-                    Some(&id) => id,
+                let leaf = match self.leaves.iter().position(|l| **l == *file) {
+                    Some(id) => id as u32,
                     None => {
-                        let id = self.leaves.len() as u32;
-                        self.leaves.push((*file).into());
-                        self.leaf_ids.insert((*file).into(), id);
-                        id
+                        self.leaves.push(file.into());
+                        self.leaves.len() as u32 - 1
                     }
                 };
                 self.files.push(File {
@@ -359,17 +367,16 @@ impl ProcFs {
     }
 
     fn lookup(&self, path: &str) -> Result<&Node, ProcError> {
-        let parts = components(path)?;
+        let (dirs, last) = parent_and_leaf(path)?;
         let mut cur = &self.root;
-        let (last, dirs) = parts.split_last().expect("non-empty components");
         for d in dirs {
-            match cur.get(*d) {
+            match cur.get(d) {
                 Some(Node::Dir(children)) => cur = children,
                 Some(Node::File(_)) => return Err(ProcError::WrongKind(path.to_string())),
                 None => return Err(ProcError::NotFound(path.to_string())),
             }
         }
-        cur.get(*last)
+        cur.get(last)
             .ok_or_else(|| ProcError::NotFound(path.to_string()))
     }
 
@@ -385,21 +392,32 @@ impl ProcFs {
     /// Userspace write (`echo ... > /proc/...`): requires the file to
     /// exist; the data is queued for the owning subsystem rather than
     /// stored (a real `/proc` write handler intercepts data the same way).
-    pub fn write(&mut self, path: &str, data: impl Into<String>) -> Result<(), ProcError> {
-        match self.lookup(path)? {
-            Node::File(_) => {
-                let parts = components(path)?;
-                self.pending_writes.push((parts.join("/"), data.into()));
-                Ok(())
-            }
-            Node::Dir(_) => Err(ProcError::WrongKind(path.to_string())),
+    /// The path is resolved where it lies and the write is copied into the
+    /// queue's one text buffer, so a warmed queue allocates nothing.
+    pub fn write(&mut self, path: &str, data: &str) -> Result<(), ProcError> {
+        if let Node::Dir(_) = self.lookup(path)? {
+            return Err(ProcError::WrongKind(path.to_string()));
         }
+        // The first write of a batch reuses what the last batch drained.
+        if self.pending_writes.is_empty() {
+            self.write_text.clear();
+        }
+        let text = &mut self.write_text;
+        let start = text.len();
+        text.push_str(normalize(path)?);
+        let mid = text.len();
+        text.push_str(data);
+        self.pending_writes.push((start..mid, mid..text.len()));
+        Ok(())
     }
 
     /// Drain queued userspace writes as `(normalized_path, data)` pairs,
-    /// in write order.
-    pub fn drain_writes(&mut self) -> Vec<(String, String)> {
-        std::mem::take(&mut self.pending_writes)
+    /// in write order, lent from the queue's buffer. Whatever the caller
+    /// leaves unread is drained all the same.
+    pub fn drain_writes(&mut self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let text = &self.write_text;
+        let writes = self.pending_writes.drain(..);
+        writes.map(move |(path, data)| (&text[path], &text[data]))
     }
 
     /// Number of queued, unconsumed writes.
@@ -433,17 +451,16 @@ impl ProcFs {
     /// Remove a file or an entire directory subtree. Returns true if
     /// something was removed.
     pub fn remove(&mut self, path: &str) -> Result<bool, ProcError> {
-        let parts = components(path)?;
-        let (last, dirs) = parts.split_last().expect("non-empty components");
+        let (dirs, last) = parent_and_leaf(path)?;
         let mut cur = &mut self.root;
         for d in dirs {
-            match cur.get_mut(*d) {
+            match cur.get_mut(d) {
                 Some(Node::Dir(children)) => cur = children,
                 Some(Node::File(_)) => return Err(ProcError::WrongKind(path.to_string())),
                 None => return Ok(false),
             }
         }
-        Ok(cur.remove(*last).is_some())
+        Ok(cur.remove(last).is_some())
     }
 
     /// Render the whole tree as an indented listing (debugging aid, and
@@ -506,21 +523,40 @@ mod tests {
             Err(ProcError::NotFound(_))
         ));
         fs.set("cluster/alan/control", "").unwrap();
-        fs.write("/proc/cluster/alan/control", "period=2").unwrap();
-        fs.write("cluster/alan/control", "threshold=0.8").unwrap();
-        assert_eq!(fs.pending_write_count(), 2);
-        let writes = fs.drain_writes();
-        assert_eq!(
-            writes,
-            vec![
-                ("cluster/alan/control".to_string(), "period=2".to_string()),
-                (
-                    "cluster/alan/control".to_string(),
-                    "threshold=0.8".to_string()
-                ),
-            ]
-        );
+        fs.set("cluster/maui/control", "").unwrap();
+        assert!(matches!(
+            fs.write("cluster/alan", "x"),
+            Err(ProcError::WrongKind(_))
+        ));
+        let batch = [
+            ("/proc/cluster/alan/control", "period=2"),
+            ("cluster/maui/control/", "threshold=0.8"),
+            ("/cluster/alan/control", ""),
+            ("cluster/alan/control", "filter {\n int i = 0;\n}"),
+        ];
+        let want = [
+            ("cluster/alan/control", "period=2"),
+            ("cluster/maui/control", "threshold=0.8"),
+            ("cluster/alan/control", ""),
+            ("cluster/alan/control", "filter {\n int i = 0;\n}"),
+        ];
+        for (path, data) in batch {
+            fs.write(path, data).unwrap();
+        }
+        assert_eq!(fs.pending_write_count(), 4);
+        let writes: Vec<_> = fs.drain_writes().collect();
+        assert_eq!(writes, want, "in order, under their normalized paths");
         assert_eq!(fs.pending_write_count(), 0);
+        // A second batch, no larger, is queued in the same buffer.
+        let buf = (fs.write_text.as_ptr(), fs.write_text.capacity());
+        for (path, data) in batch.into_iter().rev() {
+            fs.write(path, data).unwrap();
+        }
+        assert_eq!((fs.write_text.as_ptr(), fs.write_text.capacity()), buf);
+        let mut second = fs.drain_writes();
+        assert_eq!(second.next(), Some(want[3]));
+        drop(second);
+        assert_eq!(fs.pending_write_count(), 0, "an unread write is drained");
     }
 
     #[test]
