@@ -4,7 +4,6 @@
 //! receives under `/proc/cluster/rack<k>/`. Infrastructure overhead like
 //! heartbeats — outside the workload Figs. 6–8 measure.
 
-use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::ops::Range;
 
@@ -20,15 +19,34 @@ use crate::peers::{INLINE_METRICS, SPILL_METRICS};
 /// Summary files one `cluster/rack<k>/` directory holds at most.
 const RACK_FILES: usize = INLINE_METRICS + SPILL_METRICS;
 
+/// One metric's fold across a rack: `(min, max, sum, count, newest_ts)`.
+type Fold = (f64, f64, f64, u32, f64);
+
+/// The fold of no sample.
+const EMPTY_FOLD: Fold = (f64::INFINITY, f64::NEG_INFINITY, 0.0, 0, f64::NEG_INFINITY);
+
 #[derive(Default)]
 pub(super) struct Digest {
-    /// Latest digest received per rack (spine subscribers only), at most
-    /// `RACK_FILES` records of it — the observability surface behind the
-    /// shell's `racks` command.
-    latest: BTreeMap<u32, DigestPayload>,
-    /// Interned handles for `cluster/rack<k>/<file>`, by rack and metric
-    /// id.
-    handles: BTreeMap<(u32, u32), Option<ProcHandle>>,
+    /// What this node keeps per rack it has received a digest for, by rack
+    /// number: grown on first contact, so only spine subscribers hold
+    /// rows.
+    racks: Vec<RackRow>,
+    /// The aggregator's fold, per metric id, and the records folded from
+    /// it: scratch kept between polls, so a warm poll allocates nothing.
+    acc: Vec<Fold>,
+    records: Vec<DigestRecord>,
+}
+
+/// One rack's row at a spine subscriber.
+#[derive(Default)]
+struct RackRow {
+    /// The latest digest received, at most `RACK_FILES` records of it,
+    /// read through [`DMon::rack_digest`].
+    latest: Option<DigestPayload>,
+    /// Interned handle for `cluster/rack<k>/<file>` per metric id, in the
+    /// order the ids first came: a rack directory holds as many files as
+    /// one peer's row holds metrics, so at most `RACK_FILES` entries.
+    files: Vec<(u32, Option<ProcHandle>)>,
 }
 
 /// The text of a rack summary file, from `[min bits, max bits, mean bits,
@@ -46,7 +64,7 @@ pub(super) fn render_digest(rec: &[u64], out: &mut String) {
 
 impl Digest {
     pub(super) fn on_revive(&mut self) {
-        self.latest.clear();
+        self.racks.iter_mut().for_each(|r| r.latest = None);
     }
 }
 
@@ -57,6 +75,9 @@ impl DMon {
     /// no `stream_seq`, no credits, no outbox: a lost digest is simply
     /// superseded by the next one. Returns the planned sends plus the CPU
     /// cost to charge; `None` while no member has produced a sample yet.
+    /// The send list is this d-mon's spare one: hand it back through
+    /// [`DMon::recycle_sends`] after transmitting, and each payload's
+    /// records come from the lent pool ([`kecho::take_digest_buf`]).
     pub fn poll_digest(
         &mut self,
         dir: &Directory,
@@ -67,16 +88,10 @@ impl DMon {
         calib: &Calib,
     ) -> Option<(Vec<PlannedSend>, SimDur)> {
         let node = self.node;
-        // (min, max, sum, count, newest_ts) per metric id.
-        let empty = (
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0f64,
-            0u32,
-            f64::NEG_INFINITY,
-        );
-        let mut acc = vec![empty; self.sample.modules.len()];
-        let mut out = Outbound::default();
+        let Digest { acc, records, .. } = &mut self.digest;
+        acc.clear();
+        acc.resize(self.sample.modules.len(), EMPTY_FOLD);
+        let mut cpu = SimDur::ZERO;
         let mut member_count = 0u32;
         for m in members {
             let peer = self.peers.get(NodeId(m));
@@ -100,30 +115,27 @@ impl DMon {
             }
             // The fold reads the same per-member state a policy check
             // would; charge it at the policy-evaluation rate.
-            out.cpu += calib.policy_eval;
+            cpu += calib.policy_eval;
         }
-        let records: Vec<DigestRecord> = acc
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.3 > 0)
-            .map(|(id, a)| DigestRecord {
-                metric_id: id as u32,
-                min: a.0,
-                max: a.1,
-                mean: a.2 / f64::from(a.3),
-                count: a.3,
-                newest_ts: a.4,
-            })
-            .collect();
+        records.clear();
+        records.extend(
+            acc.iter()
+                .enumerate()
+                .filter(|(_, a)| a.3 > 0)
+                .map(|(id, a)| DigestRecord {
+                    metric_id: id as u32,
+                    min: a.0,
+                    max: a.1,
+                    mean: a.2 / f64::from(a.3),
+                    count: a.3,
+                    newest_ts: a.4,
+                }),
+        );
         if records.is_empty() {
             return None;
         }
-        let payload = DigestPayload {
-            rack,
-            origin: node,
-            members: member_count,
-            records,
-        };
+        let sends = std::mem::take(&mut self.send_buf);
+        let mut out = Outbound { sends, cpu };
         for sub in dir.subscribers(digest_chan) {
             // `skip` carries peers this same polling step just evicted:
             // the serial engine has already removed them from the
@@ -133,15 +145,27 @@ impl DMon {
             if sub == node || skip.contains(&sub) {
                 continue;
             }
+            let mut copy = kecho::take_digest_buf();
+            copy.extend_from_slice(records);
+            let payload = DigestPayload {
+                rack,
+                origin: node,
+                members: member_count,
+                records: copy,
+            };
             self.seq += 1;
-            let mut ev = Event::digest(digest_chan.0, self.seq, node, payload.clone());
+            let mut ev = Event::digest(digest_chan.0, self.seq, node, payload);
             // Digest consumers are enumerated per send (like monitoring
             // streams), so a node relaying the frame knows where it goes.
             ev.target = Some(sub);
             out.submit(calib, sub, ev);
             self.stats.digests_sent += 1;
         }
-        (!out.sends.is_empty()).then_some((out.sends, out.cpu))
+        if out.sends.is_empty() {
+            self.send_buf = out.sends;
+            return None;
+        }
+        Some((out.sends, out.cpu))
     }
 
     /// Handle an incoming rack digest: record freshness, refresh the
@@ -161,8 +185,8 @@ impl DMon {
             return SimDur::ZERO;
         };
         // The rack is the sender's to name: a cluster has no more racks
-        // than nodes, so a number beyond that names none and gets no
-        // directory and no kept payload.
+        // than nodes, so a number beyond that names none and gets no row,
+        // no directory and no kept payload.
         let rack = payload.rack;
         if rack as usize >= self.cluster_names.len() {
             self.receive.rejected += 1;
@@ -180,28 +204,30 @@ impl DMon {
                 .digest_staleness_s
                 .add((now.as_secs_f64() - newest).max(0.0));
         }
+        let racks = &mut self.digest.racks;
+        if racks.len() <= rack as usize {
+            racks.resize_with(rack as usize + 1, RackRow::default);
+        }
+        let row = &mut racks[rack as usize];
         // What is kept of the payload is one record per metric id the rack
         // directory has a file for, the last one the digest carried for it:
         // a valid digest, one record per id, is kept whole, and a peer's
         // record count costs nothing past `RACK_FILES`. The kept buffer is
         // reused, and sized as a copy of a valid digest would be.
         let cap = payload.records.len().min(RACK_FILES);
-        let latest = &mut self.digest.latest;
-        let kept = latest.entry(rack).or_insert_with(|| DigestPayload {
+        let kept = row.latest.get_or_insert_with(|| DigestPayload {
             records: Vec::with_capacity(cap),
             ..*payload
         });
         (kept.origin, kept.members) = (payload.origin, payload.members);
         kept.records.clear();
         kept.records.reserve(cap);
-        let handles = &mut self.digest.handles;
         for r in &payload.records {
-            let key = (rack, r.metric_id);
-            let h = match handles.get(&key) {
-                Some(&h) => h,
-                // So are the metric ids: a rack directory holds as many
-                // files as one peer's row holds metrics.
-                None if handles.range((rack, 0)..=(rack, u32::MAX)).count() >= RACK_FILES => {
+            let h = match row.files.iter().find(|f| f.0 == r.metric_id) {
+                Some(&(_, h)) => h,
+                // So are the metric ids: past `RACK_FILES` of them, a new
+                // one gets no file.
+                None if row.files.len() == RACK_FILES => {
                     self.receive.rejected += 1;
                     continue;
                 }
@@ -210,7 +236,7 @@ impl DMon {
                     let file = file.map_or("extra", |m| m.file_name());
                     let rack_dir = format_args!("rack{rack}");
                     let h = intern_cluster_file(&mut host.proc, rack_dir, file);
-                    handles.insert(key, h);
+                    row.files.push((r.metric_id, h));
                     h
                 }
             };
@@ -233,7 +259,7 @@ impl DMon {
 
     /// The latest digest received for `rack`, if any.
     pub fn rack_digest(&self, rack: u32) -> Option<&DigestPayload> {
-        self.digest.latest.get(&rack)
+        self.digest.racks.get(rack as usize)?.latest.as_ref()
     }
 }
 

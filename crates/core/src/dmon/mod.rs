@@ -442,9 +442,10 @@ impl DMon {
         Event::control(ctl_chan.0, self.seq, self.node, target, msg)
     }
 
-    /// Hand back a drained [`PollOutcome::sends`] vector for reuse. The
-    /// glue calls this after transmitting so the steady-state poll path
-    /// never allocates a fresh send list.
+    /// Hand back a drained send list, [`PollOutcome::sends`] or
+    /// [`DMon::poll_digest`]'s, for reuse. The glue calls this after
+    /// transmitting so the steady-state poll path never allocates a fresh
+    /// send list.
     pub fn recycle_sends(&mut self, mut sends: Vec<PlannedSend>) {
         sends.clear();
         self.send_buf = sends;

@@ -363,6 +363,7 @@ impl<'a> Node<'a> {
             EventKind::Digest => {
                 let handler = self.dmon.on_digest(self.host, &ev, bytes, now, calib);
                 self.charge_cpu(now, handler + calib.kernel_path_recv);
+                ev.recycle();
             }
             EventKind::Control => self.deliver_control(now, ev, view, sink),
         }
@@ -444,11 +445,12 @@ impl<'a> Node<'a> {
             &outcome.dead_peers,
             view.calib,
         );
-        if let Some((sends, cpu)) = planned {
+        if let Some((mut sends, cpu)) = planned {
             self.charge_cpu(now, cpu);
-            for (hop, ev, bytes) in sends {
+            for (hop, ev, bytes) in sends.drain(..) {
                 self.transmit(now, hop, ev, bytes, view, sink);
             }
+            self.dmon.recycle_sends(sends);
         }
     }
 }

@@ -312,16 +312,17 @@ impl Event {
         }
     }
 
-    /// Consume the event, returning its monitoring record buffer or its
-    /// control text to the calling thread's pool (no-op for heartbeats and
-    /// digests). Call this at the end of a delivery path instead of
-    /// dropping the event so the next [`take_record_buf`] or [`take_text`]
-    /// reuses the allocation.
+    /// Consume the event, returning its monitoring record buffer, its
+    /// digest record buffer or its control text to the calling thread's
+    /// pool (no-op for heartbeats). Call this at the end of a delivery path
+    /// instead of dropping the event so the next [`take_record_buf`],
+    /// [`take_digest_buf`] or [`take_text`] reuses the allocation.
     pub fn recycle(self) {
         match self.payload {
             Payload::Monitoring(m) => put_record_buf(m.records),
+            Payload::Digest(d) => put_digest_buf(d.records),
             Payload::Control(c) => c.recycle(),
-            Payload::Heartbeat(_) | Payload::Digest(_) => {}
+            Payload::Heartbeat(_) => {}
         }
     }
 }
@@ -369,6 +370,13 @@ impl ControlMsg {
 /// delivers would otherwise only grow.
 const RECORD_POOL_CAP: usize = 64 * 63;
 
+/// Digest buffers one pool keeps: one round of the largest hierarchy,
+/// 4096 nodes in 64 racks, whose 64 aggregators each send one digest to
+/// the 63 others. Aggregators poll staggered, so far fewer are in flight
+/// at once; like [`RECORD_POOL_CAP`], the bound is for an owner that
+/// mostly receives.
+const DIGEST_POOL_CAP: usize = 64 * 63;
+
 /// Control texts one pool keeps. A text is out of the pool while its
 /// message is in flight or logged for replay (a handful per peer), and
 /// what comes back is only what the logs shed since they were largest, so
@@ -376,13 +384,15 @@ const RECORD_POOL_CAP: usize = 64 * 63;
 /// receives.
 const TEXT_POOL_CAP: usize = 256;
 
-/// What one pool holds: record buffers, and the texts control messages
-/// carry (a metric name, a filter source, a refusal's reason). A text
-/// keeps its capacity in the pool, so once the pool has carried the
-/// longest text a run writes, taking one allocates nothing.
+/// What one pool holds: monitoring record buffers, digest record buffers,
+/// and the texts control messages carry (a metric name, a filter source, a
+/// refusal's reason). Each keeps its capacity in the pool, so once the
+/// pool has carried the largest of a kind a run builds, taking one
+/// allocates nothing.
 #[derive(Default)]
 struct Buffers {
     records: Vec<Vec<MonRecord>>,
+    digests: Vec<Vec<DigestRecord>>,
     texts: Vec<String>,
 }
 
@@ -394,13 +404,14 @@ thread_local! {
     static POOL: std::cell::RefCell<Buffers> = const {
         std::cell::RefCell::new(Buffers {
             records: Vec::new(),
+            digests: Vec::new(),
             texts: Vec::new(),
         })
     };
 }
 
-/// The record buffers and control texts one simulation, or one shard of a
-/// sharded one, reuses. It reaches a thread only through
+/// The record buffers, digest buffers and control texts one simulation, or
+/// one shard of a sharded one, reuses. It reaches a thread only through
 /// [`RecordPool::lend`], so which thread ran which shard changes no
 /// allocation count.
 #[derive(Default)]
@@ -408,10 +419,9 @@ pub struct RecordPool(Buffers);
 
 impl RecordPool {
     /// Make this pool the calling thread's until the returned guard drops,
-    /// on return and on unwind alike: every [`take_record_buf`],
-    /// [`put_record_buf`], [`take_text`] and recycled text in between uses
-    /// it. Dropping the guard gives the thread back the pool it had, so
-    /// lends nest as scopes do.
+    /// on return and on unwind alike: every take from the pool and every
+    /// buffer or text given back in between uses it. Dropping the guard
+    /// gives the thread back the pool it had, so lends nest as scopes do.
     pub fn lend(&mut self) -> Lent<'_> {
         swap_pool(&mut self.0);
         Lent {
@@ -442,22 +452,51 @@ fn swap_pool(pool: &mut Buffers) {
     POOL.with(|p| std::mem::swap(&mut *p.borrow_mut(), pool));
 }
 
+/// One kind of buffer in a pool.
+type Kind<T> = fn(&mut Buffers) -> &mut Vec<T>;
+
+/// Take a buffer of one kind from the calling thread's pool, or a new
+/// empty one when the pool holds none.
+fn take<T: Default>(kind: Kind<T>) -> T {
+    POOL.with(|p| kind(&mut p.borrow_mut()).pop())
+        .unwrap_or_default()
+}
+
+/// Give an emptied buffer back to the calling thread's pool, unless the
+/// pool already holds `cap` of its kind.
+fn put<T>(kind: Kind<T>, cap: usize, buf: T) {
+    POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        let kept = kind(&mut pool);
+        if kept.len() < cap {
+            kept.push(buf);
+        }
+    });
+}
+
 /// Take an empty `Vec<MonRecord>` from the calling thread's pool
 /// (allocates only when the pool is dry).
 pub fn take_record_buf() -> Vec<MonRecord> {
-    POOL.with(|p| p.borrow_mut().records.pop())
-        .unwrap_or_default()
+    take(|b| &mut b.records)
 }
 
 /// Return a record buffer to the calling thread's pool for reuse.
 pub fn put_record_buf(mut v: Vec<MonRecord>) {
     v.clear();
-    POOL.with(|p| {
-        let records = &mut p.borrow_mut().records;
-        if records.len() < RECORD_POOL_CAP {
-            records.push(v);
-        }
-    });
+    put(|b| &mut b.records, RECORD_POOL_CAP, v);
+}
+
+/// Take an empty `Vec<DigestRecord>` from the calling thread's pool, for
+/// the records of one digest sent; it comes back when the digest is
+/// recycled ([`Event::recycle`]). Allocates only when the pool is dry.
+pub fn take_digest_buf() -> Vec<DigestRecord> {
+    take(|b| &mut b.digests)
+}
+
+/// Return a digest record buffer to the calling thread's pool for reuse.
+fn put_digest_buf(mut v: Vec<DigestRecord>) {
+    v.clear();
+    put(|b| &mut b.digests, DIGEST_POOL_CAP, v);
 }
 
 /// Take an empty `String` from the calling thread's pool, for the text of
@@ -465,19 +504,13 @@ pub fn put_record_buf(mut v: Vec<MonRecord>) {
 /// ([`ControlMsg::recycle`], [`Event::recycle`]). Allocates only when the
 /// pool is dry.
 pub fn take_text() -> String {
-    POOL.with(|p| p.borrow_mut().texts.pop())
-        .unwrap_or_default()
+    take(|b| &mut b.texts)
 }
 
 /// Return a control text to the calling thread's pool for reuse.
 fn put_text(mut s: String) {
     s.clear();
-    POOL.with(|p| {
-        let texts = &mut p.borrow_mut().texts;
-        if texts.len() < TEXT_POOL_CAP {
-            texts.push(s);
-        }
-    });
+    put(|b| &mut b.texts, TEXT_POOL_CAP, s);
 }
 
 #[cfg(test)]
@@ -529,42 +562,93 @@ mod tests {
         assert!(h.as_control().is_none());
     }
 
-    /// The capacities of what a pool holds: each buffer below is made with
-    /// a capacity of its own, so a capacity says which one it is.
-    fn caps(pool: &RecordPool) -> Vec<usize> {
-        pool.0.records.iter().map(Vec::capacity).collect()
+    /// The capacities of what a pool holds, its record buffers and then
+    /// its digest buffers: each buffer below is made with a capacity of
+    /// its own, so a capacity says which one it is.
+    fn caps(pool: &RecordPool) -> [Vec<usize>; 2] {
+        let Buffers {
+            records, digests, ..
+        } = &pool.0;
+        [
+            records.iter().map(Vec::capacity).collect(),
+            digests.iter().map(Vec::capacity).collect(),
+        ]
+    }
+
+    /// Give the calling thread's pool a record buffer and a digest buffer
+    /// of capacity `k` each.
+    fn put_both(k: usize) {
+        put_record_buf(Vec::with_capacity(k));
+        put_digest_buf(Vec::with_capacity(k));
+    }
+
+    /// Take a record buffer and a digest buffer from the calling thread's
+    /// pool; their capacities.
+    fn take_both() -> [usize; 2] {
+        [take_record_buf().capacity(), take_digest_buf().capacity()]
     }
 
     #[test]
     fn a_lend_hands_the_pool_over_and_back_on_return_on_unwind_and_in_stack_order() {
-        let buf = Vec::<MonRecord>::with_capacity;
         let (mut outer, mut inner) = (RecordPool::default(), RecordPool::default());
         // The test thread's own pool.
-        put_record_buf(buf(1));
+        put_both(1);
         {
             let _outer = outer.lend();
-            assert_eq!(take_record_buf().capacity(), 0, "the lent pool is empty");
-            put_record_buf(buf(2));
+            assert_eq!(take_both(), [0, 0], "the lent pool is empty");
+            put_both(2);
             {
                 let _inner = inner.lend();
-                put_record_buf(buf(3));
+                put_both(3);
             }
             // The inner lend has given the thread back the outer pool.
-            let two = take_record_buf();
-            assert_eq!(two.capacity(), 2);
-            put_record_buf(two);
+            assert_eq!(take_both(), [2, 2]);
+            put_both(2);
         }
-        assert_eq!((caps(&outer), caps(&inner)), (vec![2], vec![3]));
+        assert_eq!(caps(&outer), [[2], [2]]);
+        assert_eq!(caps(&inner), [[3], [3]]);
 
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _inner = inner.lend();
-            put_record_buf(buf(4));
+            put_both(4);
             std::panic::resume_unwind(Box::new("boom"));
         }));
         assert!(unwound.is_err());
-        assert_eq!(caps(&inner), [3, 4], "given back on unwind");
-        assert_eq!(take_record_buf().capacity(), 1, "the thread's own is back");
-        assert_eq!(take_record_buf().capacity(), 0, "and held nothing else");
+        assert_eq!(caps(&inner), [[3, 4], [3, 4]], "given back on unwind");
+        assert_eq!(take_both(), [1, 1], "the thread's own is back");
+        assert_eq!(take_both(), [0, 0], "and held nothing else");
+    }
+
+    #[test]
+    fn a_recycled_digest_comes_back_with_its_capacity_in_the_lent_pool() {
+        let mut pool = RecordPool::default();
+        {
+            let _lent = pool.lend();
+            let record = DigestRecord {
+                metric_id: 0,
+                min: 0.0,
+                max: 1.0,
+                mean: 0.5,
+                count: 2,
+                newest_ts: 1.0,
+            };
+            let mut records = take_digest_buf();
+            records.extend([record; 5]);
+            let cap = records.capacity();
+            let payload = DigestPayload {
+                rack: 1,
+                origin: NodeId(4),
+                members: 2,
+                records,
+            };
+            Event::digest(2, 1, NodeId(4), payload).recycle();
+            let again = take_digest_buf();
+            assert!(again.is_empty() && again.capacity() == cap);
+            assert_eq!(take_digest_buf().capacity(), 0, "and held nothing else");
+            put_digest_buf(again);
+        }
+        assert_eq!(caps(&pool)[1].len(), 1, "kept by the pool, not the thread");
+        assert_eq!(take_digest_buf().capacity(), 0);
     }
 
     #[test]

@@ -35,8 +35,9 @@ pub mod wire;
 pub use credit::{CreditWindow, GRANT_OVERDUE, GRANT_THRESHOLD, INITIAL_CREDITS, OUTBOX_CAP};
 pub use directory::{ChannelId, Directory, Hop};
 pub use event::{
-    put_record_buf, take_record_buf, take_text, ControlMsg, DigestPayload, DigestRecord, Event,
-    EventKind, HeartbeatPayload, MonRecord, MonitoringPayload, ParamSpec, RecordPool,
+    put_record_buf, take_digest_buf, take_record_buf, take_text, ControlMsg, DigestPayload,
+    DigestRecord, Event, EventKind, HeartbeatPayload, MonRecord, MonitoringPayload, ParamSpec,
+    RecordPool,
 };
 pub use stream::{Observation, StreamTracker, MAX_GAP_RANGES};
 pub use wire::{decode_event, encode_event, WireError};

@@ -319,6 +319,26 @@ fn hierarchical_racks_are_bit_identical() {
 }
 
 #[test]
+fn irregular_racks_are_bit_identical() {
+    // Fault-free digests between shards: an aggregator takes each
+    // payload's buffer from its own shard's pool and the subscriber gives
+    // it back to its own, so buffers move between pools every round. The
+    // last rack is short, so its fold covers fewer members.
+    assert_differential(
+        "irregular-racks",
+        12,
+        || {
+            ClusterConfig::new(10)
+                .topo(TopologySpec::RackList {
+                    sizes: vec![4, 4, 2],
+                })
+                .stagger(SimDur::from_micros(1))
+        },
+        |_| {},
+    );
+}
+
+#[test]
 fn hierarchical_windows_run_parallel() {
     // Rack-whole shard assignment must still let fault-free hierarchical
     // runs spend most of their time in parallel windows.
