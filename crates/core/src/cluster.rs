@@ -328,6 +328,8 @@ impl Ledger<'_> {
                 if d.dropped.is_none() {
                     frame.queued = d.queued;
                     arm(d.deliver_at, ClusterEvent::Deliver(frame));
+                } else {
+                    frame.ev.recycle();
                 }
             }
             Fx::MonDelivered { latency_us } => {

@@ -39,6 +39,9 @@ pub(super) struct Detector {
     dead_after: SimDur,
     /// Peers that recovered since the last poll and need re-deployment.
     pending_resync: Vec<NodeId>,
+    /// The list [`Detector::check_peers`] hands out, back from the glue
+    /// ([`DMon::recycle_dead_peers`]) empty.
+    dead: Vec<NodeId>,
 }
 
 impl Detector {
@@ -48,6 +51,7 @@ impl Detector {
             stale_after: poll_period.mul_f64(3.0),
             dead_after: poll_period.mul_f64(8.0),
             pending_resync: Vec::new(),
+            dead: Vec::new(),
         }
     }
 
@@ -107,14 +111,14 @@ impl Detector {
     /// later recovery starts from a clean slate — while lifetime counters
     /// and the replay log (bounded by compaction) deliberately survive.
     pub(super) fn check_peers(
-        &self,
+        &mut self,
         peers: &mut PeerTable,
         host: &mut Host,
         names: &[String],
         cx: &mut PollCx<'_>,
     ) -> Vec<NodeId> {
         let (now, stats) = (cx.now, &mut *cx.stats);
-        let mut dead = Vec::new();
+        let mut dead = std::mem::take(&mut self.dead);
         for (peer, p) in peers.iter_mut() {
             let Some(mut rec) = p.record else {
                 continue;
@@ -202,6 +206,15 @@ pub(super) fn record_deployment(log: &mut Vec<ControlMsg>, cmd: Command<'_>, msg
 }
 
 impl DMon {
+    /// Hand back [`PollOutcome::dead_peers`] once the glue has acted on it,
+    /// so the next poll's verdicts go in the same list.
+    ///
+    /// [`PollOutcome::dead_peers`]: super::PollOutcome::dead_peers
+    pub fn recycle_dead_peers(&mut self, mut dead: Vec<NodeId>) {
+        dead.clear();
+        self.detector.dead = dead;
+    }
+
     /// Configure the failure detector's silence bounds.
     pub fn set_failure_bounds(&mut self, stale_after: SimDur, dead_after: SimDur) {
         assert!(

@@ -234,8 +234,8 @@ impl DMon {
                 None => {
                     let file = self.sample.modules.get(r.metric_id as usize);
                     let file = file.map_or("extra", |m| m.file_name());
-                    let rack_dir = format_args!("rack{rack}");
-                    let h = intern_cluster_file(&mut host.proc, rack_dir, file);
+                    let rack_dir = format!("rack{rack}");
+                    let h = intern_cluster_file(&mut host.proc, &rack_dir, file);
                     row.files.push((r.metric_id, h));
                     h
                 }

@@ -173,7 +173,8 @@ pub struct PollOutcome {
     pub cpu_cost: SimDur,
     /// Peers the failure detector newly declared Dead this iteration. The
     /// glue evicts them from the shared registry so every publisher stops
-    /// sampling/filtering/transmitting for them.
+    /// sampling/filtering/transmitting for them, then hands the list back
+    /// ([`DMon::recycle_dead_peers`]).
     pub dead_peers: Vec<NodeId>,
     /// This node found itself missing from the monitoring channel (a peer
     /// evicted it while it was unreachable). The glue re-registers it —
@@ -272,7 +273,7 @@ impl PollCx<'_> {
 fn cluster_file(
     slot: &mut Option<ProcHandle>,
     proc: &mut ProcFs,
-    dir: impl std::fmt::Display,
+    dir: &str,
     leaf: &str,
 ) -> Option<ProcHandle> {
     if slot.is_none() {
@@ -282,13 +283,11 @@ fn cluster_file(
 }
 
 /// The handle of `cluster/<dir>/<leaf>`, for a caller that keeps what it
-/// claims there (the file's cells) rather than the handle.
-fn intern_cluster_file(
-    proc: &mut ProcFs,
-    dir: impl std::fmt::Display,
-    leaf: &str,
-) -> Option<ProcHandle> {
-    proc.intern(&format!("cluster/{dir}/{leaf}")).ok()
+/// claims there (the file's cells) rather than the handle. Looking up a
+/// file that exists — a restarted node re-learning its peers — allocates
+/// nothing.
+fn intern_cluster_file(proc: &mut ProcFs, dir: &str, leaf: &str) -> Option<ProcHandle> {
+    proc.intern_in(&["cluster", dir], leaf).ok()
 }
 
 /// Whether `name` can be one component of a `cluster/...` path: a host
@@ -328,6 +327,14 @@ pub struct DMon {
     /// Self-observability.
     pub stats: DmonStats,
 }
+
+// Each sharded `run_until` deals every node's `DMon` into fresh per-shard
+// columns. Past 1024 bytes an element, a `Vec` grows
+// from a capacity of one rather than four: two more allocator calls per
+// column per run (`star64-sharded2` read +120). A field that does not fit
+// fails the build here, on purpose.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<DMon>() <= 1024);
 
 impl DMon {
     /// Create the d-mon for `node`. `cluster_names[i]` names `NodeId(i)`.

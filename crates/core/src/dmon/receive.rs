@@ -134,8 +134,8 @@ impl DMon {
         // Make sure the control file for that node exists so applications
         // can customize it.
         if !p.ctl_ready {
-            let ctl = format!("cluster/{origin_name}/control");
-            p.ctl_ready = host.proc.intern(&ctl).is_ok();
+            let ctl = intern_cluster_file(&mut host.proc, origin_name, "control");
+            p.ctl_ready = ctl.is_some();
         }
         let handler = calib.receive_cost(bytes);
         stats.events_received += 1;

@@ -239,6 +239,7 @@ impl<'a> Node<'a> {
     ) {
         debug_assert_eq!(hop.from, self.host.node, "a node sends only its own");
         if !view.alive[hop.from.0] {
+            ev.recycle();
             return;
         }
         let via = view.placement.next_hop(hop.from, hop.to);
@@ -260,7 +261,8 @@ impl<'a> Node<'a> {
 
     /// Put a message on the wire: the uplink leg runs here, on the
     /// sender; the remaining links are shared, so the rest of the path is
-    /// a [`Fx::WireSend`].
+    /// a [`Fx::WireSend`]. A frame tail-dropped here gives its buffer back,
+    /// as does every other path that destroys one.
     #[inline]
     fn send_message(&mut self, now: SimTime, frame: Frame, sink: &mut impl Sink) {
         let Frame {
@@ -279,6 +281,7 @@ impl<'a> Node<'a> {
                         self.dmon.on_wire_drop(sub);
                     }
                 }
+                frame.ev.recycle();
             }
             Err(loopback) => sink.schedule_at(loopback.deliver_at, ClusterEvent::Deliver(frame)),
         }
@@ -298,9 +301,11 @@ impl<'a> Node<'a> {
         let calib = view.calib;
         if !view.alive[to.0] {
             sink.fx(Fx::CrashDrop);
+            ev.recycle();
             return; // delivered into a dead NIC: lost
         }
         if sink.should_drop(hop.from, to) {
+            ev.recycle();
             return; // destroyed on the wire: partition or injected loss
         }
         let one_way = now.since(sent_at);
@@ -426,32 +431,42 @@ impl<'a> Node<'a> {
         if outcome.rejoin && view.evicted[node.0] {
             sink.fx(Fx::Member(Member::Rejoin { node }));
         }
-        // The aggregation tier: after the regular poll, a rack aggregator
-        // folds its members' latest samples into one bounded digest and
-        // republishes it on the spine digest channel. The membership
-        // effects above have not been applied yet, so the digest is
-        // planned against the directory as it was: `dead_peers` is passed
-        // as a skip-set, and a digest never targets its own sender.
+        // The aggregation tier, planned against the directory as it was:
+        // the membership effects above have not been applied yet. Then
+        // the verdict list goes back to the d-mon for the next poll.
+        self.send_digest(now, rack, &outcome.dead_peers, view, sink);
+        self.dmon.recycle_dead_peers(outcome.dead_peers);
+    }
+
+    /// After the regular poll, a rack aggregator folds its members' latest
+    /// samples into one bounded digest and republishes it on the spine
+    /// digest channel. `dead` — the peers this poll found Dead, not yet
+    /// evicted — is a skip-set, and a digest never targets its own sender.
+    #[inline]
+    fn send_digest(
+        &mut self,
+        now: SimTime,
+        rack: usize,
+        dead: &[NodeId],
+        view: &View<'_>,
+        sink: &mut impl Sink,
+    ) {
         let Some(dg) = view.digest_chan else { return };
-        if !view.placement.is_aggregator(node) {
+        if !view.placement.is_aggregator(self.host.node) {
             return;
         }
         let members = view.placement.rack(rack).range();
-        let planned = self.dmon.poll_digest(
-            view.dir,
-            dg,
-            rack as u32,
-            members,
-            &outcome.dead_peers,
-            view.calib,
-        );
-        if let Some((mut sends, cpu)) = planned {
-            self.charge_cpu(now, cpu);
-            for (hop, ev, bytes) in sends.drain(..) {
-                self.transmit(now, hop, ev, bytes, view, sink);
-            }
-            self.dmon.recycle_sends(sends);
+        let planned = self
+            .dmon
+            .poll_digest(view.dir, dg, rack as u32, members, dead, view.calib);
+        let Some((mut sends, cpu)) = planned else {
+            return;
+        };
+        self.charge_cpu(now, cpu);
+        for (hop, ev, bytes) in sends.drain(..) {
+            self.transmit(now, hop, ev, bytes, view, sink);
         }
+        self.dmon.recycle_sends(sends);
     }
 }
 
@@ -462,6 +477,7 @@ mod tests {
 
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterSim};
+    use kecho::RecordPool;
     use simnet::LinkSpec;
 
     /// One thing a handler emitted.
@@ -483,6 +499,10 @@ mod tests {
         log: Vec<Out>,
         /// The frames of the `WireSend`s, in order.
         frames: Vec<Frame>,
+        /// Their legs past the uplink.
+        legs: Vec<Leg>,
+        /// What `should_drop` answers: a partition or injected loss.
+        drops: bool,
     }
 
     impl Sink for Recorder {
@@ -496,9 +516,10 @@ mod tests {
 
         fn fx(&mut self, fx: Fx) {
             self.log.push(match fx {
-                Fx::WireSend { frame, .. } => {
+                Fx::WireSend { frame, leg } => {
                     let kind = frame.ev.kind;
                     self.frames.push(frame);
+                    self.legs.push(leg);
                     Out::Wire(kind)
                 }
                 Fx::MonDelivered { .. } => Out::MonDelivered,
@@ -511,8 +532,26 @@ mod tests {
         }
 
         fn should_drop(&mut self, _from: NodeId, _to: NodeId) -> bool {
-            false
+            self.drops
         }
+    }
+
+    /// Run `f` as node `i` of `sim`'s world against `rec`, with a fresh
+    /// record pool lent to the thread: the recorder, and how many buffers
+    /// `f` left in that pool.
+    fn pooled(
+        sim: &mut ClusterSim,
+        i: usize,
+        mut rec: Recorder,
+        f: impl FnOnce(&mut Node<'_>, &View<'_>, &mut Recorder),
+    ) -> (Recorder, usize) {
+        let mut pool = RecordPool::default();
+        {
+            let _lent = pool.lend();
+            let (cols, view, _) = sim.world_mut().split();
+            f(&mut Node::at(i, cols), &view, &mut rec);
+        }
+        (rec, pool.held())
     }
 
     /// Run `f` as node `i` of `sim`'s world against a fresh recorder.
@@ -521,10 +560,7 @@ mod tests {
         i: usize,
         f: impl FnOnce(&mut Node<'_>, &View<'_>, &mut Recorder),
     ) -> Recorder {
-        let mut rec = Recorder::default();
-        let (cols, view, _) = sim.world_mut().split();
-        f(&mut Node::at(i, cols), &view, &mut rec);
-        rec
+        pooled(sim, i, Recorder::default(), f).0
     }
 
     /// The frames node 0's first poll puts on the wire.
@@ -540,8 +576,71 @@ mod tests {
         assert_eq!(frame.hop.to, NodeId(1));
         sim.world_mut().kill_node(NodeId(1));
         let at = SimTime::from_millis(1001);
-        let rec = record(&mut sim, 1, |n, view, rec| n.deliver(at, frame, view, rec));
+        let deliver = |n: &mut Node<'_>, view: &View<'_>, rec: &mut Recorder| {
+            n.deliver(at, frame, view, rec);
+        };
+        let (rec, held) = pooled(&mut sim, 1, Recorder::default(), deliver);
         assert_eq!(rec.log, [Out::CrashDrop]);
+        assert_eq!(held, 1, "the frame's buffer went back to the pool");
+    }
+
+    #[test]
+    fn deliver_across_a_partition_or_loss_emits_nothing_and_gives_the_buffer_back() {
+        let mut sim = ClusterSim::new(ClusterConfig::new(2));
+        let frame = first_poll(&mut sim).frames.remove(0);
+        let at = SimTime::from_millis(1001);
+        let deliver = |n: &mut Node<'_>, view: &View<'_>, rec: &mut Recorder| {
+            n.deliver(at, frame, view, rec);
+        };
+        let lossy = Recorder {
+            drops: true,
+            ..Recorder::default()
+        };
+        let (rec, held) = pooled(&mut sim, 1, lossy, deliver);
+        assert!(rec.log.is_empty(), "{:?}", rec.log);
+        assert_eq!(held, 1, "the frame's buffer went back to the pool");
+        assert_eq!(sim.world().dmons[1].stats.events_received, 0);
+    }
+
+    #[test]
+    fn a_dead_sender_transmits_nothing_and_gives_the_buffer_back() {
+        let mut sim = ClusterSim::new(ClusterConfig::new(2));
+        let Frame { hop, ev, bytes, .. } = first_poll(&mut sim).frames.remove(0);
+        sim.world_mut().kill_node(NodeId(0));
+        let at = SimTime::from_millis(1001);
+        let send = |n: &mut Node<'_>, view: &View<'_>, rec: &mut Recorder| {
+            n.transmit(at, hop, ev, bytes, view, rec);
+        };
+        let (rec, held) = pooled(&mut sim, 0, Recorder::default(), send);
+        assert!(rec.log.is_empty(), "{:?}", rec.log);
+        assert_eq!(held, 1, "the event's buffer went back to the pool");
+    }
+
+    #[test]
+    fn a_switch_drop_arms_nothing_and_gives_the_buffer_back() {
+        let mut cfg = ClusterConfig::new(2);
+        cfg.link = LinkSpec::fast_ethernet().with_queue(1, u64::MAX);
+        let mut sim = ClusterSim::new(cfg);
+        let mut rec = first_poll(&mut sim);
+        let (frame, leg) = (rec.frames.remove(0), rec.legs[0]);
+        // The same transfer twice at one instant: the first takes the
+        // receiver's one-message downlink queue, the second is dropped
+        // inside the switch.
+        let (mut pool, mut armed) = (RecordPool::default(), 0);
+        {
+            let _lent = pool.lend();
+            let ledger = &mut sim.world_mut().split().2;
+            for frame in [frame.clone(), frame] {
+                let none = ledger.post(Fx::WireSend { frame, leg }, |_, _| armed += 1);
+                assert!(none.is_none());
+            }
+        }
+        assert_eq!(armed, 1, "one delivery scheduled");
+        assert_eq!(
+            pool.held(),
+            1,
+            "the dropped frame's buffer went back to the pool"
+        );
     }
 
     /// When node `i`'s kernel thread ends the burn it has in service,
@@ -616,11 +715,17 @@ mod tests {
         cfg.link = LinkSpec::fast_ethernet().with_queue(1, u64::MAX);
         let at = SimTime::from_secs(1);
         let cost = poll_cost(ClusterSim::new(cfg.clone()), at);
+        // What the same poll leaves in the pool when nothing is dropped.
+        let mut unbounded = ClusterSim::new(ClusterConfig::new(3));
+        let poll = |n: &mut Node<'_>, view: &View<'_>, rec: &mut Recorder| n.poll(at, view, rec);
+        let (sent, kept) = pooled(&mut unbounded, 0, Recorder::default(), poll);
+        assert_eq!(sent.log, [Out::Wire(EventKind::Monitoring); 2]);
         let mut sim = ClusterSim::new(cfg);
         // Both subscribers' frames leave at the same instant: the first
         // fills the one-message uplink queue, the second is tail-dropped.
-        let rec = first_poll(&mut sim);
+        let (rec, held) = pooled(&mut sim, 0, Recorder::default(), poll);
         assert_eq!(rec.log, [Out::Wire(EventKind::Monitoring)]);
+        assert_eq!(held, kept + 1, "the dropped frame's buffer went back");
         assert_eq!(burning(&sim, 0), (Some(at + cost), 1));
         let sent_to = rec.frames[0].hop.to;
         let dropped_to = NodeId(3 - sent_to.0);

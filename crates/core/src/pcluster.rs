@@ -259,6 +259,15 @@ impl Coordinator<PShard> for PCoord {
         let mut arm = |at: SimTime, ev: ClusterEvent| {
             sched.schedule(shard_of[ev.node()] as usize, at, ev);
         };
+        if let Fx::WireSend { frame, .. } = &fx {
+            // A switch drop gives the frame's buffer back here, in the
+            // replay, where the simulation's pool is lent and no shard
+            // takes from it: the sending shard's pool gets it instead.
+            let sender = &mut worlds[shard_of[frame.hop.from.0] as usize];
+            let _lent = sender.pool.lend();
+            shared.split().2.post(fx, &mut arm);
+            return;
+        }
         if let Some(m) = shared.split().2.post(fx, &mut arm) {
             if let Member::FaultAction { k } = m {
                 self.fault_pending.remove(&(now, k));

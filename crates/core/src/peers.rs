@@ -276,15 +276,15 @@ impl PeerState {
     /// persist across a restart in this model, as does its connection
     /// table — but the per-metric file cells go, because the ext name→id
     /// bindings they were resolved through were learned from the peer and
-    /// are relearned. The emptied outbox keeps its buffer.
+    /// are relearned. The emptied outbox and the reset tracker keep their
+    /// buffers.
     pub(crate) fn on_revive(&mut self) {
-        let old = std::mem::take(self);
+        let mut old = std::mem::take(self);
+        old.outbox.clear();
+        old.tracker.reset();
         *self = PeerState {
-            outbox: {
-                let mut outbox = old.outbox;
-                outbox.clear();
-                outbox
-            },
+            outbox: old.outbox,
+            tracker: old.tracker,
             status_cells: old.status_cells,
             ctl_ready: old.ctl_ready,
             conn_at: old.conn_at,

@@ -429,6 +429,16 @@ impl RecordPool {
             _not_send: std::marker::PhantomData,
         }
     }
+
+    /// Buffers and texts the pool holds, of every kind.
+    pub fn held(&self) -> usize {
+        let Buffers {
+            records,
+            digests,
+            texts,
+        } = &self.0;
+        records.len() + digests.len() + texts.len()
+    }
 }
 
 /// A [`RecordPool`] lent to the thread that made it. It holds the pool the

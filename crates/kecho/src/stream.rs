@@ -115,11 +115,24 @@ impl StreamTracker {
         obs
     }
 
+    /// Forget the stream, as a tracker that has heard nothing yet, but
+    /// keep the gap log's buffer: a node that restarts learns its streams
+    /// again without allocating.
+    pub fn reset(&mut self) {
+        let mut gap_log = std::mem::take(&mut self.gap_log);
+        gap_log.clear();
+        *self = StreamTracker {
+            gap_log,
+            ..StreamTracker::default()
+        };
+    }
+
     /// Remove one position from the gap log (a straggler disproved the
-    /// accusation). Returns whether the position was found; splitting a
-    /// range may grow the log, so the cap is re-enforced here too.
+    /// accusation). Returns whether the position was found. Splitting a
+    /// range adds one, so at the cap the oldest goes first: evicting after
+    /// the insert would grow the log past its capacity for a moment.
     fn unlog_gap(&mut self, seq: u32) -> bool {
-        let Some(i) = self
+        let Some(mut i) = self
             .gap_log
             .iter()
             .position(|&(first, last)| first <= seq && seq <= last)
@@ -134,11 +147,18 @@ impl StreamTracker {
             (true, false) => self.gap_log[i].0 = seq + 1,
             (false, true) => self.gap_log[i].1 = seq - 1,
             (false, false) => {
+                if self.gap_log.len() == MAX_GAP_RANGES {
+                    if i == 0 {
+                        // The oldest range is the one split: only its
+                        // newer half stays.
+                        self.gap_log[0].0 = seq + 1;
+                        return true;
+                    }
+                    self.gap_log.remove(0);
+                    i -= 1;
+                }
                 self.gap_log[i].1 = seq - 1;
                 self.gap_log.insert(i + 1, (seq + 1, last));
-                if self.gap_log.len() > MAX_GAP_RANGES {
-                    self.gap_log.remove(0);
-                }
             }
         }
         true
@@ -308,6 +328,95 @@ mod tests {
         assert_eq!(t.gaps(), u64::from(seq) / 2, "exact count survives the cap");
         // Oldest ranges were forgotten; the newest is the last gap.
         assert_eq!(*t.gap_ranges().last().unwrap(), (seq - 1, seq - 1));
+    }
+
+    /// The gap log as `unlog_gap` kept it when it split a range before
+    /// enforcing the cap: what the capped log must still hold.
+    fn unlog_reference(log: &mut Vec<(u32, u32)>, seq: u32) {
+        let Some(i) = log.iter().position(|&(f, l)| f <= seq && seq <= l) else {
+            return;
+        };
+        let (first, last) = log[i];
+        match (seq == first, seq == last) {
+            (true, true) => drop(log.remove(i)),
+            (true, false) => log[i].0 = seq + 1,
+            (false, true) => log[i].1 = seq - 1,
+            (false, false) => {
+                log[i].1 = seq - 1;
+                log.insert(i + 1, (seq + 1, last));
+                if log.len() > MAX_GAP_RANGES {
+                    log.remove(0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gap_and_straggler_churn_keeps_the_log_within_its_cap_and_its_buffer() {
+        let mut rng = simcore::rng::SimRng::seed_from_u64(34);
+        let mut t = StreamTracker::new();
+        let mut reference: Vec<(u32, u32)> = Vec::new();
+        let (mut seq, mut full_cap, mut splits_at_cap) = (0u32, None, 0);
+        t.observe(0, seq);
+        for _ in 0..20_000 {
+            if rng.chance(0.5) || t.gap_ranges().is_empty() {
+                // Lose 0 to 5 positions, then deliver one.
+                let skip = rng.below(6) as u32;
+                let (first, last) = (seq + 1, seq + skip);
+                seq += skip + 1;
+                t.observe(0, seq);
+                if skip > 0 {
+                    match reference.last_mut() {
+                        Some(tail) if tail.1 + 1 == first => tail.1 = last,
+                        _ => {
+                            if reference.len() == MAX_GAP_RANGES {
+                                reference.remove(0);
+                            }
+                            reference.push((first, last));
+                        }
+                    }
+                }
+            } else {
+                // A straggler from inside some logged range.
+                let ranges = t.gap_ranges();
+                let (first, last) = ranges[rng.below(ranges.len() as u64) as usize];
+                let late = rng.range_u64(u64::from(first), u64::from(last)) as u32;
+                if ranges.len() == MAX_GAP_RANGES && first < late && late < last {
+                    splits_at_cap += 1;
+                }
+                assert!(t.observe(0, late).healed);
+                unlog_reference(&mut reference, late);
+            }
+            assert_eq!(t.gap_ranges(), &reference[..]);
+            assert!(t.gap_ranges().len() <= MAX_GAP_RANGES);
+            let cap = t.gap_log.capacity();
+            if t.gap_ranges().len() == MAX_GAP_RANGES {
+                assert_eq!(*full_cap.get_or_insert(cap), cap, "the log's buffer moved");
+            }
+            if let Some(full) = full_cap {
+                assert_eq!(cap, full, "the log's buffer moved");
+            }
+        }
+        assert!(
+            splits_at_cap > 100,
+            "{splits_at_cap} splits at the cap — vacuous"
+        );
+    }
+
+    #[test]
+    fn a_reset_tracker_starts_over_in_the_same_buffer() {
+        let mut t = StreamTracker::new();
+        t.observe(0, 0);
+        for seq in (2..2 * MAX_GAP_RANGES as u32 + 2).step_by(2) {
+            t.observe(0, seq);
+        }
+        let cap = t.gap_log.capacity();
+        t.reset();
+        assert!(!t.contacted() && t.gap_ranges().is_empty());
+        assert_eq!((t.gaps(), t.restarts(), t.epoch()), (0, 0, 0));
+        assert_eq!(t.gap_log.capacity(), cap);
+        // First contact again, anywhere.
+        assert_eq!(t.observe(5, 900), Observation::default());
     }
 
     #[test]

@@ -215,19 +215,44 @@ impl ProcFs {
     /// writes through the handle are O(1).
     pub fn intern(&mut self, path: &str) -> Result<ProcHandle, ProcError> {
         let (dirs, file) = parent_and_leaf(path)?;
+        self.intern_at(dirs, file)
+            .ok_or_else(|| ProcError::WrongKind(path.to_string()))
+    }
+
+    /// [`ProcFs::intern`] of the path given as its components — `dirs`,
+    /// outermost first, then `leaf` — each non-empty and without a `/`.
+    /// Resolving a path that exists allocates nothing.
+    pub fn intern_in(&mut self, dirs: &[&str], leaf: &str) -> Result<ProcHandle, ProcError> {
+        let path = || [dirs, &[leaf]].concat().join("/");
+        let component = |c: &&str| !c.is_empty() && !c.contains('/');
+        if !dirs.iter().chain([&leaf]).all(component) {
+            return Err(ProcError::BadPath(path()));
+        }
+        self.intern_at(dirs.iter().copied(), leaf)
+            .ok_or_else(|| ProcError::WrongKind(path()))
+    }
+
+    /// Walk `dirs` from the root, creating the missing ones, and resolve or
+    /// create `file` in the last; `None` where a component is of the wrong
+    /// kind. Only what is created allocates.
+    fn intern_at<'p>(
+        &mut self,
+        dirs: impl Iterator<Item = &'p str>,
+        file: &str,
+    ) -> Option<ProcHandle> {
         let mut cur = &mut self.root;
         for d in dirs {
-            let entry = cur
-                .entry(d.to_string())
-                .or_insert_with(|| Node::Dir(BTreeMap::new()));
-            match entry {
-                Node::Dir(children) => cur = children,
-                Node::File(_) => return Err(ProcError::WrongKind(path.to_string())),
+            if !cur.contains_key(d) {
+                cur.insert(d.to_string(), Node::Dir(BTreeMap::new()));
             }
+            let Some(Node::Dir(children)) = cur.get_mut(d) else {
+                return None;
+            };
+            cur = children;
         }
         match cur.get(file) {
-            Some(Node::Dir(_)) => Err(ProcError::WrongKind(path.to_string())),
-            Some(Node::File(idx)) => Ok(ProcHandle(*idx)),
+            Some(Node::Dir(_)) => None,
+            Some(Node::File(idx)) => Some(ProcHandle(*idx)),
             None => {
                 let idx = self.files.len();
                 let leaf = match self.leaves.iter().position(|l| **l == *file) {
@@ -242,7 +267,7 @@ impl ProcFs {
                     leaf,
                 });
                 cur.insert(file.to_string(), Node::File(idx));
-                Ok(ProcHandle(idx))
+                Some(ProcHandle(idx))
             }
         }
     }
@@ -605,9 +630,12 @@ mod tests {
         fs.set_handle(h, "0.5");
         assert_eq!(fs.read("cluster/alan/cpu").unwrap(), "0.5");
         assert_eq!(fs.read_handle(h), "0.5");
-        // Interning an existing path (even via a different spelling)
-        // returns the same handle.
+        // Interning an existing path (even via a different spelling, or as
+        // its components) returns the same handle.
         assert_eq!(fs.intern("/proc/cluster/alan/cpu").unwrap(), h);
+        assert_eq!(fs.intern_in(&["cluster", "alan"], "cpu").unwrap(), h);
+        let mem = fs.intern_in(&["cluster", "alan"], "mem").unwrap();
+        assert_eq!(fs.intern("cluster/alan/mem").unwrap(), mem);
     }
 
     #[test]
@@ -626,6 +654,16 @@ mod tests {
         fs.set("cluster/alan/cpu", "1").unwrap();
         assert!(matches!(fs.intern("cluster"), Err(ProcError::WrongKind(_))));
         assert!(matches!(fs.intern(""), Err(ProcError::BadPath(_))));
+        let wrong = fs.intern_in(&["cluster", "alan"], "cpu/x");
+        assert_eq!(wrong, Err(ProcError::BadPath("cluster/alan/cpu/x".into())));
+        assert!(matches!(
+            fs.intern_in(&["", "a"], "b"),
+            Err(ProcError::BadPath(_))
+        ));
+        let dir = fs.intern_in(&["cluster"], "alan");
+        assert_eq!(dir, Err(ProcError::WrongKind("cluster/alan".into())));
+        let under_file = fs.intern_in(&["cluster", "alan", "cpu"], "x");
+        assert!(matches!(under_file, Err(ProcError::WrongKind(_))));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! whichever thread drives it and whichever thread claims which shard. The
 //! simulation and each shard own their record pool (`kecho::RecordPool`)
 //! and lend it to the thread that runs them; a pool holds a whole round
-//! (`kecho::event`'s `RECORD_POOL_CAP`). Counted with an allocator of this
-//! binary's own, over every thread — the only test here, so nothing else
-//! runs beside it.
+//! (`kecho::event`'s `RECORD_POOL_CAP`). The same holds under faults, where
+//! frames are destroyed on every path, one of them (a drop inside the
+//! switch) in the coordinator's replay. Counted with an allocator of this
+//! binary's own, over every thread — one test here, so nothing else runs
+//! beside it.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use simcore::{SimDur, SimTime};
+use simnet::{FaultPlan, LinkSpec, NodeId};
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
 
@@ -92,4 +95,69 @@ fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per
         per_frame < 0.01,
         "{per_frame:.4} allocator calls per delivered frame ({calls} calls in 30 s)"
     );
+
+    // Under faults too: a frame dropped inside the switch is recycled in
+    // the coordinator's replay, into the sending shard's pool.
+    let here = faulted_run();
+    let again = faulted_run();
+    let fresh = std::thread::spawn(faulted_run)
+        .join()
+        .expect("the run panicked");
+    assert_eq!(
+        (again, fresh),
+        (here, here),
+        "allocator calls per faulted run"
+    );
+}
+
+/// An 8-node star of 200 KB events with short link queues, on two shards,
+/// under three 40-second fault cycles: a degraded link (tail-drops at the
+/// uplink and inside the switch), a crash past the dead bound and the
+/// revival after it, a partition past it too, injected loss. Built and run
+/// for two minutes in twelve `run_until` calls; its allocator calls.
+fn faulted_run() -> u64 {
+    let before = CALLS.load(Relaxed);
+    let mut cfg = ClusterConfig::new(8)
+        .event_pad(200_000)
+        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
+        .stagger(SimDur::from_millis(1));
+    cfg.link = LinkSpec::fast_ethernet().with_queue(7, 64 << 20);
+    let mut sim = ClusterSim::new(cfg);
+    sim.set_threads(2);
+    sim.start();
+    let mut plan = FaultPlan::new(34);
+    for c in 0..3 {
+        let at = |s: u64| SimTime::from_secs(40 * c + s);
+        plan = plan
+            .degrade_at(at(1), NodeId(2), 0.9)
+            .crash_at(at(3), NodeId(5))
+            .revive_at(at(13), NodeId(5))
+            .partition_at(at(15), NodeId(1), NodeId(6))
+            .heal_at(at(25), NodeId(1), NodeId(6))
+            .loss_at(at(26), 0.2)
+            .loss_at(at(30), 0.0)
+            .heal_link_at(at(31), NodeId(2));
+    }
+    sim.apply_fault_plan(&plan);
+    for s in 1..=12 {
+        sim.run_until(SimTime::from_secs(10 * s));
+    }
+    let w = sim.world();
+    let ids = || (0..8).map(NodeId);
+    let uplinks: u64 = ids().map(|i| w.net.uplink(i).drops()).sum();
+    let switch: u64 = ids().map(|i| w.net.downlink(i).drops()).sum();
+    let f = &w.fault.stats;
+    let lost = [
+        uplinks,
+        switch,
+        f.crash_drops,
+        f.partition_drops,
+        f.loss_drops,
+    ];
+    assert!(
+        lost.iter().all(|&n| n > 0),
+        "a destroy path not reached: {lost:?}"
+    );
+    assert!(sim.parallel_stats().is_some(), "the sharded engine ran it");
+    CALLS.load(Relaxed) - before
 }
