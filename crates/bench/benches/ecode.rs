@@ -4,7 +4,7 @@
 //! would buy).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ecode::{compile_filter, fig3_env, EnvSpec, Filter, MetricRecord, FIG3_SOURCE};
+use ecode::{fig3_env, EnvSpec, Filter, MetricRecord, FIG3_SOURCE};
 
 fn fig3_inputs() -> [MetricRecord; 4] {
     [
@@ -38,29 +38,12 @@ fn bench_compile(c: &mut Criterion) {
     });
 }
 
-/// Admission-time specialization latency: lowering an already-admitted
-/// filter's stack chunk to fused register code and boxing the closure.
-/// This is the cost `DeployFilter` pays once per admission so that
-/// millions of per-sample executions run register code — it must stay
-/// trivially small next to parse+certify (`ecode/compile_fig3`).
-fn bench_specialize(c: &mut Criterion) {
-    let env = fig3_env();
-    let filter = Filter::compile(FIG3_SOURCE, &env).unwrap();
-    c.bench_function("ecode/specialize_fig3", |b| {
-        b.iter(|| compile_filter(black_box(&filter)).expect("fig3 compiles"));
-    });
-}
-
 fn bench_execute(c: &mut Criterion) {
     let env = fig3_env();
     let filter = Filter::compile(FIG3_SOURCE, &env).unwrap();
-    let compiled = compile_filter(&filter).expect("fig3 compiles");
     let inputs = fig3_inputs();
     let mut group = c.benchmark_group("ecode/execute_fig3");
     group.bench_function("vm", |b| b.iter(|| filter.run(black_box(&inputs)).unwrap()));
-    group.bench_function("compiled", |b| {
-        b.iter(|| compiled.run(black_box(&inputs)).unwrap());
-    });
     group.bench_function("native_rust", |b| {
         b.iter(|| fig3_native(black_box(&inputs)));
     });
@@ -78,11 +61,5 @@ fn bench_loop_heavy(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_compile,
-    bench_specialize,
-    bench_execute,
-    bench_loop_heavy
-);
+criterion_group!(benches, bench_compile, bench_execute, bench_loop_heavy);
 criterion_main!(benches);

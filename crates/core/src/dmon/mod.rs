@@ -73,12 +73,12 @@ pub struct DmonStats {
     /// Filter deployments that compiled but were refused by the static
     /// verifier (unbounded or over-budget worst-case cost).
     pub filters_rejected: u64,
-    /// Admitted deployments the register compiler specialized into a
-    /// closure (the stack-VM interpreter stays available as the
-    /// differential oracle).
+    /// Admitted filter deployments, each compiled to bytecode for the
+    /// VM.
     pub filters_compiled: u64,
-    /// Admitted deployments that stayed on the stack-VM interpreter
-    /// because the register lowering declined the chunk.
+    /// Always 0: there is one filter engine, so nothing falls back. Kept
+    /// only because the frozen benchmark reads it and `DmonStats`'
+    /// `Debug` text is hashed into its `sim_digest`.
     pub interp_fallbacks: u64,
     /// Module samplings skipped because no subscriber's stream could
     /// consume the metric (read-set-driven sampling).

@@ -9,10 +9,7 @@
 
 use std::collections::HashMap;
 
-use ecode::{
-    compile_filter, CompiledFilter, EnvSpec, Filter, FilterOutput, MemoClass, MetricRecord,
-    MetricSet, RuntimeError,
-};
+use ecode::{EnvSpec, Filter, MemoClass, MetricRecord, MetricSet};
 use kecho::{ControlMsg, MonRecord};
 use simcore::SimTime;
 use simnet::NodeId;
@@ -39,54 +36,25 @@ struct MemoEntry {
 type Span = (usize, usize);
 
 /// One distinct filter source in use here, admitted once for every
-/// subscriber that deploys it, with everything the per-poll path needs
-/// resolved at admission.
+/// subscriber that deploys it: its certificate already says what the
+/// per-poll path needs (read set, how runs may be shared).
 struct Admitted {
     filter: Filter,
-    /// How the effect certificate lets runs be shared within a poll.
-    memo: MemoClass,
-    /// Specialized register closure; `None` ⇒ interpreter fallback.
-    compiled: Option<CompiledFilter>,
     /// Subscribers whose stream this artefact decides.
     users: u32,
 }
 
 impl Admitted {
-    /// The only place d-mon runs the E-code front end and lowers its
-    /// result. Admission control: a filter only runs if the static
-    /// verifier produced a finite worst-case instruction bound that fits
-    /// the VM budget. `Err(None)` is a compile error, `Err(Some(reason))`
-    /// the verifier's refusal.
+    /// The only place d-mon runs the E-code front end. Admission control:
+    /// a filter only runs if the static verifier produced a finite
+    /// worst-case instruction bound that fits the VM budget. `Err(None)`
+    /// is a compile error, `Err(Some(reason))` the verifier's refusal.
     fn new(source: &str, env: &EnvSpec) -> Result<Admitted, Option<String>> {
         let filter = Filter::compile(source, env).map_err(|_| None)?;
         if let Some(reason) = filter.admission_error() {
             return Err(Some(reason));
         }
-        Ok(Admitted {
-            memo: filter.cert().effects.memo,
-            compiled: compile_filter(&filter),
-            filter,
-            users: 0,
-        })
-    }
-
-    /// Count one deployment per subscriber in `users`.
-    fn count(&self, users: u32, stats: &mut DmonStats) {
-        match self.compiled {
-            Some(_) => stats.filters_compiled += u64::from(users),
-            None => stats.interp_fallbacks += u64::from(users),
-        }
-    }
-
-    /// One evaluation: the compiled closure when available, the stack
-    /// VM otherwise. The two are bit-identical — outputs, budget
-    /// exhaustion, and runtime faults — pinned by the
-    /// `compiled_differential` proptests in the `ecode` crate.
-    fn run(&self, inputs: &[MetricRecord]) -> Result<FilterOutput, RuntimeError> {
-        match &self.compiled {
-            Some(c) => c.run(inputs),
-            None => self.filter.run(inputs),
-        }
+        Ok(Admitted { filter, users: 0 })
     }
 }
 
@@ -115,7 +83,7 @@ impl Memo {
         stats: &mut DmonStats,
     ) -> Option<(Span, u64)> {
         let last = |i: u32| last_sent.get(i).map_or(0.0, |(v, _)| v);
-        if df.memo == MemoClass::Bypass {
+        if df.filter.cert().effects.memo == MemoClass::Bypass {
             // Per-subscriber state feeds the output: one run per
             // subscriber, observable via `memo_bypassed`.
             stats.memo_bypassed += 1;
@@ -144,7 +112,7 @@ impl Memo {
         };
         self.inputs.extend(samples.iter().enumerate().map(input));
         let start = self.arena.len();
-        let result = df.run(&self.inputs).ok().map(|out| {
+        let result = df.filter.run(&self.inputs).ok().map(|out| {
             self.arena.extend(out.iter_accepted().map(|r| MonRecord {
                 metric_id: r.id,
                 value: r.value,
@@ -155,7 +123,7 @@ impl Memo {
             out.recycle();
             ((start, self.arena.len()), instructions)
         });
-        if df.memo != MemoClass::Bypass {
+        if df.filter.cert().effects.memo != MemoClass::Bypass {
             self.entries.push(MemoEntry { id, result });
         }
         result
@@ -208,13 +176,14 @@ impl Table {
 
     /// The subscriber whose slot is `slot` uses `id` from now on, and no
     /// longer whatever it used before.
-    fn enter(&mut self, slot: &mut Option<u32>, id: u32) -> Option<&Admitted> {
+    fn enter(&mut self, slot: &mut Option<u32>, id: u32) {
         if *slot != Some(id) {
             self.leave(slot);
             *slot = Some(id);
-            self.slots[id as usize].as_mut()?.users += 1;
+            if let Some(admitted) = &mut self.slots[id as usize] {
+                admitted.users += 1;
+            }
         }
-        self.slots[id as usize].as_ref()
     }
 
     /// A subscriber stops using its slot, if it has one; after the last
@@ -280,9 +249,8 @@ impl Select {
                 }
             },
         };
-        if let Some(admitted) = table.enter(slot, id) {
-            admitted.count(1, stats);
-        }
+        table.enter(slot, id);
+        stats.filters_compiled += 1;
         None
     }
 
@@ -310,7 +278,7 @@ impl Select {
                 *entry = None;
             } else if let Ok(fresh) = Admitted::new(slot.filter.source(), env) {
                 let users = slot.users;
-                fresh.count(users, stats);
+                stats.filters_compiled += u64::from(users);
                 *slot = Admitted { users, ..fresh };
             }
         }
@@ -712,7 +680,7 @@ mod tests {
         let Ok(df) = Admitted::new(src, &dmon.sample.env) else {
             panic!("the record-copying filter is admitted");
         };
-        assert_eq!(df.memo, MemoClass::Shared);
+        assert_eq!(df.filter.cert().effects.memo, MemoClass::Shared);
         let n = dmon.sample.env.len();
         let mut rng = simcore::SimRng::seed_from_u64(0x000A_11CE);
         let mut stats = DmonStats::default();
@@ -750,7 +718,7 @@ mod tests {
                         timestamp: now.as_secs_f64(),
                     })
                     .collect();
-                let own = df.run(&inputs).expect("the filter cannot fault");
+                let own = df.filter.run(&inputs).expect("the filter cannot fault");
                 let want: Vec<_> = own
                     .iter_accepted()
                     .map(|r| MonRecord {
@@ -813,11 +781,10 @@ mod tests {
         // exact source text, not on a hash of it.
         assert_ne!(slot_id(&dmon, 1), slot_id(&dmon, 2));
         assert_eq!(table_size(&dmon), (2, 2));
-        // Every admission was specialized into a register closure.
+        // Every deploy was admitted and counted; the fallback counter
+        // never moves.
         assert_eq!(dmon.stats.filters_compiled, 4);
         assert_eq!(dmon.stats.interp_fallbacks, 0);
-        let slot = Some(slot_id(&dmon, 1));
-        assert!(dmon.select.table.of(slot).unwrap().1.compiled.is_some());
     }
 
     /// The users of the artefact in slot `id`.

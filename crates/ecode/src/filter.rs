@@ -155,9 +155,9 @@ impl FilterOutput {
 }
 
 thread_local! {
-    /// Recycled output-slot buffers shared by the interpreter and the
-    /// compiled executor — filters run per sample, so per-execution
-    /// `Vec` allocations would dominate the event path.
+    /// Recycled output-slot buffers for the VM — filters run per
+    /// sample, so per-execution `Vec` allocations would dominate the
+    /// event path.
     static SLOT_POOL: std::cell::RefCell<Vec<Vec<Option<MetricRecord>>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -259,6 +259,19 @@ impl Filter {
     pub fn admission_error(&self) -> Option<String> {
         self.cert.admission_error(self.budget)
     }
+}
+
+/// The name the frozen benchmark probes (`benchmark/src/probes.rs`)
+/// import for an admitted filter; it is the filter itself, run on the
+/// one engine. Kept only for those probes: ROADMAP item 6(b)'s
+/// `benchmark/`-scoped PR retires the probe pair and deletes this alias
+/// and [`compile_filter`].
+pub type CompiledFilter = Filter;
+
+/// The admitted filter, or `None` when the verifier refuses it. Kept only
+/// for the frozen benchmark probes, like [`CompiledFilter`].
+pub fn compile_filter(f: &Filter) -> Option<CompiledFilter> {
+    f.admission_error().is_none().then(|| f.clone())
 }
 
 /// The paper's Figure 3 filter, verbatim (modulo the paper's `input`

@@ -9,10 +9,11 @@
 //! suppress outgoing monitoring data.
 //!
 //! This crate is that compiler. The original E-code generates native
-//! binary code; we compile to a compact bytecode executed by a stack VM
-//! with an instruction budget (a kernel would want the same guard). The
-//! latency structure is identical: compile once at deployment, execute
-//! per submission.
+//! binary code; we compile to a compact bytecode executed by one engine,
+//! a stack VM with an instruction budget (a kernel would want the same
+//! guard), after a static verifier has certified the program's
+//! worst-case cost. The latency structure is identical: compile once at
+//! deployment, execute per submission.
 //!
 //! # Language
 //!
@@ -57,13 +58,11 @@
 pub mod analysis;
 pub mod ast;
 pub mod bytecode;
-pub mod compile;
 pub mod error;
 pub mod filter;
 pub mod lexer;
 pub mod opt;
 pub mod parser;
-mod regalloc;
 pub mod sema;
 pub mod token;
 pub mod vm;
@@ -72,6 +71,8 @@ pub use analysis::{
     lint_report, CostBound, Diagnostic, EffectSummary, FilterCert, LintKind, MemoClass, MetricSet,
     Severity,
 };
-pub use compile::{compile_filter, CompiledFilter};
 pub use error::{CompileError, RuntimeError};
-pub use filter::{fig3_env, EnvSpec, Filter, FilterOutput, MetricRecord, FIG3_SOURCE};
+pub use filter::{
+    compile_filter, fig3_env, CompiledFilter, EnvSpec, Filter, FilterOutput, MetricRecord,
+    FIG3_SOURCE,
+};

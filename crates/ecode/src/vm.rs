@@ -1,9 +1,10 @@
-//! The stack virtual machine executing compiled filters.
+//! The stack virtual machine: the one engine that runs every filter.
 //!
 //! Values are dynamically typed (`Int`/`Float`) with C-style promotion;
 //! the semantic pass guarantees records never reach arithmetic. Every
 //! instruction decrements a budget — a kernel executing user-supplied
-//! filter code needs exactly this guard against runaway loops.
+//! filter code needs exactly this guard against runaway loops — and
+//! the count of executed instructions is what d-mon charges as CPU.
 
 use crate::ast::Field;
 use crate::bytecode::{Chunk, Op};
@@ -46,10 +47,9 @@ impl Value {
     }
 }
 
-/// Reusable per-thread execution buffers — the interpreter runs once
-/// per monitoring sample, so per-execution allocations would dominate
-/// the event path (and it stays the fallback engine and differential
-/// oracle for the compiling backend in [`crate::compile`]).
+/// Reusable per-thread execution buffers — the VM runs once per
+/// monitoring sample, so per-execution allocations would dominate the
+/// event path.
 struct VmScratch {
     stack: Vec<Value>,
     locals: Vec<Value>,

@@ -6,81 +6,19 @@
 //! programs mix loops, branches, and arithmetic specifically to stress
 //! the trip-count inference and the per-op cost model.
 
-use ecode::{CostBound, EnvSpec, Filter, MetricRecord, RuntimeError};
+mod common;
+
+use common::{bits, env, program, total_program, Names};
+use ecode::{vm, CostBound, Filter, MetricRecord, RuntimeError};
 use proptest::prelude::*;
 
-fn env() -> EnvSpec {
-    EnvSpec::new(["A", "B"])
-}
-
-/// A strategy over well-formed statement fragments. `depth` limits
-/// nesting so generation terminates.
-fn stmt(depth: u32) -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0..3u8, expr()).prop_map(|(v, e)| format!("x{v} = {e};")),
-        expr().prop_map(|e| format!("output[0] = input[A]; output[0].value = {e};")),
-        Just("output[1] = input[B];".to_string()),
-        Just("return 1;".to_string()),
-    ];
-    if depth == 0 {
-        return leaf.boxed();
-    }
-    let nested = stmt(depth - 1);
-    prop_oneof![
-        leaf,
-        (expr(), nested.clone()).prop_map(|(c, s)| format!("if ({c}) {{ {s} }}")),
-        (expr(), nested.clone(), nested.clone())
-            .prop_map(|(c, a, b)| format!("if ({c}) {{ {a} }} else {{ {b} }}")),
-        (0..20i64, nested.clone())
-            .prop_map(|(n, s)| format!("for (int i = 0; i < {n}; i = i + 1) {{ {s} }}")),
-        // Own block so sibling fragments don't redeclare `j`, and the
-        // decrement always targets *this* loop's variable even when a
-        // nested fragment shadows the name.
-        (1..15i64, 1..4i64, nested).prop_map(|(n, step, s)| {
-            format!("{{ int j = {n}; while (j > 0) {{ {s} j = j - {step}; }} }}")
-        }),
-    ]
-    .boxed()
-}
-
-/// Arithmetic/comparison expressions over locals, inputs, and literals.
-fn atom() -> BoxedStrategy<String> {
-    prop_oneof![
-        (-50i64..50).prop_map(|v| format!("{v}")),
-        (0..3u8).prop_map(|v| format!("x{v}")),
-        Just("input[A].value".to_string()),
-        Just("input[B].last_value_sent".to_string()),
-    ]
-    .boxed()
-}
-
-fn expr() -> BoxedStrategy<String> {
-    let op = prop_oneof![
-        Just("+"),
-        Just("-"),
-        Just("*"),
-        Just("<"),
-        Just(">"),
-        Just("=="),
-        Just("&&"),
-    ];
-    (atom(), op, atom())
-        .prop_map(|(a, op, b)| format!("({a} {op} {b})"))
-        .boxed()
-}
-
-/// Whole programs: three pre-declared int locals plus generated bodies.
-fn program() -> impl Strategy<Value = String> {
-    proptest::collection::vec(stmt(2), 1..6).prop_map(|body| {
-        format!(
-            "{{ int x0 = 0; int x1 = 1; int x2 = 2; {} }}",
-            body.join(" ")
-        )
-    })
-}
+const NAMES: Names = &["A", "B"];
 
 fn inputs(a: f64, b: f64) -> [MetricRecord; 2] {
-    [MetricRecord::new(0, a), MetricRecord::new(1, b)]
+    [
+        MetricRecord::new(0, a).with_timestamp(1.5),
+        MetricRecord::new(1, b).with_last_sent(a),
+    ]
 }
 
 proptest! {
@@ -88,21 +26,22 @@ proptest! {
 
     /// The certified bound dominates actual execution, and therefore a
     /// certified filter run under a budget >= its bound can never die of
-    /// `BudgetExhausted`.
+    /// `BudgetExhausted`. The programs cannot fault, so every case runs to
+    /// its end.
     #[test]
     fn certified_bound_covers_actual_execution(
-        src in program(),
+        src in total_program(NAMES),
         a in -100.0f64..100.0,
         b in -100.0f64..100.0,
     ) {
-        let f = Filter::compile(&src, &env()).expect("generated programs are well-formed");
+        let f = Filter::compile(&src, &env(NAMES)).expect("generated programs are well-formed");
         let CostBound::Bounded(bound) = f.cert().cost else {
             // The generator only emits loops the verifier can bound.
             panic!("verifier failed to certify a generated program:\n{src}");
         };
         // Re-compile with the proven bound as the budget: the certificate
         // claims this can never be exhausted.
-        let tight = Filter::compile_with_budget(&src, &env(), bound).unwrap();
+        let tight = Filter::compile_with_budget(&src, &env(NAMES), bound).unwrap();
         match tight.run(&inputs(a, b)) {
             Ok(out) => prop_assert!(
                 out.instructions() <= bound,
@@ -110,23 +49,61 @@ proptest! {
                 out.instructions(),
                 bound,
             ),
-            Err(RuntimeError::BudgetExhausted { .. }) => {
+            Err(e) => {
                 return Err(TestCaseError::fail(format!(
-                    "certified filter exhausted its own bound {bound}:\n{src}"
+                    "{e:?} under its own bound {bound}:\n{src}"
                 )));
             }
-            // Other runtime errors (index range, ...) are outside the
-            // certificate's contract.
-            Err(_) => {}
+        }
+    }
+
+    /// The budget cuts exactly at a program's natural cost — the
+    /// instructions its run executes, to a result or to a runtime fault.
+    /// Every budget below it ends in `BudgetExhausted` with that budget,
+    /// and every budget at or above it gives the default-budget result
+    /// bit for bit.
+    #[test]
+    fn the_budget_cuts_exactly_at_the_natural_cost(
+        src in program(NAMES),
+        a in -10.0f64..10.0,
+    ) {
+        let f = Filter::compile(&src, &env(NAMES)).unwrap();
+        let recs = inputs(a, -a);
+        let run = |budget| bits(vm::run(f.chunk(), &recs, budget), None);
+        let want = bits(f.run(&recs), None);
+        let exhausted = |budget| Err(RuntimeError::BudgetExhausted { budget });
+        prop_assert!(want != exhausted(f.budget()), "certified, yet exhausted:\n{}", src);
+        // The lowest budget that does not exhaust.
+        let (mut natural, mut hi) = (0, f.budget());
+        while natural < hi {
+            let mid = natural + (hi - natural) / 2;
+            if run(mid) == exhausted(mid) {
+                natural = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if let Ok((_, executed, _)) = want {
+            prop_assert_eq!(executed, natural, "on:\n{}", src);
+        }
+        let edge = [natural.saturating_sub(1), natural, natural + 1, 2 * natural, natural + 1000];
+        for budget in (0..natural.min(150) + 2).chain(edge) {
+            let expect = if budget < natural { exhausted(budget) } else { want.clone() };
+            prop_assert_eq!(run(budget), expect, "budget {} on:\n{}", budget, src);
+        }
+        // `Filter` runs the same VM under the budget it was compiled with.
+        for budget in [natural.saturating_sub(1), natural] {
+            let tight = Filter::compile_with_budget(&src, &env(NAMES), budget).unwrap();
+            prop_assert_eq!(bits(tight.run(&recs), None), run(budget));
         }
     }
 
     /// Certification is deterministic: the same source always yields the
     /// same bound and read set (deployment decisions must be stable).
     #[test]
-    fn certification_is_deterministic(src in program()) {
-        let f1 = Filter::compile(&src, &env()).unwrap();
-        let f2 = Filter::compile(&src, &env()).unwrap();
+    fn certification_is_deterministic(src in program(NAMES)) {
+        let f1 = Filter::compile(&src, &env(NAMES)).unwrap();
+        let f2 = Filter::compile(&src, &env(NAMES)).unwrap();
         prop_assert_eq!(f1.cert(), f2.cert());
     }
 }

@@ -47,8 +47,8 @@ const SHARED_FILTER: &str = "{ if (input[LOADAVG].value > 0.25) { output[0] = in
 const PASSTHROUGH_FILTER: &str = "{ output[0] = input[FREEMEM]; }";
 
 /// An 8-node mesh where each of the 56 streams gets one of two certified
-/// filters: every admission must land on the register compiler, none on
-/// the interpreter.
+/// filters: every deployment must be admitted and counted, and the
+/// filtered streams must deliver what they did.
 #[test]
 fn filter_mesh_compile_counters_are_pinned() {
     let mut sim = ClusterSim::new(ClusterConfig::new(8).poll_period(SimDur::from_secs(1)));
@@ -80,7 +80,7 @@ fn filter_mesh_compile_counters_are_pinned() {
             w.mon_delivered - before,
         ),
         (56, 0, 963),
-        "(filters_compiled, interp_fallbacks, filter_events): a certified filter missed the register compiler, or the filtered streams changed"
+        "(filters_compiled, interp_fallbacks, filter_events): a certified filter was not admitted, or the filtered streams changed"
     );
 }
 
