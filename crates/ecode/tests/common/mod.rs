@@ -2,8 +2,8 @@
 //! over whatever environment a suite passes in.
 //!
 //! A program declares int locals `x0..x2` and double locals `d0..d2`
-//! (`d1` seeded with an int, so a double-declared local can hold an int
-//! tag), then runs generated statements: record copies with constant and
+//! (`d1` seeded with an int, so every run meets a widening store), then
+//! runs generated statements: record copies with constant and
 //! dynamic indices, edits of every field of a copy, `last_value_sent`
 //! reads and writes, suppression, branches, and `for` / `while` loops with
 //! constant trip counts. Every loop it writes is one the verifier can
