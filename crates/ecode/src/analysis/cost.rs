@@ -1,9 +1,9 @@
 //! Static worst-case instruction-cost bounds.
 //!
-//! The VM charges one budget unit per executed instruction, so a sound
-//! cost bound is a count of emitted ops along the worst path, with loops
-//! multiplied by an inferred trip count. The per-construct costs below
-//! mirror [`crate::bytecode`]'s emission exactly (e.g. an `if` with an
+//! The VM charges one budget unit per logical instruction — one per
+//! AST-level operation, however [`crate::bytecode`] fuses or converts —
+//! so a sound cost bound is a count of them along the worst path, with
+//! loops multiplied by an inferred trip count (e.g. an `if` with an
 //! `else` pays one extra `Jump` on the then-path; a loop pays its
 //! condition once more than its body). Loops must be *affine*: an
 //! integer induction variable with a known entry value, stepped by a
@@ -501,8 +501,7 @@ fn eval_const(e: &RExpr, env: &ConstEnv) -> Option<i64> {
     }
 }
 
-/// Worst-case instruction count of evaluating an expression, matching
-/// the bytecode compiler's emission op for op.
+/// Worst-case logical instruction count of evaluating an expression.
 pub fn expr_cost(e: &RExpr) -> u64 {
     match &e.kind {
         RExprKind::ConstI(_) | RExprKind::ConstF(_) | RExprKind::Local(_) => 1,

@@ -59,8 +59,6 @@ pub enum RuntimeError {
     },
     /// Integer division or modulo by zero.
     DivisionByZero,
-    /// Internal VM invariant broken — indicates a compiler bug.
-    Internal(&'static str),
 }
 
 impl fmt::Display for RuntimeError {
@@ -82,7 +80,6 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::DivisionByZero => write!(f, "division by zero"),
-            RuntimeError::Internal(what) => write!(f, "internal VM error: {what}"),
         }
     }
 }

@@ -22,7 +22,8 @@ fn inputs(a: f64, b: f64) -> [MetricRecord; 2] {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    // At least 256 cases; CI asks for more through `PROPTEST_CASES`.
+    #![proptest_config(ProptestConfig { cases: ProptestConfig::default().cases.max(256) })]
 
     /// The certified bound dominates actual execution, and therefore a
     /// certified filter run under a budget >= its bound can never die of

@@ -177,7 +177,9 @@ proptest! {
                     bound,
                     src,
                 ),
-                Err(e) => prop_assert!(!matches!(e, RuntimeError::Internal(_)), "{:?}:\n{}", e, src),
+                // Any other error is a fault of the program's own: the VM
+                // has no error of its own left to raise.
+                Err(_) => {}
             }
         }
     }
