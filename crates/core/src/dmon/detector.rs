@@ -7,7 +7,7 @@
 
 use std::fmt::Write;
 
-use kecho::{ControlMsg, HeartbeatPayload, Observation};
+use kecho::{ControlMsg, CreditWindow, HeartbeatPayload, Observation};
 use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::Host;
@@ -80,17 +80,22 @@ impl Detector {
         let obs = p.tracker.observe(from.epoch, from.stream_seq);
         stats.gaps_detected += obs.lost;
         // A proven-lost frame spent one of the publisher's credits but
-        // consumed none of our receive capacity: repay it, so a healed
-        // path re-inflates its window (DESIGN.md §14).
-        p.repay = p
-            .repay
-            .saturating_add(u32::try_from(obs.lost).unwrap_or(u32::MAX));
+        // consumed none of our receive capacity: owe it back like an
+        // absorbed one, so a healed path re-inflates its window
+        // (DESIGN.md §14).
+        p.grants.owe(obs.lost);
         if obs.healed {
             // A straggler disproved an earlier loss accusation: keep the
-            // counter exact and take back the credit the accusation minted
+            // counter exact and take back the credit the accusation owed
             // (the arrival earns the ordinary one in `on_event`).
             stats.gaps_detected = stats.gaps_detected.saturating_sub(1);
-            p.repay = p.repay.saturating_sub(1);
+            p.grants.retract();
+        }
+        if obs.restarted {
+            // Whichever frame shows it first: the peer, as our subscriber,
+            // restarted holding none of our frames and a fresh counter, so
+            // our window toward it starts over too.
+            p.credit = CreditWindow::default();
         }
         let was_dead = p.record.is_some_and(|r| r.health == PeerHealth::Dead);
         p.record = Some(PeerRecord {

@@ -106,7 +106,16 @@ impl Flow {
                 origin: cx.node,
                 epoch: cx.epoch,
                 stream_seq: p.next_stream_seq(),
-                credit_grant: piggyback_grant(p),
+                // The grant counter for the reverse stream rides along. A
+                // stream whose own grant is overdue is probably losing its
+                // frames, so it folds nothing in and leaves the debt to
+                // the poll's standalone `Credit`.
+                credit_grant: {
+                    if !p.credit.grant_overdue() {
+                        p.grants.fold();
+                    }
+                    p.grants.value()
+                },
                 records: e.records,
                 pad_bytes: self.event_pad,
                 ext_names: e.ext_names,
@@ -173,29 +182,21 @@ impl Flow {
         p.stream_last_send = Some(cx.now);
     }
 
-    /// Subscriber side of flow control: top up publishers whose data this
-    /// node has absorbed since its last grant. Decided at poll time (not
-    /// per arrival), so grants are replay-safe and batch to about one
-    /// control frame per window half.
+    /// Subscriber side of flow control: top up publishers for the data
+    /// this node absorbed and the frames it saw lost since its last grant,
+    /// by a standalone `Credit` carrying the grant counter. Decided at
+    /// poll time (not per arrival), so grants are replay-safe and batch to
+    /// about one control frame per window quarter.
     pub(super) fn grants(peers: &mut PeerTable, cx: &mut PollCx<'_>) {
         for (publisher, p) in peers.iter_mut() {
-            // Batch absorbed-data grants behind the threshold, but flush
-            // the remainder once the publisher's data stream goes quiet:
-            // one trickling below the threshold would never be topped up.
+            // Batch grants behind the threshold, but flush the remainder
+            // once the publisher's data stream goes quiet: one trickling
+            // below the threshold would never be topped up.
             let quiet = !std::mem::take(&mut p.data_since_poll);
-            let absorbed = if quiet || p.ungranted >= GRANT_THRESHOLD {
-                p.ungranted
-            } else {
-                0
-            };
-            // Loss repayments ship at once, never batched, and on the
-            // priority lane: they exist while the publisher's bulk frames
-            // are dying, when a piggybacked grant would die with its carrier.
-            let credits = absorbed + p.repay;
-            if credits > 0 {
-                p.ungranted -= absorbed;
-                p.repay = 0;
-                cx.control(publisher, ControlMsg::Credit { credits });
+            if quiet || p.grants.owed() >= GRANT_THRESHOLD {
+                if let Some(credits) = p.grants.fold() {
+                    cx.control(publisher, ControlMsg::Credit { credits });
+                }
             }
         }
     }
@@ -249,47 +250,6 @@ impl DMon {
     /// uplink tail-drop backoff.
     pub fn choked_toward(&self, sub: NodeId) -> bool {
         self.peers.get(sub).is_some_and(|p| p.choke_park > 0)
-    }
-}
-
-/// Piggyback this node's grant debt for the reverse stream onto a data
-/// frame leaving toward `p`, and return the *cumulative* counter the
-/// frame carries: if this frame tail-drops, the next surviving one
-/// re-delivers the grant. A stream whose own grant is overdue skips the
-/// attach — the debt waits for the priority-lane Credit frame.
-fn piggyback_grant(p: &mut PeerState) -> u32 {
-    if !p.credit.grant_overdue() {
-        let mut grant = p.ungranted.min(u32::from(u8::MAX));
-        if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
-            // The counter never rests on 0 (0 on the wire means "no grant
-            // info"): defer one credit so the cursor arithmetic stays
-            // unambiguous.
-            grant -= 1;
-        }
-        p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
-        p.ungranted -= grant;
-    }
-    u32::from(p.grant_cum)
-}
-
-/// The receiving end of [`piggyback_grant`]: fold the counter a data
-/// frame from `p` carried into the window toward `p`. Only
-/// stream-advancing arrivals move the cursor: a reordered straggler
-/// (`stale`) carries an outdated counter whose wrapping delta would read
-/// as a huge bogus grant. A restarted publisher starts a fresh counter,
-/// so the cursor restarts with it.
-#[inline]
-pub(super) fn accept_piggyback(p: &mut PeerState, credit_grant: u32, restarted: bool, stale: bool) {
-    if restarted {
-        p.grant_seen = 0;
-    }
-    let cum = credit_grant.min(u32::from(u8::MAX)) as u8;
-    if cum != 0 && !stale {
-        let delta = cum.wrapping_sub(p.grant_seen);
-        p.grant_seen = cum;
-        if delta > 0 {
-            p.grant(u32::from(delta));
-        }
     }
 }
 
@@ -373,53 +333,6 @@ mod tests {
         assert_eq!(to1 as u32, INITIAL_CREDITS, "drained the granted budget");
         assert!(dmon.outbox_len(NodeId(1)) < OUTBOX_CAP);
         assert_eq!(dmon.outbox_len(NodeId(2)), OUTBOX_CAP, "no cross-talk");
-    }
-
-    #[test]
-    fn piggyback_counter_wraps_without_resting_on_zero_or_losing_a_credit() {
-        // `us` is this node's row for a peer it both publishes to and
-        // absorbs from; `them` is the peer's row for this node. Both
-        // cursors start a few steps below the mod-256 wrap.
-        let mut us = PeerState {
-            grant_cum: 250,
-            ..PeerState::default()
-        };
-        let mut them = PeerState {
-            grant_seen: 250,
-            ..PeerState::default()
-        };
-        let mut carried = Vec::new();
-        for frame in 0..6u64 {
-            // The peer spends three credits toward us; we absorb three
-            // frames and owe it three credits on our next data frame.
-            for _ in 0..3 {
-                assert!(them.credit.try_consume());
-            }
-            us.ungranted += 3;
-            let cum = piggyback_grant(&mut us);
-            assert_ne!(cum, 0, "0 on the wire means no grant info");
-            carried.push(cum);
-            // 253 + 3 would land on 0: one credit waits for the next
-            // frame, which re-attaches it.
-            assert_eq!(us.ungranted, u32::from(frame == 1), "frame {frame}");
-            // The frame that crosses the wrap tail-drops; the counter is
-            // cumulative, so the next frame re-delivers what it carried:
-            // every credit spent so far is acknowledged, none twice.
-            if frame != 1 {
-                accept_piggyback(&mut them, cum, false, false);
-                assert_eq!(them.grant_seen, cum as u8, "frame {frame}");
-                assert_eq!(them.credit.unacked(), 0, "frame {frame}");
-                assert_eq!(them.credit.available(), INITIAL_CREDITS);
-            }
-        }
-        assert_eq!(carried, vec![253, 255, 3, 6, 9, 12]);
-        // A reordered straggler carrying an old counter moves nothing.
-        for _ in 0..3 {
-            assert!(them.credit.try_consume());
-        }
-        accept_piggyback(&mut them, 255, false, true);
-        assert_eq!(them.grant_seen, 12);
-        assert_eq!((them.credit.available(), them.credit.unacked()), (13, 3));
     }
 
     #[test]

@@ -595,10 +595,9 @@ impl DMon {
         self.stats.control_handled += 1;
         match (msg, Command::of(msg)) {
             (ControlMsg::Announce, _) => cpu = SimDur::ZERO,
-            // We are the publisher: the subscriber absorbed data and
-            // reopens our window toward it. A grant is also fresh
-            // evidence the path works, so a choked stream reopens.
-            (ControlMsg::Credit { credits }, _) => p.grant(*credits),
+            // We are the publisher: the subscriber's grant counter, sent
+            // standalone, reopens our window toward it.
+            (ControlMsg::Credit { credits }, _) => p.accept(*credits),
             // We are the subscriber: a publisher refused our filter.
             (ControlMsg::FilterRejected { reason }, _) => {
                 p.custom().rejection = Some(reason.clone());

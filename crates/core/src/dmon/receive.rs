@@ -11,7 +11,7 @@ use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::Host;
 
-use super::{flow, intern_cluster_file, leaf_name_ok, DMon};
+use super::{intern_cluster_file, leaf_name_ok, DMon};
 use crate::calib::Calib;
 use crate::peers::SPILL_METRICS;
 
@@ -74,9 +74,14 @@ impl DMon {
             // Grant accounting: this arrival consumed one of the credits
             // we granted the publisher; the next poll tops it back up once
             // enough have accumulated.
-            p.ungranted = p.ungranted.saturating_add(1);
+            p.grants.owe(1);
             p.data_since_poll = true;
-            flow::accept_piggyback(p, payload.credit_grant, obs.restarted, obs.stale);
+            // The frame's piggyback byte is the publisher's own grant
+            // counter toward us. An old incarnation's straggler carries
+            // one that restarted since.
+            if !obs.stale {
+                p.accept(payload.credit_grant);
+            }
         }
         let ext = &mut self.receive.remote_ext;
         for (id, metric, file) in &payload.ext_names {
@@ -152,10 +157,9 @@ impl DMon {
         let Some(hb) = ev.as_heartbeat() else {
             return SimDur::ZERO;
         };
-        // Loss repayment happens inside `note_alive`: a heartbeat that
-        // reveals a gap proves the publisher alive with its data dying on
-        // the wire, and the repaid credits let it re-probe the path
-        // without waiting a full round-trip of absorbed data.
+        // A heartbeat that reveals a gap proves the publisher alive with
+        // its data dying on the wire: `note_alive` owes the lost frames
+        // back, so the publisher can re-probe the path.
         let (me, stats) = (self.node, &mut self.stats);
         let alive = self
             .detector
@@ -208,7 +212,8 @@ mod tests {
     use super::super::testkit::*;
     use super::super::PeerHealth;
     use super::*;
-    use kecho::{ChannelId, MonRecord, MonitoringPayload};
+    use kecho::event::Payload;
+    use kecho::{ChannelId, ControlMsg, MonRecord, MonitoringPayload};
 
     #[test]
     fn on_event_populates_cluster_tree_and_fast_path() {
@@ -260,6 +265,44 @@ mod tests {
         assert_eq!(dmon.stats.heartbeats_received, 1);
         assert_eq!(dmon.stats.events_received, 0, "no data counted");
         assert_eq!(dmon.peer_health(NodeId(1)), Some(PeerHealth::Fresh));
+    }
+
+    #[test]
+    fn a_restart_shown_first_by_a_heartbeat_resets_the_grant_cursor() {
+        let (mut dmon, mut host, _dir, mon, _ctl, calib) = setup();
+        let (maui, now) = (NodeId(1), SimTime::from_secs(1));
+        let frame = |epoch, sseq, credit_grant| {
+            let mut ev = mon_from(maui, mon, epoch, sseq);
+            if let Payload::Monitoring(m) = &mut ev.payload {
+                m.credit_grant = credit_grant;
+            }
+            ev
+        };
+        // Maui's grant counter toward us reached 40, and we then spent the
+        // whole window toward it.
+        dmon.on_event(&mut host, &frame(0, 0, 40), 90, now, &calib);
+        let p = dmon.peers.touch(maui).expect("a cluster member");
+        while p.credit.try_consume() {}
+        // Maui restarts, and its first frame here is a heartbeat: the
+        // data frame after it no longer reports the restart.
+        let proof = HeartbeatPayload {
+            origin: maui,
+            epoch: 1,
+            stream_seq: 0,
+        };
+        let hb = Event::heartbeat(mon.0, 1, maui, NodeId(0), proof);
+        dmon.on_heartbeat(&hb, now, &calib);
+        // It holds none of our frames, so the window starts over, and its
+        // fresh counter grants exactly what it says, by either carrier.
+        assert_eq!(dmon.credits_for(maui), kecho::INITIAL_CREDITS);
+        let p = dmon.peers.touch(maui).expect("a cluster member");
+        while p.credit.try_consume() {}
+        dmon.on_event(&mut host, &frame(1, 1, 4), 90, now, &calib);
+        assert_eq!(dmon.credits_for(maui), 4);
+        dmon.on_control(maui, &ControlMsg::Credit { credits: 9 }, &calib);
+        assert_eq!(dmon.credits_for(maui), 9);
+        dmon.on_control(maui, &ControlMsg::Credit { credits: 40 }, &calib);
+        assert_eq!(dmon.credits_for(maui), kecho::INITIAL_CREDITS);
     }
 
     #[test]

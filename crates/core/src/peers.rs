@@ -22,6 +22,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use kecho::credit::GrantCounter;
 use kecho::{ControlMsg, CreditWindow, MonRecord, StreamTracker};
 use simcore::SimTime;
 use simnet::NodeId;
@@ -178,16 +179,12 @@ pub(crate) struct PeerState {
     /// Events (data + heartbeats) submitted to this subscriber — a
     /// lifetime counter, so eviction leaves it alone.
     pub(crate) sent: u64,
-    /// Publisher-side credit window toward this subscriber.
+    /// Publisher-side credit window toward this subscriber, with the
+    /// last grant counter taken from it.
     pub(crate) credit: CreditWindow,
     /// Bounded outbox of payloads awaiting credits; overflow sheds
     /// oldest-first.
     pub(crate) outbox: VecDeque<OutboxEntry>,
-    /// Sender-side cumulative counter (mod 256, never resting on 0) of
-    /// credits piggybacked onto data events toward this subscriber. The
-    /// wire carries the counter, not the increment, so a grant whose
-    /// carrier tail-dropped is re-delivered by the next surviving frame.
-    pub(crate) grant_cum: u8,
     /// Remaining polls the stream toward this subscriber stays parked
     /// after a tail-drop at this node's own uplink queue. A parked
     /// stream holds data without burning credits and falls through to
@@ -207,16 +204,9 @@ pub(crate) struct PeerState {
     pub(crate) tracker: StreamTracker,
     /// Failure-detector verdict; `None` until first contact.
     pub(crate) record: Option<PeerRecord>,
-    /// Data events absorbed from this publisher since the last credit
-    /// grant.
-    pub(crate) ungranted: u32,
-    /// Loss repayments owed to this publisher: credits minted when a
-    /// stream gap proved its frames destroyed (they spent the
-    /// publisher's credits but consumed no receive capacity here).
-    pub(crate) repay: u32,
-    /// The last piggybacked grant counter accepted from this publisher;
-    /// the wrapping difference on arrival is the fresh grant.
-    pub(crate) grant_seen: u8,
+    /// Credits owed to this publisher for frames absorbed or proven lost,
+    /// and the cumulative counter both grant carriers send it.
+    pub(crate) grants: GrantCounter,
     /// Whether any data event arrived from this publisher since this
     /// node's previous poll. A publisher that went quiet while we still
     /// hold sub-threshold grant debt is credit-starved — the poll
@@ -239,20 +229,22 @@ pub(crate) struct PeerState {
     pub(crate) custom: Option<Box<Custom>>,
 }
 
-// The budget of one (node, peer) pair: seven and an eighth cache lines,
+// The budget of one (node, peer) pair: seven cache lines,
 // of which a received frame touches about five and a send to the peer
 // four. `racks1024-digest` holds 31 744 of these rows and visits each a
 // few times per simulated second, so a row that grows shows up there as
 // a slower run — and here, first, as a failed build.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<PeerState>() == 456);
+const _: () = assert!(std::mem::size_of::<PeerState>() == 448);
 
 impl PeerState {
     /// The peer was evicted as Dead: its stream is over, so per-stream
-    /// send state and flow control reset (a later recovery starts from a
-    /// clean slate, its window reopened full). Lifetime counters, the
-    /// stream position, the tracker, the detector verdict and the pair's
-    /// customizations survive. Returns the number of parked payloads shed.
+    /// send state resets (a later recovery starts from a clean slate, its
+    /// window reopened full). Lifetime counters, the stream position, what
+    /// this node owes the peer's stream (the tracker and the grant
+    /// counter: an evicted peer may be alive, its window counting on
+    /// them), the detector verdict and the pair's customizations survive.
+    /// Returns the number of parked payloads shed.
     pub(crate) fn reap(&mut self) -> u64 {
         let shed = self.outbox.len() as u64;
         for e in self.outbox.drain(..) {
@@ -260,14 +252,9 @@ impl PeerState {
         }
         self.last_sent.clear();
         self.stream_last_send = None;
-        self.credit = CreditWindow::new();
-        self.grant_cum = 0;
+        self.credit = CreditWindow::default();
         self.choke_park = 0;
         self.choke_run = 0;
-        self.ungranted = 0;
-        self.repay = 0;
-        self.grant_seen = 0;
-        self.data_since_poll = false;
         shed
     }
 
@@ -310,12 +297,14 @@ impl PeerState {
         v
     }
 
-    /// A credit grant from this peer is fresh evidence the path toward
-    /// it works: reopen a parked stream and reset its drop backoff.
-    pub(crate) fn grant(&mut self, credits: u32) {
-        self.credit.grant(credits);
-        self.choke_park = 0;
-        self.choke_run = 0;
+    /// Take a grant counter from this peer, by either carrier. A grant is
+    /// fresh evidence the path toward it works: reopen a parked stream
+    /// and reset its drop backoff.
+    pub(crate) fn accept(&mut self, cum: u32) {
+        if self.credit.accept(cum) {
+            self.choke_park = 0;
+            self.choke_run = 0;
+        }
     }
 }
 
@@ -457,7 +446,6 @@ mod tests {
             stream_seq: 7,
             stream_last_send: Some(at),
             sent: 9,
-            grant_cum: 3,
             choke_park: 2,
             choke_run: 2,
             record: Some(PeerRecord {
@@ -465,9 +453,6 @@ mod tests {
                 health: PeerHealth::Stale,
                 epoch: 1,
             }),
-            ungranted: 3,
-            repay: 2,
-            grant_seen: 5,
             data_since_poll: true,
             status_cells: Some(proc.record_cells(handle, |_, _| ())),
             ctl_ready: true,
@@ -480,7 +465,13 @@ mod tests {
             p.remote_values.set(id, (2.0, at));
             p.file_cells.set(id, proc.sample_cells(handle));
         }
+        // The peer's counter reached 5 here; ours toward it reached 3, and
+        // 3 more are owed.
+        assert!(p.credit.accept(5));
         assert!(p.credit.try_consume());
+        p.grants.owe(3);
+        assert_eq!(p.grants.fold(), Some(3));
+        p.grants.owe(3);
         for _ in 0..2 {
             p.outbox.push_back(OutboxEntry {
                 records: Vec::new(),
@@ -505,14 +496,14 @@ mod tests {
         assert_eq!((p.last_sent.len(), p.outbox.len()), (0, 0));
         assert_eq!(p.stream_last_send, None);
         assert_eq!(p.credit.available(), kecho::INITIAL_CREDITS);
-        assert_eq!(p.credit.unacked(), 0);
-        assert_eq!((p.grant_cum, p.grant_seen), (0, 0));
         assert_eq!((p.choke_park, p.choke_run), (0, 0));
-        assert_eq!((p.ungranted, p.repay), (0, 0));
-        assert!(!p.data_since_poll);
+        assert!(p.credit.accept(1), "the next counter is read afresh");
         // ...but lifetime counters, the stream position, what was heard
-        // from the peer, the verdict and the /proc handles survive.
+        // from the peer and what is owed to it, the verdict and the /proc
+        // handles survive.
         assert_eq!((p.sent, p.stream_seq), (9, 7));
+        assert_eq!((p.grants.value(), p.grants.owed()), (3, 3));
+        assert!(p.data_since_poll);
         assert_eq!(p.tracker.gaps(), 1);
         assert!(p.record.is_some());
         assert_eq!(p.remote_values.len(), 2);
@@ -535,9 +526,10 @@ mod tests {
         assert_eq!((p.sent, p.stream_seq, p.stream_last_send), (0, 0, None));
         assert_eq!(p.tracker.gaps(), 0);
         assert_eq!(p.credit.available(), kecho::INITIAL_CREDITS);
-        assert_eq!((p.grant_cum, p.grant_seen), (0, 0));
+        assert!(p.credit.accept(1), "the next counter is read afresh");
         assert_eq!((p.choke_park, p.choke_run), (0, 0));
-        assert_eq!((p.ungranted, p.repay, p.data_since_poll), (0, 0, false));
+        assert_eq!(p.grants, GrantCounter::default());
+        assert!(!p.data_since_poll);
         assert!(p.custom.is_none(), "customizations died with the kernel");
     }
 

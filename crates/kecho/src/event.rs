@@ -79,16 +79,15 @@ pub struct MonitoringPayload {
     /// each stream (heartbeats occupy slots too); a skip means loss.
     pub stream_seq: u32,
     /// Piggybacked flow-control counter for the *reverse* stream
-    /// (receiver publishes to this event's sender too): a cumulative
-    /// mod-256 total of the credits the sender, as subscriber, has
-    /// granted by piggyback — the receiver grants itself the wrapping
-    /// difference from the last counter value it saw. Carrying the
-    /// running total instead of an increment makes the channel
-    /// loss-tolerant (the next surviving frame re-delivers what a
-    /// tail-dropped carrier held), and steady-state flow control in a
-    /// bidirectional mesh costs zero standalone [`ControlMsg::Credit`]
-    /// frames. One byte on the wire, present only when non-zero; the
-    /// counter never rests on zero once a grant has been made.
+    /// (receiver publishes to this event's sender too): the sender's
+    /// cumulative mod-256 grant counter, the same one a standalone
+    /// [`ControlMsg::Credit`] carries (see the [`crate::credit`] module).
+    /// Carrying the running total instead of an increment makes either
+    /// carrier loss-tolerant (the next surviving one re-delivers what a
+    /// lost one held), and steady-state flow control in a bidirectional
+    /// mesh costs zero standalone frames. One byte on the wire, present
+    /// only when non-zero; the counter never rests on zero once a grant
+    /// has been made.
     pub credit_grant: u32,
     /// The records that survived parameters/filters.
     pub records: Vec<MonRecord>,
@@ -166,12 +165,14 @@ pub enum ControlMsg {
         /// Why the filter was not admitted.
         reason: String,
     },
-    /// Flow-control grant from a subscriber: the sending publisher may
-    /// emit this many more data events on the (publisher, subscriber)
-    /// stream (see the [`crate::credit`] module). Control frames
-    /// themselves never consume credits.
+    /// Flow-control grant from a subscriber: its cumulative mod-256 grant
+    /// counter toward the receiving publisher, the value the piggyback
+    /// byte carries too (see the [`crate::credit`] module). A counter
+    /// 1–127 ahead of the last one taken grants the difference; any other
+    /// value grants nothing. Control frames themselves never consume
+    /// credits.
     Credit {
-        /// Additional data events permitted.
+        /// The grant counter, 1–255.
         credits: u32,
     },
 }

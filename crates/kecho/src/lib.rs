@@ -20,7 +20,8 @@
 //! * [`stream`] — per-stream sequence/epoch continuity tracking: gap
 //!   detection and publisher-restart recognition,
 //! * [`credit`] — the credit window a publisher spends toward one
-//!   subscriber, and the constants both ends of flow control agree on.
+//!   subscriber, the grant counter the subscriber returns credits
+//!   through, and the constants both ends of flow control agree on.
 //!
 //! The crate is pure: submission *plans* hops (`(from, to)` pairs); the
 //! cluster glue in `dproc` turns hops into `simnet` sends and schedules

@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use dproc::dmon::DMon;
 use dproc::modules::{standard_modules, MonitorModule, PowerMon};
 use dproc::{Calib, PeerHealth};
+use kecho::credit::GrantCounter;
 use kecho::{
     ChannelId, ControlMsg, DigestPayload, DigestRecord, Directory, Event, MonRecord,
     MonitoringPayload,
@@ -318,9 +319,13 @@ fn per_metric_rows_match_a_vector_by_id_through_publication_eviction_and_restart
     // A poll, with both subscribers granting what they absorbed first: a
     // publisher nobody grants credits walks its degradation ladder down
     // and stops sending unchanged values, and this is not about that.
-    let poll = |dmon: &mut DMon, host: &mut Host, now: SimTime| {
-        for sub in [1, 2] {
-            dmon.on_control(NodeId(sub), &ControlMsg::Credit { credits: 1 }, &calib);
+    let mut grants = [GrantCounter::default(); 2];
+    let mut poll = |dmon: &mut DMon, host: &mut Host, now: SimTime| {
+        for (sub, grants) in [1, 2].into_iter().zip(&mut grants) {
+            grants.owe(1);
+            if let Some(credits) = grants.fold() {
+                dmon.on_control(NodeId(sub), &ControlMsg::Credit { credits }, &calib);
+            }
         }
         dmon.poll(host, &dir, mon, ctl, now, &calib);
     };

@@ -35,7 +35,7 @@ fn overload_policy_counters_are_pinned() {
             w.dmon_total(|s| s.events_shed),
             w.dmon_total(|s| s.ladder_transitions),
         ),
-        (75, 0, 4),
+        (67, 0, 8),
         "(link_drops, events_shed, ladder_transitions): backpressure or ladder policy drifted"
     );
 }

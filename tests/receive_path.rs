@@ -14,6 +14,7 @@ use std::cell::Cell;
 use dproc::dmon::DMon;
 use dproc::modules::standard_modules;
 use dproc::Calib;
+use kecho::credit::GrantCounter;
 use kecho::{
     ChannelId, ControlMsg, Directory, Event, HeartbeatPayload, MonRecord, MonitoringPayload,
     ParamSpec,
@@ -125,6 +126,8 @@ struct Star16 {
     ctl: ChannelId,
     calib: Calib,
     round: u32,
+    /// Each subscriber's grant counter toward node 0.
+    grants: [GrantCounter; 16],
 }
 
 impl Star16 {
@@ -146,6 +149,7 @@ impl Star16 {
             ctl,
             calib: Calib::default(),
             round: 0,
+            grants: [GrantCounter::default(); 16],
         }
     }
 
@@ -178,8 +182,13 @@ impl Star16 {
         for (hop, ev, _) in out.sends.drain(..) {
             if ev.as_monitoring().is_some() {
                 data += 1;
-                let grant = ControlMsg::Credit { credits: 1 };
-                self.dmon.on_control(hop.to, &grant, &self.calib);
+                // The subscriber absorbs the frame and grants it back.
+                let grants = &mut self.grants[hop.to.0];
+                grants.owe(1);
+                if let Some(credits) = grants.fold() {
+                    let grant = ControlMsg::Credit { credits };
+                    self.dmon.on_control(hop.to, &grant, &self.calib);
+                }
             }
             ev.recycle();
         }
