@@ -30,9 +30,8 @@
 //! Modes: no flags runs the full 24-seed soak; `--quick` runs the three
 //! fixed smoke seeds CI uses; `--seed N` replays one seed.
 
-use dproc::cluster::{ClusterConfig, ClusterSim};
-use dproc::PeerHealth;
-use kecho::OUTBOX_CAP;
+use dproc::cluster::ClusterConfig;
+use dproc_bench::scenario::{bounded, converged, fingerprint, Scenario};
 use simcore::{SimDur, SimTime};
 use simnet::{FaultPlan, LinkSpec, NodeId};
 
@@ -77,10 +76,10 @@ impl Rng {
     }
 }
 
-struct Scenario {
-    nodes: usize,
-    event_pad: u32,
-    plan: FaultPlan,
+/// A seed's scenario, whether it crashes a node, and its one-line
+/// description.
+struct Composed {
+    scenario: Scenario,
     has_crash: bool,
     describe: String,
 }
@@ -88,7 +87,7 @@ struct Scenario {
 /// Deterministically compose a scenario from a seed: always an overload
 /// burst, plus coin-flipped churn, partition, and loss windows, all
 /// healed by [`HEAL_BY_S`].
-fn compose(seed: u64) -> Scenario {
+fn compose(seed: u64) -> Composed {
     let mut rng = Rng(seed.wrapping_mul(0x5EED).wrapping_add(0xC0A5));
     let t = SimTime::from_secs;
     let nodes = rng.pick(3, 5) as usize;
@@ -142,51 +141,15 @@ fn compose(seed: u64) -> Scenario {
         describe += &format!(" loss={p:.2}@{start}..{end}");
     }
 
-    Scenario {
-        nodes,
-        event_pad,
-        plan,
+    let mut cfg = ClusterConfig::new(nodes)
+        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
+        .event_pad(event_pad);
+    cfg.link = LinkSpec::fast_ethernet().with_queue(queue_cap(nodes), 64 << 20);
+    Composed {
+        scenario: Scenario { cfg, plan },
         has_crash,
         describe,
     }
-}
-
-fn build(s: &Scenario, threads: usize) -> ClusterSim {
-    let mut cfg = ClusterConfig::new(s.nodes)
-        .poll_period(SimDur::from_secs(1))
-        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-        .event_pad(s.event_pad);
-    cfg.link = LinkSpec::fast_ethernet().with_queue(queue_cap(s.nodes), 64 * 1024 * 1024);
-    let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(threads);
-    sim.apply_fault_plan(&s.plan);
-    sim.start();
-    sim
-}
-
-/// Everything observable about a finished run, in comparable form — the
-/// serial/parallel determinism check hashes nothing, it compares it all.
-fn fingerprint(sim: &ClusterSim) -> String {
-    let w = sim.world();
-    let mut out = String::new();
-    for h in &w.hosts {
-        out += &h.proc.render_tree();
-    }
-    for d in &w.dmons {
-        out += &format!("{:?}\n", d.stats);
-    }
-    out += &format!(
-        "mon={} ctl={} lat={} deliv={} payload={} drops={} hwm={:?} fault={:?}",
-        w.mon_delivered,
-        w.ctl_delivered,
-        w.mon_latency_us.len(),
-        w.net.deliveries(),
-        w.net.payload_bytes(),
-        w.net.link_drops(),
-        w.net.queue_hwm(),
-        w.fault.stats,
-    );
-    out
 }
 
 /// Counters worth surfacing in the per-seed report line.
@@ -203,7 +166,8 @@ struct Outcome {
 fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
     let s = compose(seed);
     let mut bad = Vec::new();
-    let mut sim = build(&s, 1);
+    let mut sim = s.scenario.build(1);
+    let cap = queue_cap(sim.world().len());
 
     // Walk the run a second at a time so the bounded-ness invariants are
     // checked throughout the overload, not just after recovery.
@@ -211,23 +175,12 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
     for sec in 1..=END_S {
         sim.run_until(SimTime::from_secs(sec));
         let w = sim.world();
-        let (hwm, _) = w.net.queue_hwm();
-        let cap = queue_cap(s.nodes);
-        if hwm > cap {
-            bad.push(format!("t={sec}: link queue depth {hwm} over cap {cap}"));
+        if let Err(e) = bounded(w, cap) {
+            bad.push(format!("t={sec}: {e}"));
             break;
         }
-        for i in 0..s.nodes {
-            max_ladder = max_ladder.max(w.dmons[i].ladder_level());
-            for j in 0..s.nodes {
-                let parked = w.dmons[i].outbox_len(NodeId(j));
-                if parked > OUTBOX_CAP {
-                    bad.push(format!(
-                        "t={sec}: node{i} outbox to node{j} {parked} over cap"
-                    ));
-                }
-            }
-        }
+        let ladders = w.dmons.iter().map(dproc::DMon::ladder_level);
+        max_ladder = max_ladder.max(ladders.max().unwrap_or(0));
     }
 
     let w = sim.world();
@@ -256,33 +209,15 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
 
     // Re-convergence: every fault healed by HEAL_BY_S, so by END_S the
     // system must be back to full fidelity everywhere.
-    for i in 0..s.nodes {
-        if !w.is_alive(NodeId(i)) {
-            bad.push(format!("node{i} not alive at end"));
-        }
-        let lvl = w.dmons[i].ladder_level();
-        if lvl != 0 {
-            bad.push(format!("node{i} stuck at ladder {lvl}"));
-        }
-        for j in 0..s.nodes {
-            if w.dmons[i].outbox_len(NodeId(j)) != 0 {
-                bad.push(format!("node{i} outbox to node{j} not drained"));
-            }
-            if i != j && w.dmons[i].peer_health(NodeId(j)) != Some(PeerHealth::Fresh) {
-                bad.push(format!(
-                    "node{i} sees node{j} as {:?}, not Fresh",
-                    w.dmons[i].peer_health(NodeId(j))
-                ));
-            }
-        }
+    if let Err(e) = converged(w) {
+        bad.push(format!("not re-converged: {e}"));
     }
 
     // Determinism under overload: the sharded parallel driver must land
     // on bit-identical state.
-    let serial_fp = fingerprint(&sim);
-    let mut par = build(&s, 4);
+    let mut par = s.scenario.build(4);
     par.run_until(SimTime::from_secs(END_S));
-    if fingerprint(&par) != serial_fp {
+    if fingerprint(par.world()) != fingerprint(w) {
         bad.push("threads=4 diverged from serial".into());
     }
 
@@ -304,17 +239,16 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed_arg = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| args[i + 1].parse::<u64>().expect("--seed takes a number"));
-
-    let seeds: Vec<u64> = match (seed_arg, quick) {
-        (Some(s), _) => vec![s],
-        (None, true) => SMOKE_SEEDS.to_vec(),
-        (None, false) => (0..SOAK_SEEDS).collect(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let seeds: Option<Vec<u64>> = match args.as_slice() {
+        [] => Some((0..SOAK_SEEDS).collect()),
+        [quick] if quick == "--quick" => Some(SMOKE_SEEDS.to_vec()),
+        [flag, n] if flag == "--seed" => n.parse().ok().map(|n| vec![n]),
+        _ => None,
+    };
+    let Some(seeds) = seeds else {
+        eprintln!("usage: chaos_soak [--quick | --seed N]");
+        std::process::exit(2);
     };
 
     let mut failures = 0u32;

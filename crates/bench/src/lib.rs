@@ -5,5 +5,9 @@
 //! EXPERIMENTS.md input, and an `ablation_topology` binary for the
 //! peer-to-peer vs. central-collector design comparison. The two
 //! criterion ablations EXPERIMENTS.md quotes live under `benches/`.
+//! [`scenario`] and [`alloc`] are what the robustness and allocation tests
+//! and `chaos_soak` build, check and count with.
 
+pub mod alloc;
 pub mod harness;
+pub mod scenario;

@@ -12,47 +12,11 @@
 //! its rule buffer when its rules are replaced; and a filter source whose
 //! last user left stays admitted, so deploying it again is a lookup.
 
-// The counting allocator needs `unsafe` to wrap the system allocator.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::alloc::{self, Counting};
+use dproc_bench::scenario::{assert_no_sampler_doubled, samplers};
 use simcore::SimDur;
 use simnet::NodeId;
-
-/// Counts this thread's allocator calls: the serial engine runs the whole
-/// cluster on the calling thread, and the harness's own threads must not
-/// show up in the figure.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's `layout`, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -93,7 +57,7 @@ impl Star {
     /// once, draining its writes, and every control event is delivered);
     /// returns the allocator calls of it all.
     fn round(&mut self) -> u64 {
-        let before = ALLOCS.with(Cell::get);
+        let before = alloc::calls();
         for n in 0..NODES {
             let next = &self.names[(n + 1) % NODES];
             for text in ROUND {
@@ -102,18 +66,7 @@ impl Star {
             self.sim.write_control(NodeId(n), &self.names[n], OWN);
         }
         self.sim.run_for(SimDur::from_secs(1));
-        ALLOCS.with(Cell::get) - before
-    }
-
-    /// The lengths of every sampler a run appends to: the latency of each
-    /// delivered frame, and two cost samples per node per poll.
-    fn samplers(&self) -> Vec<usize> {
-        let w = self.sim.world();
-        let per_node = w.dmons.iter().map(|d| &d.stats);
-        let per_poll = per_node.flat_map(|s| [s.submit_cost_us.len(), s.receive_cost_us.len()]);
-        std::iter::once(w.mon_latency_us.len())
-            .chain(per_poll)
-            .collect()
+        alloc::calls() - before
     }
 }
 
@@ -130,19 +83,17 @@ fn a_round_of_every_control_verb_on_a_warm_star_makes_no_allocator_call() {
     // does (some 11 000 frames more, and 1 100-odd to 1 250-odd polls), so
     // every call counted there is the control path's.
     let mut rounds = 0;
-    while rounds < 1100 || star.samplers()[0] < 1 << 18 {
+    while rounds < 1100 || samplers(star.sim.world())[0] < 1 << 18 {
         star.round();
         rounds += 1;
     }
-    let start = star.samplers();
+    let start = samplers(star.sim.world());
     let mut calls = Vec::with_capacity(50);
     for _ in 0..50 {
         calls.push(star.round());
     }
-    let end = star.samplers();
-    for (a, b) in start.iter().zip(&end) {
-        assert_eq!(a.next_power_of_two(), b.next_power_of_two(), "{a} → {b}");
-    }
+    let end = samplers(star.sim.world());
+    assert_no_sampler_doubled(&start, &end);
     assert_eq!(calls, [0; 50], "allocator calls per round");
 
     let w = star.sim.world();

@@ -9,47 +9,11 @@
 //! (`kecho::take_digest_buf`) that goes back on delivery, and a subscriber
 //! keeps one row per rack, grown on first contact.
 
-// The counting allocator needs `unsafe` to wrap the system allocator.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::alloc::{self, Counting};
+use dproc_bench::scenario::{assert_no_sampler_doubled, samplers};
 use simcore::SimDur;
 use simnet::TopologySpec;
-
-/// Counts this thread's allocator calls: the serial engine runs the whole
-/// cluster on the calling thread, and the harness's own threads (and the
-/// other test, run beside this one) must not show up in the figure.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's `layout`, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -61,26 +25,9 @@ const ROUNDS: usize = 10;
 /// its rack and sends its digest to every other aggregator, and every
 /// frame and digest is delivered. Returns the allocator calls of it.
 fn round(sim: &mut ClusterSim) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    let before = alloc::calls();
     sim.run_for(SimDur::from_secs(1));
-    ALLOCS.with(Cell::get) - before
-}
-
-/// The lengths of every sampler a run appends to: the latency of each
-/// delivered frame, two cost samples per node per poll, and one freshness
-/// sample per digest received.
-fn samplers(sim: &ClusterSim) -> Vec<usize> {
-    let w = sim.world();
-    let per_node = w.dmons.iter().map(|d| &d.stats).flat_map(|s| {
-        [
-            s.submit_cost_us.len(),
-            s.receive_cost_us.len(),
-            s.digest_staleness_s.len(),
-        ]
-    });
-    std::iter::once(w.mon_latency_us.len())
-        .chain(per_node)
-        .collect()
+    alloc::calls() - before
 }
 
 /// Digests sent and received across the cluster.
@@ -108,12 +55,10 @@ fn calls_per_round_once_warm(cfg: ClusterConfig) -> Vec<u64> {
     for _ in 0..1000 {
         round(&mut sim);
     }
-    let (start, sent) = (samplers(&sim), digests(&sim));
+    let (start, sent) = (samplers(sim.world()), digests(&sim));
     let calls: Vec<u64> = (0..ROUNDS).map(|_| round(&mut sim)).collect();
-    let (end, more) = (samplers(&sim), digests(&sim));
-    for (a, b) in start.iter().zip(&end) {
-        assert_eq!(a.next_power_of_two(), b.next_power_of_two(), "{a} → {b}");
-    }
+    let (end, more) = (samplers(sim.world()), digests(&sim));
+    assert_no_sampler_doubled(&start, &end);
     // Each aggregator sends one digest a round to each other one.
     let per_round = racks * (racks - 1);
     assert_eq!(more.0 - sent.0, ROUNDS as u64 * per_round, "digests sent");

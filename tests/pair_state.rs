@@ -6,17 +6,12 @@
 //! Every case is drawn from a fixed seed and there is a fixed number of
 //! them, so a failure reproduces by running the test again.
 
-// Counting live heap bytes means wrapping the system allocator behind
-// `GlobalAlloc`, which is an unsafe trait.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use dproc::dmon::DMon;
 use dproc::modules::{standard_modules, MonitorModule, PowerMon};
 use dproc::{Calib, PeerHealth};
+use dproc_bench::alloc::{self, Counting};
 use kecho::credit::GrantCounter;
 use kecho::{
     ChannelId, ControlMsg, DigestPayload, DigestRecord, Directory, Event, MonRecord,
@@ -29,40 +24,8 @@ use simnet::{ConnId, ConnTrack, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::RecordRender;
 
-/// The system allocator, counting the bytes this thread holds (the test
-/// harness's other threads must not show up in the figure).
-struct LiveBytes;
-
-thread_local! {
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn live(delta: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        live(layout.size() as i64);
-        // SAFETY: the caller's `layout`, as `GlobalAlloc::alloc` requires.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        live(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
+static GLOBAL: Counting = Counting;
 
 // ---------- BytesWindow ≡ a deque of (time, bytes) ----------
 
@@ -431,7 +394,7 @@ fn hostile_metric_ids_cost_a_bounded_row_and_leave_standard_records_alone() {
         &calib,
     );
 
-    let before = LIVE.with(Cell::get);
+    let before = alloc::live();
     // `output[0].id = 1048576;` is valid, certifiable E-code: any
     // application that can write a control file makes a publisher emit
     // it. One such frame, then ten thousand with two new ids each. (All
@@ -459,7 +422,7 @@ fn hostile_metric_ids_cost_a_bounded_row_and_leave_standard_records_alone() {
         // however many ids and however large: at the parent commit the
         // first of these frames grew two vectors to a million entries
         // each (40 MB).
-        let grown = LIVE.with(Cell::get) - before;
+        let grown = alloc::live() - before;
         assert!(
             grown < 4096,
             "frame {k}: {grown} bytes held for a peer's choice of ids"
@@ -493,7 +456,7 @@ fn hostile_schema_blocks_cost_a_bounded_table_and_leave_learned_names_alone() {
     dmon.on_event(&mut host, &frame_from_1(mon, 0, &warm), 120, now, &calib);
     assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((1.0, now)));
 
-    let before = LIVE.with(Cell::get);
+    let before = alloc::live();
     // Ten thousand frames, each naming two ids nobody has heard of: at the
     // parent commit every one of the twenty thousand names was kept.
     for k in 1..=10_000u32 {
@@ -511,7 +474,7 @@ fn hostile_schema_blocks_cost_a_bounded_table_and_leave_learned_names_alone() {
             Some((value, now))
         );
         assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((value, now)));
-        let grown = LIVE.with(Cell::get) - before;
+        let grown = alloc::live() - before;
         assert!(
             grown < 8192,
             "frame {k}: {grown} bytes held for a peer's choice of names"
@@ -539,7 +502,7 @@ fn schema_names_longer_than_a_proc_leaf_are_refused_and_hold_no_heap() {
     dmon.on_event(&mut host, &frame_from_1(mon, 0, &warm), 120, now, &calib);
     let listing = host.proc.list("cluster/maui").unwrap();
 
-    let before = LIVE.with(Cell::get);
+    let before = alloc::live();
     // Sixteen ids, each named in 64 KB — a frame has room for that. At
     // the parent commit the table kept fifteen of them, metric and file
     // names both: close to two megabytes for one peer.
@@ -560,7 +523,7 @@ fn schema_names_longer_than_a_proc_leaf_are_refused_and_hold_no_heap() {
         );
         assert_eq!(dmon.remote_value(NodeId(1), "BATTERY"), Some((value, now)));
         assert_eq!(dmon.remote_value(NodeId(1), &long('M', 0)), None);
-        let grown = LIVE.with(Cell::get) - before;
+        let grown = alloc::live() - before;
         assert!(
             grown < 8192,
             "frame {k}: {grown} bytes held for a peer's choice of names"
@@ -604,7 +567,7 @@ fn hostile_digests_cost_bounded_tables_and_leave_the_racks_that_exist_alone() {
     let warm = digest(0, 0, vec![record(0, 0.0)]);
     dmon.on_digest(&mut host, &warm, 100, now, &calib);
 
-    let before = LIVE.with(Cell::get);
+    let before = alloc::live();
     // Ten thousand digests. The even ones are rack 0's, each with a metric
     // id of its own next to the real one; the odd ones each name a rack of
     // their own, which a three-node cluster cannot have. At the parent
@@ -620,7 +583,7 @@ fn hostile_digests_cost_bounded_tables_and_leave_the_racks_that_exist_alone() {
             assert!(text.contains(&format!("mean {value} ")), "{k}: {text}");
             assert_eq!(dmon.rack_digest(0).unwrap().records[0].mean, value);
         }
-        let grown = LIVE.with(Cell::get) - before;
+        let grown = alloc::live() - before;
         assert!(
             grown < 8192,
             "digest {k}: {grown} bytes held for a peer's choice of racks and ids"
@@ -663,7 +626,7 @@ fn a_digests_record_count_costs_a_bounded_kept_payload_per_rack() {
         newest_ts: f64::NEG_INFINITY,
     };
 
-    let before = LIVE.with(Cell::get);
+    let before = alloc::live();
     // Every rack number, three times over, in digests of 255 records (a
     // frame has room for them) that name ids 0..128 and then most of them
     // again. At the parent commit each rack kept the whole payload, 10 200
@@ -676,7 +639,7 @@ fn a_digests_record_count_costs_a_bounded_kept_payload_per_rack() {
             dmon.on_digest(&mut host, &digest(seq, rack, records), 100, now, &calib);
         }
     }
-    let grown = LIVE.with(Cell::get) - before;
+    let grown = alloc::live() - before;
     let per_rack = grown / i64::from(racks);
     assert!(
         per_rack < 4096,

@@ -7,45 +7,11 @@
 //! serial renumbering, see `simcore::pdes`) is only as good as this file.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::scenario::{fingerprint, Fingerprint, Scenario};
 use proptest::prelude::*;
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, LinkSpec, NodeId, TopologySpec};
+use simnet::{FaultPlan, NodeId, TopologySpec};
 use simos::host::HostConfig;
-
-/// Everything observable about a finished run, in comparable form.
-#[derive(PartialEq, Debug)]
-struct Fingerprint {
-    proc_trees: Vec<String>,
-    dmon_stats: Vec<String>,
-    mon_delivered: u64,
-    ctl_delivered: u64,
-    latency_len: usize,
-    latency_mean_bits: u64,
-    latency_p95_bits: u64,
-    net_deliveries: u64,
-    net_payload: u64,
-    net_drops: u64,
-    net_queue_hwm: (usize, u64),
-    fault_stats: String,
-}
-
-fn fingerprint(sim: &ClusterSim) -> Fingerprint {
-    let w = sim.world();
-    Fingerprint {
-        proc_trees: w.hosts.iter().map(|h| h.proc.render_tree()).collect(),
-        dmon_stats: w.dmons.iter().map(|d| format!("{:?}", d.stats)).collect(),
-        mon_delivered: w.mon_delivered,
-        ctl_delivered: w.ctl_delivered,
-        latency_len: w.mon_latency_us.len(),
-        latency_mean_bits: w.mon_latency_us.mean().to_bits(),
-        latency_p95_bits: w.mon_latency_us.percentile(95.0).to_bits(),
-        net_deliveries: w.net.deliveries(),
-        net_payload: w.net.payload_bytes(),
-        net_drops: w.net.link_drops(),
-        net_queue_hwm: w.net.queue_hwm(),
-        fault_stats: format!("{:?}", w.fault.stats),
-    }
-}
 
 /// Build + start a sim on `threads` shards, apply the scenario's setup,
 /// run it, and fingerprint the result.
@@ -60,7 +26,7 @@ fn run_one(
     sim.start();
     setup(&mut sim);
     sim.run_until(SimTime::from_secs(secs));
-    fingerprint(&sim)
+    fingerprint(sim.world())
 }
 
 /// Assert the scenario is bit-identical across the serial driver and every
@@ -172,24 +138,11 @@ fn overload_backpressure_is_bit_identical() {
     // of it must replay identically under sharded execution (the wire
     // drops happen inside `transmit` on the serial path but inside the
     // shard exchange on the parallel one).
-    let cfg = || {
-        let mut cfg = ClusterConfig::new(3)
-            .poll_period(SimDur::from_secs(1))
-            .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-            .event_pad(1_500_000);
-        cfg.link = LinkSpec::fast_ethernet().with_queue(3, 64 * 1024 * 1024);
-        cfg
-    };
-    let plan = FaultPlan::new(0x0BAD_10AD)
-        .degrade_at(SimTime::from_secs(5), NodeId(2), 0.9)
-        .heal_link_at(SimTime::from_secs(45), NodeId(2));
+    let overload = Scenario::overload3(3);
 
     // Vacuity guard on the serial run: the scenario must actually drop
     // frames and walk the ladder, or the differential proves nothing.
-    let mut probe = ClusterSim::new(cfg());
-    probe.set_threads(1);
-    probe.start();
-    probe.apply_fault_plan(&plan);
+    let mut probe = overload.build(1);
     probe.run_until(SimTime::from_secs(60));
     assert!(
         probe.world().net.link_drops() > 0,
@@ -203,10 +156,12 @@ fn overload_backpressure_is_bit_identical() {
             .any(|d| d.stats.ladder_transitions > 0),
         "overload scenario never moved the ladder — vacuous"
     );
-    let serial = fingerprint(&probe);
+    let serial = fingerprint(probe.world());
 
     for threads in [2, 3, 8] {
-        let par = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60, threads);
+        let mut par = overload.build(threads);
+        par.run_until(SimTime::from_secs(60));
+        let par = fingerprint(par.world());
         assert_eq!(serial, par, "overload: threads={threads} diverged");
     }
 }
@@ -269,7 +224,7 @@ fn compiled_filters_are_bit_identical() {
         w.mon_delivered > 0,
         "filters suppressed everything — vacuous"
     );
-    let serial = fingerprint(&probe);
+    let serial = fingerprint(probe.world());
 
     for threads in [2, 3, 8] {
         let par = run_one(cfg, setup, 12, threads);
@@ -286,22 +241,18 @@ fn hierarchical_racks_are_bit_identical() {
     // destroys digests on the wire, and the revival restores exactly the
     // placement's channel set. Every piece — cross-rack 4-hop wire math,
     // digest folds, rack-whole sharding — must replay bit-identically.
-    let cfg = || {
-        ClusterConfig::new(9)
-            .racks(3)
-            .failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4))
-    };
+    let cfg = ClusterConfig::new(9)
+        .racks(3)
+        .failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4));
     let plan = FaultPlan::new(7)
         .crash_at(SimTime::from_secs(3), NodeId(3))
         .partition_at(SimTime::from_secs(4), NodeId(0), NodeId(6))
         .heal_at(SimTime::from_secs(6), NodeId(0), NodeId(6))
         .revive_at(SimTime::from_secs(8), NodeId(3));
+    let racked = Scenario { cfg, plan };
 
     // Vacuity guards on the serial run: the aggregation tier must be live.
-    let mut probe = ClusterSim::new(cfg());
-    probe.set_threads(1);
-    probe.start();
-    probe.apply_fault_plan(&plan);
+    let mut probe = racked.build(1);
     probe.run_until(SimTime::from_secs(14));
     let w = probe.world();
     let sent: u64 = w.dmon_total(|s| s.digests_sent);
@@ -309,10 +260,12 @@ fn hierarchical_racks_are_bit_identical() {
     assert!(sent > 0, "no digests sent — vacuous");
     assert!(recv > 0, "no digests received — vacuous");
     assert!(recv < sent, "the partition destroyed no digests — vacuous");
-    let serial = fingerprint(&probe);
+    let serial = fingerprint(w);
 
     for threads in [2, 4, 8] {
-        let par = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14, threads);
+        let mut par = racked.build(threads);
+        par.run_until(SimTime::from_secs(14));
+        let par = fingerprint(par.world());
         assert_eq!(serial, par, "hierarchical: threads={threads} diverged");
     }
 }
@@ -387,7 +340,7 @@ fn resumed_runs_are_bit_identical() {
         for k in 1..=8 {
             sim.run_until(SimTime::from_millis(1500 * k));
         }
-        fingerprint(&sim)
+        fingerprint(sim.world())
     };
     let serial = run_one(|| ClusterConfig::new(4), |_| {}, 12, 1);
     assert_eq!(serial, chunked(1), "chunked serial diverged");
@@ -409,7 +362,10 @@ fn workloads_started_mid_run_are_bit_identical() {
         sim.mark_linpack(NodeId(2));
         sim.start_iperf(NodeId(1), NodeId(3), 40e6);
         sim.run_until(SimTime::from_secs(12));
-        (sim.linpack_mflops(NodeId(2)).to_bits(), fingerprint(&sim))
+        (
+            sim.linpack_mflops(NodeId(2)).to_bits(),
+            fingerprint(sim.world()),
+        )
     };
     let serial = run(1);
     assert!(f64::from_bits(serial.0) > 0.0, "linpack made no progress");
@@ -492,7 +448,7 @@ fn run_random(s: &RandomScenario, threads: usize) -> Fingerprint {
         sim.apply_fault_plan(&plan);
     }
     sim.run_until(SimTime::from_secs(s.secs));
-    fingerprint(&sim)
+    fingerprint(sim.world())
 }
 
 proptest! {

@@ -10,6 +10,7 @@
 //! gives the same four numbers under `taskset -c 0`, and CI runs both).
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::scenario::Scenario;
 use simcore::{SimDur, SimTime};
 use simnet::{FaultPlan, NodeId};
 
@@ -28,19 +29,9 @@ fn plan_of(sim: &ClusterSim) -> Plan {
     )
 }
 
-fn run(
-    cfg: impl Fn() -> ClusterConfig,
-    faults: Option<&FaultPlan>,
-    secs: u64,
-    step_s: u64,
-) -> [Plan; 3] {
+fn run(s: &Scenario, secs: u64, step_s: u64) -> [Plan; 3] {
     SHARDS.map(|shards| {
-        let mut sim = ClusterSim::new(cfg());
-        sim.set_threads(shards);
-        sim.start();
-        if let Some(plan) = faults {
-            sim.apply_fault_plan(plan);
-        }
+        let mut sim = s.build(shards);
         let mut t = 0;
         while t < secs {
             t = (t + step_s).min(secs);
@@ -50,13 +41,18 @@ fn run(
     })
 }
 
-fn star16() -> ClusterConfig {
-    ClusterConfig::new(16).stagger(SimDur::from_micros(1))
+/// Sixteen nodes, every poll in one window, no fault.
+fn star16() -> Scenario {
+    let cfg = ClusterConfig::new(16).stagger(SimDur::from_micros(1));
+    Scenario {
+        cfg,
+        plan: FaultPlan::new(0),
+    }
 }
 
 #[test]
 fn fault_free_star_plan_is_pinned() {
-    assert_eq!(run(star16, None, 8, 8), [(64, 0, 8, 1793); 3]);
+    assert_eq!(run(&star16(), 8, 8), [(64, 0, 8, 1793); 3]);
 }
 
 #[test]
@@ -65,7 +61,7 @@ fn stepped_star_plan_is_pinned() {
     // drive a cluster. A window never reaches past the call's `until`, so
     // the seven inner boundaries each split one window in two; the events
     // are the same.
-    assert_eq!(run(star16, None, 8, 1), [(71, 0, 15, 1793); 3]);
+    assert_eq!(run(&star16(), 8, 1), [(71, 0, 15, 1793); 3]);
 }
 
 const LIFECYCLE: [Plan; 3] = [(103, 9, 51, 275), (103, 9, 48, 275), (103, 9, 48, 275)];
@@ -76,11 +72,11 @@ fn crash_evict_revive_rejoin_plan_is_pinned() {
     // later and evict it, it comes back at 9 s and re-registers: fault
     // actions, the eviction horizon and the rejoin hazard each send their
     // windows serial.
-    let cfg = || ClusterConfig::new(5).failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4));
-    let faults = FaultPlan::new(42)
+    let cfg = ClusterConfig::new(5).failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4));
+    let plan = FaultPlan::new(42)
         .crash_at(SimTime::from_secs(2), NodeId(1))
         .revive_at(SimTime::from_secs(9), NodeId(1));
-    assert_eq!(run(cfg, Some(&faults), 14, 14), LIFECYCLE);
+    assert_eq!(run(&Scenario { cfg, plan }, 14, 14), LIFECYCLE);
 }
 
 const RACKS: [Plan; 3] = [(157, 3, 131, 196), (157, 3, 129, 196), (157, 3, 129, 196)];
@@ -89,13 +85,11 @@ const RACKS: [Plan; 3] = [(157, 3, 131, 196), (157, 3, 129, 196), (157, 3, 129, 
 fn rack_aggregator_crash_plan_is_pinned() {
     // Six nodes in three racks; rack 1's aggregator (node 2) crashes and
     // is evicted from its rack channel and the spine digest channel.
-    let cfg = || {
-        ClusterConfig::new(6)
-            .racks(2)
-            .failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4))
-    };
-    let faults = FaultPlan::new(7)
+    let cfg = ClusterConfig::new(6)
+        .racks(2)
+        .failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4));
+    let plan = FaultPlan::new(7)
         .crash_at(SimTime::from_secs(3), NodeId(2))
         .revive_at(SimTime::from_secs(10), NodeId(2));
-    assert_eq!(run(cfg, Some(&faults), 14, 14), RACKS);
+    assert_eq!(run(&Scenario { cfg, plan }, 14, 14), RACKS);
 }

@@ -7,26 +7,15 @@
 //! constant in the same commit and says why.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::scenario::Scenario;
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, LinkSpec, NodeId};
+use simnet::NodeId;
 
-/// A 3-node mesh with 1.5 MB events and link queues two messages deep
-/// (as tight as the fan-out), one node's links degraded to 10 % capacity
-/// from 5 s to 45 s: the backpressure and ladder policy.
+/// `Scenario::overload3` with link queues two messages deep (as tight as
+/// the fan-out): the backpressure and ladder policy.
 #[test]
 fn overload_policy_counters_are_pinned() {
-    let mut cfg = ClusterConfig::new(3)
-        .poll_period(SimDur::from_secs(1))
-        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-        .event_pad(1_500_000);
-    cfg.link = LinkSpec::fast_ethernet().with_queue(2, 64 * 1024 * 1024);
-    let mut sim = ClusterSim::new(cfg);
-    sim.start();
-    sim.apply_fault_plan(
-        &FaultPlan::new(0x0BAD_10AD)
-            .degrade_at(SimTime::from_secs(5), NodeId(2), 0.9)
-            .heal_link_at(SimTime::from_secs(45), NodeId(2)),
-    );
+    let mut sim = Scenario::overload3(2).build(1);
     sim.run_until(SimTime::from_secs(60));
     let w = sim.world();
     assert_eq!(

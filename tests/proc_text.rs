@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use dproc::modules::PowerMon;
+use dproc_bench::scenario::Scenario;
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, LinkSpec, NodeId};
+use simnet::NodeId;
 use simos::power::Battery;
 
 const GOLDEN: &str = include_str!("proc_text.golden");
@@ -58,21 +59,14 @@ fn racks12(out: &mut String, threads: usize) {
     dump(out, "racks12 t=30", &sim);
 }
 
-/// (c) The 3-node overload set-up of `tests/pinned_counters.rs` with node 1
-/// crashed at 20 s: its `status` reads `stale` at 25 s and `dead` at 40 s,
-/// and the degraded links hold `overload` above level 0.
+/// (c) `Scenario::overload3` with two-message queues, as
+/// `tests/pinned_counters.rs` runs it, and node 1 crashed at 20 s: its
+/// `status` reads `stale` at 25 s and `dead` at 40 s, and the degraded
+/// links hold `overload` above level 0.
 fn overload3(out: &mut String, threads: usize) {
-    let mut cfg = ClusterConfig::new(3)
-        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-        .event_pad(1_500_000);
-    cfg.link = LinkSpec::fast_ethernet().with_queue(2, 64 * 1024 * 1024);
-    let mut sim = started(cfg, threads);
-    sim.apply_fault_plan(
-        &FaultPlan::new(0x0BAD_10AD)
-            .degrade_at(SimTime::from_secs(5), NodeId(2), 0.9)
-            .crash_at(SimTime::from_secs(20), NodeId(1))
-            .heal_link_at(SimTime::from_secs(45), NodeId(2)),
-    );
+    let mut s = Scenario::overload3(2);
+    s.plan = s.plan.crash_at(SimTime::from_secs(20), NodeId(1));
+    let mut sim = s.build(threads);
     for t in [25, 40] {
         sim.run_until(SimTime::from_secs(t));
         dump(out, &format!("overload3 t={t}"), &sim);

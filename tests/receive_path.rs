@@ -5,15 +5,10 @@
 //! streams are suppressed or gated calls the allocator no more than one
 //! whose streams all send.
 
-// The counting allocator needs `unsafe` to wrap the system allocator.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use dproc::dmon::DMon;
 use dproc::modules::standard_modules;
 use dproc::Calib;
+use dproc_bench::alloc::{self, Counting};
 use kecho::credit::GrantCounter;
 use kecho::{
     ChannelId, ControlMsg, Directory, Event, HeartbeatPayload, MonRecord, MonitoringPayload,
@@ -22,36 +17,6 @@ use kecho::{
 use simcore::{SimDur, SimTime};
 use simnet::NodeId;
 use simos::host::{Host, HostConfig};
-
-/// Counts this thread's allocator calls (the test harness's own threads
-/// must not show up in the figure).
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static FREES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = FREES.try_with(|n| n.set(n.get() + 1));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -93,12 +58,12 @@ fn on_event_on_warmed_handles_allocates_nothing_and_stores_no_text() {
     let frames: Vec<Event> = (1..=1000u32)
         .map(|k| frame(k, f64::from(k) + 0.123_456_789_012, f64::from(k) * 1e6))
         .collect();
-    let before = ALLOCS.with(Cell::get);
+    let before = alloc::calls();
     for (k, ev) in frames.iter().enumerate() {
         let now = SimTime::from_secs(1 + k as u64);
         dmon.on_event(&mut host, ev, 90, now, &calib);
     }
-    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "allocator calls");
+    assert_eq!(alloc::calls() - before, 0, "allocator calls");
     assert_eq!(dmon.stats.events_received, 1001);
 
     // A reader gets the text, rendered into a copy of its own ...
@@ -107,9 +72,9 @@ fn on_event_on_warmed_handles_allocates_nothing_and_stores_no_text() {
     // ... and the slot still holds numbers: the next, longer sample costs
     // no allocation either.
     let ev = frame(1001, 1e15 + 0.125, 1e12);
-    let before = ALLOCS.with(Cell::get);
+    let before = alloc::calls();
     dmon.on_event(&mut host, &ev, 90, SimTime::from_secs(2000), &calib);
-    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "allocator calls");
+    assert_eq!(alloc::calls() - before, 0, "allocator calls");
     assert_eq!(
         host.proc.read("cluster/maui/mem").unwrap(),
         "mem 1000000000000000.1 ts 1000000000000.000"
@@ -163,7 +128,7 @@ impl Star16 {
     fn round(&mut self) -> ((u64, u64), usize) {
         self.round += 1;
         let now = SimTime::from_secs(u64::from(self.round));
-        let calls = || (ALLOCS.with(Cell::get), FREES.with(Cell::get));
+        let calls = || (alloc::calls(), alloc::frees());
         let before = calls();
         for sub in 1..16 {
             let proof = HeartbeatPayload {

@@ -15,10 +15,10 @@
 //! of their 200 cycles unrecovered, most with one publisher holding 0
 //! credits toward one subscriber.
 
-use dproc::cluster::{ClusterConfig, ClusterSim};
-use dproc::PeerHealth;
+use dproc::cluster::ClusterSim;
+use dproc_bench::scenario::{converged, Scenario};
 use simcore::{SimDur, SimRng, SimTime};
-use simnet::{FaultAction, FaultPlan, LinkSpec, NodeId};
+use simnet::{FaultAction, FaultPlan, NodeId};
 
 const N: usize = 8;
 
@@ -57,52 +57,20 @@ fn plan(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Every node alive on rung 0, every peer Fresh, every outbox empty; or
-/// what is not.
-fn unconverged(sim: &ClusterSim) -> Option<String> {
-    let w = sim.world();
-    for i in 0..N {
-        let d = &w.dmons[i];
-        if !w.is_alive(NodeId(i)) {
-            return Some(format!("n{i} down"));
-        }
-        for j in (0..N).filter(|&j| j != i).map(NodeId) {
-            let (health, outbox) = (d.peer_health(j), d.outbox_len(j));
-            if health != Some(PeerHealth::Fresh) || outbox > 0 {
-                let credits = d.credits_for(j);
-                return Some(format!(
-                    "n{i} → n{}: {health:?}, {outbox} parked, {credits} credits",
-                    j.0
-                ));
-            }
-        }
-        if d.ladder_level() != 0 {
-            return Some(format!("n{i} on rung {}", d.ladder_level()));
-        }
-    }
-    None
-}
-
 /// Run `seed`'s plan as the benchmark drives it: in one-second steps,
 /// each fault applied at the start of the step it falls in, the cluster
 /// looked at after each step. Returns the cycles that had not re-converged
 /// when the next one's first fault struck (or the run ended), with what
 /// was still wrong.
 fn unrecovered(seed: u64) -> Vec<String> {
-    let mut cfg = ClusterConfig::new(N)
-        .event_pad(200_000)
-        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-        .stagger(SimDur::from_millis(1));
-    cfg.link = LinkSpec::fast_ethernet().with_queue(7, 64 << 20);
-    let mut sim = ClusterSim::new(cfg);
-    sim.start();
     let plan = plan(seed);
-    sim.world_mut().fault.reseed(plan.seed());
+    // Only the plan's seed goes in: the loop below applies its faults.
+    let mut sim = Scenario::faulted_star8(FaultPlan::new(plan.seed())).build(1);
     let mut actions = plan.actions().into_iter().peekable();
     let (mut healed, mut failed) = (None, Vec::new());
     let mut now = SimTime::ZERO;
     let report = |healed: SimTime, sim: &ClusterSim| {
-        let left = unconverged(sim).unwrap_or_default();
+        let left = converged(sim.world()).err().unwrap_or_default();
         format!("healed at {} s: {left}", healed.as_secs_f64())
     };
     for _ in 0..CYCLES * CYCLE_S {
@@ -117,7 +85,7 @@ fn unrecovered(seed: u64) -> Vec<String> {
         }
         now += SimDur::from_secs(1);
         sim.run_until(now);
-        if healed.is_some() && unconverged(&sim).is_none() {
+        if healed.is_some() && converged(sim.world()).is_ok() {
             healed = None;
         }
     }

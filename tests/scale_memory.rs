@@ -7,47 +7,12 @@
 //! here: the largest peer table, and the live heap the cluster holds per
 //! node.
 
-// Counting live heap bytes means wrapping the system allocator behind
-// `GlobalAlloc`, which is an unsafe trait.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, PoisonError};
-
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::alloc::{self, Counting};
 use simcore::SimTime;
 
-/// The system allocator, counting the bytes currently live.
-struct LiveBytes;
-
-/// Unsigned with wrapping arithmetic: sizes allocated minus sizes freed
-/// is never negative.
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as u64, Relaxed);
-        // SAFETY: the caller's `layout`, as `GlobalAlloc::alloc` requires.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as u64, Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
+static GLOBAL: Counting = Counting;
 
 /// Ceiling on live heap per node, per rack member: 100 KB per node at 32
 /// per rack. Rack-sized peer tables measure 2.6 to 2.7 KB per member at
@@ -59,17 +24,15 @@ const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 3.15;
 /// `n` nodes in racks of `rack` after `secs` sim-s of polling, digests
 /// included: the largest per-node peer table, and the live heap the
 /// cluster holds per node in KB. Asserts on the way that the digest tier
-/// ran, the spine dropped nothing and the heap is under the ceiling.
-///
-/// `LIVE_BYTES` is process-wide, so runs are serialised.
+/// ran, the spine dropped nothing and the heap is under the ceiling. The
+/// serial engine runs the cluster on this thread, so its heap is this
+/// thread's live bytes.
 fn scale_run(n: usize, rack: usize, secs: u64) -> (usize, f64) {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
-    let live_before = LIVE_BYTES.load(Relaxed);
+    let live_before = alloc::live();
     let mut sim = ClusterSim::new(ClusterConfig::new(n).racks(rack));
     sim.start();
     sim.run_until(SimTime::from_secs(secs));
-    let heap_kb = (LIVE_BYTES.load(Relaxed) - live_before) as f64 / 1024.0 / n as f64;
+    let heap_kb = (alloc::live() - live_before) as f64 / 1024.0 / n as f64;
     let w = sim.world();
     assert!(w.mon_delivered > 0, "{n} nodes: nothing was monitored");
     let digests: u64 = w.dmon_total(|s| s.digests_received);

@@ -8,40 +8,14 @@
 //! and lend it to the thread that runs them; a pool holds a whole round
 //! (`kecho::event`'s `RECORD_POOL_CAP`). The same holds under faults, where
 //! frames are destroyed on every path, one of them (a drop inside the
-//! switch) in the coordinator's replay. Counted with an allocator of this
-//! binary's own, over every thread — one test here, so nothing else runs
-//! beside it.
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! switch) in the coordinator's replay. Counted over every thread — one
+//! test here, so nothing else runs beside it.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
+use dproc_bench::alloc::{all_calls, Counting};
+use dproc_bench::scenario::{destroyed, Scenario, FAULT_CYCLE, FAULT_CYCLE_S};
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, LinkSpec, NodeId};
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter influences nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        // SAFETY: the caller's `layout`, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use simnet::FaultPlan;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -58,13 +32,13 @@ fn star() -> ClusterSim {
 /// one-second `run_until` calls: ten crews of workers, each claiming
 /// shards in whatever order it gets to them.
 fn ten_slices() -> u64 {
-    let before = CALLS.load(Relaxed);
+    let before = all_calls();
     let mut sim = star();
     for s in 1..=10 {
         sim.run_until(SimTime::from_secs(s));
     }
     assert!(sim.parallel_stats().is_some(), "the sharded engine ran it");
-    CALLS.load(Relaxed) - before
+    all_calls() - before
 }
 
 #[test]
@@ -85,9 +59,9 @@ fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per
     // contact, vectors growing to size), in one `run_until`.
     let mut sim = star();
     sim.run_until(SimTime::from_secs(3));
-    let (warm_calls, warm_frames) = (CALLS.load(Relaxed), sim.world().mon_delivered);
+    let (warm_calls, warm_frames) = (all_calls(), sim.world().mon_delivered);
     sim.run_until(SimTime::from_secs(33));
-    let calls = CALLS.load(Relaxed) - warm_calls;
+    let calls = all_calls() - warm_calls;
     let more = sim.world().mon_delivered - warm_frames;
     assert_eq!(more, 30 * 64 * 63, "a frame per pair per second");
     let per_frame = calls as f64 / more as f64;
@@ -110,54 +84,28 @@ fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per
     );
 }
 
-/// An 8-node star of 200 KB events with short link queues, on two shards,
-/// under three 40-second fault cycles: a degraded link (tail-drops at the
-/// uplink and inside the switch), a crash past the dead bound and the
-/// revival after it, a partition past it too, injected loss. Built and run
-/// for two minutes in twelve `run_until` calls; its allocator calls.
+/// `Scenario::faulted_star8` on two shards under three of its fault
+/// cycles: a degraded link (tail-drops at the uplink and inside the
+/// switch), a crash past the dead bound and the revival after it, a
+/// partition past it too, injected loss. Built and run for two minutes in
+/// twelve `run_until` calls; its allocator calls.
 fn faulted_run() -> u64 {
-    let before = CALLS.load(Relaxed);
-    let mut cfg = ClusterConfig::new(8)
-        .event_pad(200_000)
-        .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
-        .stagger(SimDur::from_millis(1));
-    cfg.link = LinkSpec::fast_ethernet().with_queue(7, 64 << 20);
-    let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(2);
-    sim.start();
+    let before = all_calls();
     let mut plan = FaultPlan::new(34);
     for c in 0..3 {
-        let at = |s: u64| SimTime::from_secs(40 * c + s);
-        plan = plan
-            .degrade_at(at(1), NodeId(2), 0.9)
-            .crash_at(at(3), NodeId(5))
-            .revive_at(at(13), NodeId(5))
-            .partition_at(at(15), NodeId(1), NodeId(6))
-            .heal_at(at(25), NodeId(1), NodeId(6))
-            .loss_at(at(26), 0.2)
-            .loss_at(at(30), 0.0)
-            .heal_link_at(at(31), NodeId(2));
+        for (s, action) in FAULT_CYCLE {
+            plan = plan.at(SimTime::from_secs(c * FAULT_CYCLE_S + s), action);
+        }
     }
-    sim.apply_fault_plan(&plan);
+    let mut sim = Scenario::faulted_star8(plan).build(2);
     for s in 1..=12 {
         sim.run_until(SimTime::from_secs(10 * s));
     }
-    let w = sim.world();
-    let ids = || (0..8).map(NodeId);
-    let uplinks: u64 = ids().map(|i| w.net.uplink(i).drops()).sum();
-    let switch: u64 = ids().map(|i| w.net.downlink(i).drops()).sum();
-    let f = &w.fault.stats;
-    let lost = [
-        uplinks,
-        switch,
-        f.crash_drops,
-        f.partition_drops,
-        f.loss_drops,
-    ];
+    let lost = destroyed(sim.world());
     assert!(
         lost.iter().all(|&n| n > 0),
         "a destroy path not reached: {lost:?}"
     );
     assert!(sim.parallel_stats().is_some(), "the sharded engine ran it");
-    CALLS.load(Relaxed) - before
+    all_calls() - before
 }
