@@ -508,14 +508,6 @@ impl ClusterWorld {
         self.hosts[node.0].cpu.charge(sim.now(), task, cost);
     }
 
-    /// Send an event over the network and schedule its delivery, by
-    /// whatever route the placement gives `hop`.
-    pub fn transmit(&mut self, sim: &mut ClusterSched, hop: Hop, ev: Event, bytes: usize) {
-        let (now, mut n, view, mut sink) = self.enter(sim, hop.from.0);
-        n.transmit(now, hop, ev, bytes, &view, &mut sink);
-        self.settle(sim);
-    }
-
     /// Move the per-node columns out of the world — to deal them to
     /// shards, or to reach other nodes while the rest of the world is
     /// borrowed.
@@ -865,6 +857,7 @@ impl ClusterSim {
     /// Run the event loop until `t`. Every host's CPU scheduler is then
     /// settled through `t`: inside the loop a burn ends when its host is
     /// next looked at, and nobody outside the loop should have to know.
+    /// Panics if `t` is before [`ClusterSim::now`], on either engine.
     pub fn run_until(&mut self, t: SimTime) {
         let _lent = self.pool.lend();
         match self.driver.as_mut() {
@@ -902,21 +895,6 @@ impl ClusterSim {
             "ClusterSim::parts requires the serial driver (threads=1)"
         );
         (&mut self.world, &mut self.sim)
-    }
-
-    /// Schedule an arbitrary action at time `t`. Serial driver only —
-    /// ad-hoc closures cannot be logged and replayed by the parallel
-    /// engine.
-    pub fn at(
-        &mut self,
-        t: SimTime,
-        f: impl FnOnce(&mut ClusterWorld, &mut ClusterSched) + 'static,
-    ) {
-        assert!(
-            self.driver.is_none(),
-            "ClusterSim::at requires the serial driver (threads=1)"
-        );
-        self.sim.schedule_at(t, f);
     }
 
     /// Write into a `/proc/cluster/<target>/control` file on `node` — the
@@ -1107,6 +1085,22 @@ mod tests {
             sim.run_until(end);
             let cpu = &sim.world().hosts[1].cpu;
             assert_eq!((cpu.runnable(), cpu.burn_end(task)), (0, None));
+        }
+    }
+
+    #[test]
+    fn running_backwards_panics_on_both_engines() {
+        for threads in [1, 2] {
+            let mut sim = ClusterSim::new(ClusterConfig::new(2));
+            sim.set_threads(threads);
+            sim.start();
+            sim.run_until(SimTime::from_secs(2));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_until(SimTime::from_secs(1));
+            }))
+            .expect_err("a run into the past returned");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "cannot run backwards", "{threads} thread(s)");
         }
     }
 

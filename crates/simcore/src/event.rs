@@ -1,17 +1,17 @@
 //! The discrete-event scheduler.
 //!
-//! [`Sim<W>`] owns a hierarchical timer wheel of events; each event is a
-//! boxed closure receiving exclusive access to the world `W` and to the
-//! scheduler itself (so handlers can schedule follow-up events). Ordering is
-//! total: `(time, sequence)` with the sequence number assigned at scheduling
-//! time, which makes runs bit-for-bit reproducible.
+//! [`Sim<W, M>`] owns a hierarchical timer wheel of events; each event is
+//! either a boxed closure receiving exclusive access to the world `W` and to
+//! the scheduler itself (so handlers can schedule follow-up events), or a
+//! typed message `M` the world handles (see below). Ordering is total:
+//! `(time, sequence)` with the sequence number assigned at scheduling time,
+//! which makes runs bit-for-bit reproducible.
 //!
 //! # Why a wheel and not a heap
 //!
 //! The dominant workload is periodic — poll ticks, service-queue drains and
 //! transmits re-arm at fixed offsets — so schedule/fire is the hot path. A
-//! binary heap pays `O(log n)` comparisons per operation plus a tombstone
-//! set for cancellations (cancelled events stay queued until reached). The
+//! binary heap pays `O(log n)` comparisons per operation. The
 //! wheel pays amortised `O(1)`: eight levels of 64 slots cover 2^48 ns
 //! (~78 hours) ahead of the cursor at 1 ns resolution; an event lands in the
 //! level addressed by the highest bit in which its time differs from the
@@ -21,8 +21,7 @@
 //! level-by-level cascade.
 //! Events beyond the horizon overflow into a `BTreeMap` ordered by
 //! `(time, seq)` and are pulled back into the wheel once the cursor gets
-//! close. Cancellation removes the entry from its slot in place — no
-//! tombstones, so [`Sim::pending`] is exact.
+//! close.
 //!
 //! Firing order is identical to the old heap: within a slot the least
 //! `(time, seq)` fires first, and any entry at a lower level strictly
@@ -35,51 +34,34 @@
 //! among its senders' other frames). Slot entries therefore hold
 //! only `(time, seq, index)` — 24 bytes — and the payloads (152 bytes for a
 //! cluster event) stay put in a per-wheel slab with a free list: `insert`
-//! puts one, a pop or a cancel takes it, and the slab is as long as the
+//! puts one, a pop takes it, and the slab is as long as the
 //! most events the slots ever held at once. The overflow map keeps its
 //! payloads inline; they enter the slab when the cursor pulls them in.
 //!
-//! # The typed message lane
+//! # Two payload kinds, one wheel
 //!
 //! Boxed closures are flexible but cost one heap allocation per scheduled
 //! event — ruinous on the hot path, where two event kinds (poll tick,
-//! delivery) account for nearly every firing. The
-//! second type parameter `Sim<W, M>` opens an allocation-free lane: plain
-//! `M` values live in their own wheel, share the single sequence counter
-//! with the closure wheel (so the two lanes interleave in exactly the
-//! `(time, seq)` order they were scheduled in), and dispatch through
-//! [`HandleMsg::handle`] instead of a boxed call. `M` defaults to `()`,
-//! for which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users are
-//! untouched.
+//! delivery) account for nearly every firing. The second type parameter
+//! `Sim<W, M>` adds plain `M` values as a second payload kind: they sit in
+//! the same wheel as the closures, under the same sequence counter, and
+//! dispatch through [`HandleMsg::handle`] instead of a boxed call. A
+//! message costs no allocation, and the two kinds fire in exactly the
+//! `(time, seq)` order they were scheduled in. `M` defaults to `()`, for
+//! which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users never see
+//! it.
 
 use std::collections::BTreeMap;
 
 use crate::time::{SimDur, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation. Carries the
-/// event's absolute time so cancellation can locate the wheel slot directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    at: u64,
-    seq: u64,
-}
-
-/// Return value of a periodic handler: keep firing or stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Repeat {
-    /// Re-arm the timer for another period.
-    Continue,
-    /// Stop; the timer is dropped.
-    Stop,
-}
-
 type EventFn<W, M> = Box<dyn FnOnce(&mut W, &mut Sim<W, M>)>;
-type PeriodicFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>) -> Repeat>;
+type PeriodicFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>)>;
 
-/// Dispatch for the typed message lane: the world receives each popped
-/// `M` with exclusive access to the scheduler, mirroring the closure
-/// calling convention. The blanket impl for `M = ()` makes the lane
-/// invisible to worlds that never use it.
+/// Dispatch for typed messages: the world receives each popped `M` with
+/// exclusive access to the scheduler, mirroring the closure calling
+/// convention. The blanket impl for `M = ()` makes messages invisible to
+/// worlds that never send any.
 pub trait HandleMsg<M>: Sized {
     /// Handle one message fired at the current simulation time.
     fn handle(&mut self, sim: &mut Sim<Self, M>, msg: M);
@@ -149,8 +131,8 @@ pub(crate) struct Wheel<T> {
     cur: u64,
     /// `LEVELS * SLOTS` buckets, flat-indexed `level * SLOTS + slot`.
     slots: Vec<Vec<Entry>>,
-    /// Payloads of the entries in `slots`, put on insert and taken on pop
-    /// or cancel. `free` lists the vacant indices, so the slab is as long
+    /// Payloads of the entries in `slots`, put on insert and taken on
+    /// pop. `free` lists the vacant indices, so the slab is as long
     /// as the most entries the slots ever held at once.
     slab: Vec<Option<T>>,
     free: Vec<u32>,
@@ -305,34 +287,6 @@ impl<T> Wheel<T> {
         false
     }
 
-    /// Remove the entry `(at, seq)` in place. Returns `false` if it already
-    /// fired or was never scheduled.
-    pub(crate) fn cancel(&mut self, at: u64, seq: u64) -> bool {
-        if at < self.cur {
-            return false; // already fired
-        }
-        let l = level_of(self.cur, at);
-        if l >= LEVELS {
-            if self.overflow.remove(&(at, seq)).is_some() {
-                self.len -= 1;
-                return true;
-            }
-            return false;
-        }
-        let idx = ((at >> (LEVEL_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-        let slot = &mut self.slots[l * SLOTS + idx];
-        if let Some(p) = slot.iter().position(|e| e.seq == seq) {
-            let e = slot.swap_remove(p);
-            if slot.is_empty() {
-                self.occ[l] &= !(1u64 << idx);
-            }
-            self.len -= 1;
-            drop(self.take(e.idx));
-            return true;
-        }
-        false
-    }
-
     /// Pop the earliest `(at, seq)` event if its time is `<= bound`;
     /// otherwise nothing moves. The earliest slot of the lowest occupied
     /// level holds the global minimum (see [`Wheel::next_key`]), whatever
@@ -402,19 +356,18 @@ impl<T> Wheel<T> {
     }
 }
 
-/// What the merged pop pulled out: a boxed closure or a typed message.
+/// One pending event: a boxed closure or a typed message.
 enum Fired<W, M> {
     Closure(EventFn<W, M>),
     Msg(M),
 }
 
 /// A discrete-event simulation over world state `W`, with an optional
-/// allocation-free typed message lane `M` (see the module docs).
+/// allocation-free typed message kind `M` (see the module docs).
 pub struct Sim<W, M = ()> {
     now: SimTime,
     seq: u64,
-    wheel: Wheel<EventFn<W, M>>,
-    msgs: Wheel<M>,
+    wheel: Wheel<Fired<W, M>>,
     executed: u64,
 }
 
@@ -431,7 +384,6 @@ impl<W, M> Sim<W, M> {
             now: SimTime::ZERO,
             seq: 0,
             wheel: Wheel::new(),
-            msgs: Wheel::new(),
             executed: 0,
         }
     }
@@ -441,32 +393,9 @@ impl<W, M> Sim<W, M> {
         self.now
     }
 
-    /// Number of events waiting in the queue (both lanes). Exact:
-    /// cancelled events are removed from their slot in place, not
-    /// tombstoned.
+    /// Number of events waiting in the queue, closures and messages.
     pub fn pending(&self) -> usize {
-        self.wheel.len + self.msgs.len
-    }
-
-    /// Pop whichever lane holds the earlier `(time, seq)` entry, if it is
-    /// at or before `bound`. The shared sequence counter makes keys
-    /// unique across lanes, so "earlier" is never ambiguous. The common
-    /// case — one lane empty — skips the double peek entirely.
-    fn pop_next(&mut self, bound: u64) -> Option<(u64, Fired<W, M>)> {
-        let use_msg = if self.msgs.len == 0 {
-            false
-        } else if self.wheel.len == 0 {
-            true
-        } else {
-            self.msgs.next_key() < self.wheel.next_key()
-        };
-        if use_msg {
-            let (at, _seq, m) = self.msgs.pop_min_if(bound)?;
-            Some((at, Fired::Msg(m)))
-        } else {
-            let (at, _seq, f) = self.wheel.pop_min_if(bound)?;
-            Some((at, Fired::Closure(f)))
-        }
+        self.wheel.len
     }
 
     /// Total number of events executed so far.
@@ -474,104 +403,68 @@ impl<W, M> Sim<W, M> {
         self.executed
     }
 
-    /// Schedule `f` to run at absolute time `at`. Scheduling in the past
-    /// (before `now`) panics — that would break causality.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static,
-    ) -> EventId {
+    /// Queue `ev` at absolute time `at` under the next sequence number.
+    fn schedule(&mut self, at: SimTime, ev: Fired<W, M>) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
+        self.wheel.insert(at.as_nanos(), self.seq, ev);
         self.seq += 1;
-        self.wheel.insert(at.as_nanos(), seq, Box::new(f));
-        EventId {
-            at: at.as_nanos(),
-            seq,
-        }
+    }
+
+    /// Schedule `f` to run at absolute time `at`. Scheduling in the past
+    /// (before `now`) panics — that would break causality.
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static) {
+        self.schedule(at, Fired::Closure(Box::new(f)));
     }
 
     /// Schedule `f` to run `after` from now.
-    pub fn schedule_in(
-        &mut self,
-        after: SimDur,
-        f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static,
-    ) -> EventId {
-        let at = self.now + after;
-        self.schedule_at(at, f)
+    pub fn schedule_in(&mut self, after: SimDur, f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static) {
+        self.schedule_at(self.now + after, f);
     }
 
     /// Schedule a typed message for delivery at absolute time `at` — the
-    /// allocation-free twin of [`Sim::schedule_at`]. The message draws
-    /// its sequence number from the same counter as closures, so the two
-    /// lanes fire in exactly their combined scheduling order.
-    pub fn schedule_msg_at(&mut self, at: SimTime, msg: M) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.msgs.insert(at.as_nanos(), seq, msg);
-        EventId {
-            at: at.as_nanos(),
-            seq,
-        }
+    /// allocation-free twin of [`Sim::schedule_at`]. Messages and closures
+    /// share one queue and one sequence counter, so they fire in exactly
+    /// their combined scheduling order.
+    pub fn schedule_msg_at(&mut self, at: SimTime, msg: M) {
+        self.schedule(at, Fired::Msg(msg));
     }
 
     /// Schedule a typed message for delivery `after` from now.
-    pub fn schedule_msg_in(&mut self, after: SimDur, msg: M) -> EventId {
-        let at = self.now + after;
-        self.schedule_msg_at(at, msg)
+    pub fn schedule_msg_in(&mut self, after: SimDur, msg: M) {
+        self.schedule_msg_at(self.now + after, msg);
     }
 
-    /// Cancel a previously scheduled event (either lane). Returns `true`
-    /// if the event had not yet fired; the entry is removed from its
-    /// wheel slot immediately. Sequence numbers are unique across lanes,
-    /// so at most one wheel holds the entry.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.seq >= self.seq {
-            return false;
-        }
-        self.wheel.cancel(id.at, id.seq) || self.msgs.cancel(id.at, id.seq)
-    }
-
-    /// Schedule a periodic handler. The first firing happens at `start`;
-    /// subsequent firings every `period` until the handler returns
-    /// [`Repeat::Stop`]. Returns the id of the *first* firing; cancelling it
-    /// stops the whole series (re-armed firings inherit cancellation by
-    /// checking a shared flag is unnecessary because each re-arm happens only
-    /// after a successful firing).
+    /// Schedule a periodic handler: it fires at `start` and every
+    /// `period` after that, for as long as the simulation runs.
     pub fn schedule_periodic(
         &mut self,
         start: SimTime,
         period: SimDur,
-        f: impl FnMut(&mut W, &mut Sim<W, M>) -> Repeat + 'static,
-    ) -> EventId
-    where
+        f: impl FnMut(&mut W, &mut Sim<W, M>) + 'static,
+    ) where
         W: 'static,
         M: 'static,
     {
         assert!(!period.is_zero(), "periodic event with zero period");
-        self.schedule_at(start, tick(period, Box::new(f)))
+        self.schedule_at(start, tick(period, Box::new(f)));
     }
 
     /// Run events until the queue is exhausted or the clock passes `until`.
     /// The clock is left at the time of the last executed event (or `until`
     /// if no event at/before `until` existed — the clock then advances to
-    /// `until`). Returns the number of events executed.
+    /// `until`). Returns the number of events executed. Panics if `until`
+    /// is before `now`: the clock does not run backwards.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) -> u64
     where
         W: HandleMsg<M>,
     {
+        assert!(until >= self.now, "cannot run backwards");
         let mut n = 0;
-        let bound = until.as_nanos();
-        while let Some((at, fired)) = self.pop_next(bound) {
+        while let Some((at, _seq, fired)) = self.wheel.pop_min_if(until.as_nanos()) {
             debug_assert!(at >= self.now.as_nanos(), "event time regressed");
             self.now = SimTime::from_nanos(at);
             self.executed += 1;
@@ -581,9 +474,7 @@ impl<W, M> Sim<W, M> {
                 Fired::Msg(m) => world.handle(self, m),
             }
         }
-        if self.now < until {
-            self.now = until;
-        }
+        self.now = until;
         n
     }
 
@@ -595,28 +486,6 @@ impl<W, M> Sim<W, M> {
         let until = self.now + dur;
         self.run_until(world, until)
     }
-
-    /// Run until the queue is empty or `max_events` have executed.
-    /// Returns the number of events executed.
-    pub fn run_to_completion(&mut self, world: &mut W, max_events: u64) -> u64
-    where
-        W: HandleMsg<M>,
-    {
-        let mut n = 0;
-        while n < max_events {
-            let Some((at, fired)) = self.pop_next(u64::MAX) else {
-                break;
-            };
-            self.now = SimTime::from_nanos(at);
-            self.executed += 1;
-            n += 1;
-            match fired {
-                Fired::Closure(f) => f(world, self),
-                Fired::Msg(m) => world.handle(self, m),
-            }
-        }
-        n
-    }
 }
 
 /// Build the self-re-arming closure for a periodic event.
@@ -625,9 +494,8 @@ fn tick<W: 'static, M: 'static>(
     mut f: PeriodicFn<W, M>,
 ) -> impl FnOnce(&mut W, &mut Sim<W, M>) {
     move |w, sim| {
-        if f(w, sim) == Repeat::Continue {
-            sim.schedule_in(period, tick(period, f));
-        }
+        f(w, sim);
+        sim.schedule_in(period, tick(period, f));
     }
 }
 
@@ -685,49 +553,20 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_execution() {
-        let mut sim: Sim<W> = Sim::new();
-        let mut w = W::default();
-        let id = sim.schedule_at(SimTime::from_millis(1), |w: &mut W, _: &mut Sim<W>| {
-            w.log.push((0, "nope"));
-        });
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id), "double-cancel reports false");
-        sim.run_until(&mut w, SimTime::from_secs(1));
-        assert!(w.log.is_empty());
-    }
-
-    #[test]
-    fn cancel_reaps_in_place() {
-        let mut sim: Sim<W> = Sim::new();
-        let id = sim.schedule_at(SimTime::from_millis(1), |_: &mut W, _: &mut Sim<W>| {});
-        assert_eq!(sim.pending(), 1);
-        assert!(sim.cancel(id));
-        assert_eq!(sim.pending(), 0, "cancelled entry leaves no tombstone");
-    }
-
-    #[test]
-    fn periodic_fires_until_stop() {
+    fn periodic_fires_every_period_from_start() {
         struct C {
-            count: u32,
+            fired: Vec<u64>,
         }
         let mut sim: Sim<C> = Sim::new();
-        let mut w = C { count: 0 };
+        let mut w = C { fired: Vec::new() };
         sim.schedule_periodic(
             SimTime::from_secs(1),
             SimDur::from_secs(1),
-            |w: &mut C, _s: &mut Sim<C>| {
-                w.count += 1;
-                if w.count == 5 {
-                    Repeat::Stop
-                } else {
-                    Repeat::Continue
-                }
-            },
+            |w: &mut C, s: &mut Sim<C>| w.fired.push(s.now().as_millis()),
         );
-        sim.run_until(&mut w, SimTime::from_secs(100));
-        assert_eq!(w.count, 5);
-        assert_eq!(sim.pending(), 0);
+        sim.run_until(&mut w, SimTime::from_millis(5_500));
+        assert_eq!(w.fired, vec![1_000, 2_000, 3_000, 4_000, 5_000]);
+        assert_eq!(sim.pending(), 1, "the next firing is armed");
     }
 
     #[test]
@@ -753,27 +592,6 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(1), |_: &mut W, _: &mut Sim<W>| {});
         sim.run_until(&mut w, SimTime::from_secs(2));
         sim.schedule_at(SimTime::from_millis(500), |_: &mut W, _: &mut Sim<W>| {});
-    }
-
-    #[test]
-    fn run_to_completion_respects_budget() {
-        struct C {
-            count: u64,
-        }
-        let mut sim: Sim<C> = Sim::new();
-        let mut w = C { count: 0 };
-        // A self-perpetuating event chain.
-        sim.schedule_periodic(
-            SimTime::ZERO,
-            SimDur::from_nanos(1),
-            |w: &mut C, _s: &mut Sim<C>| {
-                w.count += 1;
-                Repeat::Continue
-            },
-        );
-        let n = sim.run_to_completion(&mut w, 1000);
-        assert_eq!(n, 1000);
-        assert_eq!(w.count, 1000);
     }
 
     #[test]
@@ -833,7 +651,7 @@ mod tests {
         fn handle(&mut self, sim: &mut Sim<Self, Msg>, msg: Msg) {
             let Msg::Ping(k) = msg;
             self.log.push((sim.now().as_millis(), format!("msg{k}")));
-            // Handlers may schedule follow-ups in either lane.
+            // Handlers may schedule follow-ups of either kind.
             if k == 7 {
                 sim.schedule_msg_in(SimDur::from_millis(1), Msg::Ping(8));
             }
@@ -856,7 +674,7 @@ mod tests {
         assert_eq!(sim.pending(), 4);
         let n = sim.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(n, 4);
-        // Same-time entries fire in scheduling order across both lanes.
+        // Same-time entries fire in scheduling order across both kinds.
         let want: Vec<(u64, String)> = vec![
             (5, "msg1".into()),
             (10, "fn0".into()),
@@ -867,18 +685,15 @@ mod tests {
     }
 
     #[test]
-    fn typed_messages_cancel_and_chain() {
+    fn typed_messages_chain() {
         let mut sim: Sim<MW, Msg> = Sim::new();
         let mut w = MW { log: Vec::new() };
-        let id = sim.schedule_msg_at(SimTime::from_millis(1), Msg::Ping(99));
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id), "double-cancel reports false");
-        assert_eq!(sim.pending(), 0, "cancelled message leaves no tombstone");
         // A handler-scheduled follow-up message fires too.
         sim.schedule_msg_at(SimTime::from_millis(2), Msg::Ping(7));
         sim.run_until(&mut w, SimTime::from_secs(1));
         let want: Vec<(u64, String)> = vec![(2, "msg7".into()), (3, "msg8".into())];
         assert_eq!(w.log, want);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -998,7 +813,7 @@ mod tests {
     fn slot_mates_of_a_direct_pop_are_found_where_they_landed() {
         // Three entries share one level-3 slot. Popping the first moves
         // the cursor into the slot and the other two down a level or
-        // more: `rekey` and `cancel` must address them from there.
+        // more: `rekey` must address them from there.
         let base = 5u64 << 18;
         let mut w: Wheel<&'static str> = Wheel::new();
         w.insert(base + 9_000, 0, "first");
@@ -1008,9 +823,9 @@ mod tests {
         assert_eq!(w.cur, base + 9_000);
         assert!(w.rekey(base + 9_000, 7, 3));
         assert!(!w.rekey(base + 9_000, 7, 4), "old key is gone");
-        assert!(w.cancel(base + 70_000, 1));
         assert_eq!(w.next_key(), Some((base + 9_000, 3)));
         assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("same time"));
+        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("later"));
         assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), None);
         assert_eq!(w.len(), 0);
     }
@@ -1030,21 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_drops_the_payload_at_once() {
-        use std::rc::Rc;
-        let token = Rc::new(());
-        let mut w: Wheel<Rc<()>> = Wheel::new();
-        w.insert(1_000_000, 0, Rc::clone(&token));
-        w.insert((1u64 << 48) + 5, 1, Rc::clone(&token)); // overflow map
-        assert_eq!(Rc::strong_count(&token), 3);
-        assert!(w.cancel(1_000_000, 0));
-        assert_eq!(Rc::strong_count(&token), 2, "slab payload outlived cancel");
-        assert!(w.cancel((1u64 << 48) + 5, 1));
-        assert_eq!(Rc::strong_count(&token), 1);
-        assert_eq!(w.len(), 0);
-    }
-
-    #[test]
     fn dropping_a_sim_drops_what_is_pending() {
         use std::rc::Rc;
         let token = Rc::new(());
@@ -1059,9 +859,10 @@ mod tests {
 
     #[test]
     fn slab_is_as_long_as_peak_pending() {
-        // 10^5 seeded schedule / pop / cancel steps over every wheel level
-        // and the overflow map: vacated payload slots are reused before
-        // the slab grows, and every payload comes back under its own key.
+        // 10^5 seeded schedule / pop steps over every wheel level and the
+        // overflow map: vacated payload slots are reused before the slab
+        // grows, and every payload comes back under its own key, least
+        // key first.
         let mut w: Wheel<(u64, u64)> = Wheel::new();
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
@@ -1071,26 +872,16 @@ mod tests {
             rng
         };
         let (mut seq, mut peak) = (0u64, 0usize);
-        let mut live: Vec<(u64, u64)> = Vec::new();
+        let mut live = std::collections::BTreeSet::new();
         for _ in 0..100_000 {
-            match next() % 8 {
-                0..=3 => {
-                    let at = w.cur + (1u64 << (next() % 50)) + next() % 1000;
-                    w.insert(at, seq, (at, seq));
-                    live.push((at, seq));
-                    seq += 1;
-                }
-                4..=5 => {
-                    if let Some((at, s, payload)) = w.pop_min_if(u64::MAX) {
-                        assert_eq!(payload, (at, s));
-                        live.retain(|&k| k != (at, s));
-                    }
-                }
-                _ if !live.is_empty() => {
-                    let (at, s) = live.swap_remove(next() as usize % live.len());
-                    assert!(w.cancel(at, s));
-                }
-                _ => {}
+            if next() % 2 == 0 {
+                let at = w.cur + (1u64 << (next() % 50)) + next() % 1000;
+                w.insert(at, seq, (at, seq));
+                live.insert((at, seq));
+                seq += 1;
+            } else if let Some((at, s, payload)) = w.pop_min_if(u64::MAX) {
+                assert_eq!(payload, (at, s));
+                assert_eq!(live.pop_first(), Some((at, s)));
             }
             assert_eq!(w.len(), live.len());
             peak = peak.max(w.len());
@@ -1113,11 +904,6 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(7), |w: &mut W, _: &mut Sim<W>| {
             w.log.push((1, "near"));
         });
-        let far_cancel = sim.schedule_at(
-            SimTime::from_nanos(horizon + 9),
-            |w: &mut W, _: &mut Sim<W>| w.log.push((3, "cancelled")),
-        );
-        assert!(sim.cancel(far_cancel));
         let n = sim.run_until(&mut w, SimTime::from_nanos(2 * horizon));
         assert_eq!(n, 2);
         assert_eq!(w.log, vec![(1, "near"), (2, "far")]);

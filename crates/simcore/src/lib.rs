@@ -5,7 +5,7 @@
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution instants and durations,
 //! * [`Sim`] — a generic discrete-event scheduler parameterised over a world
 //!   type `W` (the mutable simulation state), with one-shot and periodic
-//!   events and cancellation,
+//!   closures and allocation-free typed messages in one queue,
 //! * [`rng`] — seedable, reproducible random number generation
 //!   (SplitMix64 seeding a Xoshiro256** core) plus small distribution
 //!   helpers,
@@ -50,14 +50,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventId, HandleMsg, Repeat, Sim};
+pub use event::{HandleMsg, Sim};
 pub use rng::SimRng;
 pub use time::{SimDur, SimTime};
-
-/// Commonly used items, for glob import in downstream crates.
-pub mod prelude {
-    pub use crate::event::{EventId, HandleMsg, Repeat, Sim};
-    pub use crate::rng::SimRng;
-    pub use crate::stats::{Sampler, TimeWeighted};
-    pub use crate::time::{SimDur, SimTime};
-}

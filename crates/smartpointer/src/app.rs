@@ -21,7 +21,7 @@ use std::rc::Rc;
 use dproc::cluster::{ClusterSched, ClusterSim, ClusterWorld};
 use dproc::PeerHealth;
 use simcore::stats::Sampler;
-use simcore::{Repeat, SimDur, SimTime};
+use simcore::{SimDur, SimTime};
 use simnet::conn::Proto;
 use simnet::{ConnId, NodeId};
 use simos::cpu::TaskState;
@@ -152,10 +152,7 @@ impl SmartPointer {
         scheduler.schedule_periodic(
             now + period,
             period,
-            move |w: &mut ClusterWorld, s: &mut ClusterSched| {
-                emit_frames(&emit_state, w, s);
-                Repeat::Continue
-            },
+            move |w: &mut ClusterWorld, s: &mut ClusterSched| emit_frames(&emit_state, w, s),
         );
         SmartPointer { state }
     }

@@ -46,21 +46,18 @@ fn main() {
         .alloc("simulation", 400 * 1024 * 1024);
     // Disk churn on node 7: a burst of writes every 500 ms (scheduled
     // through the event loop so DISK MON's sliding window sees it live).
-    sim.at(SimTime::from_secs(70), |_w, s| {
-        s.schedule_periodic(
-            SimTime::from_secs(70),
-            simcore::SimDur::from_millis(500),
-            |w: &mut dproc::ClusterWorld, s: &mut dproc::ClusterSched| {
-                let now = s.now();
-                for _ in 0..4 {
-                    w.hosts[7]
-                        .disk
-                        .submit(now, simos::disk::IoDir::Write, 512 * 128);
-                }
-                simcore::Repeat::Continue
-            },
-        );
-    });
+    sim.parts().1.schedule_periodic(
+        SimTime::from_secs(70),
+        SimDur::from_millis(500),
+        |w: &mut dproc::ClusterWorld, s: &mut dproc::ClusterSched| {
+            let now = s.now();
+            for _ in 0..4 {
+                w.hosts[7]
+                    .disk
+                    .submit(now, simos::disk::IoDir::Write, 512 * 128);
+            }
+        },
+    );
     sim.run_until(SimTime::from_secs(135));
     println!("== loaded cluster (node3 compute, node5 memory, node7 disk) ==");
     println!("{}", dashboard(&sim));
