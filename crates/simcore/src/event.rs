@@ -38,25 +38,33 @@
 //! most events the slots ever held at once. The overflow map keeps its
 //! payloads inline; they enter the slab when the cursor pulls them in.
 //!
-//! # Two payload kinds, one wheel
+//! # Three payload kinds, one wheel
 //!
 //! Boxed closures are flexible but cost one heap allocation per scheduled
 //! event — ruinous on the hot path, where two event kinds (poll tick,
 //! delivery) account for nearly every firing. The second type parameter
-//! `Sim<W, M>` adds plain `M` values as a second payload kind: they sit in
-//! the same wheel as the closures, under the same sequence counter, and
-//! dispatch through [`HandleMsg::handle`] instead of a boxed call. A
-//! message costs no allocation, and the two kinds fire in exactly the
-//! `(time, seq)` order they were scheduled in. `M` defaults to `()`, for
-//! which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users never see
-//! it.
+//! `Sim<W, M>` adds plain `M` values as a second payload kind, dispatched
+//! through [`HandleMsg::handle`] instead of a boxed call. `M` defaults to
+//! `()`, for which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users
+//! never see it. The third kind is a call of a registered handler: a
+//! handler is boxed once by [`Sim::register`], and each [`Sim::call_at`]
+//! queues only its [`CallId`] and a `u64` argument — how code outside
+//! the world type (an application, a periodic timer) schedules without
+//! allocating. All three sit in the same wheel under the same sequence
+//! counter, so they fire in exactly the `(time, seq)` order they were
+//! scheduled in. A cluster event's spare tag values carry the other two
+//! kinds, so a pending cluster event is no larger than the event itself.
 
 use std::collections::BTreeMap;
 
 use crate::time::{SimDur, SimTime};
 
 type EventFn<W, M> = Box<dyn FnOnce(&mut W, &mut Sim<W, M>)>;
-type PeriodicFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>)>;
+type CallFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>, u64)>;
+
+/// A handler registered with [`Sim::register`], for [`Sim::call_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallId(u32);
 
 /// Dispatch for typed messages: the world receives each popped `M` with
 /// exclusive access to the scheduler, mirroring the closure calling
@@ -356,18 +364,24 @@ impl<T> Wheel<T> {
     }
 }
 
-/// One pending event: a boxed closure or a typed message.
+/// One pending event: a boxed closure, a typed message, or a call of a
+/// registered handler with its argument.
 enum Fired<W, M> {
     Closure(EventFn<W, M>),
     Msg(M),
+    Call(CallId, u64),
 }
 
 /// A discrete-event simulation over world state `W`, with an optional
-/// allocation-free typed message kind `M` (see the module docs).
+/// allocation-free typed message kind `M` and registered handlers (see
+/// the module docs).
 pub struct Sim<W, M = ()> {
     now: SimTime,
     seq: u64,
     wheel: Wheel<Fired<W, M>>,
+    /// Registered handlers, indexed by [`CallId`]; a handler's slot is
+    /// empty only while it runs.
+    calls: Vec<Option<CallFn<W, M>>>,
     executed: u64,
 }
 
@@ -384,6 +398,7 @@ impl<W, M> Sim<W, M> {
             now: SimTime::ZERO,
             seq: 0,
             wheel: Wheel::new(),
+            calls: Vec::new(),
             executed: 0,
         }
     }
@@ -393,7 +408,7 @@ impl<W, M> Sim<W, M> {
         self.now
     }
 
-    /// Number of events waiting in the queue, closures and messages.
+    /// Number of events of every kind waiting in the queue.
     pub fn pending(&self) -> usize {
         self.wheel.len
     }
@@ -438,19 +453,41 @@ impl<W, M> Sim<W, M> {
         self.schedule_msg_at(self.now + after, msg);
     }
 
+    /// Box `f` once as a handler that [`Sim::call_at`] can schedule any
+    /// number of times, each call with its own argument.
+    pub fn register(&mut self, f: impl FnMut(&mut W, &mut Sim<W, M>, u64) + 'static) -> CallId {
+        let id = CallId(u32::try_from(self.calls.len()).expect("under 2^32 handlers"));
+        self.calls.push(Some(Box::new(f)));
+        id
+    }
+
+    /// Schedule a call of the registered handler `id` with `arg` at
+    /// absolute time `at` — like [`Sim::schedule_at`], without a box.
+    pub fn call_at(&mut self, at: SimTime, id: CallId, arg: u64) {
+        self.schedule(at, Fired::Call(id, arg));
+    }
+
+    /// Schedule a call of the registered handler `id` `after` from now.
+    pub fn call_in(&mut self, after: SimDur, id: CallId, arg: u64) {
+        self.call_at(self.now + after, id, arg);
+    }
+
     /// Schedule a periodic handler: it fires at `start` and every
     /// `period` after that, for as long as the simulation runs.
     pub fn schedule_periodic(
         &mut self,
         start: SimTime,
         period: SimDur,
-        f: impl FnMut(&mut W, &mut Sim<W, M>) + 'static,
-    ) where
-        W: 'static,
-        M: 'static,
-    {
+        mut f: impl FnMut(&mut W, &mut Sim<W, M>) + 'static,
+    ) {
         assert!(!period.is_zero(), "periodic event with zero period");
-        self.schedule_at(start, tick(period, Box::new(f)));
+        let next = CallId(u32::try_from(self.calls.len()).expect("under 2^32 handlers"));
+        let id = self.register(move |w, sim, _| {
+            f(w, sim);
+            sim.call_in(period, next, 0);
+        });
+        debug_assert_eq!(id, next);
+        self.call_at(start, id, 0);
     }
 
     /// Run events until the queue is exhausted or the clock passes `until`.
@@ -472,6 +509,12 @@ impl<W, M> Sim<W, M> {
             match fired {
                 Fired::Closure(f) => f(world, self),
                 Fired::Msg(m) => world.handle(self, m),
+                Fired::Call(id, arg) => {
+                    let slot = id.0 as usize;
+                    let mut f = self.calls[slot].take().expect("a handler called itself");
+                    f(world, self, arg);
+                    self.calls[slot] = Some(f);
+                }
             }
         }
         self.now = until;
@@ -485,17 +528,6 @@ impl<W, M> Sim<W, M> {
     {
         let until = self.now + dur;
         self.run_until(world, until)
-    }
-}
-
-/// Build the self-re-arming closure for a periodic event.
-fn tick<W: 'static, M: 'static>(
-    period: SimDur,
-    mut f: PeriodicFn<W, M>,
-) -> impl FnOnce(&mut W, &mut Sim<W, M>) {
-    move |w, sim| {
-        f(w, sim);
-        sim.schedule_in(period, tick(period, f));
     }
 }
 
@@ -567,6 +599,52 @@ mod tests {
         sim.run_until(&mut w, SimTime::from_millis(5_500));
         assert_eq!(w.fired, vec![1_000, 2_000, 3_000, 4_000, 5_000]);
         assert_eq!(sim.pending(), 1, "the next firing is armed");
+    }
+
+    #[test]
+    fn registered_calls_interleave_with_closures_by_seq() {
+        let mut sim: Sim<W> = Sim::new();
+        let mut w = W::default();
+        const NAMES: [&str; 3] = ["call0", "call1", "call2"];
+        let id = sim.register(|w: &mut W, s: &mut Sim<W>, arg| {
+            w.log.push((s.now().as_millis(), NAMES[arg as usize]));
+        });
+        let t = SimTime::from_millis(10);
+        sim.call_at(t, id, 0);
+        sim.schedule_at(t, |w: &mut W, s: &mut Sim<W>| {
+            w.log.push((s.now().as_millis(), "fn"));
+        });
+        sim.call_at(t, id, 1);
+        sim.call_at(SimTime::from_millis(5), id, 2);
+        assert_eq!(sim.pending(), 4);
+        sim.run_until(&mut w, SimTime::from_secs(1));
+        assert_eq!(
+            w.log,
+            vec![(5, "call2"), (10, "call0"), (10, "fn"), (10, "call1")]
+        );
+    }
+
+    #[test]
+    fn a_registered_handler_can_call_itself_again() {
+        struct C {
+            id: Option<CallId>,
+            fired: Vec<(u64, u64)>,
+        }
+        let mut sim: Sim<C> = Sim::new();
+        let mut w = C {
+            id: None,
+            fired: Vec::new(),
+        };
+        let id = sim.register(|w: &mut C, s: &mut Sim<C>, arg| {
+            w.fired.push((s.now().as_millis(), arg));
+            if arg < 3 {
+                s.call_in(SimDur::from_millis(2), w.id.unwrap(), arg + 1);
+            }
+        });
+        w.id = Some(id);
+        sim.call_at(SimTime::from_millis(1), id, 0);
+        sim.run_until(&mut w, SimTime::from_secs(1));
+        assert_eq!(w.fired, vec![(1, 0), (3, 1), (5, 2), (7, 3)]);
     }
 
     #[test]
@@ -852,7 +930,11 @@ mod tests {
         sim.schedule_msg_at(SimTime::from_millis(3), Rc::clone(&token));
         let held = Rc::clone(&token);
         sim.schedule_at(SimTime::from_millis(4), move |_, _| drop(held));
-        assert_eq!(Rc::strong_count(&token), 3);
+        let kept = Rc::clone(&token);
+        sim.register(move |_, _, _| {
+            let _ = &kept;
+        });
+        assert_eq!(Rc::strong_count(&token), 4);
         drop(sim);
         assert_eq!(Rc::strong_count(&token), 1);
     }

@@ -5,7 +5,8 @@
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution instants and durations,
 //! * [`Sim`] — a generic discrete-event scheduler parameterised over a world
 //!   type `W` (the mutable simulation state), with one-shot and periodic
-//!   closures and allocation-free typed messages in one queue,
+//!   closures, allocation-free typed messages and calls of registered
+//!   handlers in one queue,
 //! * [`rng`] — seedable, reproducible random number generation
 //!   (SplitMix64 seeding a Xoshiro256** core) plus small distribution
 //!   helpers,
@@ -36,8 +37,13 @@
 //! sim.schedule_in(SimDur::from_millis(5), |w: &mut World, _sim: &mut Sim<World>| {
 //!     w.ticks += 1;
 //! });
+//! // A handler boxed once; each call queues only its id and argument.
+//! let add = sim.register(|w: &mut World, _sim: &mut Sim<World>, n: u64| {
+//!     w.ticks += n as u32;
+//! });
+//! sim.call_in(SimDur::from_millis(7), add, 2);
 //! sim.run_until(&mut world, SimTime::from_secs(1));
-//! assert_eq!(world.ticks, 1);
+//! assert_eq!(world.ticks, 3);
 //! // the clock advances to the requested horizon once the queue drains
 //! assert_eq!(sim.now(), SimTime::from_secs(1));
 //! ```
@@ -50,6 +56,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use event::{HandleMsg, Sim};
+pub use event::{CallId, HandleMsg, Sim};
 pub use rng::SimRng;
 pub use time::{SimDur, SimTime};

@@ -13,6 +13,12 @@
 //! client (`remote_value`), which dproc keeps current over the monitoring
 //! channel — no application-level feedback path exists, exactly as in the
 //! paper.
+//!
+//! A frame's path schedules no closure: one handler, registered at
+//! install, fires both a frame's arrival and the end of its processing,
+//! and the frame itself waits in its client's FIFOs (every hop is a FIFO
+//! link, so frames reach a client in the order they were sent). Once the
+//! FIFOs and logs have grown, a frame allocates nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -21,7 +27,7 @@ use std::rc::Rc;
 use dproc::cluster::{ClusterSched, ClusterSim, ClusterWorld};
 use dproc::PeerHealth;
 use simcore::stats::Sampler;
-use simcore::{SimDur, SimTime};
+use simcore::{CallId, SimDur, SimTime};
 use simnet::conn::Proto;
 use simnet::{ConnId, NodeId};
 use simos::cpu::TaskState;
@@ -33,6 +39,11 @@ use crate::policy::{decide, ClientView, Policy};
 
 /// Channel tag used for the application stream's connections.
 const STREAM_TAG: u32 = 100;
+
+/// The low bit of a handler call's argument: which step of a frame's path
+/// fires. The bits above it are the client's index.
+const DELIVERED: u64 = 0;
+const PROCESSED: u64 = 1;
 
 /// Per-client observable results.
 #[derive(Debug, Clone, Default)]
@@ -49,8 +60,8 @@ pub struct ClientStats {
     pub log: Vec<(f64, f64)>,
     /// The mode of the most recently emitted frame.
     pub last_mode: Option<StreamMode>,
-    /// How many frames were emitted per mode label.
-    pub mode_log: Vec<(f64, String)>,
+    /// `(emitted_at_seconds, mode)` per emitted frame.
+    pub mode_log: Vec<(f64, StreamMode)>,
     /// Frames dropped because the receive queue was full (event-buffer
     /// overflow under overload).
     pub dropped: u64,
@@ -59,8 +70,11 @@ pub struct ClientStats {
     pub fallbacks: u64,
 }
 
-struct QueuedFrame {
+/// A frame on its way to a client, or waiting there for the CPU.
+struct Frame {
+    deliver_at: SimTime,
     emitted_at: SimTime,
+    bytes: usize,
     flops: f64,
 }
 
@@ -68,8 +82,12 @@ struct ClientRt {
     node: NodeId,
     policy: Policy,
     task: TaskId,
-    busy: bool,
-    queue: VecDeque<QueuedFrame>,
+    /// Frames sent and not yet arrived, in sending order.
+    in_flight: VecDeque<Frame>,
+    /// Frames arrived and waiting for the CPU.
+    queue: VecDeque<Frame>,
+    /// Emit time of the frame being processed, if one is.
+    in_service: Option<SimTime>,
     conn: ConnId,
     stats: ClientStats,
 }
@@ -81,6 +99,8 @@ struct SpState {
     write_to_disk: bool,
     queue_cap: usize,
     clients: Vec<ClientRt>,
+    /// The frame-path handler, set once it is registered.
+    call: Option<CallId>,
 }
 
 /// SmartPointer deployment parameters.
@@ -133,8 +153,9 @@ impl SmartPointer {
                 node,
                 policy,
                 task,
-                busy: false,
+                in_flight: VecDeque::new(),
                 queue: VecDeque::new(),
+                in_service: None,
                 conn,
                 stats: ClientStats::default(),
             });
@@ -146,7 +167,18 @@ impl SmartPointer {
             write_to_disk: cfg.write_to_disk,
             queue_cap: cfg.queue_cap.max(1),
             clients,
+            call: None,
         }));
+        let st = Rc::clone(&state);
+        let call = scheduler.register(move |w: &mut ClusterWorld, s: &mut ClusterSched, arg| {
+            let idx = (arg >> 1) as usize;
+            if arg & 1 == PROCESSED {
+                on_frame_processed(&st, w, s, idx);
+            } else {
+                on_frame_delivered(&st, w, s, idx);
+            }
+        });
+        state.borrow_mut().call = Some(call);
         let period = SimDur::from_secs_f64(1.0 / cfg.rate_hz);
         let emit_state = Rc::clone(&state);
         scheduler.schedule_periodic(
@@ -170,7 +202,7 @@ impl SmartPointer {
     /// Frames currently queued, unprocessed, at a client.
     pub fn backlog(&self, idx: usize) -> usize {
         let st = self.state.borrow();
-        st.clients[idx].queue.len() + st.clients[idx].busy as usize
+        st.clients[idx].queue.len() + usize::from(st.clients[idx].in_service.is_some())
     }
 
     /// Replace a client's stream policy at run time (takes effect at the
@@ -243,17 +275,28 @@ fn emit_frames(state: &Rc<RefCell<SpState>>, w: &mut ClusterWorld, s: &mut Clust
             let mut st = state.borrow_mut();
             let c = &mut st.clients[idx];
             c.stats.last_mode = Some(mode);
-            c.stats.mode_log.push((now.as_secs_f64(), mode.label()));
+            c.stats.mode_log.push((now.as_secs_f64(), mode));
             if fallback {
                 c.stats.fallbacks += 1;
             }
         }
 
+        // A frame a bounded queue tail-dropped never arrives.
         let delivery = w.net.send(now, server, node, bytes);
-        let st2 = Rc::clone(state);
-        s.schedule_at(delivery.deliver_at, move |w, s| {
-            on_frame_delivered(&st2, w, s, idx, now, bytes, flops);
-        });
+        if delivery.dropped.is_some() {
+            continue;
+        }
+        let call = {
+            let mut st = state.borrow_mut();
+            st.clients[idx].in_flight.push_back(Frame {
+                deliver_at: delivery.deliver_at,
+                emitted_at: now,
+                bytes,
+                flops,
+            });
+            st.call.expect("registered at install")
+        };
+        s.call_at(delivery.deliver_at, call, (idx as u64) << 1 | DELIVERED);
     }
 }
 
@@ -262,20 +305,17 @@ fn on_frame_delivered(
     w: &mut ClusterWorld,
     s: &mut ClusterSched,
     idx: usize,
-    emitted_at: SimTime,
-    bytes: usize,
-    flops: f64,
 ) {
     let now = s.now();
-    let (server, node, conn, write_to_disk) = {
-        let st = state.borrow();
-        (
-            st.server,
-            st.clients[idx].node,
-            st.clients[idx].conn,
-            st.write_to_disk,
-        )
+    let (server, node, conn, write_to_disk, frame) = {
+        let mut st = state.borrow_mut();
+        let (server, write_to_disk) = (st.server, st.write_to_disk);
+        let c = &mut st.clients[idx];
+        let frame = c.in_flight.pop_front().expect("a frame in flight");
+        debug_assert_eq!(frame.deliver_at, now, "frames overtook each other");
+        (server, c.node, c.conn, write_to_disk, frame)
     };
+    let bytes = frame.bytes as u64;
     // Injected faults hit the application stream like anything else. The
     // partition check is the pure one so the loss RNG's draw sequence for
     // monitoring traffic stays untouched.
@@ -291,24 +331,24 @@ fn on_frame_delivered(
     // Kernel-observable side effects: connection stats, disk, cache.
     let host = &mut w.hosts[node.0];
     // No position kept between frames: a client's table is a few rows.
-    let one_way = now.since(emitted_at);
+    let one_way = now.since(frame.emitted_at);
     host.conns
-        .record_delivery(u32::MAX, conn, now, bytes as u64, one_way, false);
+        .record_delivery(u32::MAX, conn, now, bytes, one_way, false);
     if write_to_disk {
-        host.disk.submit(now, IoDir::Write, bytes as u64);
+        host.disk.submit(now, IoDir::Write, bytes);
     }
-    host.pmc.on_data_moved(bytes as u64);
+    host.pmc.on_data_moved(bytes);
 
     {
         let mut st = state.borrow_mut();
         let cap = st.queue_cap;
         let c = &mut st.clients[idx];
         c.stats.received += 1;
-        c.stats.bytes += bytes as u64;
+        c.stats.bytes += bytes;
         if c.queue.len() >= cap {
             c.stats.dropped += 1;
         } else {
-            c.queue.push_back(QueuedFrame { emitted_at, flops });
+            c.queue.push_back(frame);
         }
     }
     maybe_start_processing(state, w, s, idx);
@@ -321,17 +361,18 @@ fn maybe_start_processing(
     idx: usize,
 ) {
     let now = s.now();
-    let (node, task, frame) = {
+    let (node, task, frame, call) = {
         let mut st = state.borrow_mut();
+        let call = st.call.expect("registered at install");
         let c = &mut st.clients[idx];
-        if c.busy {
+        if c.in_service.is_some() {
             return;
         }
         let Some(frame) = c.queue.pop_front() else {
             return;
         };
-        c.busy = true;
-        (c.node, c.task, frame)
+        c.in_service = Some(frame.emitted_at);
+        (c.node, c.task, frame, call)
     };
     let host = &mut w.hosts[node.0];
     host.cpu.advance(now);
@@ -341,10 +382,7 @@ fn maybe_start_processing(
     // frames are short relative to load shifts).
     let cpu_s = frame.flops / host.cpu.flops_per_sec();
     let wall = SimDur::from_secs_f64(cpu_s / host.cpu.share());
-    let st2 = Rc::clone(state);
-    s.schedule_in(wall, move |w, s| {
-        on_frame_processed(&st2, w, s, idx, frame.emitted_at);
-    });
+    s.call_in(wall, call, (idx as u64) << 1 | PROCESSED);
 }
 
 fn on_frame_processed(
@@ -352,13 +390,12 @@ fn on_frame_processed(
     w: &mut ClusterWorld,
     s: &mut ClusterSched,
     idx: usize,
-    emitted_at: SimTime,
 ) {
     let now = s.now();
     let (node, task, has_more) = {
         let mut st = state.borrow_mut();
         let c = &mut st.clients[idx];
-        c.busy = false;
+        let emitted_at = c.in_service.take().expect("a frame in service");
         let latency = now.since(emitted_at).as_secs_f64();
         c.stats.processed += 1;
         c.stats.latency_s.add(latency);
@@ -495,7 +532,44 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let st = app.client_stats(0);
         assert!(!st.mode_log.is_empty());
-        assert!(st.mode_log.iter().all(|(_, m)| m == "sub4"));
+        assert!(st
+            .mode_log
+            .iter()
+            .all(|&(_, m)| m == StreamMode::SubSample(4)));
+    }
+
+    #[test]
+    fn a_frame_the_network_dropped_never_arrives() {
+        // 3 MB frames at 20 Hz into links that queue two messages: the
+        // 100 Mb/s link carries about four frames a second and tail-drops
+        // the rest.
+        let mut cfg = ClusterConfig::new(2);
+        cfg.link = simnet::LinkSpec::fast_ethernet().with_queue(2, u64::MAX);
+        let mut sim = ClusterSim::new(cfg);
+        sim.start();
+        let app = SmartPointer::install(
+            &mut sim,
+            SmartPointerConfig {
+                server: NodeId(0),
+                clients: vec![(NodeId(1), Policy::NoFilter)],
+                spec: FrameSpec::bulk(),
+                rate_hz: 20.0,
+                write_to_disk: false,
+                queue_cap: 64,
+            },
+        );
+        sim.run_until(SimTime::from_secs(10));
+        let st = app.client_stats(0);
+        assert_eq!(st.mode_log.len(), 200, "frames emitted");
+        assert!(sim.world().net.link_drops() > 100, "the links shed frames");
+        assert!(st.received <= 50, "{} frames arrived", st.received);
+        // Every frame that arrived crossed the wire: 3.1 MB at 100 Mb/s.
+        let wire_s = FrameSpec::bulk().raw_bytes() as f64 * 8.0 / 100e6;
+        assert!(
+            st.latency_s.min() > wire_s,
+            "latency {} under the wire time {wire_s}",
+            st.latency_s.min()
+        );
     }
 
     #[test]

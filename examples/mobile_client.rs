@@ -70,7 +70,7 @@ fn main() {
             battery * 100.0,
             st.mode_log
                 .last()
-                .map(|(_, m)| m.clone())
+                .map(|(_, m)| m.label())
                 .unwrap_or_default(),
             rate,
             if throttled && battery >= 0.5 {

@@ -54,7 +54,7 @@ fn run(policy: Policy, label: &str) {
         let mode = st
             .mode_log
             .last()
-            .map_or_else(|| "-".into(), |(_, m)| m.clone());
+            .map_or_else(|| "-".into(), |(_, m)| m.label());
         println!(
             "  {:>4}  {:>7}  {:<6}  {:>11.1}  {:>7}",
             40 * (step + 1),

@@ -2,7 +2,8 @@
 //! reached their working size: the coordinating thread's scratch is built
 //! once per `run_until`, a shard's log and provisional-sequence map are
 //! cleared and kept, and the wheels circulate their slot buffers. Counted
-//! over every thread.
+//! over every thread, so the binary has no test harness: its `main` runs
+//! the check alone.
 
 use dproc_bench::alloc::{all_calls, Counting};
 use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
@@ -107,7 +108,13 @@ impl Coordinator<Ring> for Meter {
     }
 }
 
-#[test]
+fn main() {
+    dproc_bench::alloc::run_checks(&[(
+        "pdes_windows_allocate_nothing_at_working_size",
+        pdes_windows_allocate_nothing_at_working_size,
+    )]);
+}
+
 fn pdes_windows_allocate_nothing_at_working_size() {
     const NODES: usize = 24;
     const SHARDS: usize = 3;

@@ -8,8 +8,8 @@
 //! and lend it to the thread that runs them; a pool holds a whole round
 //! (`kecho::event`'s `RECORD_POOL_CAP`). The same holds under faults, where
 //! frames are destroyed on every path, one of them (a drop inside the
-//! switch) in the coordinator's replay. Counted over every thread — one
-//! test here, so nothing else runs beside it.
+//! switch) in the coordinator's replay. Counted over every thread, so the
+//! binary has no test harness: its `main` runs the check alone.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use dproc_bench::alloc::{all_calls, Counting};
@@ -41,7 +41,13 @@ fn ten_slices() -> u64 {
     all_calls() - before
 }
 
-#[test]
+fn main() {
+    dproc_bench::alloc::run_checks(&[(
+        "the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per_frame",
+        the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per_frame,
+    )]);
+}
+
 fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per_frame() {
     // The same run on this thread, on it again, and on a fresh one. Were
     // the pools the threads', the first run would leave this thread's pool

@@ -68,9 +68,12 @@ fn mode_transitions_are_recorded_in_order() {
     sim.start_linpack(NodeId(1), 3);
     sim.run_until(SimTime::from_secs(60));
     let st = app.client_stats(0);
-    let labels: Vec<&str> = st.mode_log.iter().map(|(_, m)| m.as_str()).collect();
-    let first_img = labels.iter().position(|&m| m == "img/1").expect("switched");
-    assert!(labels[..first_img].iter().all(|&m| m == "raw"));
+    let modes: Vec<StreamMode> = st.mode_log.iter().map(|&(_, m)| m).collect();
+    let first_img = modes
+        .iter()
+        .position(|&m| m == StreamMode::PreRender(1))
+        .expect("switched");
+    assert!(modes[..first_img].iter().all(|&m| m == StreamMode::Raw));
     // Timestamps strictly increase.
     for pair in st.mode_log.windows(2) {
         assert!(pair[0].0 < pair[1].0);
