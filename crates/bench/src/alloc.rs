@@ -79,24 +79,3 @@ pub fn live() -> i64 {
 pub fn all_calls() -> u64 {
     ALL_CALLS.load(Relaxed)
 }
-
-/// The `main` of a test binary built with `harness = false`, which
-/// counts process-wide: runs each named check in order on the main
-/// thread, so no harness thread allocates beside it, and reports them in
-/// libtest's words. A failing check panics, which fails the binary.
-/// Filters are ignored; `--list` lists the checks without running them.
-pub fn run_checks(checks: &[(&str, fn())]) {
-    if std::env::args().any(|a| a == "--list") {
-        for (name, _) in checks {
-            println!("{name}: test");
-        }
-        return;
-    }
-    let s = if checks.len() == 1 { "" } else { "s" };
-    println!("\nrunning {} test{s}", checks.len());
-    for (name, check) in checks {
-        check();
-        println!("test {name} ... ok");
-    }
-    println!("\ntest result: ok. {} passed; 0 failed\n", checks.len());
-}

@@ -237,6 +237,12 @@ impl ClusterEvent {
 /// The serial scheduler type: world + typed cluster events.
 pub type ClusterSched = Sim<ClusterWorld, ClusterEvent>;
 
+// A pending event is no larger than a delivery: a call of a registered
+// handler (SmartPointer's frames, a periodic timer) rides in the event's
+// spare tag values.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(ClusterSched::PENDING_BYTES == 152);
+
 impl HandleMsg<ClusterEvent> for ClusterWorld {
     /// Route an event to its handler. The event is matched where it
     /// arrives — here and in the shard's `execute` — because handing its

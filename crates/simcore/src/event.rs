@@ -1,9 +1,10 @@
 //! The discrete-event scheduler.
 //!
 //! [`Sim<W, M>`] owns a hierarchical timer wheel of events; each event is
-//! either a boxed closure receiving exclusive access to the world `W` and to
-//! the scheduler itself (so handlers can schedule follow-up events), or a
-//! typed message `M` the world handles (see below). Ordering is total:
+//! either a typed message `M` the world handles, or a call of a handler
+//! registered with the scheduler, which receives exclusive access to the
+//! world `W` and to the scheduler itself (so handlers can schedule
+//! follow-up events); see below. Ordering is total:
 //! `(time, sequence)` with the sequence number assigned at scheduling time,
 //! which makes runs bit-for-bit reproducible.
 //!
@@ -38,37 +39,35 @@
 //! most events the slots ever held at once. The overflow map keeps its
 //! payloads inline; they enter the slab when the cursor pulls them in.
 //!
-//! # Three payload kinds, one wheel
+//! # Two payload kinds, one wheel
 //!
-//! Boxed closures are flexible but cost one heap allocation per scheduled
+//! A boxed closure per event would cost one heap allocation per scheduled
 //! event — ruinous on the hot path, where two event kinds (poll tick,
 //! delivery) account for nearly every firing. The second type parameter
-//! `Sim<W, M>` adds plain `M` values as a second payload kind, dispatched
-//! through [`HandleMsg::handle`] instead of a boxed call. `M` defaults to
-//! `()`, for which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users
-//! never see it. The third kind is a call of a registered handler: a
-//! handler is boxed once by [`Sim::register`], and each [`Sim::call_at`]
-//! queues only its [`CallId`] and a `u64` argument — how code outside
-//! the world type (an application, a periodic timer) schedules without
-//! allocating. All three sit in the same wheel under the same sequence
-//! counter, so they fire in exactly the `(time, seq)` order they were
-//! scheduled in. A cluster event's spare tag values carry the other two
-//! kinds, so a pending cluster event is no larger than the event itself.
+//! of `Sim<W, M>` is a plain value the world dispatches through
+//! [`HandleMsg::handle`]. `M` defaults to `()`, for which a blanket
+//! [`HandleMsg`] impl exists, so `Sim<W>` users never see it. The other
+//! kind is a call of a registered handler: a handler is boxed once by
+//! [`Sim::register`], and each [`Sim::call_at`] queues only its
+//! [`CallId`] and a `u64` argument — how code outside the world type (an
+//! application, a periodic timer) schedules without allocating. Both sit
+//! in the same wheel under the same sequence counter, so they fire in
+//! exactly the `(time, seq)` order they were scheduled in. A cluster
+//! event's spare tag values carry the calls, so a pending cluster event
+//! is no larger than the event itself.
 
 use std::collections::BTreeMap;
 
 use crate::time::{SimDur, SimTime};
 
-type EventFn<W, M> = Box<dyn FnOnce(&mut W, &mut Sim<W, M>)>;
 type CallFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>, u64)>;
 
 /// A handler registered with [`Sim::register`], for [`Sim::call_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CallId(u32);
+pub struct CallId(usize);
 
 /// Dispatch for typed messages: the world receives each popped `M` with
-/// exclusive access to the scheduler, mirroring the closure calling
-/// convention. The blanket impl for `M = ()` makes messages invisible to
+/// exclusive access to the scheduler, as a registered handler does. The blanket impl for `M = ()` makes messages invisible to
 /// worlds that never send any.
 pub trait HandleMsg<M>: Sized {
     /// Handle one message fired at the current simulation time.
@@ -122,7 +121,7 @@ fn least(slot: &[Entry]) -> usize {
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
-/// boxed closures for [`Sim`], plain event values for the sharded parallel
+/// messages and handler calls for [`Sim`], plain event values for the sharded parallel
 /// scheduler in [`crate::pdes`] (each shard owns one wheel).
 ///
 /// Invariants (checked by debug asserts, relied on by `pop_min_if`):
@@ -364,10 +363,15 @@ impl<T> Wheel<T> {
     }
 }
 
-/// One pending event: a boxed closure, a typed message, or a call of a
-/// registered handler with its argument.
-enum Fired<W, M> {
-    Closure(EventFn<W, M>),
+/// One pending event: a typed message, or a call of a registered handler
+/// with its argument.
+///
+/// A call is two words, not the one an id and a `u32` argument would fit
+/// in. Beside a 152-byte cluster event the compiler copies a popped
+/// message as the words a call overlaps plus the rest: two words leave a
+/// 128-byte rest, copied inline, where one word left 136 bytes, copied by
+/// two `memcpy` calls per event (about 2 % of a cluster run's speed).
+enum Fired<M> {
     Msg(M),
     Call(CallId, u64),
 }
@@ -378,7 +382,7 @@ enum Fired<W, M> {
 pub struct Sim<W, M = ()> {
     now: SimTime,
     seq: u64,
-    wheel: Wheel<Fired<W, M>>,
+    wheel: Wheel<Fired<M>>,
     /// Registered handlers, indexed by [`CallId`]; a handler's slot is
     /// empty only while it runs.
     calls: Vec<Option<CallFn<W, M>>>,
@@ -392,6 +396,9 @@ impl<W, M> Default for Sim<W, M> {
 }
 
 impl<W, M> Sim<W, M> {
+    /// Bytes one pending event's payload takes in the wheel's slab.
+    pub const PENDING_BYTES: usize = std::mem::size_of::<Option<Fired<M>>>();
+
     /// A fresh simulation at time zero with an empty queue.
     pub fn new() -> Self {
         Sim {
@@ -419,7 +426,7 @@ impl<W, M> Sim<W, M> {
     }
 
     /// Queue `ev` at absolute time `at` under the next sequence number.
-    fn schedule(&mut self, at: SimTime, ev: Fired<W, M>) {
+    fn schedule(&mut self, at: SimTime, ev: Fired<M>) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -429,21 +436,11 @@ impl<W, M> Sim<W, M> {
         self.seq += 1;
     }
 
-    /// Schedule `f` to run at absolute time `at`. Scheduling in the past
-    /// (before `now`) panics — that would break causality.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static) {
-        self.schedule(at, Fired::Closure(Box::new(f)));
-    }
-
-    /// Schedule `f` to run `after` from now.
-    pub fn schedule_in(&mut self, after: SimDur, f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static) {
-        self.schedule_at(self.now + after, f);
-    }
-
-    /// Schedule a typed message for delivery at absolute time `at` — the
-    /// allocation-free twin of [`Sim::schedule_at`]. Messages and closures
-    /// share one queue and one sequence counter, so they fire in exactly
-    /// their combined scheduling order.
+    /// Schedule a typed message for delivery at absolute time `at`.
+    /// Messages and handler calls share one queue and one sequence
+    /// counter, so they fire in exactly their combined scheduling order.
+    /// Scheduling in the past (before `now`) panics — that would break
+    /// causality.
     pub fn schedule_msg_at(&mut self, at: SimTime, msg: M) {
         self.schedule(at, Fired::Msg(msg));
     }
@@ -456,13 +453,14 @@ impl<W, M> Sim<W, M> {
     /// Box `f` once as a handler that [`Sim::call_at`] can schedule any
     /// number of times, each call with its own argument.
     pub fn register(&mut self, f: impl FnMut(&mut W, &mut Sim<W, M>, u64) + 'static) -> CallId {
-        let id = CallId(u32::try_from(self.calls.len()).expect("under 2^32 handlers"));
+        let id = CallId(self.calls.len());
         self.calls.push(Some(Box::new(f)));
         id
     }
 
     /// Schedule a call of the registered handler `id` with `arg` at
-    /// absolute time `at` — like [`Sim::schedule_at`], without a box.
+    /// absolute time `at`. Scheduling in the past panics, as for
+    /// [`Sim::schedule_msg_at`].
     pub fn call_at(&mut self, at: SimTime, id: CallId, arg: u64) {
         self.schedule(at, Fired::Call(id, arg));
     }
@@ -481,7 +479,7 @@ impl<W, M> Sim<W, M> {
         mut f: impl FnMut(&mut W, &mut Sim<W, M>) + 'static,
     ) {
         assert!(!period.is_zero(), "periodic event with zero period");
-        let next = CallId(u32::try_from(self.calls.len()).expect("under 2^32 handlers"));
+        let next = CallId(self.calls.len());
         let id = self.register(move |w, sim, _| {
             f(w, sim);
             sim.call_in(period, next, 0);
@@ -507,10 +505,9 @@ impl<W, M> Sim<W, M> {
             self.executed += 1;
             n += 1;
             match fired {
-                Fired::Closure(f) => f(world, self),
                 Fired::Msg(m) => world.handle(self, m),
                 Fired::Call(id, arg) => {
-                    let slot = id.0 as usize;
+                    let slot = id.0;
                     let mut f = self.calls[slot].take().expect("a handler called itself");
                     f(world, self, arg);
                     self.calls[slot] = Some(f);
@@ -540,19 +537,31 @@ mod tests {
         log: Vec<(u64, &'static str)>,
     }
 
+    /// Register a handler that logs `(now in ms, names[arg])`.
+    fn logger(sim: &mut Sim<W>, names: &'static [&'static str]) -> CallId {
+        sim.register(move |w: &mut W, s: &mut Sim<W>, arg| {
+            w.log.push((s.now().as_millis(), names[arg as usize]));
+        })
+    }
+
+    #[test]
+    fn a_pending_call_is_two_words_and_a_tag() {
+        // Beside a small message a call sets the size; the slab's `Option`
+        // costs nothing on top. (A cluster event carries the call in its
+        // spare tag values: `dproc::cluster` pins that at 152 bytes.)
+        assert_eq!(Sim::<W, ()>::PENDING_BYTES, 24);
+        assert_eq!(Sim::<W, u32>::PENDING_BYTES, 24);
+        assert_eq!(Sim::<W, u64>::PENDING_BYTES, 24);
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_millis(20), |w: &mut W, s: &mut Sim<W>| {
-            w.log.push((s.now().as_millis(), "b"));
-        });
-        sim.schedule_at(SimTime::from_millis(10), |w: &mut W, s: &mut Sim<W>| {
-            w.log.push((s.now().as_millis(), "a"));
-        });
-        sim.schedule_at(SimTime::from_millis(30), |w: &mut W, s: &mut Sim<W>| {
-            w.log.push((s.now().as_millis(), "c"));
-        });
+        let log = logger(&mut sim, &["a", "b", "c"]);
+        sim.call_at(SimTime::from_millis(20), log, 1);
+        sim.call_at(SimTime::from_millis(10), log, 0);
+        sim.call_at(SimTime::from_millis(30), log, 2);
         let n = sim.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(n, 3);
         assert_eq!(w.log, vec![(10, "a"), (20, "b"), (30, "c")]);
@@ -565,21 +574,22 @@ mod tests {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
         let t = SimTime::from_millis(5);
-        sim.schedule_at(t, |w: &mut W, _: &mut Sim<W>| w.log.push((0, "first")));
-        sim.schedule_at(t, |w: &mut W, _: &mut Sim<W>| w.log.push((0, "second")));
+        let log = logger(&mut sim, &["first", "second"]);
+        sim.call_at(t, log, 0);
+        sim.call_at(t, log, 1);
         sim.run_until(&mut w, t);
-        assert_eq!(w.log, vec![(0, "first"), (0, "second")]);
+        assert_eq!(w.log, vec![(5, "first"), (5, "second")]);
     }
 
     #[test]
     fn handlers_can_schedule_followups() {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_millis(1), |_w: &mut W, s: &mut Sim<W>| {
-            s.schedule_in(SimDur::from_millis(1), |w: &mut W, s: &mut Sim<W>| {
-                w.log.push((s.now().as_millis(), "child"));
-            });
+        let child = logger(&mut sim, &["child"]);
+        let parent = sim.register(move |_: &mut W, s: &mut Sim<W>, _| {
+            s.call_in(SimDur::from_millis(1), child, 0);
         });
+        sim.call_at(SimTime::from_millis(1), parent, 0);
         sim.run_until(&mut w, SimTime::from_millis(10));
         assert_eq!(w.log, vec![(2, "child")]);
     }
@@ -602,25 +612,21 @@ mod tests {
     }
 
     #[test]
-    fn registered_calls_interleave_with_closures_by_seq() {
+    fn calls_of_two_handlers_interleave_by_seq() {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
-        const NAMES: [&str; 3] = ["call0", "call1", "call2"];
-        let id = sim.register(|w: &mut W, s: &mut Sim<W>, arg| {
-            w.log.push((s.now().as_millis(), NAMES[arg as usize]));
-        });
+        let id = logger(&mut sim, &["call0", "call1", "call2"]);
+        let other = logger(&mut sim, &["other"]);
         let t = SimTime::from_millis(10);
         sim.call_at(t, id, 0);
-        sim.schedule_at(t, |w: &mut W, s: &mut Sim<W>| {
-            w.log.push((s.now().as_millis(), "fn"));
-        });
+        sim.call_at(t, other, 0);
         sim.call_at(t, id, 1);
         sim.call_at(SimTime::from_millis(5), id, 2);
         assert_eq!(sim.pending(), 4);
         sim.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(
             w.log,
-            vec![(5, "call2"), (10, "call0"), (10, "fn"), (10, "call1")]
+            vec![(5, "call2"), (10, "call0"), (10, "other"), (10, "call1")]
         );
     }
 
@@ -651,9 +657,8 @@ mod tests {
     fn run_until_leaves_future_events() {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(10), |w: &mut W, _: &mut Sim<W>| {
-            w.log.push((10, "late"));
-        });
+        let log = logger(&mut sim, &["late"]);
+        sim.call_at(SimTime::from_secs(10), log, 0);
         let n = sim.run_until(&mut w, SimTime::from_secs(5));
         assert_eq!(n, 0);
         assert_eq!(sim.pending(), 1);
@@ -667,9 +672,9 @@ mod tests {
     fn scheduling_in_past_panics() {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(1), |_: &mut W, _: &mut Sim<W>| {});
+        sim.schedule_msg_at(SimTime::from_secs(1), ());
         sim.run_until(&mut w, SimTime::from_secs(2));
-        sim.schedule_at(SimTime::from_millis(500), |_: &mut W, _: &mut Sim<W>| {});
+        sim.schedule_msg_at(SimTime::from_millis(500), ());
     }
 
     #[test]
@@ -729,7 +734,7 @@ mod tests {
         fn handle(&mut self, sim: &mut Sim<Self, Msg>, msg: Msg) {
             let Msg::Ping(k) = msg;
             self.log.push((sim.now().as_millis(), format!("msg{k}")));
-            // Handlers may schedule follow-ups of either kind.
+            // Handlers may schedule follow-up messages.
             if k == 7 {
                 sim.schedule_msg_in(SimDur::from_millis(1), Msg::Ping(8));
             }
@@ -737,18 +742,17 @@ mod tests {
     }
 
     #[test]
-    fn typed_messages_interleave_with_closures_by_seq() {
+    fn typed_messages_interleave_with_calls_by_seq() {
         let mut sim: Sim<MW, Msg> = Sim::new();
         let mut w = MW { log: Vec::new() };
         let t = SimTime::from_millis(10);
-        sim.schedule_at(t, |w: &mut MW, s: &mut Sim<MW, Msg>| {
-            w.log.push((s.now().as_millis(), "fn0".into()));
+        let log = sim.register(|w: &mut MW, s: &mut Sim<MW, Msg>, k| {
+            w.log.push((s.now().as_millis(), format!("fn{k}")));
         });
+        sim.call_at(t, log, 0);
         sim.schedule_msg_at(SimTime::from_millis(5), Msg::Ping(1));
         sim.schedule_msg_at(t, Msg::Ping(2));
-        sim.schedule_at(t, |w: &mut MW, s: &mut Sim<MW, Msg>| {
-            w.log.push((s.now().as_millis(), "fn3".into()));
-        });
+        sim.call_at(t, log, 3);
         assert_eq!(sim.pending(), 4);
         let n = sim.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(n, 4);
@@ -928,13 +932,12 @@ mod tests {
         let token = Rc::new(());
         let mut sim: Sim<W, Rc<()>> = Sim::new();
         sim.schedule_msg_at(SimTime::from_millis(3), Rc::clone(&token));
-        let held = Rc::clone(&token);
-        sim.schedule_at(SimTime::from_millis(4), move |_, _| drop(held));
         let kept = Rc::clone(&token);
-        sim.register(move |_, _, _| {
+        let id = sim.register(move |_, _, _| {
             let _ = &kept;
         });
-        assert_eq!(Rc::strong_count(&token), 4);
+        sim.call_at(SimTime::from_millis(4), id, 0);
+        assert_eq!(Rc::strong_count(&token), 3);
         drop(sim);
         assert_eq!(Rc::strong_count(&token), 1);
     }
@@ -979,15 +982,12 @@ mod tests {
         let mut sim: Sim<W> = Sim::new();
         let mut w = W::default();
         let horizon = 1u64 << 48;
-        sim.schedule_at(
-            SimTime::from_nanos(horizon + 5),
-            |w: &mut W, _: &mut Sim<W>| w.log.push((2, "far")),
-        );
-        sim.schedule_at(SimTime::from_nanos(7), |w: &mut W, _: &mut Sim<W>| {
-            w.log.push((1, "near"));
-        });
+        let log = logger(&mut sim, &["near", "far"]);
+        sim.call_at(SimTime::from_nanos(horizon + 5), log, 1);
+        sim.call_at(SimTime::from_nanos(7), log, 0);
         let n = sim.run_until(&mut w, SimTime::from_nanos(2 * horizon));
         assert_eq!(n, 2);
-        assert_eq!(w.log, vec![(1, "near"), (2, "far")]);
+        let far = (horizon + 5) / 1_000_000;
+        assert_eq!(w.log, vec![(0, "near"), (far, "far")]);
     }
 }

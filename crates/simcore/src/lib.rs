@@ -4,9 +4,9 @@
 //!
 //! * [`SimTime`] / [`SimDur`] — nanosecond-resolution instants and durations,
 //! * [`Sim`] — a generic discrete-event scheduler parameterised over a world
-//!   type `W` (the mutable simulation state), with one-shot and periodic
-//!   closures, allocation-free typed messages and calls of registered
-//!   handlers in one queue,
+//!   type `W` (the mutable simulation state), with allocation-free typed
+//!   messages and calls of registered (and periodic) handlers in one
+//!   queue,
 //! * [`rng`] — seedable, reproducible random number generation
 //!   (SplitMix64 seeding a Xoshiro256** core) plus small distribution
 //!   helpers,
@@ -31,16 +31,14 @@
 //! ```
 //! use simcore::{Sim, SimTime, SimDur};
 //!
-//! struct World { ticks: u32 }
+//! struct World { ticks: u64 }
 //! let mut sim: Sim<World> = Sim::new();
 //! let mut world = World { ticks: 0 };
-//! sim.schedule_in(SimDur::from_millis(5), |w: &mut World, _sim: &mut Sim<World>| {
-//!     w.ticks += 1;
-//! });
 //! // A handler boxed once; each call queues only its id and argument.
 //! let add = sim.register(|w: &mut World, _sim: &mut Sim<World>, n: u64| {
-//!     w.ticks += n as u32;
+//!     w.ticks += n;
 //! });
+//! sim.call_in(SimDur::from_millis(5), add, 1);
 //! sim.call_in(SimDur::from_millis(7), add, 2);
 //! sim.run_until(&mut world, SimTime::from_secs(1));
 //! assert_eq!(world.ticks, 3);

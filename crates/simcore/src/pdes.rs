@@ -927,7 +927,7 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Sim;
+    use crate::event::{HandleMsg, Sim};
 
     // A toy model exercised both through the serial `Sim` and the parallel
     // engine: a ring of counters. Every PERIOD each node ticks — bumping a
@@ -1169,36 +1169,43 @@ mod tests {
     /// same program order.
     fn run_serial(n: usize, horizon_ns: u64, seed: u64) -> RunResult {
         struct World {
+            n: usize,
             nodes: Vec<ToyNode>,
             trace: Vec<(u64, String)>,
         }
-        fn tick(i: usize, n: usize) -> impl FnOnce(&mut World, &mut Sim<World>) {
-            move |w, sim| {
-                let now = sim.now();
-                let val = tick_node(&mut w.nodes[i]);
-                sim.schedule_in(SimDur::from_nanos(CHAIN), chain(i, 2));
-                let to = (i + 1) % n;
-                w.trace.push((now.as_nanos(), format!("{i}->{to}:{val}")));
-                sim.schedule_in(SimDur::from_nanos(DELAY), recv(to, val));
-                sim.schedule_at(now + SimDur::from_nanos(PERIOD), tick(i, n));
-            }
-        }
-        type Handler = Box<dyn FnOnce(&mut World, &mut Sim<World>)>;
-        fn chain(i: usize, depth: u8) -> Handler {
-            Box::new(move |w, sim| {
-                w.nodes[i].chained += depth as u64;
-                if depth > 0 {
-                    sim.schedule_in(SimDur::from_nanos(CHAIN), chain(i, depth - 1));
+        impl HandleMsg<TEv> for World {
+            fn handle(&mut self, sim: &mut Sim<World, TEv>, ev: TEv) {
+                match ev {
+                    TEv::Tick { i } => {
+                        let now = sim.now();
+                        let val = tick_node(&mut self.nodes[i]);
+                        sim.schedule_msg_in(SimDur::from_nanos(CHAIN), TEv::Chain { i, depth: 2 });
+                        let to = (i + 1) % self.n;
+                        self.trace
+                            .push((now.as_nanos(), format!("{i}->{to}:{val}")));
+                        sim.schedule_msg_in(SimDur::from_nanos(DELAY), TEv::Recv { i: to, val });
+                        sim.schedule_msg_at(now + SimDur::from_nanos(PERIOD), TEv::Tick { i });
+                    }
+                    TEv::Chain { i, depth } => {
+                        self.nodes[i].chained += depth as u64;
+                        if depth > 0 {
+                            let next = TEv::Chain {
+                                i,
+                                depth: depth - 1,
+                            };
+                            sim.schedule_msg_in(SimDur::from_nanos(CHAIN), next);
+                        }
+                    }
+                    TEv::Recv { i, val } => {
+                        let node = &mut self.nodes[i];
+                        node.received = node.received.wrapping_mul(3).wrapping_add(val);
+                    }
                 }
-            })
-        }
-        fn recv(i: usize, val: u64) -> impl FnOnce(&mut World, &mut Sim<World>) {
-            move |w, _sim| {
-                w.nodes[i].received = w.nodes[i].received.wrapping_mul(3).wrapping_add(val);
             }
         }
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<World, TEv> = Sim::new();
         let mut world = World {
+            n,
             nodes: (0..n)
                 .map(|i| ToyNode {
                     id: i,
@@ -1210,7 +1217,7 @@ mod tests {
             trace: Vec::new(),
         };
         for i in 0..n {
-            sim.schedule_at(SimTime::from_nanos(first_tick(seed, i)), tick(i, n));
+            sim.schedule_msg_at(SimTime::from_nanos(first_tick(seed, i)), TEv::Tick { i });
         }
         sim.run_until(&mut world, SimTime::from_nanos(horizon_ns));
         RunResult {

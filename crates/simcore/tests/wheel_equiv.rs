@@ -4,15 +4,16 @@
 //! The reference model reproduces the heap-based scheduler's observable
 //! contract exactly — total `(time, seq)` firing order and `run_until` clock
 //! advancement — and both are driven with identical randomized schedules.
-//! `Sim` gets a seeded mix of its two payload kinds, boxed closures and
-//! typed `u32` messages, each logging its tag to the world when it fires;
+//! `Sim` gets a seeded mix of its two payload kinds, calls of a registered
+//! handler and typed `u32` messages, each logging its tag to the world
+//! when it fires;
 //! the reference knows only tags. Any divergence in the firing log,
 //! executed counts, or final clock is a wheel bug.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use simcore::{HandleMsg, Sim, SimDur, SimTime};
+use simcore::{CallId, HandleMsg, Sim, SimDur, SimTime};
 
 /// Deterministic xorshift PRNG — no external dependency, fixed seeds.
 struct Rng(u64);
@@ -80,26 +81,35 @@ impl HandleMsg<u32> for World {
 
 type S = Sim<World, u32>;
 
-/// Schedule `tag` at `at` as a typed message if `msg`, else as a closure.
-fn schedule_tag(sim: &mut S, at: u64, tag: u32, msg: bool) {
+/// A scheduler with one registered handler, which logs its argument as a
+/// tag just as the world logs a message.
+fn new_sim() -> (S, CallId) {
+    let mut sim = S::new();
+    let log = sim.register(|w: &mut World, s: &mut S, tag| {
+        w.log.push((s.now().as_nanos(), tag as u32));
+    });
+    (sim, log)
+}
+
+/// Schedule `tag` at `at` as a typed message if `msg`, else as a call of
+/// the logging handler `log`.
+fn schedule_tag(sim: &mut S, log: CallId, at: u64, tag: u32, msg: bool) {
     let at = SimTime::from_nanos(at);
     if msg {
         sim.schedule_msg_at(at, tag);
     } else {
-        sim.schedule_at(at, move |w: &mut World, s: &mut S| {
-            w.log.push((s.now().as_nanos(), tag));
-        });
+        sim.call_at(at, log, u64::from(tag));
     }
 }
 
 /// Drive both schedulers with an identical random mix of schedules (near,
-/// clustered, and past-the-horizon times; closures and messages) and
+/// clustered, and past-the-horizon times; calls and messages) and
 /// interleaved `run_until` steps; the firing logs must match exactly.
 #[test]
 fn wheel_matches_reference_on_randomized_schedules() {
     for seed in [0x1u64, 0xDEAD_BEEF, 0x5EED_CAFE, 0x1234_5678_9ABC] {
         let mut rng = Rng(seed);
-        let mut sim: S = Sim::new();
+        let (mut sim, log) = new_sim();
         let mut world = World::default();
         let mut reference = RefSched::default();
         let mut tag = 0u32;
@@ -124,7 +134,7 @@ fn wheel_matches_reference_on_randomized_schedules() {
                         let msg = rng.below(2) == 0;
                         msgs += u32::from(msg);
                         tag += 1;
-                        schedule_tag(&mut sim, at, tag, msg);
+                        schedule_tag(&mut sim, log, at, tag, msg);
                         reference.schedule_at(at, tag);
                     }
                 }
@@ -168,18 +178,17 @@ fn wheel_matches_reference_on_randomized_schedules() {
 /// from inside handlers at the currently firing instant.
 #[test]
 fn reentrant_same_time_scheduling_keeps_seq_order() {
-    let mut sim: S = Sim::new();
+    let (mut sim, log) = new_sim();
     let mut world = World::default();
     let t = SimTime::from_micros(3);
-    sim.schedule_at(t, move |w: &mut World, s: &mut S| {
+    let first = sim.register(move |w: &mut World, s: &mut S, _| {
         w.log.push((s.now().as_nanos(), 1));
         // Scheduled mid-firing at the same instant: must run after every
         // already-queued same-time event (higher seq), in this same run.
-        s.schedule_at(t, |w: &mut World, s: &mut S| {
-            w.log.push((s.now().as_nanos(), 3));
-        });
+        s.call_at(t, log, 3);
         s.schedule_msg_at(t, 4);
     });
+    sim.call_at(t, first, 0);
     sim.schedule_msg_at(t, 2);
     sim.run_until(&mut world, SimTime::from_secs(1));
     let ns = t.as_nanos();
@@ -190,15 +199,15 @@ fn reentrant_same_time_scheduling_keeps_seq_order() {
 /// `run_for` composes with the wheel cursor exactly like `run_until`.
 #[test]
 fn run_for_steps_match_single_run_until() {
-    let mut stepped: S = Sim::new();
-    let mut one_shot: S = Sim::new();
+    let (mut stepped, log) = new_sim();
+    let (mut one_shot, one_log) = new_sim();
     let mut w_stepped = World::default();
     let mut w_one = World::default();
     let mut rng = Rng(0x77);
     for tag in 0..200u32 {
         let at = rng.below(10_000_000_000);
-        schedule_tag(&mut stepped, at, tag, tag.is_multiple_of(2));
-        schedule_tag(&mut one_shot, at, tag, tag.is_multiple_of(2));
+        schedule_tag(&mut stepped, log, at, tag, tag.is_multiple_of(2));
+        schedule_tag(&mut one_shot, one_log, at, tag, tag.is_multiple_of(2));
     }
     for _ in 0..100 {
         stepped.run_for(&mut w_stepped, SimDur::from_millis(100));
@@ -218,13 +227,13 @@ fn run_for_steps_match_single_run_until() {
 /// `event.rs`.)
 #[test]
 fn direct_pops_from_a_high_level_match_the_reference() {
-    let mut sim: S = Sim::new();
+    let (mut sim, log) = new_sim();
     let mut world = World::default();
     let mut reference = RefSched::default();
     let mut tag = 0u32;
     let mut both = |sim: &mut S, reference: &mut RefSched, at: u64| {
         tag += 1;
-        schedule_tag(sim, at, tag, tag.is_multiple_of(2));
+        schedule_tag(sim, log, at, tag, tag.is_multiple_of(2));
         reference.schedule_at(at, tag);
     };
     let run = |sim: &mut S, world: &mut World, reference: &mut RefSched, until: u64| {

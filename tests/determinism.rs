@@ -64,14 +64,10 @@ fn event_order_is_stable_under_identical_schedules() {
     let run = || {
         let mut sim: Sim<Vec<u32>> = Sim::new();
         let mut world: Vec<u32> = Vec::new();
+        let push = sim.register(|w: &mut Vec<u32>, _s: &mut Sim<Vec<u32>>, i| w.push(i as u32));
         for i in 0..100u32 {
             // Many events at the same instant: sequence numbers break ties.
-            sim.schedule_in(
-                SimDur::from_millis((i / 10) as u64),
-                move |w: &mut Vec<u32>, _s: &mut Sim<Vec<u32>>| {
-                    w.push(i);
-                },
-            );
+            sim.call_in(SimDur::from_millis((i / 10) as u64), push, u64::from(i));
         }
         sim.run_until(&mut world, simcore::SimTime::from_secs(1));
         world

