@@ -67,8 +67,9 @@ type CallFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>, u64)>;
 pub struct CallId(usize);
 
 /// Dispatch for typed messages: the world receives each popped `M` with
-/// exclusive access to the scheduler, as a registered handler does. The blanket impl for `M = ()` makes messages invisible to
-/// worlds that never send any.
+/// exclusive access to the scheduler, as a registered handler does. The
+/// blanket impl for `M = ()` makes messages invisible to worlds that never
+/// send any.
 pub trait HandleMsg<M>: Sized {
     /// Handle one message fired at the current simulation time.
     fn handle(&mut self, sim: &mut Sim<Self, M>, msg: M);
@@ -121,8 +122,9 @@ fn least(slot: &[Entry]) -> usize {
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
-/// messages and handler calls for [`Sim`], plain event values for the sharded parallel
-/// scheduler in [`crate::pdes`] (each shard owns one wheel).
+/// messages and handler calls for [`Sim`], plain event values for the
+/// sharded parallel scheduler in [`crate::pdes`] (each shard owns one
+/// wheel).
 ///
 /// Invariants (checked by debug asserts, relied on by `pop_min_if`):
 /// - every pending entry satisfies `at >= cur`;
@@ -369,8 +371,9 @@ impl<T> Wheel<T> {
 /// A call is two words, not the one an id and a `u32` argument would fit
 /// in. Beside a 152-byte cluster event the compiler copies a popped
 /// message as the words a call overlaps plus the rest: two words leave a
-/// 128-byte rest, copied inline, where one word left 136 bytes, copied by
-/// two `memcpy` calls per event (about 2 % of a cluster run's speed).
+/// 128-byte rest, which it copies inline; one word would leave 136 bytes,
+/// which it copies with two `memcpy` calls per event (about 2 % of a
+/// cluster run's speed).
 enum Fired<M> {
     Msg(M),
     Call(CallId, u64),

@@ -14,7 +14,7 @@
 //! channel — no application-level feedback path exists, exactly as in the
 //! paper.
 //!
-//! A frame's path schedules no closure: one handler, registered at
+//! A frame's path boxes nothing: one handler, registered at
 //! install, fires both a frame's arrival and the end of its processing,
 //! and the frame itself waits in its client's FIFOs (every hop is a FIFO
 //! link, so frames reach a client in the order they were sent). Once the
