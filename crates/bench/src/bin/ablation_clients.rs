@@ -58,7 +58,7 @@ fn run(n_clients: usize, policy: Policy) -> Outcome {
     for c in 0..n_clients {
         let st = app.client_stats(c);
         rates.push(st.processed as f64 / horizon);
-        if let Some(&(_, l)) = st.log.last() {
+        if let Some(&l) = st.latency_s.values().last() {
             worst = worst.max(l);
         }
         dropped += st.dropped;

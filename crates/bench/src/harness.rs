@@ -252,7 +252,7 @@ pub fn fig9a_data(segment_s: u64, threads: usize) -> Table {
     );
     for ((name, _), result) in policies.iter().zip(results) {
         let mut s = Series::new(*name);
-        for (t, lat) in scenarios::bucket_log(&result.stats.log, segment_s as f64 / 2.0) {
+        for &(t, lat) in &result.latency_by_half {
             s.push((t * 10.0).round() / 10.0, lat);
         }
         table.add(s);

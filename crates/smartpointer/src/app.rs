@@ -18,7 +18,9 @@
 //! install, fires both a frame's arrival and the end of its processing,
 //! and the frame itself waits in its client's FIFOs (every hop is a FIFO
 //! link, so frames reach a client in the order they were sent). Once the
-//! FIFOs and logs have grown, a frame allocates nothing.
+//! FIFOs have grown, a frame allocates nothing but the doublings of the
+//! two records every frame leaves: its latency in `latency_s` (8 B) and
+//! its mode in `mode_log` (16 B). Both grow with the run.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -54,10 +56,9 @@ pub struct ClientStats {
     pub processed: u64,
     /// Bytes delivered.
     pub bytes: u64,
-    /// Submission-to-processed latency samples, seconds.
+    /// Submission-to-processed latency per processed frame, seconds, in
+    /// processing order: the only per-frame latency record.
     pub latency_s: Sampler,
-    /// `(processed_at_seconds, latency_seconds)` per frame.
-    pub log: Vec<(f64, f64)>,
     /// The mode of the most recently emitted frame.
     pub last_mode: Option<StreamMode>,
     /// `(emitted_at_seconds, mode)` per emitted frame.
@@ -399,7 +400,6 @@ fn on_frame_processed(
         let latency = now.since(emitted_at).as_secs_f64();
         c.stats.processed += 1;
         c.stats.latency_s.add(latency);
-        c.stats.log.push((now.as_secs_f64(), latency));
         (c.node, c.task, !c.queue.is_empty())
     };
     if has_more {
@@ -467,7 +467,7 @@ mod tests {
         sim.start_linpack(NodeId(1), 3);
         sim.run_until(SimTime::from_secs(120));
         let st = app.client_stats(0);
-        let late = st.log.last().unwrap().1;
+        let late = *st.latency_s.values().last().unwrap();
         assert!(late > 5.0, "queueing should blow up latency: {late}");
         assert!(app.backlog(0) > 10, "backlog {}", app.backlog(0));
     }
@@ -481,7 +481,7 @@ mod tests {
         sim.start_linpack(NodeId(1), 3);
         sim.run_until(SimTime::from_secs(120));
         let st = app.client_stats(0);
-        let late = st.log.last().unwrap().1;
+        let late = *st.latency_s.values().last().unwrap();
         assert!(late < 1.0, "dynamic filter keeps latency bounded: {late}");
         assert_eq!(st.last_mode, Some(StreamMode::PreRender(1)));
         // The rate is sustained.
@@ -498,7 +498,7 @@ mod tests {
             sim.run_until(SimTime::from_secs(10));
             sim.start_linpack(NodeId(1), 3);
             sim.run_until(SimTime::from_secs(120));
-            app.client_stats(0).log.last().unwrap().1
+            *app.client_stats(0).latency_s.values().last().unwrap()
         };
         let none = run(Policy::NoFilter);
         let stat = run(Policy::Static(StreamMode::SubSample(2)));

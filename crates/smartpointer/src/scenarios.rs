@@ -13,12 +13,17 @@ use crate::data::FrameSpec;
 use crate::data::StreamMode;
 use crate::policy::{MonitorSet, Policy};
 
-/// Result of a CPU-loaded run: the full latency log plus per-segment
-/// event rates.
+/// Result of a CPU-loaded run: the client's stats and both halves of
+/// Fig. 9's series.
 #[derive(Debug, Clone)]
 pub struct CpuLoadedResult {
     /// Client stats at the end of the run.
     pub stats: ClientStats,
+    /// `(centre_s, mean_latency_s)` per half segment in which a frame
+    /// finished processing — Fig. 9(a)'s series. A frame that finishes
+    /// exactly on a boundary counts in the later half, and one that
+    /// finishes at the run's end in a half past it.
+    pub latency_by_half: Vec<(f64, f64)>,
     /// `(linpack_threads, processed_events_per_second)` per load segment —
     /// Fig. 9(b)'s series.
     pub rate_by_threads: Vec<(usize, f64)>,
@@ -46,21 +51,42 @@ pub fn cpu_loaded(policy: Policy, max_threads: usize, segment_s: u64) -> CpuLoad
         },
     );
     let segment = SimDur::from_secs(segment_s);
+    let half_s = segment_s as f64 / 2.0;
+    let mut latency_by_half = Vec::new();
+    let mut first = 0;
+    // The mean latency of the frames processed since the last call, if
+    // any, as the point of the `k`th half segment.
+    let mut close_half = |app: &SmartPointer, k: u64| {
+        let st = app.client_stats(0);
+        let frames = &st.latency_s.values()[first..];
+        if !frames.is_empty() {
+            let mean = frames.iter().sum::<f64>() / frames.len() as f64;
+            latency_by_half.push((k as f64 * half_s + half_s / 2.0, mean));
+        }
+        first = st.latency_s.len();
+    };
     let mut rate_by_threads = Vec::new();
     let mut processed_before = 0;
     for threads in 0..=max_threads {
         if threads > 0 {
             sim.start_linpack(NodeId(1), 1);
         }
+        let k = 2 * threads as u64;
         let end = SimTime::ZERO + segment * (threads as u64 + 1);
+        sim.run_until(end - segment / 2 - SimDur::from_nanos(1));
+        close_half(&app, k);
+        sim.run_until(end - SimDur::from_nanos(1));
+        close_half(&app, k + 1);
         sim.run_until(end);
         let st = app.client_stats(0);
         let rate = (st.processed - processed_before) as f64 / segment.as_secs_f64();
         processed_before = st.processed;
         rate_by_threads.push((threads, rate));
     }
+    close_half(&app, 2 * (max_threads as u64 + 1));
     CpuLoadedResult {
         stats: app.client_stats(0),
+        latency_by_half,
         rate_by_threads,
     }
 }
@@ -91,18 +117,13 @@ pub fn net_perturbed(policy: Policy, perturb_mbps: f64, duration_s: u64) -> f64 
         sim.start_iperf(NodeId(2), NodeId(1), perturb_mbps * 1e6);
     }
     // Ignore the warm-up samples: measure only after perturbation starts.
-    let warmup = app.client_stats(0).processed;
+    let warmup = app.client_stats(0).latency_s.len();
     sim.run_until(SimTime::from_secs(10 + duration_s));
     let st = app.client_stats(0);
-    let samples: Vec<f64> = st
-        .log
-        .iter()
-        .skip(warmup as usize)
-        .map(|&(_, l)| l)
-        .collect();
+    let samples = &st.latency_s.values()[warmup..];
     if samples.is_empty() {
-        // Completely starved: report the age of the oldest unprocessed
-        // frame (the latency a completing frame would show).
+        // Completely starved: report the window's length, a lower bound
+        // on the age of the oldest unprocessed frame.
         return duration_s as f64;
     }
     samples.iter().sum::<f64>() / samples.len() as f64
@@ -142,47 +163,14 @@ pub fn hybrid(set: MonitorSet, k: usize, duration_s: u64) -> f64 {
         sim.start_linpack(NodeId(1), k);
         sim.start_iperf(NodeId(2), NodeId(1), k as f64 * 10e6);
     }
-    let warmup = app.client_stats(0).processed;
+    let warmup = app.client_stats(0).latency_s.len();
     sim.run_until(SimTime::from_secs(10 + duration_s));
     let st = app.client_stats(0);
-    let samples: Vec<f64> = st
-        .log
-        .iter()
-        .skip(warmup as usize)
-        .map(|&(_, l)| l)
-        .collect();
+    let samples = &st.latency_s.values()[warmup..];
     if samples.is_empty() {
         return duration_s as f64;
     }
     samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Down-sample a latency log into `(bucket_center_s, mean_latency_s)`
-/// points — the plottable form of Fig. 9(a).
-pub fn bucket_log(log: &[(f64, f64)], bucket_s: f64) -> Vec<(f64, f64)> {
-    if log.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut bucket_start = 0.0;
-    let mut sum = 0.0;
-    let mut count = 0u32;
-    for &(t, l) in log {
-        while t >= bucket_start + bucket_s {
-            if count > 0 {
-                out.push((bucket_start + bucket_s / 2.0, sum / count as f64));
-            }
-            bucket_start += bucket_s;
-            sum = 0.0;
-            count = 0;
-        }
-        sum += l;
-        count += 1;
-    }
-    if count > 0 {
-        out.push((bucket_start + bucket_s / 2.0, sum / count as f64));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -197,7 +185,7 @@ mod tests {
         let none = cpu_loaded(Policy::NoFilter, 4, 30);
         let stat = cpu_loaded(Policy::Static(StreamMode::SubSample(2)), 4, 30);
         let dynm = cpu_loaded(Policy::Dynamic(MonitorSet::Cpu), 4, 30);
-        let last = |r: &CpuLoadedResult| r.stats.log.last().unwrap().1;
+        let last = |r: &CpuLoadedResult| *r.stats.latency_s.values().last().unwrap();
         assert!(
             last(&dynm) < last(&stat) && last(&stat) < last(&none),
             "dyn {} < static {} < none {}",
@@ -246,10 +234,46 @@ mod tests {
     }
 
     #[test]
-    fn bucket_log_means() {
-        let log = vec![(1.0, 10.0), (2.0, 20.0), (11.0, 30.0), (25.0, 40.0)];
-        let b = bucket_log(&log, 10.0);
-        assert_eq!(b, vec![(5.0, 15.0), (15.0, 30.0), (25.0, 40.0)]);
-        assert!(bucket_log(&[], 10.0).is_empty());
+    fn cpu_loaded_half_segment_means() {
+        // One-second segments up to nine linpack threads on a
+        // uniprocessor, unfiltered: a frame takes up to 1.2 s of CPU, so
+        // some half seconds finish none.
+        let r = cpu_loaded(Policy::NoFilter, 9, 1);
+        let ks: Vec<f64> = r
+            .latency_by_half
+            .iter()
+            .map(|&(centre, _)| (centre - 0.25) / 0.5)
+            .collect();
+        assert!(
+            ks.iter().all(|k| k.fract() == 0.0),
+            "centres k/2 + 1/4: {ks:?}"
+        );
+        assert!(ks.windows(2).all(|p| p[0] < p[1]), "{ks:?}");
+        assert!(
+            ks.windows(2).any(|p| p[1] > p[0] + 1.0),
+            "no half skipped: {ks:?}"
+        );
+        // The halves cut the latencies, in order, into runs with these
+        // means; weighted by their lengths, they recombine to the mean.
+        fn runs(frames: &[f64], means: &[f64]) -> Option<Vec<usize>> {
+            let Some((&m, rest)) = means.split_first() else {
+                return frames.is_empty().then(Vec::new);
+            };
+            (1..=frames.len()).find_map(|n| {
+                let run = &frames[..n];
+                if run.iter().sum::<f64>() / n as f64 != m {
+                    return None;
+                }
+                let mut tail = runs(&frames[n..], rest)?;
+                tail.insert(0, n);
+                Some(tail)
+            })
+        }
+        let all = r.stats.latency_s.values();
+        let means: Vec<f64> = r.latency_by_half.iter().map(|&(_, m)| m).collect();
+        let counts = runs(all, &means).expect("the halves partition the frames");
+        let weighted: f64 = means.iter().zip(&counts).map(|(m, &n)| m * n as f64).sum();
+        let total = weighted / all.len() as f64;
+        assert!((total - r.stats.latency_s.mean()).abs() < 1e-9, "{total}");
     }
 }

@@ -39,13 +39,11 @@ fn run(policy: Policy, label: &str) {
         }
         sim.run_until(SimTime::from_secs(40 * (step as u64 + 1)));
         let st = app.client_stats(0);
-        let recent: Vec<f64> = st
-            .log
+        let recent: Vec<f64> = st.latency_s.values()[prev_processed..]
             .iter()
-            .skip(prev_processed)
-            .map(|&(_, l)| l * 1000.0)
+            .map(|l| l * 1000.0)
             .collect();
-        prev_processed = st.log.len();
+        prev_processed = st.latency_s.len();
         let mean = if recent.is_empty() {
             f64::NAN
         } else {

@@ -4,8 +4,9 @@
 //! static and a dynamic policy. A frame's events are calls of the one
 //! handler the application registered (`simcore::Sim::call_at`), the frame
 //! waits in its client's FIFOs and its mode is logged as a value, so the
-//! only calls left are the doublings of the vectors that log every frame,
-//! and the window counted below holds none.
+//! only calls left are the doublings of the two vectors that log every
+//! frame (its latency and its mode), and the window counted below holds
+//! none. What each frame leaves behind is held to those two records.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use dproc_bench::alloc::{self, Counting};
@@ -19,13 +20,12 @@ use smartpointer::{FrameSpec, SmartPointer, SmartPointerConfig, StreamMode};
 static GLOBAL: Counting = Counting;
 
 /// The lengths of every vector the run appends to: the cluster's samplers,
-/// then per client its latency samples, its `(time, latency)` log and its
-/// mode log.
+/// then per client its latency samples and its mode log.
 fn logs(sim: &ClusterSim, app: &SmartPointer) -> Vec<usize> {
     let mut lens = samplers(sim.world());
     for k in 0..app.client_count() {
         let st = app.client_stats(k);
-        lens.extend([st.latency_s.len(), st.log.len(), st.mode_log.len()]);
+        lens.extend([st.latency_s.len(), st.mode_log.len()]);
     }
     lens
 }
@@ -37,8 +37,9 @@ fn processed(app: &SmartPointer) -> u64 {
         .sum()
 }
 
-#[test]
-fn a_warm_smartpointer_frame_makes_no_allocator_call() {
+/// A 4-node star: the server streams to three clients at 5 Hz, under a
+/// raw, a static and a dynamic policy.
+fn three_clients() -> (ClusterSim, SmartPointer) {
     let mut sim = ClusterSim::new(ClusterConfig::new(4));
     sim.start();
     let app = SmartPointer::install(
@@ -56,6 +57,12 @@ fn a_warm_smartpointer_frame_makes_no_allocator_call() {
             queue_cap: 64,
         },
     );
+    (sim, app)
+}
+
+#[test]
+fn a_warm_smartpointer_frame_makes_no_allocator_call() {
+    let (mut sim, app) = three_clients();
     // Warm-up: each host's run-queue history spans a quarter of an hour,
     // and the wheel's slot buffers, the FIFOs and the connection tables
     // grow to size. The window after it is placed between doublings: about
@@ -75,4 +82,27 @@ fn a_warm_smartpointer_frame_makes_no_allocator_call() {
         "{:.3} allocator calls per frame ({calls} over {frames} frames)",
         calls as f64 / frames as f64
     );
+}
+
+#[test]
+fn a_client_keeps_one_latency_and_one_mode_per_frame() {
+    let (mut sim, app) = three_clients();
+    sim.run_until(SimTime::from_secs(60));
+    for k in 0..app.client_count() {
+        // A snapshot clones each per-frame log at its length, so the bytes
+        // it holds are what every frame leaves behind.
+        let before = alloc::live();
+        let st = app.client_stats(k);
+        let held = alloc::live() - before;
+        let (latencies, modes) = (st.latency_s.len(), st.mode_log.len());
+        assert!(
+            latencies > 250 && modes > 250,
+            "client {k}: {latencies} latencies, {modes} modes"
+        );
+        assert_eq!(
+            held,
+            (8 * latencies + 16 * modes) as i64,
+            "client {k}: {latencies} latencies and {modes} modes"
+        );
+    }
 }

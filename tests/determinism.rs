@@ -6,9 +6,13 @@ use simcore::{SimRng, SimTime};
 use simnet::NodeId;
 use simos::host::HostConfig;
 use smartpointer::policy::{MonitorSet, Policy};
-use smartpointer::{FrameSpec, SmartPointer, SmartPointerConfig};
+use smartpointer::{FrameSpec, SmartPointer, SmartPointerConfig, StreamMode};
 
-fn full_stack_run() -> (u64, u64, Vec<(f64, f64)>, f64) {
+/// Monitoring deliveries, frames processed, every frame's latency, every
+/// frame's emit time and mode, and the monitoring latency's mean.
+type Fingerprint = (u64, u64, Vec<f64>, Vec<(f64, StreamMode)>, f64);
+
+fn full_stack_run() -> Fingerprint {
     let cfg = ClusterConfig::new(3).host_cfg(1, HostConfig::uniprocessor());
     let mut sim = ClusterSim::new(cfg);
     sim.start();
@@ -30,7 +34,8 @@ fn full_stack_run() -> (u64, u64, Vec<(f64, f64)>, f64) {
     (
         sim.world().mon_delivered,
         st.processed,
-        st.log.clone(),
+        st.latency_s.values().to_vec(),
+        st.mode_log,
         sim.world().mon_latency_us.mean(),
     )
 }
@@ -41,8 +46,9 @@ fn full_stack_replays_identically() {
     let b = full_stack_run();
     assert_eq!(a.0, b.0, "monitoring deliveries");
     assert_eq!(a.1, b.1, "frames processed");
-    assert_eq!(a.2, b.2, "latency log bit-for-bit");
-    assert_eq!(a.3, b.3, "latency statistics");
+    assert_eq!(a.2, b.2, "frame latencies bit-for-bit");
+    assert_eq!(a.3, b.3, "emit times and modes bit-for-bit");
+    assert_eq!(a.4, b.4, "latency statistics");
 }
 
 #[test]

@@ -89,7 +89,14 @@ fn overloaded_no_filter_client_drops_frames() {
     assert!(st.dropped > 0, "the bounded event buffer overflows");
     // Latency plateaus near queue_cap * service_time rather than growing
     // without bound.
-    let tail: Vec<f64> = st.log.iter().rev().take(5).map(|&(_, l)| l).collect();
+    let tail: Vec<f64> = st
+        .latency_s
+        .values()
+        .iter()
+        .rev()
+        .take(5)
+        .copied()
+        .collect();
     let cap_latency = 64.0 * 0.12 * 7.0; // cap * frame cost * (6 linpack + 1)
     assert!(
         tail.iter().all(|&l| l < cap_latency * 1.3),
