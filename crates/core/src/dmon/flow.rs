@@ -43,11 +43,10 @@ impl Flow {
         }
     }
 
-    /// Park what one poll decided for a subscriber, less what the ladder
-    /// no longer sends: a payload waits in the bounded outbox and only
-    /// leaves when a credit is available (oldest-first; overflow sheds
-    /// oldest). Remembers what was sent. A payload is born here and
-    /// nowhere else, so a suppressed stream never touches the pool.
+    /// The payload one poll decided for a subscriber, less what the
+    /// ladder no longer sends, for [`Flow::drain`] to send or park.
+    /// Remembers what was sent. A payload is born here and nowhere else,
+    /// so a suppressed stream never touches the pool.
     #[inline]
     pub(super) fn enqueue(
         p: &mut PeerState,
@@ -55,9 +54,9 @@ impl Flow {
         ladder: &Ladder,
         sample: &Sample,
         cx: &mut PollCx<'_>,
-    ) {
+    ) -> Option<OutboxEntry> {
         if !decided.iter().any(|r| ladder.keeps(r)) {
-            return;
+            return None;
         }
         // Sized before it is filled: a fresh buffer (the pool was dry) is
         // one allocator call, not one per doubling. One loop fills it and
@@ -78,68 +77,91 @@ impl Flow {
         let carried =
             |(id, _, _): &&(u32, String, String)| records.iter().any(|r| r.metric_id == *id);
         let ext_names = sample.ext_schema.iter().filter(carried).cloned().collect();
-        p.outbox.push_back(OutboxEntry { records, ext_names });
-        if p.outbox.len() > OUTBOX_CAP {
-            if let Some(e) = p.outbox.pop_front() {
-                kecho::put_record_buf(e.records);
-                cx.stats.events_shed += 1;
-            }
-        }
+        Some(OutboxEntry { records, ext_names })
     }
 
-    /// Drain a subscriber's outbox as far as credits allow; returns
-    /// whether any data left. Sequence numbers are stamped here, at the
-    /// actual send, so parked or shed payloads leave no hole in the
-    /// stream.
+    /// Send a subscriber's `fresh` payload and drain its outbox as far as
+    /// credits allow; returns whether any data left. A payload leaves at
+    /// once when nothing waits ahead of it, the stream is open and a
+    /// credit is free; otherwise it joins the bounded outbox, which
+    /// drains oldest-first and sheds oldest past [`OUTBOX_CAP`] — so a
+    /// stream that never stalls allocates no outbox. Sequence numbers are
+    /// stamped at the actual send, so parked or shed payloads leave no
+    /// hole in the stream.
     #[inline]
-    pub(super) fn drain(&self, p: &mut PeerState, sub: NodeId, cx: &mut PollCx<'_>) -> bool {
+    pub(super) fn drain(
+        &self,
+        p: &mut PeerState,
+        sub: NodeId,
+        fresh: Option<OutboxEntry>,
+        cx: &mut PollCx<'_>,
+    ) -> bool {
         // A tail-drop park counts down here and always expires by itself;
         // the stream then re-probes the path.
         let choked = p.choke_park > 0;
         if choked {
             p.choke_park -= 1;
         }
+        if let Some(e) = fresh {
+            if !choked && p.outbox.is_empty() && p.credit.try_consume() {
+                self.send(p, sub, e, cx);
+                return true;
+            }
+            p.outbox.push_back(e);
+            if p.outbox.len() > OUTBOX_CAP {
+                if let Some(e) = p.outbox.pop_front() {
+                    kecho::put_record_buf(e.records);
+                    cx.stats.events_shed += 1;
+                }
+            }
+        }
         let mut sent_data = false;
         while !choked && !p.outbox.is_empty() && p.credit.try_consume() {
             let Some(e) = p.outbox.pop_front() else { break };
-            let payload = MonitoringPayload {
-                origin: cx.node,
-                epoch: cx.epoch,
-                stream_seq: p.next_stream_seq(),
-                // The grant counter for the reverse stream rides along. A
-                // stream whose own grant is overdue is probably losing its
-                // frames, so it folds nothing in and leaves the debt to
-                // the poll's standalone `Credit`.
-                credit_grant: {
-                    if !p.credit.grant_overdue() {
-                        p.grants.fold();
-                    }
-                    p.grants.value()
-                },
-                records: e.records,
-                pad_bytes: self.event_pad,
-                ext_names: e.ext_names,
-            };
-            let seq = cx.next_seq();
-            let mut ev = Event::monitoring(cx.mon_chan.0, seq, cx.node, payload);
-            // Streams are customized per subscriber, so every monitoring
-            // event is addressed — a relaying hub needs the final
-            // destination to send it on.
-            ev.target = Some(sub);
-            let (bytes, handler) = cx.out.submit(cx.calib, sub, ev);
-            cx.stats.events_sent += 1;
-            cx.stats.bytes_sent += bytes as u64;
-            // Submission samples accumulate within the iteration; the
-            // sampler takes the per-iteration total at close.
-            cx.stats.pending_submit += handler;
-            p.sent += 1;
-            p.stream_last_send = Some(cx.now);
+            self.send(p, sub, e, cx);
             sent_data = true;
         }
         if !p.outbox.is_empty() {
             cx.stats.credits_stalled += 1;
         }
         sent_data
+    }
+
+    /// Submit one payload, its credit already taken.
+    #[inline]
+    fn send(&self, p: &mut PeerState, sub: NodeId, e: OutboxEntry, cx: &mut PollCx<'_>) {
+        let payload = MonitoringPayload {
+            origin: cx.node,
+            epoch: cx.epoch,
+            stream_seq: p.next_stream_seq(),
+            // The grant counter for the reverse stream rides along. A
+            // stream whose own grant is overdue is probably losing its
+            // frames, so it folds nothing in and leaves the debt to
+            // the poll's standalone `Credit`.
+            credit_grant: {
+                if !p.credit.grant_overdue() {
+                    p.grants.fold();
+                }
+                p.grants.value()
+            },
+            records: e.records,
+            pad_bytes: self.event_pad,
+            ext_names: e.ext_names,
+        };
+        let seq = cx.next_seq();
+        let mut ev = Event::monitoring(cx.mon_chan.0, seq, cx.node, payload);
+        // Streams are customized per subscriber, so every monitoring
+        // event is addressed — a relaying hub needs the final
+        // destination to send it on.
+        ev.target = Some(sub);
+        let (bytes, handler) = cx.out.submit(cx.calib, sub, ev);
+        cx.stats.events_sent += 1;
+        cx.stats.bytes_sent += bytes as u64;
+        // Submission samples accumulate within the iteration; the
+        // sampler takes the per-iteration total at close.
+        cx.stats.pending_submit += handler;
+        p.sent += 1;
+        p.stream_last_send = Some(cx.now);
     }
 
     /// Let a heartbeat ride a stream that carried no data this poll.
@@ -256,8 +278,11 @@ impl DMon {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
+    use super::super::{DmonStats, Outbound};
     use super::*;
-    use kecho::{StreamTracker, INITIAL_CREDITS};
+    use crate::calib::Calib;
+    use kecho::credit::GrantCounter;
+    use kecho::{ChannelId, StreamTracker, INITIAL_CREDITS};
     use simcore::SimTime;
 
     #[test]
@@ -333,6 +358,117 @@ mod tests {
         assert_eq!(to1 as u32, INITIAL_CREDITS, "drained the granted budget");
         assert!(dmon.outbox_len(NodeId(1)) < OUTBOX_CAP);
         assert_eq!(dmon.outbox_len(NodeId(2)), OUTBOX_CAP, "no cross-talk");
+    }
+
+    #[test]
+    fn a_credit_rich_stream_never_allocates_an_outbox() {
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        dmon.set_failure_bounds(SimDur::from_secs(100_000), SimDur::from_secs(200_000));
+        // Each subscriber grants back every frame it got, after each poll.
+        let mut grants = [GrantCounter::default(); 3];
+        let mut sent = 0;
+        for s in 1..=100 {
+            let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(s), &calib);
+            for (hop, _, _) in out
+                .sends
+                .iter()
+                .filter(|(_, ev, _)| ev.as_monitoring().is_some())
+            {
+                grants[hop.to.0].owe(1);
+                sent += 1;
+            }
+            for sub in [NodeId(1), NodeId(2)] {
+                if let Some(credits) = grants[sub.0].fold() {
+                    dmon.on_control(sub, &ControlMsg::Credit { credits }, &calib);
+                }
+                let p = dmon.peers.get(sub).expect("a subscriber's row");
+                assert_eq!(p.outbox.capacity(), 0, "poll {s}: an outbox toward {sub:?}");
+            }
+        }
+        assert!(
+            sent > 4 * INITIAL_CREDITS,
+            "{sent} frames: the grants never mattered"
+        );
+    }
+
+    /// One [`Flow::drain`] toward node 1 with a one-record payload of
+    /// value `fresh`, if any: the values it sent, in order.
+    fn drain(p: &mut PeerState, fresh: Option<f64>, stats: &mut DmonStats) -> Vec<f64> {
+        let (flow, calib, mut seq) = (Flow::new(SimDur::from_secs(1)), Calib::default(), 0);
+        let mut cx = PollCx {
+            now: SimTime::from_secs(1),
+            mon_chan: ChannelId(0),
+            ctl_chan: ChannelId(1),
+            calib: &calib,
+            node: NodeId(0),
+            epoch: 0,
+            seq: &mut seq,
+            stats,
+            out: Outbound {
+                sends: Vec::new(),
+                cpu: SimDur::ZERO,
+            },
+        };
+        let fresh = fresh.map(|value| OutboxEntry {
+            records: vec![MonRecord {
+                metric_id: 0,
+                value,
+                last_value_sent: 0.0,
+                timestamp: 0.0,
+            }],
+            ext_names: Vec::new(),
+        });
+        flow.drain(p, NodeId(1), fresh, &mut cx);
+        let sent = cx
+            .out
+            .sends
+            .iter()
+            .filter_map(|(_, ev, _)| ev.as_monitoring());
+        sent.map(|m| m.records[0].value).collect()
+    }
+
+    fn parked(p: &PeerState) -> Vec<f64> {
+        p.outbox.iter().map(|e| e.records[0].value).collect()
+    }
+
+    #[test]
+    fn a_starved_stream_parks_sheds_oldest_and_drains_in_order() {
+        let (mut p, mut stats) = (PeerState::default(), DmonStats::default());
+        while p.credit.try_consume() {}
+        let extra = 5;
+        for v in 0..OUTBOX_CAP + extra {
+            assert_eq!(drain(&mut p, Some(v as f64), &mut stats), [0.0; 0]);
+        }
+        let kept: Vec<f64> = (extra..OUTBOX_CAP + extra).map(|v| v as f64).collect();
+        assert_eq!(parked(&p), kept, "the oldest were shed");
+        assert_eq!(stats.events_shed, extra as u64);
+        assert_eq!(stats.credits_stalled, (OUTBOX_CAP + extra) as u64);
+        // A grant of four sends the four oldest, in order.
+        p.accept(4);
+        assert_eq!(drain(&mut p, None, &mut stats), kept[..4]);
+        // With a backlog, a fresh payload queues behind it.
+        p.accept(4 + INITIAL_CREDITS);
+        let sent = drain(&mut p, Some(100.0), &mut stats);
+        assert_eq!(sent, kept[4..4 + INITIAL_CREDITS as usize]);
+        assert_eq!(parked(&p).last(), Some(&100.0));
+        assert_eq!(stats.events_sent, u64::from(4 + INITIAL_CREDITS));
+    }
+
+    #[test]
+    fn a_parked_stream_parks_its_fresh_payload() {
+        let (mut p, mut stats) = (PeerState::default(), DmonStats::default());
+        p.choke_park = 2;
+        assert_eq!(drain(&mut p, Some(1.0), &mut stats), [0.0; 0]);
+        assert_eq!(drain(&mut p, Some(2.0), &mut stats), [0.0; 0]);
+        assert_eq!(
+            (parked(&p), p.credit.available()),
+            (vec![1.0, 2.0], INITIAL_CREDITS)
+        );
+        // The park has expired: the backlog leaves oldest-first, then the
+        // next payload leaves at once.
+        assert_eq!(drain(&mut p, None, &mut stats), [1.0, 2.0]);
+        assert_eq!(drain(&mut p, Some(3.0), &mut stats), [3.0]);
+        assert_eq!((stats.credits_stalled, stats.events_shed), (2, 0));
     }
 
     #[test]

@@ -505,11 +505,13 @@ impl DMon {
                 continue;
             }
             // A stretched-away poll builds no data, only heartbeats.
-            if data_poll {
+            let fresh = if data_poll {
                 let decided = self.select.records(p, sample, &mut cx);
-                Flow::enqueue(p, decided, &self.ladder, sample, &mut cx);
-            }
-            let sent_data = self.flow.drain(p, sub, &mut cx);
+                Flow::enqueue(p, decided, &self.ladder, sample, &mut cx)
+            } else {
+                None
+            };
+            let sent_data = self.flow.drain(p, sub, fresh, &mut cx);
             self.flow.heartbeat(p, sub, sent_data, &mut cx);
             stalled |= !p.outbox.is_empty();
         }

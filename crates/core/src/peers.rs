@@ -183,7 +183,8 @@ pub(crate) struct PeerState {
     /// last grant counter taken from it.
     pub(crate) credit: CreditWindow,
     /// Bounded outbox of payloads awaiting credits; overflow sheds
-    /// oldest-first.
+    /// oldest-first. Allocated when a stream first stalls: a payload that
+    /// can leave at once never enters it.
     pub(crate) outbox: VecDeque<OutboxEntry>,
     /// Remaining polls the stream toward this subscriber stays parked
     /// after a tail-drop at this node's own uplink queue. A parked

@@ -257,6 +257,187 @@ proptest! {
         expect.sort();
         prop_assert_eq!(listed, expect);
     }
+
+    /// `ProcFs` answers every query as a tree of `BTreeMap<String, _>`
+    /// directories would, whatever order names arrive in: `B` sorts before
+    /// `a` and `rack10` before `rack2`, and any name can be a directory in
+    /// one place and a file in another.
+    #[test]
+    fn procfs_matches_a_btreemap_tree(ops in proptest::collection::vec(fs_op(), 1..40)) {
+        let mut fs = ProcFs::new();
+        let mut model = Tree::new();
+        for op in ops {
+            let (got, want, touched) = match op {
+                FsOp::Intern(p) => {
+                    let p = names(&p);
+                    let got = kind(fs.intern(&p.join("/")).map(drop));
+                    (got, model_intern(&mut model, &p).map(drop), p)
+                }
+                FsOp::InternIn(p) => {
+                    let p = names(&p);
+                    let (leaf, dirs) = p.split_last().expect("one component or more");
+                    let got = kind(fs.intern_in(dirs, leaf).map(drop));
+                    let want = if p.iter().any(|c| c.is_empty()) {
+                        Err(BAD_PATH)
+                    } else {
+                        model_intern(&mut model, &p).map(drop)
+                    };
+                    (got, want, p)
+                }
+                FsOp::Set(p, v) => {
+                    let (p, text) = (names(&p), format!("v{v}"));
+                    let got = kind(fs.set(&p.join("/"), text.clone()));
+                    (got, model_intern(&mut model, &p).map(|f| *f = text), p)
+                }
+                FsOp::Remove(p) => {
+                    let p = names(&p);
+                    let got = kind(fs.remove(&p.join("/"))).map(drop);
+                    (got, model_remove(&mut model, &p).map(drop), p)
+                }
+                FsOp::Read(p) => (Ok(()), Ok(()), names(&p)),
+            };
+            prop_assert_eq!(got, want, "{:?}", touched);
+            prop_assert_eq!(fs.render_tree(), model_render(&model));
+            prop_assert_eq!(fs.list_root(), model.keys().cloned().collect::<Vec<_>>());
+            let short = (0..NAMES.len()).flat_map(|a| {
+                std::iter::once(vec![NAMES[a]])
+                    .chain((0..NAMES.len()).map(move |b| vec![NAMES[a], NAMES[b]]))
+            });
+            for probe in short.chain([touched]).filter(|p| p.iter().all(|c| !c.is_empty())) {
+                let path = probe.join("/");
+                let want = model_lookup(&model, &probe);
+                prop_assert_eq!(fs.exists(&path), want.is_ok(), "{}", path);
+                prop_assert_eq!(fs.is_dir(&path), matches!(want, Ok(Model::Dir(_))), "{}", path);
+                let listed = want.and_then(|node| match node {
+                    Model::Dir(t) => Ok(t.keys().cloned().collect::<Vec<_>>()),
+                    Model::File(_) => Err(WRONG_KIND),
+                });
+                prop_assert_eq!(kind(fs.list(&path)), listed, "{}", path);
+                let read = want.and_then(|node| match node {
+                    Model::Dir(_) => Err(WRONG_KIND),
+                    Model::File(text) => Ok(text.clone()),
+                });
+                prop_assert_eq!(kind(fs.read(&path).map(std::borrow::Cow::into_owned)), read, "{}", path);
+            }
+        }
+    }
+}
+
+/// The model's alphabet; index `NAMES.len()` is an empty component.
+const NAMES: [&str; 5] = ["rack2", "a", "cpu", "B", "rack10"];
+const NOT_FOUND: &str = "not found";
+const WRONG_KIND: &str = "wrong kind";
+const BAD_PATH: &str = "bad path";
+
+#[derive(Debug, Clone)]
+enum FsOp {
+    Intern(Vec<usize>),
+    InternIn(Vec<usize>),
+    Set(Vec<usize>, u8),
+    Remove(Vec<usize>),
+    Read(Vec<usize>),
+}
+
+fn fs_op() -> impl Strategy<Value = FsOp> {
+    let path = || proptest::collection::vec(0..NAMES.len(), 1..4);
+    prop_oneof![
+        path().prop_map(FsOp::Intern),
+        proptest::collection::vec(0..NAMES.len() + 1, 1..4).prop_map(FsOp::InternIn),
+        (path(), any::<u8>()).prop_map(|(p, v)| FsOp::Set(p, v)),
+        path().prop_map(FsOp::Remove),
+        path().prop_map(FsOp::Read),
+    ]
+}
+
+fn names(ix: &[usize]) -> Vec<&'static str> {
+    ix.iter()
+        .map(|&i| NAMES.get(i).copied().unwrap_or(""))
+        .collect()
+}
+
+/// A `ProcFs` outcome with its error reduced to the error's kind.
+fn kind<T>(r: Result<T, simos::procfs::ProcError>) -> Result<T, &'static str> {
+    use simos::procfs::ProcError;
+    r.map_err(|e| match e {
+        ProcError::NotFound(_) => NOT_FOUND,
+        ProcError::WrongKind(_) => WRONG_KIND,
+        ProcError::BadPath(_) => BAD_PATH,
+    })
+}
+
+/// The reference `/proc` tree.
+type Tree = std::collections::BTreeMap<String, Model>;
+
+#[derive(Debug)]
+enum Model {
+    Dir(Tree),
+    File(String),
+}
+
+/// Create `path`'s missing directories and its file, as `ProcFs::intern`
+/// does; the file's text.
+fn model_intern<'t>(mut tree: &'t mut Tree, path: &[&str]) -> Result<&'t mut String, &'static str> {
+    let (leaf, dirs) = path.split_last().expect("one component or more");
+    for d in dirs {
+        match tree
+            .entry(d.to_string())
+            .or_insert_with(|| Model::Dir(Tree::new()))
+        {
+            Model::Dir(t) => tree = t,
+            Model::File(_) => return Err(WRONG_KIND),
+        }
+    }
+    match tree
+        .entry(leaf.to_string())
+        .or_insert_with(|| Model::File(String::new()))
+    {
+        Model::File(text) => Ok(text),
+        Model::Dir(_) => Err(WRONG_KIND),
+    }
+}
+
+fn model_lookup<'t>(mut tree: &'t Tree, path: &[&str]) -> Result<&'t Model, &'static str> {
+    let (last, dirs) = path.split_last().expect("one component or more");
+    for d in dirs {
+        match tree.get(*d) {
+            Some(Model::Dir(t)) => tree = t,
+            Some(Model::File(_)) => return Err(WRONG_KIND),
+            None => return Err(NOT_FOUND),
+        }
+    }
+    tree.get(*last).ok_or(NOT_FOUND)
+}
+
+fn model_remove(mut tree: &mut Tree, path: &[&str]) -> Result<bool, &'static str> {
+    let (last, dirs) = path.split_last().expect("one component or more");
+    for d in dirs {
+        match tree.get_mut(*d) {
+            Some(Model::Dir(t)) => tree = t,
+            Some(Model::File(_)) => return Err(WRONG_KIND),
+            None => return Ok(false),
+        }
+    }
+    Ok(tree.remove(*last).is_some())
+}
+
+/// `ProcFs::render_tree`'s listing of the model.
+fn model_render(tree: &Tree) -> String {
+    fn walk(out: &mut String, tree: &Tree, depth: usize) {
+        for (name, node) in tree {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(name);
+            match node {
+                Model::Dir(t) => {
+                    out.push_str("/\n");
+                    walk(out, t, depth + 1);
+                }
+                Model::File(_) => out.push('\n'),
+            }
+        }
+    }
+    let mut out = String::new();
+    walk(&mut out, tree, 0);
+    out
 }
 
 // ---------- parameter rules ----------
