@@ -108,12 +108,26 @@ impl Nodes {
         )
     }
 
-    /// Move every node out, in order.
-    pub fn into_rows(self) -> impl Iterator<Item = (Host, DMon, NodeSvc, Port)> {
-        let rows = self.hosts.into_iter().zip(self.dmons);
-        rows.zip(self.svc)
-            .zip(self.ports)
+    /// Move every node out, in order; the columns keep their capacity.
+    pub fn drain_rows(&mut self) -> impl Iterator<Item = (Host, DMon, NodeSvc, Port)> + '_ {
+        let rows = self.hosts.drain(..).zip(self.dmons.drain(..));
+        rows.zip(self.svc.drain(..))
+            .zip(self.ports.drain(..))
             .map(|(((h, d), s), p)| (h, d, s, p))
+    }
+
+    /// Move the last node out.
+    pub fn pop(&mut self) -> Option<(Host, DMon, NodeSvc, Port)> {
+        let (h, d) = (self.hosts.pop()?, self.dmons.pop()?);
+        Some((h, d, self.svc.pop()?, self.ports.pop()?))
+    }
+
+    /// Reverse the node order.
+    pub fn reverse(&mut self) {
+        self.hosts.reverse();
+        self.dmons.reverse();
+        self.svc.reverse();
+        self.ports.reverse();
     }
 
     pub fn push(&mut self, (host, dmon, svc, port): (Host, DMon, NodeSvc, Port)) {

@@ -340,23 +340,25 @@ impl ParallelDriver {
     }
 
     /// Run the cluster to `until` on the worker shards: deal the world's
-    /// per-node columns to the shards, run, and put them back.
+    /// per-node columns to the shards, run, and put them back. Rows move
+    /// between columns that keep their capacity, so a call allocates
+    /// nothing for them once every column has held its nodes.
     pub(crate) fn run_until(&mut self, world: &mut ClusterWorld, until: SimTime) {
-        for (row, &s) in world.take_nodes().into_rows().zip(&self.coord.shard_of) {
+        let mut nodes = world.take_nodes();
+        for (row, &s) in nodes.drain_rows().zip(&self.coord.shard_of) {
             self.shards[s as usize].nodes.push(row);
         }
         self.coord.cache = PlanCache::STALE;
         let shards = std::mem::take(&mut self.shards);
         self.shards = self.engine.run_until(shards, world, &mut self.coord, until);
         // Each shard holds its nodes in id order, so walking the
-        // assignment and taking each shard's next node restores the order.
-        let take_rows = |s: &mut PShard| std::mem::take(&mut s.nodes).into_rows();
-        let mut rows: Vec<_> = self.shards.iter_mut().map(take_rows).collect();
-        let mut nodes = Nodes::default();
-        for &s in &self.coord.shard_of {
-            let row = rows[s as usize].next();
+        // assignment backwards and taking each shard's last node restores
+        // the order, reversed.
+        for &s in self.coord.shard_of.iter().rev() {
+            let row = self.shards[s as usize].nodes.pop();
             nodes.push(row.expect("every node is on its shard"));
         }
+        nodes.reverse();
         world.restore_nodes(nodes);
     }
 }

@@ -134,8 +134,9 @@ struct LogRec {
 }
 
 /// A shard's execution log for one window, and the replay's place in it.
-/// The buffers are cleared, not dropped, when a window has been replayed:
-/// after the first few windows a log holds its working size and logging
+/// The buffers are cleared, not dropped, when a window has been replayed,
+/// and the [`Engine`] keeps them from one `run_until` to the next: after
+/// the first few windows a log holds its working size and logging
 /// allocates nothing.
 struct WindowLog<Fx> {
     records: Vec<LogRec>,
@@ -549,9 +550,10 @@ impl<W: ShardWorld> Crew<'_, W> {
 /// machine, nor on which thread ran which shard. So does the number of
 /// allocator calls a run makes, but for the `min(shards, cores) - 1`
 /// workers each [`Engine::run_until`] spawns: the engine's scratch belongs
-/// to a shard (its window log) or to the call, never to a thread, and a
-/// world that keeps buffers for its handlers must keep them in the world
-/// too.
+/// to the engine (each shard's window log, kept across calls) or to the
+/// call (its lock wrappers and the coordinating thread's few vectors),
+/// never to a thread, and a world that keeps buffers for its handlers
+/// must keep them in the world too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events executed so far.
@@ -572,6 +574,12 @@ pub struct EngineStats {
 /// inspect them between runs.
 pub struct Engine<W: ShardWorld> {
     wheels: Vec<Wheel<W::Ev>>,
+    /// Each shard's window log, kept from one `run_until` to the next at
+    /// its working size.
+    logs: Vec<WindowLog<W::Fx>>,
+    /// The cores a run may use, read once: `available_parallelism` reads
+    /// cgroup files, and allocates doing so.
+    cores: usize,
     seq: u64,
     now: u64,
     lookahead: u64,
@@ -586,6 +594,8 @@ impl<W: ShardWorld> Engine<W> {
         assert!(!lookahead.is_zero(), "lookahead must be positive");
         Engine {
             wheels: (0..shards).map(|_| Wheel::new()).collect(),
+            logs: (0..shards).map(|_| WindowLog::default()).collect(),
+            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             seq: 0,
             now: 0,
             lookahead: lookahead.as_nanos(),
@@ -634,7 +644,7 @@ impl<W: ShardWorld> Engine<W> {
 
     /// Run the event population until `until` (inclusive) on the calling
     /// thread and `min(shards, available_parallelism) - 1` workers, which
-    /// live for this call. `worlds[i]` is shard `i`'s node-local state; it
+    /// live for this call (the core count is the one [`Engine::new`] read). `worlds[i]` is shard `i`'s node-local state; it
     /// is returned (reassembled by the caller) when the episode completes.
     /// A panic in a handler, `plan` or `apply` is re-raised here, on
     /// whichever thread it happened; the engine is not usable afterwards.
@@ -653,10 +663,8 @@ impl<W: ShardWorld> Engine<W> {
         let wheels: Vec<_> = self.wheels.drain(..).map(Mutex::new).collect();
         let shards: Vec<_> = worlds
             .into_iter()
-            .map(|world| {
-                let log = WindowLog::default();
-                Mutex::new(Shard { world, log })
-            })
+            .zip(self.logs.drain(..))
+            .map(|(world, log)| Mutex::new(Shard { world, log }))
             .collect();
         let shared_lock = RwLock::new(shared);
         let ctl = Ctl::new(n);
@@ -666,8 +674,7 @@ impl<W: ShardWorld> Engine<W> {
             shared: &shared_lock,
             ctl: &ctl,
         };
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let (mut seq, mut stats) = (self.seq, self.stats);
+        let (cores, mut seq, mut stats) = (self.cores, self.seq, self.stats);
 
         let caught = std::thread::scope(|scope| {
             let workers: Vec<Thread> = (1..n.min(cores))
@@ -703,14 +710,18 @@ impl<W: ShardWorld> Engine<W> {
         self.seq = seq;
         self.stats = stats;
         self.now = until;
-        // Put the wheels back and hand the worlds to the caller.
+        // Put the wheels and logs back and hand the worlds to the caller.
         let unwrapped = wheels
             .into_iter()
             .map(|m| m.into_inner().expect("wheel lock"));
         self.wheels.extend(unwrapped);
         let shards = shards.into_iter();
         shards
-            .map(|m| m.into_inner().expect("shard lock").world)
+            .map(|m| {
+                let Shard { world, log } = m.into_inner().expect("shard lock");
+                self.logs.push(log);
+                world
+            })
             .collect()
     }
 }

@@ -1,9 +1,9 @@
 //! A window of the sharded engine allocates nothing once its logs have
 //! reached their working size: the coordinating thread's scratch is built
 //! once per `run_until`, a shard's log and provisional-sequence map are
-//! cleared and kept, and the wheels circulate their slot buffers. Counted
-//! over every thread, so the binary has no test harness: its `main` runs
-//! the check alone.
+//! cleared and kept (by the engine, from one `run_until` to the next), and
+//! the wheels circulate their slot buffers. Counted over every thread, so
+//! the binary has no test harness: its `main` runs the check alone.
 
 use dproc_bench::alloc::{all_calls, Counting};
 use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
