@@ -14,12 +14,12 @@ use simcore::SimTime;
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Ceiling on live heap per node, per rack member: 100 KB per node at 32
-/// per rack. Rack-sized peer tables measure 2.6 to 2.7 KB per member at
+/// Ceiling on live heap per node, per rack member: 70 KB per node at 32
+/// per rack. Rack-sized peer tables measure 1.8 to 1.9 KB per member at
 /// 256 and 1024 nodes / 32 per rack and at 4096 / 64 — the ceiling is
-/// the largest of those plus 15 % — while cluster-sized ones cost three
-/// to four times that at 1024 / 32 and grow with the node count.
-const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 3.15;
+/// the largest of those plus 15 % — while cluster-sized ones cost
+/// several times that at 1024 / 32 and grow with the node count.
+const HEAP_KB_PER_RACK_MEMBER_MAX: f64 = 2.19;
 
 /// `n` nodes in racks of `rack` after `secs` sim-s of polling, digests
 /// included: the largest per-node peer table, and the live heap the
@@ -33,6 +33,10 @@ fn scale_run(n: usize, rack: usize, secs: u64) -> (usize, f64) {
     sim.start();
     sim.run_until(SimTime::from_secs(secs));
     let heap_kb = (alloc::live() - live_before) as f64 / 1024.0 / n as f64;
+    let per_member = heap_kb / rack as f64;
+    println!(
+        "{n} nodes / {rack} per rack: {heap_kb:.1} KB per node, {per_member:.2} KB per rack member"
+    );
     let w = sim.world();
     assert!(w.mon_delivered > 0, "{n} nodes: nothing was monitored");
     let digests: u64 = w.dmon_total(|s| s.digests_received);
