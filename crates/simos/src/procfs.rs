@@ -165,10 +165,11 @@ struct File {
 const _: () = assert!(std::mem::size_of::<File>() == 40);
 
 /// The pseudo-filesystem of one host.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ProcFs {
     /// Each directory's entries, sorted by name text; `dirs[0]` is the
-    /// root. A removed directory keeps its slot, as a removed file does.
+    /// root, made by the first `intern`. A removed directory keeps its
+    /// slot, as a removed file does.
     dirs: Vec<Vec<Entry>>,
     /// Files, slab-indexed by [`Entry::node`] and [`ProcHandle`].
     files: Vec<File>,
@@ -201,32 +202,10 @@ fn normalize(path: &str) -> Result<&str, ProcError> {
     Ok(trimmed)
 }
 
-impl Default for ProcFs {
-    fn default() -> Self {
-        ProcFs {
-            dirs: vec![Vec::new()],
-            files: Vec::new(),
-            names: Vec::new(),
-            cells: Vec::new(),
-            pending_writes: Vec::new(),
-            write_text: String::new(),
-        }
-    }
-}
-
 /// `n` as an entry's node index, which leaves [`DIR`] clear.
 fn index(n: usize) -> u32 {
-    u32::try_from(n)
-        .ok()
-        .filter(|&n| n < DIR)
-        .expect("under 2^31 /proc entries")
-}
-
-/// A path's parent directories, walked in place, and its last component.
-fn parent_and_leaf(path: &str) -> Result<(std::str::SplitTerminator<'_, char>, &str), ProcError> {
-    let path = normalize(path)?;
-    let (dirs, leaf) = path.rsplit_once('/').unwrap_or(("", path));
-    Ok((dirs.split_terminator('/'), leaf))
+    assert!(n < DIR as usize, "over 2^31 /proc entries");
+    n as u32
 }
 
 impl ProcFs {
@@ -247,8 +226,7 @@ impl ProcFs {
     /// and its parent directories if absent. Resolution cost is paid once;
     /// writes through the handle are O(1).
     pub fn intern(&mut self, path: &str) -> Result<ProcHandle, ProcError> {
-        let (dirs, file) = parent_and_leaf(path)?;
-        self.intern_at(dirs, file)
+        self.intern_at(normalize(path)?.split('/'))
             .ok_or_else(|| ProcError::WrongKind(path.to_string()))
     }
 
@@ -261,53 +239,41 @@ impl ProcFs {
         if !dirs.iter().chain([&leaf]).all(component) {
             return Err(ProcError::BadPath(path()));
         }
-        self.intern_at(dirs.iter().copied(), leaf)
+        self.intern_at(dirs.iter().copied().chain([leaf]))
             .ok_or_else(|| ProcError::WrongKind(path()))
     }
 
-    /// Walk `dirs` from the root, creating the missing ones, and resolve or
-    /// create `file` in the last; `None` where a component is of the wrong
-    /// kind. Only what is created allocates.
-    fn intern_at<'p>(
-        &mut self,
-        dirs: impl Iterator<Item = &'p str>,
-        file: &str,
-    ) -> Option<ProcHandle> {
-        let mut dir = 0;
-        for d in dirs {
-            let node = match self.find(dir, d) {
+    /// Walk `parts` from the root, creating what is missing — directories,
+    /// and the last part as an empty file — and resolve that file; `None`
+    /// where a part is of the wrong kind. Only what is created allocates.
+    fn intern_at<'p>(&mut self, parts: impl Iterator<Item = &'p str>) -> Option<ProcHandle> {
+        // The root, on first use.
+        self.dirs.resize_with(self.dirs.len().max(1), Vec::new);
+        let (mut node, mut parts) = (DIR, parts.peekable());
+        while let Some(part) = parts.next() {
+            let dir = node.checked_sub(DIR)? as usize;
+            node = match self.find(dir, part) {
                 Ok(at) => self.dirs[dir][at].node,
-                Err(at) => {
-                    self.dirs.push(Vec::new());
-                    self.insert(dir, at, d, DIR | index(self.dirs.len() - 1)).1
-                }
+                Err(at) => self.create(dir, at, part, parts.peek().is_some()),
             };
-            dir = node.checked_sub(DIR)? as usize;
         }
-        match self.find(dir, file) {
-            Ok(at) => Some(self.dirs[dir][at].node).filter(|&n| n < DIR),
-            Err(at) => {
-                let (leaf, idx) = self.insert(dir, at, file, index(self.files.len()));
-                let content = Content::Text(String::new());
-                self.files.push(File { content, leaf });
-                Some(idx)
-            }
-        }
-        .map(|n| ProcHandle(n as usize))
+        (node < DIR).then_some(ProcHandle(node as usize))
     }
 
-    fn name(&self, e: &Entry) -> &str {
-        &self.names[e.name as usize].0
+    /// Directory `dir`'s entries; none in the root before it is made.
+    fn entries(&self, dir: usize) -> &[Entry] {
+        self.dirs.get(dir).map_or(&[], Vec::as_slice)
     }
 
     /// Where `name` is, or belongs, among directory `dir`'s entries.
     fn find(&self, dir: usize, name: &str) -> Result<usize, usize> {
-        self.dirs[dir].binary_search_by(|e| self.name(e).cmp(name))
+        self.entries(dir)
+            .binary_search_by(|e| (*self.names[e.name as usize].0).cmp(name))
     }
 
-    /// Enter `name` at `at` in directory `dir`, interning it; its id and
-    /// `node`.
-    fn insert(&mut self, dir: usize, at: usize, name: &str, node: u32) -> (u32, u32) {
+    /// Enter a new directory, or an empty file where `!is_dir`, named
+    /// `name` at `at` in directory `dir`; its node.
+    fn create(&mut self, dir: usize, at: usize, name: &str, is_dir: bool) -> u32 {
         let names = &self.names;
         let id = match names.binary_search_by(|&(_, id)| (*names[id as usize].0).cmp(name)) {
             Ok(k) => names[k].1,
@@ -315,15 +281,21 @@ impl ProcFs {
                 let id = index(names.len());
                 self.names.push((name.into(), id));
                 // The byte-order column moves up one place from `k`.
-                for j in (k + 1..self.names.len()).rev() {
-                    self.names[j].1 = self.names[j - 1].1;
-                }
-                self.names[k].1 = id;
+                let column = self.names[k..].iter_mut();
+                column.fold(id, |moved, n| std::mem::replace(&mut n.1, moved));
                 id
             }
         };
+        let node = if is_dir {
+            self.dirs.push(Vec::new());
+            DIR | index(self.dirs.len() - 1)
+        } else {
+            let content = Content::Text(String::new());
+            self.files.push(File { content, leaf: id });
+            index(self.files.len() - 1)
+        };
         self.dirs[dir].insert(at, Entry { name: id, node });
-        (id, node)
+        node
     }
 
     /// Replace an interned file's content. O(1): no parsing, no tree walk.
@@ -445,33 +417,26 @@ impl ProcFs {
         file.content.render(leaf, &self.cells)
     }
 
-    /// What `path` names: a file's slab index, or a directory's index with
-    /// [`DIR`] set.
-    fn lookup(&self, path: &str) -> Result<u32, ProcError> {
-        let mut node = DIR;
-        for c in normalize(path)?.split('/') {
-            let dir = node
-                .checked_sub(DIR)
-                .ok_or_else(|| ProcError::WrongKind(path.into()))?;
-            let at = self
-                .find(dir as usize, c)
-                .map_err(|_| ProcError::NotFound(path.into()))?;
-            node = self.dirs[dir as usize][at].node;
-        }
-        Ok(node)
-    }
-
-    fn lookup_file(&self, path: &str) -> Result<ProcHandle, ProcError> {
-        match self.lookup(path)? {
-            DIR.. => Err(ProcError::WrongKind(path.to_string())),
-            file => Ok(ProcHandle(file as usize)),
-        }
+    /// What `path` names — a file's slab index, or a directory's index
+    /// with [`DIR`] set — and where its entry lies: directory, place.
+    fn lookup(&self, path: &str) -> Result<(u32, usize, usize), ProcError> {
+        let (kind, missing) = (ProcError::WrongKind, ProcError::NotFound);
+        normalize(path)?
+            .split('/')
+            .try_fold((DIR, 0, 0), |(node, ..), part| {
+                let dir = node.checked_sub(DIR).ok_or_else(|| kind(path.into()))? as usize;
+                let at = self.find(dir, part).map_err(|_| missing(path.into()))?;
+                Ok((self.dirs[dir][at].node, dir, at))
+            })
     }
 
     /// Read a file's contents (userspace `cat`); cells or a record are
     /// rendered into a copy.
     pub fn read(&self, path: &str) -> Result<Cow<'_, str>, ProcError> {
-        Ok(self.read_handle(self.lookup_file(path)?))
+        match self.lookup(path)?.0 {
+            DIR.. => Err(ProcError::WrongKind(path.to_string())),
+            file => Ok(self.read_handle(ProcHandle(file as usize))),
+        }
     }
 
     /// Userspace write (`echo ... > /proc/...`): requires the file to
@@ -480,7 +445,9 @@ impl ProcFs {
     /// The path is resolved where it lies and the write is copied into the
     /// queue's one text buffer, so a warmed queue allocates nothing.
     pub fn write(&mut self, path: &str, data: &str) -> Result<(), ProcError> {
-        self.lookup_file(path)?;
+        if self.lookup(path)?.0 >= DIR {
+            return Err(ProcError::WrongKind(path.to_string()));
+        }
         // The first write of a batch reuses what the last batch drained.
         if self.pending_writes.is_empty() {
             self.write_text.clear();
@@ -510,7 +477,7 @@ impl ProcFs {
 
     /// Sorted names inside a directory.
     pub fn list(&self, path: &str) -> Result<Vec<String>, ProcError> {
-        match self.lookup(path)?.checked_sub(DIR) {
+        match self.lookup(path)?.0.checked_sub(DIR) {
             Some(dir) => Ok(self.list_dir(dir as usize)),
             None => Err(ProcError::WrongKind(path.to_string())),
         }
@@ -522,10 +489,8 @@ impl ProcFs {
     }
 
     fn list_dir(&self, dir: usize) -> Vec<String> {
-        self.dirs[dir]
-            .iter()
-            .map(|e| self.name(e).to_string())
-            .collect()
+        let name = |e: &Entry| self.names[e.name as usize].0.to_string();
+        self.entries(dir).iter().map(name).collect()
     }
 
     /// Whether a path exists (file or directory).
@@ -535,34 +500,29 @@ impl ProcFs {
 
     /// Whether a path exists and is a directory.
     pub fn is_dir(&self, path: &str) -> bool {
-        self.lookup(path).is_ok_and(|node| node >= DIR)
+        self.lookup(path).is_ok_and(|(node, ..)| node >= DIR)
     }
 
     /// Remove a file or an entire directory subtree. Returns true if
     /// something was removed.
     pub fn remove(&mut self, path: &str) -> Result<bool, ProcError> {
-        let (dirs, last) = parent_and_leaf(path)?;
-        let mut dir = 0;
-        for d in dirs {
-            let Ok(at) = self.find(dir, d) else {
-                return Ok(false);
-            };
-            let node = self.dirs[dir][at].node.checked_sub(DIR);
-            dir = node.ok_or_else(|| ProcError::WrongKind(path.to_string()))? as usize;
+        match self.lookup(path) {
+            Ok((_, dir, at)) => {
+                self.dirs[dir].remove(at);
+                Ok(true)
+            }
+            Err(ProcError::NotFound(_)) => Ok(false),
+            Err(e) => Err(e),
         }
-        let found = self.find(dir, last).map(|at| self.dirs[dir].remove(at));
-        Ok(found.is_ok())
     }
 
     /// Render the whole tree as an indented listing (debugging aid, and
     /// the basis of the quickstart example's Figure-1 output).
     pub fn render_tree(&self) -> String {
         fn walk(fs: &ProcFs, out: &mut String, dir: usize, depth: usize) {
-            for e in &fs.dirs[dir] {
-                for _ in 0..depth {
-                    out.push_str("  ");
-                }
-                out.push_str(fs.name(e));
+            for e in fs.entries(dir) {
+                out.extend(std::iter::repeat_n("  ", depth));
+                out.push_str(&fs.names[e.name as usize].0);
                 match e.node.checked_sub(DIR) {
                     Some(sub) => {
                         out.push_str("/\n");
