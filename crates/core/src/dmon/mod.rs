@@ -328,11 +328,11 @@ pub struct DMon {
     pub stats: DmonStats,
 }
 
-// Each sharded `run_until` deals every node's `DMon` into fresh per-shard
-// columns. Past 1024 bytes an element, a `Vec` grows
-// from a capacity of one rather than four: two more allocator calls per
-// column per run (`star64-sharded2` read +120). A field that does not fit
-// fails the build here, on purpose.
+// Each sharded `run_until` deals every node's `DMon` into per-shard
+// columns, which keep their capacity from one call to the next. Past 1024
+// bytes an element, a `Vec` grows from a capacity of one rather than
+// four: two more allocator calls per column the first time it fills. A
+// field that does not fit fails the build here, on purpose.
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<DMon>() <= 1024);
 
