@@ -644,8 +644,9 @@ impl<W: ShardWorld> Engine<W> {
 
     /// Run the event population until `until` (inclusive) on the calling
     /// thread and `min(shards, available_parallelism) - 1` workers, which
-    /// live for this call (the core count is the one [`Engine::new`] read). `worlds[i]` is shard `i`'s node-local state; it
-    /// is returned (reassembled by the caller) when the episode completes.
+    /// live for this call (the core count is the one [`Engine::new`]
+    /// read). `worlds[i]` is shard `i`'s node-local state; it is returned
+    /// (reassembled by the caller) when the episode completes.
     /// A panic in a handler, `plan` or `apply` is re-raised here, on
     /// whichever thread it happened; the engine is not usable afterwards.
     pub fn run_until<C: Coordinator<W>>(
