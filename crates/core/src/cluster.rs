@@ -12,7 +12,7 @@ use simcore::{HandleMsg, Sim, SimDur, SimTime};
 use simnet::link::{BytesWindow, LinkSpec};
 use simnet::topology::{Placement, TopologySpec};
 use simnet::traffic::FlowTable;
-use simnet::{Fabric, FaultAction, Network, NodeId};
+use simnet::{DirLink, Fabric, FaultAction, Leg, Network, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
 
@@ -21,7 +21,7 @@ use kecho::{ChannelId, Directory, Event, Hop, RecordPool};
 use crate::calib::Calib;
 use crate::dmon::{DMon, DmonStats};
 use crate::modules::standard_modules;
-use crate::node::{view_of, Cols, Fx, Member, Node, NodeSet, NodeSvc, Nodes, Sink, View};
+use crate::node::{landed, view_of, Cols, Fx, Member, Node, NodeSet, NodeSvc, Nodes, Sink, View};
 use crate::pcluster::ParallelDriver;
 
 /// Cluster construction parameters.
@@ -309,11 +309,13 @@ pub struct ClusterWorld {
     pub(crate) deferred: Vec<Member>,
 }
 
-/// The shared state handlers write only through [`Fx`]: link
-/// reservations past the sender's uplink, the latency sampler, the
-/// delivery and drop counters.
+/// The shared state handlers write only through their sink: link
+/// reservations past the sender's uplink ([`Sink::wire_send`]), and,
+/// through [`Fx`], the latency sampler and the delivery and drop counters.
 pub(crate) struct Ledger<'a> {
     fabric: &'a mut Fabric,
+    /// Every node's downlink.
+    downs: &'a mut [DirLink],
     pub fault: &'a mut simnet::FaultState,
     mon_latency_us: &'a mut simcore::stats::Sampler,
     mon_delivered: &'a mut u64,
@@ -322,22 +324,11 @@ pub(crate) struct Ledger<'a> {
 }
 
 impl Ledger<'_> {
-    /// Apply one effect. A delivery it produces goes to `arm`, to be
-    /// scheduled at the receiver; a membership effect is handed back,
-    /// because it is not the ledger's to apply.
+    /// Apply one effect. A membership effect is handed back, because it is
+    /// not the ledger's to apply.
     #[inline(always)]
-    pub fn post(&mut self, fx: Fx, arm: impl FnOnce(SimTime, ClusterEvent)) -> Option<Member> {
+    pub fn post(&mut self, fx: Fx) -> Option<Member> {
         match fx {
-            Fx::WireSend { mut frame, leg } => {
-                let d = self.fabric.finish(frame.hop.from, frame.hop.to, leg);
-                // A drop here happened inside a switch: no one learns of it.
-                if d.dropped.is_none() {
-                    frame.queued = d.queued;
-                    arm(d.deliver_at, ClusterEvent::Deliver(frame));
-                } else {
-                    frame.ev.recycle();
-                }
-            }
             Fx::MonDelivered { latency_us } => {
                 *self.mon_delivered += 1;
                 self.mon_latency_us.add(latency_us);
@@ -350,10 +341,10 @@ impl Ledger<'_> {
     }
 }
 
-/// The serial engine's sink: children go straight onto the scheduler and
-/// ledger effects are applied at once. Membership effects wait in
-/// `deferred` until the handler returns — where a shard's replay applies
-/// them too.
+/// The serial engine's sink: children and deliveries go straight onto the
+/// scheduler and ledger effects are applied at once. Membership effects
+/// wait in `deferred` until the handler returns — where a shard's replay
+/// applies them too.
 pub(crate) struct SerialSink<'a> {
     sim: &'a mut ClusterSched,
     ledger: Ledger<'a>,
@@ -365,13 +356,22 @@ impl Sink for SerialSink<'_> {
         self.sim.schedule_msg_at(at, ev);
     }
 
+    /// A frame a switch drops still takes the sequence number its
+    /// delivery would have, as a sharded run's post does.
+    #[inline(always)]
+    fn wire_send(&mut self, frame: Frame, leg: Leg) {
+        let (from, to) = (frame.hop.from, frame.hop.to);
+        let ledger = &mut self.ledger;
+        let d = ledger.fabric.finish(from, to, leg, &mut ledger.downs[to.0]);
+        match landed(frame, d) {
+            Some((at, ev)) => self.sim.schedule_msg_at(at, ev),
+            None => self.sim.skip_seq(),
+        }
+    }
+
     #[inline(always)]
     fn fx(&mut self, fx: Fx) {
-        let sim = &mut *self.sim;
-        let member = self.ledger.post(fx, |at, ev| {
-            sim.schedule_msg_at(at, ev);
-        });
-        if let Some(m) = member {
+        if let Some(m) = self.ledger.post(fx) {
             self.ledger.deferred.push(m);
         }
     }
@@ -457,9 +457,10 @@ impl ClusterWorld {
     /// Disjoint borrows of the world for one handler run: the per-node
     /// columns, the read-only view, the ledger.
     pub(crate) fn split(&mut self) -> (Cols<'_>, View<'_>, Ledger<'_>) {
-        let (ports, fabric) = self.net.split();
+        let (ports, downs, fabric) = self.net.split();
         let ledger = Ledger {
             fabric,
+            downs,
             fault: &mut self.fault,
             mon_latency_us: &mut self.mon_latency_us,
             mon_delivered: &mut self.mon_delivered,
@@ -518,11 +519,13 @@ impl ClusterWorld {
     /// shards, or to reach other nodes while the rest of the world is
     /// borrowed.
     pub(crate) fn take_nodes(&mut self) -> Nodes {
+        let (ports, downs) = self.net.take_ports();
         Nodes {
             hosts: std::mem::take(&mut self.hosts),
             dmons: std::mem::take(&mut self.dmons),
             svc: std::mem::take(&mut self.svc),
-            ports: self.net.take_ports(),
+            ports,
+            downs,
         }
     }
 
@@ -531,7 +534,7 @@ impl ClusterWorld {
         self.hosts = nodes.hosts;
         self.dmons = nodes.dmons;
         self.svc = nodes.svc;
-        self.net.restore_ports(nodes.ports);
+        self.net.restore_ports(nodes.ports, nodes.downs);
     }
 
     fn with_nodes(&mut self, f: impl FnOnce(&mut Self, &mut Nodes)) {
@@ -633,12 +636,9 @@ impl ClusterWorld {
                 self.crash(node, nodes);
             }
             FaultAction::Revive(node) => self.revive(now, node, nodes, arm),
-            // The node's uplink travels with the node; its downlink is
-            // the fabric's.
+            // Both directions of the node's link travel with the node.
             FaultAction::Degrade(node, _) | FaultAction::HealLink(node) => {
-                let n = nodes.node(node);
-                let links = (n.port.uplink_mut(), self.net.downlink_mut(node));
-                self.fault.apply_links(action, Some(links));
+                self.fault.apply_links(action, Some(nodes.links(node)));
             }
             ref other => self.fault.apply_links(other, None),
         }

@@ -2,15 +2,16 @@
 //!
 //! A handler runs as one node. It may mutate that node's own state (a
 //! [`Node`]), read the cluster-wide state a [`View`] exposes, and emit
-//! everything else — child events, and effects on state other nodes share
-//! — into a [`Sink`], in program order. The serial engine's sink
-//! schedules and applies at once; a shard's sink logs for the coordinator
-//! to replay. Because both run this code, both emit the same sequence,
+//! everything else — child events, frames on the wire, and effects on
+//! state other nodes share — into a [`Sink`], in program order. The
+//! serial engine's sink schedules and applies at once; a shard's sink logs
+//! for the coordinator to replay and posts frames to their receivers'
+//! shards. Because both run this code, both emit the same sequence,
 //! which is what makes a sharded run bit-identical to a serial one.
 
 use simcore::{SimDur, SimTime};
 use simnet::link::BytesWindow;
-use simnet::{ConnId, Leg, NodeId, Placement, Port, TrafficClass};
+use simnet::{ConnId, Delivery, DirLink, Leg, NodeId, Placement, Port, TrafficClass};
 use simos::host::Host;
 use simos::TaskId;
 
@@ -23,10 +24,6 @@ use crate::dmon::DMon;
 /// An effect on state that nodes share, applied in serial order by
 /// whoever owns that state (see [`crate::cluster::Ledger::post`]).
 pub(crate) enum Fx {
-    /// A message left its sender's uplink: reserve the remaining links
-    /// (which fills in `frame.queued`) and schedule the delivery at the
-    /// receiver.
-    WireSend { frame: Frame, leg: Leg },
     /// A monitoring event reached its subscriber.
     MonDelivered { latency_us: f64 },
     /// A control event reached its target.
@@ -50,17 +47,35 @@ pub(crate) enum Member {
 }
 
 /// Where a handler's output goes. Calls must be made in the order the
-/// handler wants them to take effect: each `schedule_at` consumes one
-/// scheduler sequence number, each `fx` touches shared state.
+/// handler wants them to take effect: each `schedule_at` and each
+/// `wire_send` consumes one scheduler sequence number (a frame a switch
+/// drops too), each `fx` touches shared state.
 pub(crate) trait Sink {
     /// Schedule a child event on the executing node.
     fn schedule_at(&mut self, at: SimTime, ev: ClusterEvent);
+    /// A frame left its sender's uplink: cross the remaining links, the
+    /// spine (across racks) and the receiver's downlink, which fills in
+    /// `frame.queued`, and schedule the delivery at the receiver.
+    fn wire_send(&mut self, frame: Frame, leg: Leg);
     /// Emit an effect on shared state.
     fn fx(&mut self, fx: Fx);
     /// Whether an injected partition or loss destroys a `from` → `to`
     /// delivery. A query with side effects (loss draws, drop counters),
     /// so it is answered in delivery order.
     fn should_drop(&mut self, from: NodeId, to: NodeId) -> bool;
+}
+
+/// The end of a frame's path: the delivery to schedule at the receiver, or
+/// `None` for a frame a switch dropped, whose buffer goes back to the pool
+/// lent to this thread. No one learns of a drop inside a switch.
+#[inline]
+pub(crate) fn landed(mut frame: Frame, d: Delivery) -> Option<(SimTime, ClusterEvent)> {
+    if d.dropped.is_some() {
+        frame.ev.recycle();
+        return None;
+    }
+    frame.queued = d.queued;
+    Some((d.deliver_at, ClusterEvent::Deliver(frame)))
 }
 
 /// A node's cluster-glue state: the d-mon kernel thread, the poll series,
@@ -88,6 +103,9 @@ pub(crate) type Cols<'a> = (
     &'a mut [Port],
 );
 
+/// One node's row of the columns.
+pub(crate) type Row = (Host, DMon, NodeSvc, Port, DirLink);
+
 /// The per-node columns, owned: what a world hands to its shards, and
 /// what the membership appliers reach other nodes through.
 #[derive(Default)]
@@ -96,6 +114,9 @@ pub(crate) struct Nodes {
     pub dmons: Vec<DMon>,
     pub svc: Vec<NodeSvc>,
     pub ports: Vec<Port>,
+    /// Each node's downlink (switch → node): only frames addressed to the
+    /// node reserve it, which its shard's receive hook does.
+    pub downs: Vec<DirLink>,
 }
 
 impl Nodes {
@@ -109,17 +130,19 @@ impl Nodes {
     }
 
     /// Move every node out, in order; the columns keep their capacity.
-    pub fn drain_rows(&mut self) -> impl Iterator<Item = (Host, DMon, NodeSvc, Port)> + '_ {
+    pub fn drain_rows(&mut self) -> impl Iterator<Item = Row> + '_ {
         let rows = self.hosts.drain(..).zip(self.dmons.drain(..));
         rows.zip(self.svc.drain(..))
             .zip(self.ports.drain(..))
-            .map(|(((h, d), s), p)| (h, d, s, p))
+            .zip(self.downs.drain(..))
+            .map(|((((h, d), s), p), l)| (h, d, s, p, l))
     }
 
     /// Move the last node out.
-    pub fn pop(&mut self) -> Option<(Host, DMon, NodeSvc, Port)> {
+    pub fn pop(&mut self) -> Option<Row> {
         let (h, d) = (self.hosts.pop()?, self.dmons.pop()?);
-        Some((h, d, self.svc.pop()?, self.ports.pop()?))
+        let (s, p) = (self.svc.pop()?, self.ports.pop()?);
+        Some((h, d, s, p, self.downs.pop()?))
     }
 
     /// Reverse the node order.
@@ -128,24 +151,37 @@ impl Nodes {
         self.dmons.reverse();
         self.svc.reverse();
         self.ports.reverse();
+        self.downs.reverse();
     }
 
-    pub fn push(&mut self, (host, dmon, svc, port): (Host, DMon, NodeSvc, Port)) {
+    pub fn push(&mut self, (host, dmon, svc, port, down): Row) {
         self.hosts.push(host);
         self.dmons.push(dmon);
         self.svc.push(svc);
         self.ports.push(port);
+        self.downs.push(down);
+    }
+
+    /// Both directions of node `l`'s link: uplink, downlink.
+    pub fn links(&mut self, l: usize) -> (&mut DirLink, &mut DirLink) {
+        (self.ports[l].uplink_mut(), &mut self.downs[l])
     }
 }
 
 /// Any node's state by cluster-wide id, wherever it currently lives.
 pub(crate) trait NodeSet {
     fn node(&mut self, id: NodeId) -> Node<'_>;
+    /// Both directions of the node's link: uplink, downlink.
+    fn links(&mut self, id: NodeId) -> (&mut DirLink, &mut DirLink);
 }
 
 impl NodeSet for Nodes {
     fn node(&mut self, id: NodeId) -> Node<'_> {
         Node::at(id.0, self.cols())
+    }
+
+    fn links(&mut self, id: NodeId) -> (&mut DirLink, &mut DirLink) {
+        Nodes::links(self, id.0)
     }
 }
 
@@ -274,16 +310,16 @@ impl<'a> Node<'a> {
     }
 
     /// Put a message on the wire: the uplink leg runs here, on the
-    /// sender; the remaining links are shared, so the rest of the path is
-    /// a [`Fx::WireSend`]. A frame tail-dropped here gives its buffer back,
-    /// as does every other path that destroys one.
+    /// sender; the rest of the path is the sink's
+    /// ([`Sink::wire_send`]). A frame tail-dropped here gives its buffer
+    /// back, as does every other path that destroys one.
     #[inline]
     fn send_message(&mut self, now: SimTime, frame: Frame, sink: &mut impl Sink) {
         let Frame {
             hop, ref ev, bytes, ..
         } = frame;
         match self.port.send(now, hop.from == hop.to, bytes, class_of(ev)) {
-            Ok(leg) => sink.fx(Fx::WireSend { frame, leg }),
+            Ok(leg) => sink.wire_send(frame, leg),
             // An uplink tail-drop happened in the sender's own kernel —
             // locally observable, so the publisher's d-mon chokes the
             // stream instead of burning more credits on a dead queue.
@@ -528,14 +564,14 @@ mod tests {
             });
         }
 
+        fn wire_send(&mut self, frame: Frame, leg: Leg) {
+            self.log.push(Out::Wire(frame.ev.kind));
+            self.frames.push(frame);
+            self.legs.push(leg);
+        }
+
         fn fx(&mut self, fx: Fx) {
             self.log.push(match fx {
-                Fx::WireSend { frame, leg } => {
-                    let kind = frame.ev.kind;
-                    self.frames.push(frame);
-                    self.legs.push(leg);
-                    Out::Wire(kind)
-                }
                 Fx::MonDelivered { .. } => Out::MonDelivered,
                 Fx::CtlDelivered => Out::CtlDelivered,
                 Fx::CrashDrop => Out::CrashDrop,
@@ -643,10 +679,11 @@ mod tests {
         let (mut pool, mut armed) = (RecordPool::default(), 0);
         {
             let _lent = pool.lend();
-            let ledger = &mut sim.world_mut().split().2;
+            let (_, downs, fabric) = sim.world_mut().net.split();
+            let (from, to) = (frame.hop.from, frame.hop.to);
             for frame in [frame.clone(), frame] {
-                let none = ledger.post(Fx::WireSend { frame, leg }, |_, _| armed += 1);
-                assert!(none.is_none());
+                let d = fabric.finish(from, to, leg, &mut downs[to.0]);
+                armed += usize::from(landed(frame, d).is_some());
             }
         }
         assert_eq!(armed, 1, "one delivery scheduled");

@@ -6,14 +6,14 @@
 //! # Who owns what during a run
 //!
 //! Each node's columns ([`Nodes`]: host, d-mon, service queue, uplink
-//! port) move to the node's shard for the length of a
+//! port, downlink) move to the node's shard for the length of a
 //! [`ParallelDriver::run_until`] call: round-robin on a star, whole racks
 //! to one shard on a hierarchy, so rack-local traffic stays shard-local.
-//! What remains of the [`ClusterWorld`] — directory, switch-side links,
-//! fault state, samplers, counters — is the shards' shared state. A
-//! handler reads it through a [`View`](crate::node::View) and writes it
-//! only by emitting an [`Fx`], which [`PCoord::apply`] replays in exact
-//! serial order through the same appliers the serial engine uses.
+//! What remains of the [`ClusterWorld`] — directory, spine links, fault
+//! state, samplers, counters — is the shards' shared state. A handler
+//! reads it through a [`View`](crate::node::View) and writes it only by
+//! emitting an [`Fx`], which [`PCoord::apply`] replays in exact serial
+//! order through the same appliers the serial engine uses.
 //!
 //! # Which effects are deferred
 //!
@@ -23,6 +23,17 @@
 //! handler that emitted them (no handler reads the ledger). Membership
 //! effects do not, which is why the serial engine also applies them only
 //! after the emitting handler has returned.
+//!
+//! A frame that leaves its sender's uplink is not an [`Fx`] but a post to
+//! its receiver's shard ([`Wire`]): the merge gives it its sequence
+//! number and crosses the spine legs of a cross-rack frame
+//! ([`PCoord::route`]) in serial position, and the receiving shard then
+//! reserves its own node's downlink and schedules the delivery
+//! ([`PShard::receive`]), in the merge's order, in parallel with the
+//! other shards. No handler and no `Fx` touches a downlink inside a
+//! parallel window — link faults go serial — so each downlink takes its
+//! reservations in the serial order restricted to it, and that is all its
+//! arithmetic depends on.
 //!
 //! # Why parallel windows are safe
 //!
@@ -48,15 +59,18 @@
 //! behaviour exactly.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use kecho::RecordPool;
-use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
+use simcore::pdes::{
+    Coordinator, Emit, Engine, Receipt, Sched, ShardWorld, SharedView, WindowMode, Worlds,
+};
 use simcore::{SimDur, SimTime};
-use simnet::{FaultState, NodeId, Placement};
+use simnet::{Delivery, DirLink, FaultState, Leg, NodeId, Placement};
 
-use crate::cluster::{ClusterEvent, ClusterWorld};
+use crate::cluster::{ClusterEvent, ClusterWorld, Frame};
 use crate::dmon::DMon;
-use crate::node::{view_of, Fx, Member, Node, NodeSet, Nodes, Sink};
+use crate::node::{landed, view_of, Fx, Member, Node, NodeSet, Nodes, Sink};
 
 /// One worker shard's world: the columns of the nodes it owns, and the
 /// record buffers their handlers reuse.
@@ -65,21 +79,39 @@ pub(crate) struct PShard {
     /// Cluster-wide node id → index in `nodes` (`usize::MAX` for nodes on
     /// other shards).
     local: Vec<usize>,
+    /// Cluster-wide node id → shard, the coordinator's.
+    shard_of: Arc<[u32]>,
     /// Lent to whichever thread runs a handler of this shard, so the
     /// buffers stay with the shard and not with the thread that claimed it.
     pool: RecordPool,
 }
 
-/// A shard's sink: everything is logged for replay. Only a serial window
-/// has the fault state to answer `should_drop` from.
+/// A frame on its way to its receiver's shard, as it left its sender's
+/// uplink. The merge replaces `path` with the spine's verdict on a
+/// cross-rack frame; the receiving shard crosses the downlink.
+pub(crate) struct Wire {
+    frame: Frame,
+    path: Result<Leg, Delivery>,
+}
+
+/// A shard's sink: everything is logged for replay, and a frame is posted
+/// to its receiver's shard. Only a serial window has the fault state to
+/// answer `should_drop` from.
 struct ShardSink<'a, 'e> {
-    out: &'a mut Emit<'e, ClusterEvent, Fx>,
+    out: &'a mut Emit<'e, PShard>,
     fault: Option<&'a mut FaultState>,
+    shard_of: &'a [u32],
 }
 
 impl Sink for ShardSink<'_, '_> {
     fn schedule_at(&mut self, at: SimTime, ev: ClusterEvent) {
         self.out.schedule_at(at, ev);
+    }
+
+    fn wire_send(&mut self, frame: Frame, leg: Leg) {
+        let shard = self.shard_of[frame.hop.to.0] as usize;
+        let path = Ok(leg);
+        self.out.post(shard, Wire { frame, path });
     }
 
     fn fx(&mut self, fx: Fx) {
@@ -97,6 +129,7 @@ impl Sink for ShardSink<'_, '_> {
 impl ShardWorld for PShard {
     type Ev = ClusterEvent;
     type Fx = Fx;
+    type Post = Wire;
     type Shared = ClusterWorld;
 
     // detlint: shard-entry
@@ -104,7 +137,7 @@ impl ShardWorld for PShard {
         &mut self,
         now: SimTime,
         ev: ClusterEvent,
-        out: &mut Emit<'_, ClusterEvent, Fx>,
+        out: &mut Emit<'_, PShard>,
         shared: &mut SharedView<'_, ClusterWorld>,
     ) {
         let (view, fault) = match shared {
@@ -118,12 +151,31 @@ impl ShardWorld for PShard {
             SharedView::Exclusive(w) => (view_of!(w), Some(&mut w.fault)),
         };
         let mut node = Node::at(self.local[ev.node()], self.nodes.cols());
-        let sink = &mut ShardSink { out, fault };
+        let shard_of = &self.shard_of;
+        let sink = &mut ShardSink {
+            out,
+            fault,
+            shard_of,
+        };
         let _lent = self.pool.lend();
         match ev {
             ClusterEvent::Poll { token, .. } => node.tick(now, token, &view, sink),
             ClusterEvent::Deliver(frame) => node.deliver(now, frame, &view, sink),
             ClusterEvent::Fault { k } => sink.fx(Fx::Member(Member::FaultAction { k })),
+        }
+    }
+
+    /// The end of a frame's path: the receiver's downlink, then the
+    /// delivery, scheduled under the number the merge gave the frame. A
+    /// frame a switch dropped gives its buffer to this shard's pool.
+    // detlint: shard-entry
+    fn receive(&mut self, _now: SimTime, wire: Wire, receipt: Receipt<'_, ClusterEvent>) {
+        let Wire { frame, path } = wire;
+        let down = &mut self.nodes.downs[self.local[frame.hop.to.0]];
+        let d = path.map_or_else(|dropped| dropped, |leg| leg.land(down));
+        let _lent = d.dropped.is_some().then(|| self.pool.lend());
+        if let Some((at, ev)) = landed(frame, d) {
+            receipt.schedule_at(at, ev);
         }
     }
 }
@@ -139,6 +191,11 @@ impl NodeSet for ShardNodes<'_, '_, '_> {
         let w = &mut self.worlds[self.shard_of[id.0] as usize];
         Node::at(w.local[id.0], w.nodes.cols())
     }
+
+    fn links(&mut self, id: NodeId) -> (&mut DirLink, &mut DirLink) {
+        let w = &mut self.worlds[self.shard_of[id.0] as usize];
+        w.nodes.links(w.local[id.0])
+    }
 }
 
 /// The coordinator: hazard planning + effect application.
@@ -147,7 +204,7 @@ pub(crate) struct PCoord {
     /// imminent-fault hazard check.
     fault_pending: BTreeSet<(SimTime, usize)>,
     /// Node → shard assignment.
-    shard_of: Vec<u32>,
+    shard_of: Arc<[u32]>,
     /// What `plan` remembers of its last look at every node, so that a
     /// window is planned without one.
     cache: PlanCache,
@@ -255,26 +312,31 @@ impl Coordinator<PShard> for PCoord {
         worlds: &mut Worlds<'_, '_, PShard>,
         sched: &mut Sched<'_, '_, ClusterEvent>,
     ) {
+        let Some(m) = shared.split().2.post(fx) else {
+            return;
+        };
+        if let Member::FaultAction { k } = m {
+            self.fault_pending.remove(&(now, k));
+        }
+        self.cache = PlanCache::STALE;
         let shard_of = &self.shard_of[..];
         let mut arm = |at: SimTime, ev: ClusterEvent| {
             sched.schedule(shard_of[ev.node()] as usize, at, ev);
         };
-        if let Fx::WireSend { frame, .. } = &fx {
-            // A switch drop gives the frame's buffer back here, in the
-            // replay, where the simulation's pool is lent and no shard
-            // takes from it: the sending shard's pool gets it instead.
-            let sender = &mut worlds[shard_of[frame.hop.from.0] as usize];
-            let _lent = sender.pool.lend();
-            shared.split().2.post(fx, &mut arm);
+        let mut nodes = ShardNodes { worlds, shard_of };
+        shared.apply_member(now, m, &mut nodes, &mut arm);
+    }
+
+    /// A frame's spine legs, crossed in serial order: the spine is the one
+    /// part of a path that senders on every shard share.
+    fn route(&mut self, _now: SimTime, wire: &mut Wire, shared: &mut ClusterWorld) {
+        if !shared.net.is_hierarchical() {
             return;
         }
-        if let Some(m) = shared.split().2.post(fx, &mut arm) {
-            if let Member::FaultAction { k } = m {
-                self.fault_pending.remove(&(now, k));
-            }
-            self.cache = PlanCache::STALE;
-            let mut nodes = ShardNodes { worlds, shard_of };
-            shared.apply_member(now, m, &mut nodes, &mut arm);
+        let Wire { frame, path } = wire;
+        if let Ok(leg) = *path {
+            let fabric = shared.net.split().2;
+            *path = fabric.cross_spine(frame.hop.from, frame.hop.to, leg);
         }
     }
 }
@@ -305,11 +367,12 @@ impl ParallelDriver {
                 placement.rack_of(NodeId(i))
             }
         };
-        let shard_of: Vec<u32> = (0..n).map(|i| (key(i) % shards) as u32).collect();
+        let shard_of: Arc<[u32]> = (0..n).map(|i| (key(i) % shards) as u32).collect();
         let mut worlds: Vec<PShard> = (0..shards)
             .map(|_| PShard {
                 nodes: Nodes::default(),
                 local: vec![usize::MAX; n],
+                shard_of: shard_of.clone(),
                 pool: RecordPool::default(),
             })
             .collect();
@@ -345,7 +408,7 @@ impl ParallelDriver {
     /// nothing for them once every column has held its nodes.
     pub(crate) fn run_until(&mut self, world: &mut ClusterWorld, until: SimTime) {
         let mut nodes = world.take_nodes();
-        for (row, &s) in nodes.drain_rows().zip(&self.coord.shard_of) {
+        for (row, &s) in nodes.drain_rows().zip(self.coord.shard_of.iter()) {
             self.shards[s as usize].nodes.push(row);
         }
         self.coord.cache = PlanCache::STALE;

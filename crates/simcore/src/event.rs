@@ -453,6 +453,13 @@ impl<W, M> Sim<W, M> {
         self.schedule_msg_at(self.now + after, msg);
     }
 
+    /// Consume one sequence number and schedule nothing: a message the
+    /// model drops where it would have scheduled its arrival still takes
+    /// the number a sharded run's post takes ([`crate::pdes::Emit::post`]).
+    pub fn skip_seq(&mut self) {
+        self.seq += 1;
+    }
+
     /// Box `f` once as a handler that [`Sim::call_at`] can schedule any
     /// number of times, each call with its own argument.
     pub fn register(&mut self, f: impl FnMut(&mut W, &mut Sim<W, M>, u64) + 'static) -> CallId {

@@ -26,11 +26,14 @@
 //!    and not finished. A worker that wakes late finds nothing left and
 //!    costs nothing; with one usable core no worker exists and the
 //!    coordinating thread runs every shard in turn,
-//! 3. replays a deterministic merge of the shards' execution logs to
-//!    assign exact sequence numbers and apply cross-shard effects.
+//! 3. merges the shards' execution logs on the coordinating thread to
+//!    assign exact sequence numbers and apply global effects (phase A),
+//! 4. lets the shards claimed the same way take the posts addressed to
+//!    them, each in merge order (phase B).
 //!
 //! Which thread ran which shard never shows in a result: shard windows are
-//! mutually independent and the merge in step 3 is pure data. Nor does it
+//! mutually independent, the merge in step 3 is pure data, and in step 4 a
+//! shard touches only its own state. Nor does it
 //! show in an allocator count, provided what a shard's handlers reuse
 //! lives in the [`ShardWorld`] and not in the thread that claimed it (the
 //! cluster's shards each own their record pool and lend it to that
@@ -45,19 +48,37 @@
 //! keys sort after every exact key, which is precisely the serial order for
 //! same-time events: every pre-window event's seq is smaller than any seq
 //! the serial run would assign during the window. Each shard also logs, per
-//! executed event, the list of *emissions* (local children and global
-//! effects) in program order — the exact order in which the serial handler
-//! would have consumed sequence numbers and touched shared state.
+//! executed event, the list of *emissions* in program order — the exact
+//! order in which the serial handler would have consumed sequence numbers
+//! and touched shared state: local children, global effects ([`Emit::fx`])
+//! and posts to a shard ([`Emit::post`]). A post's payload stays in an
+//! outbox the engine keeps for each (source, destination) pair; the log
+//! holds only its destination.
 //!
-//! At window end the coordinator merges the shard logs by `(time, exact
-//! seq)`. A log head's exact seq is always known: either the event predated
-//! the window, or its parent ran earlier on the same shard and the merge
-//! already assigned it one. Walking the merge in order, every `Local`
-//! emission receives the next global sequence number (still-pending
-//! children are rekeyed in place in the shard's wheel) and every `Fx`
-//! emission is applied — downlink reservations, sampler updates, registry
-//! changes — in exact serial position.
+//! Phase A merges the shard logs by `(time, exact seq)` on the
+//! coordinating thread. A log head's exact seq is always known: either the
+//! event predated the window, or its parent ran earlier on the same shard
+//! and the merge already assigned it one. Walking the merge in order,
+//! every `Local` emission receives the next global sequence number
+//! (still-pending children are rekeyed in place in the shard's wheel),
+//! every `Fx` is applied ([`Coordinator::apply`]) and every post takes the
+//! next number too, is shown to [`Coordinator::route`] and joins its
+//! destination's worklist — all in exact serial position. The outboxes
+//! then change hands, a swap of queue headers per pair: no payload moves
+//! on the coordinating thread.
 //!
+//! Phase B lets each destination shard take its posts in merge order
+//! through [`ShardWorld::receive`], which may schedule one event under
+//! the number phase A gave the post ([`Receipt`]). A post takes its number
+//! even when the hook schedules nothing, so numbering, and with it
+//! [`Engine::seq`], does not depend on what the hooks decide; a serial
+//! model that drops such a message skips one number the same way. This
+//! is exact as long as a receive hook touches only state that no handler
+//! and no `Fx` reads or writes inside the window (in the cluster: the
+//! receiver's downlink): every such piece of state then sees its updates
+//! in serial order, restricted to itself. The next window is planned only
+//! after phase B, so window boundaries do not depend on it either.
+
 //! # Hazard windows
 //!
 //! Some global state cannot be read against a frozen snapshot: active
@@ -66,10 +87,12 @@
 //! each window; if it detects a hazard it returns [`WindowMode::Serial`]
 //! and the engine executes that window on the coordinating thread in exact
 //! global order with exclusive access to the shared state (emissions are
-//! still logged and replayed per event, so sequence numbering is
-//! identical). Fault-free stretches run fully parallel.
+//! still logged and replayed per event, posts received at once, so
+//! sequence numbering is identical). Fault-free stretches run fully
+//! parallel.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -120,6 +143,9 @@ enum LogEmit<Fx> {
     /// A global effect; applied by the [`Coordinator`] at replay, in exact
     /// serial position.
     Fx(Fx),
+    /// A post to shard `dst` (`Emit::post`), whose payload waits in the
+    /// outbox for `dst`; consumes one global sequence number at replay.
+    Post { dst: u32 },
 }
 
 /// One executed event in a shard's window log.
@@ -133,14 +159,23 @@ struct LogRec {
     emits: u32,
 }
 
-/// A shard's execution log for one window, and the replay's place in it.
-/// The buffers are cleared, not dropped, when a window has been replayed,
-/// and the [`Engine`] keeps them from one `run_until` to the next: after
-/// the first few windows a log holds its working size and logging
-/// allocates nothing.
-struct WindowLog<Fx> {
+/// A post on its destination shard's worklist: the shard that sent it,
+/// the posting event's time, and the sequence number phase A gave it.
+#[derive(Clone, Copy)]
+struct Arrival {
+    src: u32,
+    at: u64,
+    seq: u64,
+}
+
+/// A shard's execution log for one window, the replay's place in it, and
+/// the shard's mail. The buffers are cleared, not dropped, when a window
+/// has been replayed, and the [`Engine`] keeps them from one `run_until`
+/// to the next: after the first few windows a log holds its working size
+/// and logging allocates nothing.
+struct WindowLog<W: ShardWorld> {
     records: Vec<LogRec>,
-    emits: Vec<LogEmit<Fx>>,
+    emits: Vec<LogEmit<W::Fx>>,
     /// Exact sequence numbers the replay has assigned to this shard's
     /// in-window children so far, indexed by provisional id (assignment
     /// order == log order).
@@ -148,21 +183,33 @@ struct WindowLog<Fx> {
     /// How many of `records` and `emits` the replay has consumed.
     next_rec: usize,
     next_emit: usize,
+    /// The payloads this shard posted in the window, by destination, in
+    /// program order.
+    out: Vec<VecDeque<W::Post>>,
+    /// How many of each `out` queue phase A has routed.
+    routed: Vec<usize>,
+    /// The payloads posted to this shard, by source: each a source's `out`
+    /// queue, lent from the end of phase A to the end of phase B.
+    inn: Vec<VecDeque<W::Post>>,
+    /// The posts to this shard in merge order: phase B's worklist.
+    arrivals: Vec<Arrival>,
 }
 
-impl<Fx> Default for WindowLog<Fx> {
-    fn default() -> Self {
+impl<W: ShardWorld> WindowLog<W> {
+    fn new(shards: usize) -> Self {
         WindowLog {
             records: Vec::new(),
             emits: Vec::new(),
             prov: Vec::new(),
             next_rec: 0,
             next_emit: 0,
+            out: (0..shards).map(|_| VecDeque::new()).collect(),
+            routed: vec![0; shards],
+            inn: (0..shards).map(|_| VecDeque::new()).collect(),
+            arrivals: Vec::new(),
         }
     }
-}
 
-impl<Fx> WindowLog<Fx> {
     /// `(time, exact seq)` of the next record to replay. A provisional key
     /// is always resolvable: its parent ran earlier on the same shard, so
     /// the merge has already assigned its exact seq.
@@ -184,7 +231,7 @@ impl<Fx> WindowLog<Fx> {
     }
 
     /// Consume the next logged emission.
-    fn pop_emit(&mut self) -> LogEmit<Fx> {
+    fn pop_emit(&mut self) -> LogEmit<W::Fx> {
         let e = std::mem::replace(&mut self.emits[self.next_emit], LogEmit::Local { at: 0 });
         self.next_emit += 1;
         e
@@ -200,24 +247,25 @@ impl<Fx> WindowLog<Fx> {
 }
 
 /// Emission collector handed to [`ShardWorld::execute`]. Handlers must call
-/// `schedule_at`/`fx` in exactly the program order the serial implementation
-/// performs the corresponding `schedule` calls and shared-state mutations —
-/// that order is what the replay reproduces.
-pub struct Emit<'a, Ev, Fx> {
+/// `schedule_at`/`fx`/`post` in exactly the program order the serial
+/// implementation performs the corresponding `schedule` calls and
+/// shared-state mutations — that order is what the replay reproduces.
+pub struct Emit<'a, W: ShardWorld> {
     now: u64,
-    wheel: &'a mut Wheel<Ev>,
-    emits: &'a mut Vec<LogEmit<Fx>>,
+    wheel: &'a mut Wheel<W::Ev>,
+    emits: &'a mut Vec<LogEmit<W::Fx>>,
+    out: &'a mut [VecDeque<W::Post>],
     prov_ctr: &'a mut u64,
 }
 
-impl<Ev, Fx> Emit<'_, Ev, Fx> {
+impl<W: ShardWorld> Emit<'_, W> {
     /// The executing event's time.
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.now)
     }
 
     /// Schedule a child event on this shard at absolute time `at`.
-    pub fn schedule_at(&mut self, at: SimTime, ev: Ev) {
+    pub fn schedule_at(&mut self, at: SimTime, ev: W::Ev) {
         let a = at.as_nanos();
         assert!(a >= self.now, "cannot schedule into the past: at={at}");
         let key = PROV_BIT | *self.prov_ctr;
@@ -227,23 +275,70 @@ impl<Ev, Fx> Emit<'_, Ev, Fx> {
     }
 
     /// Schedule a child event `after` from now.
-    pub fn schedule_in(&mut self, after: SimDur, ev: Ev) {
+    pub fn schedule_in(&mut self, after: SimDur, ev: W::Ev) {
         let at = SimTime::from_nanos(self.now) + after;
         self.schedule_at(at, ev);
     }
 
     /// Emit a global effect for the coordinator to apply in serial order.
-    pub fn fx(&mut self, fx: Fx) {
+    pub fn fx(&mut self, fx: W::Fx) {
         self.emits.push(LogEmit::Fx(fx));
+    }
+
+    /// Post `msg` to `shard` (this one included). It takes the next
+    /// sequence number at this point of the serial order, is shown to
+    /// [`Coordinator::route`] there, and reaches `shard`'s
+    /// [`ShardWorld::receive`] after the window's merge, in merge order.
+    pub fn post(&mut self, shard: usize, msg: W::Post) {
+        self.out[shard].push_back(msg);
+        self.emits.push(LogEmit::Post { dst: shard as u32 });
+    }
+}
+
+/// What a receive hook may schedule: one event, under the sequence number
+/// its post took in the merge.
+pub struct Receipt<'a, Ev> {
+    wheel: &'a mut Wheel<Ev>,
+    seq: u64,
+    /// While a parallel window's posts are received: its inclusive bound,
+    /// which nothing scheduled here may fall inside.
+    window_bound: Option<u64>,
+}
+
+impl<Ev> Receipt<'_, Ev> {
+    /// Schedule `ev` on the receiving shard at `at`, under the post's
+    /// sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Inside a parallel window's bound, as [`Sched::schedule`] does.
+    pub fn schedule_at(self, at: SimTime, ev: Ev) {
+        check_lookahead(self.window_bound, at);
+        self.wheel.insert(at.as_nanos(), self.seq, ev);
+    }
+}
+
+/// The lookahead promise: work scheduled while a parallel window is
+/// replayed falls past its bound.
+fn check_lookahead(window_bound: Option<u64>, at: SimTime) {
+    if let Some(bound) = window_bound {
+        assert!(
+            at.as_nanos() > bound,
+            "lookahead violated: an effect scheduled work at {at}, inside a parallel \
+             window that runs to {}",
+            SimTime::from_nanos(bound)
+        );
     }
 }
 
 /// A shard of the simulated world: the node-local state owned by one worker.
-pub trait ShardWorld: Send {
+pub trait ShardWorld: Send + Sized {
     /// Event payload (the wheel stores these by value).
     type Ev: Send + 'static;
     /// Global effect payload.
     type Fx: Send + 'static;
+    /// Payload of a post to a shard ([`Emit::post`]).
+    type Post: Send + 'static;
     /// State shared across shards, owned by the coordinator. Read-only
     /// during parallel windows (all shards hold `&Shared` concurrently).
     type Shared: Send + Sync;
@@ -255,9 +350,16 @@ pub trait ShardWorld: Send {
         &mut self,
         now: SimTime,
         ev: Self::Ev,
-        out: &mut Emit<'_, Self::Ev, Self::Fx>,
+        out: &mut Emit<'_, Self>,
         shared: &mut SharedView<'_, Self::Shared>,
     );
+
+    /// Take one post addressed to this shard, sent by an event at `now`:
+    /// in merge order after a parallel window (phase B), at once in a
+    /// serial one. It may schedule one event under the post's sequence
+    /// number. It must touch only state that no handler and no global
+    /// effect reads or writes inside a window (see the module docs).
+    fn receive(&mut self, now: SimTime, post: Self::Post, receipt: Receipt<'_, Self::Ev>);
 }
 
 /// Window execution mode chosen by the coordinator's planner.
@@ -293,14 +395,7 @@ impl<Ev> Sched<'_, '_, Ev> {
     /// happen. (A serial window re-picks the global minimum after every
     /// event, so there any `at` is in order.)
     pub fn schedule(&mut self, shard: usize, at: SimTime, ev: Ev) -> u64 {
-        if let Some(bound) = self.window_bound {
-            assert!(
-                at.as_nanos() > bound,
-                "lookahead violated: an effect scheduled work at {at}, inside a parallel \
-                 window that runs to {}",
-                SimTime::from_nanos(bound)
-            );
-        }
+        check_lookahead(self.window_bound, at);
         let seq = *self.seq;
         *self.seq += 1;
         self.wheels[shard].insert(at.as_nanos(), seq, ev);
@@ -360,16 +455,21 @@ pub trait Coordinator<W: ShardWorld> {
         worlds: &mut Worlds<'_, '_, W>,
         sched: &mut Sched<'_, '_, W::Ev>,
     );
+
+    /// Look at a post sent by an event at `now`, at its place in the
+    /// serial order and before its destination receives it: where a post
+    /// updates state that every shard shares. Does nothing by default.
+    fn route(&mut self, _now: SimTime, _post: &mut W::Post, _shared: &mut W::Shared) {}
 }
 
 /// A shard's world and window log. A shard and its wheel each sit behind a
-/// mutex of their own — whoever claims the shard for a window locks both,
-/// and between handler phases the coordinating thread holds every one —
-/// so that a replay can lend out all worlds ([`Worlds`]) and all wheels
-/// ([`Sched`]) at once.
+/// mutex of their own — whoever claims the shard for a window or for its
+/// posts locks both, and between those phases the coordinating thread
+/// holds every one — so that a replay can lend out all worlds ([`Worlds`])
+/// and all wheels ([`Sched`]) at once.
 struct Shard<W: ShardWorld> {
     world: W,
-    log: WindowLog<W::Fx>,
+    log: WindowLog<W>,
 }
 
 impl<W: ShardWorld> Shard<W> {
@@ -383,6 +483,7 @@ impl<W: ShardWorld> Shard<W> {
                 now: at,
                 wheel,
                 emits: &mut self.log.emits,
+                out: &mut self.log.out,
                 prov_ctr: &mut prov_ctr,
             };
             self.world.execute(
@@ -396,6 +497,21 @@ impl<W: ShardWorld> Shard<W> {
                 key,
                 emits: (self.log.emits.len() - before) as u32,
             });
+        }
+    }
+
+    /// Phase B: take the posts phase A put on this shard's worklist, in
+    /// merge order.
+    fn receive_posts(&mut self, wheel: &mut Wheel<W::Ev>, window_bound: u64) {
+        let log = &mut self.log;
+        for a in log.arrivals.drain(..) {
+            let post = log.inn[a.src as usize].pop_front().expect("a post per arrival");
+            let receipt = Receipt {
+                wheel: &mut *wheel,
+                seq: a.seq,
+                window_bound: Some(window_bound),
+            };
+            self.world.receive(SimTime::from_nanos(a.at), post, receipt);
         }
     }
 }
@@ -422,6 +538,9 @@ struct Ctl {
     n: usize,
     /// Inclusive bound of the published window.
     bound: AtomicU64,
+    /// Whether the published claim is for the window's posts (phase B)
+    /// rather than its events.
+    receiving: AtomicBool,
     /// Next unclaimed shard of the published window; `>= n` when there is
     /// nothing to claim.
     next: AtomicUsize,
@@ -440,6 +559,7 @@ impl Ctl {
         Ctl {
             n,
             bound: AtomicU64::new(0),
+            receiving: AtomicBool::new(false),
             next: AtomicUsize::new(n),
             done: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -448,8 +568,9 @@ impl Ctl {
         }
     }
 
-    fn publish(&self, bound: u64) {
+    fn publish(&self, bound: u64, receiving: bool) {
         self.bound.store(bound, Ordering::Relaxed);
+        self.receiving.store(receiving, Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
         self.next.store(0, Ordering::Release);
     }
@@ -500,21 +621,26 @@ impl<W: ShardWorld> Clone for Crew<'_, W> {
 impl<W: ShardWorld> Copy for Crew<'_, W> {}
 
 impl<W: ShardWorld> Crew<'_, W> {
-    /// Claim shards of the open window until none is left and run each.
-    /// Every thread of the crew runs a window through this, the
-    /// coordinating thread included, so a panicking shard is handled the
-    /// same wherever it was claimed: the payload is kept for `run_until`
-    /// to re-raise and the shard still counts as done, which is what lets
-    /// the window close.
+    /// Claim shards of the open round until none is left and run each:
+    /// its events, or its posts. Every thread of the crew runs a round
+    /// through this, the coordinating thread included, so a panicking
+    /// shard is handled the same wherever it was claimed: the payload is
+    /// kept for `run_until` to re-raise and the shard still counts as
+    /// done, which is what lets the round close.
     fn claim_and_run(&self) {
         let ctl = self.ctl;
         while let Some(i) = ctl.claim() {
             let bound = ctl.bound.load(Ordering::Relaxed);
+            let receiving = ctl.receiving.load(Ordering::Relaxed);
             let r = catch_unwind(AssertUnwindSafe(|| {
-                let sh = self.shared.read().expect("shared lock");
                 let mut wheel = self.wheels[i].lock().expect("wheel lock");
                 let mut shard = self.shards[i].lock().expect("shard lock");
-                shard.run_window(&mut wheel, bound, &**sh);
+                if receiving {
+                    shard.receive_posts(&mut wheel, bound);
+                } else {
+                    let sh = self.shared.read().expect("shared lock");
+                    shard.run_window(&mut wheel, bound, &**sh);
+                }
             }));
             if let Err(p) = r {
                 let mut first = ctl.panic_payload.lock().expect("panic slot");
@@ -550,10 +676,12 @@ impl<W: ShardWorld> Crew<'_, W> {
 /// machine, nor on which thread ran which shard. So does the number of
 /// allocator calls a run makes, but for the `min(shards, cores) - 1`
 /// workers each [`Engine::run_until`] spawns: the engine's scratch belongs
-/// to the engine (each shard's window log, kept across calls) or to the
-/// call (its lock wrappers and the coordinating thread's few vectors),
-/// never to a thread, and a world that keeps buffers for its handlers
-/// must keep them in the world too.
+/// to the engine (each shard's window log, outboxes and worklist, kept
+/// across calls, the outboxes circulating between a pair's source and
+/// destination) or to the call (its lock wrappers and the coordinating
+/// thread's few vectors), never to a thread, and a world that keeps
+/// buffers for its handlers or its receive hook must keep them in the
+/// world too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events executed so far.
@@ -574,9 +702,9 @@ pub struct EngineStats {
 /// inspect them between runs.
 pub struct Engine<W: ShardWorld> {
     wheels: Vec<Wheel<W::Ev>>,
-    /// Each shard's window log, kept from one `run_until` to the next at
-    /// its working size.
-    logs: Vec<WindowLog<W::Fx>>,
+    /// Each shard's window log and mail, kept from one `run_until` to the
+    /// next at its working size.
+    logs: Vec<WindowLog<W>>,
     /// The cores a run may use, read once: `available_parallelism` reads
     /// cgroup files, and allocates doing so.
     cores: usize,
@@ -594,7 +722,7 @@ impl<W: ShardWorld> Engine<W> {
         assert!(!lookahead.is_zero(), "lookahead must be positive");
         Engine {
             wheels: (0..shards).map(|_| Wheel::new()).collect(),
-            logs: (0..shards).map(|_| WindowLog::default()).collect(),
+            logs: (0..shards).map(|_| WindowLog::new(shards)).collect(),
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             seq: 0,
             now: 0,
@@ -727,10 +855,10 @@ impl<W: ShardWorld> Engine<W> {
     }
 }
 
-/// The coordinating thread's state for one `run_until`: between the handler
-/// phases of two parallel windows it holds every wheel and every shard, so
-/// finding the next window, planning it, replaying it and running a serial
-/// window touch no lock, and all its scratch is built here, once.
+/// The coordinating thread's state for one `run_until`: outside the
+/// parallel phases it holds every wheel and every shard, so finding the
+/// next window, planning it, merging it and running a serial window touch
+/// no lock, and all its scratch is built here, once.
 struct Run<'a, 'c, W: ShardWorld, C> {
     crew: Crew<'a, W>,
     workers: &'c [Thread],
@@ -797,12 +925,15 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                     // whole window.
                     let busy = self.next_at.iter().flatten();
                     let busy = busy.filter(|&&at| at <= bound).count();
-                    self.run_shards(bound, busy);
+                    self.claim_round(bound, busy, false);
                     if self.crew.ctl.panicked.load(Ordering::Acquire) {
                         return;
                     }
                     self.lock_all();
                     self.replay(bound);
+                    if !self.receive_posts(bound) {
+                        return;
+                    }
                     self.stats.windows_parallel += 1;
                     self.stats.windows_inline += u64::from(busy <= 1);
                 }
@@ -810,24 +941,48 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
         }
     }
 
-    /// The handler phase of a parallel window: let go of every shard, open
-    /// the window, claim what this thread can, and wait until the last
-    /// claimed shard is done. Workers are woken only for the
-    /// busy shards this thread cannot start on at once; one that is still
-    /// polling needs no waking, and one that wakes late finds nothing.
-    fn run_shards(&mut self, bound: u64, busy: usize) {
+    /// Phase B: every shard takes the posts phase A put on its worklist.
+    /// With more than one shard to serve and a worker to share them with,
+    /// they are claimed like a window's events; otherwise this thread
+    /// serves them in turn. False when a shard panicked.
+    fn receive_posts(&mut self, bound: u64) -> bool {
+        let shards = self.shards.iter();
+        let busy = shards.filter(|s| !s.log.arrivals.is_empty()).count();
+        if busy <= 1 || self.workers.is_empty() {
+            for (shard, wheel) in self.shards.iter_mut().zip(&mut self.wheels) {
+                shard.receive_posts(wheel, bound);
+            }
+        } else {
+            self.claim_round(bound, busy, true);
+            if self.crew.ctl.panicked.load(Ordering::Acquire) {
+                return false;
+            }
+            self.lock_all();
+        }
+        self.swap_mail(true);
+        true
+    }
+
+    /// A parallel phase — a window's events, or its posts: let go of every
+    /// shard, open the claim round, claim what this thread can, and wait
+    /// until the last claimed shard is done. Workers are woken only for
+    /// the `busy` shards this thread cannot start on at once; one that is
+    /// still polling needs no waking, and one that wakes late finds
+    /// nothing.
+    fn claim_round(&mut self, bound: u64, busy: usize, receiving: bool) {
         self.wheels.clear();
         self.shards.clear();
-        self.crew.ctl.publish(bound);
+        self.crew.ctl.publish(bound, receiving);
         let spare = busy.saturating_sub(1).min(self.workers.len());
         self.workers[..spare].iter().for_each(Thread::unpark);
         self.crew.claim_and_run();
         self.crew.ctl.wait_done();
     }
 
-    /// Merge the shard logs of a parallel window in exact `(time, seq)`
-    /// order, assigning serial sequence numbers to in-window children and
-    /// applying global effects in serial position.
+    /// Phase A: merge the shard logs of a parallel window in exact
+    /// `(time, seq)` order, assigning serial sequence numbers to in-window
+    /// children and posts, applying global effects and routing posts in
+    /// serial position; then hand each outbox to its destination.
     fn replay(&mut self, bound: u64) {
         let mut sh = self.crew.shared.write().expect("shared lock");
         loop {
@@ -869,11 +1024,44 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         self.coord
                             .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
                     }
+                    LogEmit::Post { dst } => {
+                        let seq = *self.seq;
+                        *self.seq += 1;
+                        let k = log.routed[dst as usize];
+                        log.routed[dst as usize] += 1;
+                        self.coord
+                            .route(now_t, &mut log.out[dst as usize][k], &mut **sh);
+                        let arrival = Arrival { src: s as u32, at, seq };
+                        self.shards[dst as usize].log.arrivals.push(arrival);
+                    }
                 }
             }
         }
+        self.swap_mail(false);
         for shard in &mut self.shards {
             shard.log.clear();
+        }
+    }
+
+    /// Swap every outbox phase A routed with its destination's slot for
+    /// the source: after phase A this hands the posts over (headers move,
+    /// payloads stay put); after phase B (`back`) it returns the emptied
+    /// queue and its capacity to the source, so a pair keeps one buffer.
+    fn swap_mail(&mut self, back: bool) {
+        let n = self.shards.len();
+        for src in 0..n {
+            for dst in 0..n {
+                let routed = &mut self.shards[src].log.routed[dst];
+                if *routed == 0 {
+                    continue;
+                }
+                if back {
+                    *routed = 0;
+                }
+                let posts = std::mem::take(&mut self.shards[src].log.out[dst]);
+                let spare = std::mem::replace(&mut self.shards[dst].log.inn[src], posts);
+                self.shards[src].log.out[dst] = spare;
+            }
         }
     }
 
@@ -898,13 +1086,14 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
             let now_t = SimTime::from_nanos(at);
             let mut prov_ctr = 0u64;
             {
+                let Shard { world, log } = &mut *self.shards[s];
                 let mut out = Emit {
                     now: at,
                     wheel: &mut self.wheels[s],
                     emits: &mut self.serial_emits,
+                    out: &mut log.out,
                     prov_ctr: &mut prov_ctr,
                 };
-                let world = &mut self.shards[s].world;
                 world.execute(now_t, ev, &mut out, &mut SharedView::Exclusive(&mut **sh));
             }
             // Immediate per-event replay: exact seqs in emission order.
@@ -930,6 +1119,19 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         self.coord
                             .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
                     }
+                    LogEmit::Post { dst } => {
+                        let dst = dst as usize;
+                        let out = &mut self.shards[s].log.out[dst];
+                        let mut post = out.pop_front().expect("a post per emission");
+                        self.coord.route(now_t, &mut post, &mut **sh);
+                        let receipt = Receipt {
+                            wheel: &mut self.wheels[dst],
+                            seq: *self.seq,
+                            window_bound: None,
+                        };
+                        *self.seq += 1;
+                        self.shards[dst].world.receive(now_t, post, receipt);
+                    }
                 }
             }
         }
@@ -943,14 +1145,16 @@ mod tests {
 
     // A toy model exercised both through the serial `Sim` and the parallel
     // engine: a ring of counters. Every PERIOD each node ticks — bumping a
-    // local counter, spawning a short same-shard chain, sending its running
-    // total to the next node (a cross-shard message with DELAY latency) —
-    // and re-arms itself. The shared state logs every cross-shard send in
-    // application order, which only matches between runs if the global
-    // event order matches.
+    // local counter, spawning a short same-shard chain, noting its send in
+    // the shared trace and posting its running total to the next node (a
+    // cross-shard message with DELAY latency) — and re-arms itself. The
+    // receiver drops every DROP_EVERY-th message sent to it, as a full
+    // downlink queue would. The trace only matches between runs if the
+    // global event order matches.
     const PERIOD: u64 = 5_000; // ns
     const DELAY: u64 = 1_000; // ns == lookahead
     const CHAIN: u64 = 3; // ns between chain links (fires in-window)
+    const DROP_EVERY: u64 = 4;
 
     #[derive(Debug, Clone, PartialEq)]
     struct ToyNode {
@@ -958,6 +1162,9 @@ mod tests {
         ticks: u64,
         chained: u64,
         received: u64,
+        /// Messages sent to this node, and how many of them it dropped.
+        arrivals: u64,
+        dropped: u64,
     }
 
     #[derive(Debug, Clone)]
@@ -968,7 +1175,12 @@ mod tests {
     }
 
     enum TFx {
-        Send { from: usize, to: usize, val: u64 },
+        Note { from: usize, to: usize, val: u64 },
+    }
+
+    struct Msg {
+        to: usize,
+        val: u64,
     }
 
     struct ToyShared {
@@ -980,6 +1192,22 @@ mod tests {
     struct ToyShard {
         nodes: Vec<ToyNode>,
         local: Vec<usize>, // global id -> local index (usize::MAX elsewhere)
+        /// Latency of a cross-shard message; anything below `DELAY` breaks
+        /// the lookahead the engine was built with.
+        delay: u64,
+    }
+
+    impl ToyNode {
+        fn new(id: usize) -> Self {
+            ToyNode {
+                id,
+                ticks: 0,
+                chained: 0,
+                received: 0,
+                arrivals: 0,
+                dropped: 0,
+            }
+        }
     }
 
     fn tick_node(node: &mut ToyNode) -> u64 {
@@ -987,29 +1215,36 @@ mod tests {
         node.ticks * 10 + node.received
     }
 
+    /// A message reaches `node`'s queue: false when it is dropped.
+    fn arrive(node: &mut ToyNode) -> bool {
+        node.arrivals += 1;
+        let kept = !node.arrivals.is_multiple_of(DROP_EVERY);
+        node.dropped += u64::from(!kept);
+        kept
+    }
+
     impl ShardWorld for ToyShard {
         type Ev = TEv;
         type Fx = TFx;
+        type Post = Msg;
         type Shared = ToyShared;
 
         fn execute(
             &mut self,
             now: SimTime,
             ev: TEv,
-            out: &mut Emit<'_, TEv, TFx>,
+            out: &mut Emit<'_, ToyShard>,
             shared: &mut SharedView<'_, ToyShared>,
         ) {
-            let n = shared.get().n;
+            let shared = shared.get();
             match ev {
                 TEv::Tick { i } => {
                     let node = &mut self.nodes[self.local[i]];
                     let val = tick_node(node);
                     out.schedule_in(SimDur::from_nanos(CHAIN), TEv::Chain { i, depth: 2 });
-                    out.fx(TFx::Send {
-                        from: i,
-                        to: (i + 1) % n,
-                        val,
-                    });
+                    let to = (i + 1) % shared.n;
+                    out.fx(TFx::Note { from: i, to, val });
+                    out.post(shared.shard_of[to], Msg { to, val });
                     // Re-arm last, like a periodic timer re-arming after
                     // its handler returns.
                     out.schedule_at(now + SimDur::from_nanos(PERIOD), TEv::Tick { i });
@@ -1034,14 +1269,19 @@ mod tests {
                 }
             }
         }
+
+        fn receive(&mut self, now: SimTime, msg: Msg, receipt: Receipt<'_, TEv>) {
+            let Msg { to, val } = msg;
+            if arrive(&mut self.nodes[self.local[to]]) {
+                let at = now + SimDur::from_nanos(self.delay);
+                receipt.schedule_at(at, TEv::Recv { i: to, val });
+            }
+        }
     }
 
     struct ToyCoord {
         force_serial_every: Option<u64>,
         windows_seen: u64,
-        /// Latency of a cross-shard send; anything below `DELAY` breaks
-        /// the lookahead the engine was built with.
-        delay: u64,
         /// `plan` panics at this window.
         plan_panics_at: Option<u64>,
     }
@@ -1051,7 +1291,6 @@ mod tests {
             ToyCoord {
                 force_serial_every,
                 windows_seen: 0,
-                delay: DELAY,
                 plan_panics_at: None,
             }
         }
@@ -1079,17 +1318,12 @@ mod tests {
             fx: TFx,
             shared: &mut ToyShared,
             _worlds: &mut Worlds<'_, '_, ToyShard>,
-            sched: &mut Sched<'_, '_, TEv>,
+            _sched: &mut Sched<'_, '_, TEv>,
         ) {
-            let TFx::Send { from, to, val } = fx;
+            let TFx::Note { from, to, val } = fx;
             shared
                 .trace
                 .push((now.as_nanos(), format!("{from}->{to}:{val}")));
-            sched.schedule(
-                shared.shard_of[to],
-                now + SimDur::from_nanos(self.delay),
-                TEv::Recv { i: to, val },
-            );
         }
     }
 
@@ -1121,16 +1355,12 @@ mod tests {
             .map(|_| ToyShard {
                 nodes: Vec::new(),
                 local: vec![usize::MAX; n],
+                delay: DELAY,
             })
             .collect();
         for (i, &s) in shard_of.iter().enumerate() {
             worlds[s].local[i] = worlds[s].nodes.len();
-            worlds[s].nodes.push(ToyNode {
-                id: i,
-                ticks: 0,
-                chained: 0,
-                received: 0,
-            });
+            worlds[s].nodes.push(ToyNode::new(i));
             engine.schedule(s, SimTime::from_nanos(first_tick(seed, i)), TEv::Tick { i });
         }
         let shared = ToyShared {
@@ -1195,7 +1425,11 @@ mod tests {
                         let to = (i + 1) % self.n;
                         self.trace
                             .push((now.as_nanos(), format!("{i}->{to}:{val}")));
-                        sim.schedule_msg_in(SimDur::from_nanos(DELAY), TEv::Recv { i: to, val });
+                        if arrive(&mut self.nodes[to]) {
+                            sim.schedule_msg_in(SimDur::from_nanos(DELAY), TEv::Recv { i: to, val });
+                        } else {
+                            sim.skip_seq();
+                        }
                         sim.schedule_msg_at(now + SimDur::from_nanos(PERIOD), TEv::Tick { i });
                     }
                     TEv::Chain { i, depth } => {
@@ -1218,14 +1452,7 @@ mod tests {
         let mut sim: Sim<World, TEv> = Sim::new();
         let mut world = World {
             n,
-            nodes: (0..n)
-                .map(|i| ToyNode {
-                    id: i,
-                    ticks: 0,
-                    chained: 0,
-                    received: 0,
-                })
-                .collect(),
+            nodes: (0..n).map(ToyNode::new).collect(),
             trace: Vec::new(),
         };
         for i in 0..n {
@@ -1242,11 +1469,16 @@ mod tests {
     #[test]
     fn parallel_matches_serial_scheduler() {
         let serial = run_serial(9, 200_000, 0);
+        let dropped: u64 = serial.nodes.iter().map(|t| t.dropped).sum();
+        assert!(dropped > 0, "no message dropped — vacuous");
         for shards in [1, 2, 4, 8] {
-            let par = run_parallel(9, shards, 200_000, None);
-            assert_eq!(par.nodes, serial.nodes, "{shards} shards: node state");
-            assert_eq!(par.trace, serial.trace, "{shards} shards: effect order");
-            assert_eq!(par.executed, serial.executed, "{shards} shards: executed");
+            for every in [None, Some(3)] {
+                let par = run_parallel(9, shards, 200_000, every);
+                let at = format!("{shards} shards, serial every {every:?}");
+                assert_eq!(par.nodes, serial.nodes, "{at}: node state");
+                assert_eq!(par.trace, serial.trace, "{at}: effect order");
+                assert_eq!(par.executed, serial.executed, "{at}: executed");
+            }
         }
     }
 
@@ -1263,14 +1495,18 @@ mod tests {
 
     #[test]
     fn engine_seq_matches_schedule_count() {
-        // Every event schedules: Tick -> chain + recv + re-arm (3),
-        // Chain(depth>0) -> 1, Recv -> 0. The exact count is not the
-        // point — equality across shard counts is.
+        // Every event schedules: Tick -> chain + post + re-arm (3),
+        // Chain(depth>0) -> 1, Recv -> 0; a dropped post still takes its
+        // number. The exact count is not the point — equality across
+        // shard counts is.
         let mut seqs = Vec::new();
         for shards in [1, 3, 5] {
             let (mut engine, worlds, mut shared) = toy(6, shards, 0);
             let mut coord = ToyCoord::new(None);
-            engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(60_000));
+            let until = SimTime::from_nanos(60_000);
+            let worlds = engine.run_until(worlds, &mut shared, &mut coord, until);
+            let dropped: u64 = worlds.iter().flat_map(|w| &w.nodes).map(|t| t.dropped).sum();
+            assert!(dropped > 0, "no message dropped — vacuous");
             seqs.push(engine.seq());
         }
         assert!(seqs.windows(2).all(|w| w[0] == w[1]), "seqs {seqs:?}");
@@ -1282,16 +1518,18 @@ mod tests {
         impl ShardWorld for Bomb {
             type Ev = ();
             type Fx = ();
+            type Post = ();
             type Shared = ();
             fn execute(
                 &mut self,
                 _now: SimTime,
                 (): (),
-                _out: &mut Emit<'_, (), ()>,
+                _out: &mut Emit<'_, Bomb>,
                 _shared: &mut SharedView<'_, ()>,
             ) {
                 panic!("boom");
             }
+            fn receive(&mut self, _now: SimTime, (): (), _receipt: Receipt<'_, ()>) {}
         }
         let r = catch_unwind(AssertUnwindSafe(|| {
             let mut engine: Engine<Bomb> = Engine::new(2, SimDur::from_nanos(100));
@@ -1355,9 +1593,9 @@ mod tests {
         // The engine was promised `DELAY` of lookahead; a coordinator that
         // delivers faster would have its event run after later ones on a
         // shard that has already finished the window.
-        let (mut engine, worlds, mut shared) = toy(4, 2, 0);
+        let (mut engine, mut worlds, mut shared) = toy(4, 2, 0);
         let mut coord = ToyCoord::new(None);
-        coord.delay = DELAY / 2;
+        worlds.iter_mut().for_each(|w| w.delay = DELAY / 2);
         engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(20_000));
     }
 
@@ -1367,9 +1605,9 @@ mod tests {
         // event, so the same short delay is in order there: the run agrees
         // with one single shard, where nothing is cross-shard.
         let run = |shards: usize| {
-            let (mut engine, worlds, mut shared) = toy(4, shards, 0);
+            let (mut engine, mut worlds, mut shared) = toy(4, shards, 0);
             let mut coord = ToyCoord::new(Some(1));
-            coord.delay = DELAY / 2;
+            worlds.iter_mut().for_each(|w| w.delay = DELAY / 2);
             engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(20_000));
             (shared.trace, engine.seq())
         };
@@ -1388,12 +1626,16 @@ mod tests {
     impl ShardWorld for Picky {
         type Ev = ();
         type Fx = ();
+        type Post = ();
         type Shared = ();
+
+        fn receive(&mut self, _now: SimTime, (): (), _receipt: Receipt<'_, ()>) {}
+
         fn execute(
             &mut self,
             _now: SimTime,
             (): (),
-            _out: &mut Emit<'_, (), ()>,
+            _out: &mut Emit<'_, Picky>,
             _shared: &mut SharedView<'_, ()>,
         ) {
             let here = std::thread::current().id() == self.coordinating;

@@ -3,12 +3,16 @@
 //! resolved from a [`crate::topology::Placement`]. The star is the
 //! 1-rack degenerate case and takes exactly the same code path.
 //!
-//! A send is two legs. The *sender-uplink leg* ([`Port::send`]) touches
-//! only the sender's own [`Port`]; the *remaining legs*
-//! ([`Fabric::finish`]) reserve the switch-side links every sender
-//! shares. [`Network::send_class`] composes the two; a sharded simulation
-//! runs the first on the sender's shard and the second on its
-//! coordinator, in serial order.
+//! A send crosses three kinds of link. The *sender-uplink leg*
+//! ([`Port::send`]) touches only the sender's own [`Port`]; the *spine
+//! legs* ([`Fabric::cross_spine`], cross-rack only) reserve the
+//! inter-switch links every rack shares; the *downlink leg*
+//! ([`Leg::land`]) touches only the receiver's own switch → node link.
+//! [`Network::send_class`] composes the three through
+//! [`Fabric::finish`]; a sharded simulation runs the first on the
+//! sender's shard, the spine legs on its coordinator in serial order, and
+//! the downlink on the receiver's shard, in serial order restricted to
+//! that link.
 
 use simcore::{SimDur, SimTime};
 
@@ -139,6 +143,23 @@ impl Leg {
         self.tail = finish + latency;
         true
     }
+
+    /// The last leg: cross the receiver's downlink `down` (switch → node).
+    /// Only messages addressed to that node reserve it, so the receiver
+    /// can own it outright, as a sender owns its [`Port`].
+    #[inline]
+    pub fn land(mut self, down: &mut DirLink) -> Delivery {
+        let latency = down.spec().latency;
+        if !self.cross(down, latency) {
+            return Delivery::dropped(self.now, DropDir::Downlink);
+        }
+        Delivery {
+            deliver_at: self.tail,
+            queued: self.queued,
+            wire: self.tail.since(self.now) - self.queued,
+            dropped: None,
+        }
+    }
 }
 
 /// A node's sending side: its uplink and its lifetime send counters. Only
@@ -165,7 +186,8 @@ impl Port {
 
     /// The sender-uplink leg of a send at `now`. `Err` is a send that
     /// ended here: loopback (no serialization, just a kernel copy) or an
-    /// uplink tail-drop. `Ok` goes on to [`Fabric::finish`].
+    /// uplink tail-drop. `Ok` goes on to [`Fabric::finish`] (or to its two
+    /// halves, [`Fabric::cross_spine`] and [`Leg::land`]).
     #[inline]
     pub fn send(
         &mut self,
@@ -204,12 +226,10 @@ impl Port {
     }
 }
 
-/// The switch side of the network: every link that more than one sender
-/// can reserve.
+/// The switch side of the network: the links between switches, which
+/// every rack's senders share.
 pub struct Fabric {
     spec: LinkSpec,
-    /// Switch → node, one per node.
-    downs: Vec<DirLink>,
     /// Node → rack (all zeros for the star).
     rack_of: Vec<usize>,
     /// Rack-switch → spine, one per rack; empty for the star.
@@ -221,30 +241,39 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// The legs after the sender's uplink: the receiver's downlink on the
-    /// star and inside a rack, rack uplink → spine downlink → receiver
-    /// downlink across racks. A tail-drop leaves the earlier links
-    /// reserved — the message did occupy them.
+    /// True when a `from` → `to` message crosses the spine.
     #[inline]
-    pub fn finish(&mut self, from: NodeId, to: NodeId, mut leg: Leg) -> Delivery {
+    pub fn crosses_spine(&self, from: NodeId, to: NodeId) -> bool {
+        !self.switch_ups.is_empty() && self.rack_of[from.0] != self.rack_of[to.0]
+    }
+
+    /// The spine legs of a cross-rack message: rack uplink, then spine
+    /// downlink. A message inside one rack passes unchanged. `Err` is a
+    /// tail-drop on the spine; the earlier links stay reserved — the
+    /// message did occupy them.
+    #[inline]
+    pub fn cross_spine(&mut self, from: NodeId, to: NodeId, mut leg: Leg) -> Result<Leg, Delivery> {
+        if !self.crosses_spine(from, to) {
+            return Ok(leg);
+        }
         let (r_from, r_to) = (self.rack_of[from.0], self.rack_of[to.0]);
         let sw_lat = self.switch_spec.latency;
-        if r_from != r_to {
-            if !leg.cross(&mut self.switch_ups[r_from], sw_lat) {
-                return Delivery::dropped(leg.now, DropDir::RackUplink);
-            }
-            if !leg.cross(&mut self.switch_downs[r_to], sw_lat) {
-                return Delivery::dropped(leg.now, DropDir::SpineDownlink);
-            }
+        if !leg.cross(&mut self.switch_ups[r_from], sw_lat) {
+            return Err(Delivery::dropped(leg.now, DropDir::RackUplink));
         }
-        if !leg.cross(&mut self.downs[to.0], self.spec.latency) {
-            return Delivery::dropped(leg.now, DropDir::Downlink);
+        if !leg.cross(&mut self.switch_downs[r_to], sw_lat) {
+            return Err(Delivery::dropped(leg.now, DropDir::SpineDownlink));
         }
-        Delivery {
-            deliver_at: leg.tail,
-            queued: leg.queued,
-            wire: leg.tail.since(leg.now) - leg.queued,
-            dropped: None,
+        Ok(leg)
+    }
+
+    /// The legs after the sender's uplink: the spine legs across racks,
+    /// then the receiver's downlink `down`.
+    #[inline]
+    pub fn finish(&mut self, from: NodeId, to: NodeId, leg: Leg, down: &mut DirLink) -> Delivery {
+        match self.cross_spine(from, to, leg) {
+            Ok(leg) => leg.land(down),
+            Err(dropped) => dropped,
         }
     }
 }
@@ -254,6 +283,8 @@ impl Fabric {
 pub struct Network {
     /// `ports[i]` is node `i`'s sending side.
     ports: Vec<Port>,
+    /// `downs[i]` is node `i`'s receiving side: switch → node.
+    downs: Vec<DirLink>,
     fabric: Fabric,
 }
 
@@ -262,9 +293,9 @@ impl Network {
     pub fn new(n: usize, spec: LinkSpec) -> Self {
         Network {
             ports: (0..n).map(|_| Port::new(spec)).collect(),
+            downs: (0..n).map(|_| DirLink::new(spec)).collect(),
             fabric: Fabric {
                 spec,
-                downs: (0..n).map(|_| DirLink::new(spec)).collect(),
                 rack_of: vec![0; n],
                 switch_ups: Vec::new(),
                 switch_downs: Vec::new(),
@@ -298,12 +329,12 @@ impl Network {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.fabric.downs.len()
+        self.fabric.rack_of.len()
     }
 
     /// True if the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.fabric.downs.is_empty()
+        self.fabric.rack_of.is_empty()
     }
 
     /// Link parameters.
@@ -318,22 +349,25 @@ impl Network {
         self.fabric.spec.lookahead()
     }
 
-    /// The two halves a send borrows separately: every node's [`Port`]
-    /// and the shared [`Fabric`].
-    pub fn split(&mut self) -> (&mut [Port], &mut Fabric) {
-        (&mut self.ports, &mut self.fabric)
+    /// The parts a send borrows separately: every node's [`Port`], every
+    /// node's downlink, and the shared [`Fabric`].
+    pub fn split(&mut self) -> (&mut [Port], &mut [DirLink], &mut Fabric) {
+        (&mut self.ports, &mut self.downs, &mut self.fabric)
     }
 
-    /// Move the ports out for sharded execution (each goes to its node's
-    /// shard); per-port accessors panic until [`Network::restore_ports`].
-    pub fn take_ports(&mut self) -> Vec<Port> {
-        std::mem::take(&mut self.ports)
+    /// Move every node's ports and downlinks out for sharded execution
+    /// (each goes to its node's shard); per-node accessors panic until
+    /// [`Network::restore_ports`].
+    pub fn take_ports(&mut self) -> (Vec<Port>, Vec<DirLink>) {
+        (std::mem::take(&mut self.ports), std::mem::take(&mut self.downs))
     }
 
-    /// Put back the ports [`Network::take_ports`] moved out, in node order.
-    pub fn restore_ports(&mut self, ports: Vec<Port>) {
+    /// Put back what [`Network::take_ports`] moved out, in node order.
+    pub fn restore_ports(&mut self, ports: Vec<Port>, downs: Vec<DirLink>) {
         assert_eq!(ports.len(), self.len(), "one port per node");
+        assert_eq!(downs.len(), self.len(), "one downlink per node");
         self.ports = ports;
+        self.downs = downs;
     }
 
     fn check(&self, id: NodeId) {
@@ -362,7 +396,7 @@ impl Network {
         self.check(from);
         self.check(to);
         match self.ports[from.0].send(now, from == to, bytes, class) {
-            Ok(leg) => self.fabric.finish(from, to, leg),
+            Ok(leg) => self.fabric.finish(from, to, leg, &mut self.downs[to.0]),
             Err(done) => done,
         }
     }
@@ -372,7 +406,7 @@ impl Network {
     pub fn backlog(&self, now: SimTime, from: NodeId, to: NodeId) -> SimDur {
         self.check(from);
         self.check(to);
-        self.ports[from.0].up.backlog(now) + self.fabric.downs[to.0].backlog(now)
+        self.ports[from.0].up.backlog(now) + self.downs[to.0].backlog(now)
     }
 
     /// Add fluid background load along the path `from` → `to` (including
@@ -381,7 +415,7 @@ impl Network {
         self.check(from);
         self.check(to);
         self.ports[from.0].up.add_background(bps);
-        self.fabric.downs[to.0].add_background(bps);
+        self.downs[to.0].add_background(bps);
         let (rf, rt) = (self.fabric.rack_of[from.0], self.fabric.rack_of[to.0]);
         if rf != rt {
             self.fabric.switch_ups[rf].add_background(bps);
@@ -394,7 +428,7 @@ impl Network {
         self.check(from);
         self.check(to);
         self.ports[from.0].up.remove_background(bps);
-        self.fabric.downs[to.0].remove_background(bps);
+        self.downs[to.0].remove_background(bps);
         let (rf, rt) = (self.fabric.rack_of[from.0], self.fabric.rack_of[to.0]);
         if rf != rt {
             self.fabric.switch_ups[rf].remove_background(bps);
@@ -405,7 +439,7 @@ impl Network {
     /// Mutable access to both directions of a node's link at once.
     pub fn links_mut(&mut self, id: NodeId) -> (&mut DirLink, &mut DirLink) {
         self.check(id);
-        (&mut self.ports[id.0].up, &mut self.fabric.downs[id.0])
+        (&mut self.ports[id.0].up, &mut self.downs[id.0])
     }
 
     /// Mutable access to a node's uplink (tests, probes).
@@ -417,7 +451,7 @@ impl Network {
     /// Mutable access to a node's downlink (tests, probes).
     pub fn downlink_mut(&mut self, id: NodeId) -> &mut DirLink {
         self.check(id);
-        &mut self.fabric.downs[id.0]
+        &mut self.downs[id.0]
     }
 
     /// Shared access to a node's uplink.
@@ -429,7 +463,7 @@ impl Network {
     /// Shared access to a node's downlink.
     pub fn downlink(&self, id: NodeId) -> &DirLink {
         self.check(id);
-        &self.fabric.downs[id.0]
+        &self.downs[id.0]
     }
 
     /// Lifetime count of messages accepted by [`Network::send`].
@@ -482,7 +516,7 @@ impl Network {
     fn links(&self) -> impl Iterator<Item = &DirLink> {
         let f = &self.fabric;
         let ups = self.ports.iter().map(|p| &p.up);
-        ups.chain(&f.downs)
+        ups.chain(&self.downs)
             .chain(&f.switch_ups)
             .chain(&f.switch_downs)
     }

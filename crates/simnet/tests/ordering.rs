@@ -89,10 +89,11 @@ proptest! {
             1..60,
         )
     ) {
-        // A sharded run sends in two steps — the sender's port on its
-        // shard, the fabric on the coordinator — and must see exactly what
-        // `send_class` computes in one: same deliveries, same drops at the
-        // same bounded queues, same per-link accounting.
+        // A sharded run sends in three steps — the sender's port on its
+        // shard, the spine on the coordinator, the receiver's downlink on
+        // its shard — and must see exactly what `send_class` computes in
+        // one: same deliveries, same drops at the same bounded queues, same
+        // per-link accounting.
         let spec = LinkSpec::fast_ethernet().with_queue(2, 30_000);
         let build = || {
             if racks {
@@ -109,9 +110,12 @@ proptest! {
             let (from, to) = (NodeId(from), NodeId(to));
             let class = if priority { TrafficClass::Priority } else { TrafficClass::Bulk };
             let one = whole.send_class(t, from, to, bytes, class);
-            let (ports, fabric) = halves.split();
+            let (ports, downs, fabric) = halves.split();
             let two = match ports[from.0].send(t, from == to, bytes, class) {
-                Ok(leg) => fabric.finish(from, to, leg),
+                Ok(leg) => match fabric.cross_spine(from, to, leg) {
+                    Ok(leg) => leg.land(&mut downs[to.0]),
+                    Err(dropped) => dropped,
+                },
                 Err(done) => done,
             };
             prop_assert_eq!(one, two);

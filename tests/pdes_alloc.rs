@@ -1,12 +1,15 @@
 //! A window of the sharded engine allocates nothing once its logs have
 //! reached their working size: the coordinating thread's scratch is built
-//! once per `run_until`, a shard's log and provisional-sequence map are
-//! cleared and kept (by the engine, from one `run_until` to the next), and
-//! the wheels circulate their slot buffers. Counted over every thread, so
+//! once per `run_until`, a shard's log, provisional-sequence map, outboxes
+//! and worklist are cleared and kept (by the engine, from one `run_until`
+//! to the next; an outbox circulates between its pair's two ends), and the
+//! wheels circulate their slot buffers. Counted over every thread, so
 //! the binary has no test harness: its `main` runs the check alone.
 
 use dproc_bench::alloc::{all_calls, Counting};
-use simcore::pdes::{Coordinator, Emit, Engine, Sched, ShardWorld, SharedView, WindowMode, Worlds};
+use simcore::pdes::{
+    Coordinator, Emit, Engine, Receipt, Sched, ShardWorld, SharedView, WindowMode, Worlds,
+};
 use simcore::{SimDur, SimTime};
 
 #[global_allocator]
@@ -16,10 +19,11 @@ const PERIOD: u64 = 5_000;
 const DELAY: u64 = 1_000;
 
 /// A ring of counters whose handlers allocate nothing: every period a
-/// node ticks, starts a short same-shard chain, sends its count to the
-/// next node (a cross-shard effect) and re-arms.
+/// node ticks, starts a short same-shard chain, posts its count to the
+/// next node's shard and re-arms.
 struct Ring {
     counts: Vec<u64>,
+    shards: usize,
 }
 
 #[derive(Clone, Copy)]
@@ -36,14 +40,15 @@ struct Send {
 
 impl ShardWorld for Ring {
     type Ev = Ev;
-    type Fx = Send;
+    type Fx = ();
+    type Post = Send;
     type Shared = usize;
 
     fn execute(
         &mut self,
         now: SimTime,
         ev: Ev,
-        out: &mut Emit<'_, Ev, Send>,
+        out: &mut Emit<'_, Ring>,
         nodes: &mut SharedView<'_, usize>,
     ) {
         let n = *nodes.get();
@@ -52,7 +57,7 @@ impl ShardWorld for Ring {
                 self.counts[i] = self.counts[i].wrapping_add(1);
                 out.schedule_in(SimDur::from_nanos(3), Ev::Chain(i, 2));
                 let (to, val) = ((i + 1) % n, self.counts[i]);
-                out.fx(Send { to, val });
+                out.post(to % self.shards, Send { to, val });
                 out.schedule_at(now + SimDur::from_nanos(PERIOD), Ev::Tick(i));
             }
             Ev::Chain(i, depth) => {
@@ -64,11 +69,14 @@ impl ShardWorld for Ring {
             Ev::Recv(i, val) => self.counts[i] = self.counts[i].wrapping_mul(3).wrapping_add(val),
         }
     }
+
+    fn receive(&mut self, now: SimTime, Send { to, val }: Send, receipt: Receipt<'_, Ev>) {
+        receipt.schedule_at(now + SimDur::from_nanos(DELAY), Ev::Recv(to, val));
+    }
 }
 
 /// Reads the allocation counter at two windows of the run.
 struct Meter {
-    shards: usize,
     serial_every: u64,
     windows: u64,
     calls_at: [(u64, u64); 2],
@@ -97,14 +105,12 @@ impl Coordinator<Ring> for Meter {
 
     fn apply(
         &mut self,
-        now: SimTime,
-        fx: Send,
+        _now: SimTime,
+        (): (),
         _nodes: &mut usize,
         _worlds: &mut Worlds<'_, '_, Ring>,
-        sched: &mut Sched<'_, '_, Ev>,
+        _sched: &mut Sched<'_, '_, Ev>,
     ) {
-        let at = now + SimDur::from_nanos(DELAY);
-        sched.schedule(fx.to % self.shards, at, Ev::Recv(fx.to, fx.val));
     }
 }
 
@@ -119,6 +125,7 @@ fn pdes_windows_allocate_nothing_at_working_size() {
     let mut engine: Engine<Ring> = Engine::new(SHARDS, SimDur::from_nanos(DELAY));
     let worlds = (0..SHARDS).map(|_| Ring {
         counts: vec![0; NODES],
+        shards: SHARDS,
     });
     for i in 0..NODES {
         let at = SimTime::from_nanos(PERIOD + i as u64 * 7);
@@ -129,7 +136,6 @@ fn pdes_windows_allocate_nothing_at_working_size() {
     // the size this population needs (the last growth falls between windows
     // 500 and 1000).
     let mut meter = Meter {
-        shards: SHARDS,
         serial_every: 5,
         windows: 0,
         calls_at: [(1_000, 0), (2_900, 0)],
