@@ -526,16 +526,27 @@ const POLL_SPINS: u32 = 1 << 12;
 /// The claim state of the published window, shared by the coordinating
 /// thread and the workers.
 ///
-/// `next.store(0, Release)` opens a window and publishes `bound` and the
-/// reset of `done` with it; a claim is `next.fetch_add(1, AcqRel)`
-/// returning an index below `n`, which reads that store or a later claim
-/// in its release sequence, so whoever holds a claim sees the bound of the
-/// window the claim belongs to. A window stays open until `done` reaches
-/// `n` — every index claimed and finished — so a thread that was
-/// descheduled between looking at `next` and claiming gets either nothing
-/// or a shard of the then-current window, never a stale one.
-struct Ctl {
+/// A shard is claimed by swapping its `taken` flag to true. Each thread
+/// first tries its home shard (thread `k` — the coordinating thread is 0 —
+/// shard `k`), so that a shard's wheel, nodes and mail stay in one core's
+/// cache from window to window; then it walks the rest with
+/// `next.fetch_add(1, AcqRel)`, which hands every index below `n` to
+/// exactly one thread, and tries each index it gets.
+///
+/// `publish` stores `bound`, `receiving` and the reset of `done`, then
+/// clears every `taken` flag and stores `next = 0`, each with `Release`. A
+/// claim is an `AcqRel` swap that reads a cleared flag, that is, one of
+/// those stores (every window sets every flag before the next one clears
+/// them), so whoever holds a claim sees the bound of the window the claim
+/// belongs to. A window stays open until `done` reaches `n` — every shard
+/// claimed and finished — so a thread that was descheduled between looking
+/// at `next` and claiming gets either nothing or a shard of the
+/// then-current window, never a stale one.
+struct Ctl<'a> {
     n: usize,
+    /// Per shard, whether the published round has claimed it: the
+    /// engine's, all set between rounds.
+    taken: &'a [AtomicBool],
     /// Inclusive bound of the published window.
     bound: AtomicU64,
     /// Whether the published claim is for the window's posts (phase B)
@@ -554,10 +565,12 @@ struct Ctl {
     panicked: AtomicBool,
 }
 
-impl Ctl {
-    fn new(n: usize) -> Self {
+impl<'a> Ctl<'a> {
+    fn new(taken: &'a [AtomicBool]) -> Self {
+        let n = taken.len();
         Ctl {
             n,
+            taken,
             bound: AtomicU64::new(0),
             receiving: AtomicBool::new(false),
             next: AtomicUsize::new(n),
@@ -572,6 +585,9 @@ impl Ctl {
         self.bound.store(bound, Ordering::Relaxed);
         self.receiving.store(receiving, Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
+        for t in self.taken {
+            t.store(false, Ordering::Release);
+        }
         self.next.store(0, Ordering::Release);
     }
 
@@ -579,14 +595,27 @@ impl Ctl {
         self.next.load(Ordering::Relaxed) < self.n
     }
 
-    fn claim(&self) -> Option<usize> {
+    /// Claim a shard of the open round for the thread whose home shard is
+    /// `home`.
+    fn claim(&self, home: usize) -> Option<usize> {
         // Look first: polling with the `fetch_add` would run the counter
         // up while no window is open.
         if !self.open() {
             return None;
         }
-        let i = self.next.fetch_add(1, Ordering::AcqRel);
-        (i < self.n).then_some(i)
+        let take = |i: usize| !self.taken[i].swap(true, Ordering::AcqRel);
+        if home < self.n && take(home) {
+            return Some(home);
+        }
+        loop {
+            let i = self.next.fetch_add(1, Ordering::AcqRel);
+            if i >= self.n {
+                return None;
+            }
+            if take(i) {
+                return Some(i);
+            }
+        }
     }
 
     /// Wait for the shards other threads have claimed.
@@ -609,7 +638,7 @@ struct Crew<'a, W: ShardWorld> {
     wheels: &'a [Mutex<Wheel<W::Ev>>],
     shards: &'a [Mutex<Shard<W>>],
     shared: &'a RwLock<&'a mut W::Shared>,
-    ctl: &'a Ctl,
+    ctl: &'a Ctl<'a>,
 }
 
 impl<W: ShardWorld> Clone for Crew<'_, W> {
@@ -621,15 +650,15 @@ impl<W: ShardWorld> Clone for Crew<'_, W> {
 impl<W: ShardWorld> Copy for Crew<'_, W> {}
 
 impl<W: ShardWorld> Crew<'_, W> {
-    /// Claim shards of the open round until none is left and run each:
-    /// its events, or its posts. Every thread of the crew runs a round
-    /// through this, the coordinating thread included, so a panicking
-    /// shard is handled the same wherever it was claimed: the payload is
-    /// kept for `run_until` to re-raise and the shard still counts as
-    /// done, which is what lets the round close.
-    fn claim_and_run(&self) {
+    /// Claim shards of the open round until none is left, home shard
+    /// first, and run each: its events, or its posts. Every thread of the
+    /// crew runs a round through this, the coordinating thread (home 0)
+    /// included, so a panicking shard is handled the same wherever it was
+    /// claimed: the payload is kept for `run_until` to re-raise and the
+    /// shard still counts as done, which is what lets the round close.
+    fn claim_and_run(&self, home: usize) {
         let ctl = self.ctl;
-        while let Some(i) = ctl.claim() {
+        while let Some(i) = ctl.claim(home) {
             let bound = ctl.bound.load(Ordering::Relaxed);
             let receiving = ctl.receiving.load(Ordering::Relaxed);
             let r = catch_unwind(AssertUnwindSafe(|| {
@@ -654,11 +683,11 @@ impl<W: ShardWorld> Crew<'_, W> {
     /// A worker: claim from every window that opens; with nothing open,
     /// poll for a while, then park until the coordinating thread has more
     /// shards than it can claim itself — or shuts the crew down.
-    fn work(&self) {
+    fn work(&self, home: usize) {
         let mut spins = 0;
         while !self.ctl.shutdown.load(Ordering::Acquire) {
             if self.ctl.open() {
-                self.claim_and_run();
+                self.claim_and_run(home);
                 spins = 0;
             } else if spins < POLL_SPINS {
                 spins += 1;
@@ -708,6 +737,9 @@ pub struct Engine<W: ShardWorld> {
     /// The cores a run may use, read once: `available_parallelism` reads
     /// cgroup files, and allocates doing so.
     cores: usize,
+    /// Each shard's claim flag ([`Ctl`]), kept so that a run allocates
+    /// none.
+    taken: Vec<AtomicBool>,
     seq: u64,
     now: u64,
     lookahead: u64,
@@ -724,6 +756,7 @@ impl<W: ShardWorld> Engine<W> {
             wheels: (0..shards).map(|_| Wheel::new()).collect(),
             logs: (0..shards).map(|_| WindowLog::new(shards)).collect(),
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            taken: (0..shards).map(|_| AtomicBool::new(true)).collect(),
             seq: 0,
             now: 0,
             lookahead: lookahead.as_nanos(),
@@ -796,7 +829,7 @@ impl<W: ShardWorld> Engine<W> {
             .map(|(world, log)| Mutex::new(Shard { world, log }))
             .collect();
         let shared_lock = RwLock::new(shared);
-        let ctl = Ctl::new(n);
+        let ctl = Ctl::new(&self.taken);
         let crew = Crew {
             wheels: &wheels,
             shards: &shards,
@@ -807,7 +840,7 @@ impl<W: ShardWorld> Engine<W> {
 
         let caught = std::thread::scope(|scope| {
             let workers: Vec<Thread> = (1..n.min(cores))
-                .map(|_| scope.spawn(move || crew.work()).thread().clone())
+                .map(|k| scope.spawn(move || crew.work(k)).thread().clone())
                 .collect();
             let main = catch_unwind(AssertUnwindSafe(|| {
                 let mut run = Run {
@@ -975,7 +1008,7 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
         self.crew.ctl.publish(bound, receiving);
         let spare = busy.saturating_sub(1).min(self.workers.len());
         self.workers[..spare].iter().for_each(Thread::unpark);
-        self.crew.claim_and_run();
+        self.crew.claim_and_run(0);
         self.crew.ctl.wait_done();
     }
 
