@@ -547,7 +547,7 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         log: Vec<Out>,
-        /// The frames of the `WireSend`s, in order.
+        /// The frames handed to `wire_send`, in order.
         frames: Vec<Frame>,
         /// Their legs past the uplink.
         legs: Vec<Leg>,

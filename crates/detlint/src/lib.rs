@@ -172,6 +172,23 @@ mod tests {
     }
 
     #[test]
+    fn both_shard_hooks_are_roots_in_the_real_tree() {
+        // The cluster's shards run code through `execute` (a window's
+        // events) and `receive` (its posts, after the merge).
+        let root = repo_root();
+        let ws = build_workspace(&root, &scan_files(&root).expect("scan")).expect("read");
+        let mut hooks: Vec<&str> = ws
+            .fns
+            .iter()
+            .filter(|f| f.owner.as_deref() == Some("PShard"))
+            .filter(|f| f.annotations.iter().any(|a| a.starts_with("shard-entry")))
+            .map(|f| f.name.as_str())
+            .collect();
+        hooks.sort_unstable();
+        assert_eq!(hooks, ["execute", "receive"]);
+    }
+
+    #[test]
     fn real_workspace_has_no_errors() {
         let report = run_scan(&repo_root()).expect("scan");
         assert!(report.files_scanned > 10, "scan found the real tree");

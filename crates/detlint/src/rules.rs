@@ -492,6 +492,25 @@ mod tests {
     }
 
     #[test]
+    fn the_receive_hook_is_a_root_of_its_own() {
+        // A shard runs code through two hooks: `execute` for a window's
+        // events and `receive` for the posts the merge hands it. Code only
+        // the second reaches is shard code all the same.
+        let src = format!(
+            "struct PShard;\nimpl ShardWorld for PShard {{\n\
+             {ROOT}fn execute(&mut self) {{}}\n\
+             {ROOT}fn receive(&mut self) {{ land(); }}\n}}\n\
+             fn land(m: &HashMap<u32,u32>) {{ for k in m.keys() {{}} }}"
+        );
+        let fx = lint("pcluster.rs", &src);
+        let got: Vec<_> = fx.iter().map(|f| (f.rule, f.function.as_str())).collect();
+        assert_eq!(got, [("unordered-iter", "land")], "{fx:#?}");
+        // Without the annotation on `receive`, nothing reaches `land`.
+        let unrooted = src.replacen(&format!("{ROOT}fn receive"), "fn receive", 1);
+        assert!(lint("pcluster.rs", &unrooted).is_empty());
+    }
+
+    #[test]
     fn unreachable_code_is_not_linted() {
         let src = format!(
             "{ROOT}fn root() {{}}\n\

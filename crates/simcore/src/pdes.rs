@@ -18,9 +18,10 @@
 //! 1. finds the globally earliest pending event time `t0` (windows are
 //!    event-driven; idle stretches are skipped entirely),
 //! 2. publishes the window `[t0, t0 + lookahead)` and lets whoever is free
-//!    *claim* its shards off one atomic counter: the coordinating thread
-//!    claims and runs shards itself, and `min(shards, cores) - 1` workers
-//!    claim whatever it has not reached yet. Every claimed shard executes
+//!    *claim* its shards: the coordinating thread claims and runs shards
+//!    itself, and `min(shards, cores) - 1` workers claim whatever it has
+//!    not reached yet, each thread its home shard first (thread `k`, shard
+//!    `k`), then the rest off one atomic counter. Every claimed shard executes
 //!    its own events against a frozen snapshot of the shared state; the
 //!    coordinating thread waits only for shards another thread has claimed
 //!    and not finished. A worker that wakes late finds nothing left and
@@ -28,7 +29,7 @@
 //!    coordinating thread runs every shard in turn,
 //! 3. merges the shards' execution logs on the coordinating thread to
 //!    assign exact sequence numbers and apply global effects (phase A),
-//! 4. lets the shards claimed the same way take the posts addressed to
+//! 4. lets the shards, claimed the same way, take the posts addressed to
 //!    them, each in merge order (phase B).
 //!
 //! Which thread ran which shard never shows in a result: shard windows are
@@ -505,7 +506,9 @@ impl<W: ShardWorld> Shard<W> {
     fn receive_posts(&mut self, wheel: &mut Wheel<W::Ev>, window_bound: u64) {
         let log = &mut self.log;
         for a in log.arrivals.drain(..) {
-            let post = log.inn[a.src as usize].pop_front().expect("a post per arrival");
+            let post = log.inn[a.src as usize]
+                .pop_front()
+                .expect("a post per arrival");
             let receipt = Receipt {
                 wheel: &mut *wheel,
                 seq: a.seq,
@@ -808,8 +811,9 @@ impl<W: ShardWorld> Engine<W> {
     /// live for this call (the core count is the one [`Engine::new`]
     /// read). `worlds[i]` is shard `i`'s node-local state; it is returned
     /// (reassembled by the caller) when the episode completes.
-    /// A panic in a handler, `plan` or `apply` is re-raised here, on
-    /// whichever thread it happened; the engine is not usable afterwards.
+    /// A panic in a handler, a receive hook, `plan`, `apply` or `route` is
+    /// re-raised here, on whichever thread it happened; the engine is not
+    /// usable afterwards.
     pub fn run_until<C: Coordinator<W>>(
         &mut self,
         worlds: Vec<W>,
@@ -1064,7 +1068,11 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         log.routed[dst as usize] += 1;
                         self.coord
                             .route(now_t, &mut log.out[dst as usize][k], &mut **sh);
-                        let arrival = Arrival { src: s as u32, at, seq };
+                        let arrival = Arrival {
+                            src: s as u32,
+                            at,
+                            seq,
+                        };
                         self.shards[dst as usize].log.arrivals.push(arrival);
                     }
                 }
@@ -1459,7 +1467,10 @@ mod tests {
                         self.trace
                             .push((now.as_nanos(), format!("{i}->{to}:{val}")));
                         if arrive(&mut self.nodes[to]) {
-                            sim.schedule_msg_in(SimDur::from_nanos(DELAY), TEv::Recv { i: to, val });
+                            sim.schedule_msg_in(
+                                SimDur::from_nanos(DELAY),
+                                TEv::Recv { i: to, val },
+                            );
                         } else {
                             sim.skip_seq();
                         }
@@ -1538,7 +1549,11 @@ mod tests {
             let mut coord = ToyCoord::new(None);
             let until = SimTime::from_nanos(60_000);
             let worlds = engine.run_until(worlds, &mut shared, &mut coord, until);
-            let dropped: u64 = worlds.iter().flat_map(|w| &w.nodes).map(|t| t.dropped).sum();
+            let dropped: u64 = worlds
+                .iter()
+                .flat_map(|w| &w.nodes)
+                .map(|t| t.dropped)
+                .sum();
             assert!(dropped > 0, "no message dropped — vacuous");
             seqs.push(engine.seq());
         }

@@ -359,7 +359,10 @@ impl Network {
     /// (each goes to its node's shard); per-node accessors panic until
     /// [`Network::restore_ports`].
     pub fn take_ports(&mut self) -> (Vec<Port>, Vec<DirLink>) {
-        (std::mem::take(&mut self.ports), std::mem::take(&mut self.downs))
+        (
+            std::mem::take(&mut self.ports),
+            std::mem::take(&mut self.downs),
+        )
     }
 
     /// Put back what [`Network::take_ports`] moved out, in node order.

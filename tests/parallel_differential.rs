@@ -10,7 +10,7 @@ use dproc::cluster::{ClusterConfig, ClusterSim};
 use dproc_bench::scenario::{fingerprint, Fingerprint, Scenario};
 use proptest::prelude::*;
 use simcore::{SimDur, SimTime};
-use simnet::{FaultPlan, NodeId, TopologySpec};
+use simnet::{DirLink, FaultPlan, NodeId, TopologySpec};
 use simos::host::HostConfig;
 
 /// Build + start a sim on `threads` shards, apply the scenario's setup,
@@ -163,6 +163,54 @@ fn overload_backpressure_is_bit_identical() {
         par.run_until(SimTime::from_secs(60));
         let par = fingerprint(par.world());
         assert_eq!(serial, par, "overload: threads={threads} diverged");
+    }
+}
+
+#[test]
+fn downlink_tail_drops_in_parallel_windows_are_bit_identical() {
+    // Eight nodes polling within a microsecond of one another into
+    // two-message downlink queues: a poll burst converges on each
+    // receiver's downlink at once and the switch drops frames there,
+    // inside parallel windows, where the receiving shard reserves its own
+    // downlinks.
+    const N: usize = 8;
+    let run = |threads| {
+        let mut sim = ClusterSim::new(ClusterConfig::new(N).stagger(SimDur::from_micros(1)));
+        let net = &mut sim.world_mut().net;
+        let spec = net.spec().with_queue(2, u64::MAX);
+        for i in 0..N {
+            *net.downlink_mut(NodeId(i)) = DirLink::new(spec);
+        }
+        sim.set_threads(threads);
+        sim.start();
+        sim.run_until(SimTime::from_secs(10));
+        sim
+    };
+    let downlink_drops = |sim: &ClusterSim| -> u64 {
+        let net = &sim.world().net;
+        (0..N).map(|i| net.downlink(NodeId(i)).drops()).sum()
+    };
+    let serial = run(1);
+    let drops = downlink_drops(&serial);
+    assert!(drops > 0, "no downlink drop — vacuous");
+    let want = fingerprint(serial.world());
+    for threads in [2, 3, 8] {
+        let par = run(threads);
+        let stats = par.parallel_stats().expect("parallel driver");
+        assert!(
+            stats.windows_parallel > 0,
+            "threads={threads}: no parallel window"
+        );
+        assert_eq!(
+            downlink_drops(&par),
+            drops,
+            "threads={threads}: downlink drops"
+        );
+        assert_eq!(
+            fingerprint(par.world()),
+            want,
+            "threads={threads} diverged from serial"
+        );
     }
 }
 

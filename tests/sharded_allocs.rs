@@ -74,8 +74,8 @@ fn the_sharded_star_costs_the_same_calls_on_any_thread_and_under_a_hundredth_per
         "{per_frame:.4} allocator calls per delivered frame ({calls} calls in 30 s)"
     );
 
-    // Under faults too: a frame dropped inside the switch is recycled in
-    // the coordinator's replay, into the sending shard's pool.
+    // Under faults too: a frame dropped inside the switch is recycled by
+    // the receiving shard's receive hook, into that shard's pool.
     let here = faulted_run();
     let again = faulted_run();
     let fresh = std::thread::spawn(faulted_run)
