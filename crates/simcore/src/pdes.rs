@@ -18,10 +18,9 @@
 //! 1. finds the globally earliest pending event time `t0` (windows are
 //!    event-driven; idle stretches are skipped entirely),
 //! 2. publishes the window `[t0, t0 + lookahead)` and lets whoever is free
-//!    *claim* its shards: the coordinating thread claims and runs shards
-//!    itself, and `min(shards, cores) - 1` workers claim whatever it has
-//!    not reached yet, each thread its home shard first (thread `k`, shard
-//!    `k`), then the rest off one atomic counter. Every claimed shard executes
+//!    *claim* its shards off one atomic counter: the coordinating thread
+//!    claims and runs shards itself, and `min(shards, cores) - 1` workers
+//!    claim whatever it has not reached yet. Every claimed shard executes
 //!    its own events against a frozen snapshot of the shared state; the
 //!    coordinating thread waits only for shards another thread has claimed
 //!    and not finished. A worker that wakes late finds nothing left and
@@ -529,27 +528,16 @@ const POLL_SPINS: u32 = 1 << 12;
 /// The claim state of the published window, shared by the coordinating
 /// thread and the workers.
 ///
-/// A shard is claimed by swapping its `taken` flag to true. Each thread
-/// first tries its home shard (thread `k` — the coordinating thread is 0 —
-/// shard `k`), so that a shard's wheel, nodes and mail stay in one core's
-/// cache from window to window; then it walks the rest with
-/// `next.fetch_add(1, AcqRel)`, which hands every index below `n` to
-/// exactly one thread, and tries each index it gets.
-///
-/// `publish` stores `bound`, `receiving` and the reset of `done`, then
-/// clears every `taken` flag and stores `next = 0`, each with `Release`. A
-/// claim is an `AcqRel` swap that reads a cleared flag, that is, one of
-/// those stores (every window sets every flag before the next one clears
-/// them), so whoever holds a claim sees the bound of the window the claim
-/// belongs to. A window stays open until `done` reaches `n` — every shard
-/// claimed and finished — so a thread that was descheduled between looking
-/// at `next` and claiming gets either nothing or a shard of the
-/// then-current window, never a stale one.
-struct Ctl<'a> {
+/// `next.store(0, Release)` opens a window and publishes `bound` and the
+/// reset of `done` with it; a claim is `next.fetch_add(1, AcqRel)`
+/// returning an index below `n`, which reads that store or a later claim
+/// in its release sequence, so whoever holds a claim sees the bound of the
+/// window the claim belongs to. A window stays open until `done` reaches
+/// `n` — every index claimed and finished — so a thread that was
+/// descheduled between looking at `next` and claiming gets either nothing
+/// or a shard of the then-current window, never a stale one.
+struct Ctl {
     n: usize,
-    /// Per shard, whether the published round has claimed it: the
-    /// engine's, all set between rounds.
-    taken: &'a [AtomicBool],
     /// Inclusive bound of the published window.
     bound: AtomicU64,
     /// Whether the published claim is for the window's posts (phase B)
@@ -568,12 +556,10 @@ struct Ctl<'a> {
     panicked: AtomicBool,
 }
 
-impl<'a> Ctl<'a> {
-    fn new(taken: &'a [AtomicBool]) -> Self {
-        let n = taken.len();
+impl Ctl {
+    fn new(n: usize) -> Self {
         Ctl {
             n,
-            taken,
             bound: AtomicU64::new(0),
             receiving: AtomicBool::new(false),
             next: AtomicUsize::new(n),
@@ -588,9 +574,6 @@ impl<'a> Ctl<'a> {
         self.bound.store(bound, Ordering::Relaxed);
         self.receiving.store(receiving, Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
-        for t in self.taken {
-            t.store(false, Ordering::Release);
-        }
         self.next.store(0, Ordering::Release);
     }
 
@@ -598,27 +581,14 @@ impl<'a> Ctl<'a> {
         self.next.load(Ordering::Relaxed) < self.n
     }
 
-    /// Claim a shard of the open round for the thread whose home shard is
-    /// `home`.
-    fn claim(&self, home: usize) -> Option<usize> {
+    fn claim(&self) -> Option<usize> {
         // Look first: polling with the `fetch_add` would run the counter
         // up while no window is open.
         if !self.open() {
             return None;
         }
-        let take = |i: usize| !self.taken[i].swap(true, Ordering::AcqRel);
-        if home < self.n && take(home) {
-            return Some(home);
-        }
-        loop {
-            let i = self.next.fetch_add(1, Ordering::AcqRel);
-            if i >= self.n {
-                return None;
-            }
-            if take(i) {
-                return Some(i);
-            }
-        }
+        let i = self.next.fetch_add(1, Ordering::AcqRel);
+        (i < self.n).then_some(i)
     }
 
     /// Wait for the shards other threads have claimed.
@@ -641,7 +611,7 @@ struct Crew<'a, W: ShardWorld> {
     wheels: &'a [Mutex<Wheel<W::Ev>>],
     shards: &'a [Mutex<Shard<W>>],
     shared: &'a RwLock<&'a mut W::Shared>,
-    ctl: &'a Ctl<'a>,
+    ctl: &'a Ctl,
 }
 
 impl<W: ShardWorld> Clone for Crew<'_, W> {
@@ -653,15 +623,15 @@ impl<W: ShardWorld> Clone for Crew<'_, W> {
 impl<W: ShardWorld> Copy for Crew<'_, W> {}
 
 impl<W: ShardWorld> Crew<'_, W> {
-    /// Claim shards of the open round until none is left, home shard
-    /// first, and run each: its events, or its posts. Every thread of the
-    /// crew runs a round through this, the coordinating thread (home 0)
-    /// included, so a panicking shard is handled the same wherever it was
-    /// claimed: the payload is kept for `run_until` to re-raise and the
-    /// shard still counts as done, which is what lets the round close.
-    fn claim_and_run(&self, home: usize) {
+    /// Claim shards of the open round until none is left and run each:
+    /// its events, or its posts. Every thread of the crew runs a round
+    /// through this, the coordinating thread included, so a panicking
+    /// shard is handled the same wherever it was claimed: the payload is
+    /// kept for `run_until` to re-raise and the shard still counts as
+    /// done, which is what lets the round close.
+    fn claim_and_run(&self) {
         let ctl = self.ctl;
-        while let Some(i) = ctl.claim(home) {
+        while let Some(i) = ctl.claim() {
             let bound = ctl.bound.load(Ordering::Relaxed);
             let receiving = ctl.receiving.load(Ordering::Relaxed);
             let r = catch_unwind(AssertUnwindSafe(|| {
@@ -686,11 +656,11 @@ impl<W: ShardWorld> Crew<'_, W> {
     /// A worker: claim from every window that opens; with nothing open,
     /// poll for a while, then park until the coordinating thread has more
     /// shards than it can claim itself — or shuts the crew down.
-    fn work(&self, home: usize) {
+    fn work(&self) {
         let mut spins = 0;
         while !self.ctl.shutdown.load(Ordering::Acquire) {
             if self.ctl.open() {
-                self.claim_and_run(home);
+                self.claim_and_run();
                 spins = 0;
             } else if spins < POLL_SPINS {
                 spins += 1;
@@ -740,9 +710,6 @@ pub struct Engine<W: ShardWorld> {
     /// The cores a run may use, read once: `available_parallelism` reads
     /// cgroup files, and allocates doing so.
     cores: usize,
-    /// Each shard's claim flag ([`Ctl`]), kept so that a run allocates
-    /// none.
-    taken: Vec<AtomicBool>,
     seq: u64,
     now: u64,
     lookahead: u64,
@@ -759,7 +726,6 @@ impl<W: ShardWorld> Engine<W> {
             wheels: (0..shards).map(|_| Wheel::new()).collect(),
             logs: (0..shards).map(|_| WindowLog::new(shards)).collect(),
             cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            taken: (0..shards).map(|_| AtomicBool::new(true)).collect(),
             seq: 0,
             now: 0,
             lookahead: lookahead.as_nanos(),
@@ -833,7 +799,7 @@ impl<W: ShardWorld> Engine<W> {
             .map(|(world, log)| Mutex::new(Shard { world, log }))
             .collect();
         let shared_lock = RwLock::new(shared);
-        let ctl = Ctl::new(&self.taken);
+        let ctl = Ctl::new(n);
         let crew = Crew {
             wheels: &wheels,
             shards: &shards,
@@ -844,7 +810,7 @@ impl<W: ShardWorld> Engine<W> {
 
         let caught = std::thread::scope(|scope| {
             let workers: Vec<Thread> = (1..n.min(cores))
-                .map(|k| scope.spawn(move || crew.work(k)).thread().clone())
+                .map(|_| scope.spawn(move || crew.work()).thread().clone())
                 .collect();
             let main = catch_unwind(AssertUnwindSafe(|| {
                 let mut run = Run {
@@ -1012,7 +978,7 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
         self.crew.ctl.publish(bound, receiving);
         let spare = busy.saturating_sub(1).min(self.workers.len());
         self.workers[..spare].iter().for_each(Thread::unpark);
-        self.crew.claim_and_run(0);
+        self.crew.claim_and_run();
         self.crew.ctl.wait_done();
     }
 
