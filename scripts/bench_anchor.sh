@@ -42,7 +42,10 @@ for side in base head; do
     dir=target/anchor/$side
     rm -rf "$dir/src"
     mkdir -p "$dir/src"
-    git archive "$rev" | tar -x -C "$dir/src"
+    # `-m`: the files get the time of extraction, not of their commit, so
+    # cargo rebuilds over whatever the directory built last, even when that
+    # came from a later commit.
+    git archive "$rev" | tar -x -m -C "$dir/src"
     CARGO_TARGET_DIR="$dir/target" cargo build --release --offline --quiet \
         --manifest-path "$dir/src/benchmark/Cargo.toml"
 done

@@ -33,7 +33,10 @@ workloads=$(sed -n '/"workloads"/,/^  \]/s/^ *{"name": "\([^"]*\)".*/\1/p' BENCH
 base=target/bench_parent
 rm -rf "$base/src"
 mkdir -p "$base/src"
-git archive "$parent" | tar -x -C "$base/src"
+# `-m`: the files get the time of extraction, not of their commit, so
+# cargo rebuilds over whatever the directory built last, even when that
+# came from a later commit.
+git archive "$parent" | tar -x -m -C "$base/src"
 build() {
     cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
 }
