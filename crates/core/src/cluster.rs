@@ -363,9 +363,9 @@ impl Sink for SerialSink<'_> {
         let (from, to) = (frame.hop.from, frame.hop.to);
         let ledger = &mut self.ledger;
         let d = ledger.fabric.finish(from, to, leg, &mut ledger.downs[to.0]);
-        match landed(frame, d) {
-            Some((at, ev)) => self.sim.schedule_msg_at(at, ev),
-            None => self.sim.skip_seq(),
+        let sim = &mut *self.sim;
+        if !landed(frame, d, |at, ev| sim.schedule_msg_at(at, ev)) {
+            sim.skip_seq();
         }
     }
 

@@ -65,17 +65,23 @@ pub(crate) trait Sink {
     fn should_drop(&mut self, from: NodeId, to: NodeId) -> bool;
 }
 
-/// The end of a frame's path: the delivery to schedule at the receiver, or
-/// `None` for a frame a switch dropped, whose buffer goes back to the pool
-/// lent to this thread. No one learns of a drop inside a switch.
+/// The end of a frame's path: the delivery goes to `arm`, to be scheduled
+/// at the receiver; a frame a switch dropped gives its buffer back to the
+/// pool lent to this thread instead, and `false` says so. No one learns of
+/// a drop inside a switch.
 #[inline]
-pub(crate) fn landed(mut frame: Frame, d: Delivery) -> Option<(SimTime, ClusterEvent)> {
+pub(crate) fn landed(
+    mut frame: Frame,
+    d: Delivery,
+    arm: impl FnOnce(SimTime, ClusterEvent),
+) -> bool {
     if d.dropped.is_some() {
         frame.ev.recycle();
-        return None;
+        return false;
     }
     frame.queued = d.queued;
-    Some((d.deliver_at, ClusterEvent::Deliver(frame)))
+    arm(d.deliver_at, ClusterEvent::Deliver(frame));
+    true
 }
 
 /// A node's cluster-glue state: the d-mon kernel thread, the poll series,
@@ -683,7 +689,7 @@ mod tests {
             let (from, to) = (frame.hop.from, frame.hop.to);
             for frame in [frame.clone(), frame] {
                 let d = fabric.finish(from, to, leg, &mut downs[to.0]);
-                armed += usize::from(landed(frame, d).is_some());
+                landed(frame, d, |_, _| armed += 1);
             }
         }
         assert_eq!(armed, 1, "one delivery scheduled");

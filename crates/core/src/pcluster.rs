@@ -174,9 +174,7 @@ impl ShardWorld for PShard {
         let down = &mut self.nodes.downs[self.local[frame.hop.to.0]];
         let d = path.map_or_else(|dropped| dropped, |leg| leg.land(down));
         let _lent = d.dropped.is_some().then(|| self.pool.lend());
-        if let Some((at, ev)) = landed(frame, d) {
-            receipt.schedule_at(at, ev);
-        }
+        landed(frame, d, |at, ev| receipt.schedule_at(at, ev));
     }
 }
 
