@@ -85,11 +85,14 @@
 //! probabilistic loss consumes RNG draws in delivery order, a revived node
 //! rewrites the registry mid-window, and so on. The [`Coordinator`] plans
 //! each window; if it detects a hazard it returns [`WindowMode::Serial`]
-//! and the engine executes that window on the coordinating thread in exact
-//! global order with exclusive access to the shared state (emissions are
-//! still logged and replayed per event, posts received at once, so
-//! sequence numbering is identical). Fault-free stretches run fully
-//! parallel.
+//! and the engine runs that window on the coordinating thread as a run of
+//! one-event windows: it picks the globally earliest event, executes it
+//! with exclusive access to the shared state, merges its log (phase A)
+//! and lets its posts be received (phase B) before it picks the next. So
+//! order and numbering are the serial scheduler's, and no lookahead is
+//! needed. A post is received after its event's other emissions have
+//! been merged, which is exact under the receive hook's contract above.
+//! Fault-free stretches run fully parallel.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -115,24 +118,6 @@ pub enum SharedView<'a, S> {
     Frozen(&'a S),
     /// Serial (hazard) window: exclusive access, full serial semantics.
     Exclusive(&'a mut S),
-}
-
-impl<S> SharedView<'_, S> {
-    /// Read access, available in both modes.
-    pub fn get(&self) -> &S {
-        match self {
-            SharedView::Frozen(s) => s,
-            SharedView::Exclusive(s) => s,
-        }
-    }
-
-    /// Write access — `Some` only inside a serial window.
-    pub fn get_mut(&mut self) -> Option<&mut S> {
-        match self {
-            SharedView::Frozen(_) => None,
-            SharedView::Exclusive(s) => Some(s),
-        }
-    }
 }
 
 /// One emission of an executed event, logged in program order.
@@ -180,6 +165,8 @@ struct WindowLog<W: ShardWorld> {
     /// in-window children so far, indexed by provisional id (assignment
     /// order == log order).
     prov: Vec<u64>,
+    /// The provisional id the next child logged in this window takes.
+    next_prov: u64,
     /// How many of `records` and `emits` the replay has consumed.
     next_rec: usize,
     next_emit: usize,
@@ -201,6 +188,7 @@ impl<W: ShardWorld> WindowLog<W> {
             records: Vec::new(),
             emits: Vec::new(),
             prov: Vec::new(),
+            next_prov: 0,
             next_rec: 0,
             next_emit: 0,
             out: (0..shards).map(|_| VecDeque::new()).collect(),
@@ -241,6 +229,7 @@ impl<W: ShardWorld> WindowLog<W> {
         self.records.clear();
         self.emits.clear();
         self.prov.clear();
+        self.next_prov = 0;
         self.next_rec = 0;
         self.next_emit = 0;
     }
@@ -354,11 +343,12 @@ pub trait ShardWorld: Send + Sized {
         shared: &mut SharedView<'_, Self::Shared>,
     );
 
-    /// Take one post addressed to this shard, sent by an event at `now`:
-    /// in merge order after a parallel window (phase B), at once in a
-    /// serial one. It may schedule one event under the post's sequence
-    /// number. It must touch only state that no handler and no global
-    /// effect reads or writes inside a window (see the module docs).
+    /// Take one post addressed to this shard, sent by an event at `now`,
+    /// in merge order after its window's merge (phase B); in a serial
+    /// window, before the next event runs. It may schedule one event under
+    /// the post's sequence number. It must touch only state that no handler
+    /// and no global effect reads or writes inside a window (see the module
+    /// docs).
     fn receive(&mut self, now: SimTime, post: Self::Post, receipt: Receipt<'_, Self::Ev>);
 }
 
@@ -476,33 +466,40 @@ impl<W: ShardWorld> Shard<W> {
     /// Run this shard's events in the window (times `<= bound`) against
     /// frozen shared state, logging every emission.
     fn run_window(&mut self, wheel: &mut Wheel<W::Ev>, bound: u64, shared: &W::Shared) {
-        let mut prov_ctr = 0;
-        while let Some((at, key, ev)) = wheel.pop_min_if(bound) {
-            let before = self.log.emits.len();
-            let mut out = Emit {
-                now: at,
-                wheel,
-                emits: &mut self.log.emits,
-                out: &mut self.log.out,
-                prov_ctr: &mut prov_ctr,
-            };
-            self.world.execute(
-                SimTime::from_nanos(at),
-                ev,
-                &mut out,
-                &mut SharedView::Frozen(shared),
-            );
-            self.log.records.push(LogRec {
-                at,
-                key,
-                emits: (self.log.emits.len() - before) as u32,
-            });
-        }
+        let mut view = SharedView::Frozen(shared);
+        while self.run_event(wheel, bound, &mut view) {}
+    }
+
+    /// Pop this shard's earliest event at or before `bound` and execute it
+    /// into the window log, under one record. False when there is none.
+    fn run_event(
+        &mut self,
+        wheel: &mut Wheel<W::Ev>,
+        bound: u64,
+        shared: &mut SharedView<'_, W::Shared>,
+    ) -> bool {
+        let Some((at, key, ev)) = wheel.pop_min_if(bound) else {
+            return false;
+        };
+        let log = &mut self.log;
+        let before = log.emits.len();
+        let mut out = Emit {
+            now: at,
+            wheel,
+            emits: &mut log.emits,
+            out: &mut log.out,
+            prov_ctr: &mut log.next_prov,
+        };
+        self.world
+            .execute(SimTime::from_nanos(at), ev, &mut out, shared);
+        let emits = (log.emits.len() - before) as u32;
+        log.records.push(LogRec { at, key, emits });
+        true
     }
 
     /// Phase B: take the posts phase A put on this shard's worklist, in
     /// merge order.
-    fn receive_posts(&mut self, wheel: &mut Wheel<W::Ev>, window_bound: u64) {
+    fn receive_posts(&mut self, wheel: &mut Wheel<W::Ev>, window_bound: Option<u64>) {
         let log = &mut self.log;
         for a in log.arrivals.drain(..) {
             let post = log.inn[a.src as usize]
@@ -511,7 +508,7 @@ impl<W: ShardWorld> Shard<W> {
             let receipt = Receipt {
                 wheel: &mut *wheel,
                 seq: a.seq,
-                window_bound: Some(window_bound),
+                window_bound,
             };
             self.world.receive(SimTime::from_nanos(a.at), post, receipt);
         }
@@ -638,7 +635,7 @@ impl<W: ShardWorld> Crew<'_, W> {
                 let mut wheel = self.wheels[i].lock().expect("wheel lock");
                 let mut shard = self.shards[i].lock().expect("shard lock");
                 if receiving {
-                    shard.receive_posts(&mut wheel, bound);
+                    shard.receive_posts(&mut wheel, Some(bound));
                 } else {
                     let sh = self.shared.read().expect("shared lock");
                     shard.run_window(&mut wheel, bound, &**sh);
@@ -820,7 +817,6 @@ impl<W: ShardWorld> Engine<W> {
                     wheels: Vec::with_capacity(n),
                     shards: Vec::with_capacity(n),
                     next_at: vec![None; n],
-                    serial_emits: Vec::new(),
                     seq: &mut seq,
                     stats: &mut stats,
                     lookahead: self.lookahead,
@@ -861,7 +857,9 @@ impl<W: ShardWorld> Engine<W> {
 /// The coordinating thread's state for one `run_until`: outside the
 /// parallel phases it holds every wheel and every shard, so finding the
 /// next window, planning it, merging it and running a serial window touch
-/// no lock, and all its scratch is built here, once.
+/// no lock but the shared state's. Its scratch (the guard vectors and the
+/// next-event times) is built here, once; a serial window uses the shards'
+/// window logs, as a parallel one does.
 struct Run<'a, 'c, W: ShardWorld, C> {
     crew: Crew<'a, W>,
     workers: &'c [Thread],
@@ -872,8 +870,6 @@ struct Run<'a, 'c, W: ShardWorld, C> {
     shards: Vec<MutexGuard<'a, Shard<W>>>,
     /// Each shard's earliest pending time, as of the last window start.
     next_at: Vec<Option<u64>>,
-    /// The emissions of the one event a serial window has in flight.
-    serial_emits: Vec<LogEmit<W::Fx>>,
     seq: &'c mut u64,
     stats: &'c mut EngineStats,
     lookahead: u64,
@@ -933,8 +929,9 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         return;
                     }
                     self.lock_all();
-                    self.replay(bound);
-                    if !self.receive_posts(bound) {
+                    let shared = self.crew.shared;
+                    self.replay(&mut **shared.write().expect("shared lock"), Some(bound));
+                    if !self.receive_posts(Some(bound)) {
                         return;
                     }
                     self.stats.windows_parallel += 1;
@@ -945,22 +942,26 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
     }
 
     /// Phase B: every shard takes the posts phase A put on its worklist.
-    /// With more than one shard to serve and a worker to share them with,
-    /// they are claimed like a window's events; otherwise this thread
-    /// serves them in turn. False when a shard panicked.
-    fn receive_posts(&mut self, bound: u64) -> bool {
+    /// After a parallel window with more than one shard to serve and a
+    /// worker to share them with, they are claimed like a window's events;
+    /// otherwise this thread serves them in turn. False when a shard
+    /// panicked.
+    fn receive_posts(&mut self, window_bound: Option<u64>) -> bool {
         let shards = self.shards.iter();
         let busy = shards.filter(|s| !s.log.arrivals.is_empty()).count();
-        if busy <= 1 || self.workers.is_empty() {
-            for (shard, wheel) in self.shards.iter_mut().zip(&mut self.wheels) {
-                shard.receive_posts(wheel, bound);
+        match window_bound {
+            Some(bound) if busy > 1 && !self.workers.is_empty() => {
+                self.claim_round(bound, busy, true);
+                if self.crew.ctl.panicked.load(Ordering::Acquire) {
+                    return false;
+                }
+                self.lock_all();
             }
-        } else {
-            self.claim_round(bound, busy, true);
-            if self.crew.ctl.panicked.load(Ordering::Acquire) {
-                return false;
+            _ => {
+                for (shard, wheel) in self.shards.iter_mut().zip(&mut self.wheels) {
+                    shard.receive_posts(wheel, window_bound);
+                }
             }
-            self.lock_all();
         }
         self.swap_mail(true);
         true
@@ -982,23 +983,14 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
         self.crew.ctl.wait_done();
     }
 
-    /// Phase A: merge the shard logs of a parallel window in exact
-    /// `(time, seq)` order, assigning serial sequence numbers to in-window
-    /// children and posts, applying global effects and routing posts in
-    /// serial position; then hand each outbox to its destination.
-    fn replay(&mut self, bound: u64) {
-        let mut sh = self.crew.shared.write().expect("shared lock");
-        loop {
-            // The head with the smallest (time, exact seq).
-            let mut best: Option<(u64, u64, usize)> = None;
-            for (s, shard) in self.shards.iter().enumerate() {
-                if let Some((at, key)) = shard.log.head() {
-                    if best.is_none_or(|(a, k, _)| (at, key) < (a, k)) {
-                        best = Some((at, key, s));
-                    }
-                }
-            }
-            let Some((at, _, s)) = best else { break };
+    /// Phase A: merge the shard logs of a window in exact `(time, seq)`
+    /// order, assigning serial sequence numbers to in-window children and
+    /// posts, applying global effects and routing posts in serial
+    /// position; then hand each outbox to its destination. The window is
+    /// a parallel one running to `window_bound`, or (`None`) the one event
+    /// a serial window has just run.
+    fn replay(&mut self, sh: &mut W::Shared, window_bound: Option<u64>) {
+        while let Some((at, _, s)) = earliest(self.shards.iter().map(|s| s.log.head())) {
             let emits = self.shards[s].log.pop_record();
             self.stats.executed += 1;
             let now_t = SimTime::from_nanos(at);
@@ -1012,8 +1004,14 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         log.prov.push(exact);
                         // Still-pending children are promoted in place; a
                         // `false` return means the child already fired
-                        // inside the window (its own log record follows).
-                        let _ = self.wheels[s].rekey(child_at, PROV_BIT | prov_id, exact);
+                        // inside a parallel window (its own log record
+                        // follows). A serial window merges every event
+                        // before the next runs.
+                        let promoted = self.wheels[s].rekey(child_at, PROV_BIT | prov_id, exact);
+                        debug_assert!(
+                            promoted || window_bound.is_some(),
+                            "serial-window child vanished before replay"
+                        );
                     }
                     LogEmit::Fx(fx) => {
                         let mut worlds = Worlds {
@@ -1022,18 +1020,16 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
                         let mut sched = Sched {
                             wheels: &mut self.wheels,
                             seq: self.seq,
-                            window_bound: Some(bound),
+                            window_bound,
                         };
-                        self.coord
-                            .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
+                        self.coord.apply(now_t, fx, sh, &mut worlds, &mut sched);
                     }
                     LogEmit::Post { dst } => {
                         let seq = *self.seq;
                         *self.seq += 1;
                         let k = log.routed[dst as usize];
                         log.routed[dst as usize] += 1;
-                        self.coord
-                            .route(now_t, &mut log.out[dst as usize][k], &mut **sh);
+                        self.coord.route(now_t, &mut log.out[dst as usize][k], sh);
                         let arrival = Arrival {
                             src: s as u32,
                             at,
@@ -1072,77 +1068,33 @@ impl<W: ShardWorld, C: Coordinator<W>> Run<'_, '_, W, C> {
         }
     }
 
-    /// Execute one hazard window on the coordinating thread in exact global
-    /// `(time, seq)` order with exclusive shared access. Each event's
-    /// emissions are replayed immediately, so ordering and sequence
-    /// numbering are identical to the serial scheduler's.
+    /// Execute one hazard window on the coordinating thread in exact
+    /// global `(time, seq)` order with exclusive shared access: a run of
+    /// one-event windows, each merged and its posts received before the
+    /// next event is picked, so ordering and sequence numbering are
+    /// identical to the serial scheduler's.
     fn serial_window(&mut self, bound: u64) {
-        let mut sh = self.crew.shared.write().expect("shared lock");
+        let shared = self.crew.shared;
+        let mut sh = shared.write().expect("shared lock");
         loop {
-            let mut best: Option<(u64, u64, usize)> = None;
-            for (s, wheel) in self.wheels.iter().enumerate() {
-                if let Some((at, key)) = wheel.next_key() {
-                    if at <= bound && best.is_none_or(|(a, k, _)| (at, key) < (a, k)) {
-                        best = Some((at, key, s));
-                    }
-                }
-            }
-            let Some((_, _, s)) = best else { break };
-            let (at, _key, ev) = self.wheels[s].pop_min_if(bound).expect("peeked event");
-            self.stats.executed += 1;
-            let now_t = SimTime::from_nanos(at);
-            let mut prov_ctr = 0u64;
-            {
-                let Shard { world, log } = &mut *self.shards[s];
-                let mut out = Emit {
-                    now: at,
-                    wheel: &mut self.wheels[s],
-                    emits: &mut self.serial_emits,
-                    out: &mut log.out,
-                    prov_ctr: &mut prov_ctr,
-                };
-                world.execute(now_t, ev, &mut out, &mut SharedView::Exclusive(&mut **sh));
-            }
-            // Immediate per-event replay: exact seqs in emission order.
-            let mut local_id = 0u64;
-            for e in self.serial_emits.drain(..) {
-                match e {
-                    LogEmit::Local { at: child_at } => {
-                        let exact = *self.seq;
-                        *self.seq += 1;
-                        let promoted = self.wheels[s].rekey(child_at, PROV_BIT | local_id, exact);
-                        debug_assert!(promoted, "serial-window child vanished before replay");
-                        local_id += 1;
-                    }
-                    LogEmit::Fx(fx) => {
-                        let mut worlds = Worlds {
-                            shards: &mut self.shards,
-                        };
-                        let mut sched = Sched {
-                            wheels: &mut self.wheels,
-                            seq: self.seq,
-                            window_bound: None,
-                        };
-                        self.coord
-                            .apply(now_t, fx, &mut **sh, &mut worlds, &mut sched);
-                    }
-                    LogEmit::Post { dst } => {
-                        let dst = dst as usize;
-                        let out = &mut self.shards[s].log.out[dst];
-                        let mut post = out.pop_front().expect("a post per emission");
-                        self.coord.route(now_t, &mut post, &mut **sh);
-                        let receipt = Receipt {
-                            wheel: &mut self.wheels[dst],
-                            seq: *self.seq,
-                            window_bound: None,
-                        };
-                        *self.seq += 1;
-                        self.shards[dst].world.receive(now_t, post, receipt);
-                    }
-                }
-            }
+            let heads = self.wheels.iter();
+            let heads = heads.map(|w| w.next_key().filter(|&(at, _)| at <= bound));
+            let Some((_, _, s)) = earliest(heads) else {
+                break;
+            };
+            let view = &mut SharedView::Exclusive(&mut **sh);
+            self.shards[s].run_event(&mut self.wheels[s], bound, view);
+            self.replay(&mut **sh, None);
+            self.receive_posts(None);
         }
     }
+}
+
+/// The smallest `(time, seq)` among the shards' `keys`, and its shard.
+fn earliest(keys: impl Iterator<Item = Option<(u64, u64)>>) -> Option<(u64, u64, usize)> {
+    keys.enumerate()
+        .filter_map(|(s, k)| k.map(|(at, key)| (at, key, s)))
+        .min()
 }
 
 #[cfg(test)]
@@ -1243,7 +1195,10 @@ mod tests {
             out: &mut Emit<'_, ToyShard>,
             shared: &mut SharedView<'_, ToyShared>,
         ) {
-            let shared = shared.get();
+            let shared: &ToyShared = match shared {
+                SharedView::Frozen(s) => s,
+                SharedView::Exclusive(s) => s,
+            };
             match ev {
                 TEv::Tick { i } => {
                     let node = &mut self.nodes[self.local[i]];
@@ -1405,20 +1360,26 @@ mod tests {
             &mut coord,
             SimTime::from_nanos(horizon_ns),
         );
-        let mut nodes: Vec<ToyNode> = worlds.into_iter().flat_map(|w| w.nodes).collect();
-        nodes.sort_by_key(|t| t.id);
         RunResult {
-            nodes,
+            nodes: by_id(worlds),
             trace: shared.trace,
             executed: engine.stats().executed,
         }
     }
 
+    /// Every shard's ring nodes, in node order.
+    fn by_id(worlds: Vec<ToyShard>) -> Vec<ToyNode> {
+        let mut nodes: Vec<ToyNode> = worlds.into_iter().flat_map(|w| w.nodes).collect();
+        nodes.sort_by_key(|t| t.id);
+        nodes
+    }
+
     /// The same model on the serial scheduler, with schedule calls in the
     /// same program order.
-    fn run_serial(n: usize, horizon_ns: u64, seed: u64) -> RunResult {
+    fn run_serial(n: usize, horizon_ns: u64, seed: u64, delay: u64) -> RunResult {
         struct World {
             n: usize,
+            delay: u64,
             nodes: Vec<ToyNode>,
             trace: Vec<(u64, String)>,
         }
@@ -1434,7 +1395,7 @@ mod tests {
                             .push((now.as_nanos(), format!("{i}->{to}:{val}")));
                         if arrive(&mut self.nodes[to]) {
                             sim.schedule_msg_in(
-                                SimDur::from_nanos(DELAY),
+                                SimDur::from_nanos(self.delay),
                                 TEv::Recv { i: to, val },
                             );
                         } else {
@@ -1462,6 +1423,7 @@ mod tests {
         let mut sim: Sim<World, TEv> = Sim::new();
         let mut world = World {
             n,
+            delay,
             nodes: (0..n).map(ToyNode::new).collect(),
             trace: Vec::new(),
         };
@@ -1478,7 +1440,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_scheduler() {
-        let serial = run_serial(9, 200_000, 0);
+        let serial = run_serial(9, 200_000, 0, DELAY);
         let dropped: u64 = serial.nodes.iter().map(|t| t.dropped).sum();
         assert!(dropped > 0, "no message dropped — vacuous");
         for shards in [1, 2, 4, 8] {
@@ -1566,7 +1528,7 @@ mod tests {
         // every third with hazard windows mixed in.
         for seed in 1..=50 {
             let n = 9 + seed as usize % 8;
-            let serial = run_serial(n, 60_000, seed);
+            let serial = run_serial(n, 60_000, seed, DELAY);
             let every = (seed % 3 == 0).then_some(2 + seed % 4);
             let par = run_seeded(n, 8, 60_000, every, seed);
             assert_eq!(par.nodes, serial.nodes, "seed {seed}: node state");
@@ -1616,16 +1578,26 @@ mod tests {
     #[test]
     fn serial_windows_need_no_lookahead() {
         // A serial window picks the global minimum again after every
-        // event, so the same short delay is in order there: the run agrees
-        // with one single shard, where nothing is cross-shard.
-        let run = |shards: usize| {
-            let (mut engine, mut worlds, mut shared) = toy(4, shards, 0);
-            let mut coord = ToyCoord::new(Some(1));
-            worlds.iter_mut().for_each(|w| w.delay = DELAY / 2);
-            engine.run_until(worlds, &mut shared, &mut coord, SimTime::from_nanos(20_000));
-            (shared.trace, engine.seq())
-        };
-        assert_eq!(run(1), run(3));
+        // event, so a short delay is in order there: the run agrees with
+        // the serial scheduler at any shard count. At delay 0 a received
+        // post is the very next event, on the receiving shard.
+        for delay in [0, DELAY / 2] {
+            let serial = run_serial(4, 20_000, 0, delay);
+            let mut seqs = Vec::new();
+            for shards in [1, 3] {
+                let (mut engine, mut worlds, mut shared) = toy(4, shards, 0);
+                let mut coord = ToyCoord::new(Some(1));
+                worlds.iter_mut().for_each(|w| w.delay = delay);
+                let until = SimTime::from_nanos(20_000);
+                let worlds = engine.run_until(worlds, &mut shared, &mut coord, until);
+                let at = format!("delay {delay}, {shards} shards");
+                assert_eq!(by_id(worlds), serial.nodes, "{at}: node state");
+                assert_eq!(shared.trace, serial.trace, "{at}: effect order");
+                assert_eq!(engine.stats().executed, serial.executed, "{at}: executed");
+                seqs.push(engine.seq());
+            }
+            assert_eq!(seqs[0], seqs[1], "delay {delay}: seq");
+        }
     }
 
     /// A shard world that panics on one kind of thread and, on the other,

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Function-length gate: fails when a non-test function under crates/core/src
-# runs past 125 lines, signature to closing brace. Reads rustfmt's layout, not
-# Rust: an item closes on the next `}` at its indent, and only the item a
-# `#[cfg(test)]` sits on is skipped, wherever in the file it is.
+# Function-length gate: fails when a non-test function under crates/core/src,
+# crates/simcore/src, crates/simnet/src or crates/simos/src runs past 125
+# lines, signature to closing brace. Reads rustfmt's layout, not Rust: an item
+# closes on the next `}` at its indent, and only the item a `#[cfg(test)]`
+# sits on is skipped, wherever in the file it is.
 set -eu
 cd "$(dirname "$0")/.."
-find crates/core/src -name '*.rs' | sort | xargs awk '
+dirs="crates/core/src crates/simcore/src crates/simnet/src crates/simos/src"
+find $dirs -name '*.rs' | sort | xargs awk '
     FNR == 1 { test = -1; attr = 0; split("", open); split("", name) }
     { match($0, /^ */); ind = RLENGTH }
     test >= 0 { if (ind == test && /^ *}/) test = -1; next }
@@ -22,4 +24,4 @@ find crates/core/src -name '*.rs' | sort | xargs awk '
     }
     END { exit bad }
 ' || { echo "check_fn_len: functions over 125 lines (above)"; exit 1; }
-echo "ok       no function under crates/core/src exceeds 125 lines"
+echo "ok       no function under $dirs exceeds 125 lines"

@@ -172,45 +172,55 @@ fn downlink_tail_drops_in_parallel_windows_are_bit_identical() {
     // two-message downlink queues: a poll burst converges on each
     // receiver's downlink at once and the switch drops frames there,
     // inside parallel windows, where the receiving shard reserves its own
-    // downlinks.
+    // downlinks. With loss on from the start every window is serial, and
+    // the same drops happen in receive hooks run between its events.
     const N: usize = 8;
-    let run = |threads| {
-        let mut sim = ClusterSim::new(ClusterConfig::new(N).stagger(SimDur::from_micros(1)));
-        let net = &mut sim.world_mut().net;
-        let spec = net.spec().with_queue(2, u64::MAX);
-        for i in 0..N {
-            *net.downlink_mut(NodeId(i)) = DirLink::new(spec);
+    let lossy = FaultPlan::new(9).loss_at(SimTime::ZERO, 0.05);
+    for plan in [None, Some(&lossy)] {
+        let run = |threads| {
+            let mut sim = ClusterSim::new(ClusterConfig::new(N).stagger(SimDur::from_micros(1)));
+            let net = &mut sim.world_mut().net;
+            let spec = net.spec().with_queue(2, u64::MAX);
+            for i in 0..N {
+                *net.downlink_mut(NodeId(i)) = DirLink::new(spec);
+            }
+            sim.set_threads(threads);
+            sim.start();
+            if let Some(plan) = plan {
+                sim.apply_fault_plan(plan);
+            }
+            sim.run_until(SimTime::from_secs(10));
+            sim
+        };
+        let downlink_drops = |sim: &ClusterSim| -> u64 {
+            let net = &sim.world().net;
+            (0..N).map(|i| net.downlink(NodeId(i)).drops()).sum()
+        };
+        let name = if plan.is_some() { "serial" } else { "parallel" };
+        let serial = run(1);
+        let drops = downlink_drops(&serial);
+        assert!(drops > 0, "{name}: no downlink drop — vacuous");
+        let want = fingerprint(serial.world());
+        for threads in [2, 3, 8] {
+            let par = run(threads);
+            let stats = par.parallel_stats().expect("parallel driver");
+            let windows = if plan.is_some() {
+                stats.windows_serial
+            } else {
+                stats.windows_parallel
+            };
+            assert!(windows > 0, "threads={threads}: no {name} window");
+            assert_eq!(
+                downlink_drops(&par),
+                drops,
+                "{name}, threads={threads}: downlink drops"
+            );
+            assert_eq!(
+                fingerprint(par.world()),
+                want,
+                "{name}, threads={threads} diverged from serial"
+            );
         }
-        sim.set_threads(threads);
-        sim.start();
-        sim.run_until(SimTime::from_secs(10));
-        sim
-    };
-    let downlink_drops = |sim: &ClusterSim| -> u64 {
-        let net = &sim.world().net;
-        (0..N).map(|i| net.downlink(NodeId(i)).drops()).sum()
-    };
-    let serial = run(1);
-    let drops = downlink_drops(&serial);
-    assert!(drops > 0, "no downlink drop — vacuous");
-    let want = fingerprint(serial.world());
-    for threads in [2, 3, 8] {
-        let par = run(threads);
-        let stats = par.parallel_stats().expect("parallel driver");
-        assert!(
-            stats.windows_parallel > 0,
-            "threads={threads}: no parallel window"
-        );
-        assert_eq!(
-            downlink_drops(&par),
-            drops,
-            "threads={threads}: downlink drops"
-        );
-        assert_eq!(
-            fingerprint(par.world()),
-            want,
-            "threads={threads} diverged from serial"
-        );
     }
 }
 

@@ -51,7 +51,10 @@ impl ShardWorld for Ring {
         out: &mut Emit<'_, Ring>,
         nodes: &mut SharedView<'_, usize>,
     ) {
-        let n = *nodes.get();
+        let n = match nodes {
+            SharedView::Frozen(n) => **n,
+            SharedView::Exclusive(n) => **n,
+        };
         match ev {
             Ev::Tick(i) => {
                 self.counts[i] = self.counts[i].wrapping_add(1);
