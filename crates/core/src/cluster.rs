@@ -9,7 +9,7 @@
 //! harness, SmartPointer) drive everything through [`ClusterSim`].
 
 use simcore::{HandleMsg, Sim, SimDur, SimTime};
-use simnet::link::{BytesWindow, LinkSpec};
+use simnet::link::{DenseWindow, LinkSpec};
 use simnet::topology::{Placement, TopologySpec};
 use simnet::traffic::FlowTable;
 use simnet::{DirLink, Fabric, FaultAction, Leg, Network, NodeId};
@@ -730,7 +730,7 @@ impl ClusterSim {
             svc.push(NodeSvc {
                 task: host.cpu.spawn_service(SimTime::ZERO, "d-mon"),
                 poll_token: 0,
-                event_meter: BytesWindow::new(SimDur::from_secs(1)),
+                event_meter: DenseWindow::new(SimDur::from_secs(1)),
             });
             hosts.push(host);
             // A d-mon's neighbourhood is its rack (the whole cluster on a

@@ -249,10 +249,13 @@ impl MonitorModule for NetMon {
         "NET_AVAIL"
     }
     fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
-        let avail = host.available_bps(now);
-        let total = host.conns.total_used_bps(now);
-        rec.extend([avail.to_bits(), total.to_bits()]);
-        for (id, st) in host.conns.iter() {
+        // One walk: the used-bandwidth sum, in connection-id order as
+        // `ConnTrack::total_used_bps` adds it, beside the rows.
+        let head = rec.len();
+        rec.extend([0, 0]);
+        let mut total = 0.0;
+        for (id, st) in host.conns.iter_mut() {
+            total += st.used_bps(now);
             rec.extend([
                 id.local.0 as u64,
                 id.remote.0 as u64,
@@ -262,6 +265,8 @@ impl MonitorModule for NetMon {
                 0, // lost: a UDP figure, and every tracked connection is TCP
             ]);
         }
+        let avail = host.available_given(total);
+        rec[head..head + 2].copy_from_slice(&[avail.to_bits(), total.to_bits()]);
         avail
     }
     fn renderer(&self) -> RecordRender {

@@ -10,7 +10,7 @@
 //! which is what makes a sharded run bit-identical to a serial one.
 
 use simcore::{SimDur, SimTime};
-use simnet::link::BytesWindow;
+use simnet::link::DenseWindow;
 use simnet::{ConnId, Delivery, DirLink, Leg, NodeId, Placement, Port, TrafficClass};
 use simos::host::Host;
 use simos::TaskId;
@@ -98,7 +98,7 @@ pub(crate) struct NodeSvc {
     pub poll_token: u64,
     /// Events handled (sent + received) in a sliding 1 s window — feeds
     /// the Iperf probe's interference model.
-    pub event_meter: BytesWindow,
+    pub event_meter: DenseWindow,
 }
 
 /// The per-node columns a [`Node`] is cut from.

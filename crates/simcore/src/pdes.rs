@@ -779,7 +779,7 @@ impl<W: ShardWorld> Engine<W> {
     /// usable afterwards.
     pub fn run_until<C: Coordinator<W>>(
         &mut self,
-        worlds: Vec<W>,
+        mut worlds: Vec<W>,
         shared: &mut W::Shared,
         coord: &mut C,
         until: SimTime,
@@ -791,7 +791,7 @@ impl<W: ShardWorld> Engine<W> {
 
         let wheels: Vec<_> = self.wheels.drain(..).map(Mutex::new).collect();
         let shards: Vec<_> = worlds
-            .into_iter()
+            .drain(..)
             .zip(self.logs.drain(..))
             .map(|(world, log)| Mutex::new(Shard { world, log }))
             .collect();
@@ -838,19 +838,19 @@ impl<W: ShardWorld> Engine<W> {
         self.seq = seq;
         self.stats = stats;
         self.now = until;
-        // Put the wheels and logs back and hand the worlds to the caller.
+        // Put the wheels and logs back and hand the worlds to the caller,
+        // in the vector the caller lent (a `collect` into a fresh one
+        // would shrink it, one `realloc` a call).
         let unwrapped = wheels
             .into_iter()
             .map(|m| m.into_inner().expect("wheel lock"));
         self.wheels.extend(unwrapped);
-        let shards = shards.into_iter();
-        shards
-            .map(|m| {
-                let Shard { world, log } = m.into_inner().expect("shard lock");
-                self.logs.push(log);
-                world
-            })
-            .collect()
+        for m in shards {
+            let Shard { world, log } = m.into_inner().expect("shard lock");
+            self.logs.push(log);
+            worlds.push(world);
+        }
+        worlds
     }
 }
 

@@ -17,6 +17,20 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDur(u64);
 
+/// `x.round() as u64`, bit for bit, without `f64::round`: on baseline
+/// x86-64 that is a software routine, and these two conversions run on
+/// every serialization time and CPU charge. The cast saturates (NaN and
+/// negatives to 0, past `u64::MAX` to it), and below 2^64 `x - t` is the
+/// exact fraction, so the half-up test rounds as `round` does.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 macro_rules! ctors {
     ($ty:ident) => {
         impl $ty {
@@ -46,7 +60,7 @@ macro_rules! ctors {
                 if s <= 0.0 {
                     return $ty(0);
                 }
-                $ty((s * 1e9).round() as u64)
+                $ty(round_to_u64(s * 1e9))
             }
             /// Value in whole nanoseconds.
             pub const fn as_nanos(self) -> u64 {
@@ -121,7 +135,7 @@ impl SimDur {
     /// Multiply by a non-negative float, rounding to nanoseconds.
     pub fn mul_f64(self, k: f64) -> SimDur {
         assert!(k >= 0.0, "negative duration scale {k}");
-        SimDur((self.0 as f64 * k).round() as u64)
+        SimDur(round_to_u64(self.0 as f64 * k))
     }
 
     /// Saturating subtraction.
@@ -256,6 +270,45 @@ mod tests {
         assert_eq!(SimDur::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDur::from_secs_f64(0.5), SimDur::from_millis(500));
         assert_eq!(SimDur::from_secs_f64(-1.0), SimDur::ZERO);
+    }
+
+    /// `round_to_u64` is `f64::round` then a saturating cast: on random
+    /// bit patterns, random magnitudes, every `k + 0.5` tried and its
+    /// one-ulp neighbours, and the edges (NaN, ±∞, 2^53, 2^64).
+    #[test]
+    fn round_to_u64_matches_round_then_cast() {
+        let check = |x: f64| {
+            let want = x.round() as u64;
+            assert_eq!(round_to_u64(x), want, "{x:e} ({:#018x})", x.to_bits());
+        };
+        let mut edges = vec![
+            f64::NAN,
+            f64::INFINITY,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            2f64.powi(52),
+            2f64.powi(53),
+            2f64.powi(63),
+            2f64.powi(64),
+        ];
+        let mut rng = crate::SimRng::seed_from_u64(0x0000_2B0D);
+        let halves = [0, 1, 2, 7, 1 << 20, 1 << 40, (1 << 52) - 1];
+        let random_halves = (0..10_000).map(|_| rng.below(1 << 52));
+        for k in halves.into_iter().chain(random_halves) {
+            edges.push(k as f64 + 0.5);
+        }
+        for x in edges {
+            for y in [x, -x] {
+                check(y);
+                check(y.next_up());
+                check(y.next_down());
+            }
+        }
+        for _ in 0..200_000 {
+            check(f64::from_bits(rng.next_u64()));
+            check(rng.f64() * 2f64.powi(rng.below(70) as i32));
+        }
     }
 
     #[test]

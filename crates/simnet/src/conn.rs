@@ -230,6 +230,12 @@ impl ConnTrack {
     pub fn iter(&self) -> impl Iterator<Item = (&ConnId, &ConnStats)> {
         self.rows.iter().map(|row| (&row.id, &row.stats))
     }
+
+    /// Iterate over connections in ascending connection-id order, with
+    /// their stats writable (a window read prunes it).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&ConnId, &mut ConnStats)> {
+        self.rows.iter_mut().map(|row| (&row.id, &mut row.stats))
+    }
 }
 
 #[cfg(test)]

@@ -76,71 +76,178 @@ impl LinkSpec {
     }
 }
 
-/// Entries a [`BytesWindow`] holds inline. A per-connection window fed
-/// once per poll holds one or two; link and event meters hold dozens and
-/// spill.
+/// One window entry: an instant and the bytes recorded at it.
+pub type Entry = (SimTime, u64);
+
+/// Where a [`SlidingWindow`] keeps its entries: one FIFO, oldest first.
+pub trait WindowStore: Default {
+    /// The oldest entry.
+    fn front(&self) -> Option<Entry>;
+    /// Drop the oldest entry; the store is not empty.
+    fn pop_front(&mut self);
+    /// The newest entry.
+    fn back_mut(&mut self) -> Option<&mut Entry>;
+    /// Append an entry, growing the store if it is full.
+    fn push_back(&mut self, entry: Entry);
+    /// True when [`WindowStore::push_back`] would have to grow the store.
+    fn is_full(&self) -> bool;
+    /// Entries held, in the window or not yet pruned.
+    fn held(&self) -> usize;
+}
+
+/// A dense window's store: one deque, held inline.
+impl WindowStore for VecDeque<Entry> {
+    fn front(&self) -> Option<Entry> {
+        VecDeque::front(self).copied()
+    }
+    fn pop_front(&mut self) {
+        VecDeque::pop_front(self);
+    }
+    fn back_mut(&mut self) -> Option<&mut Entry> {
+        VecDeque::back_mut(self)
+    }
+    fn push_back(&mut self, entry: Entry) {
+        VecDeque::push_back(self, entry);
+    }
+    fn is_full(&self) -> bool {
+        VecDeque::len(self) == self.capacity()
+    }
+    fn held(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Entries a [`Spill`] store holds inline. A per-connection window fed
+/// once per poll holds one or two.
 const WINDOW_INLINE: usize = 2;
 
-/// Sliding-window byte accounting, used to estimate recent utilization.
-///
-/// The entries are one FIFO: the oldest [`WINDOW_INLINE`] sit in the
+/// A sparse window's store: the oldest [`WINDOW_INLINE`] entries in the
 /// struct itself, whatever is newer than those in a deque behind a
-/// pointer — so a quiet window is 64 bytes, costs no second cache line
-/// and no allocation, and a busy one prunes and reads the same entries in
-/// the same order as a plain deque.
-#[derive(Debug, Clone)]
-pub struct BytesWindow {
-    window: SimDur,
-    total: u64,
+/// pointer — so a quiet window costs no second cache line and no
+/// allocation.
+#[derive(Debug, Clone, Default)]
+pub struct Spill {
     /// The oldest entries, oldest first: `head[..head_len]`.
-    head: [(SimTime, u64); WINDOW_INLINE],
+    head: [Entry; WINDOW_INLINE],
     head_len: usize,
     /// Entries newer than all of `head`; empty unless `head` is full, and
     /// allocated the first time that happens. Boxed for the struct's size:
     /// a deque's four words here would be a window's third.
     #[allow(clippy::box_collection)]
-    tail: Option<Box<VecDeque<(SimTime, u64)>>>,
+    tail: Option<Box<VecDeque<Entry>>>,
 }
+
+impl WindowStore for Spill {
+    fn front(&self) -> Option<Entry> {
+        (self.head_len > 0).then(|| self.head[0])
+    }
+    fn pop_front(&mut self) {
+        self.head.copy_within(1..self.head_len, 0);
+        match self.tail.as_mut().and_then(|tail| tail.pop_front()) {
+            Some(next) => self.head[self.head_len - 1] = next,
+            None => self.head_len -= 1,
+        }
+    }
+    fn back_mut(&mut self) -> Option<&mut Entry> {
+        if let Some(newest) = self.tail.as_deref_mut().and_then(VecDeque::back_mut) {
+            return Some(newest);
+        }
+        self.head[..self.head_len].last_mut()
+    }
+    fn push_back(&mut self, entry: Entry) {
+        if self.head_len < WINDOW_INLINE {
+            self.head[self.head_len] = entry;
+            self.head_len += 1;
+        } else {
+            self.tail.get_or_insert_default().push_back(entry);
+        }
+    }
+    fn is_full(&self) -> bool {
+        self.head_len == WINDOW_INLINE
+            && self
+                .tail
+                .as_ref()
+                .is_none_or(|tail| tail.len() == tail.capacity())
+    }
+    fn held(&self) -> usize {
+        self.head_len + self.tail.as_ref().map_or(0, |tail| tail.len())
+    }
+}
+
+/// Sliding-window byte accounting, used to estimate recent utilization.
+///
+/// Pruning is lazy. A record at an instant that already has an entry adds
+/// to it; any other record appends, and reads the oldest entries only
+/// when the store is full — it prunes first and grows the store only if
+/// that freed nothing. [`SlidingWindow::bytes`] and
+/// [`SlidingWindow::bps`] prune to their own `now`. So a window written
+/// far more often than it is read holds at most about twice the entries
+/// of one window, and pays for pruning in bulk.
+///
+/// Precondition: the `now` of successive calls on one window never moves
+/// backwards (checked in debug builds against the newest entry). Under
+/// it a late prune drops exactly the prefix an early one would have, and
+/// every read returns the total a prune on every record would.
+#[derive(Debug, Clone)]
+pub struct SlidingWindow<S> {
+    window: SimDur,
+    total: u64,
+    entries: S,
+}
+
+/// A window read often and written a few times per window width (a
+/// connection, a disk): 64 bytes, inline until it spills.
+pub type BytesWindow = SlidingWindow<Spill>;
+
+/// A window written many times per width and rarely read (a link
+/// direction, a node's event meter): its deque inline.
+pub type DenseWindow = SlidingWindow<VecDeque<Entry>>;
 
 // `simnet::conn` fits a connection's row in two cache lines on this.
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(std::mem::size_of::<BytesWindow>() == 64);
 
-impl BytesWindow {
+impl<S: WindowStore> SlidingWindow<S> {
     /// Track bytes over a sliding `window`.
     pub fn new(window: SimDur) -> Self {
         assert!(!window.is_zero(), "zero-width byte window");
-        BytesWindow {
+        SlidingWindow {
             window,
             total: 0,
-            head: [(SimTime::ZERO, 0); WINDOW_INLINE],
-            head_len: 0,
-            tail: None,
+            entries: S::default(),
         }
     }
 
+    /// Drop the entries that fell out of the window ending at `now`.
     fn prune(&mut self, now: SimTime) {
+        debug_assert!(
+            self.entries.back_mut().is_none_or(|newest| newest.0 <= now),
+            "a byte window's time moved backwards to {now}"
+        );
         let cutoff = now - self.window;
-        while self.head_len > 0 && self.head[0].0 < cutoff {
-            self.total -= self.head[0].1;
-            self.head.copy_within(1..self.head_len, 0);
-            match self.tail.as_mut().and_then(|tail| tail.pop_front()) {
-                Some(next) => self.head[self.head_len - 1] = next,
-                None => self.head_len -= 1,
+        while let Some((t, bytes)) = self.entries.front() {
+            if t >= cutoff {
+                break;
             }
+            self.total -= bytes;
+            self.entries.pop_front();
         }
     }
 
     /// Record `bytes` transferred at `now`.
     pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.prune(now);
-        if self.head_len < WINDOW_INLINE {
-            self.head[self.head_len] = (now, bytes);
-            self.head_len += 1;
-        } else {
-            self.tail.get_or_insert_default().push_back((now, bytes));
-        }
         self.total += bytes;
+        if let Some((t, sum)) = self.entries.back_mut() {
+            debug_assert!(*t <= now, "a byte window's time moved backwards to {now}");
+            if *t == now {
+                *sum += bytes;
+                return;
+            }
+        }
+        if self.entries.is_full() {
+            self.prune(now);
+        }
+        self.entries.push_back((now, bytes));
     }
 
     /// Bytes observed within the window ending at `now`.
@@ -159,6 +266,11 @@ impl BytesWindow {
     pub fn window(&self) -> SimDur {
         self.window
     }
+
+    /// Entries held, pruned or not: what the window costs in memory.
+    pub fn held(&self) -> usize {
+        self.entries.held()
+    }
 }
 
 /// One direction of a full-duplex link: a FIFO store-and-forward queue with
@@ -172,7 +284,7 @@ pub struct DirLink {
     /// Fluid background load (e.g. Iperf UDP floods), bits per second.
     background_bps: f64,
     /// Recent message traffic, for utilization probes.
-    msg_window: BytesWindow,
+    msg_window: DenseWindow,
     /// Lifetime counters.
     messages: u64,
     bytes: u64,
@@ -196,7 +308,7 @@ impl DirLink {
             spec,
             busy_until: SimTime::ZERO,
             background_bps: 0.0,
-            msg_window: BytesWindow::new(SimDur::from_secs(1)),
+            msg_window: DenseWindow::new(SimDur::from_secs(1)),
             messages: 0,
             bytes: 0,
             pending: VecDeque::new(),

@@ -122,7 +122,12 @@ impl Leg {
             return false;
         }
         let t_all = link.tx_time_now(self.bytes);
-        let t_first = link.tx_time_now(self.first_pkt);
+        // Every monitoring frame is one packet: the same call, once.
+        let t_first = if self.first_pkt == self.bytes {
+            t_all
+        } else {
+            link.tx_time_now(self.first_pkt)
+        };
         let tail_constraint = self.tail + t_first;
         let (start, finish) = if bulk {
             let (start, finish0) = link.reserve(self.head, t_all);

@@ -120,7 +120,13 @@ impl Host {
     /// tracked connections' recent throughput. Never negative.
     pub fn available_bps(&mut self, now: SimTime) -> f64 {
         let used = self.conns.total_used_bps(now);
-        (self.link_capacity_bps - self.observed_background_bps - used).max(0.0)
+        self.available_given(used)
+    }
+
+    /// [`Host::available_bps`] for connections that used `used_bps`
+    /// between them (as [`ConnTrack::total_used_bps`] sums it).
+    pub fn available_given(&self, used_bps: f64) -> f64 {
+        (self.link_capacity_bps - self.observed_background_bps - used_bps).max(0.0)
     }
 
     /// Advance internal clocks (CPU accounting, battery drain) to `now`.

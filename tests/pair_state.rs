@@ -19,7 +19,7 @@ use kecho::{
 };
 use simcore::{SimDur, SimRng, SimTime};
 use simnet::conn::Proto;
-use simnet::link::BytesWindow;
+use simnet::link::{Entry, SlidingWindow, Spill, WindowStore};
 use simnet::{ConnId, ConnTrack, NodeId};
 use simos::host::{Host, HostConfig};
 use simos::RecordRender;
@@ -60,10 +60,18 @@ impl DequeWindow {
 
 #[test]
 fn bytes_window_matches_a_deque_across_its_inline_capacity() {
-    let mut rng = SimRng::seed_from_u64(0x000B_17E5);
+    window_matches_a_deque::<Spill>(0x000B_17E5);
+    window_matches_a_deque::<VecDeque<Entry>>(0x000B_17E6);
+}
+
+/// One layout against the deque that prunes on every record: a read
+/// after every record, then runs of records with no read in between (the
+/// store fills and prunes in bulk, or grows), bursts at one instant.
+fn window_matches_a_deque<S: WindowStore>(seed: u64) {
+    let mut rng = SimRng::seed_from_u64(seed);
     for case in 0..200 {
         let window = SimDur::from_millis(rng.range_u64(1, 2000));
-        let mut real = BytesWindow::new(window);
+        let mut real = SlidingWindow::<S>::new(window);
         let mut model = DequeWindow {
             window,
             entries: VecDeque::new(),
@@ -81,11 +89,35 @@ fn bytes_window_matches_a_deque_across_its_inline_capacity() {
                 _ => window.mul_f64(rng.range_f64(0.0, 0.05)),
             };
             let at = format!("case {case} step {step} window {window}");
-            match rng.below(4) {
+            match rng.below(6) {
                 0 => assert_eq!(real.bytes(now), model.bytes(now), "{at}"),
                 1 => {
                     let want = model.bytes(now) as f64 * 8.0 / window.as_secs_f64();
                     assert_eq!(real.bps(now).to_bits(), want.to_bits(), "{at}");
+                }
+                2 => {
+                    // A run with no read: up to a few windows' worth of
+                    // records, some of them at one instant.
+                    for _ in 0..rng.below(400) {
+                        if rng.below(3) != 0 {
+                            now += window.mul_f64(rng.range_f64(0.0, 0.02));
+                        }
+                        let bytes = rng.below(1 << 20);
+                        real.record(now, bytes);
+                        model.record(now, bytes);
+                    }
+                    assert_eq!(real.bytes(now), model.bytes(now), "{at}: after a run");
+                }
+                3 => {
+                    // A burst at one instant, read or not.
+                    for _ in 0..rng.range_u64(2, 40) {
+                        let bytes = rng.below(1 << 20);
+                        real.record(now, bytes);
+                        model.record(now, bytes);
+                    }
+                    if rng.below(2) == 0 {
+                        assert_eq!(real.bytes(now), model.bytes(now), "{at}: after a burst");
+                    }
                 }
                 _ => {
                     let bytes = rng.below(1 << 20);
@@ -97,6 +129,34 @@ fn bytes_window_matches_a_deque_across_its_inline_capacity() {
         }
         now += window.mul_f64(1.5);
         assert_eq!(real.bytes(now), 0, "case {case}: everything slides off");
+    }
+}
+
+/// A window written and never read prunes only when its store fills, so
+/// it holds at most about twice one window's entries however long it
+/// runs: 100 records a second for 10^4 simulated seconds.
+#[test]
+fn an_unread_window_holds_at_most_twice_one_windows_entries() {
+    fn most_held<S: WindowStore>() -> usize {
+        let mut meter = SlidingWindow::<S>::new(SimDur::from_secs(1));
+        let mut most = 0;
+        for k in 0..1_000_000 {
+            meter.record(SimTime::from_millis(10 * k), 1);
+            most = most.max(meter.held());
+        }
+        assert_eq!(meter.bytes(SimTime::from_secs(10_000)), 100);
+        most
+    }
+    // Records at t - 1 s .. t: one window holds 101 entries.
+    let one_window = 101;
+    for (layout, most) in [
+        ("spill", most_held::<Spill>()),
+        ("deque", most_held::<VecDeque<Entry>>()),
+    ] {
+        assert!(
+            most <= 2 * one_window,
+            "{layout}: held {most} entries, one window is {one_window}"
+        );
     }
 }
 
