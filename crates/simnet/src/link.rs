@@ -106,7 +106,17 @@ impl WindowStore for VecDeque<Entry> {
     fn back_mut(&mut self) -> Option<&mut Entry> {
         VecDeque::back_mut(self)
     }
+    /// Grows through 6, 10, 18, 34, … entries: a [`Spill`] store's
+    /// capacities (two inline, a tail doubling from four). A dense window
+    /// holds no more entries than a spill one fed the same records, so
+    /// past its first allocation it never grows where that would not have.
     fn push_back(&mut self, entry: Entry) {
+        if self.is_full() {
+            self.reserve_exact(match self.capacity() {
+                0 => WINDOW_INLINE + 4,
+                cap => cap - WINDOW_INLINE,
+            });
+        }
         VecDeque::push_back(self, entry);
     }
     fn is_full(&self) -> bool {
