@@ -249,8 +249,8 @@ impl MonitorModule for NetMon {
         "NET_AVAIL"
     }
     fn sample(&mut self, host: &mut Host, now: SimTime, rec: &mut Vec<u64>) -> f64 {
-        // One walk: the used-bandwidth sum, in connection-id order as
-        // `ConnTrack::total_used_bps` adds it, beside the rows.
+        // One walk: the rows, and the used-bandwidth sum in connection-id
+        // order, as `ConnTrack::total_used_bps` adds it.
         let head = rec.len();
         rec.extend([0, 0]);
         let mut total = 0.0;
@@ -265,7 +265,7 @@ impl MonitorModule for NetMon {
                 0, // lost: a UDP figure, and every tracked connection is TCP
             ]);
         }
-        let avail = host.available_given(total);
+        let avail = host.available_bps(total);
         rec[head..head + 2].copy_from_slice(&[avail.to_bits(), total.to_bits()]);
         avail
     }

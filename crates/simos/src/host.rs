@@ -116,16 +116,10 @@ impl Host {
     }
 
     /// Available network bandwidth as the kernel can estimate it from its
-    /// interface counters: line rate minus background traffic minus the
-    /// tracked connections' recent throughput. Never negative.
-    pub fn available_bps(&mut self, now: SimTime) -> f64 {
-        let used = self.conns.total_used_bps(now);
-        self.available_given(used)
-    }
-
-    /// [`Host::available_bps`] for connections that used `used_bps`
-    /// between them (as [`ConnTrack::total_used_bps`] sums it).
-    pub fn available_given(&self, used_bps: f64) -> f64 {
+    /// interface counters: line rate minus background traffic minus
+    /// `used_bps`, the tracked connections' recent throughput (as
+    /// [`simnet::ConnTrack::total_used_bps`] sums it). Never negative.
+    pub fn available_bps(&self, used_bps: f64) -> f64 {
         (self.link_capacity_bps - self.observed_background_bps - used_bps).max(0.0)
     }
 
@@ -224,11 +218,12 @@ mod tests {
     #[test]
     fn available_bps_subtracts_background_and_connections() {
         let mut h = Host::new("x", NodeId(0), &HostConfig::testbed());
-        assert_eq!(h.available_bps(SimTime::ZERO), 100e6);
+        let used = h.conns.total_used_bps(SimTime::ZERO);
+        assert_eq!(h.available_bps(used), 100e6);
         h.observed_background_bps = 60e6;
-        assert_eq!(h.available_bps(SimTime::ZERO), 40e6);
+        assert_eq!(h.available_bps(used), 40e6);
         h.observed_background_bps = 200e6;
-        assert_eq!(h.available_bps(SimTime::ZERO), 0.0);
+        assert_eq!(h.available_bps(used), 0.0);
     }
 
     #[test]
