@@ -192,7 +192,7 @@ impl WindowStore for Spill {
 /// that freed nothing. [`SlidingWindow::bytes`] and
 /// [`SlidingWindow::bps`] prune to their own `now`. So a window written
 /// far more often than it is read holds at most about twice the entries
-/// of one window, and pays for pruning in bulk.
+/// of one window, and prunes only as often as its store fills.
 ///
 /// Precondition: the `now` of successive calls on one window never moves
 /// backwards (checked in debug builds against the newest entry). Under
