@@ -98,7 +98,20 @@ impl Task {
 }
 
 /// The longest window any load-average query may use.
-const MAX_HISTORY: SimDur = SimDur::from_secs(15 * 60);
+pub const MAX_HISTORY: SimDur = SimDur::from_secs(15 * 60);
+
+/// One run-queue transition: when it took effect, and the integral of the
+/// run-queue length from the scheduler's start up to then, in task·ns. The
+/// integral wraps: only differences of it are ever read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    at: SimTime,
+    integral: u64,
+}
+
+// The history holds 15 sim-minutes of these per host: as small as the
+// `(SimTime, u32)` it replaced, which storing the level too would not be.
+const _: () = assert!(std::mem::size_of::<Mark>() == 16);
 
 /// Smallest step the run-queue history's buffer grows or shrinks by, in
 /// entries.
@@ -113,9 +126,11 @@ pub struct CpuSched {
     flops_per_sec: f64,
     tasks: Vec<Task>,
     last_advance: SimTime,
-    /// Transitions of run-queue length: (time, new length). Pruned to
-    /// `MAX_HISTORY`.
-    rq_history: VecDeque<(SimTime, u32)>,
+    /// Transitions of run-queue length, oldest first, at most one per
+    /// instant and pruned to `MAX_HISTORY`. The level after a mark is the
+    /// integral's rise to the next mark over the time between them; after
+    /// the newest it is `runnable`.
+    rq_history: VecDeque<Mark>,
     runnable: u32,
     /// Lifetime busy cpu-seconds (all CPUs), for utilization accounting.
     busy_cpu_seconds: f64,
@@ -130,7 +145,10 @@ impl CpuSched {
         assert!(n_cpus > 0, "need at least one CPU");
         assert!(flops_per_sec > 0.0, "flops must be positive");
         let mut rq_history = VecDeque::new();
-        rq_history.push_back((SimTime::ZERO, 0));
+        rq_history.push_back(Mark {
+            at: SimTime::ZERO,
+            integral: 0,
+        });
         CpuSched {
             n_cpus,
             flops_per_sec,
@@ -158,8 +176,7 @@ impl CpuSched {
         self.advance(now);
         let task = Task::new(name.into(), Kind::Compute, TaskState::Runnable);
         self.tasks.push(task);
-        self.runnable += 1;
-        self.record_runnable(now);
+        self.record_runnable(now, self.runnable + 1);
         TaskId(self.tasks.len() - 1)
     }
 
@@ -186,8 +203,7 @@ impl CpuSched {
         t.burn_end = SimTime::MAX;
         self.next_burn_end = self.earliest_burn_end();
         if was_runnable {
-            self.runnable -= 1;
-            self.record_runnable(now);
+            self.record_runnable(now, self.runnable - 1);
         }
     }
 
@@ -205,36 +221,47 @@ impl CpuSched {
             return;
         }
         t.state = state;
-        match state {
-            TaskState::Runnable => self.runnable += 1,
-            TaskState::Sleeping => self.runnable -= 1,
-        }
-        self.record_runnable(now);
+        let runnable = match state {
+            TaskState::Runnable => self.runnable + 1,
+            TaskState::Sleeping => self.runnable - 1,
+        };
+        self.record_runnable(now, runnable);
         self.prune_history(now);
     }
 
-    /// Log the run-queue length that takes effect at `now`. The log stays
-    /// ordered by time — `loadavg` binary-searches it.
-    fn record_runnable(&mut self, now: SimTime) {
+    /// The run-queue length becomes `runnable` at `now`: mark the integral
+    /// the old length reached by then. The log stays ordered by time —
+    /// `loadavg` searches it — and holds one mark per instant: a change at
+    /// the newest mark's instant adds nothing to the integral, so only
+    /// `runnable` moves.
+    fn record_runnable(&mut self, now: SimTime, runnable: u32) {
+        let last = *self.rq_history.back().expect("the history is never empty");
         debug_assert!(
-            self.rq_history.back().is_none_or(|&(t, _)| t <= now),
+            last.at <= now,
             "run-queue history must move forward in time"
         );
-        // Grow by an eighth, not by doubling: a host whose entry count
-        // hovers at a power of two would otherwise hold 1x or 2x of it
-        // depending on one busy second.
-        if self.rq_history.len() == self.rq_history.capacity() {
-            let step = (self.rq_history.capacity() / 8).max(HISTORY_STEP);
-            self.rq_history.reserve_exact(step);
+        if now > last.at {
+            // Grow by an eighth, not by doubling: a host whose entry count
+            // hovers at a power of two would otherwise hold 1x or 2x of it
+            // depending on one busy second.
+            if self.rq_history.len() == self.rq_history.capacity() {
+                let step = (self.rq_history.capacity() / 8).max(HISTORY_STEP);
+                self.rq_history.reserve_exact(step);
+            }
+            let rise = u64::from(self.runnable).wrapping_mul(now.since(last.at).as_nanos());
+            self.rq_history.push_back(Mark {
+                at: now,
+                integral: last.integral.wrapping_add(rise),
+            });
         }
-        self.rq_history.push_back((now, self.runnable));
+        self.runnable = runnable;
     }
 
     fn prune_history(&mut self, now: SimTime) {
         let cutoff = now - MAX_HISTORY;
         // Keep at least one entry at/before the cutoff so windowed averages
         // know the level at the window start.
-        while self.rq_history.len() >= 2 && self.rq_history[1].0 <= cutoff {
+        while self.rq_history.len() >= 2 && self.rq_history[1].at <= cutoff {
             self.rq_history.pop_front();
         }
         // Give the memory back once a burst has left the window, so the
@@ -398,66 +425,68 @@ impl CpuSched {
     /// Average run-queue length over the window `[now - period, now]` —
     /// dproc CPU_MON's headline metric.
     ///
-    /// The history is ordered by time (callers only move the clock
-    /// forward) and holds up to [`MAX_HISTORY`] of transitions, most of
-    /// them older than the window: the level at the window start is found
-    /// by binary search and the integration walks only the window.
+    /// The integral's rise over the window divided by its length: one
+    /// rounding of an exact ratio of integers. The integral at `now` comes
+    /// from the newest mark; at the window start, from a search back from
+    /// the newest end, for the start lies one window back in a history of
+    /// up to [`MAX_HISTORY`]. A window that starts before the oldest mark
+    /// extends the oldest known level back over the gap.
     pub fn loadavg(&self, now: SimTime, period: SimDur) -> f64 {
         assert!(!period.is_zero(), "zero loadavg window");
         let start = now - period;
-        let first = self.rq_history.partition_point(|&(t, _)| t <= start);
-        // The level at the window start: the last transition at or before
-        // it, or the oldest known level when the window predates them all.
-        let mut level = self
-            .rq_history
-            .get(first.saturating_sub(1))
-            .map_or(0, |&(_, l)| l);
-        let mut weighted = 0.0;
-        let mut cursor = start;
-        for &(t, l) in self.rq_history.range(first..) {
-            let seg_end = t.min(now);
-            if seg_end > cursor {
-                weighted += level as f64 * seg_end.since(cursor).as_secs_f64();
-                cursor = seg_end;
-            }
-            level = l;
-            if t >= now {
-                break;
-            }
-        }
-        if now > cursor {
-            weighted += level as f64 * now.since(cursor).as_secs_f64();
-        }
-        weighted / period.as_secs_f64()
+        let rise = self.integral_at(now).wrapping_sub(self.integral_at(start));
+        rise as f64 / period.as_nanos() as f64
     }
 
-    /// The front-to-back walk `loadavg` replaced, kept as the reference
-    /// the binary-search version must agree with bit for bit.
-    #[cfg(test)]
-    fn loadavg_linear(&self, now: SimTime, period: SimDur) -> f64 {
-        let start = now - period;
-        let mut level = self.rq_history.front().map_or(0, |&(_, l)| l);
-        let mut weighted = 0.0;
-        let mut cursor = start;
-        for &(t, l) in &self.rq_history {
-            if t <= start {
-                level = l;
-                continue;
+    /// The run-queue integral at `t`, wrapping like the marks'.
+    fn integral_at(&self, t: SimTime) -> u64 {
+        let k = self.mark_at(t);
+        let (mark, level) = (self.rq_history[k], self.level_after(k));
+        let area = |d: SimDur| level.wrapping_mul(d.as_nanos());
+        if t >= mark.at {
+            mark.integral.wrapping_add(area(t.since(mark.at)))
+        } else {
+            mark.integral.wrapping_sub(area(mark.at.since(t)))
+        }
+    }
+
+    /// The run-queue length from mark `k` to the next one, or to now.
+    fn level_after(&self, k: usize) -> u64 {
+        let mark = self.rq_history[k];
+        match self.rq_history.get(k + 1) {
+            Some(next) => {
+                let rise = next.integral.wrapping_sub(mark.integral);
+                rise / next.at.since(mark.at).as_nanos()
             }
-            let seg_end = t.min(now);
-            if seg_end > cursor {
-                weighted += level as f64 * seg_end.since(cursor).as_secs_f64();
-                cursor = seg_end;
-            }
-            level = l;
-            if t >= now {
+            None => u64::from(self.runnable),
+        }
+    }
+
+    /// The index of the newest mark at or before `t`, or 0 when `t`
+    /// predates them all: an exponential search from the newest end, then
+    /// a binary one inside the bracket it found.
+    fn mark_at(&self, t: SimTime) -> usize {
+        let h = &self.rq_history;
+        // Every mark from `hi` on is after `t`; the mark at `lo` is not,
+        // unless `lo` is 0.
+        let (mut lo, mut hi, mut step) = (0, h.len(), 1);
+        while step < hi {
+            if h[hi - step].at <= t {
+                lo = hi - step;
                 break;
             }
+            hi -= step;
+            step *= 2;
         }
-        if now > cursor {
-            weighted += level as f64 * now.since(cursor).as_secs_f64();
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if h[mid].at <= t {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
-        weighted / period.as_secs_f64()
+        lo
     }
 
     /// Lifetime busy CPU-seconds across all processors (feeds the battery
@@ -483,6 +512,34 @@ mod tests {
 
     fn sched() -> CpuSched {
         CpuSched::new(1, 17.4e6)
+    }
+
+    impl CpuSched {
+        /// The history as `(time, run-queue length from then on)`.
+        fn levels(&self) -> Vec<(SimTime, u32)> {
+            let level = |k| u32::try_from(self.level_after(k)).unwrap();
+            let marks = self.rq_history.iter().enumerate();
+            marks.map(|(k, m)| (m.at, level(k))).collect()
+        }
+    }
+
+    /// The load average by its definition, over a history spelled as
+    /// `(time, level)` transitions in time order (ties allowed): each
+    /// stretch of the window times its level, summed front to back in
+    /// exact integers, then one division. Before the oldest instant the
+    /// level set last at that instant holds.
+    fn loadavg_linear(levels: &[(SimTime, u32)], now: SimTime, period: SimDur) -> f64 {
+        let start = now - period;
+        let lead = levels.partition_point(|&(t, _)| t <= levels[0].0) - 1;
+        let mut weighted = 0u128;
+        for (k, &(t, l)) in levels.iter().enumerate().skip(lead) {
+            let from = if k == lead { start } else { t.max(start) };
+            let to = levels.get(k + 1).map_or(now, |&(t, _)| t.min(now));
+            if to > from {
+                weighted += u128::from(l) * u128::from(to.since(from).as_nanos());
+            }
+        }
+        weighted as f64 / period.as_nanos() as f64
     }
 
     #[test]
@@ -565,9 +622,8 @@ mod tests {
         assert_eq!(s.burn_end(svc), Some(ms(125)));
         s.advance(ms(200));
         assert_eq!((s.burn_end(svc), s.runnable()), (None, 0));
-        let history: Vec<_> = s.rq_history.iter().copied().collect();
         let want = [(0, 1), (100, 2), (110, 1), (125, 0)];
-        assert_eq!(history, want.map(|(t, l)| (ms(t), l)));
+        assert_eq!(s.levels(), want.map(|(t, l)| (ms(t), l)));
         // 10 ms at half a CPU, 10 ms at a whole one, 5 ms at a whole one.
         assert!((s.work_done(ms(200), svc) - 0.020).abs() < 1e-12);
     }
@@ -584,7 +640,7 @@ mod tests {
         assert_eq!((s.runnable(), s.burn_end(svc)), (1, Some(t)));
         s.settle_through(t);
         assert_eq!((s.runnable(), s.burn_end(svc)), (0, None));
-        assert_eq!(s.rq_history.back(), Some(&(t, 0)));
+        assert_eq!(s.levels().last(), Some(&(t, 0)));
     }
 
     /// The tie rule, delivery case: a charge at the instant a burn ends
@@ -601,8 +657,7 @@ mod tests {
         s.settle_through(ms(11));
         assert_eq!(s.burn_end(svc), Some(ms(16)));
         s.settle_through(ms(16));
-        let history: Vec<_> = s.rq_history.iter().copied().collect();
-        assert_eq!(history, [(ms(0), 0), (ms(1), 1), (ms(16), 0)]);
+        assert_eq!(s.levels(), [(ms(0), 0), (ms(1), 1), (ms(16), 0)]);
     }
 
     /// The tie rule, crash case: a queue drop at the instant a burn ends
@@ -620,7 +675,7 @@ mod tests {
             s.drop_queued(svc);
             s.advance(SimTime::from_secs(1));
             assert_eq!(s.runnable(), 0);
-            s.rq_history.back().map(|&(t, _)| t)
+            s.rq_history.back().map(|m| m.at)
         };
         assert_eq!(run(t), Some(t));
         assert_eq!(
@@ -755,6 +810,7 @@ mod tests {
                 let done_at = (old.done_at != SimTime::MAX).then_some(old.done_at);
                 proptest::prop_assert_eq!(new.burn_end(svc), done_at);
                 proptest::prop_assert_eq!(&new.rq_history, &old.cpu.rq_history);
+                proptest::prop_assert_eq!(new.runnable, old.cpu.runnable);
             }
             let end = SimTime::from_millis(t + 100_000);
             new.settle_through(end);
@@ -805,10 +861,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The binary-search window start agrees bit for bit with the
-        /// front-to-back walk on any time-ordered history — including
-        /// windows that start before the oldest entry, transitions tied
-        /// with the window start or with each other, and an empty log.
+        /// The running integral agrees bit for bit with the exact walk on
+        /// any time-ordered history — including windows that start before
+        /// the oldest entry or end before the newest, windows longer than
+        /// the history, and transitions tied with the window start or with
+        /// each other.
         #[test]
         fn loadavg_matches_the_linear_reference(
             t0 in 0u64..20,
@@ -817,16 +874,70 @@ mod tests {
             period in 1u64..120,
         ) {
             let mut s = sched();
-            s.rq_history.clear();
+            s.rq_history[0].at = SimTime::from_secs(t0);
+            let mut levels = vec![(SimTime::from_secs(t0), 0)];
             let mut t = t0;
             for (dt, level) in steps {
                 t += dt;
-                s.rq_history.push_back((SimTime::from_secs(t), level));
+                s.record_runnable(SimTime::from_secs(t), level);
+                levels.push((SimTime::from_secs(t), level));
             }
             let (now, period) = (SimTime::from_secs(now), SimDur::from_secs(period));
             proptest::prop_assert_eq!(
                 s.loadavg(now, period).to_bits(),
-                s.loadavg_linear(now, period).to_bits()
+                loadavg_linear(&levels, now, period).to_bits()
+            );
+        }
+    }
+
+    /// One run queue for 0.1 s, two for 0.3 s, one for 0.6 s: 1.3 on
+    /// average, which summing `level × seconds` in `f64` missed by an ulp.
+    #[test]
+    fn loadavg_is_the_correctly_rounded_ratio() {
+        let ms = SimTime::from_millis;
+        let mut s = sched();
+        let _a = s.spawn_compute(ms(0), "a");
+        let b = s.spawn_compute(ms(100), "b");
+        s.kill(ms(400), b);
+        let la = s.loadavg(ms(1000), SimDur::from_secs(1));
+        assert_eq!(la.to_bits(), (1_300_000_000.0 / 1e9f64).to_bits());
+        let float_walk = (1.0 * 0.1 + 2.0 * 0.3 + 1.0 * 0.6) / 1.0;
+        assert_ne!(la.to_bits(), f64::to_bits(float_walk));
+    }
+
+    /// Only differences of the integral are read, so it may wrap: a host
+    /// whose integral starts three task-seconds short of `u64::MAX` reads
+    /// what one starting at zero does.
+    #[test]
+    fn loadavg_reads_through_the_integral_wrapping() {
+        let ms = SimTime::from_millis;
+        let run = |integral: u64| {
+            let mut s = sched();
+            s.rq_history[0].integral = integral;
+            let svc = s.spawn_service(ms(0), "dmon");
+            let a = s.spawn_compute(ms(250), "a");
+            s.spawn_compute(ms(700), "b");
+            for k in 0..40 {
+                s.charge(ms(900 + 137 * k), svc, SimDur::from_millis(61));
+            }
+            s.kill(ms(4100), a);
+            s.advance(ms(9000));
+            s
+        };
+        let (zero, high) = (run(0), run(u64::MAX - 3_000_000_000));
+        assert!(high.rq_history.back().unwrap().integral < high.rq_history[0].integral);
+        assert_eq!(zero.levels(), high.levels());
+        for (now, window) in [
+            (9000, 9000),
+            (9000, 60_000),
+            (9000, 1),
+            (4100, 3333),
+            (1000, 900),
+        ] {
+            let (now, window) = (ms(now), SimDur::from_millis(window));
+            assert_eq!(
+                zero.loadavg(now, window).to_bits(),
+                high.loadavg(now, window).to_bits()
             );
         }
     }
