@@ -39,14 +39,19 @@
 //!
 //! Because a name cannot hold the `:` that ends a prefix, no name reads as
 //! one, and `Command::of(&c.to_msg()) == Some(c)` for every parsed `c`.
-//! Every number a command carries is finite: the text refuses `NaN` and
-//! `inf`, and a message whose parameter is not finite reads as no command.
+//! Every number a command carries is finite, and every window one that
+//! CPU MON can average over — at least a nanosecond once rounded and no
+//! longer than the run-queue history the scheduler keeps
+//! ([`simos::cpu::MAX_HISTORY`]): the text refuses anything else, and a
+//! message that carries anything else reads as no command.
 //!
 //! The text of a message `to_msg` writes is taken from the running
 //! thread's pool of control texts (`kecho::take_text`); whoever consumes
 //! the message gives it back (`ControlMsg::recycle`).
 
 use kecho::{ControlMsg, ParamSpec};
+use simcore::SimDur;
+use simos::cpu::MAX_HISTORY;
 
 /// A parse failure, with the offending input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,6 +110,23 @@ fn parse_f64(s: &str, what: &str) -> Result<f64, ControlParseError> {
     match s.parse::<f64>() {
         Ok(v) if v.is_finite() => Ok(v),
         _ => Err(err(format!("{what} `{s}` is not a finite number"))),
+    }
+}
+
+/// `secs` as a window, when CPU MON can average over it (module doc).
+fn window(secs: f64) -> Result<f64, ControlParseError> {
+    let span = SimDur::from_secs_f64(secs);
+    if secs <= 0.0 {
+        Err(err("window must be positive"))
+    } else if span.is_zero() {
+        Err(err(format!("window `{secs}` rounds to 0 ns")))
+    } else if span > MAX_HISTORY {
+        let kept = MAX_HISTORY.as_secs();
+        Err(err(format!(
+            "window `{secs}` exceeds the {kept} s of run-queue history kept"
+        )))
+    } else {
+        Ok(secs)
     }
 }
 
@@ -206,10 +228,7 @@ impl<'a> Command<'a> {
             "window" => {
                 let usage = || err("usage: window <metric> <seconds>");
                 let [file, secs] = words(rest).ok_or_else(usage)?;
-                let secs = parse_f64(secs, "window")?;
-                if secs <= 0.0 {
-                    return Err(err("window must be positive"));
-                }
+                let secs = window(parse_f64(secs, "window")?)?;
                 let file = name(file)?;
                 Ok(Command::Window { file, secs })
             }
@@ -282,7 +301,7 @@ impl<'a> Command<'a> {
             ("", _) => rule(false),
             (AND, _) => rule(true),
             (CLEAR, _) => Some(Command::Clear { metric }),
-            (WINDOW, ParamSpec::Period { period_s: secs }) => {
+            (WINDOW, ParamSpec::Period { period_s: secs }) if window(secs).is_ok() => {
                 Some(Command::Window { file: metric, secs })
             }
             _ => None,
@@ -406,6 +425,33 @@ mod tests {
             "clear",
         ] {
             assert!(Command::parse(bad).is_err(), "should reject `{bad}`");
+        }
+    }
+
+    /// A window past the 15 minutes of run-queue history would stretch
+    /// the oldest kept level back over time the scheduler no longer has,
+    /// and one under half a nanosecond rounds to no window at all: both
+    /// are refused, in the text and on the wire, and the bounds taken.
+    #[test]
+    fn windows_stay_within_the_history_and_above_zero() {
+        for bad in [
+            "window cpu 3600",
+            "window cpu 900.000000001",
+            "window cpu 1e-12",
+        ] {
+            let e = Command::parse(bad).expect_err(bad);
+            assert!(e.message.contains("window"), "{bad}: {e}");
+        }
+        for secs in [3600.0, 900.000000001, 1e-12, -1.0] {
+            let m = ControlMsg::SetParam {
+                metric: "window:cpu".into(),
+                param: ParamSpec::Period { period_s: secs },
+            };
+            assert_eq!(Command::of(&m), None, "{secs}");
+        }
+        for (text, secs) in [("window cpu 900", 900.0), ("window cpu 1e-9", 1e-9)] {
+            let file = "cpu";
+            assert_eq!(Command::parse(text), Ok(Command::Window { file, secs }));
         }
     }
 
@@ -540,9 +586,11 @@ mod tests {
             Just("power"),
         ];
         let positive = (1u64..1 << 40).prop_map(|n| n as f64 / 1024.0);
+        let span = (1u64..(900 << 10) + 1).prop_map(|n| n as f64 / 1024.0);
         let bound = proptest::num::f64::NORMAL;
         let fraction = (0u64..1001).prop_map(|n| n as f64 / 1000.0);
-        let verb = (0u64..8, positive, bound, bound, fraction).prop_map(|(k, p, b, c, f)| {
+        let args = (positive, span, bound, bound, fraction);
+        let verb = (0u64..8, args).prop_map(|(k, (p, w, b, c, f))| {
             let (lo, hi) = if b <= c { (b, c) } else { (c, b) };
             match k {
                 0 => ("period", vec![p]),
@@ -551,7 +599,7 @@ mod tests {
                 3 => ("below", vec![b]),
                 4 => ("range", vec![lo, hi]),
                 5 => ("clear", vec![]),
-                6 => ("window", vec![p]),
+                6 => ("window", vec![w]),
                 _ => ("range", vec![b, b]),
             }
         });

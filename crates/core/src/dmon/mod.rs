@@ -902,6 +902,20 @@ mod tests {
         assert_eq!(dmon.stats.control_errors, 1);
     }
 
+    /// A window CPU MON's history cannot serve is counted, like a
+    /// non-positive one, and leaves the window alone.
+    #[test]
+    fn a_window_outside_the_history_counts_an_error() {
+        let dmon = write_own(&[
+            "window cpu 3600",
+            "window cpu 1e-12",
+            "window cpu 0",
+            "window cpu 5",
+        ]);
+        assert_eq!(dmon.stats.control_errors, 3);
+        assert_eq!(dmon.stats.control_handled, 1);
+    }
+
     /// Writes `texts` to this node's own control file and polls once.
     fn write_own(texts: &[&str]) -> DMon {
         let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
