@@ -126,8 +126,8 @@ pub struct CpuSched {
     flops_per_sec: f64,
     tasks: Vec<Task>,
     last_advance: SimTime,
-    /// Transitions of run-queue length, oldest first, at most one per
-    /// instant and pruned to `MAX_HISTORY`. The level after a mark is the
+    /// Transitions of run-queue length, oldest first, pruned to
+    /// `MAX_HISTORY`. The level after the last mark of an instant is the
     /// integral's rise to the next mark over the time between them; after
     /// the newest it is `runnable`.
     rq_history: VecDeque<Mark>,
@@ -231,29 +231,27 @@ impl CpuSched {
 
     /// The run-queue length becomes `runnable` at `now`: mark the integral
     /// the old length reached by then. The log stays ordered by time —
-    /// `loadavg` searches it — and holds one mark per instant: a change at
-    /// the newest mark's instant adds nothing to the integral, so only
-    /// `runnable` moves.
+    /// `loadavg` searches it — and holds one mark per transition: marks
+    /// at one instant share an integral, and only the last of them has a
+    /// level (the stretch after the others is empty).
     fn record_runnable(&mut self, now: SimTime, runnable: u32) {
         let last = *self.rq_history.back().expect("the history is never empty");
         debug_assert!(
             last.at <= now,
             "run-queue history must move forward in time"
         );
-        if now > last.at {
-            // Grow by an eighth, not by doubling: a host whose entry count
-            // hovers at a power of two would otherwise hold 1x or 2x of it
-            // depending on one busy second.
-            if self.rq_history.len() == self.rq_history.capacity() {
-                let step = (self.rq_history.capacity() / 8).max(HISTORY_STEP);
-                self.rq_history.reserve_exact(step);
-            }
-            let rise = u64::from(self.runnable).wrapping_mul(now.since(last.at).as_nanos());
-            self.rq_history.push_back(Mark {
-                at: now,
-                integral: last.integral.wrapping_add(rise),
-            });
+        // Grow by an eighth, not by doubling: a host whose entry count
+        // hovers at a power of two would otherwise hold 1x or 2x of it
+        // depending on one busy second.
+        if self.rq_history.len() == self.rq_history.capacity() {
+            let step = (self.rq_history.capacity() / 8).max(HISTORY_STEP);
+            self.rq_history.reserve_exact(step);
         }
+        let rise = u64::from(self.runnable).wrapping_mul(now.since(last.at).as_nanos());
+        self.rq_history.push_back(Mark {
+            at: now,
+            integral: last.integral.wrapping_add(rise),
+        });
         self.runnable = runnable;
     }
 
@@ -430,7 +428,7 @@ impl CpuSched {
     /// from the newest mark; at the window start, from a search back from
     /// the newest end, for the start lies one window back in a history of
     /// up to [`MAX_HISTORY`]. A window that starts before the oldest mark
-    /// extends the oldest known level back over the gap.
+    /// extends the level set last at its instant back over the gap.
     pub fn loadavg(&self, now: SimTime, period: SimDur) -> f64 {
         assert!(!period.is_zero(), "zero loadavg window");
         let start = now - period;
@@ -440,7 +438,7 @@ impl CpuSched {
 
     /// The run-queue integral at `t`, wrapping like the marks'.
     fn integral_at(&self, t: SimTime) -> u64 {
-        let k = self.mark_at(t);
+        let k = self.mark_at(t.max(self.rq_history[0].at));
         let (mark, level) = (self.rq_history[k], self.level_after(k));
         let area = |d: SimDur| level.wrapping_mul(d.as_nanos());
         if t >= mark.at {
@@ -450,7 +448,8 @@ impl CpuSched {
         }
     }
 
-    /// The run-queue length from mark `k` to the next one, or to now.
+    /// The run-queue length from mark `k` to the next one, or to now; `k`
+    /// is the last mark of its instant.
     fn level_after(&self, k: usize) -> u64 {
         let mark = self.rq_history[k];
         match self.rq_history.get(k + 1) {
@@ -462,9 +461,9 @@ impl CpuSched {
         }
     }
 
-    /// The index of the newest mark at or before `t`, or 0 when `t`
-    /// predates them all: an exponential search from the newest end, then
-    /// a binary one inside the bracket it found.
+    /// The index of the newest mark at or before `t` — the last of its
+    /// instant — or 0 when `t` predates them all: an exponential search
+    /// from the newest end, then a binary one inside the bracket it found.
     fn mark_at(&self, t: SimTime) -> usize {
         let h = &self.rq_history;
         // Every mark from `hi` on is after `t`; the mark at `lo` is not,
@@ -515,11 +514,16 @@ mod tests {
     }
 
     impl CpuSched {
-        /// The history as `(time, run-queue length from then on)`.
+        /// The history as `(time, run-queue length from then on)`, one
+        /// pair per instant.
         fn levels(&self) -> Vec<(SimTime, u32)> {
+            let h = &self.rq_history;
+            let last = |k: usize| h.get(k + 1).is_none_or(|next| next.at > h[k].at);
             let level = |k| u32::try_from(self.level_after(k)).unwrap();
-            let marks = self.rq_history.iter().enumerate();
-            marks.map(|(k, m)| (m.at, level(k))).collect()
+            (0..h.len())
+                .filter(|&k| last(k))
+                .map(|k| (h[k].at, level(k)))
+                .collect()
         }
     }
 
