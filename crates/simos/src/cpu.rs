@@ -109,8 +109,8 @@ struct Mark {
     integral: u64,
 }
 
-// The history holds 15 sim-minutes of these per host: as small as the
-// `(SimTime, u32)` it replaced, which storing the level too would not be.
+// The history holds 15 sim-minutes of these per host; storing the level
+// beside the integral would make each 24 bytes.
 const _: () = assert!(std::mem::size_of::<Mark>() == 16);
 
 /// Smallest step the run-queue history's buffer grows or shrinks by, in
